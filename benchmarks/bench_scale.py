@@ -1,37 +1,37 @@
-"""Scale bench — dissemination overlays at n up to 1000 (PR-6 tentpole).
+"""Scale bench — broadcasts at n up to 1000, in every dissemination mode.
 
 Where ``bench_core_hotpath.py`` watches the kernel's per-event cost on the
 paper's mid-scale configs, this bench watches the *scaling wall*: a
-three-phase PBFT decision at n = 1000 materializes ~1.7M delivery events,
-and under the seed's full broadcast fan-out every one of them is a
-separately allocated message copy.  The dissemination overlays (``tree`` /
-``gossip``) relay broadcasts instead: payloads are shared copy-on-write,
-per-broadcast delays are drawn as one vectorized batch, and the fast tier
-schedules one shared delivery event per broadcast — so the same protocol
-run costs a fraction of the wall-clock and the allocator traffic.
+three-phase PBFT decision at n = 1000 schedules ~1.7M deliveries.  Since
+every mode rides the network module's one broadcast routine, a benign
+broadcast costs one shared message, one shared delivery event, one
+vectorized delay batch and n slim queue entries whether it is a ``full``
+star or a ``tree``/``gossip`` relay overlay; the modes differ in what they
+model (relay depth, per-node load), no longer in what they cost.
 
 Workload: one decision, lambda = 1000, N(50, 10) link delays, seed 2022,
 and **block proposals** (``block_txns = 256``): each proposal value carries
-a 256-transaction list, the realistic payload weight where full fan-out
-pays a structural copy per recipient and the overlays pay nothing.
+a 256-transaction list, the realistic payload weight at which a structural
+copy per recipient would show.
 
 Matrix: {pbft, hotstuff-ns} x n in {64, 256, 1000} x {full, tree, gossip},
-events/sec from warm wall-clock repetitions (fewer at n = 1000 — the full
-cell runs minutes); peak traced memory (tracemalloc) for the pbft n = 1000
-cells in a separate pass, since tracing multiplies wall time several-fold.
+events/sec from warm wall-clock repetitions (one at n = 1000); peak traced
+memory (tracemalloc) for the pbft n = 1000 cells in a separate pass, since
+tracing multiplies wall time several-fold.
 
 ``BENCH_scale.json`` is the committed reference.  The tests assert:
 
 1. **Determinism** — ``events_processed`` per cell matches the committed
    count exactly (RNG consumption and event ordering are seed-stable).
-2. **The headline claim stands** — the committed n=1000 pbft numbers show
-   ``tree`` >= 3x the events/sec of ``full``, at lower peak memory.
+2. **One broadcast path** — the committed pbft cells at n=256 and n=1000
+   show ``full`` within ``MAX_FULL_VS_TREE`` (1.3x) of ``tree`` in
+   events/sec, and within the same factor in peak memory at n=1000.
 3. **No regression** (CI smoke, n=256 only) — the live n=256 cells stay
    under ``REPRO_BENCH_MAX_REGRESSION`` (default 2.0) times the committed
-   medians, and ``tree`` still beats ``full`` live.
+   medians, and ``full`` stays within 1.3x of ``tree`` live.
 
-Regenerate after an intentional kernel/overlay change (takes ~15 minutes,
-dominated by the n=1000 full-fan-out cells)::
+Regenerate after an intentional kernel/overlay change (a few minutes,
+dominated by the three tracemalloc passes)::
 
     PYTHONPATH=src python benchmarks/bench_scale.py --update
 """
@@ -58,8 +58,9 @@ BLOCK_TXNS = 256
 
 MAX_REGRESSION = float(os.environ.get("REPRO_BENCH_MAX_REGRESSION", "2.0"))
 
-#: Headline acceptance bar: committed n=1000 pbft tree vs full events/sec.
-MIN_HEADLINE_SPEEDUP = 3.0
+#: ROADMAP "one broadcast path" gate: ``tree`` may be at most this many
+#: times as fast (or as small) as ``full`` on the pbft cells.
+MAX_FULL_VS_TREE = 1.3
 
 
 def _config(protocol: str, n: int, mode: str) -> SimulationConfig:
@@ -132,25 +133,28 @@ def _cell_key(protocol: str, n: int, mode: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def test_committed_headline_speedup():
-    """The committed artifact must show the tentpole claim: at n=1000 the
-    tree overlay sustains >= 3x the events/sec of the full fan-out on pbft,
-    at lower peak memory.  Pure artifact check — no simulation runs."""
+def test_committed_full_is_within_reach_of_tree():
+    """The committed artifact must show one broadcast path: on pbft at
+    n=256 and n=1000 ``full`` sustains events/sec within 1.3x of ``tree``,
+    and at n=1000 its peak memory is within the same factor.  Pure artifact
+    check — no simulation runs."""
     baseline = load_baseline()
     cells = baseline["cells"]
-    full = cells[_cell_key("pbft", 1000, "full")]
-    tree = cells[_cell_key("pbft", 1000, "tree")]
-    speedup = tree["events_per_sec"] / full["events_per_sec"]
-    assert speedup >= MIN_HEADLINE_SPEEDUP, (
-        f"committed n=1000 pbft tree/full events/sec ratio is only "
-        f"{speedup:.2f}x (claimed >= {MIN_HEADLINE_SPEEDUP}x); re-measure "
-        "with --update and revisit the overlay fast path"
-    )
+    for n in (256, 1000):
+        full = cells[_cell_key("pbft", n, "full")]
+        tree = cells[_cell_key("pbft", n, "tree")]
+        ratio = tree["events_per_sec"] / full["events_per_sec"]
+        assert ratio <= MAX_FULL_VS_TREE, (
+            f"committed pbft n={n}: tree is {ratio:.2f}x the events/sec of "
+            f"full (gate <= {MAX_FULL_VS_TREE}x); full broadcasts have left "
+            "the shared tier — re-measure with --update and look at "
+            "NetworkModule._broadcast"
+        )
     peaks = baseline["peak_memory"]
     assert (
-        peaks[_cell_key("pbft", 1000, "tree")]["peak_mib"]
-        < peaks[_cell_key("pbft", 1000, "full")]["peak_mib"]
-    ), "tree overlay must not cost more peak memory than full fan-out"
+        peaks[_cell_key("pbft", 1000, "full")]["peak_mib"]
+        <= MAX_FULL_VS_TREE * peaks[_cell_key("pbft", 1000, "tree")]["peak_mib"]
+    ), "full fan-out must not cost more than 1.3x the peak memory of tree"
 
 
 def test_committed_matrix_is_complete():
@@ -165,16 +169,15 @@ def test_committed_matrix_is_complete():
 def test_scale_smoke_regression(benchmark):
     """CI perf-smoke gate: the n=256 pbft cells, live vs committed.
 
-    Guards determinism (exact event counts), the overlay advantage (tree
-    beats full live), and wall-clock regression (within
+    Guards determinism (exact event counts), the one broadcast path (full
+    within 1.3x of tree live), and wall-clock regression (within
     ``REPRO_BENCH_MAX_REGRESSION`` of the committed medians)."""
     baseline = load_baseline()
 
     def run() -> dict:
-        return {
-            mode: measure_cell("pbft", 256, mode, reps=1)
-            for mode in ("full", "tree")
-        }
+        # Median of three repetitions per mode: the ratio gate compares
+        # two live numbers, and single runs move by more than 10 %.
+        return {mode: measure_cell("pbft", 256, mode) for mode in ("full", "tree")}
 
     live = run_once(benchmark, run)
     rows = []
@@ -194,8 +197,10 @@ def test_scale_smoke_regression(benchmark):
             (mode, str(cell["events"]), f"{ref['median_s']:.2f}",
              f"{cell['median_s']:.2f}", f"{cell['events_per_sec']:.0f}")
         )
-    assert live["tree"]["events_per_sec"] > live["full"]["events_per_sec"], (
-        "tree overlay no longer beats full fan-out at n=256"
+    ratio = live["tree"]["events_per_sec"] / live["full"]["events_per_sec"]
+    assert ratio <= MAX_FULL_VS_TREE, (
+        f"pbft/n256: tree is {ratio:.2f}x the events/sec of full live "
+        f"(gate <= {MAX_FULL_VS_TREE}x)"
     )
     save_artifact(
         "scale_smoke",
@@ -204,7 +209,7 @@ def test_scale_smoke_regression(benchmark):
             ["mode", "events", "ref (s)", "live (s)", "live ev/s"],
             rows,
             note=f"gate: live <= {MAX_REGRESSION:.1f}x committed median; "
-            "events must match exactly.",
+            f"tree <= {MAX_FULL_VS_TREE}x full in ev/s; events must match exactly.",
         ),
     )
 
@@ -227,7 +232,7 @@ def _update() -> None:
         key = _cell_key("pbft", 1000, mode)
         peaks[key] = measure_peak("pbft", 1000, mode)
         print(f"peak {key}: {peaks[key]}", flush=True)
-    headline = (
+    tree_vs_full = (
         cells[_cell_key("pbft", 1000, "tree")]["events_per_sec"]
         / cells[_cell_key("pbft", 1000, "full")]["events_per_sec"]
     )
@@ -243,12 +248,12 @@ def _update() -> None:
             "lam": 1000.0, "mean": 50.0, "std": 10.0, "seed": 2022,
             "num_decisions": 1, "block_txns": BLOCK_TXNS,
         },
-        "headline_speedup_n1000_pbft": round(headline, 2),
+        "tree_vs_full_n1000_pbft": round(tree_vs_full, 2),
         "cells": cells,
         "peak_memory": peaks,
     }
     BASELINE_PATH.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    print(f"wrote {BASELINE_PATH} (headline {headline:.2f}x)")
+    print(f"wrote {BASELINE_PATH} (n=1000 pbft tree/full {tree_vs_full:.2f}x)")
 
 
 if __name__ == "__main__":

@@ -284,4 +284,4 @@ def run_baseline_simulation(
         BaselineCapacityError: when the modelled memory budget is exceeded
             (the paper's BFTSim OOM beyond 32 nodes).
     """
-    return BaselineController(config, budget_bytes=budget_bytes).run()
+    return BaselineController(config, budget_bytes=budget_bytes).run_and_release()

@@ -149,7 +149,7 @@ class Controller:
         self.attacker.bind(self.attacker_ctx)
 
         self._timer_ids = iter(range(1, 1 << 62))
-        self._message_ids = iter(range(1, 1 << 62))
+        self._last_message_id = 0
 
         self.fault_injector: FaultInjector | None = None
         if config.faults.link_specs():
@@ -340,9 +340,16 @@ class Controller:
     # Scheduling / attacker callbacks
     # ------------------------------------------------------------------
 
-    def next_message_id(self) -> int:
-        """Per-run message id (deterministic across identical runs)."""
-        return next(self._message_ids)
+    def next_message_id(self, count: int = 1) -> int:
+        """Reserve ``count`` consecutive per-run message ids; returns the first.
+
+        Ids are deterministic across identical runs.  A broadcast on the
+        shared-delivery tier reserves as many as the per-copy tier assigns,
+        so the counter never depends on which tier a broadcast took.
+        """
+        first = self._last_message_id + 1
+        self._last_message_id += count
+        return first
 
     def schedule_delivery(self, message: Message) -> None:
         """Register a message event at the message's delivery time."""
@@ -480,6 +487,23 @@ class Controller:
             # flushed, readable — truncated but valid — trace behind.
             self.trace.close()
 
+    def run_and_release(self) -> SimulationResult:
+        """:meth:`run`, then drop every reference this controller holds.
+
+        For callers that keep only the result.  Nodes, the network module,
+        the attacker context and the telemetry observers all point back at
+        the controller, so a finished controller is cyclic garbage: it
+        lingers (with its queue and every in-flight message) until the
+        cycle collector happens to run.  Emptying the controller breaks
+        every such cycle and the run is freed by reference counting when
+        this returns.  The controller is unusable afterwards; callers that
+        inspect it use :meth:`run`.
+        """
+        try:
+            return self.run()
+        finally:
+            vars(self).clear()
+
     def _run_to_completion(
         self,
         started: float,
@@ -615,10 +639,10 @@ class Controller:
         # the only event kinds the engine schedules, and the exact-type check
         # skips the subclass machinery on the hottest branch in the run loop.
         #
-        # ``event_time``/``dest`` come from the queue *entry*: the
-        # dissemination fast path schedules one shared MessageEvent for a
-        # whole broadcast, so the per-hop firing time and recipient are
-        # entry data, not event fields.  For ordinary events they equal
+        # ``event_time``/``dest`` come from the queue *entry*: the network
+        # module's shared tier schedules one MessageEvent for a whole
+        # broadcast, so the per-copy firing time and recipient are entry
+        # data, not event fields.  For ordinary events they equal
         # ``event.time`` / ``message.dest`` (the defaults).
         if event_time is None:
             event_time = event.time

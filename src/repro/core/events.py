@@ -36,11 +36,12 @@ class Event:
 class MessageEvent(Event):
     """Delivery of a message to its destination node.
 
-    The recipient is normally ``message.dest``; the dissemination fast path
-    schedules one *shared* event (and message) for many recipients and
-    carries each recipient in the queue entry instead (see
-    :meth:`EventQueue.push_deliveries`), so n broadcast copies cost n slim
-    heap entries rather than n event + message structures.
+    The recipient is normally ``message.dest``; a broadcast on the shared
+    delivery tier (any dissemination mode) schedules one *shared* event and
+    message for all n recipients and carries each recipient in the queue
+    entry instead (see :meth:`EventQueue.push_deliveries`), so n broadcast
+    copies cost n slim heap entries rather than n event + message
+    structures.
 
     Attributes:
         message: the message being delivered.
@@ -96,10 +97,10 @@ class EventQueue:
     (``entry[2] = None``) instead of maintaining a separate membership set,
     so push and pop touch one container each instead of two.  The fourth
     slot is a per-entry delivery-destination override (``None`` for every
-    ordinary event): the dissemination fast path schedules one *shared*
-    :class:`MessageEvent` for a whole broadcast and puts each recipient —
-    and each per-hop firing time, in ``entry[0]`` — in the entry, so a hop
-    costs one four-slot list instead of an event object.  Consumers that
+    ordinary event): the network module's shared tier schedules one
+    *shared* :class:`MessageEvent` for a whole broadcast and puts each
+    recipient — and each firing time, in ``entry[0]`` — in the entry, so a
+    copy costs one four-slot list instead of an event object.  Consumers that
     need the override use :meth:`pop_entry`; :meth:`pop` stays the
     event-only view.
     """
@@ -160,7 +161,7 @@ class EventQueue:
     ) -> None:
         """Schedule one *shared* delivery event at many ``(time, dest)`` pairs.
 
-        The broadcast fast path's bulk insert: every pair gets its own
+        The shared broadcast tier's bulk insert: every pair gets its own
         handle (same sequence and tie-breaking as per-event :meth:`push`)
         and its own heap entry carrying the recipient, but all entries alias
         the single ``event``.  Dispatch must read the recipient and firing

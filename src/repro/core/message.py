@@ -62,10 +62,16 @@ class Message:
         source: id of the sending node.  For attacker-forged messages this is
             the id being *impersonated*; the crypto layer restricts forgery
             to corrupted signers.
-        dest: id of the receiving node (broadcasts are expanded into unicast
-            messages by the network module before delay assignment, mirroring
-            the paper's per-message ``delay`` variable).
-        payload: protocol-defined content; ``payload["type"]`` names the kind.
+        dest: id of the receiving node, or :data:`BROADCAST`.  A delivered
+            broadcast may still read ``BROADCAST`` here: on the shared
+            delivery tier one message serves every recipient and the
+            recipient travels in the queue entry, so handlers identify
+            themselves by ``self.id``, never by ``message.dest``.
+        payload: protocol-defined content; ``payload["type"]`` names the
+            kind.  **Read-only once received, in every dissemination
+            mode**: the recipients of a broadcast share one payload object
+            (and on the shared tier one message), so a handler that wants
+            to change what it received copies it first.
         sent_at: simulation time (ms) at which the message entered the
             network module.
         delay: transit delay (ms) assigned by the network module and possibly
@@ -122,16 +128,16 @@ class Message:
     def copy_for(self, dest: int, *, share_payload: bool = False) -> "Message":
         """Return an independent copy addressed to ``dest``.
 
-        Used by the network module to expand a broadcast into unicasts; each
-        copy gets its own id and — by default — an independent (deep-copied)
-        payload so the attacker may tamper with one recipient's copy without
-        affecting the others.
+        Each copy gets its own id and — by default — an independent
+        (deep-copied) payload.
 
         With ``share_payload=True`` the copy aliases this message's payload
-        and is flagged :attr:`payload_shared` (copy-on-write): the
-        dissemination overlays use this to avoid materializing n structural
-        payload copies per broadcast.  Any path that may mutate the payload
-        (the attacker hand-off) un-shares via :meth:`own_payload` first.
+        and is flagged :attr:`payload_shared` (copy-on-write): the network
+        module's instrumented tier expands every broadcast this way, so a
+        broadcast never materializes n structural payload copies.  Any path
+        that may mutate the payload (the attacker hand-off) un-shares via
+        :meth:`own_payload` first, so tampering with one recipient's copy
+        cannot reach the others.
         """
         if share_payload:
             payload = self.payload

@@ -9,11 +9,12 @@ times and reports mean and standard deviation (§IV).  Both
 the results serial execution would, in the same order — only
 ``wall_clock_seconds`` (host time) differs.
 
-For large systems (n in the hundreds to 1000), select a relayed
-dissemination overlay (``NetworkConfig.dissemination = "tree"`` or
-``"gossip"``) — broadcasts then cost one shared delivery event and one
-vectorized delay batch instead of per-recipient copies; see
-``docs/scaling.md`` and ``benchmarks/bench_scale.py``.
+Large systems (n in the hundreds to 1000) are practical in every
+dissemination mode: a benign broadcast costs one shared delivery event
+and one vectorized delay batch, never per-recipient copies.  Select a
+relayed overlay (``NetworkConfig.dissemination = "tree"`` or ``"gossip"``)
+to *model* relays; see ``docs/scaling.md`` and
+``benchmarks/bench_scale.py``.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ def run_simulation(
     return Controller(
         config, sink=sink, profiler=profiler, metrics=registry,
         lineage=lineage, health=monitor,
-    ).run()
+    ).run_and_release()
 
 
 def _metrics_registry(metrics: bool | float) -> MetricsRegistry | None:

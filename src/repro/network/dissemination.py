@@ -1,9 +1,9 @@
 """Broadcast dissemination overlays: ``full``, ``tree``, and ``gossip``.
 
 The paper's network module expands a broadcast into one unicast per peer —
-the O(n) fan-out every BFT protocol description assumes.  At n = 1000 that
-fan-out is the simulator's wall: a three-phase PBFT decision materializes
-~3 million unicast copies.  Follow-up work on scalable BFT evaluation
+the O(n) fan-out every BFT protocol description assumes (``full``, a
+depth-1 star: the network module prices it itself, no plan needed).
+Follow-up work on scalable BFT evaluation
 ("Simulating BFT Protocol Implementations at Scale", "Scalable Performance
 Evaluation of BFT Systems Using Network Simulation" — see PAPERS.md) models
 *dissemination topology* explicitly: broadcasts travel along relay overlays

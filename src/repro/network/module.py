@@ -17,7 +17,8 @@ silently producing results under a stronger adversary than advertised.
 from __future__ import annotations
 
 import time as _time
-from typing import TYPE_CHECKING, Callable, Iterable
+from itertools import chain, repeat
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 import numpy as np
 
@@ -79,29 +80,22 @@ class NetworkModule:
         self.faults = faults
         self._delay_override: Callable[[Message], float | None] | None = None
         self._profiler = controller.profiler
-        # Pre-computed "benign environment" flag: no environmental fault
-        # schedule and no profiler — both fixed at construction.  Combined
-        # with the per-message checks in ``_submit_single`` (a pass-through
-        # NullAttacker — exact class, since subclasses may override
-        # ``attack`` — zero corrupted nodes, tracing off), it selects a fast
-        # path that skips the attacker proxy/snapshot machinery, the fault
-        # engine, and the capability diffing entirely — none of which can
-        # have any effect in this configuration, and none of which consume
-        # RNG — so delay draws, event order, and all metrics stay
-        # byte-identical.  The attacker and trace state are re-checked per
-        # message because tests swap/toggle them after construction.
+        # "Benign environment": no environmental fault schedule and no
+        # profiler — both fixed at construction.  The rest of the shared-tier
+        # predicate (``_unobserved``) is re-checked per submission because
+        # tests swap the attacker and toggle tracing after construction.
         self._benign_env = faults is None and controller.profiler is None
-        # Hot-path bindings: one delay draw and one queue push per message.
+        # Hot-path bindings: one delay draw and one queue push per unicast.
         self._sample_delay = self.delay_model.sample_delay
         self._counts = controller.metrics.counts
         self._push_event = controller.queue.push
         # Simulated-time metrics registry (or None), bound once: like the
         # profiler it is fixed for the controller's lifetime.
         self._obs = controller.obs_metrics
-        # Dissemination overlay state (tree/gossip modes only).  The shape
-        # cache and the two dedicated RNG substreams are created lazily on
-        # the first disseminated broadcast, so ``mode="full"`` runs issue no
-        # new substreams and stay byte-identical to older versions.
+        # Overlay state (tree/gossip only).  The shape cache and the two
+        # dedicated RNG substreams are created lazily on the first relayed
+        # broadcast; ``mode="full"`` never creates them — its star draws
+        # from ``network.delay`` like every unicast.
         self._mode = config.dissemination
         self._shape_obj: TreeShape | None = None
         self._diss_model: DelayModel | None = None
@@ -129,111 +123,122 @@ class NetworkModule:
     def submit(self, message: Message) -> None:
         """Accept a message from a node (or a forged one from the attacker).
 
-        Broadcasts are expanded to one unicast per node; the sender's own
-        copy is delivered loopback (zero network delay, invisible to the
-        attacker, excluded from message usage, as it never crosses the
-        wire).
+        A broadcast reaches every node once; the sender's own copy is
+        delivered loopback (zero network delay, invisible to the attacker,
+        excluded from message usage, as it never crosses the wire).
         """
         controller = self._controller
-        now = controller.clock.now
-        message.sent_at = now
+        message.sent_at = controller.clock.now
         # Causal lineage: stamp the message with the id of the event being
         # handled right now (one attribute store per logical message; the
         # per-recipient copies of a broadcast inherit it via ``copy_for``).
         message.cause = controller._current_cause
         if message.dest == BROADCAST:
-            # Every unicast copy carries a deep-equal payload, so the wire
-            # size (canonical JSON length) is computed once and reused for
-            # all n copies instead of re-serializing each one.
-            wire_bytes = estimate_message_bytes(message)
-            forged = message.forged
-            if self._mode != "full" and not forged and controller.n > 1:
-                # Honest broadcasts ride the configured dissemination
-                # overlay.  Attacker-forged broadcasts always use the full
-                # fan-out: the adversary injects packets directly at each
-                # victim and is not bound by the honest relay discipline.
-                self._submit_disseminated(message, wire_bytes)
-                return
-            submit_single = self._submit_single
-            for dest in range(self._controller.n):
-                single = message.copy_for(dest)
-                single.forged = forged
-                submit_single(single, wire_bytes)
+            self._broadcast(message)
         else:
             self._submit_single(message)
 
-    # -- dissemination (tree / gossip broadcasts) ----------------------------
+    def _unobserved(self) -> bool:
+        """True when nothing can observe, re-time or mutate a single copy.
 
-    def _submit_disseminated(self, message: Message, wire_bytes: int) -> None:
-        """Expand a broadcast along the configured overlay (plan-ahead).
-
-        The sender's loopback copy is delivered first (exactly as in the
-        full fan-out); the remaining hops follow the dissemination plan
-        with one vectorized delay batch from the ``network.dissemination``
-        substream.  Every hop is charged at *origination*: its ``sent_at``
-        is the broadcast time and its ``delay`` the cumulative path offset,
-        so attacker/fault/partition windows and observability latency
-        behave exactly like the full fan-out's unicasts (cut-through
-        semantics — see :mod:`repro.network.dissemination`).
+        Benign environment, a pass-through NullAttacker (exact class:
+        subclasses may override ``attack``), no corrupted node, tracing off
+        and no delay override.  Then the attacker proxy, the fault engine
+        and the capability diffing cannot have any effect, and none of them
+        consumes RNG, so skipping them leaves delay draws, event order and
+        every metric byte-identical.
         """
-        controller = self._controller
-        now = message.sent_at
-        source = message.source
-
-        self_copy = message.copy_for(source, share_payload=True)
-        self._submit_single(self_copy, wire_bytes)
-
-        plan = self._broadcast_plan(source, now)
-        h = plan.size
-        if h == 0:
-            return
-        offsets = plan.arrivals(self._dissemination_delays().sample_delays(now, h))
-
-        trace = controller.trace
-        if (
+        return (
             self._benign_env
-            and not trace.enabled
+            and not self._controller.trace.enabled
             and self._delay_override is None
             and type(self.attacker) is NullAttacker
             and not self._attacker_ctx._corrupted_since
-        ):
-            # Fast tier (same predicate as the unicast fast path): nothing
-            # can observe or mutate individual copies, so ONE shared message
-            # and ONE shared delivery event serve every recipient — the
-            # queue entry carries each hop's firing time and destination —
-            # and counts are bulk-incremented.  Event push order (BFS hop
-            # order) and RNG consumption match the instrumented tier
-            # exactly; only per-copy allocation is elided.
-            message.msg_id = controller.next_message_id()
+        )
+
+    # -- broadcasts -----------------------------------------------------------
+
+    def _broadcast(self, message: Message) -> None:
+        """Deliver one broadcast to every node: the only broadcast routine.
+
+        ``full`` is a depth-1 star priced from ``network.delay`` in
+        destination order, with the loopback at index ``source``;
+        ``tree``/``gossip`` follow their plan (loopback first, then hops in
+        BFS order) priced by one batch from ``network.dissemination``.
+        Attacker-forged broadcasts always take the star and have no
+        loopback (the copy to the impersonated node crosses the wire too):
+        the adversary injects at each victim and is not bound by the honest
+        relay discipline.  Every hop is charged at *origination* — its
+        ``sent_at`` is the broadcast time and its ``delay`` the cumulative
+        path offset (cut-through, see :mod:`repro.network.dissemination`).
+
+        Both tiers reserve the same message ids and queue handles in the
+        same order and draw the same delays, so a run may change tier at
+        any broadcast without moving an id, a handle or a draw.
+        """
+        controller = self._controller
+        n = controller.n
+        now = message.sent_at
+        source = message.source
+        # Every copy carries an equal payload: the wire size (canonical JSON
+        # length) is computed once per broadcast.
+        wire_bytes = estimate_message_bytes(message)
+        if self._mode == "full" or message.forged:
+            plan = None
+            model = self.delay_model
+            hops = n - 1
+        else:
+            plan = self._broadcast_plan(source, now)
+            model = self._dissemination_delays()
+            hops = plan.size
+
+        if not message.forged and self._unobserved():
+            # Shared tier: ONE message and ONE delivery event serve every
+            # recipient — the queue entry carries each firing time and
+            # destination — and counts are bulk-incremented.  The message
+            # keeps the first of the ids the per-copy tier would assign.
+            delays = model.sample_delays(now, hops)
+            if plan is None:
+                times = (now + delays).tolist()
+                times.insert(source, now)
+                dests: Iterable[int] = range(n)
+            else:
+                times = [now, *(now + plan.arrivals(delays)).tolist()]
+                dests = [source, *plan.dests.tolist()]
+            message.msg_id = controller.next_message_id(hops + 1)
             counts = self._counts
-            counts.sent += h
-            counts.bytes_sent += h * wire_bytes
+            counts.sent += hops
+            counts.bytes_sent += hops * wire_bytes
             obs = self._obs
             if obs is not None:
-                on_send = obs.on_send
-                for relay in plan.relays.tolist():
-                    on_send(relay, wire_bytes)
+                # Wire accounting is charged to the physical transmitter.
+                for relay in repeat(source, hops) if plan is None else plan.relays.tolist():
+                    obs.on_send(relay, wire_bytes)
             controller.queue.push_deliveries(
-                MessageEvent(time=now, message=message),
-                (now + offsets).tolist(),
-                plan.dests.tolist(),
+                MessageEvent(time=now, message=message), times, dests
             )
             return
 
-        # Instrumented tier: one real copy per hop through the standard
-        # single-message path (attacker proxying, fault engine, tracing).
-        # Payloads are shared copy-on-write; ``_run_attacker`` unshares
-        # before any non-null attacker can mutate.  The preassigned delay
-        # suppresses the per-copy draw, so RNG use matches the fast tier.
-        dests = plan.dests.tolist()
-        relays = plan.relays.tolist()
-        offset_list = offsets.tolist()
-        submit_single = self._submit_single
-        for i in range(h):
-            hop = message.copy_for(dests[i], share_payload=True)
-            hop.relay_from = relays[i]
-            hop.delay = offset_list[i]
-            submit_single(hop, wire_bytes)
+        # Instrumented tier: one copy per recipient through the single-
+        # message path (attacker proxying, fault engine, tracing).  Payloads
+        # are shared copy-on-write; ``_run_attacker`` un-shares before any
+        # non-null attacker can mutate.  The star draws per copy, because a
+        # forged insert or a delay override consumes or skips
+        # ``network.delay`` draws mid-broadcast; overlay hops are priced up
+        # front, exactly as in the shared tier.
+        if plan is None:
+            copies: Iterable[tuple] = ((dest, None, None) for dest in range(n))
+        else:
+            offsets = plan.arrivals(model.sample_delays(now, hops))
+            copies = chain(
+                [(source, None, None)],
+                zip(plan.dests.tolist(), plan.relays.tolist(), offsets.tolist()),
+            )
+        for dest, relay, delay in copies:
+            hop = message.copy_for(dest, share_payload=True)
+            hop.relay_from = relay
+            hop.delay = delay
+            self._submit_single(hop, wire_bytes)
 
     def _broadcast_plan(self, source: int, now: float) -> DisseminationPlan:
         """The overlay for one broadcast rooted at ``source`` at time ``now``.
@@ -332,20 +337,11 @@ class NetworkModule:
 
         if wire_bytes is None:
             wire_bytes = estimate_message_bytes(message)
-        trace = controller.trace
 
-        if (
-            self._benign_env
-            and not trace.enabled
-            and self._delay_override is None
-            and not message.forged
-            and type(self.attacker) is NullAttacker
-            and not self._attacker_ctx._corrupted_since
-        ):
-            # Fast path: benign attacker, no faults, no telemetry.  With no
-            # corrupted nodes ``controls_message`` is always False: the send
-            # is honest, the delay draw is the only RNG consumption, and the
-            # delivery event is pushed directly.
+        if not message.forged and self._unobserved():
+            # Unicast on the shared tier's terms: the send is honest, the
+            # delay draw is the only RNG consumption, and the delivery event
+            # is pushed directly.
             counts = self._counts
             counts.sent += 1
             counts.bytes_sent += wire_bytes
@@ -368,43 +364,19 @@ class NetworkModule:
         relay = message.relay_from
         if self._obs is not None:
             self._obs.on_send(relay if relay is not None else message.source, wire_bytes)
-        if trace.enabled:
-            payload = message.payload
-            slot = payload.get("slot", payload.get("height"))
-            view = payload.get("view", payload.get("round"))
-            # Dissemination hops additionally record the relaying node; the
-            # field is omitted entirely in full mode so existing trace
-            # consumers and golden traces see unchanged records.
-            extra = {} if relay is None else {"relay": relay}
+        if controller.trace.enabled:
+            # ``byzantine`` lets trace consumers (``repro inspect``)
+            # reproduce the honest/byzantine split of MessageCounts.
+            # Attacker-*inserted* messages additionally carry
+            # origin="attacker": a forged send has no honest counterpart, so
+            # lineage and message-usage reconciliation must be able to tell
+            # insertion from corruption of an honest sender.
+            tags: dict[str, Any] = {"size": wire_bytes}
             if byzantine:
-                # Tagged so trace consumers (``repro inspect``) can reproduce
-                # the honest/byzantine split of MessageCounts from the trace.
-                # Attacker-*inserted* messages additionally carry
-                # origin="attacker": a forged send has no honest counterpart,
-                # so lineage and message-usage reconciliation must be able to
-                # tell insertion from corruption of an honest sender.
-                if message.forged:
-                    trace.record(
-                        controller.clock.now, "send", message.source,
-                        dest=message.dest, msg_type=message.type,
-                        msg_id=message.msg_id, size=wire_bytes, byzantine=True,
-                        origin="attacker", cause=message.cause,
-                        slot=slot, view=view, **extra,
-                    )
-                else:
-                    trace.record(
-                        controller.clock.now, "send", message.source,
-                        dest=message.dest, msg_type=message.type,
-                        msg_id=message.msg_id, size=wire_bytes, byzantine=True,
-                        cause=message.cause, slot=slot, view=view, **extra,
-                    )
-            else:
-                trace.record(
-                    controller.clock.now, "send", message.source,
-                    dest=message.dest, msg_type=message.type, msg_id=message.msg_id,
-                    size=wire_bytes, cause=message.cause, slot=slot, view=view,
-                    **extra,
-                )
+                tags["byzantine"] = True
+            if message.forged:
+                tags["origin"] = "attacker"
+            self._record_send(message, tags)
         prof = self._profiler
         if message.delay is None:
             if self._delay_override is not None:
@@ -416,7 +388,12 @@ class NetworkModule:
                     t0 = _time.perf_counter()
                     message.delay = self.delay_model.sample_delay(message.sent_at)
                     prof.add("network.delay", t0)
-        if prof is None:
+        if type(self.attacker) is NullAttacker:
+            # ``NullAttacker.attack`` returns None: it cannot drop, re-time
+            # or mutate, so the proxy, the snapshot and the diffing of
+            # ``_run_attacker`` have nothing to check.
+            survivors: Iterable[Message] = (message,)
+        elif prof is None:
             survivors = self._run_attacker(message)
         else:
             t0 = _time.perf_counter()
@@ -438,16 +415,30 @@ class NetworkModule:
                 for delivered in delivered_batch:
                     controller.schedule_delivery(delivered)
 
+    def _record_send(self, message: Message, tags: dict[str, Any]) -> None:
+        """The one ``send`` trace record: ``tags`` are the fields that vary
+        by origin; the relaying node is named on dissemination hops only, so
+        direct sends keep the records older traces have."""
+        payload = message.payload
+        relay = message.relay_from
+        self._controller.trace.record(
+            self._controller.clock.now, "send", message.source,
+            dest=message.dest, msg_type=message.type, msg_id=message.msg_id,
+            **tags, cause=message.cause,
+            slot=payload.get("slot", payload.get("height")),
+            view=payload.get("view", payload.get("round")),
+            **({} if relay is None else {"relay": relay}),
+        )
+
     def _run_attacker(self, message: Message) -> Iterable[Message]:
         """Pass one message through the attacker and enforce capabilities."""
         ctx = self._attacker_ctx
-        if message.payload_shared and type(self.attacker) is not NullAttacker:
-            # Copy-on-write boundary: dissemination hops share one payload
-            # object.  A real attacker may legitimately mutate a controlled
-            # message in place, which must never leak into sibling copies —
-            # unshare first.  The exact-class NullAttacker check keeps
-            # trace-only runs sharing (its ``attack`` cannot mutate).
-            message.own_payload()
+        # Copy-on-write boundary: the copies of a broadcast share one
+        # payload object.  The attacker may legitimately mutate a controlled
+        # message in place, which must never leak into sibling copies —
+        # un-share first.  (The genuine NullAttacker never gets here, so
+        # trace-only runs keep sharing.)
+        message.own_payload()
         observable = (
             Capability.OBSERVE in ctx.capabilities or ctx.controls_message(message)
         )
@@ -488,13 +479,7 @@ class NetworkModule:
                 if self._controller.trace.enabled:
                     if item.cause is None:
                         item.cause = self._controller._current_cause
-                    self._controller.trace.record(
-                        self._controller.clock.now, "send", item.source,
-                        dest=item.dest, msg_type=item.type, msg_id=item.msg_id,
-                        forged=True, origin="attacker", cause=item.cause,
-                        slot=item.payload.get("slot", item.payload.get("height")),
-                        view=item.payload.get("view", item.payload.get("round")),
-                    )
+                    self._record_send(item, {"forged": True, "origin": "attacker"})
             else:
                 raise CapabilityError(
                     "attacker returned a message it neither received nor forged: "

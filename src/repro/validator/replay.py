@@ -85,4 +85,4 @@ class ReplayController(Controller):
 
 def replay_simulation(config: SimulationConfig, ground_truth: Trace) -> SimulationResult:
     """Run ``config`` under the delivery schedule recorded in ``ground_truth``."""
-    return ReplayController(config, ground_truth).run()
+    return ReplayController(config, ground_truth).run_and_release()

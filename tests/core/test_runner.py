@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro import run_simulation, repeat_simulation
@@ -107,3 +109,66 @@ class TestSweep:
         assert all(len(group) == 2 for group in results)
         assert results[0][0].config.n == 4
         assert results[1][0].config.n == 7
+
+
+class TestFinishedRunIsFreed:
+    """``run_simulation`` and the baseline/replay wrappers keep only the
+    result: the controller ↔ nodes ↔ network ↔ attacker-context cycles are
+    broken before returning, so a finished run (its queue, every in-flight
+    message) is freed by reference counting, not whenever the cycle
+    collector next runs."""
+
+    @staticmethod
+    def cyclic_garbage(run) -> list[str]:
+        """Type names the cycle collector finds after ``run()``; the
+        result stays alive meanwhile."""
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            result = run()
+            gc.collect()
+            found = [type(obj).__name__ for obj in gc.garbage]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert result.terminated
+        return found
+
+    @pytest.mark.parametrize("mode", ["full", "tree"])
+    def test_run_simulation_leaves_no_cyclic_garbage(self, mode):
+        config = quick_config(n=8, num_decisions=2, dissemination=mode)
+        assert self.cyclic_garbage(lambda: run_simulation(config)) == []
+        assert self.cyclic_garbage(
+            lambda: run_simulation(config, metrics=True, health=True, profile=True)
+        ) == []
+
+    def test_attacked_and_faulted_runs_leave_no_cyclic_garbage(self):
+        from repro import parse_faults_spec
+        from repro.scenarios.spec import load_scenario
+
+        chased = load_scenario("adaptive-chaser").apply(quick_config(n=16, num_decisions=2))
+        assert self.cyclic_garbage(lambda: run_simulation(chased)) == []
+        faulted = quick_config(n=8, faults=parse_faults_spec("duplicate=0.05; delay=0.1x3"))
+        assert self.cyclic_garbage(lambda: run_simulation(faulted)) == []
+
+    def test_baseline_and_replay_wrappers_leave_no_cyclic_garbage(self):
+        from repro.baseline.packetsim import run_baseline_simulation
+        from repro.validator.replay import replay_simulation
+
+        config = quick_config(n=4, record_trace=True)
+        assert self.cyclic_garbage(lambda: run_baseline_simulation(config)) == []
+        recorded = run_simulation(config)
+        assert self.cyclic_garbage(
+            lambda: replay_simulation(config, recorded.trace)
+        ) == []
+
+    def test_direct_controller_stays_inspectable(self):
+        from repro import Controller
+
+        controller = Controller(quick_config())
+        result = controller.run()
+        assert result.terminated
+        assert len(controller.nodes) == controller.n
+        assert controller.network.delay_model is not None

@@ -1,0 +1,181 @@
+"""The one broadcast routine: shared tier ≡ instrumented tier, in every mode.
+
+A benign broadcast rides the shared tier (one message, one delivery event,
+n slim queue entries, one batched delay draw); anything that can observe or
+re-time a single copy forces the instrumented tier (one copy per recipient
+through the attacker/fault/trace path).  Byte-identity between the two is
+the contract: same delays, same queue handles, same message ids, so a run
+may change tier at any broadcast.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+import pytest
+
+from repro import Controller, Message, result_fingerprint, run_simulation
+from repro.attacks.base import AttackerContext, Capability
+from repro.core.events import TimeEvent
+from repro.core.message import BROADCAST
+
+from tests.conftest import quick_config
+from tests.core.test_golden_determinism import GOLDEN, golden_config
+
+MODES = ["full", "tree", "gossip"]
+
+
+def force_instrumented(controller: Controller) -> Controller:
+    """A pass-through delay override: changes no delay, but any override
+    takes every message off the shared tier."""
+    controller.network.set_delay_override(lambda message: None)
+    return controller
+
+
+def queue_entries(controller: Controller) -> list[tuple]:
+    """Pending entries as ``(time, handle, dest, message)`` in firing order."""
+    out = []
+    while controller.queue:
+        time, handle, event, dest = controller.queue.pop_entry()
+        out.append((time, handle, event.message.dest if dest is None else dest,
+                    event.message))
+    return out
+
+
+# -- whole runs ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("protocol", sorted(GOLDEN))
+def test_shared_tier_equals_forced_instrumented_tier(protocol, mode):
+    config = golden_config(protocol, mode).replace(n=7)
+    shared = result_fingerprint(run_simulation(config))
+    overridden = result_fingerprint(force_instrumented(Controller(config)).run())
+    profiled = result_fingerprint(run_simulation(config, profile=True))
+    assert shared == overridden == profiled
+
+
+# -- one broadcast ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_one_broadcast_takes_the_same_ids_handles_and_times_in_both_tiers(mode):
+    n, source, now = 9, 4, 5.0
+    tiers = []
+    for prepare in (lambda c: c, force_instrumented):
+        controller = prepare(Controller(quick_config(n=n, dissemination=mode)))
+        controller.clock.advance_to(now)
+        controller.network.submit(Message(source=source, dest=BROADCAST, payload={"type": "B"}))
+        entries = queue_entries(controller)
+        next_handle = controller.queue.push(TimeEvent(time=now))
+        tiers.append((controller.next_message_id(), next_handle, entries))
+    (shared_id, shared_handle, shared), (copy_id, copy_handle, copies) = tiers
+
+    assert shared_id == copy_id == n + 1
+    assert shared_handle == copy_handle == n
+    assert [e[:3] for e in shared] == [e[:3] for e in copies]
+    assert len({id(e[3]) for e in shared}) == 1, "shared tier: one message object"
+    assert len({id(e[3]) for e in copies}) == n, "instrumented tier: one per copy"
+
+    loopback = next(e for e in shared if e[2] == source)
+    assert loopback[0] == now
+    # Handle order: destination order in full, loopback first on an overlay.
+    assert loopback[1] == (source if mode == "full" else 0)
+    assert controller.metrics.counts.sent == n - 1  # the loopback is not traffic
+
+
+# -- a run that changes tier mid-way ------------------------------------------
+
+
+def run_switching(controller, switch):
+    """Run ``controller``, calling ``switch(controller)`` after the first decision."""
+    report = controller.report_decision
+    fired = []
+
+    def hooked(node_id, slot, value):
+        report(node_id, slot, value)
+        if not fired:
+            fired.append(True)
+            switch(controller)
+
+    controller.report_decision = hooked
+    return controller.run()
+
+
+def corrupt_node_5(controller):
+    """Adaptive corruption under the genuine NullAttacker: from here on
+    ``controls_message`` can be true, so no broadcast is shared any more."""
+    ctx = AttackerContext(controller, Capability.BYZANTINE | Capability.ADAPTIVE)
+    controller.attacker_ctx = controller.network._attacker_ctx = ctx
+    ctx.corrupt(5)
+
+
+def trace_on(controller):
+    controller.trace.enabled = True
+
+
+def trace_digest(trace) -> str:
+    """Digest of the recorded tail.  Ids are compared on ``send`` records:
+    deliveries of a broadcast that was shared when the switch happened carry
+    the broadcast's first id, and records they caused name that id."""
+    rows = []
+    for event in trace:
+        fields = dict(event.fields)
+        fields.pop("cause", None)
+        if event.kind != "send":
+            fields.pop("msg_id", None)
+        rows.append([event.time, event.kind, event.node, sorted(fields.items())])
+    return hashlib.sha256(json.dumps(rows, default=str).encode()).hexdigest()
+
+
+#: (protocol) -> values of the switching runs below in ``full`` mode at the
+#: commit before broadcasts were shared (per-copy fan-out throughout):
+#: fingerprint after mid-run corruption, fingerprint and trace-tail digest
+#: after enabling the trace mid-run, and the next free message id.
+FULL_MODE_BEFORE_SHARING = {
+    "pbft": (
+        "221f3b1ccd326343f35daabd05ed552a9e9e10b1d7bc7ecdf244a88214640173",
+        "bc06485938afd4cea76a4652be5e7b2557956209c3a9a94f89627fd853877f60",
+        "c2bb0563464d8475e93de03147ac1656c0bc67c9339847eb3f8618bf6181b64a",
+        330,
+    ),
+    "hotstuff-ns": (
+        "396e62c37ccdecce4fbb4a45c629114486a4b0df7c484080e1604a85c7ffb7fe",
+        "65db74a3254ad71aaafbd0b4f89696537cbb8b5e360f37a99f44d34ab0fb2b3c",
+        "60d254664337ffd9a768be5f41b67ca1d28b927f0dd0391a64d56baf6a6a9566",
+        96,
+    ),
+}
+
+
+def switching_config(protocol, mode):
+    return quick_config(protocol=protocol, n=7, num_decisions=3, seed=11, dissemination=mode)
+
+
+@pytest.mark.parametrize("protocol", sorted(FULL_MODE_BEFORE_SHARING))
+def test_full_mode_tier_switch_matches_the_per_copy_fan_out(protocol):
+    corrupted, traced, tail, next_id = FULL_MODE_BEFORE_SHARING[protocol]
+    config = switching_config(protocol, "full")
+    result = run_switching(Controller(config), corrupt_node_5)
+    assert result_fingerprint(result) == corrupted
+    controller = Controller(config)
+    result = run_switching(controller, trace_on)
+    assert result_fingerprint(result) == traced
+    assert trace_digest(result.trace) == tail
+    assert controller.next_message_id() == next_id
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("protocol", sorted(FULL_MODE_BEFORE_SHARING))
+@pytest.mark.parametrize("switch", [corrupt_node_5, trace_on])
+def test_tier_switch_equals_a_run_instrumented_from_the_start(protocol, mode, switch):
+    config = switching_config(protocol, mode)
+    switched = Controller(config)
+    result = run_switching(switched, switch)
+    reference = force_instrumented(Controller(config))
+    expected = run_switching(reference, switch)
+
+    assert result_fingerprint(result) == result_fingerprint(expected)
+    assert trace_digest(result.trace) == trace_digest(expected.trace)
+    assert switched.next_message_id() == reference.next_message_id()

@@ -11,6 +11,7 @@ from repro.core.errors import ConfigurationError
 from repro.network.delays import (
     ConstantDelay,
     DelayModel,
+    DelaySampler,
     ExponentialDelay,
     LogNormalDelay,
     NormalDelay,
@@ -119,6 +120,46 @@ class TestDelayModel:
         assert "bounded" in model.describe()
         unbounded = DelayModel(NetworkConfig(), np.random.default_rng(0))
         assert "async" in unbounded.describe()
+
+
+class _HalfNormal(DelaySampler):
+    """A custom sampler that only defines the scalar draw."""
+
+    def sample(self, rng):
+        return abs(rng.normal(40.0, 25.0))
+
+
+register_distribution("test-half-normal", lambda mean, std: _HalfNormal())
+
+
+class TestBatchEqualsScalar:
+    """``sample_delays(now, k)`` is k successive ``sample_delay(now)`` bit
+    for bit — the contract that lets a broadcast draw its delays in one
+    batch without moving a single fingerprint."""
+
+    @pytest.mark.parametrize(
+        "distribution",
+        ["constant", "uniform", "normal", "lognormal", "exponential", "poisson",
+         "test-half-normal"],
+    )
+    @pytest.mark.parametrize("max_delay", [None, 60.0])
+    @pytest.mark.parametrize("now", [0.0, 5_000.0])  # before and after GST
+    def test_batch_draw_is_the_scalar_sequence(self, distribution, max_delay, now):
+        config = NetworkConfig(
+            distribution=distribution, mean=50.0, std=30.0, min_delay=20.0,
+            max_delay=max_delay, gst=1_000.0, pre_gst_factor=3.0,
+        )
+        scalar = DelayModel(config, np.random.default_rng(7))
+        batch = DelayModel(config, np.random.default_rng(7))
+        # Interleaved sizes (0 and 1 included): the stream position after a
+        # batch must equal the position after as many scalar draws.
+        for size in (5, 0, 1, 127, 3):
+            expected = [scalar.sample_delay(now) for _ in range(size)]
+            drawn = batch.sample_delays(now, size)
+            assert drawn.dtype == np.float64
+            assert drawn.tolist() == expected
+            assert (now + drawn).tolist() == [now + delay for delay in expected]
+        assert batch.sample_delay(now) == scalar.sample_delay(now)
 
 
 @settings(max_examples=30, deadline=None)

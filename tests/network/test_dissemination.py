@@ -1,9 +1,10 @@
-"""Tests for the dissemination overlays (tree / gossip broadcasts).
+"""Tests for broadcast dissemination (full / tree / gossip).
 
-Covers the plan layer (shapes, arrival accumulation, restricted BFS), the
-network-module integration (coverage, counts, copy-on-write isolation,
-relay attribution, RNG substream isolation), and the engine-level contract
-that the fast and instrumented tiers produce identical runs.
+Covers the plan layer (shapes, arrival accumulation, restricted BFS) and
+the network-module integration (coverage, counts, copy-on-write isolation,
+relay attribution, RNG substream isolation).  The contract that the shared
+and instrumented tiers produce identical runs is in
+``test_broadcast_tiers.py``.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from tests.attacks.support import ScriptedAttacker, controller_with, submit
 def drain_deliveries(controller):
     """Every pending delivery as ``(time, dest, message)``, in firing order.
 
-    Entry-aware variant of ``pending_deliveries``: the dissemination fast
-    path schedules one shared event for many recipients, so the recipient
+    Entry-aware variant of ``pending_deliveries``: the shared broadcast
+    tier schedules one shared event for many recipients, so the recipient
     and firing time must be read from the queue entry.
     """
     out = []
@@ -147,7 +148,7 @@ class TestRestrictedPlan:
 
 
 class TestDisseminatedBroadcast:
-    @pytest.mark.parametrize("mode", ["tree", "gossip"])
+    @pytest.mark.parametrize("mode", ["full", "tree", "gossip"])
     def test_broadcast_reaches_every_node_exactly_once(self, mode):
         controller = controller_with(
             ScriptedAttacker(Capability.NONE), n=9, dissemination=mode
@@ -216,10 +217,11 @@ class TestDisseminatedBroadcast:
 
 
 class TestCopyOnWrite:
-    @pytest.mark.parametrize("mode", ["tree", "gossip"])
+    @pytest.mark.parametrize("mode", ["full", "tree", "gossip"])
     def test_tampered_copy_does_not_leak_into_siblings(self, mode):
-        """Dissemination hops share one payload copy-on-write; a mutating
-        attacker must be handed a private copy (own_payload)."""
+        """The copies of a broadcast share one payload copy-on-write in
+        every mode; a mutating attacker must be handed a private copy
+        (own_payload)."""
         def tamper(self, message):
             if self.ctx.controls_message(message) and message.dest == 1:
                 message.payload["evil"] = True
@@ -238,20 +240,24 @@ class TestCopyOnWrite:
             "evil" not in by_dest[d].payload for d in range(6) if d != 1
         ), "shared payload leaked a per-copy mutation"
 
-    def test_fast_tier_shares_one_payload_object(self):
+    @pytest.mark.parametrize("mode", ["full", "tree", "gossip"])
+    def test_shared_tier_shares_one_payload_object(self, mode):
         """Benign broadcasts share a single payload (and message) across all
-        relay hops — the memory contract behind n=1000 comfort.  Requires
-        the genuine NullAttacker (any other attacker class forces the
-        instrumented tier, which un-shares before the attacker runs)."""
+        recipients, the sender included — the memory contract behind n=1000
+        comfort, and why received payloads are read-only in every mode.
+        Requires the genuine NullAttacker (any other attacker class forces
+        the instrumented tier, which un-shares before the attacker runs)."""
         from repro import Controller
         from tests.conftest import quick_config
 
-        controller = Controller(quick_config(n=9, dissemination="tree"))
-        controller.network.submit(Message(source=0, dest=BROADCAST, payload={"type": "B"}))
-        payload_ids = {
-            id(m.payload) for _, dest, m in drain_deliveries(controller) if dest != 0
-        }
-        assert len(payload_ids) == 1
+        controller = Controller(quick_config(n=9, dissemination=mode))
+        payload = {"type": "B"}
+        controller.network.submit(Message(source=0, dest=BROADCAST, payload=payload))
+        deliveries = drain_deliveries(controller)
+        assert sorted(dest for _, dest, _ in deliveries) == list(range(9))
+        assert all(m.payload is payload for _, _, m in deliveries)
+        assert len({id(m) for _, _, m in deliveries}) == 1
+        assert all(m.dest == BROADCAST for _, _, m in deliveries)
 
 
 class TestRelayAttribution:

@@ -101,3 +101,37 @@ class TestAttackerPassthrough:
         controller = controller_with(attacker, n=4)
         controller.network.submit(Message(source=0, dest=BROADCAST, payload={"type": "B"}))
         assert len(attacker.seen) == 3  # n-1 wire copies; loopback excluded
+
+    def test_genuine_null_attacker_is_not_consulted_when_instrumented(self, monkeypatch):
+        """Trace-only, fault-only and profile-only runs keep the genuine
+        NullAttacker: its ``attack`` returns None, so the instrumented tier
+        builds no redacted proxy and no payload snapshot for it."""
+        from repro import Controller
+        from repro.network import module as network_module
+        from tests.conftest import quick_config
+
+        def unexpected(*_args, **_kwargs):
+            raise AssertionError("the NullAttacker hand-off must be skipped")
+
+        controller = Controller(quick_config(n=4, record_trace=True))
+        monkeypatch.setattr(network_module.NetworkModule, "_run_attacker", unexpected)
+        monkeypatch.setattr(network_module, "deep_copy_payload", unexpected)
+        message = submit(controller)
+        controller.network.submit(Message(source=0, dest=BROADCAST, payload={"type": "B"}))
+        assert any(m is message for m in pending_deliveries(controller))
+        assert len(controller.trace.events(kind="send")) == 4
+
+    def test_null_attacker_subclass_is_still_consulted(self):
+        """Only the exact class is trusted: a subclass may override ``attack``."""
+        from repro.attacks.null import NullAttacker
+
+        seen = []
+
+        class Watching(NullAttacker):
+            def attack(self, message):
+                seen.append(message.msg_id)
+                return None
+
+        controller = controller_with(Watching({}), n=4)
+        message = submit(controller)
+        assert seen == [message.msg_id]
