@@ -5,9 +5,10 @@ paper's mid-scale configs, this bench watches the *scaling wall*: a
 three-phase PBFT decision at n = 1000 schedules ~1.7M deliveries.  Since
 every mode rides the network module's one broadcast routine, a benign
 broadcast costs one shared message, one shared delivery event, one
-vectorized delay batch and n slim queue entries whether it is a ``full``
-star or a ``tree``/``gossip`` relay overlay; the modes differ in what they
-model (relay depth, per-node load), no longer in what they cost.
+vectorized delay batch and one cursor entry in the queue (16 bytes per
+pending delivery) whether it is a ``full`` star or a ``tree``/``gossip``
+relay overlay; the modes differ in what they model (relay depth, per-node
+load), no longer in what they cost.
 
 Workload: one decision, lambda = 1000, N(50, 10) link delays, seed 2022,
 and **block proposals** (``block_txns = 256``): each proposal value carries
@@ -26,7 +27,10 @@ tracing multiplies wall time several-fold.
 2. **One broadcast path** — the committed pbft cells at n=256 and n=1000
    show ``full`` within ``MAX_FULL_VS_TREE`` (1.3x) of ``tree`` in
    events/sec, and within the same factor in peak memory at n=1000.
-3. **No regression** (CI smoke, n=256 only) — the live n=256 cells stay
+3. **One heap entry per in-flight broadcast** — the committed pbft n=1000
+   ``full`` peak memory is at least ``MIN_PEAK_REDUCTION`` (2x) below the
+   ``PER_RECIPIENT_PEAK_MIB`` the per-recipient heap entries cost.
+4. **No regression** (CI smoke, n=256 only) — the live n=256 cells stay
    under ``REPRO_BENCH_MAX_REGRESSION`` (default 2.0) times the committed
    medians, and ``full`` stays within 1.3x of ``tree`` live.
 
@@ -61,6 +65,12 @@ MAX_REGRESSION = float(os.environ.get("REPRO_BENCH_MAX_REGRESSION", "2.0"))
 #: ROADMAP "one broadcast path" gate: ``tree`` may be at most this many
 #: times as fast (or as small) as ``full`` on the pbft cells.
 MAX_FULL_VS_TREE = 1.3
+
+#: ROADMAP item 3a gate.  334.4 MiB is the committed pbft n=1000 ``full``
+#: peak of the parent commit (545c45a), whose queue held one heap entry,
+#: one handle and one dict slot per pending delivery.
+PER_RECIPIENT_PEAK_MIB = 334.4
+MIN_PEAK_REDUCTION = 2.0
 
 
 def _config(protocol: str, n: int, mode: str) -> SimulationConfig:
@@ -155,6 +165,19 @@ def test_committed_full_is_within_reach_of_tree():
         peaks[_cell_key("pbft", 1000, "full")]["peak_mib"]
         <= MAX_FULL_VS_TREE * peaks[_cell_key("pbft", 1000, "tree")]["peak_mib"]
     ), "full fan-out must not cost more than 1.3x the peak memory of tree"
+
+
+def test_committed_full_peak_is_half_the_per_recipient_queue():
+    """One cursor per in-flight broadcast: the committed pbft n=1000
+    ``full`` peak must stay >= 2x below what per-recipient heap entries
+    cost.  Pure artifact check."""
+    peak = load_baseline()["peak_memory"][_cell_key("pbft", 1000, "full")]["peak_mib"]
+    assert MIN_PEAK_REDUCTION * peak <= PER_RECIPIENT_PEAK_MIB, (
+        f"committed pbft n=1000 full peak {peak} MiB is less than "
+        f"{MIN_PEAK_REDUCTION}x below {PER_RECIPIENT_PEAK_MIB} MiB: pending "
+        "deliveries are no longer ~16 bytes each — look at "
+        "EventQueue.push_deliveries"
+    )
 
 
 def test_committed_matrix_is_complete():

@@ -79,8 +79,8 @@ class Controller:
             the event currently being dispatched so the network and trace
             layers can stamp every message, timer, and decision with its
             ``cause``.  Pure bookkeeping outside the RNG path — digests are
-            byte-identical either way; disable to shave the last f-string
-            per event off untraced hot loops.
+            byte-identical either way.  The id string is only built where
+            it is read (a send, a timer registration, a traced decision).
         health: optional :class:`~repro.observability.health.HealthMonitor`;
             when set, the dispatch loop feeds its O(1) anomaly detectors
             and the result carries a
@@ -132,10 +132,11 @@ class Controller:
         #: construction, once the workload ledger it samples exists.
         self.health = health
         self._lineage = lineage
-        #: Causal id of the event currently being dispatched ("m<msg_id>",
-        #: "t<timer_id>", "s<node>" during on_start, "a" during attacker
-        #: setup).  None before the run starts or when lineage is disabled.
-        self._current_cause: str | None = None
+        #: What is being handled right now: the dispatched event, or the
+        #: literal setup cause ("a" during attacker setup, "s<node>" during
+        #: on_start).  None before the run starts or when lineage is
+        #: disabled.  Read through :attr:`_current_cause`.
+        self._cause: MessageEvent | TimeEvent | str | None = None
         self.log = SimLogger(get_logger("controller"), clock=self.clock)
 
         self.attacker: Attacker = make_attacker(config.attack)
@@ -232,6 +233,18 @@ class Controller:
 
     def protocol_param(self, name: str, default: Any = None) -> Any:
         return self.config.protocol_params.get(name, default)
+
+    @property
+    def _current_cause(self) -> str | None:
+        """Causal id of the event being dispatched: "m<msg_id>" or
+        "t<timer_id>" (or the setup cause).  Derived on read — most
+        dispatched events send, schedule and decide nothing."""
+        cause = self._cause
+        if type(cause) is MessageEvent:
+            return f"m{cause.message.msg_id}"
+        if type(cause) is TimeEvent:
+            return f"t{cause.timer_id}"
+        return cause
 
     def send_message(self, message: Message) -> None:
         if message.source in self._halted and not message.forged:
@@ -515,12 +528,12 @@ class Controller:
         lineage: bool,
     ) -> SimulationResult:
         if lineage:
-            self._current_cause = "a"
+            self._cause = "a"
         self.attacker.setup()
         for node in self.nodes:
             if node.id not in self._halted:
                 if lineage:
-                    self._current_cause = f"s{node.id}"
+                    self._cause = f"s{node.id}"
                 node.on_start()
 
         # Hot loop: every name used per iteration is a local (the loop runs
@@ -653,7 +666,7 @@ class Controller:
             if self._lineage:
                 # Everything sent or scheduled while this delivery is being
                 # handled was caused by this message.
-                self._current_cause = f"m{message.msg_id}"
+                self._cause = event
             # Slow checks (crashed destination, corrupted replica, tampered
             # payload) only run when such state exists at all — benign runs
             # never enter this block.
@@ -721,7 +734,7 @@ class Controller:
                 prof.add("protocol.on_message", t0)
         elif type(event) is TimeEvent:
             if self._lineage:
-                self._current_cause = f"t{event.timer_id}"
+                self._cause = event
             owner = event.owner
             if owner == ATTACKER_OWNER:
                 prof = self.profiler

@@ -13,9 +13,13 @@ simulation run a pure function of its configuration.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from heapq import heapify, heappop, heappush
-from typing import Any, Callable, Iterable, Iterator
+from heapq import heapify, heappop, heappush, heapreplace
+from operator import itemgetter
+from typing import Any, Callable, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import SchedulingError
 from .message import Message
@@ -38,10 +42,9 @@ class MessageEvent(Event):
 
     The recipient is normally ``message.dest``; a broadcast on the shared
     delivery tier (any dissemination mode) schedules one *shared* event and
-    message for all n recipients and carries each recipient in the queue
-    entry instead (see :meth:`EventQueue.push_deliveries`), so n broadcast
-    copies cost n slim heap entries rather than n event + message
-    structures.
+    message for all n recipients, and the queue keeps their firing times
+    and recipients in one cursor entry (:meth:`EventQueue.push_deliveries`):
+    n copies cost ~16 bytes each, not n event + message structures.
 
     Attributes:
         message: the message being delivered.
@@ -90,35 +93,46 @@ class EventQueue:
     cancelled entries stay in the heap as tombstones and are skipped on pop,
     which keeps both operations O(log n).
 
-    Hot-path layout: each heap entry is a mutable
-    ``[time, handle, event, dest]`` list.  Lists compare elementwise exactly
+    Hot-path layout: an ordinary heap entry is a mutable
+    ``[time, handle, event, None]`` list.  Lists compare elementwise exactly
     like tuples (the unique handle always breaks time ties before the event
     is reached), but cancellation can tombstone an entry in place
-    (``entry[2] = None``) instead of maintaining a separate membership set,
-    so push and pop touch one container each instead of two.  The fourth
-    slot is a per-entry delivery-destination override (``None`` for every
-    ordinary event): the network module's shared tier schedules one
-    *shared* :class:`MessageEvent` for a whole broadcast and puts each
-    recipient — and each firing time, in ``entry[0]`` — in the entry, so a
-    copy costs one four-slot list instead of an event object.  Consumers that
-    need the override use :meth:`pop_entry`; :meth:`pop` stays the
+    (``entry[2] = None``) instead of maintaining a separate membership set.
+
+    A shared-tier broadcast (:meth:`push_deliveries`) is **one** heap entry
+    however many nodes it reaches, a *cursor* ``[time, handle, event, dest,
+    pos, times, order, dests, base]`` over its arrivals sorted by ``(time,
+    handle)``: ``times`` and ``order`` (each arrival's handle offset) are
+    ``array``s, 16 bytes per pending delivery, and the four leading slots
+    describe arrival ``pos``, the head.  Popping re-keys the cursor to its
+    next arrival with one ``heapreplace``, so n concurrent broadcasts hold
+    O(n) heap entries, not O(n²).  A cursor's keys ascend and handles are
+    unique, so pop order is exactly that of per-recipient entries.
+    Deliveries are not in ``_entries`` (they cannot be cancelled singly);
+    ``dest`` is ``None`` only for ordinary events, which tells the kinds
+    apart.  :meth:`pop_entry` exposes the recipient; :meth:`pop` stays the
     event-only view.
     """
 
-    __slots__ = ("_heap", "_entries", "_next_handle")
+    __slots__ = ("_heap", "_entries", "_next_handle", "_pending", "_cursors")
 
     def __init__(self) -> None:
         self._heap: list[list] = []
-        #: live handle -> its heap entry; the single source of truth for
-        #: queue membership (tombstoned and popped entries are absent).
+        #: live handle -> its heap entry, for every *ordinary* event: the
+        #: single source of truth for their queue membership (tombstoned and
+        #: popped entries are absent).
         self._entries: dict[int, list] = {}
         self._next_handle = 0
+        #: Running counts — pending deliveries over all live cursors, and
+        #: live cursors — keep ``len()`` and tombstone accounting O(1).
+        self._pending = 0
+        self._cursors = 0
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._entries) + self._pending
 
     def __bool__(self) -> bool:
-        return bool(self._entries)
+        return bool(self._entries) or self._pending > 0
 
     def push(self, event: Event) -> int:
         """Schedule ``event``; returns a handle usable with :meth:`cancel`."""
@@ -156,31 +170,40 @@ class EventQueue:
     def push_deliveries(
         self,
         event: "MessageEvent",
-        times: "Iterable[float]",
-        dests: "Iterable[int]",
+        times: "Sequence[float] | np.ndarray",
+        dests: "Sequence[int]",
     ) -> None:
         """Schedule one *shared* delivery event at many ``(time, dest)`` pairs.
 
-        The shared broadcast tier's bulk insert: every pair gets its own
-        handle (same sequence and tie-breaking as per-event :meth:`push`)
-        and its own heap entry carrying the recipient, but all entries alias
-        the single ``event``.  Dispatch must read the recipient and firing
-        time from the entry (:meth:`pop_entry`), never from the shared
-        event.
+        The shared broadcast tier's bulk insert: pair ``i`` gets handle
+        ``base + i`` (same sequence and tie-breaking as per-event
+        :meth:`push`), the batch one cursor entry.  Dispatch must read the
+        recipient and firing time from :meth:`pop_entry`, never from the
+        shared event.  ``dests`` is kept by reference and must index to
+        plain ``int``.  A rejected batch leaves the queue and the handle
+        counter untouched; an empty one is a no-op.
         """
-        entries = self._entries
-        heap = self._heap
-        handle = self._next_handle
-        try:
-            for time, dest in zip(times, dests):
-                if time < 0:
-                    raise SchedulingError(f"event scheduled at negative time {time}")
-                entry = [time, handle, event, dest]
-                entries[handle] = entry
-                heappush(heap, entry)
-                handle += 1
-        finally:
-            self._next_handle = handle
+        times = np.asarray(times, dtype=np.float64)
+        count = len(times)
+        if len(dests) != count:
+            raise SchedulingError(f"{count} delivery times for {len(dests)} recipients")
+        if not count:
+            return
+        order = times.argsort(kind="stable")  # ties by index == by handle
+        times = times[order]
+        if times[0] < 0:
+            raise SchedulingError(f"event scheduled at negative time {times[0]}")
+        base = self._next_handle
+        self._next_handle = base + count
+        self._pending += count
+        self._cursors += 1
+        times = array("d", times.tobytes())
+        order = array(order.dtype.char, order.tobytes())
+        first = order[0]
+        heappush(
+            self._heap,
+            [times[0], base + first, event, dests[first], 0, times, order, dests, base],
+        )
 
     #: Tombstone-compaction trigger: once the heap holds more dead entries
     #: than live ones (and more than this floor), it is rebuilt from the
@@ -198,8 +221,9 @@ class EventQueue:
         entry = self._entries.pop(handle, None)
         if entry is not None:
             entry[2] = None
-            dead = len(self._heap) - len(self._entries)
-            if dead > self.COMPACT_MIN_TOMBSTONES and dead > len(self._entries):
+            live = len(self._entries) + self._cursors
+            dead = len(self._heap) - live
+            if dead > self.COMPACT_MIN_TOMBSTONES and dead > live:
                 self._compact()
 
     def _compact(self) -> None:
@@ -229,11 +253,28 @@ class EventQueue:
         """
         heap = self._heap
         while heap:
-            entry = heappop(heap)
-            if entry[2] is None:
+            entry = heap[0]
+            if entry[2] is None:  # tombstone
+                heappop(heap)
                 continue
-            del self._entries[entry[1]]
-            return entry
+            if entry[3] is None:
+                del self._entries[entry[1]]
+                return heappop(heap)
+            head = entry[:4]
+            pos = entry[4] + 1
+            times = entry[5]
+            if pos == len(times):
+                heappop(heap)
+                self._cursors -= 1
+            else:
+                offset = entry[6][pos]
+                entry[0] = times[pos]
+                entry[1] = entry[8] + offset
+                entry[3] = entry[7][offset]
+                entry[4] = pos
+                heapreplace(heap, entry)
+            self._pending -= 1
+            return head
         raise SchedulingError("pop from an empty event queue")
 
     def peek_time(self) -> float | None:
@@ -250,8 +291,9 @@ class EventQueue:
     def cancel_if(self, predicate: "Callable[[Event], bool]") -> int:
         """Cancel every live event satisfying ``predicate``; returns count.
 
-        O(queue size); used for rare structural operations such as a node
-        crash discarding that node's pending timers.
+        A matching shared delivery event loses every remaining delivery,
+        each counted.  O(heap); used for rare structural operations such
+        as a node crash discarding that node's pending timers.
         """
         removed = 0
         entries = self._entries
@@ -259,31 +301,53 @@ class EventQueue:
             event = entry[2]
             if event is not None and predicate(event):
                 entry[2] = None
-                del entries[entry[1]]
-                removed += 1
-        dead = len(self._heap) - len(entries)
-        if dead > self.COMPACT_MIN_TOMBSTONES and dead > len(entries):
+                if entry[3] is None:
+                    del entries[entry[1]]
+                    removed += 1
+                else:
+                    remaining = len(entry[5]) - entry[4]
+                    self._pending -= remaining
+                    self._cursors -= 1
+                    removed += remaining
+        live = len(entries) + self._cursors
+        dead = len(self._heap) - live
+        if dead > self.COMPACT_MIN_TOMBSTONES and dead > live:
             self._compact()
         return removed
 
     def live_count(self, event_type: type) -> int:
-        """Number of live events of exactly ``event_type``.
+        """Number of live events of exactly ``event_type``, a shared
+        delivery event counting once per remaining recipient.
 
-        O(queue size); used by the metrics registry's in-flight-messages
-        gauge, which samples at interval boundaries, never per event.
+        O(heap); used by the metrics registry's in-flight-messages gauge,
+        which samples at interval boundaries, never per event.
         """
         return sum(
-            1 for entry in self._entries.values() if type(entry[2]) is event_type
+            1 if entry[3] is None else len(entry[5]) - entry[4]
+            for entry in self._heap
+            if type(entry[2]) is event_type
         )
 
     def live_events(self) -> list[Event]:
-        """Every live (non-cancelled) event in firing order, without popping.
+        """Every live (non-cancelled) event in firing order, without
+        popping; a shared delivery event once per remaining recipient.
 
         Diagnostic view used by the liveness watchdog's pending-event
         census; O(n log n), never on the hot path.
         """
-        entries = sorted(self._entries.values(), key=lambda e: (e[0], e[1]))
-        return [entry[2] for entry in entries]
+        firings = []  # (time, handle, event)
+        for entry in self._heap:
+            if entry[2] is None:
+                continue
+            if entry[3] is None:
+                firings.append(entry[:3])
+            else:
+                event, times, order, base = entry[2], entry[5], entry[6], entry[8]
+                firings.extend(
+                    (times[i], base + order[i], event) for i in range(entry[4], len(times))
+                )
+        firings.sort(key=itemgetter(0, 1))
+        return [firing[2] for firing in firings]
 
     def drain(self) -> Iterator[Event]:
         """Pop every remaining live event, in order (mainly for tests)."""

@@ -89,6 +89,8 @@ class NetworkModule:
         self._sample_delay = self.delay_model.sample_delay
         self._counts = controller.metrics.counts
         self._push_event = controller.queue.push
+        #: Recipients of a full-mode star, shared by every such broadcast.
+        self._star_dests = list(range(controller.n))
         # Simulated-time metrics registry (or None), bound once: like the
         # profiler it is fixed for the controller's lifetime.
         self._obs = controller.obs_metrics
@@ -198,13 +200,17 @@ class NetworkModule:
             # destination — and counts are bulk-incremented.  The message
             # keeps the first of the ids the per-copy tier would assign.
             delays = model.sample_delays(now, hops)
+            times = np.empty(hops + 1)
             if plan is None:
-                times = (now + delays).tolist()
-                times.insert(source, now)
-                dests: Iterable[int] = range(n)
+                times[:source] = delays[:source]
+                times[source] = 0.0
+                times[source + 1:] = delays[source:]
+                dests = self._star_dests
             else:
-                times = [now, *(now + plan.arrivals(delays)).tolist()]
+                times[0] = 0.0
+                times[1:] = plan.arrivals(delays)
                 dests = [source, *plan.dests.tolist()]
+            times += now
             message.msg_id = controller.next_message_id(hops + 1)
             counts = self._counts
             counts.sent += hops

@@ -6,11 +6,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.errors import SchedulingError
-from repro.core.events import EventQueue, TimeEvent
+from repro.core.events import EventQueue, MessageEvent, TimeEvent
+from repro.core.message import BROADCAST, Message
 
 
 def timer(time: float, name: str = "t") -> TimeEvent:
     return TimeEvent(time=time, owner=0, name=name, data=None, timer_id=0)
+
+
+def shared_event() -> MessageEvent:
+    """The one event a shared-tier broadcast schedules for all recipients."""
+    message = Message(source=0, dest=BROADCAST, payload={"type": "B"})
+    return MessageEvent(time=1.0, message=message)
 
 
 class TestEventQueueBasics:
@@ -132,16 +139,9 @@ def test_property_cancel_subset(times, data):
 class TestSharedDeliveries:
     """push_deliveries / pop_entry: one shared event, per-entry time+dest."""
 
-    def _shared(self):
-        from repro.core.events import MessageEvent
-        from repro.core.message import BROADCAST, Message
-
-        message = Message(source=0, dest=BROADCAST, payload={"type": "B"})
-        return MessageEvent(time=1.0, message=message)
-
     def test_entries_fire_at_their_own_times_and_dests(self):
         queue = EventQueue()
-        event = self._shared()
+        event = shared_event()
         queue.push_deliveries(event, [3.0, 1.0, 2.0], [7, 5, 6])
         popped = [queue.pop_entry() for _ in range(3)]
         assert [(e[0], e[3]) for e in popped] == [(1.0, 5), (2.0, 6), (3.0, 7)]
@@ -150,7 +150,7 @@ class TestSharedDeliveries:
     def test_interleaves_with_ordinary_events(self):
         queue = EventQueue()
         queue.push(timer(1.5, "mid"))
-        queue.push_deliveries(self._shared(), [1.0, 2.0], [3, 4])
+        queue.push_deliveries(shared_event(), [1.0, 2.0], [3, 4])
         first, second, third = (queue.pop_entry() for _ in range(3))
         assert first[3] == 3
         assert second[2].name == "mid" and second[3] is None
@@ -160,7 +160,7 @@ class TestSharedDeliveries:
         """Tie-breaking across push and push_deliveries is insertion order."""
         queue = EventQueue()
         queue.push(timer(1.0, "a"))
-        queue.push_deliveries(self._shared(), [1.0], [9])
+        queue.push_deliveries(shared_event(), [1.0], [9])
         queue.push(timer(1.0, "b"))
         kinds = []
         for _ in range(3):
@@ -171,13 +171,66 @@ class TestSharedDeliveries:
     def test_negative_time_rejected(self):
         queue = EventQueue()
         with pytest.raises(SchedulingError):
-            queue.push_deliveries(self._shared(), [1.0, -0.5], [0, 1])
+            queue.push_deliveries(shared_event(), [1.0, -0.5], [0, 1])
 
     def test_pop_is_event_view_of_pop_entry(self):
         queue = EventQueue()
-        event = self._shared()
+        event = shared_event()
         queue.push_deliveries(event, [1.0], [4])
         assert queue.pop() is event
+
+    def test_rejected_batch_leaves_the_queue_untouched(self):
+        """All or nothing: a bad time anywhere in the batch schedules none
+        of it and consumes no handle."""
+        queue = EventQueue()
+        queue.push_deliveries(shared_event(), [2.0, 1.0], [0, 1])
+        queue.pop_entry()
+        for times, dests in ([3.0, 0.5, -0.5], [0, 1, 2]), ([1.0, 2.0], [0]):
+            with pytest.raises(SchedulingError):
+                queue.push_deliveries(shared_event(), times, dests)
+            assert len(queue) == 1 and len(queue._heap) == 1
+        assert queue.push(timer(2.0)) == 2
+        assert [(e[0], e[1], e[3]) for e in (queue.pop_entry(), queue.pop_entry())] == [
+            (2.0, 0, 0), (2.0, 2, None),
+        ]
+
+    def test_empty_batch_is_a_no_op(self):
+        queue = EventQueue()
+        queue.push_deliveries(shared_event(), [], [])
+        assert not queue and len(queue) == 0 and not queue._heap
+        assert queue.push(timer(1.0)) == 0
+
+    def test_one_heap_entry_per_batch_and_plain_floats_out(self):
+        import numpy as np
+
+        queue = EventQueue()
+        queue.push_deliveries(shared_event(), np.array([3.0, 1.0, 2.0]), [7, 5, 6])
+        assert len(queue) == 3 and len(queue._heap) == 1
+        assert queue.peek_time() == 1.0 and type(queue.peek_time()) is float
+        popped = [queue.pop_entry() for _ in range(3)]
+        assert [tuple(e[:2]) + (e[3],) for e in popped] == [(1.0, 1, 5), (2.0, 2, 6), (3.0, 0, 7)]
+        assert all(type(e[0]) is float and type(e[3]) is int for e in popped)
+        assert not queue and not queue._heap
+
+    def test_introspection_counts_every_pending_delivery(self):
+        queue = EventQueue()
+        first, second = shared_event(), shared_event()
+        queue.push_deliveries(first, [4.0, 2.0, 2.0], [0, 1, 2])
+        queue.push(timer(2.0, "t"))
+        queue.push_deliveries(second, [2.0, 1.0], [3, 4])
+        assert len(queue) == 6
+        assert queue.live_count(MessageEvent) == 5
+        assert queue.live_count(TimeEvent) == 1
+        assert [getattr(e, "name", e) for e in queue.live_events()] == [
+            second, first, first, "t", second, first,
+        ]
+        queue.pop_entry()
+        assert len(queue) == 5 and queue.live_count(MessageEvent) == 4
+        # Cancelling a shared event cancels each remaining delivery of it.
+        assert queue.cancel_if(lambda e: e is first) == 3
+        assert len(queue) == 2 and queue.live_count(MessageEvent) == 1
+        assert [getattr(e, "name", e) for e in queue.drain()] == ["t", second]
+        assert not queue and queue.peek_time() is None
 
 
 class TestTombstoneCompaction:
@@ -224,15 +277,41 @@ class TestTombstoneCompaction:
         # Dead entries outnumber live ones, so the sweep compacts the heap.
         assert len(queue._heap) == 2_500
 
-    def test_compaction_keeps_shared_delivery_entries(self):
-        from repro.core.events import MessageEvent
-        from repro.core.message import BROADCAST, Message
-
+    def test_live_cursors_are_not_tombstones(self):
+        """Deliveries are not in ``_entries``; counting their heap entries
+        as dead would compact on every cancel past the floor."""
         queue = EventQueue()
-        event = MessageEvent(
-            time=1.0, message=Message(source=0, dest=BROADCAST, payload={})
-        )
-        queue.push_deliveries(event, [10.0, 20.0], [1, 2])
+        for i in range(200):
+            queue.push_deliveries(shared_event(), [float(i), i + 0.5], [0, 1])
+        keep = [queue.push(timer(float(i))) for i in range(100)]
+        victims = [queue.push(timer(i + 0.25, name="victim")) for i in range(150)]
+        heap = queue._heap
+        for handle in victims:  # dead (<= 150) never outnumbers live (>= 300)
+            queue.cancel(handle)
+        assert queue._heap is heap and len(heap) == 450
+        for handle in keep:  # 250 dead > 200 live cursors: compacts once
+            queue.cancel(handle)
+        assert queue._heap is not heap
+        assert len(queue) == 400
+        popped = [queue.pop_entry() for _ in range(400)]
+        assert [(e[0], e[3]) for e in popped] == [
+            (i + half, int(2 * half)) for i in range(200) for half in (0.0, 0.5)
+        ]
+
+    def test_cancel_if_compacts_cancelled_cursors_away(self):
+        queue = EventQueue()
+        doomed = shared_event()
+        for i in range(100):
+            queue.push_deliveries(doomed, [float(i), i + 0.5], [0, 1])
+        survivor = shared_event()
+        queue.push_deliveries(survivor, [7.0, 3.0], [8, 9])
+        assert queue.cancel_if(lambda e: e is doomed) == 200
+        assert len(queue) == 2 and len(queue._heap) == 1
+        assert [queue.pop_entry()[3] for _ in range(2)] == [9, 8]
+
+    def test_compaction_keeps_shared_delivery_entries(self):
+        queue = EventQueue()
+        queue.push_deliveries(shared_event(), [10.0, 20.0], [1, 2])
         handles = [queue.push(timer(float(i))) for i in range(500)]
         for handle in handles:
             queue.cancel(handle)

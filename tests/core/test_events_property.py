@@ -18,7 +18,8 @@ import random
 import pytest
 
 from repro.core.errors import SchedulingError
-from repro.core.events import Event, EventQueue
+from repro.core.events import Event, EventQueue, MessageEvent, TimeEvent
+from repro.core.message import BROADCAST, Message
 
 
 def reference_order(entries: list[tuple[float, int]]) -> list[int]:
@@ -177,6 +178,111 @@ def test_peek_time_matches_next_pop():
         queue.pop()
 
 
+
+# -- every operation against a flat reference model --------------------------
+
+
+def check_against_flat_model(rng: random.Random, steps: int) -> None:
+    """Drive a queue through ``steps`` random operations of every kind and
+    compare each observable with a flat list kept in ``sorted((time,
+    handle))`` order.
+
+    A broadcast's deliveries are one cursor entry in the heap but ``k``
+    rows in the model, so every view of the queue — pop order, ``len``,
+    ``live_count``, ``live_events``, ``cancel_if`` counts — must account
+    for them one by one.  Times are multiples of 0.5 over a short range, so
+    ties abound within a batch, across batches and against timers.
+    """
+    queue = EventQueue()
+    model: list[tuple[float, int, Event, int | None]] = []
+    handles: list[int] = []  # every handle ``push`` ever returned
+    next_handle = 0
+    now = 0.0
+
+    def coarse() -> float:
+        return now + rng.randrange(0, 6) / 2
+
+    def timer() -> TimeEvent:
+        return TimeEvent(time=coarse(), owner=rng.randrange(3), name="t")
+
+    for _step in range(steps):
+        op = rng.randrange(9)
+        if op == 0:
+            event = timer()
+            handle = queue.push(event)
+            assert handle == next_handle
+            handles.append(handle)
+            model.append((event.time, handle, event, None))
+            next_handle += 1
+        elif op == 1:
+            events = [timer() for _ in range(rng.randrange(4))]
+            queue.push_batch(events)
+            for event in events:
+                model.append((event.time, next_handle, event, None))
+                next_handle += 1
+        elif op in (2, 3):
+            size = rng.choice([0, 1, 1, 2, 5, 17])
+            times = [coarse() for _ in range(size)]
+            if size > 1:
+                times[rng.randrange(size)] = now  # the sender's loopback
+            dests = [rng.randrange(40) for _ in range(size)]
+            event = MessageEvent(
+                time=now, message=Message(source=0, dest=BROADCAST, payload={})
+            )
+            queue.push_deliveries(event, times, dests)
+            for time_, dest in zip(times, dests):
+                model.append((time_, next_handle, event, dest))
+                next_handle += 1
+        elif op == 4 and handles:
+            handle = rng.choice(handles)  # live, popped or cancelled already
+            queue.cancel(handle)
+            model = [row for row in model if row[1] != handle]
+        elif op == 5 and model:
+            if rng.random() < 0.5:
+                victim = rng.choice(model)[2]  # one timer, or a whole broadcast
+                doomed = lambda e: e is victim
+            else:
+                owner = rng.randrange(3)
+                doomed = lambda e: type(e) is TimeEvent and e.owner == owner
+            survivors = [row for row in model if not doomed(row[2])]
+            assert queue.cancel_if(doomed) == len(model) - len(survivors)
+            model = survivors
+        elif op in (6, 7) and model:
+            model.sort(key=lambda row: row[:2])
+            expected = model.pop(0)
+            if op == 6:
+                time_, handle, event, dest = queue.pop_entry()
+                assert (time_, handle, dest) == (expected[0], expected[1], expected[3])
+                assert type(time_) is float
+                assert dest is None or type(dest) is int
+            else:
+                event = queue.pop()
+            assert event is expected[2]
+            now = expected[0]
+        else:
+            peeked = queue.peek_time()
+            assert peeked == min((row[0] for row in model), default=None)
+            assert peeked is None or type(peeked) is float
+
+        assert len(queue) == len(model)
+        assert bool(queue) == bool(model)
+        for kind in (MessageEvent, TimeEvent):
+            assert queue.live_count(kind) == sum(type(r[2]) is kind for r in model)
+        model.sort(key=lambda row: row[:2])
+        live = queue.live_events()
+        assert len(live) == len(model)
+        assert all(a is b[2] for a, b in zip(live, model))
+
+    assert [id(e) for e in queue.drain()] == [id(row[2]) for row in model]
+    assert len(queue) == 0 and queue.peek_time() is None
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_every_operation_matches_the_flat_model(seed):
+    rng = random.Random(4000 + seed)
+    check_against_flat_model(rng, steps=rng.randrange(20, 250))
+
+
 # -- hypothesis reinforcement (skipped cleanly when not installed) ----------
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -209,3 +315,9 @@ def test_hypothesis_pop_order_is_stable_sort(ops):
             survivors.append((time_, seq))
     assert len(queue) == len(survivors)
     assert drain_handles(queue, pushed) == reference_order(survivors)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(min_value=1, max_value=120))
+def test_hypothesis_every_operation_matches_the_flat_model(rng, steps):
+    check_against_flat_model(rng, steps)

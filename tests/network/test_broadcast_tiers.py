@@ -1,11 +1,11 @@
 """The one broadcast routine: shared tier ≡ instrumented tier, in every mode.
 
 A benign broadcast rides the shared tier (one message, one delivery event,
-n slim queue entries, one batched delay draw); anything that can observe or
-re-time a single copy forces the instrumented tier (one copy per recipient
-through the attacker/fault/trace path).  Byte-identity between the two is
-the contract: same delays, same queue handles, same message ids, so a run
-may change tier at any broadcast.
+one cursor entry in the queue, one batched delay draw); anything that can
+observe or re-time a single copy forces the instrumented tier (one copy
+per recipient through the attacker/fault/trace path).  Byte-identity
+between the two is the contract: same delays, same queue handles, same
+message ids, so a run may change tier at any broadcast.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ from repro import Controller, Message, result_fingerprint, run_simulation
 from repro.attacks.base import AttackerContext, Capability
 from repro.core.events import TimeEvent
 from repro.core.message import BROADCAST
+from repro.observability.health import HealthMonitor
+from repro.observability.metrics import MetricsRegistry
 
 from tests.conftest import quick_config
 from tests.core.test_golden_determinism import GOLDEN, golden_config
@@ -83,6 +85,82 @@ def test_one_broadcast_takes_the_same_ids_handles_and_times_in_both_tiers(mode):
     # Handle order: destination order in full, loopback first on an overlay.
     assert loopback[1] == (source if mode == "full" else 0)
     assert controller.metrics.counts.sent == n - 1  # the loopback is not traffic
+
+
+# -- what telemetry sees of the queue -----------------------------------------
+
+
+class SampleRecorder(HealthMonitor):
+    """A monitor that keeps the engine samples it closes its windows with."""
+
+    def __init__(self, window_ms):
+        super().__init__(window_ms=window_ms)
+        self.samples = []
+
+    def close_window(self, end, sample):
+        self.samples.append((end, dict(sample)))
+        super().close_window(end, sample)
+
+
+@pytest.mark.parametrize("mode", ["full", "tree"])
+@pytest.mark.parametrize("protocol", ["pbft", "hotstuff-ns"])
+def test_queue_gauges_and_health_samples_are_equal_in_both_tiers(protocol, mode):
+    """A shared broadcast is one heap entry but n pending deliveries: the
+    ``queue_depth`` / ``in_flight_messages`` series and the health monitor's
+    ``queue`` sample must count recipients, as the per-copy tier does."""
+    config = quick_config(protocol=protocol, n=7, num_decisions=3, seed=11, dissemination=mode)
+    tiers = []
+    for prepare in (lambda c: c, force_instrumented):
+        monitor = SampleRecorder(window_ms=20.0)
+        controller = prepare(
+            Controller(config, metrics=MetricsRegistry(interval=10.0), health=monitor)
+        )
+        result = controller.run()
+        gauges = [
+            row for row in result.run_metrics.samples
+            if row[1] in ("queue_depth", "in_flight_messages")
+        ]
+        tiers.append((gauges, monitor.samples, result.health.to_dict()))
+    shared, copies = tiers
+    assert shared == copies
+    assert max(value for _, name, value in shared[0] if name == "in_flight_messages") >= 6
+    assert max(sample["queue"] for _, sample in shared[1]) >= 6
+
+
+@pytest.mark.parametrize("mode", ["full", "tree"])
+@pytest.mark.parametrize("protocol", ["pbft", "hotstuff-ns"])
+def test_a_stall_report_counts_pending_deliveries_in_both_tiers(protocol, mode):
+    """The watchdog fires while the first broadcasts are in flight (delays
+    are ~50 ms, the window 5 ms): the census lists one ``message:<type>``
+    per pending recipient on either tier."""
+    config = quick_config(protocol=protocol, n=7, dissemination=mode, stall_timeout=5.0)
+    shared = Controller(config).run().stall
+    copies = force_instrumented(Controller(config)).run().stall
+    assert shared is not None and shared.reason == copies.reason
+    assert shared.pending_events == copies.pending_events
+    assert list(shared.pending_events) == list(copies.pending_events)  # firing order
+    assert sum(v for k, v in shared.pending_events.items() if k.startswith("message:")) >= 6
+
+
+def test_a_phase_of_n_broadcasts_holds_o_n_heap_entries():
+    """pbft's prepare phase: every node broadcasts to every node.  With one
+    cursor per in-flight broadcast the heap stays O(n) while O(n²)
+    deliveries are pending (per-recipient entries held > n²/2 here)."""
+    n = 256
+    controller = Controller(quick_config(n=n, mean=250.0, std=50.0, lam=1000.0))
+    queue = controller.queue
+    dispatch = controller._dispatch
+    peak = {"heap": 0, "pending": 0}
+
+    def watching_dispatch(*args):
+        peak["heap"] = max(peak["heap"], len(queue._heap))
+        peak["pending"] = max(peak["pending"], len(queue))
+        dispatch(*args)
+
+    controller._dispatch = watching_dispatch
+    assert controller.run().terminated
+    assert peak["pending"] > n * n // 2
+    assert peak["heap"] <= 4 * n
 
 
 # -- a run that changes tier mid-way ------------------------------------------
