@@ -227,7 +227,8 @@ class BaselineController(Controller):
 
     # -- event dispatch ---------------------------------------------------------
 
-    def _dispatch(self, event, event_time=None, dest=None) -> None:  # type: ignore[override]
+    def _dispatch(self, entry: list) -> None:
+        event = entry[2]
         if isinstance(event, PacketHopEvent):
             if event.hop == "switch":
                 self.network.forward_from_switch(event)
@@ -238,7 +239,7 @@ class BaselineController(Controller):
             else:
                 self._on_packet_at_destination(event)
             return
-        super()._dispatch(event, event_time, dest)
+        super()._dispatch(entry)
 
     def record_packet_trace(
         self, time: float, action: str, message: Message, index: int, size: int

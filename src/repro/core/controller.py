@@ -49,6 +49,20 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..workload.manager import WorkloadManager
 
 
+def _copy_id(entry: list) -> int:
+    """Per-run id of the message copy that delivery ``entry`` carries.
+
+    A shared broadcast is one :class:`Message` holding the first of the ids
+    it reserved; ids and queue handles are reserved in lockstep, so copy
+    ``i`` (handle ``base + i``) has id ``msg_id + i`` — what the per-copy
+    tier stamps on its own message object.
+    """
+    msg_id = entry[2].message.msg_id
+    if entry[3] is None:
+        return msg_id
+    return msg_id + entry[1] - entry[4]
+
+
 class Controller:
     """Builds and runs one simulation.
 
@@ -132,11 +146,11 @@ class Controller:
         #: construction, once the workload ledger it samples exists.
         self.health = health
         self._lineage = lineage
-        #: What is being handled right now: the dispatched event, or the
-        #: literal setup cause ("a" during attacker setup, "s<node>" during
-        #: on_start).  None before the run starts or when lineage is
+        #: What is being handled right now: the dispatched queue entry, or
+        #: the literal setup cause ("a" during attacker setup, "s<node>"
+        #: during on_start).  None before the run starts or when lineage is
         #: disabled.  Read through :attr:`_current_cause`.
-        self._cause: MessageEvent | TimeEvent | str | None = None
+        self._cause: list | str | None = None
         self.log = SimLogger(get_logger("controller"), clock=self.clock)
 
         self.attacker: Attacker = make_attacker(config.attack)
@@ -240,10 +254,11 @@ class Controller:
         "t<timer_id>" (or the setup cause).  Derived on read — most
         dispatched events send, schedule and decide nothing."""
         cause = self._cause
-        if type(cause) is MessageEvent:
-            return f"m{cause.message.msg_id}"
-        if type(cause) is TimeEvent:
-            return f"t{cause.timer_id}"
+        if type(cause) is list:
+            event = cause[2]
+            if type(event) is TimeEvent:
+                return f"t{event.timer_id}"
+            return f"m{_copy_id(cause)}"
         return cause
 
     def send_message(self, message: Message) -> None:
@@ -615,7 +630,7 @@ class Controller:
                     health_boundary = health._next_boundary
                 if obs is not None:
                     obs.advance(event_time)
-                dispatch(entry[2], event_time, entry[3])
+                dispatch(entry)
         finally:
             self._events_processed = events_processed
 
@@ -647,26 +662,27 @@ class Controller:
         )
         return self._build_result(terminated, wall)
 
-    def _dispatch(self, event: Any, event_time: float | None = None, dest: int | None = None) -> None:
+    def _dispatch(self, entry: list) -> None:
+        # The unit of dispatch is the queue *entry* (``pop_entry``): the
+        # network module's shared tier schedules one MessageEvent for a whole
+        # broadcast, so the per-copy firing time, recipient and message id
+        # (``_copy_id``) are entry data, not event fields.  For ordinary
+        # events they equal ``event.time`` / ``message.dest`` / ``msg_id``.
+        #
         # ``type() is`` instead of ``isinstance``: MessageEvent/TimeEvent are
         # the only event kinds the engine schedules, and the exact-type check
         # skips the subclass machinery on the hottest branch in the run loop.
-        #
-        # ``event_time``/``dest`` come from the queue *entry*: the network
-        # module's shared tier schedules one MessageEvent for a whole
-        # broadcast, so the per-copy firing time and recipient are entry
-        # data, not event fields.  For ordinary events they equal
-        # ``event.time`` / ``message.dest`` (the defaults).
-        if event_time is None:
-            event_time = event.time
+        event_time = entry[0]
+        event = entry[2]
         if type(event) is MessageEvent:
             message = event.message
+            dest = entry[3]
             if dest is None:
                 dest = message.dest
             if self._lineage:
                 # Everything sent or scheduled while this delivery is being
                 # handled was caused by this message.
-                self._cause = event
+                self._cause = entry
             # Slow checks (crashed destination, corrupted replica, tampered
             # payload) only run when such state exists at all — benign runs
             # never enter this block.
@@ -678,13 +694,13 @@ class Controller:
                     self.trace.record(
                         event_time, "env-crash-drop", dest,
                         source=message.source, msg_type=message.type,
-                        msg_id=message.msg_id,
+                        msg_id=_copy_id(entry),
                     )
                     return
                 if dest in self._halted:
                     self.trace.record(
                         event_time, "suppress", dest,
-                        msg_type=message.type, msg_id=message.msg_id,
+                        msg_type=message.type, msg_id=_copy_id(entry),
                     )
                     return
                 if message.corrupted:
@@ -695,7 +711,7 @@ class Controller:
                     self.trace.record(
                         event_time, "env-reject", dest,
                         source=message.source, msg_type=message.type,
-                        msg_id=message.msg_id,
+                        msg_id=_copy_id(entry),
                     )
                     return
             self.metrics.counts.delivered += 1
@@ -721,7 +737,7 @@ class Controller:
                 trace.record(
                     event_time, "deliver", dest,
                     source=message.source, msg_type=message.type,
-                    msg_id=message.msg_id, cause=message.cause,
+                    msg_id=_copy_id(entry), cause=message.cause,
                     slot=payload.get("slot", payload.get("height")),
                     view=payload.get("view", payload.get("round")),
                 )
@@ -734,7 +750,7 @@ class Controller:
                 prof.add("protocol.on_message", t0)
         elif type(event) is TimeEvent:
             if self._lineage:
-                self._cause = event
+                self._cause = entry
             owner = event.owner
             if owner == ATTACKER_OWNER:
                 prof = self.profiler

@@ -101,10 +101,11 @@ class EventQueue:
 
     A shared-tier broadcast (:meth:`push_deliveries`) is **one** heap entry
     however many nodes it reaches, a *cursor* ``[time, handle, event, dest,
-    pos, times, order, dests, base]`` over its arrivals sorted by ``(time,
+    base, pos, times, order, dests]`` over its arrivals sorted by ``(time,
     handle)``: ``times`` and ``order`` (each arrival's handle offset) are
-    ``array``s, 16 bytes per pending delivery, and the four leading slots
-    describe arrival ``pos``, the head.  Popping re-keys the cursor to its
+    ``array``s, 16 bytes per pending delivery, the four leading slots
+    describe arrival ``pos``, the head, and ``base`` is the batch's first
+    handle.  Popping re-keys the cursor to its
     next arrival with one ``heapreplace``, so n concurrent broadcasts hold
     O(n) heap entries, not O(n²).  A cursor's keys ascend and handles are
     unique, so pop order is exactly that of per-recipient entries.
@@ -202,7 +203,7 @@ class EventQueue:
         first = order[0]
         heappush(
             self._heap,
-            [times[0], base + first, event, dests[first], 0, times, order, dests, base],
+            [times[0], base + first, event, dests[first], base, 0, times, order, dests],
         )
 
     #: Tombstone-compaction trigger: once the heap holds more dead entries
@@ -249,7 +250,9 @@ class EventQueue:
         The engine's run loop uses this instead of :meth:`pop`: for shared
         broadcast deliveries (:meth:`push_deliveries`) the authoritative
         firing time and recipient live in the entry, not the event.
-        ``dest`` is ``None`` for ordinary events.
+        ``dest`` is ``None`` for ordinary events; a delivery's entry has a
+        fifth slot, the first handle of its batch, so ``handle - base`` is
+        the delivery's index in the ``push_deliveries`` call.
         """
         heap = self._heap
         while heap:
@@ -260,18 +263,18 @@ class EventQueue:
             if entry[3] is None:
                 del self._entries[entry[1]]
                 return heappop(heap)
-            head = entry[:4]
-            pos = entry[4] + 1
-            times = entry[5]
+            head = entry[:5]
+            pos = entry[5] + 1
+            times = entry[6]
             if pos == len(times):
                 heappop(heap)
                 self._cursors -= 1
             else:
-                offset = entry[6][pos]
+                offset = entry[7][pos]
                 entry[0] = times[pos]
-                entry[1] = entry[8] + offset
-                entry[3] = entry[7][offset]
-                entry[4] = pos
+                entry[1] = entry[4] + offset
+                entry[3] = entry[8][offset]
+                entry[5] = pos
                 heapreplace(heap, entry)
             self._pending -= 1
             return head
@@ -305,7 +308,7 @@ class EventQueue:
                     del entries[entry[1]]
                     removed += 1
                 else:
-                    remaining = len(entry[5]) - entry[4]
+                    remaining = len(entry[6]) - entry[5]
                     self._pending -= remaining
                     self._cursors -= 1
                     removed += remaining
@@ -323,7 +326,7 @@ class EventQueue:
         which samples at interval boundaries, never per event.
         """
         return sum(
-            1 if entry[3] is None else len(entry[5]) - entry[4]
+            1 if entry[3] is None else len(entry[6]) - entry[5]
             for entry in self._heap
             if type(entry[2]) is event_type
         )
@@ -342,9 +345,9 @@ class EventQueue:
             if entry[3] is None:
                 firings.append(entry[:3])
             else:
-                event, times, order, base = entry[2], entry[5], entry[6], entry[8]
+                event, base, times, order = entry[2], entry[4], entry[6], entry[7]
                 firings.extend(
-                    (times[i], base + order[i], event) for i in range(entry[4], len(times))
+                    (times[i], base + order[i], event) for i in range(entry[5], len(times))
                 )
         firings.sort(key=itemgetter(0, 1))
         return [firing[2] for firing in firings]

@@ -32,9 +32,17 @@ import io
 import json
 import os
 from dataclasses import dataclass, field
+from itertools import islice
+from json.encoder import encode_basestring_ascii
+from math import isfinite
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator
 
 from .errors import SimulationError
+
+#: One encoder for every record (``json.dumps(sort_keys=True)`` builds a
+#: fresh one per call).
+_encode = json.JSONEncoder(sort_keys=True).encode
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,12 +79,91 @@ class TraceEvent:
 
     def to_json(self) -> str:
         """The event's one-line JSONL form."""
-        return json.dumps(self.to_dict(), sort_keys=True)
+        return jsonl_line(self.time, self.kind, self.node, self.fields)
 
     def matches(self, **expected: Any) -> bool:
         """True if every expected key equals the event's value for it."""
         own = self.to_dict()
         return all(own.get(key) == value for key, value in expected.items())
+
+
+#: JSON text of the non-``int`` values a template line may hold, by exact
+#: type.  A plain ``int`` formats itself; any other type (``bool``, ``float``,
+#: containers) is a ``KeyError`` that sends the record to the encoder.
+_SCALAR_TEXT: dict[type, Callable[[Any], str]] = {
+    str: encode_basestring_ascii,
+    type(None): lambda _none: "null",
+}
+
+
+def _line_template(kind: str, *names: str) -> tuple[str, Callable, int, int, int]:
+    """A fixed-shape record's line: the keys of ``to_dict()`` pre-sorted
+    with a ``%s`` per value, a getter of the field values in that order,
+    where ``node`` and ``time`` go among them, and the field count."""
+    slots = dict.fromkeys((*names, "node", "time"), "%s")
+    order = sorted(slots)
+    slots["kind"] = json.dumps(kind)
+    line = "{" + ", ".join(f'"{key}": {slots[key]}' for key in sorted(slots)) + "}"
+    return line, itemgetter(*sorted(names)), order.index("node"), order.index("time"), len(names)
+
+
+#: The two record shapes that are nearly all of a trace (one ``send`` and one
+#: ``deliver`` per message): formatted from a template, not encoded.
+_LINE_TEMPLATES = dict(
+    send=_line_template("send", "dest", "msg_type", "msg_id", "size", "cause", "slot", "view"),
+    deliver=_line_template("deliver", "source", "msg_type", "msg_id", "cause", "slot", "view"),
+)
+
+def jsonl_line(time: float, kind: str, node: int, fields: dict[str, Any]) -> str:
+    """One record's JSONL line: ``json.dumps(to_dict(), sort_keys=True)``.
+
+    Records of a templated kind whose fields are exactly the template's and
+    all plain ``int``/``str``/``None`` skip the encoder; the output is
+    byte-identical either way.
+    """
+    template = _LINE_TEMPLATES.get(kind)
+    if template is not None:
+        line, values, node_at, time_at, count = template
+        if (
+            len(fields) == count
+            and type(node) is int
+            and type(time) is float
+            and isfinite(time)
+        ):
+            try:
+                texts = [
+                    value if type(value) is int else _SCALAR_TEXT[type(value)](value)
+                    for value in values(fields)
+                ]
+            except KeyError:  # a field outside the template, or not a plain scalar
+                pass
+            else:
+                texts.insert(node_at, node)  # "node" sorts before "time"
+                texts.insert(time_at, repr(time))
+                return line % tuple(texts)
+    return _encode({"time": time, "kind": kind, "node": node, **fields})
+
+
+#: Lines :func:`iter_jsonl_dicts` decodes per call (its memory bound).
+JSONL_BLOCK_LINES = 512
+
+
+def iter_jsonl_dicts(lines: Iterable[str]) -> Iterator[dict[str, Any]]:
+    """Decode the non-blank lines of a JSONL stream, in order.
+
+    The one JSONL reader (``Trace.from_jsonl``, :meth:`JsonlSink.iter_events`,
+    ``repro inspect``).  Lines are decoded a bounded block per ``json.loads``
+    call; a block that does not decode to one value per line is decoded
+    line by line instead, so a malformed line raises exactly what
+    ``json.loads(line)`` raises, after the lines before it were yielded.
+    """
+    stripped = filter(None, map(str.strip, lines))
+    while block := list(islice(stripped, JSONL_BLOCK_LINES)):
+        try:
+            rows = json.loads("[" + ",".join(block) + "]")
+        except ValueError:
+            rows = ()
+        yield from rows if len(rows) == len(block) else map(json.loads, block)
 
 
 class TraceBufferUnavailable(SimulationError):
@@ -88,8 +175,7 @@ def open_trace_text(path: str | os.PathLike[str]) -> io.TextIOBase:
 
     Paths ending in ``.gz`` are decompressed on the fly (multi-member
     archives — produced by a sink reopened after pickling — read as one
-    stream).  The shared reader used by :meth:`JsonlSink.iter_events` and
-    ``repro inspect``.
+    stream).  Feed the handle to :func:`iter_jsonl_dicts`.
     """
     text = os.fspath(path)
     if text.endswith(".gz"):
@@ -196,6 +282,11 @@ class TraceSink:
         self.count += 1
         self._accept(event)
 
+    def record(self, time: float, kind: str, node: int, fields: dict[str, Any]) -> None:
+        """Offer one occurrence as its parts — what :meth:`Trace.record`
+        hands over; a sink that stores no event objects overrides this."""
+        self.emit(TraceEvent(time, kind, node, fields))
+
     def _accept(self, event: TraceEvent) -> None:
         raise NotImplementedError
 
@@ -292,6 +383,16 @@ class JsonlSink(TraceSink):
         self._handle: io.TextIOWrapper | None = None
 
     def _accept(self, event: TraceEvent) -> None:
+        self._write(event.to_json())
+
+    def record(self, time: float, kind: str, node: int, fields: dict[str, Any]) -> None:
+        if self.filter is not None:  # only a filter needs an event object
+            super().record(time, kind, node, fields)
+        else:
+            self.count += 1
+            self._write(jsonl_line(time, kind, node, fields))
+
+    def _write(self, line: str) -> None:
         if self._handle is None:
             # First event truncates; a reopen (after close/pickle) appends.
             mode = "w" if self.count <= 1 else "a"
@@ -302,7 +403,7 @@ class JsonlSink(TraceSink):
                     self.path, mode, buffering=self._buffer_bytes,
                     encoding="utf-8",
                 )
-        self._handle.write(event.to_json() + "\n")
+        self._handle.write(line + "\n")
 
     def events(self) -> list[TraceEvent]:
         """Read the accepted events back from disk.
@@ -318,10 +419,7 @@ class JsonlSink(TraceSink):
         if self.count == 0 or not os.path.exists(self.path):
             return
         with open_trace_text(self.path) as handle:
-            for line in handle:
-                line = line.strip()
-                if line:
-                    yield TraceEvent.from_dict(json.loads(line))
+            yield from map(TraceEvent.from_dict, iter_jsonl_dicts(handle))
 
     def flush(self) -> None:
         if self._handle is not None:
@@ -355,7 +453,7 @@ class Trace:
     def record(self, time: float, kind: str, node: int = -1, **fields: Any) -> None:
         """Append an event (no-op while disabled)."""
         if self.enabled:
-            self.sink.emit(TraceEvent(time=time, kind=kind, node=node, fields=fields))
+            self.sink.record(time, kind, node, fields)
 
     def __len__(self) -> int:
         return self.sink.count
@@ -397,17 +495,11 @@ class Trace:
     def from_jsonl(cls, text: str) -> "Trace":
         """Parse a trace previously produced by :meth:`to_jsonl` (or by an
         external tool emitting the same schema)."""
-        trace = cls(enabled=True)
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            data = json.loads(line)
-            time = data.pop("time")
-            kind = data.pop("kind")
-            node = data.pop("node", -1)
-            trace.record(time, kind, node, **data)
-        return trace
+        sink = MemorySink()
+        events = sink.events()
+        events.extend(map(TraceEvent.from_dict, iter_jsonl_dicts(text.splitlines())))
+        sink.count = len(events)
+        return cls(enabled=True, sink=sink)
 
     def format(self, limit: int | None = 50) -> str:
         """Human-readable rendering of (the first ``limit``) events.

@@ -17,7 +17,7 @@ silently producing results under a stronger adversary than advertised.
 from __future__ import annotations
 
 import time as _time
-from itertools import chain, repeat
+from itertools import chain, count, repeat
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 import numpy as np
@@ -83,7 +83,7 @@ class NetworkModule:
         # "Benign environment": no environmental fault schedule and no
         # profiler — both fixed at construction.  The rest of the shared-tier
         # predicate (``_unobserved``) is re-checked per submission because
-        # tests swap the attacker and toggle tracing after construction.
+        # tests swap the attacker and set overrides after construction.
         self._benign_env = faults is None and controller.profiler is None
         # Hot-path bindings: one delay draw and one queue push per unicast.
         self._sample_delay = self.delay_model.sample_delay
@@ -141,18 +141,18 @@ class NetworkModule:
             self._submit_single(message)
 
     def _unobserved(self) -> bool:
-        """True when nothing can observe, re-time or mutate a single copy.
+        """True when nothing can re-time, drop or mutate a single copy.
 
         Benign environment, a pass-through NullAttacker (exact class:
-        subclasses may override ``attack``), no corrupted node, tracing off
-        and no delay override.  Then the attacker proxy, the fault engine
-        and the capability diffing cannot have any effect, and none of them
+        subclasses may override ``attack``), no corrupted node and no delay
+        override.  Then the attacker proxy, the fault engine and the
+        capability diffing cannot have any effect, and none of them
         consumes RNG, so skipping them leaves delay draws, event order and
-        every metric byte-identical.
+        every metric byte-identical.  Tracing is not in the predicate: the
+        shared tier writes the records the per-copy tier would.
         """
         return (
             self._benign_env
-            and not self._controller.trace.enabled
             and self._delay_override is None
             and type(self.attacker) is NullAttacker
             and not self._attacker_ctx._corrupted_since
@@ -211,7 +211,7 @@ class NetworkModule:
                 times[1:] = plan.arrivals(delays)
                 dests = [source, *plan.dests.tolist()]
             times += now
-            message.msg_id = controller.next_message_id(hops + 1)
+            first = message.msg_id = controller.next_message_id(hops + 1)
             counts = self._counts
             counts.sent += hops
             counts.bytes_sent += hops * wire_bytes
@@ -220,6 +220,16 @@ class NetworkModule:
                 # Wire accounting is charged to the physical transmitter.
                 for relay in repeat(source, hops) if plan is None else plan.relays.tolist():
                     obs.on_send(relay, wire_bytes)
+            if controller.trace.enabled:
+                # Copy i of the broadcast has id first + i; the loopback
+                # (index ``source`` of a star, 0 of an overlay) is not sent.
+                if plan is None:
+                    sends: Iterable[tuple] = (
+                        (dest, first + dest, None) for dest in range(n) if dest != source
+                    )
+                else:
+                    sends = zip(plan.dests.tolist(), count(first + 1), plan.relays.tolist())
+                self._record_sends(message, {"size": wire_bytes}, sends)
             controller.queue.push_deliveries(
                 MessageEvent(time=now, message=message), times, dests
             )
@@ -354,6 +364,8 @@ class NetworkModule:
             obs = self._obs
             if obs is not None:
                 obs.on_send(message.source, wire_bytes)
+            if controller.trace.enabled:
+                self._record_sends(message, {"size": wire_bytes})
             delay = message.delay
             if delay is None:
                 delay = message.delay = self._sample_delay(message.sent_at)
@@ -382,7 +394,7 @@ class NetworkModule:
                 tags["byzantine"] = True
             if message.forged:
                 tags["origin"] = "attacker"
-            self._record_send(message, tags)
+            self._record_sends(message, tags)
         prof = self._profiler
         if message.delay is None:
             if self._delay_override is not None:
@@ -421,20 +433,35 @@ class NetworkModule:
                 for delivered in delivered_batch:
                     controller.schedule_delivery(delivered)
 
-    def _record_send(self, message: Message, tags: dict[str, Any]) -> None:
-        """The one ``send`` trace record: ``tags`` are the fields that vary
-        by origin; the relaying node is named on dissemination hops only, so
-        direct sends keep the records older traces have."""
+    def _record_sends(
+        self,
+        message: Message,
+        tags: dict[str, Any],
+        copies: Iterable[tuple] | None = None,
+    ) -> None:
+        """The one ``send`` trace record, once per ``(dest, msg_id, relay)``
+        in ``copies`` (default: ``message`` itself, one copy).
+
+        ``tags`` are the fields that vary by origin; the relaying node is
+        named on dissemination hops only, so direct sends keep the records
+        older traces have."""
+        if copies is None:
+            copies = ((message.dest, message.msg_id, message.relay_from),)
+        record = self._controller.trace.record
+        now = self._controller.clock.now
+        source = message.source
+        msg_type = message.type
+        cause = message.cause
         payload = message.payload
-        relay = message.relay_from
-        self._controller.trace.record(
-            self._controller.clock.now, "send", message.source,
-            dest=message.dest, msg_type=message.type, msg_id=message.msg_id,
-            **tags, cause=message.cause,
-            slot=payload.get("slot", payload.get("height")),
-            view=payload.get("view", payload.get("round")),
-            **({} if relay is None else {"relay": relay}),
-        )
+        slot = payload.get("slot", payload.get("height"))
+        view = payload.get("view", payload.get("round"))
+        for dest, msg_id, relay in copies:
+            record(
+                now, "send", source,
+                dest=dest, msg_type=msg_type, msg_id=msg_id,
+                **tags, cause=cause, slot=slot, view=view,
+                **({} if relay is None else {"relay": relay}),
+            )
 
     def _run_attacker(self, message: Message) -> Iterable[Message]:
         """Pass one message through the attacker and enforce capabilities."""
@@ -485,7 +512,7 @@ class NetworkModule:
                 if self._controller.trace.enabled:
                     if item.cause is None:
                         item.cause = self._controller._current_cause
-                    self._record_send(item, {"forged": True, "origin": "attacker"})
+                    self._record_sends(item, {"forged": True, "origin": "attacker"})
             else:
                 raise CapabilityError(
                     "attacker returned a message it neither received nor forged: "

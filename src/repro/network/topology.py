@@ -17,11 +17,12 @@ real graph; from then on behaviour is exactly the networkx-backed one.
 
 from __future__ import annotations
 
-from typing import Iterable
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterable
 
 from ..core.errors import ConfigurationError
+
+if TYPE_CHECKING:  # pragma: no cover
+    import networkx as nx
 
 
 class Topology:
@@ -63,6 +64,10 @@ class Topology:
         return self._graph
 
     def _materialize_empty(self) -> nx.Graph:
+        # networkx is imported here, not at module import: a run that never
+        # mutates its topology (every benign one) never pays for it.
+        import networkx as nx
+
         self._graph = nx.Graph()
         self._graph.add_nodes_from(range(self.n))
         return self._graph
@@ -96,11 +101,15 @@ class Topology:
         """Connected components, largest first — the "subnets" of §III-C."""
         if self._graph is None:
             return [set(range(self.n))]
+        import networkx as nx
+
         return sorted(nx.connected_components(self._graph), key=len, reverse=True)
 
     def is_fully_connected(self) -> bool:
         if self._graph is None:
             return True
+        import networkx as nx
+
         return nx.is_connected(self._graph) and all(
             self._graph.degree(i) == self.n - 1 for i in range(self.n)
         )

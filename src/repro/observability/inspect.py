@@ -24,12 +24,11 @@ profile.json`` renders report and top-N profile table together.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Mapping
 
-from ..core.tracing import Trace, open_trace_text
+from ..core.tracing import Trace, iter_jsonl_dicts, open_trace_text
 
 #: Event kinds the controller counts as honest progress (liveness watchdog).
 PROGRESS_KINDS = ("decide", "view", "deliver")
@@ -48,10 +47,7 @@ def iter_trace_file(path: str | os.PathLike[str]) -> Iterator[dict[str, Any]]:
     transparently — see :func:`~repro.core.tracing.open_trace_text`.
     """
     with open_trace_text(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                yield json.loads(line)
+        yield from iter_jsonl_dicts(handle)
 
 
 def iter_events(

@@ -32,17 +32,21 @@ def extract_delivery_schedule(trace: Trace) -> dict[tuple[int, int, str], list[f
     """Per ``(source, dest, msg_type)`` stream, the observed transit delays
     in send order."""
     send_times: dict[int, tuple[float, tuple[int, int, str]]] = {}
-    for event in trace.events(kind="send"):
-        key = (event.node, int(event.fields["dest"]), str(event.fields["msg_type"]))
-        send_times[int(event.fields["msg_id"])] = (event.time, key)
+    delivered: list[tuple[int, float]] = []
+    for event in trace:
+        if event.kind == "send":
+            fields = event.fields
+            key = (event.node, int(fields["dest"]), str(fields["msg_type"]))
+            send_times[int(fields["msg_id"])] = (event.time, key)
+        elif event.kind == "deliver":
+            delivered.append((int(event.fields["msg_id"]), event.time))
     schedule: dict[tuple[int, int, str], list[float]] = defaultdict(list)
     order: dict[tuple[int, int, str], list[tuple[float, float]]] = defaultdict(list)
-    for event in trace.events(kind="deliver"):
-        msg_id = int(event.fields["msg_id"])
+    for msg_id, time in delivered:
         if msg_id not in send_times:
             continue
         sent_at, key = send_times[msg_id]
-        order[key].append((sent_at, event.time - sent_at))
+        order[key].append((sent_at, time - sent_at))
     for key, entries in order.items():
         entries.sort()
         schedule[key] = [delay for _sent, delay in entries]
@@ -50,7 +54,12 @@ def extract_delivery_schedule(trace: Trace) -> dict[tuple[int, int, str], list[f
 
 
 class ReplayController(Controller):
-    """A controller whose network assigns ground-truth delays."""
+    """A controller whose network assigns ground-truth delays.
+
+    The delay override re-times single copies, so every broadcast of a
+    replay takes the network's per-copy tier (one message per recipient),
+    whatever tier the recorded run used.
+    """
 
     def __init__(self, config: SimulationConfig, ground_truth: Trace) -> None:
         replay_config = config.replace(record_trace=True)

@@ -194,7 +194,7 @@ def check_against_flat_model(rng: random.Random, steps: int) -> None:
     ties abound within a batch, across batches and against timers.
     """
     queue = EventQueue()
-    model: list[tuple[float, int, Event, int | None]] = []
+    model: list[tuple] = []  # (time, handle, event, dest[, batch's first handle])
     handles: list[int] = []  # every handle ``push`` ever returned
     next_handle = 0
     now = 0.0
@@ -230,8 +230,9 @@ def check_against_flat_model(rng: random.Random, steps: int) -> None:
                 time=now, message=Message(source=0, dest=BROADCAST, payload={})
             )
             queue.push_deliveries(event, times, dests)
+            base = next_handle
             for time_, dest in zip(times, dests):
-                model.append((time_, next_handle, event, dest))
+                model.append((time_, next_handle, event, dest, base))
                 next_handle += 1
         elif op == 4 and handles:
             handle = rng.choice(handles)  # live, popped or cancelled already
@@ -251,8 +252,9 @@ def check_against_flat_model(rng: random.Random, steps: int) -> None:
             model.sort(key=lambda row: row[:2])
             expected = model.pop(0)
             if op == 6:
-                time_, handle, event, dest = queue.pop_entry()
-                assert (time_, handle, dest) == (expected[0], expected[1], expected[3])
+                entry = queue.pop_entry()
+                assert entry == list(expected)
+                time_, _handle, event, dest = entry[:4]
                 assert type(time_) is float
                 assert dest is None or type(dest) is int
             else:

@@ -2,9 +2,23 @@
 
 from __future__ import annotations
 
+import gzip
+import json
+import pickle
+
+import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.tracing import Trace, TraceEvent
+from repro.core import tracing
+from repro.core.tracing import (
+    JsonlSink,
+    Trace,
+    TraceEvent,
+    iter_jsonl_dicts,
+    jsonl_line,
+    open_trace_text,
+)
+from repro.observability.inspect import iter_trace_file
 
 
 def test_disabled_trace_records_nothing():
@@ -129,3 +143,162 @@ def test_property_jsonl_roundtrip(entries):
         trace.record(time, kind, node, **fields)
     restored = Trace.from_jsonl(trace.to_jsonl())
     assert [e.to_dict() for e in restored] == [e.to_dict() for e in trace]
+
+
+# -- the JSONL line: template ≡ encoder ---------------------------------------
+
+SEND = dict(dest=1, msg_type="VOTE", msg_id=7, size=120, cause="m3", slot=0, view=2)
+DELIVER = dict(source=1, msg_type="VOTE", msg_id=7, cause=None, slot=None, view=2)
+
+
+def encoded(time, kind, node, fields) -> str:
+    """The reference line: the generic encoder over ``to_dict()``."""
+    return json.dumps(TraceEvent(time, kind, node, fields).to_dict(), sort_keys=True)
+
+
+@pytest.fixture
+def encoder_calls(monkeypatch):
+    """Records handed to the generic encoder (the template's fallback)."""
+    calls = []
+    encode = tracing._encode
+    monkeypatch.setattr(tracing, "_encode", lambda record: calls.append(record) or encode(record))
+    return calls
+
+
+@pytest.mark.parametrize("kind, fields", [("send", SEND), ("deliver", DELIVER)])
+def test_fixed_shape_records_skip_the_encoder(kind, fields, encoder_calls):
+    assert jsonl_line(12.5, kind, 3, fields) == encoded(12.5, kind, 3, fields)
+    assert encoder_calls == []
+
+
+@pytest.mark.parametrize(
+    "time, kind, node, fields",
+    [
+        (12, "send", 3, SEND),  # an int-valued time is "12", not "12.0"
+        (float("inf"), "send", 3, SEND),
+        (12.5, "send", True, SEND),
+        (12.5, "send", 3, {**SEND, "relay": 4}),
+        (12.5, "send", 3, {**SEND, "byzantine": True, "origin": "attacker"}),
+        (12.5, "send", 3, {**SEND, "slot": 1.5}),
+        (12.5, "send", 3, {**SEND, "view": False}),
+        (12.5, "send", 3, {**SEND, "slot": [1, 2]}),
+        (12.5, "deliver", 3, SEND),  # as many fields as the template, other names
+        (12.5, "deliver", 3, {k: v for k, v in DELIVER.items() if k != "view"}),
+        (12.5, "decide", 3, {"slot": 0, "value": "x", "cause": "m1"}),
+    ],
+)
+def test_any_other_shape_takes_the_encoder(time, kind, node, fields, encoder_calls):
+    assert jsonl_line(time, kind, node, fields) == encoded(time, kind, node, fields)
+    assert len(encoder_calls) == 1
+
+
+plain = st.one_of(st.none(), st.integers(), st.text(max_size=6))  # quotes, non-ASCII, controls
+odd = st.one_of(st.booleans(), st.floats(), st.lists(st.integers(), max_size=2))
+#: Mostly template-shaped draws, so both paths are well covered.
+scalars = st.one_of(plain, plain, plain, odd)
+
+
+@given(
+    time=st.one_of(st.floats(), st.floats(0, 1e6), st.floats(0, 1e6), st.integers()),
+    kind_and_shape=st.sampled_from(
+        [("send", SEND), ("deliver", DELIVER)] * 3 + [("deliver", SEND), ("decide", DELIVER)]
+    ),
+    node=st.one_of(st.integers(-1, 64), st.integers(), st.booleans()),
+    msg_type=st.text(max_size=8),
+    cause=st.one_of(st.none(), st.text(max_size=6)),
+    slot=scalars,
+    view=scalars,
+    extra=st.dictionaries(
+        st.sampled_from(["relay", "byzantine", "origin", "forged"]), scalars, max_size=1
+    ),
+)
+def test_property_line_equals_sorted_json_dumps(
+    time, kind_and_shape, node, msg_type, cause, slot, view, extra
+):
+    kind, shape = kind_and_shape
+    fields = {**shape, "msg_type": msg_type, "cause": cause, "slot": slot, "view": view, **extra}
+    assert jsonl_line(time, kind, node, fields) == encoded(time, kind, node, fields)
+
+
+def test_jsonl_sink_writes_the_lines_of_to_jsonl(tmp_path):
+    """Sink path (parts, no event object) ≡ ``Trace.to_jsonl`` (events)."""
+    path = tmp_path / "t.jsonl"
+    streamed, buffered = Trace(sink=JsonlSink(path)), Trace()
+    for trace in (streamed, buffered):
+        trace.record(1.5, "send", 0, **SEND)
+        trace.record(2.5, "send", 0, **SEND, relay=2)
+        trace.record(3.5, "deliver", 1, **DELIVER)
+        trace.record(4.5, "decide", 1, slot=0, value="é\"x")
+    streamed.close()
+    assert path.read_text(encoding="utf-8") == buffered.to_jsonl() + "\n"
+    assert len(streamed) == 4
+    assert [e.to_dict() for e in streamed] == [e.to_dict() for e in buffered]
+
+
+# -- the one JSONL reader: blocks ≡ line by line ------------------------------
+
+
+def per_line(lines):
+    return [json.loads(line) for line in lines if line.strip()]
+
+
+def numbered(count):
+    return [json.dumps({"time": float(i), "kind": "tick", "node": i}) for i in range(count)]
+
+
+@pytest.mark.parametrize("count", [0, 1, 7, 8, 9, 17])
+def test_reader_equals_per_line_loads_across_block_boundaries(count, monkeypatch):
+    monkeypatch.setattr(tracing, "JSONL_BLOCK_LINES", 4)
+    lines = numbered(count)
+    assert list(iter_jsonl_dicts(lines)) == per_line(lines)
+
+
+def test_reader_skips_blank_and_padded_lines():
+    lines = ["", "  \n", *numbered(3), "\n", "  " + numbered(5)[4] + "  \n", ""]
+    assert list(iter_jsonl_dicts(lines)) == per_line(lines)
+    assert len(per_line(lines)) == 4
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        '{"time": 9.0, "kind": "ti',  # a truncated last line
+        '{"a": 1},{"b": 2}',  # decodes inside a block, not on its own
+        '1, 2',
+        '{"a": [1}',
+    ],
+)
+def test_a_malformed_line_raises_what_json_loads_raises_after_the_good_lines(bad, monkeypatch):
+    monkeypatch.setattr(tracing, "JSONL_BLOCK_LINES", 4)
+    lines = [*numbered(6), bad]
+    with pytest.raises(json.JSONDecodeError) as expected:
+        json.loads(bad)
+    seen = []
+    with pytest.raises(json.JSONDecodeError) as raised:
+        for row in iter_jsonl_dicts(lines):
+            seen.append(row)
+    assert seen == per_line(lines[:6])
+    assert str(raised.value) == str(expected.value)
+    assert raised.value.doc == bad
+
+
+def test_every_reader_reads_a_multi_member_gzip_trace(tmp_path, monkeypatch):
+    """A sink reopened after pickling appends a second gzip member."""
+    monkeypatch.setattr(tracing, "JSONL_BLOCK_LINES", 4)
+    path = tmp_path / "t.jsonl.gz"
+    sink = JsonlSink(path)
+    for i in range(6):
+        sink.record(float(i), "send", i, dict(SEND))
+    sink = pickle.loads(pickle.dumps(sink))
+    for i in range(6, 11):
+        sink.record(float(i), "deliver", i, dict(DELIVER))
+    sink.close()
+
+    with gzip.open(path, "rt", encoding="utf-8") as handle:
+        rows = per_line(handle)
+    assert [row["node"] for row in rows] == list(range(11))
+    assert list(iter_trace_file(path)) == rows
+    assert [e.to_dict() for e in sink.iter_events()] == rows
+    with open_trace_text(path) as handle:
+        restored = Trace.from_jsonl(handle.read())
+    assert [e.to_dict() for e in restored] == rows and len(restored) == 11

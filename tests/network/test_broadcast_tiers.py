@@ -1,11 +1,12 @@
 """The one broadcast routine: shared tier ≡ instrumented tier, in every mode.
 
 A benign broadcast rides the shared tier (one message, one delivery event,
-one cursor entry in the queue, one batched delay draw); anything that can
-observe or re-time a single copy forces the instrumented tier (one copy
-per recipient through the attacker/fault/trace path).  Byte-identity
-between the two is the contract: same delays, same queue handles, same
-message ids, so a run may change tier at any broadcast.
+one cursor entry in the queue, one batched delay draw), traced or not;
+anything that can re-time, drop or mutate a single copy forces the
+instrumented tier (one copy per recipient through the attacker/fault
+path).  Byte-identity between the two is the contract: same delays, same
+queue handles, same message ids, same trace file, so a run may change tier
+at any broadcast.
 """
 
 from __future__ import annotations
@@ -15,11 +16,19 @@ import json
 
 import pytest
 
-from repro import Controller, Message, result_fingerprint, run_simulation
+from repro import (
+    Controller,
+    JsonlSink,
+    Message,
+    get_protocol,
+    result_fingerprint,
+    run_simulation,
+)
 from repro.attacks.base import AttackerContext, Capability
-from repro.core.events import TimeEvent
+from repro.core.events import EventQueue, TimeEvent
 from repro.core.message import BROADCAST
-from repro.observability.health import HealthMonitor
+from repro.faults.spec import parse_faults_spec
+from repro.observability.health import HealthMonitor, replay_health
 from repro.observability.metrics import MetricsRegistry
 
 from tests.conftest import quick_config
@@ -39,7 +48,7 @@ def queue_entries(controller: Controller) -> list[tuple]:
     """Pending entries as ``(time, handle, dest, message)`` in firing order."""
     out = []
     while controller.queue:
-        time, handle, event, dest = controller.queue.pop_entry()
+        time, handle, event, dest = controller.queue.pop_entry()[:4]
         out.append((time, handle, event.message.dest if dest is None else dest,
                     event.message))
     return out
@@ -56,6 +65,65 @@ def test_shared_tier_equals_forced_instrumented_tier(protocol, mode):
     overridden = result_fingerprint(force_instrumented(Controller(config)).run())
     profiled = result_fingerprint(run_simulation(config, profile=True))
     assert shared == overridden == profiled
+
+
+# -- what a traced run writes ---------------------------------------------------
+
+#: A crash-only schedule has no link faults, so the environment stays benign
+#: and broadcasts stay shared — while ``_dispatch`` drops deliveries to the
+#: crashed node and must name each dropped *copy* in its record.
+SCHEDULES = {"benign": None, "crash-window": "crash=3@60:250", "crash-forever": "crash=2@60"}
+
+
+@pytest.mark.parametrize(
+    "protocol, mode, schedule",
+    [
+        (protocol, mode, schedule)
+        for protocol in sorted(GOLDEN)
+        for mode in MODES
+        for schedule in sorted(SCHEDULES)
+        # A crash window ends in a recovery, which not every protocol has.
+        if schedule != "crash-window" or get_protocol(protocol).supports_recovery
+    ],
+)
+def test_a_traced_run_stays_shared_and_writes_the_per_copy_tiers_bytes(
+    protocol, mode, schedule, tmp_path, monkeypatch
+):
+    """Tracing (with metrics and health on) does not change the tier, and
+    the JSONL file is byte-for-byte that of a forced per-copy run: same
+    ``send`` lines in the same order, per-copy ids on every ``deliver``,
+    drop record and lineage cause."""
+    config = golden_config(protocol, mode).replace(n=7, allow_horizon=True)
+    if SCHEDULES[schedule] is not None:
+        config = config.replace(faults=parse_faults_spec(SCHEDULES[schedule]))
+
+    shared_broadcasts = []
+    push_deliveries = EventQueue.push_deliveries
+
+    def counting(queue, event, times, dests):
+        shared_broadcasts.append(len(dests))
+        push_deliveries(queue, event, times, dests)
+
+    monkeypatch.setattr(EventQueue, "push_deliveries", counting)
+
+    def traced(name, prepare):
+        monitor = HealthMonitor(window_ms=50.0)
+        path = tmp_path / name
+        prepare(Controller(
+            config, sink=JsonlSink(path), metrics=MetricsRegistry(interval=10.0), health=monitor,
+        )).run()
+        return path, monitor, len(shared_broadcasts)
+
+    shared_path, monitor, shared_count = traced("shared.jsonl", lambda c: c)
+    copies_path, _, total_count = traced("copies.jsonl", force_instrumented)
+
+    assert shared_count > 0, "the traced run left the shared tier"
+    assert total_count == shared_count, "the reference run was not per-copy"
+    assert shared_path.read_bytes() == copies_path.read_bytes()
+    if SCHEDULES[schedule] is not None:
+        assert b'"kind": "env-crash-drop"' in shared_path.read_bytes()
+    replayed = replay_health(shared_path, n=config.n, window_ms=50.0)
+    assert replayed.state_dict() == monitor.state_dict()
 
 
 # -- one broadcast ------------------------------------------------------------
@@ -194,9 +262,10 @@ def trace_on(controller):
 
 
 def trace_digest(trace) -> str:
-    """Digest of the recorded tail.  Ids are compared on ``send`` records:
-    deliveries of a broadcast that was shared when the switch happened carry
-    the broadcast's first id, and records they caused name that id."""
+    """Digest of the recorded tail, with ids compared on ``send`` records
+    only and causes not at all: how the pinned ``FULL_MODE_BEFORE_SHARING``
+    digests were taken, before the deliveries of a shared broadcast
+    carried per-copy ids."""
     rows = []
     for event in trace:
         fields = dict(event.fields)
@@ -256,4 +325,7 @@ def test_tier_switch_equals_a_run_instrumented_from_the_start(protocol, mode, sw
 
     assert result_fingerprint(result) == result_fingerprint(expected)
     assert trace_digest(result.trace) == trace_digest(expected.trace)
+    # Every id and lineage cause too: a delivery still in flight from a
+    # shared broadcast is recorded under its own copy's id.
+    assert [e.to_dict() for e in result.trace] == [e.to_dict() for e in expected.trace]
     assert switched.next_message_id() == reference.next_message_id()

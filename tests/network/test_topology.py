@@ -2,10 +2,37 @@
 
 from __future__ import annotations
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.core.errors import ConfigurationError
 from repro.network.topology import Topology
+
+
+def test_networkx_is_imported_by_the_first_materialisation_not_by_the_package():
+    """A cold ``import repro`` (every CLI start, every fleet worker) must not
+    pay for networkx; the pristine complete graph answers without it."""
+    code = (
+        "import sys, repro, repro.cli\n"
+        "from repro.network.topology import Topology\n"
+        "topology = Topology(4)\n"
+        "assert topology.connected(0, 1) and topology.components() == [{0, 1, 2, 3}]\n"
+        "assert 'networkx' not in sys.modules\n"
+        "topology.cut(0, 1)\n"
+        "assert 'networkx' in sys.modules and not topology.connected(0, 1)\n"
+    )
+    source_root = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    process = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": source_root},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert process.returncode == 0, process.stderr
 
 
 class TestConstruction:

@@ -40,6 +40,18 @@ class TestScheduleExtraction:
             assert isinstance(msg_type, str)
 
 
+    def test_extraction_does_not_depend_on_record_order(self):
+        """Ground truth from another engine need not list a send before its
+        delivery; a delivery nobody sent is ignored."""
+        trace = Trace()
+        trace.record(9.0, "deliver", 1, source=0, msg_type="A", msg_id=5)
+        trace.record(2.0, "send", 0, dest=1, msg_type="A", msg_id=5)
+        trace.record(1.0, "send", 0, dest=1, msg_type="A", msg_id=4)
+        trace.record(3.0, "deliver", 1, source=0, msg_type="A", msg_id=99)
+        trace.record(4.5, "deliver", 1, source=0, msg_type="A", msg_id=4)
+        assert extract_delivery_schedule(trace) == {(0, 1, "A"): [3.5, 7.0]}
+
+
 class TestReplay:
     def test_replaying_own_trace_reproduces_decisions(self):
         config = traced(n=4, num_decisions=2)
