@@ -38,14 +38,13 @@ here rather than in any protocol:
 
 from __future__ import annotations
 
-import copy
 import enum
 import random
 from typing import TYPE_CHECKING, Any, Iterable
 
 from ..core.errors import CapabilityError, CorruptionBudgetError
 from ..core.events import ATTACKER_OWNER, TimeEvent
-from ..core.message import Message
+from ..core.message import Message, deep_copy_payload
 from ..core.node import TimerHandle
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
@@ -80,6 +79,13 @@ class AttackerContext:
         self._controller = controller
         self.capabilities = capabilities
         self._corrupted_since: dict[int, float] = {}
+        #: Published by whoever is handing a message to ``attack`` (the
+        #: network module; a composite, for its clauses): the payload as it
+        #: was before any attacker saw it, when the attacker can read but
+        #: does not control the message — the recipients of a broadcast
+        #: share that payload, and it must still equal this afterwards.
+        #: ``None`` when there is nothing to diff (controlled, or redacted).
+        self.pristine_payload: dict[str, Any] | None = None
 
     # -- introspection ---------------------------------------------------------
 
@@ -233,6 +239,24 @@ class AttackerContext:
                 crypto layer's unforgeability stand-in) or the attacker lacks
                 ``BYZANTINE``.
         """
+        self.require_forge_rights(source)
+        return Message(
+            source=source,
+            dest=dest,
+            payload=deep_copy_payload(payload),
+            sent_at=self.now,
+            delay=delay,
+            forged=True,
+        )
+
+    def require_forge_rights(self, source: int) -> None:
+        """Raise unless this attacker may speak in ``source``'s name.
+
+        The one forgery rule, applied by :meth:`forge` and again to every
+        forged message that enters the network (:meth:`inject`, or returned
+        from ``attack``) — a hand-built ``Message(forged=True)`` gets no
+        further than one made by :meth:`forge`.
+        """
         if Capability.BYZANTINE not in self.capabilities:
             raise CapabilityError("forging messages requires the BYZANTINE capability")
         if source not in self._corrupted_since:
@@ -240,20 +264,13 @@ class AttackerContext:
                 f"cannot forge a message from honest node {source}: "
                 "signatures of honest nodes are unforgeable"
             )
-        return Message(
-            source=source,
-            dest=dest,
-            payload=copy.deepcopy(payload),
-            sent_at=self.now,
-            delay=delay,
-            forged=True,
-        )
 
     def inject(self, message: Message) -> None:
         """Send a forged message outside of an ``attack`` callback
         (e.g. from an attacker timer)."""
         if not message.forged:
             raise CapabilityError("inject() only accepts messages created by forge()")
+        self.require_forge_rights(message.source)
         self._controller.network.submit(message)
 
     # -- timers ------------------------------------------------------------
@@ -316,15 +333,20 @@ class Attacker:
         Args:
             message: the message, with its network delay already assigned.
                 If the attacker lacks ``OBSERVE`` and does not control the
-                message, the payload is redacted.
+                message, the payload is redacted.  The payload of a message
+                the attacker does not control is **read-only**: it is the
+                very object the other recipients of the broadcast receive,
+                and writing to it is a ``CapabilityError`` whether the
+                message is then kept or dropped.
 
         Returns:
             ``None`` to pass the message through unchanged (the common
             case), or an iterable of messages to deliver instead: include
             ``message`` (possibly with modified ``delay``/``payload``) to
-            keep it, omit it to drop it, and add forged messages to inject.
-            Every modification is checked against the capability rules by
-            the network module.
+            keep it, omit it to drop it, and add forged messages — made
+            by ``ctx.forge()``, which is the only way to make one — to
+            inject.  Every modification is checked against the capability
+            rules by the network module.
         """
         return None
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from ..core.config import SimulationConfig
 from ..core.controller import Controller
 from ..core.errors import BaselineCapacityError, ConfigurationError
-from ..core.events import Event
+from ..core.events import Event, MessageEvent
 from ..core.message import BROADCAST, Message, estimate_message_bytes
 from ..core.results import SimulationResult
 from ..crypto.signatures import canonical
@@ -104,7 +104,7 @@ class PacketLevelNetwork:
         message.msg_id = controller.next_message_id()
         if message.dest == message.source:
             message.delay = 0.0
-            controller.schedule_delivery(message)
+            controller.queue.push(MessageEvent(time=now, message=message))
             return
         controller.metrics.on_sent()
         controller.metrics.on_bytes(estimate_message_bytes(message))

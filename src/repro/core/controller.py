@@ -379,10 +379,6 @@ class Controller:
         self._last_message_id += count
         return first
 
-    def schedule_delivery(self, message: Message) -> None:
-        """Register a message event at the message's delivery time."""
-        self.queue.push(MessageEvent(time=message.deliver_at, message=message))
-
     def on_node_corrupted(self, node: int) -> None:
         """Attacker corrupted ``node``: halt its replica from now on."""
         self._halted.add(node)

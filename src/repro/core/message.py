@@ -97,8 +97,9 @@ class Message:
             scoped environmental faults match on the physical hop.
         payload_shared: True while :attr:`payload` is aliased between the
             copies of one broadcast (copy-on-write).  Receivers treat
-            payloads as read-only by contract; any writer (the attacker
-            proxy path) must call :meth:`own_payload` first.
+            payloads as read-only by contract, and so must an attacker that
+            does not control the message; the one legal writer (an attacker
+            that does) is handed the copy after :meth:`own_payload`.
     """
 
     source: int
@@ -134,10 +135,10 @@ class Message:
         With ``share_payload=True`` the copy aliases this message's payload
         and is flagged :attr:`payload_shared` (copy-on-write): the network
         module's instrumented tier expands every broadcast this way, so a
-        broadcast never materializes n structural payload copies.  Any path
-        that may mutate the payload (the attacker hand-off) un-shares via
-        :meth:`own_payload` first, so tampering with one recipient's copy
-        cannot reach the others.
+        broadcast never materializes n structural payload copies.  The one
+        path that may mutate the payload (the hand-off of a message the
+        attacker controls) un-shares via :meth:`own_payload` first, so
+        tampering with one recipient's copy cannot reach the others.
         """
         if share_payload:
             payload = self.payload

@@ -17,7 +17,6 @@ unchanged spec sees.
 
 from __future__ import annotations
 
-import copy
 import random
 from typing import TYPE_CHECKING, Callable
 
@@ -143,18 +142,11 @@ class FaultInjector:
 
     def _duplicate(self, message: Message) -> Message:
         """An independent in-flight copy with its own delay and id."""
-        dup = Message(
-            source=message.source,
-            dest=message.dest,
-            payload=copy.deepcopy(message.payload),
-            sent_at=message.sent_at,
-            delay=self._dup_delays.sample_delay(message.sent_at),
-            msg_id=self._next_message_id(),
-            forged=message.forged,
-            corrupted=message.corrupted,
-        )
+        dup = message.copy_for(message.dest)
+        dup.delay = self._dup_delays.sample_delay(message.sent_at)
+        dup.msg_id = self._next_message_id()
+        dup.corrupted = message.corrupted
         dup.relay_from = message.relay_from
-        dup.cause = message.cause
         self._metrics.faults.duplicated += 1
         self._record("env-dup", dup, original=message.msg_id)
         return dup

@@ -12,13 +12,17 @@ here, by diffing what the attacker returns against a snapshot of what it was
 given.  An attack implementation that oversteps its declared threat model
 fails the run with :class:`~repro.core.errors.CapabilityError` instead of
 silently producing results under a stronger adversary than advertised.
+
+The recipients of a broadcast share one payload, under attack too: an
+attacker may only write to a message it controls, so the snapshot is taken
+once per broadcast and only controlled copies are un-shared
+(:meth:`NetworkModule._instrumented`).
 """
 
 from __future__ import annotations
 
-import time as _time
 from itertools import chain, count, repeat
-from typing import TYPE_CHECKING, Any, Callable, Iterable
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -46,6 +50,15 @@ from .topology import Topology
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.controller import Controller
     from ..faults.engine import FaultInjector
+
+
+def _hops(message: Message, copies: Iterable[tuple]) -> Iterator[Message]:
+    """One payload-sharing copy of ``message`` per ``(dest, relay, delay)``."""
+    for dest, relay, delay in copies:
+        hop = message.copy_for(dest, share_payload=True)
+        hop.relay_from = relay
+        hop.delay = delay
+        yield hop
 
 
 class NetworkModule:
@@ -235,26 +248,38 @@ class NetworkModule:
             )
             return
 
-        # Instrumented tier: one copy per recipient through the single-
-        # message path (attacker proxying, fault engine, tracing).  Payloads
-        # are shared copy-on-write; ``_run_attacker`` un-shares before any
-        # non-null attacker can mutate.  The star draws per copy, because a
-        # forged insert or a delay override consumes or skips
-        # ``network.delay`` draws mid-broadcast; overlay hops are priced up
-        # front, exactly as in the shared tier.
-        if plan is None:
-            copies: Iterable[tuple] = ((dest, None, None) for dest in range(n))
-        else:
+        # Instrumented tier: one payload-sharing copy per recipient through
+        # the attacker and the fault engine.  Overlay hops are priced up
+        # front, exactly as in the shared tier.  So is the star, in one
+        # batch, unless something can consume or skip ``network.delay``
+        # draws mid-broadcast: a delay override, or a forged insert — which
+        # only a ``BYZANTINE`` attacker can make (fault duplicates draw
+        # from their own stream).
+        if plan is not None:
             offsets = plan.arrivals(model.sample_delays(now, hops))
-            copies = chain(
+            copies: Iterable[tuple] = chain(
                 [(source, None, None)],
                 zip(plan.dests.tolist(), plan.relays.tolist(), offsets.tolist()),
             )
-        for dest, relay, delay in copies:
-            hop = message.copy_for(dest, share_payload=True)
-            hop.relay_from = relay
-            hop.delay = delay
-            self._submit_single(hop, wire_bytes)
+        elif (
+            message.forged
+            or self._delay_override is not None
+            or Capability.BYZANTINE in self._attacker_ctx.capabilities
+        ):
+            copies = zip(range(n), repeat(None), repeat(None))
+        else:
+            sample_delays = model.sample_delays
+            if self._profiler is not None:
+                sample_delays = self._profiler.timed("network.delay", sample_delays)
+            delays = sample_delays(now, hops).tolist()
+            delays.insert(source, 0.0)  # the loopback's place in the star
+            copies = zip(range(n), repeat(None), delays)
+        self._instrumented(
+            message,
+            _hops(message, copies),
+            n if message.forged else hops,
+            wire_bytes,
+        )
 
     def _broadcast_plan(self, source: int, now: float) -> DisseminationPlan:
         """The overlay for one broadcast rooted at ``source`` at time ``now``.
@@ -341,47 +366,70 @@ class NetworkModule:
 
     # -- internals ----------------------------------------------------------
 
-    def _submit_single(self, message: Message, wire_bytes: int | None = None) -> None:
+    def _submit_single(self, message: Message) -> None:
+        if message.forged or not self._unobserved():
+            # An honest message to oneself is a loopback: not on the wire.
+            wire = int(message.forged or message.dest != message.source)
+            self._instrumented(message, (message,), wire, estimate_message_bytes(message))
+            return
+        # Unicast on the shared tier's terms: the send is honest, the delay
+        # draw is the only RNG consumption, and the delivery event is
+        # pushed directly.
         controller = self._controller
         # Re-key the message with a per-run id: global construction counters
         # would leak across runs and break trace-level determinism.
         message.msg_id = controller.next_message_id()
-        if message.dest == message.source and not message.forged:
+        if message.dest == message.source:
             message.delay = 0.0
-            controller.schedule_delivery(message)
+            self._push_event(MessageEvent(time=message.sent_at, message=message))
             return
+        wire_bytes = estimate_message_bytes(message)
+        counts = self._counts
+        counts.sent += 1
+        counts.bytes_sent += wire_bytes
+        obs = self._obs
+        if obs is not None:
+            obs.on_send(message.source, wire_bytes)
+        if controller.trace.enabled:
+            self._record_sends(message, {"size": wire_bytes})
+        delay = message.delay
+        if delay is None:
+            delay = message.delay = self._sample_delay(message.sent_at)
+        self._push_event(
+            MessageEvent(time=message.sent_at + delay, message=message)
+        )
 
-        if wire_bytes is None:
-            wire_bytes = estimate_message_bytes(message)
+    def _instrumented(
+        self, message: Message, copies: Iterable[Message], wire: int, wire_bytes: int
+    ) -> None:
+        """The instrumented tier: every copy of one logical message — the
+        hops of a broadcast, or one unicast — through the attacker, the
+        fault engine and onto the queue.
 
-        if not message.forged and self._unobserved():
-            # Unicast on the shared tier's terms: the send is honest, the
-            # delay draw is the only RNG consumption, and the delivery event
-            # is pushed directly.
-            counts = self._counts
-            counts.sent += 1
-            counts.bytes_sent += wire_bytes
-            obs = self._obs
-            if obs is not None:
-                obs.on_send(message.source, wire_bytes)
-            if controller.trace.enabled:
-                self._record_sends(message, {"size": wire_bytes})
-            delay = message.delay
-            if delay is None:
-                delay = message.delay = self._sample_delay(message.sent_at)
-            self._push_event(
-                MessageEvent(time=message.sent_at + delay, message=message)
-            )
-            return
-
-        byzantine = message.forged or self._attacker_ctx.controls_message(message)
-        controller.metrics.on_sent(byzantine=byzantine)
-        controller.metrics.on_bytes(wire_bytes)
-        # Wire accounting is charged to the physical transmitter: the relay
-        # for dissemination hops, the protocol-level source otherwise.
-        relay = message.relay_from
-        if self._obs is not None:
-            self._obs.on_send(relay if relay is not None else message.source, wire_bytes)
+        ``wire`` of the ``copies`` cross the wire (a loopback does not).
+        Whatever is the same for every copy is decided once, before the
+        loop: source and send time are shared, and corruption only counts
+        strictly before the send, so a node corrupted mid-broadcast never
+        changes who controls it.  Payloads stay shared copy-on-write: an
+        uncontrolled payload is read-only for the attacker, so one pristine
+        snapshot (also handed to a composite's clauses through the context)
+        serves the diff of every copy, and only copies the attacker
+        controls — and may therefore mutate — are un-shared.
+        """
+        controller = self._controller
+        ctx = self._attacker_ctx
+        source = message.source
+        now = message.sent_at
+        honest = not message.forged
+        controls = ctx.controls_message(message)
+        counts = self._counts
+        if controls:
+            counts.byzantine += wire
+        else:
+            counts.sent += wire
+        counts.bytes_sent += wire * wire_bytes
+        obs = self._obs
+        tags: dict[str, Any] | None = None
         if controller.trace.enabled:
             # ``byzantine`` lets trace consumers (``repro inspect``)
             # reproduce the honest/byzantine split of MessageCounts.
@@ -389,49 +437,104 @@ class NetworkModule:
             # origin="attacker": a forged send has no honest counterpart, so
             # lineage and message-usage reconciliation must be able to tell
             # insertion from corruption of an honest sender.
-            tags: dict[str, Any] = {"size": wire_bytes}
-            if byzantine:
+            tags = {"size": wire_bytes}
+            if controls:
                 tags["byzantine"] = True
-            if message.forged:
+            if not honest:
                 tags["origin"] = "attacker"
-            self._record_sends(message, tags)
+        override = self._delay_override
+        sample = self.delay_model.sample_delay
+        # ``NullAttacker.attack`` returns None: it cannot drop, re-time or
+        # mutate, so there is no proxy to build and nothing to diff.
+        attack = None if type(self.attacker) is NullAttacker else self.attacker.attack
+        # Environmental faults act after the adversary: the attacker has no
+        # visibility into (or control over) what the benign environment then
+        # loses, duplicates, corrupts, or re-times.
+        apply_faults = None if self.faults is None else self.faults.apply
         prof = self._profiler
-        if message.delay is None:
-            if self._delay_override is not None:
-                message.delay = self._delay_override(message)
-            if message.delay is None:
-                if prof is None:
-                    message.delay = self.delay_model.sample_delay(message.sent_at)
+        if prof is not None:
+            sample = prof.timed("network.delay", sample)
+            if attack is not None:
+                attack = prof.timed("attacker.attack", attack)
+            if apply_faults is not None:
+                apply_faults = prof.timed("faults.apply", apply_faults)
+        observe = network = controls
+        snapshot = None
+        if attack is not None and not controls:
+            observe = Capability.OBSERVE in ctx.capabilities
+            network = Capability.NETWORK in ctx.capabilities
+            if observe:
+                snapshot = deep_copy_payload(message.payload)
+        next_id = controller.next_message_id
+        push = self._push_event
+        # An ``inject`` from inside ``attack`` re-enters: put back what the
+        # outer hand-off published.
+        outer = ctx.pristine_payload
+        ctx.pristine_payload = snapshot
+        try:
+            for hop in copies:
+                hop.msg_id = next_id()  # per-run id, as in ``_submit_single``
+                if hop.dest == source and honest:
+                    hop.delay = 0.0
+                    push(MessageEvent(time=now, message=hop))
+                    continue
+                if obs is not None:
+                    # Charged to the physical transmitter: the relay for
+                    # dissemination hops, the origin otherwise.
+                    relay = hop.relay_from
+                    obs.on_send(source if relay is None else relay, wire_bytes)
+                if tags is not None:
+                    self._record_sends(hop, tags)
+                delay = hop.delay
+                if delay is None:
+                    if override is not None:
+                        delay = override(hop)
+                    if delay is None:
+                        delay = sample(now)
+                    hop.delay = delay
+                if attack is None:
+                    survivors: Iterable[Message] = (hop,)
                 else:
-                    t0 = _time.perf_counter()
-                    message.delay = self.delay_model.sample_delay(message.sent_at)
-                    prof.add("network.delay", t0)
-        if type(self.attacker) is NullAttacker:
-            # ``NullAttacker.attack`` returns None: it cannot drop, re-time
-            # or mutate, so the proxy, the snapshot and the diffing of
-            # ``_run_attacker`` have nothing to check.
-            survivors: Iterable[Message] = (message,)
-        elif prof is None:
-            survivors = self._run_attacker(message)
-        else:
-            t0 = _time.perf_counter()
-            survivors = self._run_attacker(message)
-            prof.add("attacker.attack", t0)
-        for survivor in survivors:
-            if self.faults is None:
-                controller.schedule_delivery(survivor)
-            else:
-                # Environmental faults act after the adversary: the attacker
-                # has no visibility into (or control over) what the benign
-                # environment then loses, duplicates, corrupts, or re-times.
-                if prof is None:
-                    delivered_batch = self.faults.apply(survivor)
-                else:
-                    t0 = _time.perf_counter()
-                    delivered_batch = self.faults.apply(survivor)
-                    prof.add("faults.apply", t0)
-                for delivered in delivered_batch:
-                    controller.schedule_delivery(delivered)
+                    if observe:
+                        proxy = hop
+                        if controls:
+                            hop.own_payload()
+                    else:
+                        proxy = Message(
+                            source=source,
+                            dest=hop.dest,
+                            payload=dict(REDACTED_PAYLOAD),
+                            sent_at=now,
+                            delay=delay,
+                            msg_id=hop.msg_id,
+                        )
+                    returned = attack(proxy)
+                    if returned is None:
+                        # Passed through; validate only if it was touched.
+                        if (
+                            proxy.delay != delay
+                            or (snapshot is not None and hop.payload != snapshot)
+                            or (proxy is not hop and proxy.payload != REDACTED_PAYLOAD)
+                        ):
+                            self._apply_kept(hop, proxy, proxy, snapshot, delay, network)
+                        survivors = (hop,)
+                    else:
+                        survivors = self._returned(
+                            hop, proxy, returned, snapshot, delay, network
+                        )
+                for survivor in survivors:
+                    if apply_faults is None:
+                        push(MessageEvent(
+                            time=survivor.sent_at + survivor.delay, message=survivor
+                        ))
+                    else:
+                        for delivered in apply_faults(survivor):
+                            push(MessageEvent(
+                                time=delivered.sent_at + delivered.delay,
+                                message=delivered,
+                            ))
+        finally:
+            ctx.pristine_payload = outer
 
     def _record_sends(
         self,
@@ -463,55 +566,37 @@ class NetworkModule:
                 **({} if relay is None else {"relay": relay}),
             )
 
-    def _run_attacker(self, message: Message) -> Iterable[Message]:
-        """Pass one message through the attacker and enforce capabilities."""
+    def _returned(
+        self,
+        hop: Message,
+        proxy: Message,
+        returned: Iterable[Message],
+        snapshot: dict | None,
+        delay: float,
+        network: bool,
+    ) -> list[Message]:
+        """What to deliver of an explicit ``attack`` return, in its order:
+        ``hop`` if kept (validated), and the attacker's forged inserts."""
+        controller = self._controller
         ctx = self._attacker_ctx
-        # Copy-on-write boundary: the copies of a broadcast share one
-        # payload object.  The attacker may legitimately mutate a controlled
-        # message in place, which must never leak into sibling copies —
-        # un-share first.  (The genuine NullAttacker never gets here, so
-        # trace-only runs keep sharing.)
-        message.own_payload()
-        observable = (
-            Capability.OBSERVE in ctx.capabilities or ctx.controls_message(message)
-        )
-        if observable:
-            proxy = message
-        else:
-            proxy = Message(
-                source=message.source,
-                dest=message.dest,
-                payload=dict(REDACTED_PAYLOAD),
-                sent_at=message.sent_at,
-                delay=message.delay,
-                msg_id=message.msg_id,
-            )
-        snapshot_payload = deep_copy_payload(message.payload)
-        snapshot_delay = message.delay
-
-        returned = self.attacker.attack(proxy)
-        if returned is None:
-            returned = [proxy]
-        returned = list(returned)
-
         survivors: list[Message] = []
         kept = False
         for item in returned:
-            if item.msg_id == message.msg_id:
+            if item.msg_id == hop.msg_id:
                 kept = True
-                survivors.append(
-                    self._apply_kept(message, proxy, item, snapshot_payload, snapshot_delay)
-                )
+                self._apply_kept(hop, proxy, item, snapshot, delay, network)
+                survivors.append(hop)
             elif item.forged:
+                ctx.require_forge_rights(item.source)
                 if item.delay is None:
                     item.delay = self.delay_model.sample_delay(item.sent_at)
                 survivors.append(item)
-                self._controller.metrics.on_sent(byzantine=True)
+                self._counts.byzantine += 1
                 if self._obs is not None:
                     self._obs.on_send(item.source, 0)
-                if self._controller.trace.enabled:
+                if controller.trace.enabled:
                     if item.cause is None:
-                        item.cause = self._controller._current_cause
+                        item.cause = controller._current_cause
                     self._record_sends(item, {"forged": True, "origin": "attacker"})
             else:
                 raise CapabilityError(
@@ -519,58 +604,60 @@ class NetworkModule:
                     f"{item.describe()}"
                 )
         if not kept:
-            self._require_drop_rights(message)
-            self._controller.metrics.on_dropped()
-            self._controller.trace.record(
-                self._controller.clock.now, "drop", message.source,
-                dest=message.dest, msg_type=message.type, msg_id=message.msg_id,
+            if not network:
+                raise CapabilityError(
+                    f"attacker dropped honest message {hop.describe()} without the "
+                    "NETWORK capability"
+                )
+            # A dropped copy's payload is still its siblings' payload.
+            self._require_pristine(hop, hop, snapshot)
+            self._counts.dropped += 1
+            controller.trace.record(
+                controller.clock.now, "drop", hop.source,
+                dest=hop.dest, msg_type=hop.type, msg_id=hop.msg_id,
             )
         return survivors
 
     def _apply_kept(
         self,
-        message: Message,
+        hop: Message,
         proxy: Message,
         item: Message,
-        snapshot_payload: dict,
-        snapshot_delay: float | None,
-    ) -> Message:
-        """Validate and apply the attacker's changes to a kept message."""
-        ctx = self._attacker_ctx
-        if item.payload != snapshot_payload and proxy is message:
-            if not ctx.controls_message(message):
-                raise CapabilityError(
-                    f"attacker modified payload of honest message {message.describe()}; "
-                    "modification requires control of the source "
-                    "(corruption strictly before the send)"
-                )
-        if proxy is not message:
+        snapshot: dict | None,
+        delay: float,
+        network: bool,
+    ) -> None:
+        """Validate and apply the attacker's changes to a kept message.
+
+        ``snapshot`` is the pristine payload when the attacker saw, but does
+        not control, the message; ``network`` is its right to re-time it."""
+        if proxy is not hop:
             # Redacted view: only the delay may carry information back.
             if item.payload != REDACTED_PAYLOAD:
                 raise CapabilityError(
                     "attacker without OBSERVE modified a redacted payload"
                 )
-            message.delay = item.delay
-        if message.delay != snapshot_delay:
-            if (
-                Capability.NETWORK not in ctx.capabilities
-                and not ctx.controls_message(message)
-            ):
+            hop.delay = item.delay
+        else:
+            self._require_pristine(hop, item, snapshot)
+        if hop.delay != delay:
+            if not network:
                 raise CapabilityError(
-                    f"attacker re-timed message {message.describe()} without the "
+                    f"attacker re-timed message {hop.describe()} without the "
                     "NETWORK capability"
                 )
-            if message.delay is None or message.delay < 0:
+            if hop.delay is None or hop.delay < 0:
                 raise CapabilityError("attacker assigned an invalid delay")
-        return message
 
-    def _require_drop_rights(self, message: Message) -> None:
-        ctx = self._attacker_ctx
-        if Capability.NETWORK in ctx.capabilities:
-            return
-        if ctx.controls_message(message):
-            return
-        raise CapabilityError(
-            f"attacker dropped honest message {message.describe()} without the "
-            "NETWORK capability"
-        )
+    @staticmethod
+    def _require_pristine(hop: Message, item: Message, snapshot: dict | None) -> None:
+        """An uncontrolled payload (``snapshot`` is set) is aliased between
+        the recipients and must come back as it went in."""
+        if snapshot is not None and (
+            hop.payload != snapshot or (item is not hop and item.payload != snapshot)
+        ):
+            raise CapabilityError(
+                f"attacker modified payload of honest message {hop.describe()}; "
+                "modification requires control of the source "
+                "(corruption strictly before the send)"
+            )

@@ -14,8 +14,11 @@ child to its **own** declared capabilities:
   raise unless *that child* declared the right;
 * a child without ``OBSERVE`` sees redacted payloads even when a sibling
   is observing;
-* payload edits, re-timing, and drops by a child are diffed against that
-  child's rights, mirroring :meth:`NetworkModule._run_attacker`.
+* payload edits, re-timing, drops and forged inserts by a child are
+  checked against that child's rights, mirroring
+  :meth:`NetworkModule._instrumented` — payload edits against the same
+  per-broadcast snapshot, which the module publishes as
+  ``ctx.pristine_payload``.
 
 Child timers are namespaced (``sc<i>:<name>``) so the composite can route
 each firing back to the owning clause; the original name is restored on a
@@ -44,7 +47,7 @@ from ..attacks.base import (
 from ..attacks.registry import register_attack
 from ..core.errors import CapabilityError
 from ..core.events import TimeEvent
-from ..core.message import Message, deep_copy_payload
+from ..core.message import Message
 from ..core.node import TimerHandle
 from .spec import ScenarioSpec
 
@@ -66,8 +69,7 @@ class _ChildContext(AttackerContext):
 
     def __init__(self, parent: AttackerContext, capabilities: Capability,
                  index: int) -> None:
-        self._controller = parent._controller
-        self.capabilities = capabilities
+        super().__init__(parent._controller, capabilities)
         # Shared object, not a copy: every clause draws from one budget.
         self._corrupted_since = parent._corrupted_since
         self._index = index
@@ -102,6 +104,10 @@ class CompositeAttacker(Attacker):
         self.capabilities = caps
         self.wants_signals = any(child.wants_signals for child in self._children)
         self._child_ctxs: list[_ChildContext] = []
+        #: ``(index, child, child context, has OBSERVE, has NETWORK)`` of
+        #: the clauses acting on messages sent at ``_active_at``.
+        self._active: list[tuple] = []
+        self._active_at: float | None = None
 
     def bind(self, ctx: AttackerContext) -> None:
         super().bind(ctx)
@@ -126,108 +132,126 @@ class CompositeAttacker(Attacker):
         if not child_ctx.ready:
             self._children[index].setup()
             child_ctx.ready = True
+            self._active_at = None
 
     # -- per-message chain ---------------------------------------------------
 
     def attack(self, message: Message):
         now = message.sent_at
+        if now != self._active_at:
+            # Which clauses act depends on the send time alone (readiness
+            # changes only in ``_activate``): decided once per broadcast,
+            # not once per copy.
+            self._active = [
+                (index, child, child_ctx,
+                 Capability.OBSERVE in child.capabilities,
+                 Capability.NETWORK in child.capabilities)
+                for index, (clause, child, child_ctx) in enumerate(
+                    zip(self._clauses, self._children, self._child_ctxs))
+                if clause.active_at(now) and child_ctx.ready
+            ]
+            self._active_at = now
+        if not self._active:
+            return None
+        controls = self.ctx.controls_message(message)
+        # The payload of a message we can read but do not control is shared
+        # by the recipients of its broadcast; whoever handed it to us took
+        # the one snapshot every clause's diff compares against.
+        snapshot = self.ctx.pristine_payload
         forged: list[Message] = []
-        dropped = False
-        for index, clause in enumerate(self._clauses):
-            if not clause.active_at(now) or not self._child_ctxs[index].ready:
-                continue
-            keep, extra = self._child_attack(index, message)
-            forged.extend(extra)
-            if not keep:
-                dropped = True
-                break
-        if dropped:
-            return forged
+        # Each clause is held to its own capabilities by diffing what it
+        # returns against what it was given, exactly as the network module
+        # does for the composite as a whole.
+        for index, child, child_ctx, observe, network in self._active:
+            if controls:
+                observe = network = True
+            if observe:
+                proxy = message
+                pristine = snapshot
+            else:
+                proxy = Message(
+                    source=message.source,
+                    dest=message.dest,
+                    payload=dict(REDACTED_PAYLOAD),
+                    sent_at=now,
+                    delay=message.delay,
+                    msg_id=message.msg_id,
+                )
+                pristine = None
+            # The clause may itself be a composite: publish to it what the
+            # network module published to us.
+            child_ctx.pristine_payload = pristine
+            delay = message.delay
+
+            kept = proxy
+            returned = child.attack(proxy)
+            if returned is not None:
+                kept = self._kept_of(index, message, returned, forged)
+            # Kept or dropped, an uncontrolled payload is still its siblings'.
+            if pristine is not None and (
+                message.payload != pristine
+                or (kept is not None and kept is not message and kept.payload != pristine)
+            ):
+                raise self._overstep(
+                    index,
+                    f"modified the payload of honest message {message.describe()} "
+                    "without controlling its source",
+                )
+            if kept is None:
+                if not network:
+                    raise self._overstep(
+                        index,
+                        f"dropped honest message {message.describe()} without the "
+                        "NETWORK capability",
+                    )
+                return forged
+            if not observe:
+                if kept.payload != REDACTED_PAYLOAD:
+                    raise self._overstep(
+                        index, "modified a redacted payload without OBSERVE"
+                    )
+                message.delay = kept.delay
+            if message.delay != delay:
+                if not network:
+                    raise self._overstep(
+                        index,
+                        f"re-timed message {message.describe()} without the "
+                        "NETWORK capability",
+                    )
+                if message.delay is None or message.delay < 0:
+                    raise self._overstep(index, "assigned an invalid delay")
         if forged:
             return [message, *forged]
         return None
 
-    def _child_attack(self, index: int, message: Message) -> tuple[bool, list[Message]]:
-        """Run one clause on ``message``; returns (keep, forged messages).
-
-        Enforces the clause's own capability rules by diffing the child's
-        output against a snapshot, exactly as the network module does for
-        the composite as a whole.
-        """
-        child = self._children[index]
-        controls = self.ctx.controls_message(message)
-        observable = Capability.OBSERVE in child.capabilities or controls
-        if observable:
-            proxy = message
-            snapshot_payload = deep_copy_payload(message.payload)
-        else:
-            proxy = Message(
-                source=message.source,
-                dest=message.dest,
-                payload=dict(REDACTED_PAYLOAD),
-                sent_at=message.sent_at,
-                delay=message.delay,
-                msg_id=message.msg_id,
-            )
-            snapshot_payload = None
-        snapshot_delay = message.delay
-
-        returned = child.attack(proxy)
-        if returned is None:
-            if proxy is not message:
-                return True, []
-            returned = [proxy]
-        returned = list(returned)
-
-        kept_item: Message | None = None
-        forged: list[Message] = []
+    def _kept_of(
+        self, index: int, message: Message, returned, forged: list[Message]
+    ) -> Message | None:
+        """Sort a clause's explicit return: its forged messages join
+        ``forged``; the item standing for ``message`` (None when the clause
+        dropped it) is returned."""
+        kept = None
         for item in returned:
             if item.msg_id == message.msg_id:
-                kept_item = item
+                kept = item
             elif item.forged:
+                try:
+                    self._child_ctxs[index].require_forge_rights(item.source)
+                except CapabilityError as error:
+                    raise self._overstep(index, f"forged {item.describe()}: {error}") from None
                 forged.append(item)
             else:
-                raise CapabilityError(
-                    f"scenario clause #{index} ({self._clauses[index].attack}) "
+                raise self._overstep(
+                    index,
                     "returned a message it neither received nor forged: "
-                    f"{item.describe()}"
+                    f"{item.describe()}",
                 )
+        return kept
 
-        if kept_item is None:
-            if Capability.NETWORK not in child.capabilities and not controls:
-                raise CapabilityError(
-                    f"scenario clause #{index} ({self._clauses[index].attack}) "
-                    f"dropped honest message {message.describe()} without the "
-                    "NETWORK capability"
-                )
-            return False, forged
-
-        if proxy is not message:
-            if kept_item.payload != REDACTED_PAYLOAD:
-                raise CapabilityError(
-                    f"scenario clause #{index} ({self._clauses[index].attack}) "
-                    "modified a redacted payload without OBSERVE"
-                )
-            message.delay = kept_item.delay
-        elif kept_item.payload != snapshot_payload and not controls:
-            raise CapabilityError(
-                f"scenario clause #{index} ({self._clauses[index].attack}) "
-                f"modified the payload of honest message {message.describe()} "
-                "without controlling its source"
-            )
-        if message.delay != snapshot_delay:
-            if Capability.NETWORK not in child.capabilities and not controls:
-                raise CapabilityError(
-                    f"scenario clause #{index} ({self._clauses[index].attack}) "
-                    f"re-timed message {message.describe()} without the "
-                    "NETWORK capability"
-                )
-            if message.delay is None or message.delay < 0:
-                raise CapabilityError(
-                    f"scenario clause #{index} ({self._clauses[index].attack}) "
-                    "assigned an invalid delay"
-                )
-        return True, forged
+    def _overstep(self, index: int, what: str) -> CapabilityError:
+        return CapabilityError(
+            f"scenario clause #{index} ({self._clauses[index].attack}) {what}"
+        )
 
     # -- timer routing -------------------------------------------------------
 

@@ -68,3 +68,33 @@ def pending_deliveries(controller: Controller) -> list[Message]:
         for event in controller.queue.drain()
         if isinstance(event, MessageEvent)
     ]
+
+
+def count_payload_copies(monkeypatch) -> list[object]:
+    """Record every top-level ``deep_copy_payload`` call from now on.
+
+    Returns the list the copied values are appended to.  The function is
+    imported by name where it is used and recurses through its own module
+    global, so each namespace is patched and nested calls are not counted.
+    """
+    from repro.attacks import base as attacks_base
+    from repro.core import message as message_module
+    from repro.network import module as network_module
+
+    original = message_module.deep_copy_payload
+    copied: list[object] = []
+    depth = [0]
+
+    def counting(value):
+        if depth[0]:
+            return original(value)
+        copied.append(value)
+        depth[0] = 1
+        try:
+            return original(value)
+        finally:
+            depth[0] = 0
+
+    for owner in (message_module, network_module, attacks_base):
+        monkeypatch.setattr(owner, "deep_copy_payload", counting)
+    return copied

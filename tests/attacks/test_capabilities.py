@@ -212,6 +212,35 @@ class TestForgery:
         with pytest.raises(CapabilityError, match="neither received nor forged"):
             submit(controller)
 
+    @pytest.mark.parametrize(
+        "capabilities, match",
+        [
+            (Capability.NONE, "requires the BYZANTINE capability"),
+            (Capability.OBSERVE | Capability.NETWORK, "requires the BYZANTINE capability"),
+            # BYZANTINE, but the impersonated node was never corrupted.
+            (Capability.BYZANTINE, "unforgeable"),
+        ],
+    )
+    def test_hand_built_forged_message_gets_no_further_than_forge(self, capabilities, match):
+        """``forged=True`` is not a licence: a forged message is held to the
+        ``forge()`` rule wherever it enters the network."""
+        from repro.core.message import Message
+
+        def hand_built(controller):
+            return Message(source=2, dest=3, payload={"type": "FAKE"},
+                           sent_at=controller.clock.now, forged=True)
+
+        attacker = ScriptedAttacker(
+            capabilities, lambda self, m: [m, hand_built(self.ctx._controller)]
+        )
+        controller = controller_with(attacker)
+        with pytest.raises(CapabilityError, match=match):
+            submit(controller)
+        with pytest.raises(CapabilityError, match=match):
+            controller.attacker_ctx.inject(hand_built(controller))
+        assert controller.metrics.counts.byzantine == 0
+        assert pending_deliveries(controller) == []
+
     def test_inject_requires_forged_message(self):
         from repro.core.message import Message
 

@@ -220,8 +220,8 @@ class TestCopyOnWrite:
     @pytest.mark.parametrize("mode", ["full", "tree", "gossip"])
     def test_tampered_copy_does_not_leak_into_siblings(self, mode):
         """The copies of a broadcast share one payload copy-on-write in
-        every mode; a mutating attacker must be handed a private copy
-        (own_payload)."""
+        every mode; an attacker that controls the source is handed a
+        private copy (own_payload)."""
         def tamper(self, message):
             if self.ctx.controls_message(message) and message.dest == 1:
                 message.payload["evil"] = True
@@ -246,7 +246,7 @@ class TestCopyOnWrite:
         recipients, the sender included — the memory contract behind n=1000
         comfort, and why received payloads are read-only in every mode.
         Requires the genuine NullAttacker (any other attacker class forces
-        the instrumented tier, which un-shares before the attacker runs)."""
+        the instrumented tier: one message per recipient)."""
         from repro import Controller
         from tests.conftest import quick_config
 

@@ -2,11 +2,26 @@
 
 from __future__ import annotations
 
-from repro import Message
-from repro.attacks.base import Capability
-from repro.core.message import BROADCAST
+import hashlib
 
-from tests.attacks.support import ScriptedAttacker, controller_with, pending_deliveries, submit
+import pytest
+
+from repro import AttackConfig, Controller, JsonlSink, Message, result_fingerprint
+from repro.attacks.base import Attacker, Capability
+from repro.attacks.registry import register_attack
+from repro.core.errors import CapabilityError
+from repro.core.message import BROADCAST
+from repro.faults.spec import parse_faults_spec
+from repro.scenarios.spec import load_scenario
+
+from tests.attacks.support import (
+    ScriptedAttacker,
+    controller_with,
+    count_payload_copies,
+    pending_deliveries,
+    submit,
+)
+from tests.conftest import quick_config
 
 
 class TestBroadcast:
@@ -39,7 +54,8 @@ class TestBroadcast:
         controller.network.submit(Message(source=2, dest=BROADCAST, payload={"type": "B"}))
         deliveries = {m.dest: m for m in pending_deliveries(controller)}
         assert deliveries[1].payload.get("evil") is True
-        assert "evil" not in deliveries[3].payload  # other copies untouched
+        # Every other recipient, the sender included, gets the original.
+        assert all(deliveries[dest].payload == {"type": "B"} for dest in (0, 2, 3))
 
 
 class TestLoopback:
@@ -105,8 +121,9 @@ class TestAttackerPassthrough:
     def test_genuine_null_attacker_is_not_consulted_when_instrumented(self, monkeypatch):
         """Trace-only, fault-only and profile-only runs keep the genuine
         NullAttacker: its ``attack`` returns None, so the instrumented tier
-        builds no redacted proxy and no payload snapshot for it."""
+        does not call it, and takes no payload snapshot for it."""
         from repro import Controller
+        from repro.attacks.null import NullAttacker
         from repro.network import module as network_module
         from tests.conftest import quick_config
 
@@ -114,7 +131,10 @@ class TestAttackerPassthrough:
             raise AssertionError("the NullAttacker hand-off must be skipped")
 
         controller = Controller(quick_config(n=4, record_trace=True))
-        monkeypatch.setattr(network_module.NetworkModule, "_run_attacker", unexpected)
+        # Tracing alone keeps the shared tier; any delay override leaves it.
+        controller.network.set_delay_override(lambda message: None)
+        monkeypatch.setattr(NullAttacker, "attack", unexpected)
+        monkeypatch.setattr(network_module.NetworkModule, "_apply_kept", unexpected)
         monkeypatch.setattr(network_module, "deep_copy_payload", unexpected)
         message = submit(controller)
         controller.network.submit(Message(source=0, dest=BROADCAST, payload={"type": "B"}))
@@ -135,3 +155,143 @@ class TestAttackerPassthrough:
         controller = controller_with(Watching({}), n=4)
         message = submit(controller)
         assert seen == [message.msg_id]
+
+
+def _broadcast(controller, source=0):
+    message = Message(source=source, dest=BROADCAST, payload={"type": "B", "body": {"k": [1, 2]}})
+    controller.network.submit(message)
+    return message
+
+
+class TestCopyOnWriteUnderAttack:
+    """The recipients of a broadcast share one payload under attack too:
+    one snapshot per broadcast, private copies only for what the attacker
+    controls, and a write to anything else is a ``CapabilityError``."""
+
+    @pytest.mark.parametrize("returns", ["none", "kept", "dropped"])
+    def test_in_place_edit_of_an_honest_copy_is_rejected(self, returns):
+        def scribble(self, message):
+            if message.dest == 2:
+                message.payload["body"]["k"].append(3)
+            return {"none": None, "kept": [message], "dropped": []}[returns]
+
+        attacker = ScriptedAttacker(Capability.OBSERVE | Capability.NETWORK, scribble)
+        controller = controller_with(attacker, n=4)
+        with pytest.raises(CapabilityError, match="modified payload of honest message"):
+            _broadcast(controller)
+
+    def test_honest_copies_share_one_payload_and_one_snapshot(self, monkeypatch):
+        controller = controller_with(ScriptedAttacker(Capability.OBSERVE), n=8)
+        copied = count_payload_copies(monkeypatch)
+        message = _broadcast(controller)
+        assert copied == [message.payload]
+        assert all(m.payload is message.payload for m in pending_deliveries(controller))
+
+    def test_only_controlled_copies_are_unshared(self, monkeypatch):
+        attacker = ScriptedAttacker(Capability.OBSERVE | Capability.BYZANTINE)
+        controller = controller_with(attacker, n=8)
+        controller.attacker_ctx.corrupt(2)
+        controller.clock.advance_to(1.0)
+        copied = count_payload_copies(monkeypatch)
+        _broadcast(controller, source=2)  # controlled: one private copy per wire copy
+        assert len(copied) == 7
+        _broadcast(controller, source=3)  # honest: the snapshot alone
+        assert len(copied) == 8
+
+    def test_a_redacted_view_needs_no_copy_at_all(self, monkeypatch):
+        from repro import run_simulation
+
+        copied = count_payload_copies(monkeypatch)
+        result = run_simulation(quick_config(
+            n=7, num_decisions=2,
+            attack=AttackConfig(name="targeted-delay", params={"factor": 2.0}),
+        ))
+        assert result.terminated
+        assert copied == []
+
+
+@register_attack("_test-mid-broadcast-forger")
+class _MidBroadcastForger(Attacker):
+    """Adds a forged message with no delay beside some copies of a
+    broadcast, so ``network.delay`` is drawn from in the middle of it."""
+
+    capabilities = Capability.OBSERVE | Capability.BYZANTINE
+
+    def setup(self):
+        self.ctx.corrupt(0)
+
+    def attack(self, message):
+        if message.dest % 3 == 1 and message.payload.get("type") == "PREPARE":
+            noise = self.ctx.forge(0, message.dest, {"type": "NOISE", "n": message.dest})
+            return [message, noise]
+        return None
+
+
+def _pbft_n32(decisions, seed, **changes):
+    from repro import NetworkConfig, SimulationConfig
+
+    return SimulationConfig(
+        protocol="pbft", n=32, num_decisions=decisions, seed=seed,
+        network=NetworkConfig(), **changes,
+    )
+
+
+def _override_odd_destinations(controller):
+    controller.network.set_delay_override(
+        lambda message: 40.0 + message.dest if message.dest % 2 else None
+    )
+
+
+#: ``(config, prepare)`` -> (result fingerprint, sha256 of the JSONL trace),
+#: recorded on the commit before the instrumented tier went copy-on-write
+#: with a batched star draw.  Each case moves if a delay is drawn in another
+#: order, a copy gets another id or handle, or a record changes.
+PINNED_RUNS = {
+    "forged-insert-mid-broadcast": (
+        lambda: quick_config(
+            n=7, num_decisions=2, attack=AttackConfig(name="_test-mid-broadcast-forger")),
+        None,
+        "9034247b9e3799858be4d09d2000a10260d163cf882017c8b3c26a5d152ee079",
+        # No trace digest: a forged insert keeps the process-wide id it was
+        # constructed with, so its ``send`` record differs between processes.
+        None,
+    ),
+    "delay-override": (
+        lambda: quick_config(
+            n=7, num_decisions=2,
+            attack=AttackConfig(name="targeted-delay", params={"factor": 3.0})),
+        _override_odd_destinations,
+        "b0ad2de98fd1275a7d55dd7f7e95cd37c97e825d0569d0c63c1629c70b1b0e49",
+        "b70a9b6389825505c9dbffd84cb11466c6a51853b84247d3922200ef45eed11c",
+    ),
+    "adaptive-chaser": (
+        lambda: load_scenario("adaptive-chaser").apply(_pbft_n32(5, 11)),
+        None,
+        "3b9dc4f0e4216a84f61e561b5afd01ce3d1a45c3692a42931e65c281c7464b8b",
+        "c6025ba428f8e4be24216390c20c2e964a537a309b4a88976024aa39e518e5b4",
+    ),
+    "worst-case-pbft-n32": (
+        lambda: load_scenario("worst-case-pbft-n32").apply(_pbft_n32(2, 12)),
+        None,
+        "97998171f743ef73133bcd6abaf1ad01864b5740c2efe16c811f65a66e9ec1a9",
+        "5d20173b65cbc29dc7ece8ad0c0817cbdf1ba4d0c4891a7b57f0975750cec70e",
+    ),
+    "link-faults": (
+        lambda: _pbft_n32(5, 13, faults=parse_faults_spec("duplicate=0.05; delay=0.1x3")),
+        None,
+        "87c3539b519cd01d44eb48c8a0bb97c3deceed3fdcb7856b611cf742b560aa73",
+        "af7a693e0095154874ec0fbaafc529e7e23bf73d6c3d29767047ec6899574a36",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_RUNS))
+def test_instrumented_runs_keep_their_pinned_result_and_trace(case, tmp_path):
+    make_config, prepare, fingerprint, trace_sha256 = PINNED_RUNS[case]
+    path = tmp_path / "trace.jsonl"
+    controller = Controller(make_config(), sink=JsonlSink(path))
+    if prepare is not None:
+        prepare(controller)
+    assert result_fingerprint(controller.run()) == fingerprint
+    if trace_sha256 is not None:
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == trace_sha256

@@ -53,6 +53,43 @@ class _SneakyEditor(Attacker):
         return [message]
 
 
+@register_attack("_test-in-place-editor")
+class _InPlaceEditor(Attacker):
+    """Reads honest payloads (OBSERVE) and writes to them in place; with
+    ``drop`` it then discards the copy it scribbled on."""
+
+    capabilities = Capability.OBSERVE | Capability.NETWORK
+
+    def attack(self, message):
+        message.payload["evil"] = True
+        return [] if self.params.get("drop") else None
+
+
+@register_attack("_test-quiet-retimer")
+class _QuietRetimer(Attacker):
+    """Doubles every delay in place behind a redacted view, returning None."""
+
+    capabilities = Capability.NETWORK
+
+    def attack(self, message):
+        message.delay *= 2.0
+        return None
+
+
+@register_attack("_test-hand-forger")
+class _HandForger(Attacker):
+    """Holds no BYZANTINE right but hand-builds a ``forged=True`` message."""
+
+    capabilities = Capability.OBSERVE
+
+    def attack(self, message):
+        from repro.core.message import Message
+
+        fake = Message(source=message.source, dest=message.dest,
+                       payload={"type": "FAKE"}, sent_at=message.sent_at, forged=True)
+        return [message, fake]
+
+
 @register_attack("_test-timer-child")
 class _TimerChild(Attacker):
     """Sets a named timer at setup and records the name it fires with."""
@@ -101,6 +138,21 @@ class TestComposition:
         assert composed.terminated and direct.terminated
         assert composed.latency > 0
 
+    def test_in_place_retime_counts_in_a_clause_as_it_does_standalone(self):
+        """An edit made in place and passed back as ``None`` is applied (and
+        checked) by the network module; a clause gets the same treatment."""
+        from repro import AttackConfig
+
+        direct = run_simulation(
+            quick_config(n=4, seed=3, attack=AttackConfig(name="_test-quiet-retimer"))
+        )
+        benign = run_simulation(quick_config(n=4, seed=3))
+        composed = _run(
+            ScenarioSpec(attacks=[AttackClause(attack="_test-quiet-retimer")]), n=4, seed=3
+        )
+        assert direct.latency > benign.latency
+        assert composed.latency == direct.latency
+
     def test_two_network_clauses_compose(self):
         solo = _run("targeted-delay=factor:2.0", n=4, seed=3)
         both = _run(
@@ -131,6 +183,19 @@ class TestComposition:
         spec = parse_scenario_spec("failstop=nodes:6; pbft-equivocation")
         result = _run(spec, protocol="pbft", n=7, seed=2)
         assert result.faulty == frozenset({0, 6})
+
+
+    def test_clause_contexts_are_full_contexts_on_one_ledger(self):
+        """Whatever the base context carries, a clause context carries too;
+        only the corruption ledger is the parent's own object."""
+        from repro import Controller
+
+        spec = parse_scenario_spec("failstop; targeted-delay=factor:2")
+        controller = Controller(spec.apply(quick_config(n=4)))
+        parent = controller.attacker_ctx
+        for child_ctx in controller.attacker._child_ctxs:
+            assert set(vars(parent)) <= set(vars(child_ctx))
+            assert child_ctx._corrupted_since is parent._corrupted_since
 
 
 class TestActivationWindows:
@@ -179,6 +244,49 @@ class TestPerChildEnforcement:
         )
         with pytest.raises(CapabilityError, match="redacted payload"):
             _run(spec, n=4, seed=1)
+
+    @pytest.mark.parametrize("drop", [False, True])
+    def test_child_in_place_edit_of_an_honest_payload_raises(self, drop):
+        """Recipients share an uncontrolled payload, so a write to it is an
+        overstep whether the clause then keeps the copy or drops it."""
+        spec = ScenarioSpec(
+            attacks=[
+                AttackClause(attack="targeted-delay", params={"factor": 2.0}),
+                AttackClause(attack="_test-in-place-editor", params={"drop": drop}),
+            ]
+        )
+        with pytest.raises(
+            CapabilityError,
+            match=r"clause #1 \(_test-in-place-editor\) modified the payload of honest",
+        ):
+            _run(spec, n=4, seed=1)
+
+    def test_child_hand_built_forged_message_raises(self):
+        spec = ScenarioSpec(attacks=[AttackClause(attack="_test-hand-forger")])
+        with pytest.raises(
+            CapabilityError, match=r"clause #0 \(_test-hand-forger\) forged .* BYZANTINE"
+        ):
+            _run(spec, n=4, seed=1)
+
+    def test_observing_clauses_share_the_modules_snapshot(self, monkeypatch):
+        """One payload copy per attacked send, however many clauses read it."""
+        from repro.network.module import NetworkModule
+        from tests.attacks.support import count_payload_copies
+
+        submitted = []
+        submit = NetworkModule.submit
+        monkeypatch.setattr(
+            NetworkModule, "submit",
+            lambda self, message: (submitted.append(message), submit(self, message))[1],
+        )
+        copied = count_payload_copies(monkeypatch)
+        observer = {"action": "delay", "signal": "critical", "k": 1, "factor": 2.0}
+        spec = ScenarioSpec(
+            attacks=[AttackClause(attack="adaptive", params=dict(observer)) for _ in range(3)]
+        )
+        result = _run(spec, n=7, seed=1)
+        assert result.terminated
+        assert 0 < len(copied) <= len(submitted)
 
     def test_error_names_the_offending_clause(self):
         spec = ScenarioSpec(
