@@ -7,7 +7,7 @@ detector evaluation runs only at window closes (a handful per run).  It
 draws nothing from the RNG and schedules nothing, so it must be both
 fingerprint-invariant and near-free.
 
-This bench runs the same PBFT workload the lineage bench uses (n=16,
+This bench runs one PBFT workload (n=16,
 lambda=1000, N(250, 50), 20 decisions) under three configurations:
 
 * ``health-off``    — the default, no monitor attached;

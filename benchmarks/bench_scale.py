@@ -90,11 +90,7 @@ def _reps_for(n: int) -> int:
 
 
 def measure_cell(protocol: str, n: int, mode: str, reps: int | None = None) -> dict:
-    """Median wall-clock and events/sec of ``reps`` runs of one cell.
-
-    Lineage stamping is off (documented digest-neutral observability); the
-    bench measures the kernel, not the telemetry layer.
-    """
+    """Median wall-clock and events/sec of ``reps`` runs of one cell."""
     if reps is None:
         reps = _reps_for(n)
     config = _config(protocol, n, mode)
@@ -102,7 +98,7 @@ def measure_cell(protocol: str, n: int, mode: str, reps: int | None = None) -> d
     events = None
     for _ in range(reps):
         t0 = time.perf_counter()
-        result = run_simulation(config, lineage=False)
+        result = run_simulation(config)
         times.append(time.perf_counter() - t0)
         if events is None:
             events = result.events_processed
@@ -124,7 +120,7 @@ def measure_peak(protocol: str, n: int, mode: str) -> dict:
     multiplies wall time several-fold, so timing cells never trace)."""
     config = _config(protocol, n, mode)
     tracemalloc.start()
-    result = run_simulation(config, lineage=False)
+    result = run_simulation(config)
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     return {"events": result.events_processed, "peak_mib": round(peak / 2**20, 1)}

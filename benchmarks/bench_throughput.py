@@ -97,7 +97,7 @@ def measure_cell(protocol: str, rate: float, reps: int = 3) -> dict:
     cell = None
     for _ in range(reps):
         t0 = time.perf_counter()
-        result = run_simulation(config, lineage=False)
+        result = run_simulation(config)
         times.append(time.perf_counter() - t0)
         wl = result.workload
         assert wl is not None and result.terminated
@@ -198,7 +198,7 @@ def test_throughput_smoke_regression(benchmark):
 
     # Untimed warmup: the cells are milliseconds, so the first simulation's
     # import/alloc warmup would otherwise dominate the timed medians.
-    run_simulation(_config(*SMOKE_CELLS[0]), lineage=False)
+    run_simulation(_config(*SMOKE_CELLS[0]))
     live = run_once(benchmark, run)
     rows = []
     for key, cell in live.items():

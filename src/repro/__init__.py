@@ -20,9 +20,9 @@ The package provides:
 * a BFTSim-style packet-level baseline simulator — :mod:`repro.baseline`;
 * the experiment harness regenerating the paper's tables and figures —
   :mod:`repro.analysis`;
-* a run telemetry layer (streaming trace sinks, hot-path profiler,
-  structured simulated-time logging, trace forensics behind the
-  ``repro inspect`` CLI) — :mod:`repro.observability`;
+* a run telemetry layer (streaming trace sinks, structured
+  simulated-time logging, trace forensics behind the ``repro inspect``
+  CLI) — :mod:`repro.observability`;
 * an open-loop client workload layer (Poisson/trace arrivals, leader
   mempool with batch cut, throughput–latency saturation curves) —
   :mod:`repro.workload`.
@@ -62,8 +62,6 @@ from .observability import (
     JsonlSink,
     MemorySink,
     NullSink,
-    Profiler,
-    RunProfile,
     TraceSink,
     analyze_trace,
     configure_logging,
@@ -89,11 +87,9 @@ __all__ = [
     "Node",
     "NullSink",
     "ParallelRunner",
-    "Profiler",
     "ProgressUpdate",
     "RequestRecord",
     "RunFailure",
-    "RunProfile",
     "SimulationConfig",
     "SimulationResult",
     "StallReport",

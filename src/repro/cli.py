@@ -7,7 +7,7 @@ scenario" (§III-A); the CLI makes that workflow shell-scriptable:
     python -m repro list
     python -m repro run --protocol pbft -n 16 --lam 1000 --mean 250 --std 50
     python -m repro run --config experiment.json --json
-    python -m repro run --protocol pbft --trace-out trace.jsonl --profile
+    python -m repro run --protocol pbft --trace-out trace.jsonl
     python -m repro sweep --protocol pbft --param lam --values 150,250,500 --reps 5
     python -m repro validate --protocol pbft -n 8
     python -m repro inspect trace.jsonl --top 10
@@ -62,7 +62,6 @@ from .observability.inspect import analyze_trace, render_report
 from .observability.logging import LOG_LEVELS, configure_logging
 from .observability.metrics import RunMetrics
 from .observability.phases import analyze_phases, render_phase_report
-from .observability.profiler import RunProfile
 from .protocols.registry import available_protocols, get_protocol
 from .scenarios import (
     OBJECTIVES,
@@ -158,13 +157,6 @@ def _add_telemetry_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--trace-filter", default=None, metavar="SPEC",
                         help="only record matching events, e.g. "
                              "'kind=send,deliver; node=0,1; window=0:5000'")
-    parser.add_argument("--profile", action="store_true",
-                        help="time the engine's hot sections and print a "
-                             "per-section profile table")
-    parser.add_argument("--profile-out", default=None, metavar="PATH",
-                        help="also write the profile as JSON (implies "
-                             "--profile); feed it to 'repro inspect "
-                             "--profile-json'")
     parser.add_argument("--metrics", action="store_true",
                         help="sample engine metrics (queue depth, in-flight "
                              "messages, wire bytes, delivery latency) on the "
@@ -351,7 +343,6 @@ def _open_recorder(args: argparse.Namespace, kind: str, config, total_runs: int,
 
 def cmd_run(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    profile = args.profile or args.profile_out is not None
     metrics = _metrics_option(args)
     health = _health_option(args)
     sink = _run_sink(args)
@@ -363,8 +354,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.timeout is not None and sink is None:
         entry = repeat_simulation(
             config, 1, timeout=args.timeout, retries=args.retries,
-            on_error="record", profile=profile, metrics=metrics,
-            health=health,
+            on_error="record", metrics=metrics, health=health,
         )[0]
         if isinstance(entry, RunFailure):
             failure = entry
@@ -374,8 +364,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         if args.timeout is not None:
             print("note: --trace-out streams from this process; "
                   "--timeout is ignored", file=sys.stderr)
-        result = run_simulation(config, sink=sink, profile=profile,
-                                metrics=metrics, health=health)
+        result = run_simulation(config, sink=sink, metrics=metrics,
+                                health=health)
     if recorder is not None:
         recorder(0, failure if failure is not None else result)
         recorder.finish()
@@ -384,17 +374,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     if failure is not None:
         print(f"error: {failure.summary()}", file=sys.stderr)
         return 1
-    if args.profile_out is not None and result.profile is not None:
-        with open(args.profile_out, "w", encoding="utf-8") as handle:
-            json.dump(result.profile.to_dict(), handle, indent=2, sort_keys=True)
     if args.metrics_out is not None and result.run_metrics is not None:
         with open(args.metrics_out, "w", encoding="utf-8") as handle:
             json.dump(result.run_metrics.to_dict(), handle, indent=2,
                       sort_keys=True)
     if args.json:
         data = _result_dict(result)
-        if result.profile is not None:
-            data["profile"] = result.profile.to_dict()
         if result.run_metrics is not None:
             data["metrics"] = result.run_metrics.to_dict()
         if result.health is not None:
@@ -408,8 +393,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             print(f"health: {result.health.summary()}")
         if sink is not None:
             print(f"trace: {sink.count} events -> {args.trace_out}")
-        if result.profile is not None:
-            print(result.profile.format_table())
         if result.run_metrics is not None:
             print(result.run_metrics.summary())
             if args.metrics_out is not None:
@@ -432,7 +415,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     values = [float(v) for v in args.values.split(",")]
     health = _health_option(args)
     rows = []
-    fleet_profiles: list[RunProfile] = []
     recorder = _open_recorder(
         args, "sweep", _config_from_args(args), len(values) * args.reps,
         params={"param": args.param, "values": values, "reps": args.reps},
@@ -484,16 +466,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             retries=args.retries,
             on_error="record",
             progress=_progress_printer(args),
-            profile=args.profile,
             health=health,
             recorder=(
                 offset_recorder(recorder, v_index * args.reps)
                 if recorder is not None else None
             ),
-        )
-        fleet_profiles.extend(
-            entry.profile for entry in entries
-            if not isinstance(entry, RunFailure) and entry.profile is not None
         )
         try:
             summary = summarize(entries)
@@ -549,9 +526,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             rows,
         )
     )
-    if fleet_profiles:
-        print()
-        print(RunProfile.merge(fleet_profiles).format_table())
     if recorder is not None:
         recorder.finish()
         print(f"store: experiment {recorder.experiment_id} -> {args.store}",
@@ -606,10 +580,6 @@ def _resolve_trace(args: argparse.Namespace) -> str:
 
 def cmd_inspect(args: argparse.Namespace) -> int:
     args.trace = _resolve_trace(args)
-    profile = None
-    if args.profile_json is not None:
-        with open(args.profile_json, encoding="utf-8") as handle:
-            profile = RunProfile.from_dict(json.load(handle))
     report = analyze_trace(args.trace)
     if report.events == 0:
         # An empty trace is a valid (if boring) run artifact, not an error:
@@ -629,8 +599,6 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     health_analysis = analyze_trace_health(args.trace) if args.health else None
     if args.json:
         data = report.to_dict()
-        if profile is not None:
-            data["profile"] = profile.to_dict()
         if paths is not None:
             data["critical_paths"] = [path.to_dict() for path in paths]
         if timelines is not None:
@@ -641,7 +609,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
             data["health"] = health_analysis
         print(json.dumps(data, indent=2, sort_keys=True))
     else:
-        print(render_report(report, top=args.top, profile=profile))
+        print(render_report(report, top=args.top))
         if paths is not None:
             print()
             print(render_critical_paths(paths, top=args.top))
@@ -1046,9 +1014,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument("--values", required=True,
                               help="comma-separated values")
     sweep_parser.add_argument("--reps", type=int, default=3)
-    sweep_parser.add_argument("--profile", action="store_true",
-                              help="profile every run and print the merged "
-                                   "fleet profile after the sweep table")
     _add_health_options(sweep_parser)
 
     mine_parser = sub.add_parser(
@@ -1109,9 +1074,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 help="row cap for each table (default 20)")
     inspect_parser.add_argument("--json", action="store_true",
                                 help="machine-readable report")
-    inspect_parser.add_argument("--profile-json", default=None, metavar="PATH",
-                                help="profile JSON from 'run --profile-out' "
-                                     "to render alongside the trace report")
     inspect_parser.add_argument("--critical-path", action="store_true",
                                 help="reconstruct each decision's causal "
                                      "chain from the trace's lineage fields")

@@ -45,7 +45,6 @@ from .tracing import Trace, TraceSink
 if TYPE_CHECKING:  # pragma: no cover
     from ..observability.health import HealthMonitor
     from ..observability.metrics import MetricsRegistry
-    from ..observability.profiler import Profiler
     from ..workload.manager import WorkloadManager
 
 
@@ -77,11 +76,6 @@ class Controller:
             ``config.record_trace`` (telemetry routing is a caller concern,
             not part of the experiment's identity — the configuration, and
             therefore the determinism fingerprint, is untouched).
-        profiler: optional hot-path
-            :class:`~repro.observability.profiler.Profiler`; when set, the
-            dispatch loop times its sections and the result carries a
-            :class:`~repro.observability.profiler.RunProfile` (outside the
-            fingerprint).  ``None`` (default) costs one branch per section.
         metrics: optional :class:`~repro.observability.metrics.MetricsRegistry`;
             when set, the engine binds its standard instruments (queue depth,
             in-flight messages, per-node wire bytes, delivery latency...) and
@@ -89,12 +83,6 @@ class Controller:
             :class:`~repro.observability.metrics.RunMetrics` (outside the
             fingerprint).  Like the other telemetry arguments, this is a run
             argument, never part of the experiment's identity.
-        lineage: when True (default), the controller tracks the causal id of
-            the event currently being dispatched so the network and trace
-            layers can stamp every message, timer, and decision with its
-            ``cause``.  Pure bookkeeping outside the RNG path — digests are
-            byte-identical either way.  The id string is only built where
-            it is read (a send, a timer registration, a traced decision).
         health: optional :class:`~repro.observability.health.HealthMonitor`;
             when set, the dispatch loop feeds its O(1) anomaly detectors
             and the result carries a
@@ -108,9 +96,7 @@ class Controller:
         config: SimulationConfig,
         *,
         sink: TraceSink | None = None,
-        profiler: "Profiler | None" = None,
         metrics: "MetricsRegistry | None" = None,
-        lineage: bool = True,
         health: "HealthMonitor | None" = None,
     ) -> None:
         config.validate()
@@ -137,7 +123,6 @@ class Controller:
             self.trace = Trace(enabled=True, sink=sink)
         else:
             self.trace = Trace(enabled=config.record_trace)
-        self.profiler = profiler
         #: Simulated-time metrics registry (or None).  Must be set before
         #: the NetworkModule below is built: the network binds it once at
         #: construction for its send hook.
@@ -145,11 +130,10 @@ class Controller:
         #: Streaming run-health monitor (or None); bound at the end of
         #: construction, once the workload ledger it samples exists.
         self.health = health
-        self._lineage = lineage
         #: What is being handled right now: the dispatched queue entry, or
         #: the literal setup cause ("a" during attacker setup, "s<node>"
-        #: during on_start).  None before the run starts or when lineage is
-        #: disabled.  Read through :attr:`_current_cause`.
+        #: during on_start).  None before the run starts.  Read through
+        #: :attr:`_current_cause`.
         self._cause: list | str | None = None
         self.log = SimLogger(get_logger("controller"), clock=self.clock)
 
@@ -492,19 +476,15 @@ class Controller:
         started = _time.perf_counter()
         config = self.config
         stall_timeout = config.stall_timeout
-        prof = self.profiler
         obs = self.obs_metrics
         health = self.health
-        lineage = self._lineage
 
         self.log.debug(
             "run starting",
             protocol=config.protocol, n=self.n, f=self.f, seed=config.seed,
         )
         try:
-            return self._run_to_completion(
-                started, config, stall_timeout, prof, obs, health, lineage
-            )
+            return self._run_to_completion(started, config, stall_timeout, obs, health)
         finally:
             # Closed on *every* exit path (safety violations, liveness
             # errors, protocol bugs) so a crashed run still leaves a
@@ -533,18 +513,14 @@ class Controller:
         started: float,
         config: SimulationConfig,
         stall_timeout: float | None,
-        prof: "Profiler | None",
         obs: "MetricsRegistry | None",
         health: "HealthMonitor | None",
-        lineage: bool,
     ) -> SimulationResult:
-        if lineage:
-            self._cause = "a"
+        self._cause = "a"
         self.attacker.setup()
         for node in self.nodes:
             if node.id not in self._halted:
-                if lineage:
-                    self._cause = f"s{node.id}"
+                self._cause = f"s{node.id}"
                 node.on_start()
 
         # Hot loop: every name used per iteration is a local (the loop runs
@@ -609,12 +585,7 @@ class Controller:
                 if events_processed >= max_events:
                     self._stop_reason = f"max_events={max_events} reached"
                     break
-                if prof is None:
-                    entry = pop_entry()
-                else:
-                    t0 = _time.perf_counter()
-                    entry = pop_entry()
-                    prof.add("queue.pop", t0)
+                entry = pop_entry()
                 event_time = entry[0]
                 advance_to(event_time)
                 events_processed += 1
@@ -675,10 +646,9 @@ class Controller:
             dest = entry[3]
             if dest is None:
                 dest = message.dest
-            if self._lineage:
-                # Everything sent or scheduled while this delivery is being
-                # handled was caused by this message.
-                self._cause = entry
+            # Everything sent or scheduled while this delivery is being
+            # handled was caused by this message.
+            self._cause = entry
             # Slow checks (crashed destination, corrupted replica, tampered
             # payload) only run when such state exists at all — benign runs
             # never enter this block.
@@ -737,25 +707,12 @@ class Controller:
                     slot=payload.get("slot", payload.get("height")),
                     view=payload.get("view", payload.get("round")),
                 )
-            prof = self.profiler
-            if prof is None:
-                self.nodes[dest].on_message(message)
-            else:
-                t0 = _time.perf_counter()
-                self.nodes[dest].on_message(message)
-                prof.add("protocol.on_message", t0)
+            self.nodes[dest].on_message(message)
         elif type(event) is TimeEvent:
-            if self._lineage:
-                self._cause = entry
+            self._cause = entry
             owner = event.owner
             if owner == ATTACKER_OWNER:
-                prof = self.profiler
-                if prof is None:
-                    self.attacker.on_timer(event)
-                else:
-                    t0 = _time.perf_counter()
-                    self.attacker.on_timer(event)
-                    prof.add("attacker.timer", t0)
+                self.attacker.on_timer(event)
                 return
             if owner == CONTROLLER_OWNER:
                 self._on_env_event(event)
@@ -770,13 +727,7 @@ class Controller:
                     event_time, "timer", owner,
                     name=event.name, timer_id=event.timer_id, cause=event.cause,
                 )
-            prof = self.profiler
-            if prof is None:
-                self.nodes[owner].on_timer(event)
-            else:
-                t0 = _time.perf_counter()
-                self.nodes[owner].on_timer(event)
-                prof.add("protocol.on_timer", t0)
+            self.nodes[owner].on_timer(event)
         else:  # pragma: no cover - no other event kinds exist
             raise ConfigurationError(f"unknown event type {type(event).__name__}")
 
@@ -825,13 +776,6 @@ class Controller:
         decided_values = {
             slot: metrics.decided_value(slot) for slot in metrics.decided_slots()
         }
-        profile = None
-        if self.profiler is not None:
-            profile = self.profiler.build(
-                wall_seconds=wall,
-                events=self._events_processed,
-                sim_time_ms=self.clock.now,
-            )
         run_metrics = None
         if self.obs_metrics is not None:
             run_metrics = self.obs_metrics.build(sim_time_ms=self.clock.now)
@@ -856,7 +800,6 @@ class Controller:
             trace=self.trace,
             fault_counts=metrics.faults,
             stall=self._stall,
-            profile=profile,
             run_metrics=run_metrics,
             signals_summary=signals_summary,
             workload=(

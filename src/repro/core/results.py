@@ -25,7 +25,6 @@ from .tracing import Trace
 if TYPE_CHECKING:  # pragma: no cover
     from ..observability.health import HealthReport
     from ..observability.metrics import RunMetrics
-    from ..observability.profiler import RunProfile
 
 
 @dataclass(frozen=True)
@@ -226,15 +225,11 @@ class SimulationResult:
         stall: the liveness watchdog's :class:`StallReport` when the run was
             stopped as stalled, else ``None``.  Excluded from the
             fingerprint.
-        profile: hot-path timing breakdown
-            (:class:`~repro.observability.profiler.RunProfile`) when the run
-            was profiled, else ``None``.  Host-time telemetry — excluded
-            from the fingerprint by the same policy as
-            ``wall_clock_seconds``.
         run_metrics: simulated-time metrics
             (:class:`~repro.observability.metrics.RunMetrics`) when the run
             carried a metrics registry, else ``None``.  Observability
-            output — excluded from the fingerprint like ``profile``.
+            output — excluded from the fingerprint like
+            ``wall_clock_seconds``.
         signals_summary: final :meth:`~repro.observability.signals.
             LiveSignals.summary_dict` snapshot (fan-in by message kind,
             per-view phase timings, closing senders) when the run's attacker
@@ -247,8 +242,7 @@ class SimulationResult:
             without a workload are byte-identical to older versions.
         health: :class:`~repro.observability.health.HealthReport` when the
             run carried a health monitor, else ``None``.  Observability
-            output — excluded from the fingerprint like ``profile`` and
-            ``run_metrics``.
+            output — excluded from the fingerprint like ``run_metrics``.
     """
 
     config: SimulationConfig
@@ -267,7 +261,6 @@ class SimulationResult:
     trace: Trace = field(default_factory=lambda: Trace(enabled=False))
     fault_counts: FaultCounts = field(default_factory=FaultCounts)
     stall: StallReport | None = None
-    profile: "RunProfile | None" = None
     run_metrics: "RunMetrics | None" = None
     signals_summary: dict | None = None
     workload: ThroughputMetrics | None = None
@@ -350,9 +343,9 @@ def deterministic_dict(result: SimulationResult, include_trace: bool = False) ->
     """The deterministic fields of ``result`` as a JSON-friendly dict.
 
     Excludes ``wall_clock_seconds`` (host time, varies between otherwise
-    identical runs), the fault/stall/profile diagnostics (``fault_counts``,
-    ``stall`` and ``profile`` — diagnostic observability, kept out of the
-    fingerprint by the same policy as wall-clock time) and, unless
+    identical runs), the fault/stall diagnostics (``fault_counts`` and
+    ``stall`` — diagnostic observability, kept out of the fingerprint by
+    the same policy as wall-clock time) and, unless
     requested, the trace
     (deterministic but bulky, and only recorded when ``record_trace`` is
     set).

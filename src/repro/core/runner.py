@@ -23,7 +23,6 @@ from typing import Callable, Iterable
 
 from ..observability.health import DEFAULT_WINDOW_MS, HealthMonitor
 from ..observability.metrics import DEFAULT_INTERVAL_MS, MetricsRegistry
-from ..observability.profiler import Profiler
 from .config import SimulationConfig
 from .controller import Controller
 from .errors import ExperimentFailureError
@@ -38,9 +37,7 @@ def run_simulation(
     config: SimulationConfig,
     *,
     sink: TraceSink | None = None,
-    profile: bool = False,
     metrics: bool | float = False,
-    lineage: bool = True,
     health: bool | float = False,
 ) -> SimulationResult:
     """Build a controller for ``config``, run it, return the result.
@@ -56,19 +53,12 @@ def run_simulation(
             run's trace into (e.g. a
             :class:`~repro.observability.sinks.JsonlSink`); enables tracing
             regardless of ``config.record_trace``.
-        profile: time the engine's hot sections and attach a
-            :class:`~repro.observability.profiler.RunProfile` to
-            ``result.profile``.
         metrics: sample engine metrics (queue depth, in-flight messages,
             wire bytes, delivery latency) on the simulated clock and attach
             a :class:`~repro.observability.metrics.RunMetrics` to
             ``result.run_metrics``.  ``True`` samples every
             ``DEFAULT_INTERVAL_MS``; a float sets the sampling interval in
             simulated milliseconds.
-        lineage: stamp every message and timer with the id of the event
-            being handled when it was created, so traces carry the causal
-            DAG behind :mod:`repro.observability.causality`.  On by default
-            (zero RNG cost; adds trace fields only).
         health: run the streaming anomaly detectors
             (:class:`~repro.observability.health.HealthMonitor`) and attach
             a :class:`~repro.observability.health.HealthReport` to
@@ -76,12 +66,10 @@ def run_simulation(
             ``DEFAULT_WINDOW_MS``; a float sets the window width in
             simulated milliseconds.
     """
-    profiler = Profiler() if profile else None
     registry = _metrics_registry(metrics)
     monitor = _health_monitor(health)
     return Controller(
-        config, sink=sink, profiler=profiler, metrics=registry,
-        lineage=lineage, health=monitor,
+        config, sink=sink, metrics=registry, health=monitor
     ).run_and_release()
 
 
@@ -168,7 +156,6 @@ def repeat_simulation(
     retries: int = 1,
     on_error: str = "raise",
     progress: Callable[..., None] | None = None,
-    profile: bool = False,
     metrics: bool | float = False,
     health: bool | float = False,
     recorder: Callable[[int, "SimulationResult | RunFailure"], None] | None = None,
@@ -202,10 +189,6 @@ def repeat_simulation(
             slot and returns the mixed list.
         progress: optional :class:`repro.parallel.ProgressUpdate` callback
             (parallel engine only).
-        profile: profile every run's hot path (see :func:`run_simulation`);
-            each result carries its own
-            :class:`~repro.observability.profiler.RunProfile`, mergeable
-            with :meth:`RunProfile.merge`.
         metrics: sample engine metrics in every run (see
             :func:`run_simulation`); each result carries its own
             :class:`~repro.observability.metrics.RunMetrics`, mergeable
@@ -231,13 +214,12 @@ def repeat_simulation(
         for index, run_config in enumerate(configs):
             if on_error == "raise":
                 result: SimulationResult | RunFailure = run_simulation(
-                    run_config, profile=profile, metrics=metrics, health=health
+                    run_config, metrics=metrics, health=health
                 )
             else:
                 try:
                     result = run_simulation(
-                        run_config, profile=profile, metrics=metrics,
-                        health=health,
+                        run_config, metrics=metrics, health=health
                     )
                 except Exception as exc:
                     result = RunFailure(
@@ -258,7 +240,7 @@ def repeat_simulation(
 
     runner = ParallelRunner(
         jobs=jobs, timeout=timeout, retries=retries, progress=progress,
-        profile=profile, metrics=metrics, health=health, recorder=recorder,
+        metrics=metrics, health=health, recorder=recorder,
     )
     entries = runner.map(configs)
     if on_error == "raise":
@@ -279,7 +261,6 @@ def sweep(
     retries: int = 1,
     on_error: str = "raise",
     progress: Callable[..., None] | None = None,
-    profile: bool = False,
     metrics: bool | float = False,
     health: bool | float = False,
     recorder: Callable[[int, "SimulationResult | RunFailure"], None] | None = None,
@@ -293,7 +274,7 @@ def sweep(
     flattened into a single batch for the parallel engine, so workers stay
     saturated across variation boundaries; the grouped result order is
     identical to the serial one.  ``timeout``, ``retries``, ``on_error``,
-    ``progress``, ``profile``, and ``metrics`` behave as in
+    ``progress``, ``metrics`` and ``health`` behave as in
     :func:`repeat_simulation`.  A ``recorder`` sees the grid's *flattened*
     run indices (``variation_index * repetitions + rep``), identically for
     serial and parallel execution.
@@ -314,8 +295,7 @@ def sweep(
             groups.append(
                 repeat_simulation(
                     base.replace(**variation), repetitions, on_error=on_error,
-                    profile=profile, metrics=metrics, health=health,
-                    recorder=group_recorder,
+                    metrics=metrics, health=health, recorder=group_recorder,
                 )
             )
         return groups
@@ -324,7 +304,7 @@ def sweep(
 
     runner = ParallelRunner(
         jobs=jobs, timeout=timeout, retries=retries, progress=progress,
-        profile=profile, metrics=metrics, health=health, recorder=recorder,
+        metrics=metrics, health=health, recorder=recorder,
     )
     groups = runner.run_sweep(base, variations, repetitions)
     if on_error == "raise":

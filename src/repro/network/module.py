@@ -92,20 +92,19 @@ class NetworkModule:
         self._attacker_ctx = attacker_ctx
         self.faults = faults
         self._delay_override: Callable[[Message], float | None] | None = None
-        self._profiler = controller.profiler
-        # "Benign environment": no environmental fault schedule and no
-        # profiler — both fixed at construction.  The rest of the shared-tier
-        # predicate (``_unobserved``) is re-checked per submission because
-        # tests swap the attacker and set overrides after construction.
-        self._benign_env = faults is None and controller.profiler is None
+        # "Benign environment": no environmental fault schedule — fixed at
+        # construction.  The rest of the shared-tier predicate
+        # (``_unobserved``) is re-checked per submission because tests swap
+        # the attacker and set overrides after construction.
+        self._benign_env = faults is None
         # Hot-path bindings: one delay draw and one queue push per unicast.
         self._sample_delay = self.delay_model.sample_delay
         self._counts = controller.metrics.counts
         self._push_event = controller.queue.push
         #: Recipients of a full-mode star, shared by every such broadcast.
         self._star_dests = list(range(controller.n))
-        # Simulated-time metrics registry (or None), bound once: like the
-        # profiler it is fixed for the controller's lifetime.
+        # Simulated-time metrics registry (or None), bound once: it is
+        # fixed for the controller's lifetime.
         self._obs = controller.obs_metrics
         # Overlay state (tree/gossip only).  The shape cache and the two
         # dedicated RNG substreams are created lazily on the first relayed
@@ -268,10 +267,7 @@ class NetworkModule:
         ):
             copies = zip(range(n), repeat(None), repeat(None))
         else:
-            sample_delays = model.sample_delays
-            if self._profiler is not None:
-                sample_delays = self._profiler.timed("network.delay", sample_delays)
-            delays = sample_delays(now, hops).tolist()
+            delays = model.sample_delays(now, hops).tolist()
             delays.insert(source, 0.0)  # the loopback's place in the star
             copies = zip(range(n), repeat(None), delays)
         self._instrumented(
@@ -451,13 +447,6 @@ class NetworkModule:
         # visibility into (or control over) what the benign environment then
         # loses, duplicates, corrupts, or re-times.
         apply_faults = None if self.faults is None else self.faults.apply
-        prof = self._profiler
-        if prof is not None:
-            sample = prof.timed("network.delay", sample)
-            if attack is not None:
-                attack = prof.timed("attacker.attack", attack)
-            if apply_faults is not None:
-                apply_faults = prof.timed("faults.apply", apply_faults)
         observe = network = controls
         snapshot = None
         if attack is not None and not controls:
@@ -582,12 +571,17 @@ class NetworkModule:
         survivors: list[Message] = []
         kept = False
         for item in returned:
-            if item.msg_id == hop.msg_id:
+            # A fresh forged insert is never the kept copy, whatever id it
+            # was built with; a forged ``hop`` comes back as itself.
+            if item is proxy or (not item.forged and item.msg_id == hop.msg_id):
                 kept = True
                 self._apply_kept(hop, proxy, item, snapshot, delay, network)
                 survivors.append(hop)
             elif item.forged:
                 ctx.require_forge_rights(item.source)
+                # Per-run id, as for every other message: the one it was
+                # constructed with comes from a process-wide counter.
+                item.msg_id = controller.next_message_id()
                 if item.delay is None:
                     item.delay = self.delay_model.sample_delay(item.sent_at)
                 survivors.append(item)

@@ -1,5 +1,4 @@
-"""Run telemetry: trace sinks, hot-path profiling, structured logging,
-and trace forensics.
+"""Run telemetry: trace sinks, structured logging, and trace forensics.
 
 The paper's evaluation is about simulator *efficiency* (§V: events per
 second, scalability with node count); this subsystem is the measurement
@@ -9,15 +8,11 @@ Four pillars:
 * **streaming trace sinks** (:mod:`repro.observability.sinks`) — pluggable
   storage behind :class:`~repro.core.tracing.Trace`; ``JsonlSink`` records
   million-event traces to disk with bounded memory.
-* **hot-path profiler** (:mod:`repro.observability.profiler`) — opt-in
-  ``perf_counter`` timing around the dispatch loop, aggregated into a
-  :class:`RunProfile` on ``SimulationResult.profile`` (outside the
-  determinism fingerprint) and merged fleet-wide by the parallel engine.
 * **structured logging** (:mod:`repro.observability.logging`) —
   ``repro``-namespaced loggers with simulated-time stamps and JSONL output.
 * **trace forensics** (:mod:`repro.observability.inspect`) — the streaming
   analysis behind the ``repro inspect`` CLI: message-usage accounting,
-  per-view timelines, stall forensics, top-N profile tables.
+  per-view timelines, stall forensics.
 * **streaming run health** (:mod:`repro.observability.health`) — O(1)
   rolling-window anomaly detectors fed from the dispatch loop (view
   storms, stragglers, backlog growth, fan-in spikes, client starvation),
@@ -63,7 +58,6 @@ from .metrics import (
     RunMetrics,
 )
 from .phases import PhaseReport, PhaseStay, analyze_phases, render_phase_report
-from .profiler import Profiler, RunProfile, SectionStats
 from .sinks import (
     EventFilter,
     JsonlSink,
@@ -89,11 +83,8 @@ __all__ = [
     "NullSink",
     "PhaseReport",
     "PhaseStay",
-    "Profiler",
     "QuorumTimeline",
     "RunMetrics",
-    "RunProfile",
-    "SectionStats",
     "SimLogger",
     "TraceBufferUnavailable",
     "TraceReport",

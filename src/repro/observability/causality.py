@@ -1,8 +1,8 @@
 """Causality analysis: critical paths and quorum-formation timelines.
 
-With causal lineage on (the default), every message and timer carries the
-``cause`` id of the event being handled when it was created, and the trace
-records those ids on ``send``/``deliver``/``timer``/``decide`` events.  That
+Every message and timer carries the ``cause`` id of the event being
+handled when it was created, and the trace records those ids on
+``send``/``deliver``/``timer``/``decide`` events.  That
 turns a trace into a **causality DAG** whose edges point from each event to
 the one that caused it:
 
@@ -154,7 +154,8 @@ class CausalityGraph:
 
     @property
     def has_lineage(self) -> bool:
-        """True when at least one record carries a cause id (lineage was on)."""
+        """True when at least one record carries a cause id (a trace written
+        before causes were recorded, or stripped of them, has none)."""
         return any(d.cause is not None for d in self.decisions) or any(
             s.cause is not None for s in self.sends.values()
         )
@@ -176,8 +177,8 @@ class CriticalPath:
 
     ``complete`` is True when the backwards walk reached a root (a node's
     ``on_start``, the attacker's setup, or a pre-run scheduled event);
-    False means a link was missing — typically lineage was off, or the
-    trace was filtered.
+    False means a link was missing — the trace was filtered, or written
+    without cause ids.
     """
 
     decision: DecisionRecord
@@ -222,7 +223,7 @@ class CriticalPath:
             f"{self.hops} network hops, {self.duration_ms:.1f}ms end to end"
         )
         if not self.complete:
-            header += "  [incomplete: causal chain broken — was lineage enabled?]"
+            header += "  [incomplete: causal chain broken — was the trace filtered?]"
         lines = [header]
         for step in self.steps:
             lines.append(
@@ -250,8 +251,9 @@ def critical_path(graph: CausalityGraph, decision: DecisionRecord) -> CriticalPa
     while True:
         if cause is None:
             # Reached an event created before dispatch began (a pre-run
-            # root) — or lineage was off, in which case the decision's own
-            # cause was already None and the path is just the decision.
+            # root) — or the trace has no cause ids, in which case the
+            # decision's own cause was already None and the path is just
+            # the decision.
             complete = len(backwards) > 1
             break
         if cause in seen:  # defensive: lineage cannot cycle, ids move back in time
@@ -390,7 +392,7 @@ def quorum_timeline(
 
     Returns ``None`` when the decision was not directly caused by a message
     delivery (e.g. a catch-up decision triggered by a timer) or the trace
-    carries no lineage.
+    carries no cause ids.
     """
     cause = decision.cause
     if not cause or cause[0] != "m":
@@ -441,8 +443,7 @@ def render_critical_paths(paths: list[CriticalPath], top: int = 10) -> str:
     """Human-readable rendering of (the first ``top``) critical paths."""
     if not paths:
         return (
-            "critical paths: no decisions in trace (or lineage disabled — "
-            "run with tracing on and lineage enabled)"
+            "critical paths: no decisions in trace (run with tracing on)"
         )
     sections = [path.render() for path in paths[:top]]
     if len(paths) > top:
@@ -455,7 +456,7 @@ def render_quorum_timelines(timelines: list[QuorumTimeline], top: int = 10) -> s
     if not timelines:
         return (
             "quorum timelines: no message-triggered decisions in trace "
-            "(or lineage disabled)"
+            "(or the trace carries no cause ids)"
         )
     sections = [timeline.render() for timeline in timelines[:top]]
     if len(timelines) > top:

@@ -14,7 +14,7 @@ The monitor is OBSERVE-only: it never draws randomness, never schedules
 events, and never touches protocol or network state, so enabling it
 leaves every golden digest byte-identical.  Its :class:`HealthReport`
 lives on :class:`~repro.core.results.SimulationResult` *outside* the
-deterministic field set (like ``profile`` and ``run_metrics``), so
+deterministic field set (like ``run_metrics``), so
 ``result_fingerprint`` is unchanged by construction.
 
 Online == offline

@@ -17,9 +17,8 @@ nodes), never with the event count — and produces a :class:`TraceReport`:
   :class:`~repro.core.results.StallReport`;
 * per-kind and per-timer histograms.
 
-``repro run --trace-out trace.jsonl --profile --profile-out profile.json``
-produces the inputs; ``repro inspect trace.jsonl --profile-json
-profile.json`` renders report and top-N profile table together.
+``repro run --trace-out trace.jsonl`` produces the input; ``repro inspect
+trace.jsonl`` renders the report.
 """
 
 from __future__ import annotations
@@ -278,18 +277,13 @@ def _census_label(kind: str, event: Mapping[str, Any]) -> str:
     return kind
 
 
-def render_report(
-    report: TraceReport,
-    top: int = 20,
-    profile: "Any | None" = None,
-) -> str:
+def render_report(report: TraceReport, top: int = 20) -> str:
     """Human-readable rendering: summary, message-usage table, view
-    timeline, stall forensics, and (when given) the top-N profile table.
+    timeline and stall forensics.
 
     Args:
         report: the analysis to render.
         top: row cap for each table (a tail line reports what was cut).
-        profile: optional :class:`~repro.observability.profiler.RunProfile`.
     """
     from ..analysis.report import render_table
 
@@ -397,9 +391,5 @@ def render_report(
         f"{len(report.decisions_per_node)} nodes"
     )
     sections.append("\n".join(lines))
-
-    # -- profile --------------------------------------------------------
-    if profile is not None:
-        sections.append(profile.format_table(top=top))
 
     return "\n\n".join(sections)

@@ -1,8 +1,7 @@
 """Simulated-time metrics: counters, gauges, histograms on the sim clock.
 
-The registry is the third telemetry pillar next to trace sinks and the
-hot-path profiler: where the profiler measures *host* time, the registry
-measures the run itself on the **simulated** clock — queue depth, in-flight
+The registry is a telemetry pillar next to the trace sinks: it measures
+the run itself on the **simulated** clock — queue depth, in-flight
 messages, per-node wire bytes, delivery latency — sampled into a timeseries
 at fixed simulated-time intervals.
 
@@ -13,8 +12,8 @@ ms), consumes no randomness, schedules no events (sampling happens lazily
 inside the dispatch loop as event timestamps cross interval boundaries), and
 leaves ``result_fingerprint`` byte-identical.
 
-The output object, :class:`RunMetrics`, follows the ``RunProfile`` contract:
-frozen, picklable (it crosses worker pipes), mergeable across a
+The output object, :class:`RunMetrics`, is frozen, picklable (it crosses
+worker pipes), mergeable across a
 :class:`~repro.parallel.engine.ParallelRunner` fleet, and exportable as
 JSONL, CSV, and a Prometheus-style text snapshot.
 """

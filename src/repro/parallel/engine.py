@@ -72,8 +72,7 @@ def _start_method() -> str:
 def _worker_main(conn: connection.Connection) -> None:
     """Worker-process loop: receive configs, run them, reply with results.
 
-    Tasks arrive as ``(task_index, config, profile_flag, metrics_option,
-    health_option)``;
+    Tasks arrive as ``(task_index, config, metrics_option, health_option)``;
     replies are ``(task_index, "ok", SimulationResult)`` or
     ``(task_index, "error", exc_type_name, message, traceback_text)``.  A
     ``None`` task is the shutdown sentinel.
@@ -88,13 +87,11 @@ def _worker_main(conn: connection.Connection) -> None:
             return
         if item is None:
             return
-        index, config, profile, metrics, health = item
+        index, config, metrics, health = item
         try:
             reply = (
                 index, "ok",
-                run_simulation(
-                    config, profile=profile, metrics=metrics, health=health
-                ),
+                run_simulation(config, metrics=metrics, health=health),
             )
         except KeyboardInterrupt:
             return
@@ -178,13 +175,12 @@ class _Worker:
         self,
         task: _Task,
         timeout: float | None,
-        profile: bool = False,
         metrics: bool | float = False,
         health: bool | float = False,
     ) -> None:
         self.task = task
         self.deadline = (time.monotonic() + timeout) if timeout else None
-        self.conn.send((task.index, task.config, profile, metrics, health))
+        self.conn.send((task.index, task.config, metrics, health))
 
     def timed_out(self, now: float) -> bool:
         return self.deadline is not None and now > self.deadline
@@ -228,10 +224,6 @@ class ParallelRunner:
             or hung (deterministic simulation errors are never retried).
         progress: optional callback receiving a :class:`ProgressUpdate`
             after every terminal run.
-        profile: profile every run's hot path; each result carries a
-            :class:`~repro.observability.profiler.RunProfile` and the
-            runner exposes the merged fleet view as :attr:`fleet_profile`
-            after each batch.
         metrics: sample engine metrics in every run (``True`` for the
             default interval, a float for a custom interval in simulated
             milliseconds); each result carries a
@@ -260,7 +252,6 @@ class ParallelRunner:
         timeout: float | None = None,
         retries: int = 1,
         progress: Callable[[ProgressUpdate], None] | None = None,
-        profile: bool = False,
         metrics: bool | float = False,
         health: bool | float = False,
         recorder: Callable[[int, SimulationResult | RunFailure], None] | None = None,
@@ -275,13 +266,9 @@ class ParallelRunner:
         self.timeout = timeout
         self.retries = retries
         self.progress = progress
-        self.profile = profile
         self.metrics = metrics
         self.health = health
         self.recorder = recorder
-        #: Merged :class:`~repro.observability.profiler.RunProfile` of the
-        #: most recent batch (``None`` until a profiled batch completes).
-        self.fleet_profile = None
         #: Merged :class:`~repro.observability.metrics.RunMetrics` of the
         #: most recent batch (``None`` until a metered batch completes).
         self.fleet_metrics = None
@@ -402,8 +389,7 @@ class ParallelRunner:
                 for worker in workers:
                     if worker.task is None and queue:
                         worker.assign(
-                            queue.popleft(), self.timeout, self.profile,
-                            self.metrics, self.health,
+                            queue.popleft(), self.timeout, self.metrics, self.health
                         )
                 busy = {w.conn: w for w in workers if w.task is not None}
                 if not busy:  # pragma: no cover - defensive
@@ -453,15 +439,6 @@ class ParallelRunner:
             for worker in workers:
                 worker.shutdown()
         results = [out[i] for i in range(total)]
-        profiles = [
-            entry.profile
-            for entry in results
-            if isinstance(entry, SimulationResult) and entry.profile is not None
-        ]
-        if profiles:
-            from ..observability.profiler import RunProfile
-
-            self.fleet_profile = RunProfile.merge(profiles)
         metrics = [
             entry.run_metrics
             for entry in results

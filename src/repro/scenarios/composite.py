@@ -186,7 +186,7 @@ class CompositeAttacker(Attacker):
             kept = proxy
             returned = child.attack(proxy)
             if returned is not None:
-                kept = self._kept_of(index, message, returned, forged)
+                kept = self._kept_of(index, proxy, returned, forged)
             # Kept or dropped, an uncontrolled payload is still its siblings'.
             if pristine is not None and (
                 message.payload != pristine
@@ -225,14 +225,16 @@ class CompositeAttacker(Attacker):
         return None
 
     def _kept_of(
-        self, index: int, message: Message, returned, forged: list[Message]
+        self, index: int, proxy: Message, returned, forged: list[Message]
     ) -> Message | None:
         """Sort a clause's explicit return: its forged messages join
-        ``forged``; the item standing for ``message`` (None when the clause
+        ``forged``; the item standing for ``proxy`` (None when the clause
         dropped it) is returned."""
         kept = None
         for item in returned:
-            if item.msg_id == message.msg_id:
+            # Same test as ``NetworkModule._returned``: a fresh forged
+            # insert is never the kept copy, whatever id it was built with.
+            if item is proxy or (not item.forged and item.msg_id == proxy.msg_id):
                 kept = item
             elif item.forged:
                 try:

@@ -5,7 +5,7 @@ which makes stored results *reproducible claims*: a row that records the
 configuration JSON, the seed, and the ``result_fingerprint`` is enough to
 re-run the experiment anywhere and byte-compare the outcome.  The
 :class:`ExperimentStore` persists exactly that — plus the decision/latency
-metrics, fault/stall diagnostics, profile and signals summaries, and
+metrics, fault/stall diagnostics, signals summaries, and
 pointers to on-disk JSONL traces and mining artifacts — so results survive
 the process that produced them and can be listed, diffed, and browsed later
 (``repro experiments``, ``repro serve``).
@@ -105,7 +105,6 @@ CREATE TABLE IF NOT EXISTS runs (
     wall_clock_seconds   REAL,
     fault_counts_json    TEXT,
     stall_json           TEXT,
-    profile_json         TEXT,
     metrics_json         TEXT,
     signals_json         TEXT,
     failure_json         TEXT,
@@ -197,7 +196,6 @@ class RunRow:
     wall_clock_seconds: float | None
     fault_counts: dict[str, Any] | None = None
     stall: dict[str, Any] | None = None
-    profile: dict[str, Any] | None = None
     metrics: dict[str, Any] | None = None
     signals: dict[str, Any] | None = None
     failure: dict[str, Any] | None = None
@@ -503,9 +501,6 @@ class ExperimentStore:
             "stall_json": (
                 _json(_stall_dict(result.stall)) if result.stall else None
             ),
-            "profile_json": (
-                _json(result.profile.to_dict()) if result.profile else None
-            ),
             "metrics_json": (
                 _json(result.run_metrics.to_dict())
                 if result.run_metrics else None
@@ -556,7 +551,6 @@ class ExperimentStore:
             "wall_clock_seconds": None,
             "fault_counts_json": None,
             "stall_json": None,
-            "profile_json": None,
             "metrics_json": None,
             "signals_json": None,
             "failure_json": _json({
@@ -761,7 +755,6 @@ class ExperimentStore:
             wall_clock_seconds=row["wall_clock_seconds"],
             fault_counts=_loads(row["fault_counts_json"]),
             stall=_loads(row["stall_json"]),
-            profile=_loads(row["profile_json"]),
             metrics=_loads(row["metrics_json"]),
             signals=_loads(row["signals_json"]),
             failure=_loads(row["failure_json"]),

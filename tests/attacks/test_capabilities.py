@@ -189,6 +189,28 @@ class TestForgery:
         assert any(m.forged and m.type == "FAKE" for m in delivered)
         assert controller.metrics.counts.byzantine == 1
 
+    def test_forged_insert_with_the_hops_id_is_still_an_insert(self):
+        """A forged message is built with a process-wide id that may equal
+        the per-run id of the copy in hand; it is an insert all the same,
+        and enters the network under a per-run id of its own."""
+        def inject(self, message):
+            forged = self.ctx.forge(source=0, dest=2, payload={"type": "FAKE"})
+            forged.msg_id = message.msg_id
+            return [forged, message]
+
+        attacker = ScriptedAttacker(
+            Capability.OBSERVE | Capability.BYZANTINE | Capability.ADAPTIVE, inject
+        )
+        controller = controller_with(attacker)
+        controller.attacker_ctx.corrupt(0)
+        controller.clock.advance_to(1.0)
+        honest = submit(controller, source=1)
+        delivered = pending_deliveries(controller)
+        assert sorted(m.type for m in delivered) == sorted(["FAKE", honest.type])
+        assert len({m.msg_id for m in delivered}) == 2
+        assert controller.metrics.counts.byzantine == 1
+        assert controller.metrics.counts.dropped == 0
+
     def test_forging_honest_source_rejected(self):
         attacker = ScriptedAttacker(Capability.BYZANTINE)
         controller = controller_with(attacker)

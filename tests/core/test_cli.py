@@ -143,34 +143,11 @@ class TestTelemetry:
         assert main([*self.RUN, "--trace-filter", "kind=decide"]) == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_profile_prints_table(self, capsys):
-        assert main([*self.RUN, "--profile"]) == 0
-        out = capsys.readouterr().out
-        assert "hot-path profile" in out
-        assert "protocol.on_message" in out
-
-    def test_profile_json_output(self, capsys):
-        assert main([*self.RUN, "--profile", "--json"]) == 0
-        data = json.loads(capsys.readouterr().out)
-        assert data["profile"]["runs"] == 1
-        assert "queue.pop" in data["profile"]["sections"]
-
-    def test_profile_out_file(self, tmp_path, capsys):
-        path = tmp_path / "profile.json"
-        assert main([*self.RUN, "--profile-out", str(path)]) == 0
-        data = json.loads(path.read_text())
-        assert data["events"] > 0
-
-    def test_sweep_profile_prints_fleet_table(self, capsys):
-        code = main([
-            "sweep", "--protocol", "pbft", "-n", "4", "--mean", "50",
-            "--std", "10", "--param", "lam", "--values", "400,800",
-            "--reps", "2", "--profile",
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "hot-path profile" in out
-        assert "4 runs" in out
+    def test_removed_profile_flag_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*self.RUN, "--profile"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --profile" in capsys.readouterr().err
 
     def test_log_level_emits_structured_logs(self, tmp_path, capsys):
         import logging as _logging
@@ -215,35 +192,9 @@ class TestInspect:
         assert report["sent"] == run_data["messages"]
         assert report["bytes_sent"] == run_data["bytes_sent"]
 
-    def test_inspect_with_profile_json(self, tmp_path, capsys):
-        trace = tmp_path / "trace.jsonl"
-        profile = tmp_path / "profile.json"
-        assert main(["run", "--protocol", "pbft", "-n", "4", "--mean", "50",
-                     "--std", "10", "--lam", "500", "--trace-out", str(trace),
-                     "--profile-out", str(profile)]) == 0
-        capsys.readouterr()
-        assert main(["inspect", str(trace), "--profile-json", str(profile)]) == 0
-        assert "hot-path profile" in capsys.readouterr().out
-
     def test_inspect_missing_file_is_an_error(self, tmp_path, capsys):
         assert main(["inspect", str(tmp_path / "nope.jsonl")]) == 1
         assert "error:" in capsys.readouterr().err
-
-    def test_profile_out_schema(self, tmp_path, capsys):
-        """The --profile-out JSON is the documented RunProfile schema that
-        'inspect --profile-json' consumes."""
-        profile = tmp_path / "profile.json"
-        assert main(["run", "--protocol", "pbft", "-n", "4", "--mean", "50",
-                     "--std", "10", "--lam", "500",
-                     "--profile-out", str(profile)]) == 0
-        data = json.loads(profile.read_text())
-        for key in ("wall_seconds", "events", "sim_time_ms", "runs",
-                    "events_per_second", "sections"):
-            assert key in data
-        assert data["events"] > 0
-        assert data["runs"] == 1
-        for section in data["sections"].values():
-            assert set(section) == {"calls", "seconds"}
 
     def test_inspect_analysis_flags(self, tmp_path, capsys):
         path = self._write_trace(tmp_path)

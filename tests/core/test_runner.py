@@ -141,7 +141,7 @@ class TestFinishedRunIsFreed:
         config = quick_config(n=8, num_decisions=2, dissemination=mode)
         assert self.cyclic_garbage(lambda: run_simulation(config)) == []
         assert self.cyclic_garbage(
-            lambda: run_simulation(config, metrics=True, health=True, profile=True)
+            lambda: run_simulation(config, metrics=True, health=True)
         ) == []
 
     def test_attacked_and_faulted_runs_leave_no_cyclic_garbage(self):

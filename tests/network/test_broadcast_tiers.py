@@ -63,8 +63,7 @@ def test_shared_tier_equals_forced_instrumented_tier(protocol, mode):
     config = golden_config(protocol, mode).replace(n=7)
     shared = result_fingerprint(run_simulation(config))
     overridden = result_fingerprint(force_instrumented(Controller(config)).run())
-    profiled = result_fingerprint(run_simulation(config, profile=True))
-    assert shared == overridden == profiled
+    assert shared == overridden
 
 
 # -- what a traced run writes ---------------------------------------------------

@@ -119,7 +119,7 @@ class TestAttackerPassthrough:
         assert len(attacker.seen) == 3  # n-1 wire copies; loopback excluded
 
     def test_genuine_null_attacker_is_not_consulted_when_instrumented(self, monkeypatch):
-        """Trace-only, fault-only and profile-only runs keep the genuine
+        """Trace-only and fault-only runs keep the genuine
         NullAttacker: its ``attack`` returns None, so the instrumented tier
         does not call it, and takes no payload snapshot for it."""
         from repro import Controller
@@ -252,9 +252,9 @@ PINNED_RUNS = {
             n=7, num_decisions=2, attack=AttackConfig(name="_test-mid-broadcast-forger")),
         None,
         "9034247b9e3799858be4d09d2000a10260d163cf882017c8b3c26a5d152ee079",
-        # No trace digest: a forged insert keeps the process-wide id it was
-        # constructed with, so its ``send`` record differs between processes.
-        None,
+        # Recorded once forged inserts were re-keyed with per-run ids (the
+        # process-wide id they are constructed with never reaches a record).
+        "24b05cb39b2a08fc76f32b916ba33490f82357a7d3507052abd4670cbb958b40",
     ),
     "delay-override": (
         lambda: quick_config(
@@ -293,5 +293,12 @@ def test_instrumented_runs_keep_their_pinned_result_and_trace(case, tmp_path):
     if prepare is not None:
         prepare(controller)
     assert result_fingerprint(controller.run()) == fingerprint
-    if trace_sha256 is not None:
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == trace_sha256
+
+
+def test_a_forging_run_writes_the_same_trace_twice_in_one_process(tmp_path):
+    make_config, _, _, trace_sha256 = PINNED_RUNS["forged-insert-mid-broadcast"]
+    for attempt in range(2):
+        path = tmp_path / f"trace-{attempt}.jsonl"
+        Controller(make_config(), sink=JsonlSink(path)).run()
         assert hashlib.sha256(path.read_bytes()).hexdigest() == trace_sha256

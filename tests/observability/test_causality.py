@@ -2,7 +2,8 @@
 
 Acceptance criteria pinned here (ISSUE, PR 5):
 
-* golden digests are byte-identical with lineage + metrics enabled;
+* golden digests are byte-identical with metrics enabled (causes are
+  always tracked);
 * for a pbft n=4 run the computed critical path ends at each decision and
   is chronological end to end;
 * quorum-formation timelines reconcile exactly with the run's
@@ -29,11 +30,16 @@ from tests.core.test_golden_determinism import GOLDEN, golden_config
 PROTOCOLS = ["pbft", "hotstuff-ns", "tendermint", "add-v3"]
 
 
-def _traced(protocol: str, **kwargs):
+def _traced(protocol: str):
     """Run a golden config with a memory sink; return (result, events)."""
     sink = MemorySink()
-    result = run_simulation(golden_config(protocol), sink=sink, **kwargs)
+    result = run_simulation(golden_config(protocol), sink=sink)
     return result, [event.to_dict() for event in sink.events()]
+
+
+def _without_causes(events):
+    """The trace as a file written before causes were recorded holds it."""
+    return [{k: v for k, v in event.items() if k != "cause"} for event in events]
 
 
 class TestLineageDeterminism:
@@ -42,15 +48,9 @@ class TestLineageDeterminism:
         """The acceptance bar: lineage + metrics leave every golden digest
         byte-identical — the whole subsystem costs zero RNG draws and zero
         extra events."""
-        result = run_simulation(
-            golden_config(protocol), metrics=True, lineage=True
-        )
+        result = run_simulation(golden_config(protocol), metrics=True)
         assert result_fingerprint(result) == GOLDEN[protocol]
         assert result.run_metrics is not None
-
-    def test_lineage_off_matches_golden_too(self):
-        result = run_simulation(golden_config("pbft"), lineage=False)
-        assert result_fingerprint(result) == GOLDEN["pbft"]
 
 
 class TestCausalityGraph:
@@ -64,9 +64,9 @@ class TestCausalityGraph:
         assert len(graph.sends) == sends
         assert len(graph.delivers) == delivers
 
-    def test_lineage_off_yields_no_causes(self):
-        _, events = _traced("pbft", lineage=False)
-        graph = CausalityGraph.build(events)
+    def test_trace_without_causes_has_no_lineage(self):
+        _, events = _traced("pbft")
+        graph = CausalityGraph.build(_without_causes(events))
         assert not graph.has_lineage
 
 
@@ -101,9 +101,9 @@ class TestCriticalPath:
         assert paths
         assert all(path.complete for path in paths)
 
-    def test_lineage_off_paths_are_incomplete(self):
-        _, events = _traced("pbft", lineage=False)
-        paths = critical_paths(CausalityGraph.build(events))
+    def test_trace_without_causes_has_incomplete_paths(self):
+        _, events = _traced("pbft")
+        paths = critical_paths(CausalityGraph.build(_without_causes(events)))
         assert paths
         assert all(not path.complete for path in paths)
         assert all(len(path.steps) == 1 for path in paths)

@@ -85,19 +85,3 @@ class TestInsertedOrigin:
         paths = critical_paths(graph)
         assert paths
         assert all(path.complete for path in paths)
-
-    def test_fingerprint_unchanged_by_lineage_under_attack(self):
-        from repro.core.results import result_fingerprint
-
-        config = SimulationConfig(
-            protocol="pbft",
-            n=4,
-            lam=500.0,
-            network=NetworkConfig(mean=50.0, std=10.0),
-            attack=AttackConfig(name="pbft-equivocation"),
-            num_decisions=1,
-            seed=2022,
-        )
-        plain = run_simulation(config, lineage=False)
-        lineaged = run_simulation(config, lineage=True, metrics=True)
-        assert result_fingerprint(plain) == result_fingerprint(lineaged)

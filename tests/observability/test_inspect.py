@@ -255,15 +255,6 @@ class TestRendering:
         assert "stall forensics:" in text
         assert "decisions:" in text
 
-    def test_render_report_with_profile(self):
-        result = run_simulation(
-            SimulationConfig(protocol="pbft", n=4, seed=11, record_trace=True),
-            profile=True,
-        )
-        report = analyze_trace(result.trace)
-        text = render_report(report, profile=result.profile)
-        assert "hot-path profile" in text
-
     def test_top_caps_tables(self):
         result = _traced(SimulationConfig(protocol="pbft", n=4, seed=11))
         report = analyze_trace(result.trace)

@@ -1,8 +1,8 @@
 """Telemetry must never change what a run computes.
 
-The acceptance bar for the whole observability subsystem: with every
-telemetry feature enabled (JSONL trace sink, hot-path profiler, debug
-logging) or everything disabled, ``result_fingerprint`` is byte-identical.
+The acceptance bar for the whole observability subsystem: under every
+subset of the three telemetry options (``sink``, ``metrics``, ``health``),
+with debug logging on or off, ``result_fingerprint`` is byte-identical.
 The golden-digest table in ``tests/core/test_golden_determinism.py``
 separately pins the digests themselves; these tests pin the *invariance*.
 """
@@ -10,6 +10,7 @@ separately pins the digests themselves; these tests pin the *invariance*.
 from __future__ import annotations
 
 import io
+from itertools import combinations
 
 import pytest
 
@@ -21,6 +22,13 @@ from repro.observability import JsonlSink, NullSink, configure_logging
 from tests.core.test_golden_determinism import GOLDEN, golden_config
 
 PROTOCOLS = ["pbft", "hotstuff-ns", "tendermint", "add-v3"]
+
+#: Every subset of the run's telemetry options, as sorted name tuples.
+OPTION_SUBSETS = [
+    subset
+    for size in range(4)
+    for subset in combinations(("health", "metrics", "sink"), size)
+]
 
 
 def _config(protocol: str) -> SimulationConfig:
@@ -37,14 +45,16 @@ def test_golden_digest_invariant_under_full_telemetry(protocol, tmp_path):
         telemetry = run_simulation(
             config,
             sink=JsonlSink(tmp_path / f"{protocol}.jsonl"),
-            profile=True,
+            metrics=True,
+            health=True,
         )
     finally:
         configure_logging(level="warning", stream=io.StringIO())
         handler.stream.close()
 
     assert result_fingerprint(telemetry) == GOLDEN[protocol]
-    assert telemetry.profile is not None  # telemetry actually ran
+    assert telemetry.run_metrics is not None  # telemetry actually ran
+    assert telemetry.health is not None
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
@@ -76,23 +86,30 @@ def test_traced_fingerprint_matches_record_trace_runs(tmp_path):
     ) == result_fingerprint(streamed, include_trace=True)
 
 
-def test_profile_is_outside_the_fingerprint():
-    from repro.core.results import deterministic_dict
+@pytest.mark.parametrize("options", OPTION_SUBSETS, ids="+".join)
+@pytest.mark.parametrize("protocol", ["pbft", "hotstuff-ns", "add-v3"])
+def test_every_option_subset_gives_the_golden_digest(protocol, options, tmp_path):
+    kwargs = {name: True for name in options}
+    if "sink" in options:
+        kwargs["sink"] = JsonlSink(tmp_path / "trace.jsonl")
+    result = run_simulation(_config(protocol), **kwargs)
+    assert result_fingerprint(result) == GOLDEN[protocol]
+    # Each option switched on exactly its own output.
+    assert (result.run_metrics is not None) == ("metrics" in options)
+    assert (result.health is not None) == ("health" in options)
+    assert result.trace.enabled == ("sink" in options)
 
-    config = _config("pbft")
-    result = run_simulation(config, profile=True)
-    assert "profile" not in deterministic_dict(result)
-    assert result_fingerprint(result) == result_fingerprint(run_simulation(config))
 
-
-def test_parallel_profiled_matches_serial_unprofiled():
+@pytest.mark.parametrize(
+    "options", [s for s in OPTION_SUBSETS if "sink" not in s], ids="+".join
+)
+def test_every_picklable_option_subset_gives_the_golden_digest_in_workers(options):
     from repro.parallel import ParallelRunner
 
-    config = _config("pbft")
-    serial = [
-        run_simulation(config.replace(seed=config.seed + i)) for i in range(3)
-    ]
-    runner = ParallelRunner(jobs=2, profile=True)
-    parallel = runner.run_repeat(config, repetitions=3)
-    for s, p in zip(serial, parallel):
-        assert result_fingerprint(s) == result_fingerprint(p)
+    protocols = ["pbft", "hotstuff-ns", "add-v3"]
+    runner = ParallelRunner(jobs=2, **{name: True for name in options})
+    results = runner.map([_config(protocol) for protocol in protocols])
+    assert [result_fingerprint(r) for r in results] == [GOLDEN[p] for p in protocols]
+    for result in results:
+        assert (result.run_metrics is not None) == ("metrics" in options)
+        assert (result.health is not None) == ("health" in options)

@@ -90,6 +90,26 @@ class _HandForger(Attacker):
         return [message, fake]
 
 
+@register_attack("_test-colliding-forger")
+class _CollidingForger(Attacker):
+    """Adds a forged message built with the id of the copy in hand — what
+    the process-wide construction counter can produce by accident."""
+
+    capabilities = Capability.OBSERVE | Capability.BYZANTINE
+    forged = 0
+
+    def setup(self):
+        self.ctx.corrupt(0)
+
+    def attack(self, message):
+        if message.forged or message.payload.get("type") != "PREPARE":
+            return None
+        noise = self.ctx.forge(0, message.dest, {"type": "NOISE"})
+        noise.msg_id = message.msg_id
+        type(self).forged += 1
+        return [noise, message]
+
+
 @register_attack("_test-timer-child")
 class _TimerChild(Attacker):
     """Sets a named timer at setup and records the name it fires with."""
@@ -267,6 +287,14 @@ class TestPerChildEnforcement:
             CapabilityError, match=r"clause #0 \(_test-hand-forger\) forged .* BYZANTINE"
         ):
             _run(spec, n=4, seed=1)
+
+    def test_child_forged_insert_with_the_copys_id_is_still_an_insert(self):
+        _CollidingForger.forged = 0
+        spec = ScenarioSpec(attacks=[AttackClause(attack="_test-colliding-forger")])
+        result = _run(spec, n=7, seed=1)
+        assert result.terminated
+        assert result.counts.byzantine == _CollidingForger.forged > 0
+        assert result.counts.dropped == 0
 
     def test_observing_clauses_share_the_modules_snapshot(self, monkeypatch):
         """One payload copy per attacked send, however many clauses read it."""

@@ -218,6 +218,37 @@ class TestSchemaVersioning:
         with pytest.raises(StoreSchemaError):
             ExperimentStore(path)
 
+    def test_store_written_before_profile_json_was_dropped_still_works(self, tmp_path):
+        """Same schema version, one extra nullable ``runs`` column: inserts
+        name their columns, so the older file records and reads back."""
+        from repro.store.store import _SCHEMA
+
+        stall_column = "    stall_json           TEXT,\n"
+        older_ddl = _SCHEMA.replace(
+            stall_column, stall_column + "    profile_json         TEXT,\n"
+        )
+        assert older_ddl != _SCHEMA
+        path = tmp_path / "older.sqlite"
+        conn = sqlite3.connect(path)
+        conn.executescript(older_ddl)
+        conn.execute(
+            "INSERT INTO store_meta (key, value) VALUES ('schema_version', ?)",
+            (str(SCHEMA_VERSION),),
+        )
+        conn.commit()
+        conn.close()
+
+        store = ExperimentStore(path, create=False)
+        try:
+            result = _result()
+            experiment_id = store.create_experiment("older", "run", quick_config(), 2)
+            run_id = store.record_run(experiment_id, 0, result)
+            store.record_run(experiment_id, 1, _failure(run_index=1))
+            assert store.run(run_id).fingerprint == result_fingerprint(result)
+            assert [row.status for row in store.runs(experiment_id)] == ["ok", "failed"]
+        finally:
+            store.close()
+
     def test_non_store_database_rejected(self, tmp_path):
         path = tmp_path / "other.sqlite"
         conn = sqlite3.connect(path)
