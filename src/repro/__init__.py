@@ -55,7 +55,7 @@ from .core.results import (
     ThroughputMetrics,
     result_fingerprint,
 )
-from .core.runner import repeat_simulation, run_simulation, sweep
+from .core.runner import repeat_simulation, run_batch, run_simulation, sweep
 from .faults import parse_faults_spec
 from .observability import (
     EventFilter,
@@ -109,6 +109,7 @@ __all__ = [
     "register_protocol",
     "repeat_simulation",
     "result_fingerprint",
+    "run_batch",
     "run_simulation",
     "sweep",
     "__version__",

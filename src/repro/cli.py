@@ -33,6 +33,7 @@ import dataclasses
 import json
 import os
 import sys
+from contextlib import contextmanager
 from typing import Sequence
 
 from .analysis.aggregate import summarize
@@ -47,7 +48,7 @@ from .core.config import (
 )
 from .core.errors import SimulationError
 from .core.results import RunFailure
-from .core.runner import repeat_simulation, run_simulation
+from .core.runner import run_batch, run_simulation, sweep
 from .core.tracing import EventFilter, JsonlSink
 from .faults import available_presets, parse_faults_spec
 from .observability.causality import (
@@ -280,6 +281,8 @@ def cmd_list(_args: argparse.Namespace) -> int:
 
 def _jobs_from_args(args: argparse.Namespace) -> int | None:
     """``--jobs 0`` means one worker per CPU (engine default)."""
+    if args.jobs < 0:
+        raise ValueError(f"--jobs must be >= 0 (0 = one per CPU), got {args.jobs}")
     return None if args.jobs == 0 else args.jobs
 
 
@@ -322,12 +325,18 @@ def _health_option(args: argparse.Namespace) -> bool | float:
     return bool(getattr(args, "health", False))
 
 
-def _open_recorder(args: argparse.Namespace, kind: str, config, total_runs: int,
-                   *, params: dict | None = None, labels=None,
-                   trace_paths=None):
-    """A :class:`StoreRecorder` for ``--store``, or ``None`` when unset."""
+@contextmanager
+def _recording(args: argparse.Namespace, kind: str, config, total_runs: int,
+               *, params: dict | None = None, labels=None, trace_paths=None):
+    """The :class:`StoreRecorder` for ``--store`` (``None`` when unset).
+
+    Any exception out of the block closes the experiment as ``failed`` — a
+    batch that dies must not stay ``running`` on the dashboard.  A block that
+    ends normally closes the experiment itself, with the status it knows.
+    """
     if getattr(args, "store", None) is None:
-        return None
+        yield None
+        return
     from .store import ExperimentStore, StoreRecorder
 
     store = ExperimentStore(args.store)
@@ -335,10 +344,15 @@ def _open_recorder(args: argparse.Namespace, kind: str, config, total_runs: int,
         f"{config.protocol if hasattr(config, 'protocol') else config['protocol']}"
         f" {kind}"
     )
-    return StoreRecorder.open(
+    recorder = StoreRecorder.open(
         store, name, kind, config, total_runs,
         params=params, labels=labels, trace_paths=trace_paths,
     )
+    try:
+        yield recorder
+    except BaseException:
+        recorder.finish("failed")
+        raise
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -346,29 +360,30 @@ def cmd_run(args: argparse.Namespace) -> int:
     metrics = _metrics_option(args)
     health = _health_option(args)
     sink = _run_sink(args)
-    recorder = _open_recorder(
+    failure: RunFailure | None = None
+    with _recording(
         args, "run", config, 1,
         trace_paths={0: args.trace_out} if args.trace_out else None,
-    )
-    failure: RunFailure | None = None
-    if args.timeout is not None and sink is None:
-        entry = repeat_simulation(
-            config, 1, timeout=args.timeout, retries=args.retries,
-            on_error="record", metrics=metrics, health=health,
-        )[0]
-        if isinstance(entry, RunFailure):
-            failure = entry
+    ) as recorder:
+        if args.timeout is not None and sink is None:
+            entry = run_batch(
+                [config], timeout=args.timeout, retries=args.retries,
+                on_error="record", metrics=metrics, health=health,
+            )[0]
+            if isinstance(entry, RunFailure):
+                failure = entry
+            else:
+                result = entry
         else:
-            result = entry
-    else:
-        if args.timeout is not None:
-            print("note: --trace-out streams from this process; "
-                  "--timeout is ignored", file=sys.stderr)
-        result = run_simulation(config, sink=sink, metrics=metrics,
-                                health=health)
+            if args.timeout is not None:
+                print("note: --trace-out streams from this process; "
+                      "--timeout is ignored", file=sys.stderr)
+            result = run_simulation(config, sink=sink, metrics=metrics,
+                                    health=health)
+        if recorder is not None:
+            recorder(0, failure if failure is not None else result)
+            recorder.finish()
     if recorder is not None:
-        recorder(0, failure if failure is not None else result)
-        recorder.finish()
         print(f"store: experiment {recorder.experiment_id} -> {args.store}",
               file=sys.stderr)
     if failure is not None:
@@ -411,108 +426,113 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0 if result.terminated else 2
 
 
+def _sweep_variation(config: SimulationConfig, param: str, value: float) -> dict:
+    """The ``SimulationConfig.replace`` keywords for ``--param`` at ``value``.
+
+    Raises:
+        ValueError: for a parameter the sweep does not support, or a value
+            the parameter cannot take.
+    """
+    if param == "lam":
+        return {"lam": value}
+    if param in ("mean", "std", "max_delay"):
+        return {"network": {param: value}}
+    if param == "n":
+        if not value.is_integer():
+            raise ValueError(f"--param n takes whole numbers, got {value:g}")
+        return {"n": int(value)}
+    if param == "loss":
+        # Sweep environmental message loss, composing with any --faults
+        # schedule already configured.
+        specs = [s for s in config.faults.specs if s.kind != "loss"]
+        if value > 0:
+            specs.append(FaultSpec(kind="loss", rate=value))
+        return {"faults": specs}
+    if param == "stall_timeout":
+        return {"stall_timeout": value if value > 0 else None}
+    if param == "rate":
+        # Sweep the workload arrival rate: the throughput-latency
+        # saturation curve (requires a --workload base spec).
+        if config.workload is None:
+            raise ValueError("--param rate requires --workload "
+                             "(e.g. --workload rate:100,clients:10)")
+        return {"workload": {"rate": value}}
+    raise ValueError(f"unsupported sweep parameter: {param}")
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
+    # Everything that can reject the command line runs before the store row
+    # exists: a refused sweep must not leave an experiment behind.
+    base = _config_from_args(args)
     values = [float(v) for v in args.values.split(",")]
+    variations = [_sweep_variation(base, args.param, v) for v in values]
+    jobs = _jobs_from_args(args)
+    if args.reps < 1:
+        raise ValueError(f"--reps must be >= 1, got {args.reps}")
     health = _health_option(args)
-    rows = []
-    recorder = _open_recorder(
-        args, "sweep", _config_from_args(args), len(values) * args.reps,
+    with _recording(
+        args, "sweep", base, len(values) * args.reps,
         params={"param": args.param, "values": values, "reps": args.reps},
         labels={
             v_index * args.reps + rep: f"{args.param}={value} rep {rep}"
             for v_index, value in enumerate(values)
             for rep in range(args.reps)
         },
-    )
-    from .store.recorder import offset_recorder
-
-    for v_index, value in enumerate(values):
-        config = _config_from_args(args)
-        if args.param == "lam":
-            config = config.replace(lam=value)
-        elif args.param in ("mean", "std", "max_delay"):
-            config = config.replace(network={args.param: value})
-        elif args.param == "n":
-            config = config.replace(n=int(value))
-        elif args.param == "loss":
-            # Sweep environmental message loss, composing with any --faults
-            # schedule already configured.
-            specs = [s for s in config.faults.specs if s.kind != "loss"]
-            if value > 0:
-                specs.append(FaultSpec(kind="loss", rate=value))
-            config = config.replace(faults=specs)
-        elif args.param == "stall_timeout":
-            config = config.replace(stall_timeout=value if value > 0 else None)
-        elif args.param == "rate":
-            # Sweep the workload arrival rate: the throughput-latency
-            # saturation curve (requires a --workload base spec).
-            if config.workload is None:
-                print("error: --param rate requires --workload "
-                      "(e.g. --workload rate:100,clients:10)", file=sys.stderr)
-                if recorder is not None:
-                    recorder.finish("failed")
-                return 1
-            config = config.replace(workload={"rate": value})
-        else:
-            print(f"unsupported sweep parameter: {args.param}", file=sys.stderr)
-            if recorder is not None:
-                recorder.finish("failed")
-            return 1
-        entries = repeat_simulation(
-            config,
+    ) as recorder:
+        groups = sweep(
+            base,
+            variations,
             args.reps,
-            jobs=_jobs_from_args(args),
+            jobs=jobs,
             timeout=args.timeout,
             retries=args.retries,
             on_error="record",
             progress=_progress_printer(args),
             health=health,
-            recorder=(
-                offset_recorder(recorder, v_index * args.reps)
-                if recorder is not None else None
-            ),
+            recorder=recorder,
         )
-        try:
-            summary = summarize(entries)
-        except ValueError:
-            failures = [e for e in entries if isinstance(e, RunFailure)]
-            print(f"error: all {len(failures)} runs failed at "
-                  f"{args.param}={value}: {failures[0].summary()}",
-                  file=sys.stderr)
-            if recorder is not None:
-                recorder.finish("failed")
-            return 1
-        row = [
-            value,
-            summary.latency_per_decision.format(1 / 1000, "s"),
-            f"{summary.messages_per_decision.mean:.0f}",
-            f"{summary.terminated_fraction:.0%}",
-            f"{summary.stalled_fraction:.0%}",
-            f"{summary.fault_events:.0f}",
-            str(summary.failures),
-        ]
-        if getattr(args, "workload", None):
-            # Throughput-latency columns: the saturation curve the sweep
-            # exists to draw when a workload is configured.
-            row.extend(
-                [
-                    f"{summary.throughput.mean:.1f}",
-                    f"{summary.request_latency_p50.mean:.0f}ms",
-                    f"{summary.request_latency_p99.mean:.0f}ms",
-                    f"{summary.saturated_fraction:.0%}",
-                ]
-                if summary.throughput is not None
-                else ["-", "-", "-", "-"]
-            )
-        if health:
-            # Run-health columns: total anomalies and the worst Jain
-            # fairness observed across the cell's runs.
-            row.extend([
-                str(summary.anomaly_total),
-                f"{summary.min_fairness:.2f}"
-                if summary.min_fairness is not None else "-",
-            ])
-        rows.append(tuple(row))
+        rows = []
+        for value, entries in zip(values, groups):
+            try:
+                summary = summarize(entries)
+            except ValueError:
+                raise ValueError(
+                    f"all {len(entries)} runs failed at {args.param}={value}: "
+                    f"{entries[0].summary()}"
+                ) from None
+            row = [
+                value,
+                summary.latency_per_decision.format(1 / 1000, "s"),
+                f"{summary.messages_per_decision.mean:.0f}",
+                f"{summary.terminated_fraction:.0%}",
+                f"{summary.stalled_fraction:.0%}",
+                f"{summary.fault_events:.0f}",
+                str(summary.failures),
+            ]
+            if getattr(args, "workload", None):
+                # Throughput-latency columns: the saturation curve the sweep
+                # exists to draw when a workload is configured.
+                row.extend(
+                    [
+                        f"{summary.throughput.mean:.1f}",
+                        f"{summary.request_latency_p50.mean:.0f}ms",
+                        f"{summary.request_latency_p99.mean:.0f}ms",
+                        f"{summary.saturated_fraction:.0%}",
+                    ]
+                    if summary.throughput is not None
+                    else ["-", "-", "-", "-"]
+                )
+            if health:
+                # Run-health columns: total anomalies and the worst Jain
+                # fairness observed across the cell's runs.
+                row.extend([
+                    str(summary.anomaly_total),
+                    f"{summary.min_fairness:.2f}"
+                    if summary.min_fairness is not None else "-",
+                ])
+            rows.append(tuple(row))
+        if recorder is not None:
+            recorder.finish()
     headers = [args.param, "latency/decision", "msgs/decision", "terminated",
                "stalled", "faults/run", "failed"]
     if getattr(args, "workload", None):
@@ -527,7 +547,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         )
     )
     if recorder is not None:
-        recorder.finish()
         print(f"store: experiment {recorder.experiment_id} -> {args.store}",
               file=sys.stderr)
     return 0
@@ -676,7 +695,8 @@ def cmd_mine(args: argparse.Namespace) -> int:
     args.scenario = None  # the base must stay null-attack; seed the search
     base = _config_from_args(args)
     seed_specs = [load_scenario(scenario)] if scenario else None
-    recorder = _open_recorder(
+    jobs = _jobs_from_args(args)
+    with _recording(
         args, "mine", base, args.generations,
         params={
             "objective": args.objective,
@@ -685,36 +705,35 @@ def cmd_mine(args: argparse.Namespace) -> int:
             "reps": args.reps,
             "search_seed": args.search_seed,
         },
-    )
+    ) as recorder:
+        generations_done = 0
 
-    generations_done = 0
+        def log(line: str) -> None:
+            nonlocal generations_done
+            print(f"  {line}", file=sys.stderr, flush=True)
+            if recorder is not None and line.startswith("generation "):
+                # One progress tick per completed generation: the dashboard
+                # shows a mining experiment filling up generation by generation.
+                generations_done += 1
+                recorder.store.set_progress(
+                    recorder.experiment_id, generations_done
+                )
 
-    def log(line: str) -> None:
-        nonlocal generations_done
-        print(f"  {line}", file=sys.stderr, flush=True)
-        if recorder is not None and line.startswith("generation "):
-            # One progress tick per completed generation: the dashboard
-            # shows a mining experiment filling up generation by generation.
-            generations_done += 1
-            recorder.store.set_progress(
-                recorder.experiment_id, generations_done
-            )
-
-    report = mine(
-        base,
-        objective=args.objective,
-        generations=args.generations,
-        population=args.population,
-        reps=args.reps,
-        elites=args.elites,
-        search_seed=args.search_seed,
-        jobs=_jobs_from_args(args),
-        timeout=args.timeout,
-        retries=args.retries,
-        seed_specs=seed_specs,
-        refine=args.refine,
-        log=log,
-    )
+        report = mine(
+            base,
+            objective=args.objective,
+            generations=args.generations,
+            population=args.population,
+            reps=args.reps,
+            elites=args.elites,
+            search_seed=args.search_seed,
+            jobs=jobs,
+            timeout=args.timeout,
+            retries=args.retries,
+            seed_specs=seed_specs,
+            refine=args.refine,
+            log=log,
+        )
     if recorder is not None:
         store, experiment_id = recorder.store, recorder.experiment_id
         data = report.to_dict()

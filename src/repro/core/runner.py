@@ -1,13 +1,16 @@
 """High-level entry points for running simulations.
 
-:func:`run_simulation` executes one configuration; :func:`repeat_simulation`
-re-runs it under different seeds — the paper repeats every experiment 100
-times and reports mean and standard deviation (§IV).  Both
-:func:`repeat_simulation` and :func:`sweep` accept ``jobs`` to fan the
-(independent, deterministic) runs across CPU cores via
-:class:`repro.parallel.ParallelRunner`; parallel execution returns exactly
-the results serial execution would, in the same order — only
-``wall_clock_seconds`` (host time) differs.
+:func:`run_simulation` executes one configuration.  Everything that runs more
+than one goes through :func:`run_batch`, the one batch routine: it decides
+between in-process execution (``jobs == 1`` and no ``timeout``) and
+:class:`repro.parallel.ParallelRunner` worker processes, turns a run's
+exception into a :class:`~repro.core.results.RunFailure`, and feeds the
+recorder and progress hooks.  :func:`repeat_simulation` (the paper repeats
+every experiment 100 times and reports mean and standard deviation, §IV) is
+a seed window handed to it; :func:`sweep` is a flattened grid handed to it
+and regrouped.  Worker execution returns exactly the entries in-process
+execution would, in the same order — only ``wall_clock_seconds`` (host time)
+differs.
 
 Large systems (n in the hundreds to 1000) are practical in every
 dissemination mode: a benign broadcast costs one shared delivery event
@@ -125,31 +128,8 @@ def seed_window(
     ]
 
 
-def _check_batch_options(jobs: int | None, timeout: float | None, retries: int,
-                         on_error: str) -> None:
-    if jobs is not None and jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if timeout is not None and timeout <= 0:
-        raise ValueError(f"timeout must be > 0 seconds, got {timeout}")
-    if retries < 0:
-        raise ValueError(f"retries must be >= 0, got {retries}")
-    if on_error not in ON_ERROR_POLICIES:
-        raise ValueError(
-            f"on_error must be one of {ON_ERROR_POLICIES}, got {on_error!r}"
-        )
-
-
-def _raise_failures(entries: list[SimulationResult | RunFailure]) -> None:
-    failures = [e for e in entries if isinstance(e, RunFailure)]
-    if failures:
-        raise ExperimentFailureError(failures)
-
-
-def repeat_simulation(
-    config: SimulationConfig,
-    repetitions: int,
-    seed_offset: int = 0,
-    callback: Callable[[int, SimulationResult], None] | None = None,
+def run_batch(
+    configs: Iterable[SimulationConfig],
     *,
     jobs: int | None = 1,
     timeout: float | None = None,
@@ -160,35 +140,34 @@ def repeat_simulation(
     health: bool | float = False,
     recorder: Callable[[int, "SimulationResult | RunFailure"], None] | None = None,
 ) -> list[SimulationResult | RunFailure]:
-    """Run ``config`` under ``repetitions`` consecutive seeds.
+    """Run every configuration; entries in input order.
 
-    Run ``i`` uses seed ``config.seed + seed_offset + i`` — see
-    :func:`seed_window` for the full seed-window contract (and the
-    ``ValueError`` cases: ``repetitions < 1``, ``seed_offset < 0``).
+    The one batch routine: :func:`repeat_simulation`, :func:`sweep`, the CLI
+    and the scenario miner all hand it a flat list of configurations.  With
+    ``jobs == 1`` and no ``timeout`` the runs execute in this process;
+    anything else goes to :class:`repro.parallel.ParallelRunner` workers.
+    Either way the entries, the recorder's ``(index, entry)`` calls and the
+    progress counts are the same — only ``wall_clock_seconds`` (host time)
+    differs.
 
     Args:
-        config: the base configuration; its own ``seed`` is the first seed.
-        repetitions: number of runs.
-        seed_offset: shifts the seed window (useful for splitting work
-            across calls; keep windows disjoint).
-        callback: optional per-run hook ``callback(run_index, result)``,
-            invoked in seed order (streamed during serial execution, after
-            the batch during parallel execution).
-        jobs: worker processes; ``1`` (default) runs serially in-process,
-            ``None`` uses one worker per CPU.  Parallel results are
-            field-identical to serial ones except ``wall_clock_seconds``.
+        configs: the runs, one configuration each (seed already resolved).
+        jobs: worker processes; ``1`` (default) runs in-process, ``None``
+            uses one worker per CPU.
         timeout: wall-clock seconds allowed per run; ``None`` disables the
             deadline.  Any timeout (even with ``jobs=1``) routes execution
-            through the worker-process engine so hung runs can be killed.
+            through worker processes so hung runs can be killed.
         retries: extra attempts for runs whose worker crashed or hung
             (simulation exceptions are deterministic and never retried).
-        on_error: ``"raise"`` (default) raises
+        on_error: ``"record"`` leaves a
+            :class:`~repro.core.results.RunFailure` (exception type, message
+            and traceback) in the failed run's slot and returns the mixed
+            list.  ``"raise"`` (default) propagates a run's own exception at
+            once when running in-process, and raises
             :class:`~repro.core.errors.ExperimentFailureError` after the
-            batch finishes if any run failed; ``"record"`` leaves a
-            :class:`~repro.core.results.RunFailure` in the failed run's
-            slot and returns the mixed list.
-        progress: optional :class:`repro.parallel.ProgressUpdate` callback
-            (parallel engine only).
+            batch finishes when running on workers.
+        progress: optional callback receiving a
+            :class:`repro.parallel.ProgressUpdate` after every terminal run.
         metrics: sample engine metrics in every run (see
             :func:`run_simulation`); each result carries its own
             :class:`~repro.observability.metrics.RunMetrics`, mergeable
@@ -202,111 +181,100 @@ def repeat_simulation(
             shows live progress.  Recording happens strictly after a run
             completes; results are byte-identical with or without it.
 
-    Returns:
-        One entry per run, in seed order: :class:`SimulationResult`, or
-        :class:`RunFailure` under ``on_error="record"``.
+    Raises:
+        ValueError: on ``jobs < 1``, ``timeout <= 0``, ``retries < 0`` or an
+            unknown ``on_error`` policy, before any run starts.
     """
-    _check_batch_options(jobs, timeout, retries, on_error)
-    configs = seed_window(config, repetitions, seed_offset)
+    from ..parallel.engine import (
+        BatchLedger, ParallelRunner, attempt, reply_entry,
+    )
 
-    if jobs == 1 and timeout is None:
-        entries: list[SimulationResult | RunFailure] = []
-        for index, run_config in enumerate(configs):
-            if on_error == "raise":
-                result: SimulationResult | RunFailure = run_simulation(
-                    run_config, metrics=metrics, health=health
-                )
-            else:
-                try:
-                    result = run_simulation(
-                        run_config, metrics=metrics, health=health
-                    )
-                except Exception as exc:
-                    result = RunFailure(
-                        config=run_config,
-                        kind="error",
-                        error_type=type(exc).__name__,
-                        message=str(exc),
-                        run_index=index,
-                    )
-            if recorder is not None:
-                recorder(index, result)
-            if callback is not None:
-                callback(index, result)
-            entries.append(result)
-        return entries
-
-    from ..parallel import ParallelRunner
-
+    if on_error not in ON_ERROR_POLICIES:
+        raise ValueError(
+            f"on_error must be one of {ON_ERROR_POLICIES}, got {on_error!r}"
+        )
+    # Built even for an in-process batch: its constructor is the one
+    # validator of jobs, timeout and retries.
     runner = ParallelRunner(
         jobs=jobs, timeout=timeout, retries=retries, progress=progress,
         metrics=metrics, health=health, recorder=recorder,
     )
-    entries = runner.map(configs)
-    if on_error == "raise":
-        _raise_failures(entries)
-    if callback is not None:
-        for index, entry in enumerate(entries):
-            callback(index, entry)
-    return entries
+    configs = list(configs)
+
+    if jobs != 1 or timeout is not None:
+        entries = runner.map(configs)
+        failures = [e for e in entries if isinstance(e, RunFailure)]
+        if failures and on_error == "raise":
+            raise ExperimentFailureError(failures)
+        return entries
+
+    ledger = BatchLedger(len(configs), recorder, progress)
+    for index, config in enumerate(configs):
+        if on_error == "raise":
+            entry: SimulationResult | RunFailure = run_simulation(
+                config, metrics=metrics, health=health
+            )
+        else:
+            entry = reply_entry(config, attempt(index, config, metrics, health))
+        ledger.record(index, entry)
+    return ledger.results()
+
+
+def repeat_simulation(
+    config: SimulationConfig,
+    repetitions: int,
+    seed_offset: int = 0,
+    **batch_options,
+) -> list[SimulationResult | RunFailure]:
+    """Run ``config`` under ``repetitions`` consecutive seeds.
+
+    Run ``i`` uses seed ``config.seed + seed_offset + i`` — see
+    :func:`seed_window` for the full seed-window contract (and the
+    ``ValueError`` cases: ``repetitions < 1``, ``seed_offset < 0``).
+
+    Args:
+        config: the base configuration; its own ``seed`` is the first seed.
+        repetitions: number of runs.
+        seed_offset: shifts the seed window (useful for splitting work
+            across calls; keep windows disjoint).
+        **batch_options: ``jobs``, ``timeout``, ``retries``, ``on_error``,
+            ``progress``, ``metrics``, ``health`` and ``recorder``, as in
+            :func:`run_batch`.
+
+    Returns:
+        One entry per run, in seed order: :class:`SimulationResult`, or
+        :class:`RunFailure` under ``on_error="record"``.
+    """
+    return run_batch(
+        seed_window(config, repetitions, seed_offset), **batch_options
+    )
 
 
 def sweep(
     base: SimulationConfig,
     variations: Iterable[dict],
     repetitions: int = 1,
-    *,
-    jobs: int | None = 1,
-    timeout: float | None = None,
-    retries: int = 1,
-    on_error: str = "raise",
-    progress: Callable[..., None] | None = None,
-    metrics: bool | float = False,
-    health: bool | float = False,
-    recorder: Callable[[int, "SimulationResult | RunFailure"], None] | None = None,
+    **batch_options,
 ) -> list[list[SimulationResult | RunFailure]]:
     """Run ``base`` once per variation, each repeated ``repetitions`` times.
 
     Each variation is a dict of ``SimulationConfig.replace`` keyword
     arguments (nested ``network``/``attack`` dicts merge).
 
-    With ``jobs > 1`` the whole ``variations x repetitions`` grid is
-    flattened into a single batch for the parallel engine, so workers stay
-    saturated across variation boundaries; the grouped result order is
-    identical to the serial one.  ``timeout``, ``retries``, ``on_error``,
-    ``progress``, ``metrics`` and ``health`` behave as in
-    :func:`repeat_simulation`.  A ``recorder`` sees the grid's *flattened*
-    run indices (``variation_index * repetitions + rep``), identically for
-    serial and parallel execution.
+    The whole ``variations x repetitions`` grid is flattened into a single
+    :func:`run_batch` call — one worker pool, saturated across variation
+    boundaries — and regrouped into one list per variation.
+    ``batch_options`` are :func:`run_batch`'s keywords; a ``recorder`` or
+    ``progress`` hook sees the grid's *flattened* run indices
+    (``variation_index * repetitions + rep``).
     """
-    _check_batch_options(jobs, timeout, retries, on_error)
-    variations = list(variations)
-
-    if jobs == 1 and timeout is None:
-        groups = []
-        for v_index, variation in enumerate(variations):
-            group_recorder = None
-            if recorder is not None:
-                from ..store.recorder import offset_recorder
-
-                group_recorder = offset_recorder(
-                    recorder, v_index * repetitions
-                )
-            groups.append(
-                repeat_simulation(
-                    base.replace(**variation), repetitions, on_error=on_error,
-                    metrics=metrics, health=health, recorder=group_recorder,
-                )
-            )
-        return groups
-
-    from ..parallel import ParallelRunner
-
-    runner = ParallelRunner(
-        jobs=jobs, timeout=timeout, retries=retries, progress=progress,
-        metrics=metrics, health=health, recorder=recorder,
-    )
-    groups = runner.run_sweep(base, variations, repetitions)
-    if on_error == "raise":
-        _raise_failures([entry for group in groups for entry in group])
-    return groups
+    flat = [
+        config
+        for variation in variations
+        for config in seed_window(base.replace(**variation), repetitions)
+    ]
+    entries = run_batch(flat, **batch_options)
+    return [
+        entries[start : start + repetitions]
+        for start in range(0, len(flat), repetitions)
+    ]

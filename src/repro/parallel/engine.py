@@ -69,17 +69,58 @@ def _start_method() -> str:
     return "fork" if "fork" in get_all_start_methods() else "spawn"
 
 
-def _worker_main(conn: connection.Connection) -> None:
-    """Worker-process loop: receive configs, run them, reply with results.
+def attempt(
+    index: int, config: SimulationConfig, metrics: bool | float, health: bool | float
+) -> tuple:
+    """Run ``config`` once and describe the outcome as a wire reply.
 
-    Tasks arrive as ``(task_index, config, metrics_option, health_option)``;
-    replies are ``(task_index, "ok", SimulationResult)`` or
-    ``(task_index, "error", exc_type_name, message, traceback_text)``.  A
-    ``None`` task is the shutdown sentinel.
+    Replies are ``(index, "ok", SimulationResult)`` or ``(index, "error",
+    exc_type_name, message, traceback_text)``.  This is the only place a
+    run's exception is caught: worker processes call it, and so does the
+    in-process loop of :func:`repro.core.runner.run_batch`, which is why a
+    failure reads the same however the batch was executed.
     """
     # Imported here so the module import stays cheap under ``spawn``.
     from ..core.runner import run_simulation
 
+    try:
+        return (
+            index, "ok",
+            run_simulation(config, metrics=metrics, health=health),
+        )
+    except KeyboardInterrupt:
+        raise
+    except BaseException as exc:  # deliberate: report, don't die
+        return (index, "error", type(exc).__name__, str(exc),
+                traceback.format_exc())
+
+
+def reply_entry(
+    config: SimulationConfig, reply: tuple, attempts: int = 1
+) -> SimulationResult | RunFailure:
+    """The batch entry an :func:`attempt` reply stands for."""
+    index, status, *payload = reply
+    if status == "ok":
+        return payload[0]
+    error_type, message, tb = payload
+    return RunFailure(
+        config=config,
+        kind="error",
+        error_type=error_type,
+        message=message,
+        run_index=index,
+        attempts=attempts,
+        traceback=tb,
+    )
+
+
+def _worker_main(conn: connection.Connection) -> None:
+    """Worker-process loop: receive configs, run them, reply with results.
+
+    Tasks arrive as ``(task_index, config, metrics_option, health_option)``
+    and are answered with the :func:`attempt` reply.  A ``None`` task is the
+    shutdown sentinel.
+    """
     while True:
         try:
             item = conn.recv()
@@ -87,23 +128,16 @@ def _worker_main(conn: connection.Connection) -> None:
             return
         if item is None:
             return
-        index, config, metrics, health = item
         try:
-            reply = (
-                index, "ok",
-                run_simulation(config, metrics=metrics, health=health),
-            )
+            reply = attempt(*item)
         except KeyboardInterrupt:
             return
-        except BaseException as exc:  # deliberate: report, don't die
-            reply = (index, "error", type(exc).__name__, str(exc),
-                     traceback.format_exc())
         try:
             conn.send(reply)
         except (BrokenPipeError, OSError):
             return
         except Exception as exc:  # unpicklable result — report instead
-            conn.send((index, "error", type(exc).__name__,
+            conn.send((item[0], "error", type(exc).__name__,
                        f"result could not be pickled: {exc}", ""))
 
 
@@ -144,6 +178,57 @@ class ProgressUpdate:
             f"{self.done}/{self.total} done{failed}{stalled} "
             f"{self.elapsed_seconds:.1f}s wall, {self.sim_time_ms:.0f}ms sim"
         )
+
+
+class BatchLedger:
+    """Terminal-run bookkeeping of one batch.
+
+    Holds the output slots and the counts behind :class:`ProgressUpdate`,
+    and feeds the recorder and progress hooks — once per terminal run, from
+    the worker dispatch loop and from the in-process loop of
+    :func:`repro.core.runner.run_batch` alike.
+    """
+
+    def __init__(
+        self,
+        total: int,
+        recorder: Callable[[int, SimulationResult | RunFailure], None] | None,
+        progress: Callable[[ProgressUpdate], None] | None,
+    ) -> None:
+        self.total = total
+        self.recorder = recorder
+        self.progress = progress
+        self.out: dict[int, SimulationResult | RunFailure] = {}
+        self.started = time.monotonic()
+        self.completed = self.failed = self.stalled = 0
+        self.sim_time_ms = 0.0
+
+    def record(self, index: int, value: SimulationResult | RunFailure) -> None:
+        self.out[index] = value
+        if isinstance(value, RunFailure):
+            self.failed += 1
+        else:
+            self.completed += 1
+            self.sim_time_ms += value.latency
+            if value.stalled:
+                self.stalled += 1
+        if self.recorder is not None:
+            self.recorder(index, value)
+        if self.progress is not None:
+            self.progress(
+                ProgressUpdate(
+                    total=self.total,
+                    completed=self.completed,
+                    failed=self.failed,
+                    elapsed_seconds=time.monotonic() - self.started,
+                    sim_time_ms=self.sim_time_ms,
+                    stalled=self.stalled,
+                )
+            )
+
+    def results(self) -> list[SimulationResult | RunFailure]:
+        """Every entry, in task order."""
+        return [self.out[index] for index in range(self.total)]
 
 
 class _Task:
@@ -240,10 +325,12 @@ class ParallelRunner:
             completion order, not task order — so a persistent store's
             progress rows update live while the fleet is still in flight.
 
-    The three entry points (:meth:`map`, :meth:`run_repeat`,
-    :meth:`run_sweep`) all return results in deterministic task order; a
-    failed run occupies its slot as a :class:`RunFailure` instead of
-    aborting the batch.
+    :meth:`map` returns results in deterministic task order; a failed run
+    occupies its slot as a :class:`RunFailure` instead of aborting the
+    batch.  Seed windows and sweep grids are built by
+    :func:`repro.core.runner.repeat_simulation` and
+    :func:`~repro.core.runner.sweep`, which hand their flat batch to
+    :func:`~repro.core.runner.run_batch`.
     """
 
     def __init__(
@@ -274,8 +361,6 @@ class ParallelRunner:
         self.fleet_metrics = None
         self._ctx = get_context(_start_method())
 
-    # -- entry points --------------------------------------------------------
-
     def map(
         self, configs: Iterable[SimulationConfig]
     ) -> list[SimulationResult | RunFailure]:
@@ -285,81 +370,13 @@ class ParallelRunner:
             return []
         return self._execute([_Task(i, c) for i, c in enumerate(configs)])
 
-    def run_repeat(
-        self,
-        config: SimulationConfig,
-        repetitions: int,
-        seed_offset: int = 0,
-    ) -> list[SimulationResult | RunFailure]:
-        """Parallel counterpart of :func:`repro.core.runner.repeat_simulation`.
-
-        Same seed-window contract: run ``i`` uses seed
-        ``config.seed + seed_offset + i``.
-        """
-        from ..core.runner import seed_window
-
-        return self.map(seed_window(config, repetitions, seed_offset))
-
-    def run_sweep(
-        self,
-        base: SimulationConfig,
-        variations: Iterable[dict],
-        repetitions: int = 1,
-    ) -> list[list[SimulationResult | RunFailure]]:
-        """Parallel counterpart of :func:`repro.core.runner.sweep`.
-
-        The whole ``variations x repetitions`` grid is flattened into one
-        batch so workers stay saturated across variation boundaries, then
-        regrouped into one result list per variation.
-        """
-        from ..core.runner import seed_window
-
-        variations = list(variations)
-        flat: list[SimulationConfig] = []
-        for variation in variations:
-            flat.extend(seed_window(base.replace(**variation), repetitions))
-        results = self.map(flat)
-        return [
-            results[i * repetitions : (i + 1) * repetitions]
-            for i in range(len(variations))
-        ]
-
-    # -- engine --------------------------------------------------------------
-
     def _execute(
         self, tasks: Sequence[_Task]
     ) -> list[SimulationResult | RunFailure]:
         total = len(tasks)
         queue: deque[_Task] = deque(tasks)
-        out: dict[int, SimulationResult | RunFailure] = {}
-        started = time.monotonic()
-        completed = failed = stalled = 0
-        sim_time_ms = 0.0
+        ledger = BatchLedger(total, self.recorder, self.progress)
         workers = [_Worker(self._ctx) for _ in range(min(self.jobs, total))]
-
-        def record(index: int, value: SimulationResult | RunFailure) -> None:
-            nonlocal completed, failed, sim_time_ms, stalled
-            out[index] = value
-            if isinstance(value, RunFailure):
-                failed += 1
-            else:
-                completed += 1
-                sim_time_ms += value.latency
-                if value.stalled:
-                    stalled += 1
-            if self.recorder is not None:
-                self.recorder(index, value)
-            if self.progress is not None:
-                self.progress(
-                    ProgressUpdate(
-                        total=total,
-                        completed=completed,
-                        failed=failed,
-                        elapsed_seconds=time.monotonic() - started,
-                        sim_time_ms=sim_time_ms,
-                        stalled=stalled,
-                    )
-                )
 
         def fail_or_retry(worker: _Worker, kind: str, message: str) -> None:
             """Handle a crashed or hung worker: replace it, retry or fail."""
@@ -372,7 +389,7 @@ class ParallelRunner:
             if task.attempts <= self.retries:
                 queue.appendleft(task)
             else:
-                record(
+                ledger.record(
                     task.index,
                     RunFailure(
                         config=task.config,
@@ -385,7 +402,7 @@ class ParallelRunner:
                 )
 
         try:
-            while len(out) < total:
+            while len(ledger.out) < total:
                 for worker in workers:
                     if worker.task is None and queue:
                         worker.assign(
@@ -409,24 +426,11 @@ class ParallelRunner:
                     worker.task = None
                     worker.deadline = None
                     assert task is not None
-                    index, status, *payload = reply
-                    assert index == task.index, "worker replied out of turn"
-                    if status == "ok":
-                        record(task.index, payload[0])
-                    else:
-                        error_type, message, tb = payload
-                        record(
-                            task.index,
-                            RunFailure(
-                                config=task.config,
-                                kind="error",
-                                error_type=error_type,
-                                message=message,
-                                run_index=task.index,
-                                attempts=task.attempts + 1,
-                                traceback=tb,
-                            ),
-                        )
+                    assert reply[0] == task.index, "worker replied out of turn"
+                    ledger.record(
+                        task.index,
+                        reply_entry(task.config, reply, task.attempts + 1),
+                    )
                 now = time.monotonic()
                 for worker in list(workers):
                     if worker.task is not None and worker.timed_out(now):
@@ -438,7 +442,7 @@ class ParallelRunner:
         finally:
             for worker in workers:
                 worker.shutdown()
-        results = [out[i] for i in range(total)]
+        results = ledger.results()
         metrics = [
             entry.run_metrics
             for entry in results

@@ -54,7 +54,7 @@ from ..core.results import (
     SimulationResult,
     result_fingerprint,
 )
-from ..core.runner import run_simulation
+from ..core.runner import run_batch, run_simulation
 from .spec import AttackClause, ScenarioSpec
 
 #: Objectives accepted by :func:`mine` and ``repro mine``.
@@ -350,35 +350,6 @@ def _eval_base(base: SimulationConfig) -> SimulationConfig:
     return base.replace(stall_timeout=stall, allow_horizon=True)
 
 
-def _run_batch(
-    configs: list[SimulationConfig],
-    jobs: int | None,
-    timeout: float | None,
-    retries: int,
-) -> list[SimulationResult | RunFailure]:
-    """Run every config; failures are recorded, never raised."""
-    if (jobs is None or jobs != 1) or timeout is not None:
-        from ..parallel import ParallelRunner
-
-        runner = ParallelRunner(jobs=jobs, timeout=timeout, retries=retries)
-        return runner.map(configs)
-    entries: list[SimulationResult | RunFailure] = []
-    for index, config in enumerate(configs):
-        try:
-            entries.append(run_simulation(config))
-        except Exception as exc:  # graceful degradation: record, continue
-            entries.append(
-                RunFailure(
-                    config=config,
-                    kind="error",
-                    error_type=type(exc).__name__,
-                    message=str(exc),
-                    run_index=index,
-                )
-            )
-    return entries
-
-
 def _first_decision_time(result: SimulationResult) -> float:
     if result.decisions:
         return min(decision.time for decision in result.decisions)
@@ -512,8 +483,12 @@ def mine(
     f = dummy.resolve_f(base)
     seeds = [base.seed + i for i in range(reps)]
 
-    baseline_entries = _run_batch(
-        [eval_base.replace(seed=s) for s in seeds], jobs, timeout, retries
+    # Failures are recorded, never raised: the search degrades gracefully.
+    batch_options = dict(
+        jobs=jobs, timeout=timeout, retries=retries, on_error="record"
+    )
+    baseline_entries = run_batch(
+        [eval_base.replace(seed=s) for s in seeds], **batch_options
     )
     baseline_results = [
         e for e in baseline_entries if isinstance(e, SimulationResult)
@@ -582,7 +557,7 @@ def mine(
                 batch.append(applied.replace(seed=seed))
                 batch_owner.append(record)
 
-        entries = _run_batch(batch, jobs, timeout, retries)
+        entries = run_batch(batch, **batch_options)
         by_record: dict[int, list[SimulationResult | RunFailure]] = {}
         for owner, entry in zip(batch_owner, entries):
             by_record.setdefault(id(owner), []).append(entry)
@@ -772,12 +747,15 @@ def check_artifact(
     base = SimulationConfig.from_dict(artifact["base_config"])
     seeds = artifact["seeds"]
 
-    baseline_entries = _run_batch(
-        [base.replace(seed=s) for s in seeds], jobs, timeout, retries
+    batch_options = dict(
+        jobs=jobs, timeout=timeout, retries=retries, on_error="record"
     )
-    winner_entries = _run_batch(
+    baseline_entries = run_batch(
+        [base.replace(seed=s) for s in seeds], **batch_options
+    )
+    winner_entries = run_batch(
         [winner_config(artifact, i) for i in range(len(seeds))],
-        jobs, timeout, retries,
+        **batch_options,
     )
     failures = sum(
         1 for e in baseline_entries + winner_entries if isinstance(e, RunFailure)

@@ -5,7 +5,7 @@ See :mod:`repro.store.store` for the schema and design rules, and
 ``repro experiments``, ``repro serve``).
 """
 
-from .recorder import RunRecorder, StoreRecorder, offset_recorder
+from .recorder import RunRecorder, StoreRecorder
 from .store import (
     EXPERIMENT_STATUSES,
     SCHEMA_VERSION,
@@ -32,5 +32,4 @@ __all__ = [
     "StoreError",
     "StoreRecorder",
     "StoreSchemaError",
-    "offset_recorder",
 ]

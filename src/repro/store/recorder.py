@@ -2,12 +2,13 @@
 
 A *recorder* is just a callable ``recorder(run_index, entry)`` invoked once
 per terminal run (``entry`` is a :class:`~repro.core.results.SimulationResult`
-or :class:`~repro.core.results.RunFailure`).  The serial runner calls it as
-each run finishes; the :class:`~repro.parallel.ParallelRunner` calls it from
-the dispatch loop the moment a worker reports — *completion order*, which is
-what makes the store's progress rows live while a fleet is still in flight
-(the run rows themselves land keyed by ``run_index``, so the stored order is
-still deterministic).
+or :class:`~repro.core.results.RunFailure`).
+:func:`repro.core.runner.run_batch` calls it as each run finishes — from the
+worker dispatch loop the moment a worker reports when the batch runs on
+:class:`~repro.parallel.ParallelRunner` workers, i.e. in *completion order*,
+which is what makes the store's progress rows live while a fleet is still in
+flight (the run rows themselves land keyed by ``run_index``, so the stored
+order is still deterministic).
 
 :class:`StoreRecorder` is the standard implementation: it owns one
 experiment row, inserts one run row per callback, and closes the experiment
@@ -103,15 +104,3 @@ def _by_index(
         return {int(index): value for index, value in values.items()}
     return {index: value for index, value in enumerate(values)}
 
-
-def offset_recorder(recorder: RunRecorder, offset: int) -> RunRecorder:
-    """A view of ``recorder`` with every run index shifted by ``offset``.
-
-    The serial ``sweep`` path runs one repetition batch per variation, each
-    indexed from zero; shifting per-variation indices into the experiment's
-    global slot numbering keeps serial and parallel recordings identical.
-    """
-    def shifted(run_index: int, entry: "SimulationResult | RunFailure") -> None:
-        recorder(offset + run_index, entry)
-
-    return shifted

@@ -43,13 +43,6 @@ class TestRepeat:
         results = repeat_simulation(quick_config(seed=10), repetitions=2, seed_offset=5)
         assert [r.config.seed for r in results] == [15, 16]
 
-    def test_callback_invoked_per_run(self):
-        seen = []
-        repeat_simulation(
-            quick_config(), repetitions=3, callback=lambda i, r: seen.append(i)
-        )
-        assert seen == [0, 1, 2]
-
     def test_zero_repetitions_rejected(self):
         with pytest.raises(ValueError):
             repeat_simulation(quick_config(), repetitions=0)

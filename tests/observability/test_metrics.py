@@ -8,7 +8,7 @@ import pickle
 import pytest
 
 from repro.core.results import deterministic_dict, result_fingerprint
-from repro.core.runner import run_simulation
+from repro.core.runner import run_simulation, seed_window
 from repro.observability.metrics import (
     DEFAULT_INTERVAL_MS,
     Counter,
@@ -174,7 +174,7 @@ class TestMergeAndTransport:
 
         config = golden_config("pbft")
         runner = ParallelRunner(jobs=2, metrics=True)
-        results = runner.run_repeat(config, repetitions=3)
+        results = runner.map(seed_window(config, 3))
         assert all(r.run_metrics is not None for r in results)
         fleet = runner.fleet_metrics
         assert fleet is not None

@@ -63,6 +63,20 @@ class TestRunStore:
         assert bare == with_store
 
 
+    def test_run_that_dies_is_closed_as_failed(self, store_path, capsys):
+        assert main(["run", *RUN_ARGS, "--timeout", "0",
+                     "--store", store_path]) == 1
+        experiment, runs = _recorded(store_path, 1)
+        assert experiment.status == "failed"
+        assert runs == []
+
+    def test_refused_mine_creates_no_experiment(self, store_path, capsys):
+        assert main(["mine", *RUN_ARGS, "--jobs", "-3",
+                     "--store", store_path]) == 1
+        with ExperimentStore(store_path) as store:
+            assert store.experiments() == []
+
+
 class TestSweepStore:
     def test_sweep_records_grid(self, store_path, capsys):
         assert main([
@@ -80,6 +94,54 @@ class TestSweepStore:
         assert [run.config["lam"] for run in runs] == [
             400.0, 400.0, 800.0, 800.0,
         ]
+
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            ["--values", "400,800", "--reps", "0"],
+            ["--values", "400,800", "--jobs", "-3"],
+            ["--values", "abc"],
+            ["--values", "400,800", "--timeout", "0"],
+            ["--values", "400,800", "--protocol", "_test-raise"],
+        ],
+        ids=["reps-0", "jobs-negative", "values-abc", "timeout-0",
+             "every-run-fails"],
+    )
+    def test_failing_sweep_leaves_no_running_experiment(
+        self, store_path, capsys, bad
+    ):
+        import tests.core.test_parallel  # noqa: F401  registers _test-raise
+
+        assert main(["sweep", *RUN_ARGS, "--param", "lam",
+                     "--store", store_path, *bad]) == 1
+        assert "error:" in capsys.readouterr().err
+        main(["experiments", "list", "--store", store_path])
+        assert "running" not in capsys.readouterr().out
+
+    def test_refused_sweep_creates_no_experiment(self, store_path, capsys):
+        """Options and grid are checked before the store row exists."""
+        for bad in (["--reps", "0"], ["--jobs", "-3"], ["--values", "abc"]):
+            assert main(["sweep", *RUN_ARGS, "--param", "lam", "--values",
+                         "400", "--store", store_path, *bad]) == 1
+        with ExperimentStore(store_path) as store:
+            assert store.experiments() == []
+
+    @pytest.mark.parametrize(
+        "param, values, message",
+        [
+            ("n", "4.7", "--param n takes whole numbers, got 4.7"),
+            ("colour", "1", "unsupported sweep parameter: colour"),
+            ("rate", "100", "--param rate requires --workload"),
+        ],
+    )
+    def test_bad_param_is_one_error_line(self, capsys, param, values, message):
+        assert main(["sweep", *RUN_ARGS, "--param", param,
+                     "--values", values]) == 1
+        captured = capsys.readouterr()
+        assert f"error: {message}" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
 
 class TestExperimentsCommands:

@@ -9,7 +9,7 @@ import pytest
 
 from repro.core.results import result_fingerprint
 from repro.core.runner import repeat_simulation, run_simulation, sweep
-from repro.store import ExperimentStore, StoreRecorder, offset_recorder
+from repro.store import ExperimentStore, StoreRecorder
 from tests.conftest import quick_config
 from tests.core.test_golden_determinism import GOLDEN, golden_config
 
@@ -86,13 +86,6 @@ class TestRunnerWiring:
         sweep(config, variations, repetitions=2, jobs=2, recorder=parallel)
         parallel.finish()
         assert store.diff(serial.experiment_id, parallel.experiment_id).identical
-
-    def test_offset_recorder_shifts_indices(self, store):
-        recorder = StoreRecorder.open(store, "o", "run", quick_config(), 4)
-        shifted = offset_recorder(recorder, 2)
-        shifted(0, run_simulation(quick_config()))
-        assert [row.run_index for row in store.runs(recorder.experiment_id)] \
-            == [2]
 
 
 class TestConcurrentWrites:
