@@ -34,13 +34,19 @@ here rather than in any protocol:
    (credential revealed one step before the proposal: the adaptive attacker
    wins the race) from ADD+v3 (credential and proposal bound in the same
    send: too late to retract).
+
+What an attacker does *to a message* — the view it is shown, and what it
+may hand back — is checked by :func:`capability_gate`, which both the
+network module (for the attacker as a whole) and the scenario composite
+(for each clause) call around every ``attack``.
 """
 
 from __future__ import annotations
 
 import enum
 import random
-from typing import TYPE_CHECKING, Any, Iterable
+from math import inf
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from ..core.errors import CapabilityError, CorruptionBudgetError
 from ..core.events import ATTACKER_OWNER, TimeEvent
@@ -75,16 +81,20 @@ class AttackerContext:
     object so the capability and budget rules live in exactly one place.
     """
 
-    def __init__(self, controller: "Controller", capabilities: Capability) -> None:
+    def __init__(self, controller: "Controller", capabilities: Capability,
+                 who: str = "attacker") -> None:
         self._controller = controller
         self.capabilities = capabilities
+        #: The party acting through this context, as per-message capability
+        #: errors name it: the attacker, or one clause of a scenario.
+        self.who = who
         self._corrupted_since: dict[int, float] = {}
-        #: Published by whoever is handing a message to ``attack`` (the
-        #: network module; a composite, for its clauses): the payload as it
-        #: was before any attacker saw it, when the attacker can read but
-        #: does not control the message — the recipients of a broadcast
-        #: share that payload, and it must still equal this afterwards.
-        #: ``None`` when there is nothing to diff (controlled, or redacted).
+        #: Published by :func:`capability_gate` around every ``attack``:
+        #: the payload as it was before any attacker saw it, when the
+        #: attacker can read but does not control the message — the
+        #: recipients of a broadcast share that payload, and it must still
+        #: equal this afterwards.  ``None`` when there is nothing to diff
+        #: (controlled, or redacted).
         self.pristine_payload: dict[str, Any] | None = None
 
     # -- introspection ---------------------------------------------------------
@@ -176,10 +186,6 @@ class AttackerContext:
     def budget_remaining(self) -> int:
         return self.f - len(self._corrupted_since)
 
-    def corrupted_since(self, node: int) -> float | None:
-        """Corruption time of ``node``, or ``None`` if honest."""
-        return self._corrupted_since.get(node)
-
     def controls_message(self, message: Message) -> bool:
         """True when the attacker legitimately controls ``message``:
         forged by it, or sent by a node corrupted strictly before the send.
@@ -265,12 +271,21 @@ class AttackerContext:
                 "signatures of honest nodes are unforgeable"
             )
 
+    def require_valid_delay(self, delay: float | None) -> None:
+        """Raise unless ``delay`` can schedule a delivery: a finite number
+        of milliseconds, not negative.  Anything else (NaN included) would
+        break the queue's ``(time, handle)`` order or move the clock back."""
+        if delay is None or not 0 <= delay < inf:
+            raise CapabilityError(f"{self.who} assigned an invalid delay: {delay!r}")
+
     def inject(self, message: Message) -> None:
         """Send a forged message outside of an ``attack`` callback
-        (e.g. from an attacker timer)."""
+        (e.g. from an attacker timer).  A ``None`` delay is sampled."""
         if not message.forged:
             raise CapabilityError("inject() only accepts messages created by forge()")
         self.require_forge_rights(message.source)
+        if message.delay is not None:
+            self.require_valid_delay(message.delay)
         self._controller.network.submit(message)
 
     # -- timers ------------------------------------------------------------
@@ -281,6 +296,113 @@ class AttackerContext:
 
     def cancel_timer(self, handle: TimerHandle) -> None:
         self._controller.cancel_timer(handle)
+
+
+def capability_gate(
+    attack: Callable[[Message], Iterable[Message] | None], ctx: AttackerContext
+) -> Callable[[Message, bool, dict[str, Any] | None], list[Message] | None]:
+    """The one place ``attack`` is called, and held to ``ctx``'s capabilities.
+
+    Built by the network module for the attacker as a whole and by a
+    scenario composite for each of its clauses, then called for every copy
+    as ``gate(message, controls, snapshot)``.  ``controls`` says that the
+    attacker as a whole controls ``message``, which lifts every restriction
+    below; ``snapshot`` is the payload as it was before any attacker saw
+    it, taken once per broadcast where the payload is readable but not
+    controlled, else ``None``.
+
+    The gate shows ``attack`` the message itself, or a redacted stand-in
+    without ``OBSERVE``; sorts what comes back into the kept copy and the
+    forged inserts; and raises :class:`CapabilityError`, starting with
+    ``ctx.who``, for whatever oversteps ``ctx.capabilities``.  It returns
+    what to deliver in place of ``message``, in the attacker's order (the
+    ids, queue handles and delay draws of inserts follow it) and without
+    ``message`` if it was dropped, or ``None`` for "the message as it now
+    is".
+    """
+    # Bound once: an ``enum.Flag`` test costs as much as a small call.
+    observe = Capability.OBSERVE in ctx.capabilities
+    network = Capability.NETWORK in ctx.capabilities
+    who = ctx.who
+
+    def gate(
+        message: Message, controls: bool, snapshot: dict[str, Any] | None
+    ) -> list[Message] | None:
+        delay = message.delay
+        if controls or observe:
+            view = message
+            # Shared by the recipients of the broadcast: read-only.
+            pristine = snapshot
+        else:
+            # Envelope only: source, dest, payload, sent_at, delay, msg_id
+            # (positional: a keyword call costs 0.2 us more per copy).
+            view = Message(
+                message.source, message.dest, dict(REDACTED_PAYLOAD),
+                message.sent_at, delay, message.msg_id,
+            )
+            pristine = None
+        ctx.pristine_payload = pristine
+        returned = attack(view)
+        kept: Message | None = view
+        delivered: list[Message] | None = None
+        if returned is not None:
+            kept, delivered = None, []
+            for item in returned:
+                # A fresh forged insert is never the kept copy, whatever id
+                # it was built with; a forged ``message`` comes back as
+                # itself.
+                if item is view or (not item.forged and item.msg_id == message.msg_id):
+                    kept = item
+                    delivered.append(message)
+                elif item.forged:
+                    try:
+                        ctx.require_forge_rights(item.source)
+                    except CapabilityError as error:
+                        raise CapabilityError(
+                            f"{who} forged {item.describe()}: {error}"
+                        ) from None
+                    if item.delay is not None:  # None: the network samples it
+                        ctx.require_valid_delay(item.delay)
+                    delivered.append(item)
+                else:
+                    raise CapabilityError(
+                        f"{who} returned a message it neither received nor "
+                        f"forged: {item.describe()}"
+                    )
+        # Kept or dropped, an uncontrolled payload is still its siblings'.
+        if pristine is not None and (
+            message.payload != pristine
+            or (kept is not None and kept is not message and kept.payload != pristine)
+        ):
+            raise CapabilityError(
+                f"{who} modified the payload of honest message "
+                f"{message.describe()}; modification requires control of the "
+                "source (corruption strictly before the send)"
+            )
+        if kept is None:
+            if not (network or controls):
+                raise CapabilityError(
+                    f"{who} dropped honest message {message.describe()} "
+                    "without the NETWORK capability"
+                )
+            return delivered
+        if view is not message:
+            # Redacted view: only the delay may carry information back.
+            if kept.payload != REDACTED_PAYLOAD:
+                raise CapabilityError(
+                    f"{who} modified a redacted payload without OBSERVE"
+                )
+            message.delay = kept.delay
+        if message.delay != delay:
+            if not (network or controls):
+                raise CapabilityError(
+                    f"{who} re-timed message {message.describe()} without "
+                    "the NETWORK capability"
+                )
+            ctx.require_valid_delay(message.delay)
+        return delivered
+
+    return gate
 
 
 class Attacker:
@@ -346,7 +468,7 @@ class Attacker:
             keep it, omit it to drop it, and add forged messages — made
             by ``ctx.forge()``, which is the only way to make one — to
             inject.  Every modification is checked against the capability
-            rules by the network module.
+            rules by :func:`capability_gate`.
         """
         return None
 

@@ -52,17 +52,6 @@ class ValidationError(SimulationError):
     """The validator module found a mismatch against the ground truth."""
 
 
-class ProtocolViolationError(SimulationError):
-    """An honest node observed a message that violates protocol invariants.
-
-    Honest replicas use this for conditions that indicate a bug in the
-    *simulator or protocol implementation* (for example, a forged signature
-    from an honest signer, which the crypto layer guarantees impossible).
-    Byzantine misbehaviour that the protocol is designed to tolerate must be
-    handled gracefully, never via this exception.
-    """
-
-
 class ExperimentFailureError(SimulationError):
     """A batch of runs contained failures and the caller asked to raise.
 

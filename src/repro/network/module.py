@@ -7,16 +7,17 @@ the attacker module, which may tamper with it subject to its capabilities;
 surviving messages are registered as message events and dispatched at
 ``sent_at + delay``.
 
-The capability rules declared in :mod:`repro.attacks.base` are *enforced*
-here, by diffing what the attacker returns against a snapshot of what it was
-given.  An attack implementation that oversteps its declared threat model
-fails the run with :class:`~repro.core.errors.CapabilityError` instead of
-silently producing results under a stronger adversary than advertised.
+The hand-off itself is :func:`repro.attacks.base.capability_gate`: it calls
+``attack`` and holds what comes back to the declared capabilities, so an
+attack implementation that oversteps its threat model fails the run with
+:class:`~repro.core.errors.CapabilityError` instead of silently producing
+results under a stronger adversary than advertised.  This module does the
+network's part around it: ids, delays, accounting, and the queue.
 
 The recipients of a broadcast share one payload, under attack too: an
-attacker may only write to a message it controls, so the snapshot is taken
-once per broadcast and only controlled copies are un-shared
-(:meth:`NetworkModule._instrumented`).
+attacker may only write to a message it controls, so the snapshot the gate
+diffs against is taken once per broadcast and only controlled copies are
+un-shared (:meth:`NetworkModule._instrumented`).
 """
 
 from __future__ import annotations
@@ -26,10 +27,9 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 import numpy as np
 
-from ..attacks.base import Attacker, AttackerContext, Capability, REDACTED_PAYLOAD
+from ..attacks.base import Attacker, AttackerContext, Capability, capability_gate
 from ..attacks.null import NullAttacker
 from ..core.config import NetworkConfig
-from ..core.errors import CapabilityError
 from ..core.events import MessageEvent
 from ..core.message import (
     BROADCAST,
@@ -441,25 +441,23 @@ class NetworkModule:
         override = self._delay_override
         sample = self.delay_model.sample_delay
         # ``NullAttacker.attack`` returns None: it cannot drop, re-time or
-        # mutate, so there is no proxy to build and nothing to diff.
-        attack = None if type(self.attacker) is NullAttacker else self.attacker.attack
+        # mutate, so there is no gate to pass and nothing to diff.  The gate
+        # is built per logical message: tests swap attacker and context
+        # after construction.
+        gate = snapshot = None
+        if type(self.attacker) is not NullAttacker:
+            gate = capability_gate(self.attacker.attack, ctx)
+            if not controls and Capability.OBSERVE in ctx.capabilities:
+                snapshot = deep_copy_payload(message.payload)
         # Environmental faults act after the adversary: the attacker has no
         # visibility into (or control over) what the benign environment then
         # loses, duplicates, corrupts, or re-times.
         apply_faults = None if self.faults is None else self.faults.apply
-        observe = network = controls
-        snapshot = None
-        if attack is not None and not controls:
-            observe = Capability.OBSERVE in ctx.capabilities
-            network = Capability.NETWORK in ctx.capabilities
-            if observe:
-                snapshot = deep_copy_payload(message.payload)
         next_id = controller.next_message_id
         push = self._push_event
         # An ``inject`` from inside ``attack`` re-enters: put back what the
         # outer hand-off published.
         outer = ctx.pristine_payload
-        ctx.pristine_payload = snapshot
         try:
             for hop in copies:
                 hop.msg_id = next_id()  # per-run id, as in ``_submit_single``
@@ -481,36 +479,14 @@ class NetworkModule:
                     if delay is None:
                         delay = sample(now)
                     hop.delay = delay
-                if attack is None:
-                    survivors: Iterable[Message] = (hop,)
-                else:
-                    if observe:
-                        proxy = hop
-                        if controls:
-                            hop.own_payload()
-                    else:
-                        proxy = Message(
-                            source=source,
-                            dest=hop.dest,
-                            payload=dict(REDACTED_PAYLOAD),
-                            sent_at=now,
-                            delay=delay,
-                            msg_id=hop.msg_id,
-                        )
-                    returned = attack(proxy)
-                    if returned is None:
-                        # Passed through; validate only if it was touched.
-                        if (
-                            proxy.delay != delay
-                            or (snapshot is not None and hop.payload != snapshot)
-                            or (proxy is not hop and proxy.payload != REDACTED_PAYLOAD)
-                        ):
-                            self._apply_kept(hop, proxy, proxy, snapshot, delay, network)
-                        survivors = (hop,)
-                    else:
-                        survivors = self._returned(
-                            hop, proxy, returned, snapshot, delay, network
-                        )
+                survivors: Iterable[Message] = (hop,)
+                if gate is not None:
+                    if controls:
+                        hop.own_payload()
+                    returned = gate(hop, controls, snapshot)
+                    if returned is not None:
+                        self._book(hop, returned)
+                        survivors = returned
                 for survivor in survivors:
                     if apply_faults is None:
                         push(MessageEvent(
@@ -555,103 +531,31 @@ class NetworkModule:
                 **({} if relay is None else {"relay": relay}),
             )
 
-    def _returned(
-        self,
-        hop: Message,
-        proxy: Message,
-        returned: Iterable[Message],
-        snapshot: dict | None,
-        delay: float,
-        network: bool,
-    ) -> list[Message]:
-        """What to deliver of an explicit ``attack`` return, in its order:
-        ``hop`` if kept (validated), and the attacker's forged inserts."""
+    def _book(self, hop: Message, delivered: list[Message]) -> None:
+        """Account for an explicit ``attack`` return: every forged insert
+        enters the network as a message of its own, in the attacker's
+        order, and a ``hop`` that is not among ``delivered`` was dropped."""
         controller = self._controller
-        ctx = self._attacker_ctx
-        survivors: list[Message] = []
-        kept = False
-        for item in returned:
-            # A fresh forged insert is never the kept copy, whatever id it
-            # was built with; a forged ``hop`` comes back as itself.
-            if item is proxy or (not item.forged and item.msg_id == hop.msg_id):
-                kept = True
-                self._apply_kept(hop, proxy, item, snapshot, delay, network)
-                survivors.append(hop)
-            elif item.forged:
-                ctx.require_forge_rights(item.source)
-                # Per-run id, as for every other message: the one it was
-                # constructed with comes from a process-wide counter.
-                item.msg_id = controller.next_message_id()
-                if item.delay is None:
-                    item.delay = self.delay_model.sample_delay(item.sent_at)
-                survivors.append(item)
-                self._counts.byzantine += 1
-                if self._obs is not None:
-                    self._obs.on_send(item.source, 0)
-                if controller.trace.enabled:
-                    if item.cause is None:
-                        item.cause = controller._current_cause
-                    self._record_sends(item, {"forged": True, "origin": "attacker"})
-            else:
-                raise CapabilityError(
-                    "attacker returned a message it neither received nor forged: "
-                    f"{item.describe()}"
-                )
-        if not kept:
-            if not network:
-                raise CapabilityError(
-                    f"attacker dropped honest message {hop.describe()} without the "
-                    "NETWORK capability"
-                )
-            # A dropped copy's payload is still its siblings' payload.
-            self._require_pristine(hop, hop, snapshot)
+        dropped = True
+        for item in delivered:
+            if item is hop:
+                dropped = False
+                continue
+            # Per-run id, as for every other message: the one it was
+            # constructed with comes from a process-wide counter.
+            item.msg_id = controller.next_message_id()
+            if item.delay is None:
+                item.delay = self.delay_model.sample_delay(item.sent_at)
+            self._counts.byzantine += 1
+            if self._obs is not None:
+                self._obs.on_send(item.source, 0)
+            if controller.trace.enabled:
+                if item.cause is None:
+                    item.cause = controller._current_cause
+                self._record_sends(item, {"forged": True, "origin": "attacker"})
+        if dropped:
             self._counts.dropped += 1
             controller.trace.record(
                 controller.clock.now, "drop", hop.source,
                 dest=hop.dest, msg_type=hop.type, msg_id=hop.msg_id,
-            )
-        return survivors
-
-    def _apply_kept(
-        self,
-        hop: Message,
-        proxy: Message,
-        item: Message,
-        snapshot: dict | None,
-        delay: float,
-        network: bool,
-    ) -> None:
-        """Validate and apply the attacker's changes to a kept message.
-
-        ``snapshot`` is the pristine payload when the attacker saw, but does
-        not control, the message; ``network`` is its right to re-time it."""
-        if proxy is not hop:
-            # Redacted view: only the delay may carry information back.
-            if item.payload != REDACTED_PAYLOAD:
-                raise CapabilityError(
-                    "attacker without OBSERVE modified a redacted payload"
-                )
-            hop.delay = item.delay
-        else:
-            self._require_pristine(hop, item, snapshot)
-        if hop.delay != delay:
-            if not network:
-                raise CapabilityError(
-                    f"attacker re-timed message {hop.describe()} without the "
-                    "NETWORK capability"
-                )
-            if hop.delay is None or hop.delay < 0:
-                raise CapabilityError("attacker assigned an invalid delay")
-
-    @staticmethod
-    def _require_pristine(hop: Message, item: Message, snapshot: dict | None) -> None:
-        """An uncontrolled payload (``snapshot`` is set) is aliased between
-        the recipients and must come back as it went in."""
-        if snapshot is not None and (
-            hop.payload != snapshot or (item is not hop and item.payload != snapshot)
-        ):
-            raise CapabilityError(
-                f"attacker modified payload of honest message {hop.describe()}; "
-                "modification requires control of the source "
-                "(corruption strictly before the send)"
             )

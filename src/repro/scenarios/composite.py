@@ -14,11 +14,9 @@ child to its **own** declared capabilities:
   raise unless *that child* declared the right;
 * a child without ``OBSERVE`` sees redacted payloads even when a sibling
   is observing;
-* payload edits, re-timing, drops and forged inserts by a child are
-  checked against that child's rights, mirroring
-  :meth:`NetworkModule._instrumented` — payload edits against the same
-  per-broadcast snapshot, which the module publishes as
-  ``ctx.pristine_payload``.
+* payload edits, re-timing, drops and forged inserts by a child pass
+  that child's own :func:`~repro.attacks.base.capability_gate`, against
+  the one per-broadcast snapshot the network module took.
 
 Child timers are namespaced (``sc<i>:<name>``) so the composite can route
 each firing back to the owning clause; the original name is restored on a
@@ -38,14 +36,8 @@ from __future__ import annotations
 import random
 from typing import Any
 
-from ..attacks.base import (
-    Attacker,
-    AttackerContext,
-    Capability,
-    REDACTED_PAYLOAD,
-)
+from ..attacks.base import Attacker, AttackerContext, Capability, capability_gate
 from ..attacks.registry import register_attack
-from ..core.errors import CapabilityError
 from ..core.events import TimeEvent
 from ..core.message import Message
 from ..core.node import TimerHandle
@@ -64,12 +56,14 @@ class _ChildContext(AttackerContext):
     scenario) but presents the *child's* declared capabilities, so the
     capability checks inherited from :class:`AttackerContext` enforce the
     clause's own threat model.  Timer and RNG names are prefixed with the
-    clause index.
+    clause index, and capability errors name the clause.
     """
 
     def __init__(self, parent: AttackerContext, capabilities: Capability,
-                 index: int) -> None:
-        super().__init__(parent._controller, capabilities)
+                 index: int, name: str) -> None:
+        super().__init__(
+            parent._controller, capabilities, f"scenario clause #{index} ({name})"
+        )
         # Shared object, not a copy: every clause draws from one budget.
         self._corrupted_since = parent._corrupted_since
         self._index = index
@@ -104,19 +98,24 @@ class CompositeAttacker(Attacker):
         self.capabilities = caps
         self.wants_signals = any(child.wants_signals for child in self._children)
         self._child_ctxs: list[_ChildContext] = []
-        #: ``(index, child, child context, has OBSERVE, has NETWORK)`` of
-        #: the clauses acting on messages sent at ``_active_at``.
-        self._active: list[tuple] = []
+        #: One capability gate per clause, over that clause's context.
+        self._gates: list = []
+        #: The gates of the clauses acting on messages sent at ``_active_at``.
+        self._active: list = []
         self._active_at: float | None = None
 
     def bind(self, ctx: AttackerContext) -> None:
         super().bind(ctx)
         self._child_ctxs = [
-            _ChildContext(ctx, child.capabilities, index)
-            for index, child in enumerate(self._children)
+            _ChildContext(ctx, child.capabilities, index, clause.attack)
+            for index, (clause, child) in enumerate(zip(self._clauses, self._children))
         ]
         for child, child_ctx in zip(self._children, self._child_ctxs):
             child.bind(child_ctx)
+        self._gates = [
+            capability_gate(child.attack, child_ctx)
+            for child, child_ctx in zip(self._children, self._child_ctxs)
+        ]
 
     def setup(self) -> None:
         for index, clause in enumerate(self._clauses):
@@ -143,11 +142,9 @@ class CompositeAttacker(Attacker):
             # changes only in ``_activate``): decided once per broadcast,
             # not once per copy.
             self._active = [
-                (index, child, child_ctx,
-                 Capability.OBSERVE in child.capabilities,
-                 Capability.NETWORK in child.capabilities)
-                for index, (clause, child, child_ctx) in enumerate(
-                    zip(self._clauses, self._children, self._child_ctxs))
+                gate
+                for clause, child_ctx, gate in zip(
+                    self._clauses, self._child_ctxs, self._gates)
                 if clause.active_at(now) and child_ctx.ready
             ]
             self._active_at = now
@@ -159,101 +156,20 @@ class CompositeAttacker(Attacker):
         # the one snapshot every clause's diff compares against.
         snapshot = self.ctx.pristine_payload
         forged: list[Message] = []
-        # Each clause is held to its own capabilities by diffing what it
-        # returns against what it was given, exactly as the network module
-        # does for the composite as a whole.
-        for index, child, child_ctx, observe, network in self._active:
-            if controls:
-                observe = network = True
-            if observe:
-                proxy = message
-                pristine = snapshot
-            else:
-                proxy = Message(
-                    source=message.source,
-                    dest=message.dest,
-                    payload=dict(REDACTED_PAYLOAD),
-                    sent_at=now,
-                    delay=message.delay,
-                    msg_id=message.msg_id,
-                )
-                pristine = None
-            # The clause may itself be a composite: publish to it what the
-            # network module published to us.
-            child_ctx.pristine_payload = pristine
-            delay = message.delay
-
-            kept = proxy
-            returned = child.attack(proxy)
-            if returned is not None:
-                kept = self._kept_of(index, proxy, returned, forged)
-            # Kept or dropped, an uncontrolled payload is still its siblings'.
-            if pristine is not None and (
-                message.payload != pristine
-                or (kept is not None and kept is not message and kept.payload != pristine)
-            ):
-                raise self._overstep(
-                    index,
-                    f"modified the payload of honest message {message.describe()} "
-                    "without controlling its source",
-                )
-            if kept is None:
-                if not network:
-                    raise self._overstep(
-                        index,
-                        f"dropped honest message {message.describe()} without the "
-                        "NETWORK capability",
-                    )
-                return forged
-            if not observe:
-                if kept.payload != REDACTED_PAYLOAD:
-                    raise self._overstep(
-                        index, "modified a redacted payload without OBSERVE"
-                    )
-                message.delay = kept.delay
-            if message.delay != delay:
-                if not network:
-                    raise self._overstep(
-                        index,
-                        f"re-timed message {message.describe()} without the "
-                        "NETWORK capability",
-                    )
-                if message.delay is None or message.delay < 0:
-                    raise self._overstep(index, "assigned an invalid delay")
+        for gate in self._active:
+            delivered = gate(message, controls, snapshot)
+            if delivered is not None:
+                kept = False
+                for item in delivered:
+                    if item is message:
+                        kept = True
+                    else:
+                        forged.append(item)
+                if not kept:
+                    return forged
         if forged:
             return [message, *forged]
         return None
-
-    def _kept_of(
-        self, index: int, proxy: Message, returned, forged: list[Message]
-    ) -> Message | None:
-        """Sort a clause's explicit return: its forged messages join
-        ``forged``; the item standing for ``proxy`` (None when the clause
-        dropped it) is returned."""
-        kept = None
-        for item in returned:
-            # Same test as ``NetworkModule._returned``: a fresh forged
-            # insert is never the kept copy, whatever id it was built with.
-            if item is proxy or (not item.forged and item.msg_id == proxy.msg_id):
-                kept = item
-            elif item.forged:
-                try:
-                    self._child_ctxs[index].require_forge_rights(item.source)
-                except CapabilityError as error:
-                    raise self._overstep(index, f"forged {item.describe()}: {error}") from None
-                forged.append(item)
-            else:
-                raise self._overstep(
-                    index,
-                    "returned a message it neither received nor forged: "
-                    f"{item.describe()}",
-                )
-        return kept
-
-    def _overstep(self, index: int, what: str) -> CapabilityError:
-        return CapabilityError(
-            f"scenario clause #{index} ({self._clauses[index].attack}) {what}"
-        )
 
     # -- timer routing -------------------------------------------------------
 

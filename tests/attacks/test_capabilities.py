@@ -3,7 +3,9 @@
 These are the load-bearing tests of the attacker framework: every rule in
 DESIGN.md's threat model (observation, dropping, modification, forgery,
 corruption budget, static-vs-adaptive, no-after-the-fact retraction) is
-checked against a scripted attacker that tries to overstep it.
+checked against a scripted attacker that tries to overstep it.  The
+per-message rules are run again, for the attacker and for scenario clauses
+alike, by the battery in ``test_gate.py``.
 """
 
 from __future__ import annotations
@@ -111,7 +113,7 @@ class TestModification:
 
         attacker = ScriptedAttacker(Capability.OBSERVE, tamper)
         controller = controller_with(attacker)
-        with pytest.raises(CapabilityError, match="modified payload"):
+        with pytest.raises(CapabilityError, match="modified the payload"):
             submit(controller)
 
     def test_controlled_payload_modification_allowed(self):

@@ -53,18 +53,6 @@ class _SneakyEditor(Attacker):
         return [message]
 
 
-@register_attack("_test-in-place-editor")
-class _InPlaceEditor(Attacker):
-    """Reads honest payloads (OBSERVE) and writes to them in place; with
-    ``drop`` it then discards the copy it scribbled on."""
-
-    capabilities = Capability.OBSERVE | Capability.NETWORK
-
-    def attack(self, message):
-        message.payload["evil"] = True
-        return [] if self.params.get("drop") else None
-
-
 @register_attack("_test-quiet-retimer")
 class _QuietRetimer(Attacker):
     """Doubles every delay in place behind a redacted view, returning None."""
@@ -243,6 +231,9 @@ class TestActivationWindows:
 
 
 class TestPerChildEnforcement:
+    """Whole runs under a misbehaving clause; the rule-by-rule battery, for
+    clauses and the bare attacker alike, is ``tests/attacks/test_gate.py``."""
+
     def test_child_without_observe_sees_redacted_payloads(self):
         _Peeker.seen_payloads = []
         spec = ScenarioSpec(attacks=[AttackClause(attack="_test-peeker")])
@@ -251,34 +242,11 @@ class TestPerChildEnforcement:
         assert _Peeker.seen_payloads
         assert all(p == REDACTED_PAYLOAD for p in _Peeker.seen_payloads)
 
-    def test_child_drop_without_network_raises(self):
-        spec = ScenarioSpec(
-            attacks=[AttackClause(attack="_test-sneaky-dropper")]
-        )
-        with pytest.raises(CapabilityError, match="NETWORK"):
-            _run(spec, n=4, seed=1)
-
     def test_child_payload_edit_without_observe_raises(self):
         spec = ScenarioSpec(
             attacks=[AttackClause(attack="_test-sneaky-editor")]
         )
         with pytest.raises(CapabilityError, match="redacted payload"):
-            _run(spec, n=4, seed=1)
-
-    @pytest.mark.parametrize("drop", [False, True])
-    def test_child_in_place_edit_of_an_honest_payload_raises(self, drop):
-        """Recipients share an uncontrolled payload, so a write to it is an
-        overstep whether the clause then keeps the copy or drops it."""
-        spec = ScenarioSpec(
-            attacks=[
-                AttackClause(attack="targeted-delay", params={"factor": 2.0}),
-                AttackClause(attack="_test-in-place-editor", params={"drop": drop}),
-            ]
-        )
-        with pytest.raises(
-            CapabilityError,
-            match=r"clause #1 \(_test-in-place-editor\) modified the payload of honest",
-        ):
             _run(spec, n=4, seed=1)
 
     def test_child_hand_built_forged_message_raises(self):
