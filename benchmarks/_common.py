@@ -1,8 +1,11 @@
-"""Shared helpers for the paper-reproduction benchmarks.
+"""Shared helpers for the paper-reproduction scripts.
 
-Every bench renders its artifact as fixed-width text, prints it (visible
+Every script here regenerates one table, figure or ablation of the paper's
+evaluation: it renders the artifact as fixed-width text, prints it (visible
 with ``pytest -s``), and saves it under ``benchmarks/out/`` so results
-persist across runs and can be diffed against EXPERIMENTS.md.
+persist across runs and can be diffed against EXPERIMENTS.md.  None of them
+measures or gates the simulator's own speed — that is ``python3 -m bench``
+(``bench/README.md``).
 
 Parallelism: every bench that runs its cells through the
 :mod:`repro.analysis.experiments` harness honours ``REPRO_BENCH_JOBS``

@@ -10,13 +10,41 @@ scripted, stored, and replayed.
 from __future__ import annotations
 
 import json
+import math
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field
+from numbers import Real
 from typing import Any
 
 from .errors import ConfigurationError
 
 #: Broadcast dissemination strategies accepted by ``NetworkConfig``.
 DISSEMINATION_MODES = ("full", "tree", "gossip")
+
+
+def check_finite(
+    name: str,
+    value: Any,
+    *,
+    minimum: float = 0.0,
+    strict: bool = False,
+    error: type[Exception] = ConfigurationError,
+) -> None:
+    """Raise ``error`` unless ``value`` is a finite number ``>= minimum``
+    (``> minimum`` when ``strict``).
+
+    Written as the positive condition because NaN compares false both
+    ways: it passes every ``x <= 0`` rejection, and a NaN time or delay
+    then breaks the event queue's order far from where it entered.
+    """
+    in_range = (
+        isinstance(value, Real)
+        and math.isfinite(value)
+        and (value > minimum if strict else value >= minimum)
+    )
+    if not in_range:
+        bound = f"{'>' if strict else '>='} {minimum:g}"
+        raise error(f"{name} must be a finite number {bound}, got {value!r}")
 
 
 @dataclass
@@ -66,20 +94,14 @@ class NetworkConfig:
     fanout: int = 0
 
     def validate(self) -> None:
-        if self.mean <= 0:
-            raise ConfigurationError(f"network mean delay must be > 0, got {self.mean}")
-        if self.std < 0:
-            raise ConfigurationError(f"network std must be >= 0, got {self.std}")
-        if self.min_delay <= 0:
-            raise ConfigurationError(
-                f"min_delay must be > 0 to guarantee progress, got {self.min_delay}"
-            )
-        if self.max_delay is not None and self.max_delay < self.min_delay:
-            raise ConfigurationError("max_delay must be >= min_delay")
-        if self.gst < 0:
-            raise ConfigurationError("gst must be >= 0")
-        if self.pre_gst_factor < 1.0:
-            raise ConfigurationError("pre_gst_factor must be >= 1")
+        check_finite("network mean delay", self.mean, strict=True)
+        check_finite("network std", self.std)
+        # Strictly positive: a zero floor would not guarantee progress.
+        check_finite("min_delay", self.min_delay, strict=True)
+        if self.max_delay is not None:
+            check_finite("max_delay", self.max_delay, minimum=self.min_delay)
+        check_finite("gst", self.gst)
+        check_finite("pre_gst_factor", self.pre_gst_factor, minimum=1.0)
         if self.dissemination not in DISSEMINATION_MODES:
             raise ConfigurationError(
                 f"unknown dissemination mode {self.dissemination!r}; "
@@ -152,15 +174,11 @@ class FaultSpec:
             raise ConfigurationError(
                 f"fault rate must be in [0, 1], got {self.rate} for {self.kind!r}"
             )
-        if self.factor < 1.0:
-            raise ConfigurationError(
-                f"delay fault factor must be >= 1, got {self.factor}"
-            )
-        if self.start < 0:
-            raise ConfigurationError(f"fault window start must be >= 0, got {self.start}")
-        if self.end is not None and self.end <= self.start:
-            raise ConfigurationError(
-                f"fault window end must be > start, got [{self.start}, {self.end})"
+        check_finite("delay fault factor", self.factor, minimum=1.0)
+        check_finite("fault window start", self.start)
+        if self.end is not None:
+            check_finite(
+                "fault window end", self.end, minimum=self.start, strict=True
             )
         if self.kind == "crash":
             if self.node is None:
@@ -306,26 +324,17 @@ class WorkloadConfig:
             raise ConfigurationError(
                 f"workload batch size must be >= 1, got {self.batch}"
             )
-        if self.batch_timeout < 0:
-            raise ConfigurationError(
-                f"workload batch_timeout must be >= 0 ms, got {self.batch_timeout}"
-            )
+        check_finite("workload batch_timeout (ms)", self.batch_timeout)
         if self.arrival == "poisson":
-            if self.rate <= 0:
-                raise ConfigurationError(
-                    f"workload rate must be > 0 requests/s, got {self.rate}"
-                )
-            if self.duration <= 0:
-                raise ConfigurationError(
-                    f"workload duration must be > 0 ms, got {self.duration}"
-                )
+            check_finite("workload rate (requests/s)", self.rate, strict=True)
+            check_finite("workload duration (ms)", self.duration, strict=True)
         else:  # trace
             if not self.trace_times:
                 raise ConfigurationError(
                     "arrival='trace' requires a non-empty trace_times list"
                 )
-            if any(t < 0 for t in self.trace_times):
-                raise ConfigurationError("trace_times must all be >= 0 ms")
+            for time in self.trace_times:
+                check_finite("trace_times entry (ms)", time)
 
     def describe(self) -> str:
         if self.arrival == "trace":
@@ -432,17 +441,19 @@ class SimulationConfig:
             raise ConfigurationError(f"n must be >= 1, got {self.n}")
         if self.f is not None and not 0 <= self.f < self.n:
             raise ConfigurationError(f"f must satisfy 0 <= f < n, got f={self.f} n={self.n}")
-        if self.lam <= 0:
-            raise ConfigurationError(f"lambda must be > 0, got {self.lam}")
+        check_finite("lambda (lam)", self.lam, strict=True)
         if self.num_decisions < 1:
             raise ConfigurationError("num_decisions must be >= 1")
-        if self.max_time <= 0:
-            raise ConfigurationError("max_time must be > 0")
+        if self.max_time != math.inf:  # inf: no horizon, max_events still caps the run
+            check_finite("max_time", self.max_time, strict=True)
         if self.max_events < 1:
             raise ConfigurationError("max_events must be >= 1")
-        if self.stall_timeout is not None and self.stall_timeout <= 0:
+        if self.stall_timeout is not None:
+            check_finite("stall_timeout (ms)", self.stall_timeout, strict=True)
+        if not isinstance(self.attack.params, Mapping):
             raise ConfigurationError(
-                f"stall_timeout must be > 0 ms (or None), got {self.stall_timeout}"
+                "attack params must be a mapping of parameter name to value, "
+                f"got {self.attack.params!r}"
             )
         self.network.validate()
         self.faults.validate(self.n)

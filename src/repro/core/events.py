@@ -147,6 +147,7 @@ class EventQueue:
         heappush(self._heap, entry)
         return handle
 
+    # No caller left in src/, but bench/tracing.py wraps it by name.
     def push_batch(self, events: "Iterable[Event]") -> None:
         """Schedule many events in iteration order (one handle each).
 

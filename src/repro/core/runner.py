@@ -16,8 +16,7 @@ Large systems (n in the hundreds to 1000) are practical in every
 dissemination mode: a benign broadcast costs one shared delivery event
 and one vectorized delay batch, never per-recipient copies.  Select a
 relayed overlay (``NetworkConfig.dissemination = "tree"`` or ``"gossip"``)
-to *model* relays; see ``docs/scaling.md`` and
-``benchmarks/bench_scale.py``.
+to *model* relays; see ``docs/scaling.md``.
 """
 
 from __future__ import annotations

@@ -1,28 +1,25 @@
 """Network topology.
 
 The paper's simulator models a fully connected peer-to-peer overlay; the
-baseline packet simulator and the partition machinery additionally need an
-explicit graph view.  :class:`Topology` wraps a :mod:`networkx` graph and
-answers the two questions the simulator asks: *can A currently reach B?* and
-*what does the route look like?* (the latter only matters to the baseline's
-hop-by-hop model).
+partition machinery additionally needs links that can be cut and restored.
+:class:`Topology` is the complete graph over ``0..n-1`` minus a set of cut
+links, and answers the two questions the simulator asks: *can A currently
+reach B?* and *which subnets does the cut leave?*
 
-Scale note: the default complete graph is represented *implicitly* until the
-first mutation.  Materializing ``n*(n-1)/2`` networkx edges at n = 1000
-costs hundreds of megabytes and seconds of setup that the simulator never
-uses on the benign path — every query over a pristine complete graph has a
-closed-form answer.  The first ``cut`` (or an explicit edge list) builds the
-real graph; from then on behaviour is exactly the networkx-backed one.
+Scale note: only the cut links are stored, so the benign complete graph
+costs nothing at any n and ``is_complete`` is one truth test — the network
+module's restricted-broadcast path keys on it.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
 from ..core.errors import ConfigurationError
 
-if TYPE_CHECKING:  # pragma: no cover
-    import networkx as nx
+
+def _link(a: int, b: int) -> tuple[int, int]:
+    return (a, b) if a < b else (b, a)
 
 
 class Topology:
@@ -45,32 +42,13 @@ class Topology:
             raise ConfigurationError("topology needs at least one node")
         self.n = n
         self.version = 0
-        self._graph: nx.Graph | None = None
+        self._cut: set[tuple[int, int]] = set()
         if edges is not None:
-            graph = self._materialize_empty()
+            self._cut = {(i, j) for i in range(n) for j in range(i + 1, n)}
             for a, b in edges:
                 self._check(a)
                 self._check(b)
-                graph.add_edge(a, b)
-
-    @property
-    def graph(self) -> nx.Graph:
-        """The explicit networkx view (materializes the complete graph)."""
-        if self._graph is None:
-            graph = self._materialize_empty()
-            graph.add_edges_from(
-                (i, j) for i in range(self.n) for j in range(i + 1, self.n)
-            )
-        return self._graph
-
-    def _materialize_empty(self) -> nx.Graph:
-        # networkx is imported here, not at module import: a run that never
-        # mutates its topology (every benign one) never pays for it.
-        import networkx as nx
-
-        self._graph = nx.Graph()
-        self._graph.add_nodes_from(range(self.n))
-        return self._graph
+                self._cut.discard(_link(a, b))
 
     def _check(self, node: int) -> None:
         if not 0 <= node < self.n:
@@ -79,40 +57,39 @@ class Topology:
     # -- queries ---------------------------------------------------------------
 
     def is_complete(self) -> bool:
-        """True while the topology is still the pristine complete graph
-        (no mutation ever materialized an explicit edge set).  O(1)."""
-        return self._graph is None
+        """True when no link is cut (every pair connected).  O(1)."""
+        return not self._cut
 
     def connected(self, a: int, b: int) -> bool:
         """True when a direct link ``a -- b`` currently exists."""
         self._check(a)
         self._check(b)
-        if self._graph is None:
-            return True
-        return a == b or self._graph.has_edge(a, b)
+        return _link(a, b) not in self._cut
 
     def neighbors(self, node: int) -> list[int]:
         self._check(node)
-        if self._graph is None:
-            return [peer for peer in range(self.n) if peer != node]
-        return sorted(self._graph.neighbors(node))
+        return [
+            peer for peer in range(self.n)
+            if peer != node and _link(node, peer) not in self._cut
+        ]
 
     def components(self) -> list[set[int]]:
         """Connected components, largest first — the "subnets" of §III-C."""
-        if self._graph is None:
-            return [set(range(self.n))]
-        import networkx as nx
-
-        return sorted(nx.connected_components(self._graph), key=len, reverse=True)
-
-    def is_fully_connected(self) -> bool:
-        if self._graph is None:
-            return True
-        import networkx as nx
-
-        return nx.is_connected(self._graph) and all(
-            self._graph.degree(i) == self.n - 1 for i in range(self.n)
-        )
+        components: list[set[int]] = []
+        seen: set[int] = set()
+        for root in range(self.n):
+            if root in seen:
+                continue
+            component = {root}
+            frontier = [root]
+            while frontier:
+                for peer in self.neighbors(frontier.pop()):
+                    if peer not in component:
+                        component.add(peer)
+                        frontier.append(peer)
+            seen |= component
+            components.append(component)
+        return sorted(components, key=len, reverse=True)
 
     # -- mutation ---------------------------------------------------------------
 
@@ -121,39 +98,33 @@ class Topology:
         self._check(a)
         self._check(b)
         self.version += 1
-        graph = self.graph
-        if graph.has_edge(a, b):
-            graph.remove_edge(a, b)
+        if a != b:
+            self._cut.add(_link(a, b))
 
     def restore(self, a: int, b: int) -> None:
         """Re-add the link between ``a`` and ``b`` (idempotent)."""
         self._check(a)
         self._check(b)
         self.version += 1
-        if a != b:
-            self.graph.add_edge(a, b)
+        self._cut.discard(_link(a, b))
 
     def cut_between(self, group_a: Iterable[int], group_b: Iterable[int]) -> int:
         """Cut every link with one endpoint in each group; returns the number
         of links removed."""
-        removed = 0
+        group_a, group_b = list(group_a), set(group_b)
+        for node in (*group_a, *group_b):
+            self._check(node)
         self.version += 1
-        graph = self.graph
-        group_b = set(group_b)
-        for a in group_a:
-            for b in group_b:
-                if a != b and graph.has_edge(a, b):
-                    graph.remove_edge(a, b)
-                    removed += 1
-        return removed
+        before = len(self._cut)
+        self._cut.update(_link(a, b) for a in group_a for b in group_b if a != b)
+        return len(self._cut) - before
 
     def restore_all(self) -> None:
         """Return to the complete graph."""
         self.version += 1
-        self._graph = None
+        self._cut.clear()
 
     def __repr__(self) -> str:
-        if self._graph is None:
-            edges = self.n * (self.n - 1) // 2
-            return f"Topology(n={self.n}, edges={edges}, complete)"
-        return f"Topology(n={self.n}, edges={self._graph.number_of_edges()})"
+        edges = self.n * (self.n - 1) // 2 - len(self._cut)
+        suffix = ", complete" if not self._cut else ""
+        return f"Topology(n={self.n}, edges={edges}{suffix})"

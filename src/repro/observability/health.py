@@ -75,6 +75,8 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
+from ..core.config import check_finite
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..core.controller import Controller
     from ..core.tracing import Trace
@@ -256,8 +258,7 @@ class HealthMonitor:
         fairness_threshold: float = 0.5,
         starvation_wait_ms: float | None = None,
     ) -> None:
-        if window_ms <= 0:
-            raise ValueError(f"window_ms must be > 0, got {window_ms}")
+        check_finite("health window_ms", window_ms, strict=True, error=ValueError)
         self.window_ms = float(window_ms)
         self.view_storm_threshold = view_storm_threshold
         self.straggler_lag = straggler_lag

@@ -24,6 +24,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
+from ..core.config import check_finite
+
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.controller import Controller
 
@@ -135,8 +137,7 @@ class MetricsRegistry:
     """
 
     def __init__(self, interval: float = DEFAULT_INTERVAL_MS) -> None:
-        if interval <= 0:
-            raise ValueError(f"metrics interval must be > 0 ms, got {interval}")
+        check_finite("metrics interval (ms)", interval, strict=True, error=ValueError)
         self.interval = float(interval)
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Callable[[], float]] = {}

@@ -61,10 +61,6 @@ class ADDBase(BFTProtocol):
     # iteration scheduling
     # ------------------------------------------------------------------
 
-    def iteration_duration(self) -> float:
-        """Length of one iteration: the resolve phase ends it."""
-        return (len(self.phases) - 1) * self.lam
-
     def on_start(self) -> None:
         self._start_iteration(0)
 

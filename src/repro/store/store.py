@@ -35,7 +35,7 @@ import sqlite3
 import threading
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Any, Iterable
+from typing import Any
 
 from ..core.config import SimulationConfig
 from ..core.errors import SimulationError
@@ -457,26 +457,6 @@ class ExperimentStore:
             )
             return int(cursor.lastrowid)
 
-    def record_runs(
-        self,
-        experiment_id: int,
-        entries: Iterable[SimulationResult | RunFailure],
-        *,
-        labels: Iterable[str] | None = None,
-        start_index: int = 0,
-    ) -> list[int]:
-        """Batch-insert a whole result list (post-hoc recording)."""
-        labels = list(labels or [])
-        ids = []
-        for offset, entry in enumerate(entries):
-            label = labels[offset] if offset < len(labels) else ""
-            ids.append(
-                self.record_run(
-                    experiment_id, start_index + offset, entry, label=label
-                )
-            )
-        return ids
-
     def _result_row(self, result: SimulationResult) -> dict[str, Any]:
         signals = getattr(result, "signals_summary", None)
         return {
@@ -618,13 +598,6 @@ class ExperimentStore:
                     "WHERE id = ?",
                     (int(done_runs), int(total_runs), int(experiment_id)),
                 )
-
-    def set_trace_path(self, run_id: int, trace_path: str) -> None:
-        with self._lock, self._conn as conn:
-            conn.execute(
-                "UPDATE runs SET trace_path = ? WHERE id = ?",
-                (trace_path, int(run_id)),
-            )
 
     def record_artifact(
         self,

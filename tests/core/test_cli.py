@@ -71,6 +71,51 @@ class TestRun:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags,field", [
+        (["--lam", "nan"], "lam"),
+        (["--mean", "nan"], "mean"),
+        (["--max-time", "nan"], "max_time"),
+        (["--workload", "rate:nan,clients:2"], "rate"),
+        (["--workload", "rate:inf,clients:2"], "rate"),
+        (["--faults", "delay=0.2xnan"], "factor"),
+        (["--faults", "loss=0.1@nan:5"], "window start"),
+        (["--faults", "crash=1@inf"], "window start"),
+        (["--metrics-interval", "nan"], "interval"),
+        (["--health-window", "nan"], "window_ms"),
+        (["--attack-params", "[1]"], "attack params"),
+    ])
+    def test_non_finite_option_is_one_error_line(self, flags, field, capsys):
+        # Each of these used to hang, die in the scheduler long after the
+        # value entered, run to the horizon on NaN delays, or traceback.
+        code = main(["run", "--protocol", "pbft", "-n", "4", *flags])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and field in err[0]
+
+    def test_non_finite_config_file_is_an_error(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text('{"protocol": "pbft", "n": 4, "lam": NaN}')
+        assert main(["run", "--config", str(path)]) == 1
+        assert "error: lambda (lam)" in capsys.readouterr().err
+
+    def test_dissemination_and_fanout_reach_the_config(self, capsys):
+        from repro import NetworkConfig, SimulationConfig, run_simulation
+
+        def api(mode, fanout):
+            result = run_simulation(SimulationConfig(
+                protocol="pbft", n=8,
+                network=NetworkConfig(dissemination=mode, fanout=fanout),
+            ))
+            return result.events_processed, result.messages, result.latency
+
+        code = main(["run", "--protocol", "pbft", "-n", "8", "--json",
+                     "--dissemination", "tree", "--fanout", "2"])
+        assert code == 0
+        data = json.loads(capsys.readouterr().out)
+        cli = data["events_processed"], data["messages"], data["latency_ms"]
+        assert cli == api("tree", 2)
+        assert cli != api("tree", 0) and cli != api("full", 0)
+
 
 class TestSweep:
     def test_sweep_lambda(self, capsys):
@@ -89,6 +134,12 @@ class TestSweep:
             "--param", "n", "--values", "4,7", "--reps", "1",
         ])
         assert code == 0
+
+    def test_sweep_non_finite_value_is_an_error(self, capsys):
+        code = main(["sweep", "--protocol", "pbft", "-n", "4",
+                     "--param", "lam", "--values", "nan"])
+        assert code == 1
+        assert "error: lambda (lam)" in capsys.readouterr().err
 
     def test_unsupported_parameter(self, capsys):
         code = main([

@@ -2,11 +2,30 @@
 
 from __future__ import annotations
 
+import math
+from functools import partial
+
 import pytest
 from hypothesis import given, strategies as st
 
-from repro import AttackConfig, NetworkConfig, SimulationConfig
+from repro import AttackConfig, NetworkConfig, SimulationConfig, WorkloadConfig
+from repro.core.config import FaultSpec
 from repro.core.errors import ConfigurationError
+from repro.observability.health import HealthMonitor
+from repro.observability.metrics import MetricsRegistry
+
+_config = partial(SimulationConfig, protocol="pbft", n=4)
+_loss = partial(FaultSpec, "loss", rate=0.1)
+
+#: Every float option with a range, as (constructor, field).
+NUMERIC_FIELDS = [
+    (NetworkConfig, "mean"), (NetworkConfig, "std"), (NetworkConfig, "min_delay"),
+    (NetworkConfig, "max_delay"), (NetworkConfig, "gst"), (NetworkConfig, "pre_gst_factor"),
+    (partial(FaultSpec, "delay", rate=0.2), "factor"), (_loss, "start"), (_loss, "end"),
+    (WorkloadConfig, "rate"), (WorkloadConfig, "duration"), (WorkloadConfig, "batch_timeout"),
+    (_config, "lam"), (_config, "max_time"), (_config, "stall_timeout"),
+    (MetricsRegistry, "interval"), (HealthMonitor, "window_ms"),
+]
 
 
 class TestValidation:
@@ -52,6 +71,39 @@ class TestValidation:
     def test_pre_gst_factor_below_one_rejected(self):
         with pytest.raises(ConfigurationError):
             NetworkConfig(gst=100.0, pre_gst_factor=0.5).validate()
+
+
+class TestNonFiniteRejected:
+    @pytest.mark.parametrize("build, field, value", [
+        pytest.param(build, field, value, id=f"{field}-{value}")
+        for build, field in NUMERIC_FIELDS for value in (math.nan, math.inf)
+        if (field, value) != ("max_time", math.inf)  # "no horizon" is a valid setting
+    ])
+    def test_field_names_itself(self, build, field, value):
+        # NaN compares false both ways, so it passes any ``x <= 0`` rejection.
+        # ConfigurationError from the config classes, ValueError from the two
+        # telemetry constructors; the CLI reports both as ``error:``.
+        with pytest.raises((ConfigurationError, ValueError), match=field):
+            build(**{field: value}).validate()
+
+    def test_max_time_may_be_infinite(self):
+        assert _config(max_time=math.inf).max_time == math.inf
+
+    def test_nan_from_json_is_rejected(self):
+        # json.loads accepts NaN / Infinity, so --config reaches validate too.
+        with pytest.raises(ConfigurationError, match="lam"):
+            SimulationConfig.from_json('{"protocol": "pbft", "lam": NaN}')
+        with pytest.raises(ConfigurationError, match="mean"):
+            SimulationConfig.from_json(
+                '{"protocol": "pbft", "network": {"mean": Infinity}}')
+
+    def test_non_number_is_rejected(self):
+        with pytest.raises(ConfigurationError, match="lam"):
+            SimulationConfig.from_dict({"protocol": "pbft", "lam": "fast"})
+
+    def test_attack_params_must_be_a_mapping(self):
+        with pytest.raises(ConfigurationError, match="attack params"):
+            _config(attack=AttackConfig(name="failstop", params=[1]))
 
 
 class TestSerialization:

@@ -57,13 +57,27 @@ def queue_entries(controller: Controller) -> list[tuple]:
 # -- whole runs ---------------------------------------------------------------
 
 
+#: ``block_txns`` turns proposal values from tag strings into structured
+#: blocks (a dict holding a transaction list): the payload the shared tier
+#: hands to every recipient as one object and the per-copy tier deep-copies.
+BLOCK_PROTOCOLS = ["pbft", "hotstuff-ns"]
+
+
 @pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("protocol", sorted(GOLDEN))
-def test_shared_tier_equals_forced_instrumented_tier(protocol, mode):
+@pytest.mark.parametrize(
+    "protocol, block_txns",
+    [pytest.param(protocol, 0, id=protocol) for protocol in sorted(GOLDEN)]
+    + [pytest.param(protocol, 8, id=f"{protocol}+blocks") for protocol in BLOCK_PROTOCOLS],
+)
+def test_shared_tier_equals_forced_instrumented_tier(protocol, block_txns, mode):
     config = golden_config(protocol, mode).replace(n=7)
-    shared = result_fingerprint(run_simulation(config))
+    if block_txns:
+        config = config.replace(protocol_params={"block_txns": block_txns})
+    result = run_simulation(config)
     overridden = result_fingerprint(force_instrumented(Controller(config)).run())
-    assert shared == overridden
+    assert result_fingerprint(result) == overridden
+    if block_txns:
+        assert all(len(v["txns"]) == block_txns for v in result.decided_values.values())
 
 
 # -- what a traced run writes ---------------------------------------------------

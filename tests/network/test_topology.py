@@ -2,44 +2,17 @@
 
 from __future__ import annotations
 
-import os
-import pathlib
-import subprocess
-import sys
-
 import pytest
 
-import repro
 from repro.core.errors import ConfigurationError
 from repro.network.topology import Topology
-
-
-def test_networkx_is_imported_by_the_first_materialisation_not_by_the_package():
-    """A cold ``import repro`` (every CLI start, every fleet worker) must not
-    pay for networkx; the pristine complete graph answers without it."""
-    code = (
-        "import sys, repro, repro.cli\n"
-        "from repro.network.topology import Topology\n"
-        "topology = Topology(4)\n"
-        "assert topology.connected(0, 1) and topology.components() == [{0, 1, 2, 3}]\n"
-        "assert 'networkx' not in sys.modules\n"
-        "topology.cut(0, 1)\n"
-        "assert 'networkx' in sys.modules and not topology.connected(0, 1)\n"
-    )
-    source_root = str(pathlib.Path(repro.__file__).resolve().parents[1])
-    process = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": source_root},
-        capture_output=True, text=True, timeout=120,
-    )
-    assert process.returncode == 0, process.stderr
 
 
 class TestConstruction:
     def test_default_is_complete(self):
         topo = Topology(5)
-        assert topo.is_fully_connected()
-        assert topo.graph.number_of_edges() == 10
+        assert topo.is_complete()
+        assert repr(topo) == "Topology(n=5, edges=10, complete)"
 
     def test_zero_nodes_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -49,7 +22,7 @@ class TestConstruction:
         topo = Topology(4, edges=[(0, 1), (2, 3)])
         assert topo.connected(0, 1)
         assert not topo.connected(0, 2)
-        assert not topo.is_fully_connected()
+        assert not topo.is_complete()
 
     def test_out_of_range_edge_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -80,9 +53,10 @@ class TestMutation:
     def test_cut_and_restore(self):
         topo = Topology(3)
         topo.cut(0, 1)
-        assert not topo.connected(0, 1)
+        assert not topo.connected(0, 1) and not topo.is_complete()
+        assert topo.components() == [{0, 1, 2}]  # still one subnet via node 2
         topo.restore(0, 1)
-        assert topo.connected(0, 1)
+        assert topo.connected(0, 1) and topo.is_complete()
 
     def test_cut_idempotent(self):
         topo = Topology(3)
@@ -102,9 +76,9 @@ class TestMutation:
         topo = Topology(4)
         topo.cut_between([0, 1], [2, 3])
         topo.restore_all()
-        assert topo.is_fully_connected()
+        assert topo.is_complete()
 
     def test_restore_self_loop_ignored(self):
         topo = Topology(3)
         topo.restore(1, 1)
-        assert not topo.graph.has_edge(1, 1)
+        assert topo.neighbors(1) == [0, 2] and topo.is_complete()

@@ -268,6 +268,11 @@ class TestGoldenDeterminism:
         assert result_fingerprint(result) == GOLDEN[protocol]
         assert result.health is not None
         assert result.health.anomaly_count == 0
+        # A 50 ms window closes ten times as often: the detector-evaluation
+        # path rather than the per-event one, and just as invisible.
+        narrow = run_simulation(golden_config(protocol), health=50.0)
+        assert result_fingerprint(narrow) == GOLDEN[protocol]
+        assert narrow.health.windows > result.health.windows
 
     def test_health_report_is_outside_the_fingerprint(self):
         result = run_simulation(golden_config("pbft"), health=True)

@@ -61,8 +61,9 @@ def test_validate_rejects_unknown_arrival():
 def test_validate_trace_requires_times():
     with pytest.raises(ConfigurationError, match="trace_times"):
         WorkloadConfig(arrival="trace").validate()
-    with pytest.raises(ConfigurationError, match=">= 0"):
-        WorkloadConfig(arrival="trace", trace_times=[10.0, -1.0]).validate()
+    for bad in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigurationError, match=">= 0"):
+            WorkloadConfig(arrival="trace", trace_times=[10.0, bad]).validate()
     WorkloadConfig(arrival="trace", trace_times=[10.0, 20.0]).validate()
 
 
