@@ -37,6 +37,7 @@ from contextlib import contextmanager
 from typing import Sequence
 
 from .analysis.aggregate import summarize
+from .analysis.experiments import decisions_for
 from .analysis.report import render_table
 from .attacks.registry import available_attacks
 from .core.config import (
@@ -199,7 +200,7 @@ def _base_config_from_args(args: argparse.Namespace) -> SimulationConfig:
             return SimulationConfig.from_dict(json.load(handle))
     decisions = args.decisions
     if decisions is None:
-        decisions = 10 if get_protocol(args.protocol).pipelined else 1
+        decisions = decisions_for(args.protocol)
     return SimulationConfig(
         protocol=args.protocol,
         n=args.n,

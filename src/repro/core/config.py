@@ -13,8 +13,8 @@ import json
 import math
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field
-from numbers import Real
-from typing import Any
+from numbers import Integral, Real
+from typing import Any, Iterable
 
 from .errors import ConfigurationError
 
@@ -28,23 +28,45 @@ def check_finite(
     *,
     minimum: float = 0.0,
     strict: bool = False,
+    integer: bool = False,
     error: type[Exception] = ConfigurationError,
 ) -> None:
     """Raise ``error`` unless ``value`` is a finite number ``>= minimum``
-    (``> minimum`` when ``strict``).
+    (``> minimum`` when ``strict``; an integer when ``integer``).
 
     Written as the positive condition because NaN compares false both
     ways: it passes every ``x <= 0`` rejection, and a NaN time or delay
     then breaks the event queue's order far from where it entered.
     """
     in_range = (
-        isinstance(value, Real)
+        isinstance(value, Integral if integer else Real)
         and math.isfinite(value)
         and (value > minimum if strict else value >= minimum)
     )
     if not in_range:
         bound = f"{'>' if strict else '>='} {minimum:g}"
-        raise error(f"{name} must be a finite number {bound}, got {value!r}")
+        kind = "an integer" if integer else "a finite number"
+        raise error(f"{name} must be {kind} {bound}, got {value!r}")
+
+
+def check_mapping(
+    name: str, value: Any, known: Iterable[str] | None = None
+) -> Mapping[str, Any]:
+    """``value``, unless it is not a mapping or has a key outside ``known``:
+    a loaded document is checked before it is indexed or unpacked."""
+    if not isinstance(value, Mapping):
+        raise ConfigurationError(f"{name} must be a mapping (a JSON object), got {value!r}")
+    unknown = set() if known is None else set(value) - set(known)
+    if unknown:
+        raise ConfigurationError(f"unknown {name} keys: {sorted(unknown, key=str)}")
+    return value
+
+
+def check_list(name: str, value: Any) -> "list[Any] | tuple[Any, ...]":
+    """``value``, unless it is not a list (a JSON array)."""
+    if not isinstance(value, (list, tuple)):
+        raise ConfigurationError(f"{name} must be a list, got {value!r}")
+    return value
 
 
 @dataclass
@@ -170,7 +192,8 @@ class FaultSpec:
             raise ConfigurationError(
                 f"unknown fault kind {self.kind!r}; available: {list(FAULT_KINDS)}"
             )
-        if not 0.0 <= self.rate <= 1.0:
+        check_finite(f"{self.kind!r} fault rate", self.rate)
+        if self.rate > 1.0:
             raise ConfigurationError(
                 f"fault rate must be in [0, 1], got {self.rate} for {self.kind!r}"
             )
@@ -196,6 +219,16 @@ class FaultSpec:
                         raise ConfigurationError(
                             f"fault {label} scope names node {node}, but n={n}"
                         )
+
+    @classmethod
+    def from_dict(cls, data: Any) -> "FaultSpec":
+        """One fault clause of a loaded document; unknown keys are rejected."""
+        if isinstance(data, cls):
+            return data
+        data = check_mapping("fault spec", data, cls.__dataclass_fields__)
+        if "kind" not in data:
+            raise ConfigurationError(f"fault spec needs a 'kind', got {dict(data)!r}")
+        return cls(**data)
 
     def in_window(self, time: float) -> bool:
         """True when ``time`` falls inside ``[start, end)``."""
@@ -250,15 +283,10 @@ class FaultScheduleConfig:
             spec.validate(n)
 
     @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "FaultScheduleConfig":
-        specs = [
-            spec if isinstance(spec, FaultSpec) else FaultSpec(**spec)
-            for spec in data.get("specs", [])
-        ]
-        unknown = set(data) - {"specs"}
-        if unknown:
-            raise ConfigurationError(f"unknown fault schedule keys: {sorted(unknown)}")
-        return cls(specs=specs)
+    def from_dict(cls, data: Any) -> "FaultScheduleConfig":
+        data = check_mapping("fault schedule", data, ("specs",))
+        specs = check_list("fault schedule specs", data.get("specs", []))
+        return cls(specs=[FaultSpec.from_dict(spec) for spec in specs])
 
     def describe(self) -> str:
         return "; ".join(spec.describe() for spec in self.specs) or "<none>"
@@ -437,24 +465,22 @@ class SimulationConfig:
         """Check internal consistency; raises ``ConfigurationError``."""
         if not self.protocol:
             raise ConfigurationError("protocol name must be non-empty")
-        if self.n < 1:
-            raise ConfigurationError(f"n must be >= 1, got {self.n}")
-        if self.f is not None and not 0 <= self.f < self.n:
-            raise ConfigurationError(f"f must satisfy 0 <= f < n, got f={self.f} n={self.n}")
+        check_finite("n", self.n, minimum=1, integer=True)
+        if self.f is not None:
+            check_finite("f", self.f, integer=True)
+            if self.f >= self.n:
+                raise ConfigurationError(
+                    f"f must satisfy 0 <= f < n, got f={self.f} n={self.n}"
+                )
         check_finite("lambda (lam)", self.lam, strict=True)
-        if self.num_decisions < 1:
-            raise ConfigurationError("num_decisions must be >= 1")
+        check_finite("num_decisions", self.num_decisions, minimum=1, integer=True)
         if self.max_time != math.inf:  # inf: no horizon, max_events still caps the run
             check_finite("max_time", self.max_time, strict=True)
-        if self.max_events < 1:
-            raise ConfigurationError("max_events must be >= 1")
+        check_finite("max_events", self.max_events, minimum=1, integer=True)
         if self.stall_timeout is not None:
             check_finite("stall_timeout (ms)", self.stall_timeout, strict=True)
-        if not isinstance(self.attack.params, Mapping):
-            raise ConfigurationError(
-                "attack params must be a mapping of parameter name to value, "
-                f"got {self.attack.params!r}"
-            )
+        check_mapping("attack params", self.attack.params)
+        check_mapping("protocol_params", self.protocol_params)
         self.network.validate()
         self.faults.validate(self.n)
         if self.workload is not None:
@@ -487,42 +513,28 @@ class SimulationConfig:
         return data
 
     @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "SimulationConfig":
+    def from_dict(cls, data: Any) -> "SimulationConfig":
         """Inverse of :meth:`to_dict`; unknown keys are rejected."""
-        data = dict(data)
-        network = data.pop("network", None)
-        attack = data.pop("attack", None)
+        data = dict(check_mapping("config", data, cls.__dataclass_fields__))
+
+        def nested(key: str, kind: type) -> Any:
+            value = data.pop(key, None)
+            if value is None or isinstance(value, kind):
+                return value
+            return kind(**check_mapping(key, value, kind.__dataclass_fields__))
+
         faults = data.pop("faults", None)
-        workload = data.pop("workload", None)
-        known = {f_.name for f_ in cls.__dataclass_fields__.values()}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
-        if isinstance(workload, dict):
-            workload_known = {
-                f_.name for f_ in WorkloadConfig.__dataclass_fields__.values()
-            }
-            workload_unknown = set(workload) - workload_known
-            if workload_unknown:
-                raise ConfigurationError(
-                    f"unknown workload keys: {sorted(workload_unknown)}"
-                )
-        config = cls(
-            network=NetworkConfig(**network) if isinstance(network, dict) else NetworkConfig(),
-            attack=AttackConfig(**attack) if isinstance(attack, dict) else AttackConfig(),
+        return cls(
+            network=nested("network", NetworkConfig) or NetworkConfig(),
+            attack=nested("attack", AttackConfig) or AttackConfig(),
             faults=(
-                FaultScheduleConfig.from_dict(faults)
-                if isinstance(faults, dict)
-                else FaultScheduleConfig()
+                FaultScheduleConfig()
+                if faults is None
+                else FaultScheduleConfig.from_dict(faults)
             ),
-            workload=(
-                workload if isinstance(workload, WorkloadConfig)
-                else WorkloadConfig(**workload) if isinstance(workload, dict)
-                else None
-            ),
+            workload=nested("workload", WorkloadConfig),
             **data,
         )
-        return config
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)

@@ -62,6 +62,11 @@ def _copy_id(entry: list) -> int:
     return msg_id + entry[1] - entry[4]
 
 
+def _hooks(observers: tuple, name: str) -> tuple:
+    """The bound ``name`` method of every observer that has one, in order."""
+    return tuple(getattr(o, name) for o in observers if hasattr(o, name))
+
+
 class Controller:
     """Builds and runs one simulation.
 
@@ -123,9 +128,7 @@ class Controller:
             self.trace = Trace(enabled=True, sink=sink)
         else:
             self.trace = Trace(enabled=config.record_trace)
-        #: Simulated-time metrics registry (or None).  Must be set before
-        #: the NetworkModule below is built: the network binds it once at
-        #: construction for its send hook.
+        #: Simulated-time metrics registry (or None).
         self.obs_metrics = metrics
         #: Streaming run-health monitor (or None); bound at the end of
         #: construction, once the workload ledger it samples exists.
@@ -146,6 +149,27 @@ class Controller:
         )
         self.attacker_ctx = AttackerContext(self, self.attacker.capabilities)
         self.attacker.bind(self.attacker_ctx)
+
+        #: The observer seam: who hears a send, a delivery, a decision and
+        #: a view entry is resolved here, once, into tuples of bound
+        #: methods; every site is ``for hook in hooks: hook(...)``, so a
+        #: bare run iterates empty tuples.  This is the one place an
+        #: observer is listed, and the order is a contract: the monitor
+        #: closes its window before the registry samples at the same
+        #: boundary (two of the registry's gauges read the monitor).
+        observers = tuple(
+            o for o in (self.signals, health, metrics) if o is not None
+        )
+        self._on_send = _hooks(observers, "on_send")
+        self._on_deliver = _hooks(observers, "on_deliver")
+        self._on_decide = _hooks(observers, "on_decide")
+        self._on_view = _hooks(observers, "on_view")
+        #: Observers with a clock: ``advance(now)`` closes every window up
+        #: to ``now``, ``next_boundary`` is when the next one is due,
+        #: ``finish(now)`` closes the last.
+        self._clocks = tuple(o for o in observers if hasattr(o, "advance"))
+        if metrics is not None:
+            metrics.bind_engine(self)
 
         self._timer_ids = iter(range(1, 1 << 62))
         self._last_message_id = 0
@@ -169,9 +193,6 @@ class Controller:
             self.attacker_ctx,
             faults=self.fault_injector,
         )
-
-        if metrics is not None:
-            metrics.bind_engine(self)
 
         self.nodes: list[Node] = [protocol_cls(i, self) for i in range(self.n)]
         self._halted: set[int] = set()
@@ -206,12 +227,6 @@ class Controller:
             self._schedule_workload_events()
         if health is not None:
             health.bind_engine(self)
-        #: Fast-path binding (same idiom as MetricsRegistry's bound
-        #: instruments): deliveries bump the monitor's per-kind counter
-        #: dict directly instead of paying a method call per message.
-        #: ``close_window`` resets it with ``clear()``, so the shared
-        #: reference stays live across windows.
-        self._health_kinds = None if health is None else health._kind_in_window
 
     # ------------------------------------------------------------------
     # NodeEnvironment facade
@@ -294,12 +309,8 @@ class Controller:
         self._termination_dirty = True
         self._last_progress = now
         self._node_activity[node_id] = now
-        if self.signals is not None:
-            self.signals.on_decide(node_id, now)
-        if self.obs_metrics is not None:
-            self.obs_metrics.on_decide()
-        if self.health is not None:
-            self.health.on_decide(node_id, now)
+        for hook in self._on_decide:
+            hook(node_id, now)
         if self.trace.enabled:
             self.trace.record(
                 now, "decide", node_id,
@@ -312,14 +323,8 @@ class Controller:
         Deliberately side-effect free with respect to the engine: unlike
         :meth:`report_to_system` it touches neither the liveness watchdog
         nor node-activity bookkeeping, so instrumented and uninstrumented
-        protocols terminate identically.  Live signals (attacker-requested
-        only) accumulate per-view phase timings from the same annotations.
+        protocols terminate identically.
         """
-        if self.signals is not None:
-            self.signals.on_phase(
-                node_id, phase, fields.get("view"), fields.get("height"),
-                self.clock.now,
-            )
         if self.trace.enabled:
             self.trace.record(self.clock.now, "phase", node_id, phase=phase, **fields)
 
@@ -333,8 +338,8 @@ class Controller:
                 self._max_view = view
             # A view advance counts as liveness progress for the watchdog.
             self._last_progress = self.clock.now
-            if self.health is not None:
-                self.health.on_view(node_id, view, self.clock.now)
+            for hook in self._on_view:
+                hook(node_id, view, self.clock.now)
         self._node_activity[node_id] = self.clock.now
         if self.trace.enabled:
             self.trace.record(self.clock.now, kind, node_id, **fields)
@@ -476,15 +481,13 @@ class Controller:
         started = _time.perf_counter()
         config = self.config
         stall_timeout = config.stall_timeout
-        obs = self.obs_metrics
-        health = self.health
 
         self.log.debug(
             "run starting",
             protocol=config.protocol, n=self.n, f=self.f, seed=config.seed,
         )
         try:
-            return self._run_to_completion(started, config, stall_timeout, obs, health)
+            return self._run_to_completion(started, config, stall_timeout)
         finally:
             # Closed on *every* exit path (safety violations, liveness
             # errors, protocol bugs) so a crashed run still leaves a
@@ -513,8 +516,6 @@ class Controller:
         started: float,
         config: SimulationConfig,
         stall_timeout: float | None,
-        obs: "MetricsRegistry | None",
-        health: "HealthMonitor | None",
     ) -> SimulationResult:
         self._cause = "a"
         self.attacker.setup()
@@ -542,10 +543,10 @@ class Controller:
         max_time = config.max_time
         max_events = config.max_events
         events_processed = self._events_processed
-        # The monitor's next window boundary, hoisted to a local float: the
-        # common iteration pays one compare instead of a method call into
-        # the monitor (its ``advance`` would just fail the same check).
-        health_boundary = math.inf if health is None else health._next_boundary
+        # The earliest window boundary of the observers that have a clock,
+        # as a local float: the common iteration pays one compare.
+        clocks = self._clocks
+        next_window = min((o.next_boundary for o in clocks), default=math.inf)
         try:
             while True:
                 # The termination predicate can only change when a decision
@@ -592,11 +593,10 @@ class Controller:
                 # Window closes happen *before* the boundary-crossing
                 # event's own trace lines — the ordering contract behind
                 # online == offline health replay.
-                if event_time >= health_boundary:
-                    health.advance(event_time)
-                    health_boundary = health._next_boundary
-                if obs is not None:
-                    obs.advance(event_time)
+                if event_time >= next_window:
+                    for observer in clocks:
+                        observer.advance(event_time)
+                    next_window = min(o.next_boundary for o in clocks)
                 dispatch(entry)
         finally:
             self._events_processed = events_processed
@@ -616,10 +616,8 @@ class Controller:
                 f"(decisions: { {i: self.metrics.decisions_of(i) for i in range(self.n)} })"
             )
         self.metrics.finish(self.clock.now)
-        if health is not None:
-            health.finish(self.clock.now)
-        if obs is not None:
-            obs.finish(self.clock.now)
+        for observer in self._clocks:
+            observer.finish(self.clock.now)
         wall = _time.perf_counter() - started
         self.log.debug(
             "run finished",
@@ -684,15 +682,8 @@ class Controller:
             self._last_progress = event_time
             if self._watchdog:
                 self._node_activity[dest] = event_time
-            if self.signals is not None:
-                self.signals.on_deliver(
-                    dest, message.source, event_time, message.type
-                )
-            if self.obs_metrics is not None:
-                self.obs_metrics.on_deliver(event_time - message.sent_at)
-            health_kinds = self._health_kinds
-            if health_kinds is not None:
-                health_kinds[message.type] += 1
+            for hook in self._on_deliver:
+                hook(dest, message.source, message.type, event_time, message.sent_at)
             trace = self.trace
             if trace.enabled:
                 # Deliveries carry the message's own cause plus its slot/view
@@ -776,13 +767,6 @@ class Controller:
         decided_values = {
             slot: metrics.decided_value(slot) for slot in metrics.decided_slots()
         }
-        run_metrics = None
-        if self.obs_metrics is not None:
-            run_metrics = self.obs_metrics.build(sim_time_ms=self.clock.now)
-        signals_summary = None
-        if self.signals is not None:
-            self.signals.finish(self.clock.now)
-            signals_summary = self.signals.summary_dict()
         return SimulationResult(
             config=self.config,
             terminated=terminated,
@@ -800,8 +784,14 @@ class Controller:
             trace=self.trace,
             fault_counts=metrics.faults,
             stall=self._stall,
-            run_metrics=run_metrics,
-            signals_summary=signals_summary,
+            run_metrics=(
+                self.obs_metrics.build(sim_time_ms=self.clock.now)
+                if self.obs_metrics is not None
+                else None
+            ),
+            signals_summary=(
+                self.signals.summary_dict() if self.signals is not None else None
+            ),
             workload=(
                 self._workload.build(self.clock.now)
                 if self._workload is not None

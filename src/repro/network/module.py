@@ -103,9 +103,9 @@ class NetworkModule:
         self._push_event = controller.queue.push
         #: Recipients of a full-mode star, shared by every such broadcast.
         self._star_dests = list(range(controller.n))
-        # Simulated-time metrics registry (or None), bound once: it is
-        # fixed for the controller's lifetime.
-        self._obs = controller.obs_metrics
+        # Who hears a wire transmission (the controller's observer seam):
+        # ``hook(transmitter, wire_bytes)``; empty in a bare run.
+        self._on_send = controller._on_send
         # Overlay state (tree/gossip only).  The shape cache and the two
         # dedicated RNG substreams are created lazily on the first relayed
         # broadcast; ``mode="full"`` never creates them — its star draws
@@ -227,11 +227,10 @@ class NetworkModule:
             counts = self._counts
             counts.sent += hops
             counts.bytes_sent += hops * wire_bytes
-            obs = self._obs
-            if obs is not None:
+            for hook in self._on_send:
                 # Wire accounting is charged to the physical transmitter.
                 for relay in repeat(source, hops) if plan is None else plan.relays.tolist():
-                    obs.on_send(relay, wire_bytes)
+                    hook(relay, wire_bytes)
             if controller.trace.enabled:
                 # Copy i of the broadcast has id first + i; the loopback
                 # (index ``source`` of a star, 0 of an overlay) is not sent.
@@ -383,9 +382,8 @@ class NetworkModule:
         counts = self._counts
         counts.sent += 1
         counts.bytes_sent += wire_bytes
-        obs = self._obs
-        if obs is not None:
-            obs.on_send(message.source, wire_bytes)
+        for hook in self._on_send:
+            hook(message.source, wire_bytes)
         if controller.trace.enabled:
             self._record_sends(message, {"size": wire_bytes})
         delay = message.delay
@@ -424,7 +422,7 @@ class NetworkModule:
         else:
             counts.sent += wire
         counts.bytes_sent += wire * wire_bytes
-        obs = self._obs
+        on_send = self._on_send
         tags: dict[str, Any] | None = None
         if controller.trace.enabled:
             # ``byzantine`` lets trace consumers (``repro inspect``)
@@ -465,11 +463,11 @@ class NetworkModule:
                     hop.delay = 0.0
                     push(MessageEvent(time=now, message=hop))
                     continue
-                if obs is not None:
+                for hook in on_send:
                     # Charged to the physical transmitter: the relay for
                     # dissemination hops, the origin otherwise.
                     relay = hop.relay_from
-                    obs.on_send(source if relay is None else relay, wire_bytes)
+                    hook(source if relay is None else relay, wire_bytes)
                 if tags is not None:
                     self._record_sends(hop, tags)
                 delay = hop.delay
@@ -547,8 +545,8 @@ class NetworkModule:
             if item.delay is None:
                 item.delay = self.delay_model.sample_delay(item.sent_at)
             self._counts.byzantine += 1
-            if self._obs is not None:
-                self._obs.on_send(item.source, 0)
+            for hook in self._on_send:
+                hook(item.source, 0)
             if controller.trace.enabled:
                 if item.cause is None:
                     item.cause = controller._current_cause

@@ -41,8 +41,11 @@ re-derives them from the same inputs.
 
 Detectors
 ---------
+The thresholds are module constants; a monitor's only setting is its
+window width.
+
 ``view-storm``
-    honest nodes entered at least ``view_storm_threshold`` (default 4)
+    honest nodes entered at least ``VIEW_STORM_THRESHOLD`` (4)
     *distinct* views within one window in which **no decision landed** —
     views are churning without progress.  Counting distinct views (not
     entries) keeps one fleet-wide view advance (n entries of the same
@@ -51,20 +54,20 @@ Detectors
     rotation as one.
 ``straggler``
     some node's total decision count lags the fleet maximum by at least
-    ``straggler_lag``; re-reported every window while the lag persists
+    ``STRAGGLER_LAG``; re-reported every window while the lag persists
     (a crashed replica *is* unhealthy for the rest of the run).
 ``backlog``
     in-flight messages + mempool depth strictly grew across
-    ``backlog_windows`` consecutive windows and ended at or above
-    ``backlog_min`` — the drain rate fell behind the offered rate.
+    ``BACKLOG_WINDOWS`` consecutive windows and ended at or above
+    ``BACKLOG_MIN`` — the drain rate fell behind the offered rate.
 ``fanin-spike``
     one message kind's window delivery count exceeded
-    ``fanin_factor`` x its EWMA baseline (warm-up guarded by
-    ``fanin_min``).
+    ``FANIN_FACTOR`` x its EWMA baseline (smoothing ``FANIN_ALPHA``,
+    warm-up guarded by ``FANIN_MIN``).
 ``starvation``
     Jain's fairness index over per-client decided counts fell below
-    ``fairness_threshold``, or the oldest outstanding request waited
-    longer than ``starvation_wait_ms`` (default ``10 x window_ms``);
+    ``FAIRNESS_THRESHOLD``, or the oldest outstanding request waited
+    longer than ``STARVATION_WAIT_WINDOWS`` (10) windows;
     implicates the lagging clients.  Only fires on workload runs.
 """
 
@@ -92,6 +95,17 @@ __all__ = [
 ]
 
 DEFAULT_WINDOW_MS = 500.0
+
+#: Detector thresholds (see the module docstring).
+VIEW_STORM_THRESHOLD = 4
+STRAGGLER_LAG = 2
+BACKLOG_WINDOWS = 3
+BACKLOG_MIN = 8
+FANIN_FACTOR = 4.0
+FANIN_MIN = 16
+FANIN_ALPHA = 0.25
+FAIRNESS_THRESHOLD = 0.5
+STARVATION_WAIT_WINDOWS = 10.0
 
 #: Keys a ``health-sample`` trace event may carry besides time/kind/node.
 SAMPLE_KEYS = (
@@ -227,52 +241,23 @@ class HealthMonitor:
 
     Construct, then either :meth:`bind_engine` (live run — the controller
     does this) or :meth:`bind` + event feeding (offline replay, via
-    :func:`replay_health`).  All thresholds are keyword-only so a
-    monitor's configuration is always explicit at the call site.
+    :func:`replay_health`).
     """
 
     __slots__ = (
-        "window_ms", "view_storm_threshold", "straggler_lag",
-        "backlog_windows", "backlog_min", "fanin_factor", "fanin_min",
-        "fanin_alpha", "fairness_threshold", "starvation_wait_ms",
-        "n", "windows", "events",
+        "window_ms", "starvation_wait_ms", "n", "windows", "events",
         "_decided_per_node", "_decides_in_window",
         "_views_in_window", "_views_entered", "_view_nodes",
         "_kind_in_window", "_kind_ewma", "_depths", "_counts",
         "_min_fairness", "_last_fairness",
-        "_window_start", "_next_boundary",
+        "_window_start", "next_boundary",
         "_queue", "_workload", "_trace", "_message_event_type",
     )
 
-    def __init__(
-        self,
-        window_ms: float = DEFAULT_WINDOW_MS,
-        *,
-        view_storm_threshold: int = 4,
-        straggler_lag: int = 2,
-        backlog_windows: int = 3,
-        backlog_min: int = 8,
-        fanin_factor: float = 4.0,
-        fanin_min: int = 16,
-        fanin_alpha: float = 0.25,
-        fairness_threshold: float = 0.5,
-        starvation_wait_ms: float | None = None,
-    ) -> None:
+    def __init__(self, window_ms: float = DEFAULT_WINDOW_MS) -> None:
         check_finite("health window_ms", window_ms, strict=True, error=ValueError)
         self.window_ms = float(window_ms)
-        self.view_storm_threshold = view_storm_threshold
-        self.straggler_lag = straggler_lag
-        self.backlog_windows = backlog_windows
-        self.backlog_min = backlog_min
-        self.fanin_factor = fanin_factor
-        self.fanin_min = fanin_min
-        self.fanin_alpha = fanin_alpha
-        self.fairness_threshold = fairness_threshold
-        self.starvation_wait_ms = (
-            float(starvation_wait_ms)
-            if starvation_wait_ms is not None
-            else 10.0 * self.window_ms
-        )
+        self.starvation_wait_ms = STARVATION_WAIT_WINDOWS * self.window_ms
 
         self.n = 0
         self.windows = 0
@@ -282,8 +267,6 @@ class HealthMonitor:
         self._views_in_window = 0
         self._views_entered: set[int] = set()
         self._view_nodes: dict[int, int] = {}
-        # defaultdict so the engine's fast-path binding (and on_deliver)
-        # count with one C-level ``counts[kind] += 1``.
         self._kind_in_window: dict[str, int] = defaultdict(int)
         self._kind_ewma: dict[str, float] = {}
         self._depths: list[float] = []
@@ -291,7 +274,8 @@ class HealthMonitor:
         self._min_fairness: float | None = None
         self._last_fairness = 1.0
         self._window_start = 0.0
-        self._next_boundary = self.window_ms
+        #: When the open window closes; the run loop calls :meth:`advance` then.
+        self.next_boundary = self.window_ms
         self._queue = None
         self._workload = None
         self._trace: "Trace | None" = None
@@ -329,10 +313,9 @@ class HealthMonitor:
     # ------------------------------------------------------------------
     # O(1) per-event hooks (controller dispatch loop)
 
-    def on_deliver(self, dest: int, source: int, kind: str, now: float) -> None:
-        # The live engine inlines this body via a fast-path binding to
-        # ``_kind_in_window`` (see Controller.__init__); the hook itself
-        # is the replay entry point and must stay equivalent.
+    def on_deliver(
+        self, dest: int, source: int, kind: str, now: float, sent_at: float
+    ) -> None:
         self._kind_in_window[kind] += 1
 
     def on_decide(self, node: int, now: float) -> None:
@@ -350,9 +333,8 @@ class HealthMonitor:
 
     def advance(self, now: float) -> None:
         """Close every window boundary at or before ``now`` (live path)."""
-        while now >= self._next_boundary:
-            end = self._next_boundary
-            self._sample_and_close(end)
+        while now >= self.next_boundary:
+            self._sample_and_close(self.next_boundary)
 
     def finish(self, now: float) -> None:
         """End of run: flush boundaries, then close the final partial window."""
@@ -403,24 +385,23 @@ class HealthMonitor:
         self._view_nodes.clear()
         self._kind_in_window.clear()
         self._window_start = end
-        self._next_boundary = end + self.window_ms
+        self.next_boundary = end + self.window_ms
 
     # ------------------------------------------------------------------
     # detectors (each runs once per window close)
 
     def _check_view_storm(self, start: float, end: float) -> None:
         distinct = len(self._views_entered)
-        threshold = self.view_storm_threshold
-        if distinct >= threshold and self._decides_in_window == 0:
+        if distinct >= VIEW_STORM_THRESHOLD and self._decides_in_window == 0:
             self._emit(
                 end, "view-storm",
-                "critical" if distinct >= 2 * threshold else "warn",
+                "critical" if distinct >= 2 * VIEW_STORM_THRESHOLD else "warn",
                 start,
                 nodes=tuple(sorted(self._view_nodes)),
                 evidence={
                     "views": sorted(self._views_entered),
                     "entries": self._views_in_window,
-                    "threshold": threshold,
+                    "threshold": VIEW_STORM_THRESHOLD,
                 },
             )
 
@@ -431,18 +412,17 @@ class HealthMonitor:
         top = max(decided)
         if top == 0:
             return
-        lag = self.straggler_lag
         lagging = tuple(
-            node for node, count in enumerate(decided) if top - count >= lag
+            node for node, count in enumerate(decided) if top - count >= STRAGGLER_LAG
         )
         if lagging:
             worst = top - min(decided)
             self._emit(
                 end, "straggler",
-                "critical" if worst >= 2 * lag else "warn",
+                "critical" if worst >= 2 * STRAGGLER_LAG else "warn",
                 start,
                 nodes=lagging,
-                evidence={"fleet_max": top, "max_lag": worst, "threshold": lag},
+                evidence={"fleet_max": top, "max_lag": worst, "threshold": STRAGGLER_LAG},
             )
 
     def _check_backlog(
@@ -451,16 +431,16 @@ class HealthMonitor:
         depth = float(sample.get("queue") or 0) + float(sample.get("mempool") or 0)
         depths = self._depths
         depths.append(depth)
-        if len(depths) > self.backlog_windows + 1:
+        if len(depths) > BACKLOG_WINDOWS + 1:
             del depths[0]
         if (
-            len(depths) == self.backlog_windows + 1
-            and depths[-1] >= self.backlog_min
+            len(depths) == BACKLOG_WINDOWS + 1
+            and depths[-1] >= BACKLOG_MIN
             and all(a < b for a, b in zip(depths, depths[1:]))
         ):
             self._emit(
                 end, "backlog",
-                "critical" if depths[-1] >= 4 * self.backlog_min else "warn",
+                "critical" if depths[-1] >= 4 * BACKLOG_MIN else "warn",
                 start,
                 evidence={
                     "depths": list(depths),
@@ -472,35 +452,33 @@ class HealthMonitor:
     def _check_fanin(self, start: float, end: float) -> None:
         window = self._kind_in_window
         ewma = self._kind_ewma
-        factor = self.fanin_factor
-        alpha = self.fanin_alpha
         for kind in sorted(set(ewma) | set(window)):
             count = window.get(kind, 0)
             baseline = ewma.get(kind)
-            # A baseline below fanin_min / factor is not yet established —
+            # A baseline below FANIN_MIN / FANIN_FACTOR is not yet established —
             # typically seeded from a near-empty warm-up window before the
             # first deliveries land — and would flag steady-state traffic
             # as a spike.  Keep folding such windows into the EWMA but do
             # not compare against them.
             if (
                 baseline is not None
-                and baseline * factor >= self.fanin_min
-                and count >= self.fanin_min
-                and count > factor * baseline
+                and baseline * FANIN_FACTOR >= FANIN_MIN
+                and count >= FANIN_MIN
+                and count > FANIN_FACTOR * baseline
             ):
                 self._emit(
                     end, "fanin-spike",
-                    "critical" if count > 2 * factor * baseline else "warn",
+                    "critical" if count > 2 * FANIN_FACTOR * baseline else "warn",
                     start,
                     evidence={
                         "msg_type": kind, "count": count, "baseline": baseline,
-                        "factor": factor,
+                        "factor": FANIN_FACTOR,
                     },
                 )
             ewma[kind] = (
                 float(count)
                 if baseline is None
-                else alpha * count + (1.0 - alpha) * baseline
+                else FANIN_ALPHA * count + (1.0 - FANIN_ALPHA) * baseline
             )
 
     def _check_starvation(
@@ -514,15 +492,15 @@ class HealthMonitor:
         if self._min_fairness is None or fairness < self._min_fairness:
             self._min_fairness = fairness
         decided = int(sample.get("decided") or 0)
-        if decided > 0 and fairness < self.fairness_threshold:
+        if decided > 0 and fairness < FAIRNESS_THRESHOLD:
             self._emit(
                 end, "starvation",
-                "critical" if fairness < self.fairness_threshold / 2 else "warn",
+                "critical" if fairness < FAIRNESS_THRESHOLD / 2 else "warn",
                 start,
                 clients=tuple(int(c) for c in sample.get("lagging") or ()),
                 evidence={
                     "fairness": fairness, "decided": decided,
-                    "threshold": self.fairness_threshold,
+                    "threshold": FAIRNESS_THRESHOLD,
                 },
             )
         max_wait = float(sample.get("max_wait") or 0.0)
@@ -589,7 +567,7 @@ class HealthMonitor:
         """Full detector state, for the online == offline property suite."""
         return {
             "window_start": self._window_start,
-            "next_boundary": self._next_boundary,
+            "next_boundary": self.next_boundary,
             "windows": self.windows,
             "decided_per_node": list(self._decided_per_node),
             "decides_in_window": self._decides_in_window,
@@ -612,31 +590,33 @@ def _sample_fields(event: Mapping[str, Any]) -> dict[str, Any]:
 def replay_health(
     source: "str | os.PathLike[str] | Trace | Iterable[Mapping[str, Any]]",
     n: int,
-    **kwargs: Any,
+    window_ms: float = DEFAULT_WINDOW_MS,
 ) -> HealthMonitor:
     """Rebuild a :class:`HealthMonitor` from a finished trace.
 
     Hook counters replay from the raw ``deliver``/``decide``/``view``
     events; windows close from the recorded ``health-sample`` events
-    (see module docstring).  Pass the same ``n`` and threshold kwargs as
-    the online monitor to get byte-identical detector state.  A trace
+    (see module docstring).  Pass the same ``n`` and ``window_ms`` as the
+    online monitor to get byte-identical detector state.  A trace
     recorded *without* health enabled has no samples, so no windows
     close — replay is only meaningful against health-enabled traces.
     """
     from .inspect import iter_events
 
-    monitor = HealthMonitor(**kwargs)
+    monitor = HealthMonitor(window_ms)
     monitor.bind(n)
     for event in iter_events(source):
         kind = event.get("kind")
         if kind == "health-sample":
             monitor.close_window(float(event["time"]), _sample_fields(event))
         elif kind == "deliver":
+            now = float(event["time"])
             monitor.on_deliver(
                 int(event.get("node", -1)),
                 int(event.get("source", -1)),
                 str(event.get("msg_type", "")),
-                float(event["time"]),
+                now,
+                now,  # the send time is in no deliver record; no detector reads it
             )
         elif kind == "decide":
             node = int(event.get("node", -1))

@@ -44,9 +44,17 @@ def iter_trace_file(path: str | os.PathLike[str]) -> Iterator[dict[str, Any]]:
 
     Paths ending in ``.gz`` (gzip-compressed sinks) decompress
     transparently — see :func:`~repro.core.tracing.open_trace_text`.
+    A line that decodes to anything but an object is a ``ValueError``, like
+    a line that does not decode at all.
     """
     with open_trace_text(path) as handle:
-        yield from iter_jsonl_dicts(handle)
+        for index, event in enumerate(iter_jsonl_dicts(handle), 1):
+            if type(event) is not dict:
+                raise ValueError(
+                    f"{os.fspath(path)}: trace record {index} must be a JSON "
+                    f"object, got {event!r}"
+                )
+            yield event
 
 
 def iter_events(

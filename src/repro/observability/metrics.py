@@ -128,12 +128,13 @@ class MetricsRegistry:
     standard instruments through :meth:`bind_engine`; protocols and harnesses
     may add their own.
 
-    Sampling: the controller calls :meth:`advance` with each dispatched
-    event's timestamp; whenever the timestamp crosses one or more interval
-    boundaries, every counter and gauge is appended to the timeseries at the
-    boundary time (the recorded value is the state as of the last event at
-    or before the boundary — no events are scheduled, nothing perturbs the
-    run).  Histograms are kept as end-of-run distributions, not sampled.
+    Sampling: the controller calls :meth:`advance` with the timestamp of a
+    dispatched event that crosses one or more interval boundaries
+    (:attr:`next_boundary`); every counter and gauge is appended to the
+    timeseries at each boundary time (the recorded value is the state as of
+    the last event at or before the boundary — no events are scheduled,
+    nothing perturbs the run).  Histograms are kept as end-of-run
+    distributions, not sampled.
     """
 
     def __init__(self, interval: float = DEFAULT_INTERVAL_MS) -> None:
@@ -145,7 +146,8 @@ class MetricsRegistry:
         #: base metric name -> instrument type, for the Prometheus exporter.
         self._families: dict[str, str] = {}
         self._samples: list[tuple[float, str, float]] = []
-        self._next_sample = self.interval
+        #: When the next sample is due; the run loop calls :meth:`advance` then.
+        self.next_boundary = self.interval
         # Engine fast-path bindings (None until bind_engine).
         self._sent: Counter | None = None
         self._delivered: Counter | None = None
@@ -211,25 +213,23 @@ class MetricsRegistry:
         if 0 <= node < len(node_bytes):
             node_bytes[node].value += wire_bytes
 
-    def on_deliver(self, latency_ms: float) -> None:
-        """Controller hook: one delivery with the given transit latency."""
+    def on_deliver(
+        self, dest: int, source: int, kind: str, now: float, sent_at: float
+    ) -> None:
+        """Controller hook: one delivery; transit latency is ``now - sent_at``."""
         self._delivered.value += 1
-        self._latency.observe(latency_ms)
+        self._latency.observe(now - sent_at)
 
-    def on_decide(self) -> None:
+    def on_decide(self, node: int, now: float) -> None:
         self._decisions.value += 1
 
     # -- sampling -------------------------------------------------------
 
     def advance(self, now: float) -> None:
-        """Sample at every interval boundary crossed up to ``now``.
-
-        Called once per dispatched event; costs one comparison when no
-        boundary was crossed.
-        """
-        while now >= self._next_sample:
-            self._take_sample(self._next_sample)
-            self._next_sample += self.interval
+        """Sample at every interval boundary crossed up to ``now``."""
+        while now >= self.next_boundary:
+            self._take_sample(self.next_boundary)
+            self.next_boundary += self.interval
 
     def finish(self, now: float) -> None:
         """Flush boundaries up to ``now`` and take a final end-of-run sample."""

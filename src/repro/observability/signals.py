@@ -30,12 +30,7 @@ Signal semantics (all maintained incrementally):
   quorum-timeline straggler;
 * **per-kind fan-in** — deliveries per node *per message kind*
   (``PREPARE``, ``VOTE``...), so an attacker can target the hot spot of a
-  specific quorum phase rather than overall traffic;
-* **per-view phase timings** — simulated time each ``(view, phase)`` pair
-  has accumulated across nodes, fed by the protocols' ``phase()``
-  annotations: the live counterpart of the post-hoc
-  :func:`repro.observability.phases.analyze_phases` breakdown, letting an
-  adversary find the view's slowest phase while it is still running.
+  specific quorum phase rather than overall traffic.
 
 A :meth:`LiveSignals.summary_dict` snapshot of all of the above is attached
 to the result (``SimulationResult.signals_summary``) so the experiment
@@ -46,18 +41,6 @@ from __future__ import annotations
 
 from collections import Counter
 from typing import Any, Iterable
-
-
-def _view_key(view: Any, height: Any) -> Any:
-    """Collapse a phase event's coordinates into one hashable view key.
-
-    Mirrors :func:`repro.observability.phases._view_key`: ``view`` alone for
-    single-coordinate protocols, ``(height, view)`` when a height/round
-    protocol tags both.
-    """
-    if height is not None:
-        return (height, view)
-    return view
 
 
 class LiveSignals:
@@ -76,9 +59,6 @@ class LiveSignals:
         "_handling_source",
         "decisions_seen",
         "kind_fan_in",
-        "phase_totals",
-        "phase_entries",
-        "_node_phase",
     )
 
     def __init__(self, n: int) -> None:
@@ -97,68 +77,28 @@ class LiveSignals:
         self.decisions_seen = 0
         #: message kind -> per-node delivery counts (fan-in by kind).
         self.kind_fan_in: dict[str, list[int]] = {}
-        #: (view_key, phase) -> accumulated simulated ms across nodes.
-        self.phase_totals: dict[tuple[Any, str], float] = {}
-        #: (view_key, phase) -> number of node entries into the phase.
-        self.phase_entries: Counter[tuple[Any, str]] = Counter()
-        #: Per-node currently open phase stay: (view_key, phase, entered_at).
-        self._node_phase: list[tuple[Any, str, float] | None] = [None] * n
 
     # -- controller-side updates (O(1) each) --------------------------------
 
     def on_deliver(
-        self, dest: int, source: int, time: float, msg_type: str | None = None
+        self, dest: int, source: int, kind: str | None, now: float, sent_at: float
     ) -> None:
         self.delivered[dest] += 1
         self._handling_source[dest] = source
-        self.last_activity[dest] = time
-        if msg_type is not None:
-            per_node = self.kind_fan_in.get(msg_type)
+        self.last_activity[dest] = now
+        if kind is not None:
+            per_node = self.kind_fan_in.get(kind)
             if per_node is None:
-                per_node = self.kind_fan_in[msg_type] = [0] * self.n
+                per_node = self.kind_fan_in[kind] = [0] * self.n
             per_node[dest] += 1
 
-    def on_decide(self, node: int, time: float) -> None:
+    def on_decide(self, node: int, now: float) -> None:
         self.decided[node] += 1
         self.decisions_seen += 1
-        self.last_activity[node] = time
+        self.last_activity[node] = now
         closer = self._handling_source[node]
         if closer >= 0 and closer != node:
             self.closing_senders[closer] += 1
-
-    def on_phase(
-        self, node: int, phase: str, view: Any, height: Any, time: float
-    ) -> None:
-        """A node announced entering ``phase``: close its previous stay.
-
-        A node is *in* a phase from the announcement until its next phase
-        announcement (the same interval semantics as the post-hoc
-        analyzer); the closed stay's duration lands on the previous
-        ``(view, phase)`` bucket.  Stays still open when the run ends are
-        closed by :meth:`finish`.
-        """
-        key = _view_key(view, height)
-        open_stay = self._node_phase[node]
-        if open_stay is not None:
-            prev_key, prev_phase, entered_at = open_stay
-            bucket = (prev_key, prev_phase)
-            self.phase_totals[bucket] = (
-                self.phase_totals.get(bucket, 0.0) + (time - entered_at)
-            )
-        self.phase_entries[(key, phase)] += 1
-        self._node_phase[node] = (key, phase, time)
-
-    def finish(self, now: float) -> None:
-        """Close every still-open phase stay at the run's final time."""
-        for node, open_stay in enumerate(self._node_phase):
-            if open_stay is None:
-                continue
-            key, phase, entered_at = open_stay
-            bucket = (key, phase)
-            self.phase_totals[bucket] = (
-                self.phase_totals.get(bucket, 0.0) + (now - entered_at)
-            )
-            self._node_phase[node] = None
 
     # -- attacker-side queries ----------------------------------------------
 
@@ -226,30 +166,12 @@ class LiveSignals:
         candidates.sort(key=lambda i: (-per_node[i], i))
         return candidates[:k]
 
-    def slowest_phases(self, k: int = 1) -> list[tuple[Any, str, float]]:
-        """The ``k`` ``(view, phase, total_ms)`` buckets with the most time.
-
-        Ordered slowest-first; ties break on the stringified view then the
-        phase name, so the ranking is deterministic across runs.
-        """
-        ranked = sorted(
-            self.phase_totals.items(),
-            key=lambda item: (-item[1], str(item[0][0]), item[0][1]),
-        )
-        return [(view, phase, total) for (view, phase), total in ranked[:k]]
-
-    def phase_time(self, view: Any, phase: str) -> float:
-        """Accumulated simulated ms all nodes spent in ``(view, phase)``."""
-        return self.phase_totals.get((view, phase), 0.0)
-
     # -- persistence ---------------------------------------------------------
 
     def summary_dict(self) -> dict[str, Any]:
         """JSON-friendly snapshot for the experiment store's per-run row.
 
-        Per-view phase timings are keyed ``"<view>/<phase>"`` (views
-        stringified — tuples become ``"(height, round)"``); fan-in is
-        stored per kind as total plus per-node counts.
+        Fan-in is stored per kind as total plus per-node counts.
         """
         return {
             "decisions_seen": self.decisions_seen,
@@ -262,16 +184,6 @@ class LiveSignals:
             "fan_in_by_kind": {
                 kind: {"total": sum(counts), "per_node": list(counts)}
                 for kind, counts in sorted(self.kind_fan_in.items())
-            },
-            "phase_timings": {
-                f"{view}/{phase}": {
-                    "total_ms": total,
-                    "entries": self.phase_entries.get((view, phase), 0),
-                }
-                for (view, phase), total in sorted(
-                    self.phase_totals.items(),
-                    key=lambda item: (str(item[0][0]), item[0][1]),
-                )
             },
         }
 

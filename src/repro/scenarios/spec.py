@@ -49,6 +49,9 @@ from ..core.config import (
     FaultScheduleConfig,
     FaultSpec,
     SimulationConfig,
+    check_finite,
+    check_list,
+    check_mapping,
 )
 from ..core.errors import ConfigurationError
 from ..faults.presets import available_presets as available_fault_presets
@@ -160,20 +163,21 @@ class AttackClause:
         return data
 
     @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "AttackClause":
-        data = dict(data)
-        unknown = set(data) - {"attack", "params", "start", "end"}
-        if unknown:
-            raise ConfigurationError(
-                f"unknown attack clause keys: {sorted(unknown)}"
-            )
+    def from_dict(cls, data: Any) -> "AttackClause":
+        if isinstance(data, cls):
+            return data
+        data = check_mapping("attack clause", data, cls.__dataclass_fields__)
         if "attack" not in data:
             raise ConfigurationError("attack clause needs an 'attack' name")
+        start, end = data.get("start", 0.0), data.get("end")
+        check_finite("attack clause start", start)
+        if end is not None:
+            check_finite("attack clause end", end)
         return cls(
             attack=data["attack"],
-            params=dict(data.get("params", {})),
-            start=float(data.get("start", 0.0)),
-            end=None if data.get("end") is None else float(data["end"]),
+            params=dict(check_mapping("attack clause params", data.get("params", {}))),
+            start=float(start),
+            end=None if end is None else float(end),
         )
 
     def describe(self) -> str:
@@ -303,25 +307,23 @@ class ScenarioSpec:
         return data
 
     @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "ScenarioSpec":
-        data = dict(data)
-        unknown = set(data) - {"name", "attacks", "faults", "allow"}
-        if unknown:
-            raise ConfigurationError(f"unknown scenario keys: {sorted(unknown)}")
-        attacks = [
-            clause if isinstance(clause, AttackClause) else AttackClause.from_dict(clause)
-            for clause in data.get("attacks", [])
-        ]
-        faults = [
-            spec if isinstance(spec, FaultSpec) else FaultSpec(**spec)
-            for spec in data.get("faults", [])
-        ]
+    def from_dict(cls, data: Any) -> "ScenarioSpec":
+        data = check_mapping("scenario", data, cls.__dataclass_fields__)
         allow = data.get("allow")
         return cls(
             name=str(data.get("name", "scenario")),
-            attacks=attacks,
-            faults=faults,
-            allow=None if allow is None else [str(n) for n in allow],
+            attacks=[
+                AttackClause.from_dict(clause)
+                for clause in check_list("scenario attacks", data.get("attacks", []))
+            ],
+            faults=[
+                FaultSpec.from_dict(spec)
+                for spec in check_list("scenario faults", data.get("faults", []))
+            ],
+            allow=(
+                None if allow is None
+                else [str(n) for n in check_list("scenario allow", allow)]
+            ),
         )
 
     def to_json(self) -> str:

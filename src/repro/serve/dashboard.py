@@ -409,17 +409,6 @@ async function selectRun(runId) {
   if (r.failure) html += `<pre>${esc(JSON.stringify(r.failure, null, 1))}</pre>`;
   if (r.stall) html += `<p class="status stalled"><span class="dot"></span>
     stalled: ${esc(r.stall.reason)} at ${fmt(r.stall.detected_at)} ms</p>`;
-  if (r.signals && r.signals.phase_timings &&
-      Object.keys(r.signals.phase_timings).length) {
-    const entries = Object.entries(r.signals.phase_timings).slice(0, 24);
-    html += `<h2>Live signals: per-view phase totals</h2>
-      <table><thead><tr><th>view/phase</th><th class="num">total</th>
-      <th class="num">entries</th></tr></thead><tbody>` +
-      entries.map(([k, v]) => `<tr><td>${esc(k)}</td>
-        <td class="num">${fmt(v.total_ms)} ms</td>
-        <td class="num">${v.entries}</td></tr>`).join("") +
-      "</tbody></table>";
-  }
   if (r.trace_path) {
     html += `<p class="muted">trace: ${esc(r.trace_path)}</p>`;
     try {

@@ -514,25 +514,13 @@ class ExperimentStore:
         }
 
     def _failure_row(self, failure: RunFailure) -> dict[str, Any]:
+        # Every result column is nullable: a failed run sets none of them.
         return {
             "status": "failed",
             "seed": failure.config.seed,
             "protocol": failure.config.protocol,
             "config_json": _json(failure.config.to_dict()),
-            "fingerprint": None,
-            "terminated": None,
             "stalled": 0,
-            "latency": None,
-            "latency_per_decision": None,
-            "messages": None,
-            "messages_per_decision": None,
-            "events_processed": None,
-            "max_view": None,
-            "wall_clock_seconds": None,
-            "fault_counts_json": None,
-            "stall_json": None,
-            "metrics_json": None,
-            "signals_json": None,
             "failure_json": _json({
                 "kind": failure.kind,
                 "error_type": failure.error_type,
@@ -540,14 +528,6 @@ class ExperimentStore:
                 "attempts": failure.attempts,
                 "traceback": failure.traceback,
             }),
-            "committed_tx_s": None,
-            "requests_submitted": None,
-            "requests_decided": None,
-            "saturated": None,
-            "workload_json": None,
-            "health_json": None,
-            "anomaly_count": None,
-            "min_fairness": None,
         }
 
     def finish_experiment(

@@ -98,6 +98,37 @@ class TestRun:
         assert main(["run", "--config", str(path)]) == 1
         assert "error: lambda (lam)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,document,key", [
+        ("--config", [1], "config"),
+        ("--config", {"protocol": "pbft", "n": "four"}, "n must be an integer"),
+        ("--config", {"protocol": "pbft", "network": {"bogus": 1}}, "bogus"),
+        ("--config", {"protocol": "pbft", "network": [1]}, "network"),
+        ("--config", {"protocol": "pbft", "faults": {"specs": [{"kindd": "loss"}]}},
+         "kindd"),
+        ("--config", {"protocol": "pbft", "protocol_params": [1]}, "protocol_params"),
+        ("--scenario", {"attacks": [{"attack": "failstop", "params": [1]}]},
+         "attack clause params"),
+        ("--scenario", {"attacks": [{"attack": "failstop", "start": [1]}]},
+         "attack clause start"),
+        ("--scenario", {"faults": [{"kind": "loss", "rate": "high"}]}, "fault rate"),
+        ("--scenario", {"faults": [{"rate": 0.1}]}, "'kind'"),
+        ("--scenario", [], "scenario must be a mapping"),
+        ("--scenario", {"attacks": "x"}, "scenario attacks must be a list"),
+    ])
+    def test_malformed_json_document_is_one_error_line(
+        self, flag, document, key, tmp_path, capsys
+    ):
+        # Each of these used to be a TypeError / AttributeError traceback
+        # (the last-but-one ran as an empty scenario, exit 0).
+        path = tmp_path / "document.json"
+        path.write_text(json.dumps(document))
+        code = main(["run", "--protocol", "pbft", "-n", "4", flag, str(path)])
+        assert code == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and key in err[0]
+        assert "Traceback" not in captured.err + captured.out
+
     def test_dissemination_and_fanout_reach_the_config(self, capsys):
         from repro import NetworkConfig, SimulationConfig, run_simulation
 
@@ -246,6 +277,14 @@ class TestInspect:
     def test_inspect_missing_file_is_an_error(self, tmp_path, capsys):
         assert main(["inspect", str(tmp_path / "nope.jsonl")]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_inspect_non_object_line_is_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "trace.jsonl"
+        path.write_text('{"time": 0.0, "kind": "send", "node": 0}\n[1, 2]\n')
+        assert main(["inspect", str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "trace record 2" in err[0]
 
     def test_inspect_analysis_flags(self, tmp_path, capsys):
         path = self._write_trace(tmp_path)

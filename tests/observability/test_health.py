@@ -153,10 +153,10 @@ class TestFaninDetector:
     def test_spike_against_ewma_baseline(self):
         m = _monitor()
         for _ in range(8):  # window 1 establishes the baseline
-            m.on_deliver(0, 1, "VOTE", 10.0)
+            m.on_deliver(0, 1, "VOTE", 10.0, 0.0)
         m.close_window(500.0, SAMPLE)
         for _ in range(40):  # 5x the baseline of 8, above fanin_min
-            m.on_deliver(0, 1, "VOTE", 600.0)
+            m.on_deliver(0, 1, "VOTE", 600.0, 0.0)
         m.close_window(1000.0, SAMPLE)
         events = [e for e in m.events if e.detector == "fanin-spike"]
         assert len(events) == 1
@@ -166,17 +166,17 @@ class TestFaninDetector:
     def test_warmup_guard_suppresses_small_counts(self):
         m = _monitor()
         for _ in range(2):
-            m.on_deliver(0, 1, "VOTE", 10.0)
+            m.on_deliver(0, 1, "VOTE", 10.0, 0.0)
         m.close_window(500.0, SAMPLE)
         for _ in range(12):  # 6x baseline but under fanin_min
-            m.on_deliver(0, 1, "VOTE", 600.0)
+            m.on_deliver(0, 1, "VOTE", 600.0, 0.0)
         m.close_window(1000.0, SAMPLE)
         assert [e for e in m.events if e.detector == "fanin-spike"] == []
 
     def test_first_window_never_spikes(self):
         m = _monitor()
         for _ in range(100):
-            m.on_deliver(0, 1, "VOTE", 10.0)
+            m.on_deliver(0, 1, "VOTE", 10.0, 0.0)
         m.close_window(500.0, SAMPLE)
         assert m.events == []
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.observability.signals import LiveSignals
 
 
@@ -11,13 +9,13 @@ def _populated() -> LiveSignals:
     s = LiveSignals(4)
     # Node 1 handles a message from node 3 and decides on it: 3 closed the
     # quorum.  Node 0 decides twice on messages from node 2.
-    s.on_deliver(1, 3, 10.0)
+    s.on_deliver(1, 3, None, 10.0, 0.0)
     s.on_decide(1, 11.0)
-    s.on_deliver(0, 2, 12.0)
+    s.on_deliver(0, 2, None, 12.0, 0.0)
     s.on_decide(0, 13.0)
-    s.on_deliver(0, 2, 14.0)
+    s.on_deliver(0, 2, None, 14.0, 0.0)
     s.on_decide(0, 15.0)
-    s.on_deliver(2, 0, 16.0)
+    s.on_deliver(2, 0, None, 16.0, 0.0)
     return s
 
 
@@ -30,7 +28,7 @@ class TestCounters:
 
     def test_self_delivery_never_closes_a_quorum(self):
         s = LiveSignals(2)
-        s.on_deliver(0, 0, 1.0)
+        s.on_deliver(0, 0, None, 1.0, 0.0)
         s.on_decide(0, 2.0)
         assert s.closing_senders == {}
 
@@ -83,12 +81,12 @@ class TestRankings:
 class TestKindFanIn:
     def _kinds(self) -> LiveSignals:
         s = LiveSignals(4)
-        s.on_deliver(1, 0, 1.0, "PREPARE")
-        s.on_deliver(1, 2, 2.0, "PREPARE")
-        s.on_deliver(2, 0, 3.0, "PREPARE")
-        s.on_deliver(3, 0, 4.0, "COMMIT")
-        s.on_deliver(3, 1, 5.0, "COMMIT")
-        s.on_deliver(3, 2, 6.0, "COMMIT")
+        s.on_deliver(1, 0, "PREPARE", 1.0, 0.0)
+        s.on_deliver(1, 2, "PREPARE", 2.0, 0.0)
+        s.on_deliver(2, 0, "PREPARE", 3.0, 0.0)
+        s.on_deliver(3, 0, "COMMIT", 4.0, 0.0)
+        s.on_deliver(3, 1, "COMMIT", 5.0, 0.0)
+        s.on_deliver(3, 2, "COMMIT", 6.0, 0.0)
         return s
 
     def test_fan_in_counts_per_kind(self):
@@ -102,7 +100,7 @@ class TestKindFanIn:
 
     def test_untyped_deliveries_count_only_overall(self):
         s = LiveSignals(2)
-        s.on_deliver(0, 1, 1.0)  # no msg_type: legacy/anonymous delivery
+        s.on_deliver(0, 1, None, 1.0, 0.0)  # no kind: anonymous delivery
         assert s.delivery_counts() == (1, 0)
         assert s.kind_fan_in == {}
 
@@ -122,57 +120,14 @@ class TestKindFanIn:
         assert s.hottest_by_kind("VIEW-CHANGE", 2) == s.busiest_nodes(2)
 
 
-class TestPhaseTimings:
-    def _phased(self) -> LiveSignals:
-        s = LiveSignals(2)
-        # Node 0: prepare for 5ms, then commit for 3ms (closed by finish).
-        s.on_phase(0, "prepare", 1, None, 10.0)
-        s.on_phase(0, "commit", 1, None, 15.0)
-        # Node 1: prepare for 7ms, then the next view's prepare.
-        s.on_phase(1, "prepare", 1, None, 10.0)
-        s.on_phase(1, "prepare", 2, None, 17.0)
-        s.finish(18.0)
-        return s
-
-    def test_phase_time_accumulates_across_nodes(self):
-        s = self._phased()
-        assert s.phase_time(1, "prepare") == pytest.approx(12.0)  # 5 + 7
-        assert s.phase_time(1, "commit") == pytest.approx(3.0)
-        assert s.phase_time(2, "prepare") == pytest.approx(1.0)
-
-    def test_unseen_phase_is_zero(self):
-        assert self._phased().phase_time(9, "prepare") == 0.0
-
-    def test_slowest_phases_rank_by_total(self):
-        s = self._phased()
-        assert s.slowest_phases(2) == [
-            (1, "prepare", pytest.approx(12.0)),
-            (1, "commit", pytest.approx(3.0)),
-        ]
-
-    def test_height_view_protocols_get_composite_keys(self):
-        s = LiveSignals(1)
-        s.on_phase(0, "propose", 0, 5, 0.0)
-        s.finish(4.0)
-        assert s.phase_time((5, 0), "propose") == pytest.approx(4.0)
-
-    def test_finish_is_idempotent(self):
-        s = self._phased()
-        before = dict(s.phase_totals)
-        s.finish(99.0)  # nothing left open: totals must not move
-        assert s.phase_totals == before
-
-
 class TestSummaryDict:
     def test_snapshot_shape_and_values(self):
         s = _populated()
-        s.on_deliver(1, 0, 20.0, "PREPARE")
-        s.on_phase(0, "prepare", 1, None, 0.0)
-        s.finish(8.0)
+        s.on_deliver(1, 0, "PREPARE", 20.0, 0.0)
         summary = s.summary_dict()
         assert set(summary) == {
             "decisions_seen", "delivered", "decided", "closing_senders",
-            "fan_in_by_kind", "phase_timings",
+            "fan_in_by_kind",
         }
         assert summary["decisions_seen"] == 3
         assert summary["delivered"] == [2, 2, 1, 0]
@@ -180,16 +135,11 @@ class TestSummaryDict:
         assert summary["fan_in_by_kind"] == {
             "PREPARE": {"total": 1, "per_node": [0, 1, 0, 0]},
         }
-        assert summary["phase_timings"] == {
-            "1/prepare": {"total_ms": pytest.approx(8.0), "entries": 1},
-        }
 
     def test_snapshot_is_json_serializable(self):
         import json
 
         s = LiveSignals(2)
-        s.on_deliver(0, 1, 1.0, "VOTE")
-        s.on_phase(0, "propose", 0, 3, 0.0)  # composite (height, view) key
-        s.finish(2.0)
+        s.on_deliver(0, 1, "VOTE", 1.0, 0.0)
         round_tripped = json.loads(json.dumps(s.summary_dict()))
-        assert "(3, 0)/propose" in round_tripped["phase_timings"]
+        assert round_tripped["fan_in_by_kind"]["VOTE"]["per_node"] == [1, 0]

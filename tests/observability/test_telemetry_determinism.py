@@ -19,6 +19,7 @@ from repro.core.results import result_fingerprint
 from repro.core.runner import run_simulation
 from repro.core.tracing import EventFilter
 from repro.observability import JsonlSink, NullSink, configure_logging
+from repro.scenarios import load_scenario
 from tests.core.test_golden_determinism import GOLDEN, golden_config
 
 PROTOCOLS = ["pbft", "hotstuff-ns", "tendermint", "add-v3"]
@@ -33,6 +34,12 @@ OPTION_SUBSETS = [
 
 def _config(protocol: str) -> SimulationConfig:
     return golden_config(protocol)
+
+
+def _chased(protocol: str) -> SimulationConfig:
+    """A run whose attacker asks for ``LiveSignals``: a third observer
+    beside the two the options switch on."""
+    return load_scenario("adaptive-chaser").apply(_config(protocol).replace(n=8))
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
@@ -87,13 +94,18 @@ def test_traced_fingerprint_matches_record_trace_runs(tmp_path):
 
 
 @pytest.mark.parametrize("options", OPTION_SUBSETS, ids="+".join)
-@pytest.mark.parametrize("protocol", ["pbft", "hotstuff-ns", "add-v3"])
+@pytest.mark.parametrize("protocol", ["pbft", "hotstuff-ns", "add-v3", "pbft+signals"])
 def test_every_option_subset_gives_the_golden_digest(protocol, options, tmp_path):
+    if protocol.endswith("+signals"):
+        config = _chased(protocol.removesuffix("+signals"))
+        expected = result_fingerprint(run_simulation(config))
+    else:
+        config, expected = _config(protocol), GOLDEN[protocol]
     kwargs = {name: True for name in options}
     if "sink" in options:
         kwargs["sink"] = JsonlSink(tmp_path / "trace.jsonl")
-    result = run_simulation(_config(protocol), **kwargs)
-    assert result_fingerprint(result) == GOLDEN[protocol]
+    result = run_simulation(config, **kwargs)
+    assert result_fingerprint(result) == expected
     # Each option switched on exactly its own output.
     assert (result.run_metrics is not None) == ("metrics" in options)
     assert (result.health is not None) == ("health" in options)
@@ -113,3 +125,45 @@ def test_every_picklable_option_subset_gives_the_golden_digest_in_workers(option
     for result in results:
         assert (result.run_metrics is not None) == ("metrics" in options)
         assert (result.health is not None) == ("health" in options)
+
+
+@pytest.mark.parametrize("protocol", ["pbft", "hotstuff-ns"])
+def test_every_listener_hears_every_occurrence_once(protocol):
+    """Registry, monitor and live signals on one run: three counts of the
+    same occurrences agree with the engine's own (a hook dropped from a
+    tuple, or bound twice, breaks an identity)."""
+    result = run_simulation(_chased(protocol), metrics=True, health=True)
+    counters = result.run_metrics.counters
+    signals = result.signals_summary
+    counts = result.counts
+    assert counts.delivered > 0 and result.health.windows > 0
+    assert (
+        counters["messages_delivered"] == sum(signals["delivered"]) == counts.delivered
+    )
+    assert counters["decisions"] == signals["decisions_seen"] == len(result.decisions)
+    assert counters["messages_sent"] == counts.sent + counts.byzantine
+
+
+@pytest.mark.parametrize("protocol", ["pbft", "hotstuff-ns"])
+def test_one_clock_skips_no_boundary(protocol):
+    """The run loop compares against the earliest boundary of two clocks
+    (250 ms windows, 100 ms samples, coinciding every 500 ms): each observer
+    closes exactly the windows it closes when it runs alone."""
+    config = _config(protocol).replace(num_decisions=10)
+    health_alone = run_simulation(config, health=250.0)
+    metrics_alone = run_simulation(config, metrics=100.0)
+    both = run_simulation(config, health=250.0, metrics=100.0)
+    assert health_alone.health.windows > 2
+    assert both.health == health_alone.health
+
+    def by_series(metrics):
+        series: dict[str, list] = {}
+        for time, name, value in metrics.samples:
+            series.setdefault(name, []).append((time, value))
+        return series
+
+    alone, beside = by_series(metrics_alone.run_metrics), by_series(both.run_metrics)
+    assert len(alone["messages_delivered"]) > 5
+    assert set(alone) < set(beside)  # the monitor adds its gauges, drops nothing
+    for name, samples in alone.items():
+        assert beside[name] == samples, name
