@@ -170,12 +170,22 @@ class MetricsCollector:
                     f"{existing.value!r} then {value!r}"
                 )
             return  # idempotent duplicate
-        for other in slot_decisions.values():
-            if other.value != value and other.node not in self._faulty:
-                raise SafetyViolationError(
-                    f"slot {slot}: node {node} decided {value!r} at {time:.1f} "
-                    f"but node {other.node} decided {other.value!r} at {other.time:.1f}"
-                )
+        # The honest decisions of a slot always agree (each was checked on
+        # arrival, and mark_faulty only ever shrinks the honest set), so the
+        # most recent honest one decides the check.  On a mismatch the
+        # forward scan names the first honest decider that disagrees.
+        for latest in reversed(slot_decisions.values()):
+            if latest.node in self._faulty:
+                continue
+            if latest.value != value:
+                for other in slot_decisions.values():
+                    if other.value != value and other.node not in self._faulty:
+                        raise SafetyViolationError(
+                            f"slot {slot}: node {node} decided {value!r} at {time:.1f} "
+                            f"but node {other.node} decided {other.value!r} "
+                            f"at {other.time:.1f}"
+                        )
+            break
         decision = Decision(node=node, slot=slot, value=value, time=time)
         slot_decisions[node] = decision
         self.decisions.append(decision)

@@ -52,7 +52,7 @@ class QuorumCertificate:
             kind=str(data["kind"]),
             view=int(data["view"]),
             ref=data["ref"],
-            signers=frozenset(int(s) for s in data["signers"]),
+            signers=frozenset(map(int, data["signers"])),
         )
 
 

@@ -27,6 +27,7 @@ contribute.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any
 
 from ..core.events import TimeEvent
@@ -53,8 +54,9 @@ class ADDBase(BFTProtocol):
         super().__init__(node_id, env)
         self.iteration = 0
         self.locked_value: Any = None
-        self.votes = VoteCounter()  # key: (iteration, value)
-        self.commits = VoteCounter()  # key: (iteration, value)
+        # keys: (iteration, value), grouped by iteration
+        self.votes = VoteCounter(group=itemgetter(0))
+        self.commits = VoteCounter(group=itemgetter(0))
         self.decided = False
 
     # ------------------------------------------------------------------
@@ -113,18 +115,18 @@ class ADDBase(BFTProtocol):
 
     def _phase_commit(self, iteration: int) -> None:
         """Commit (and lock) the value that gathered a full vote quorum."""
-        for key in self.votes.keys():
-            it, value = key
-            if it == iteration and self.votes.count(key) >= self.quorum("available"):
+        for key in self.votes.keys_in(iteration):
+            _it, value = key
+            if self.votes.count(key) >= self.quorum("available"):
                 self.locked_value = value
                 self.broadcast(type="COMMIT", iteration=iteration, value=value)
                 return
 
     def _phase_resolve(self, iteration: int) -> None:
         """Decide on a commit quorum; otherwise move to the next iteration."""
-        for key in self.commits.keys():
-            it, value = key
-            if it == iteration and self.commits.count(key) >= self.quorum("available"):
+        for key in self.commits.keys_in(iteration):
+            _it, value = key
+            if self.commits.count(key) >= self.quorum("available"):
                 if not self.decided:
                     self.decided = True
                     self.decide(0, value)

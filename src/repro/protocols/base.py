@@ -10,8 +10,7 @@ configured ``lambda``).
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Any, Hashable
+from typing import Any, Callable, Hashable
 
 from ..core.errors import ConfigurationError
 from ..core.node import Node
@@ -113,16 +112,33 @@ class VoteCounter:
 
         if votes.add((view, digest), msg.source) == self.quorum():
             ...
+
+    A protocol that scans keys (e.g. every digest voted for in one slot)
+    passes ``group``, a function of the key, and reads one group with
+    :meth:`keys_in` — so a scan costs the group's size, not the run's
+    length.  A group's keys come back in the order they were first voted
+    for.
     """
 
-    def __init__(self) -> None:
-        self._voters: dict[Hashable, set[int]] = defaultdict(set)
+    def __init__(self, group: Callable[[Any], Hashable] | None = None) -> None:
+        self._voters: dict[Hashable, set[int]] = {}
+        self._group = group
+        self._groups: dict[Hashable, list[Hashable]] = {}
 
     def add(self, key: Hashable, voter: int) -> int:
         """Record ``voter``'s vote for ``key``; returns the updated count."""
-        voters = self._voters[key]
+        voters = self._voters.get(key)
+        if voters is None:
+            voters = self._voters[key] = set()
+            if self._group is not None:
+                self._groups.setdefault(self._group(key), []).append(key)
         voters.add(voter)
         return len(voters)
+
+    def keys_in(self, group: Hashable) -> tuple[Hashable, ...]:
+        """The keys of ``group`` (a fresh tuple, safe to hold while voting
+        continues), in first-vote order."""
+        return tuple(self._groups.get(group, ()))
 
     def count(self, key: Hashable) -> int:
         voters = self._voters.get(key)
@@ -133,9 +149,6 @@ class VoteCounter:
 
     def has_voted(self, key: Hashable, voter: int) -> bool:
         return voter in self._voters.get(key, frozenset())
-
-    def keys(self) -> list[Hashable]:
-        return list(self._voters)
 
     def best(self, prefix_filter: Any = None) -> tuple[Hashable, int] | None:
         """The key with the most votes (ties broken by repr for determinism)."""

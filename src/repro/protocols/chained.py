@@ -97,7 +97,13 @@ class BlockTree:
         genesis.  Unknown ancestry (gaps) counts as *not* extending."""
         if ancestor == GENESIS_DIGEST:
             return True
-        return any(block.digest == ancestor for block in self.ancestors(digest))
+        blocks = self._blocks
+        block = blocks.get(digest)
+        while block is not None:
+            if block.digest == ancestor:
+                return True
+            block = blocks.get(block.parent)
+        return False
 
 
 class ChainedHotStuffBase(BFTProtocol):
@@ -118,7 +124,8 @@ class ChainedHotStuffBase(BFTProtocol):
         self._voted_views: set[int] = set()
         self._proposed_views: set[int] = set()
         self._proposal_by_view: dict[int, str] = {}
-        self._committed: set[str] = set()
+        # digest -> slot; genesis sits at slot -1, before the first decision
+        self._committed: dict[str, int] = {GENESIS_DIGEST: -1}
         self._timer = None
 
     # ------------------------------------------------------------------
@@ -438,23 +445,30 @@ class ChainedHotStuffBase(BFTProtocol):
         lossy network) refuses to commit until the gap is filled — local
         sequential numbering would silently assign different slots to
         different replicas.
+
+        The walk stops at the first committed ancestor: the committed set
+        is closed under ancestry (a commit takes every uncommitted ancestor
+        along, and the tree never loses a block), so that ancestor's slot
+        is its position on any chain through it.  ``Block.height`` is not
+        used — a block whose parent was unknown on arrival had its height
+        unchecked.
         """
-        chain = list(self.tree.ancestors(block.digest))
-        if chain[-1].digest != GENESIS_DIGEST:
+        newly: list[Block] = []
+        for b in self.tree.ancestors(block.digest):
+            base = self._committed.get(b.digest)
+            if base is not None:
+                break
+            newly.append(b)
+        else:
             return  # ancestry gap: ordering unknown, commit must wait
-        ordered = list(reversed(chain))  # genesis first
-        newly: list[tuple[int, Block]] = [
-            (position - 1, b)
-            for position, b in enumerate(ordered)
-            if position > 0 and b.digest not in self._committed
-        ]
         if not newly:
             return
-        for slot, b in newly:
-            self._committed.add(b.digest)
+        newly.reverse()  # oldest first
+        for slot, b in enumerate(newly, start=base + 1):
+            self._committed[b.digest] = slot
             self.decide(slot, b.value)
-        self.phase("commit", view=newly[-1][1].view)
-        self.on_commit(newly[-1][1].view)
+        self.phase("commit", view=newly[-1].view)
+        self.on_commit(newly[-1].view)
 
     def on_commit(self, view: int) -> None:
         """Pacemaker hook: a block proposed in ``view`` just committed.

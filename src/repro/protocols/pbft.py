@@ -23,6 +23,7 @@ strictly in order.  Lagging replicas catch up through the value carried in
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any
 
 from ..core.events import TimeEvent
@@ -53,9 +54,11 @@ class PBFTNode(BFTProtocol):
         # (view, slot) -> (digest, value) accepted from that view's leader
         self.pre_prepares: dict[tuple[int, int], tuple[str, Any]] = {}
         self.prepare_votes = VoteCounter()  # key: (view, slot, digest)
-        self.commit_votes = VoteCounter()  # key: (view, slot, digest)
+        # key: (view, slot, digest), grouped by slot
+        self.commit_votes = VoteCounter(group=itemgetter(1))
         self.commit_values: dict[tuple[int, int, str], Any] = {}
-        self.viewchange_votes = VoteCounter()  # key: (new_view, slot)
+        # key: (new_view, slot), grouped by slot
+        self.viewchange_votes = VoteCounter(group=itemgetter(1))
         # (new_view, slot) -> strongest prepared tuple seen in VCs
         self.viewchange_prepared: dict[tuple[int, int], tuple[int, str, Any]] = {}
         self.prepared: dict[int, tuple[int, str, Any]] = {}  # slot -> (view, digest, value)
@@ -369,10 +372,8 @@ class PBFTNode(BFTProtocol):
         replicas (stuck one view ahead after an aborted view change) adopt
         the decision — the simulator-scale stand-in for PBFT state transfer.
         """
-        for key in self.commit_votes.keys():  # keys() is already a fresh list
+        for key in self.commit_votes.keys_in(self.slot):
             view, slot, digest = key
-            if slot != self.slot:
-                continue
             if self.commit_votes.count(key) < self.quorum():
                 continue
             value = self.commit_values.get(key)
@@ -424,9 +425,9 @@ class PBFTNode(BFTProtocol):
 
         Guarantees an honest replica cannot be left behind by a view change
         it did not time out for (PBFT's weak-certificate rule)."""
-        for key in list(self.viewchange_votes.keys()):
-            new_view, slot = key
-            if slot != self.slot or new_view <= self.view:
+        for key in self.viewchange_votes.keys_in(self.slot):
+            new_view, _slot = key
+            if new_view <= self.view:
                 continue
             if self.viewchange_votes.count(key) >= self.f + 1:
                 self._start_view_change(new_view)

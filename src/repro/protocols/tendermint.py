@@ -32,6 +32,7 @@ intersection exactly as in PBFT.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any
 
 from ..core.events import TimeEvent
@@ -61,9 +62,11 @@ class TendermintNode(BFTProtocol):
         self.locked_round = -1
         self.valid_value: Any = None
         self.proposals: dict[tuple[int, int], Any] = {}  # (h, r) -> value
-        self.prevotes = VoteCounter()  # key: (h, r, value)
+        # key: (h, r, value), grouped by (h, r)
+        self.prevotes = VoteCounter(group=itemgetter(0, 1))
         self.prevote_seen = VoteCounter()  # key: (h, r) distinct voters
-        self.precommits = VoteCounter()  # key: (h, r, value)
+        # key: (h, r, value), grouped by h
+        self.precommits = VoteCounter(group=itemgetter(0))
         self.precommit_seen = VoteCounter()  # key: (h, r)
         self._prevoted: set[tuple[int, int]] = set()
         self._precommitted: set[tuple[int, int]] = set()
@@ -163,12 +166,18 @@ class TendermintNode(BFTProtocol):
                 return  # one prevote per replica per round
             self.prevote_seen.add((height, round_), message.source)
             self.prevotes.add((height, round_, payload["value"]), message.source)
+            self._try_precommit()
+            self._try_next_round()
+            return
         elif kind == "PRECOMMIT":
             height, round_ = int(payload["height"]), int(payload["round"])
             if self.precommit_seen.has_voted((height, round_), message.source):
                 return
             self.precommit_seen.add((height, round_), message.source)
             self.precommits.add((height, round_, payload["value"]), message.source)
+            if not self._try_decide():
+                self._try_next_round()
+            return
         elif kind == "SYNC-REQ":
             self._on_sync_req(message)
             return
@@ -234,12 +243,29 @@ class TendermintNode(BFTProtocol):
         self.broadcast(type="PRECOMMIT", height=height, round=round_, value=value)
         self.phase("precommit", view=round_, height=height)
 
-    def _recheck(self) -> None:
-        height, round_ = self.height, self.round
-        quorum = self.quorum()
+    # Votes run targeted rechecks instead of the full ``_recheck``.  This is
+    # behavior-preserving, not an approximation: the replica's state between
+    # events is a fixed point of every rule below with respect to that
+    # rule's read set (the full sweep ran after the previous event and each
+    # rule either fired or declined), so only rules whose read set the
+    # handler just wrote can newly fire.  PREVOTE writes ``prevotes`` /
+    # ``prevote_seen`` (read by the two precommit rules), which write
+    # ``_precommitted`` (read by next-round); PRECOMMIT writes
+    # ``precommits`` / ``precommit_seen`` (read by decide and next-round).
+    # The prevote rule's trigger — a proposal not yet prevoted — is written
+    # by neither vote.  Proposals, round starts and recovery keep the full
+    # sweep.
 
-        # Prevote on the current round's proposal (lock rule: never prevote
-        # against a lock).
+    def _recheck(self) -> None:
+        self._try_prevote()
+        self._try_precommit()
+        if not self._try_decide():
+            self._try_next_round()
+
+    def _try_prevote(self) -> None:
+        """Prevote on the current round's proposal (lock rule: never prevote
+        against a lock)."""
+        height, round_ = self.height, self.round
         proposal = self.proposals.get((height, round_))
         if proposal is not None:
             if self.locked_round == -1 or self.locked_value == proposal:
@@ -247,12 +273,15 @@ class TendermintNode(BFTProtocol):
             else:
                 self._prevote(height, round_, self.locked_value)
 
+    def _try_precommit(self) -> None:
+        height, round_ = self.height, self.round
+        quorum = self.quorum()
+        keys = self.prevotes.keys_in((height, round_))
+
         # Precommit once some value reaches a prevote quorum this round.
-        for key in self.prevotes.keys():
-            h, r, value = key
-            if h != height or r != round_ or value == NIL:
-                continue
-            if self.prevotes.count(key) >= quorum:
+        for key in keys:
+            value = key[2]
+            if value != NIL and self.prevotes.count(key) >= quorum:
                 self.locked_value = value
                 self.locked_round = round_
                 self.valid_value = value
@@ -260,38 +289,39 @@ class TendermintNode(BFTProtocol):
 
         # A full round of prevotes without any certifiable value: give up
         # on the round (precommit nil).
-        if self.prevote_seen.count((height, round_)) >= quorum:
+        seen = self.prevote_seen.count((height, round_))
+        if seen >= quorum:
             best = max(
-                (
-                    self.prevotes.count((height, round_, v))
-                    for (h, r, v) in self.prevotes.keys()
-                    if h == height and r == round_ and v != NIL
-                ),
+                (self.prevotes.count(key) for key in keys if key[2] != NIL),
                 default=0,
             )
-            live = self.n - self.f
-            if best + (live - self.prevote_seen.count((height, round_))) < quorum:
+            if best + (self.n - self.f - seen) < quorum:
                 self._precommit(height, round_, NIL)
 
-        # Decide on a precommit quorum for a value (any round of this
-        # height — late quorums still decide).
-        for key in list(self.precommits.keys()):
-            h, r, value = key
-            if h != height or value == NIL:
-                continue
-            if self.precommits.count(key) >= quorum:
-                self._decide(height, value, r, self.precommits.voters(key))
-                return
+    def _try_decide(self) -> bool:
+        """Decide on a precommit quorum for a value (any round of this
+        height — late quorums still decide).  True when it decided."""
+        height = self.height
+        quorum = self.quorum()
+        for key in self.precommits.keys_in(height):
+            value = key[2]
+            if value != NIL and self.precommits.count(key) >= quorum:
+                self._decide(height, value, key[1], self.precommits.voters(key))
+                return True
+        return False
 
-        # A precommit quorum that cannot decide: next round.
+    def _try_next_round(self) -> None:
+        """A precommit quorum that cannot decide: next round."""
+        height, round_ = self.height, self.round
+        quorum = self.quorum()
         if (
             self.precommit_seen.count((height, round_)) >= quorum
             and (height, round_) in self._precommitted
         ):
             decided_possible = any(
-                self.precommits.count((height, round_, v)) >= quorum
-                for (h, r, v) in self.precommits.keys()
-                if h == height and r == round_ and v != NIL
+                self.precommits.count(key) >= quorum
+                for key in self.precommits.keys_in(height)
+                if key[1] == round_ and key[2] != NIL
             )
             if not decided_possible:
                 self._start_round(round_ + 1)

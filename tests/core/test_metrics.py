@@ -44,6 +44,38 @@ class TestDecisions:
         with pytest.raises(SafetyViolationError):
             m.on_decision(1, 0, "b", time=2.0)
 
+    @pytest.mark.parametrize(
+        "history,expected",
+        [
+            # (node, value) decisions of slot 0, or ("faulty", node)
+            ([(0, "a")], "node 0 decided 'a'"),
+            ([(0, "a"), (1, "a"), (2, "a"), ("faulty", 0)], "node 1 decided 'a'"),
+            ([(0, "x"), ("faulty", 0), (1, "a"), (2, "a")], "node 1 decided 'a'"),
+            ([(0, "a"), (1, "a"), ("faulty", 1)], "node 0 decided 'a'"),
+        ],
+        ids=["plain", "first-decider-faulty", "faulty-disagreed", "latest-faulty"],
+    )
+    def test_conflict_names_the_first_honest_decider(self, history, expected):
+        """The error names the earliest decider that is still honest, even
+        when earlier or later deciders have been marked faulty since."""
+        m = collector(n=5)
+        for time, (node, value) in enumerate(history):
+            if node == "faulty":
+                m.mark_faulty(value)
+            else:
+                m.on_decision(node, 0, value, time=float(time))
+        pattern = f"^slot 0: node 4 decided 'b' at 9.0 but {expected} "
+        with pytest.raises(SafetyViolationError, match=pattern):
+            m.on_decision(4, 0, "b", time=9.0)
+
+    def test_decision_agreeing_with_the_honest_ones_passes(self):
+        m = collector(n=5)
+        m.on_decision(0, 0, "x", time=1.0)
+        m.mark_faulty(0)
+        m.on_decision(1, 0, "a", time=2.0)
+        m.on_decision(4, 0, "a", time=3.0)
+        assert m.decided_value(0) == "a"
+
     def test_node_contradicting_itself_raises(self):
         m = collector()
         m.on_decision(0, 0, "a", time=1.0)

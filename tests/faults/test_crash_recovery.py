@@ -58,6 +58,34 @@ def test_crash_recovery_round_trip(protocol):
         assert len(values) == 1, f"slot {slot} split: {values}"
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="known bug: a leader proposing on a QC whose block it never "
+    "received gives the proposal height 1, and every replica holding the "
+    "parent drops it as malformed (ChainedHotStuffBase._try_propose)",
+)
+@pytest.mark.parametrize("protocol", ["hotstuff-ns", "librabft"])
+def test_leader_recovering_without_the_qc_block_rejoins(protocol):
+    """n=16, default network: node 3 recovers at t=900 and, as leader of
+    view 3, proposes at t≈1085 on the view-2 QC without holding its block.
+    Today it never decides and the run does not terminate; fixing the bug
+    flips this test."""
+    result = run_simulation(
+        SimulationConfig(
+            protocol=protocol,
+            n=16,
+            num_decisions=20,
+            seed=4,
+            faults=parse_faults_spec("crash=3@200:900"),
+            max_time=60_000.0,
+            allow_horizon=True,
+        )
+    )
+    decided_by_3 = {d.slot for d in result.decisions if d.node == 3}
+    assert set(range(20)) <= decided_by_3
+    assert result.terminated
+
+
 @pytest.mark.parametrize("protocol", RECOVERY_PROTOCOLS)
 def test_crash_drops_inflight_messages(protocol):
     result = run_simulation(crash_config(protocol))

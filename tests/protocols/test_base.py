@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -67,6 +69,55 @@ class TestVoteCounter:
         for key in ("a", "b", "c"):
             expected = len({v for k, v in entries if k == key})
             assert votes.count(key) == expected
+
+    def test_keys_in_returns_first_vote_order(self):
+        votes = VoteCounter(group=itemgetter(0))
+        for key, voter in [((1, "x"), 0), ((2, "y"), 0), ((1, "z"), 1),
+                           ((1, "x"), 2), ((2, "w"), 1), ((1, "a"), 3)]:
+            votes.add(key, voter)
+        assert votes.keys_in(1) == ((1, "x"), (1, "z"), (1, "a"))
+        assert votes.keys_in(2) == ((2, "y"), (2, "w"))
+
+    def test_keys_in_unknown_group_is_empty(self):
+        votes = VoteCounter(group=itemgetter(0))
+        assert votes.keys_in(7) == ()
+        votes.add((1, "x"), 0)
+        assert votes.keys_in(7) == ()
+        assert VoteCounter().keys_in(1) == ()  # no grouping function: no groups
+
+    def test_keys_in_is_a_snapshot(self):
+        votes = VoteCounter(group=itemgetter(0))
+        votes.add((1, "x"), 0)
+        held = votes.keys_in(1)
+        votes.add((1, "y"), 0)
+        assert held == ((1, "x"),)
+        assert votes.keys_in(1) == ((1, "x"), (1, "y"))
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 3), st.sampled_from("abc"), st.integers(0, 6)),
+            max_size=80,
+        )
+    )
+    def test_property_grouping_changes_no_count(self, entries):
+        """``count`` / ``voters`` / ``has_voted`` and ``add``'s return are the
+        same with and without a grouping function, and each group holds its
+        keys in the order of the global first votes."""
+        plain, grouped = VoteCounter(), VoteCounter(group=itemgetter(0))
+        first_seen: list[tuple[int, str]] = []
+        for slot, value, voter in entries:
+            key = (slot, value)
+            if key not in first_seen:
+                first_seen.append(key)
+            assert plain.add(key, voter) == grouped.add(key, voter)
+        for slot in range(4):
+            for value in "abc":
+                key = (slot, value)
+                assert plain.count(key) == grouped.count(key)
+                assert plain.voters(key) == grouped.voters(key)
+                for voter in range(7):
+                    assert plain.has_voted(key, voter) == grouped.has_voted(key, voter)
+            assert grouped.keys_in(slot) == tuple(k for k in first_seen if k[0] == slot)
 
 
 class TestQuorums:
