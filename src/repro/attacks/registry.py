@@ -52,6 +52,12 @@ def make_attacker(config: AttackConfig) -> Attacker:
     return get_attack(config.name)(config.params)
 
 
+def is_attack(name: str) -> bool:
+    """True when ``name`` resolves through :func:`get_attack`."""
+    _ensure_builtins()
+    return name in _REGISTRY
+
+
 def available_attacks() -> list[str]:
     """Sorted names of every *listed* registered attack.
 

@@ -49,6 +49,29 @@ def check_finite(
         raise error(f"{name} must be {kind} {bound}, got {value!r}")
 
 
+def check_window(what: str, start: Any, end: Any) -> None:
+    """The one window rule: ``[start, end)`` in ms needs a finite ``start
+    >= 0`` and an ``end`` that is ``None`` (open) or finite and ``> start``."""
+    check_finite(f"{what} start", start)
+    if end is not None:
+        check_finite(f"{what} end", end, minimum=start, strict=True)
+
+
+def number_text(value: float) -> str:
+    """``value`` as clause-grammar text that reads back as the same number:
+    ``%g`` where that is exact (``5000.0`` -> ``5000``), else ``repr``, and
+    never ``e+`` (``+`` separates list items)."""
+    text = f"{value:g}"
+    return (text if float(text) == value else repr(value)).replace("e+", "e")
+
+
+def window_text(start: float, end: float | None) -> str:
+    """The clause grammar's ``@start:end`` suffix; ``""`` for ``[0, ∞)``."""
+    if not start and end is None:
+        return ""
+    return f"@{number_text(start)}" + ("" if end is None else f":{number_text(end)}")
+
+
 def check_mapping(
     name: str, value: Any, known: Iterable[str] | None = None
 ) -> Mapping[str, Any]:
@@ -198,11 +221,7 @@ class FaultSpec:
                 f"fault rate must be in [0, 1], got {self.rate} for {self.kind!r}"
             )
         check_finite("delay fault factor", self.factor, minimum=1.0)
-        check_finite("fault window start", self.start)
-        if self.end is not None:
-            check_finite(
-                "fault window end", self.end, minimum=self.start, strict=True
-            )
+        check_window("fault window", self.start, self.end)
         if self.kind == "crash":
             if self.node is None:
                 raise ConfigurationError("crash fault requires a target node")
@@ -241,11 +260,16 @@ class FaultSpec:
         return self.dst is None or dest in self.dst
 
     def describe(self) -> str:
-        window = f"@{self.start:g}:{'' if self.end is None else f'{self.end:g}'}"
+        """The spec as a ``--faults`` clause (a ``src``/``dst`` scope has
+        no clause form and is not shown)."""
         if self.kind == "crash":
-            return f"crash(node={self.node}){window}"
-        extra = f"x{self.factor:g}" if self.kind == "delay" else ""
-        return f"{self.kind}({self.rate:g}{extra}){window}"
+            arg = f"={self.node}"
+        elif self.kind == "link-down":
+            arg = ""
+        else:
+            factor = f"x{number_text(self.factor)}" if self.kind == "delay" else ""
+            arg = f"={number_text(self.rate)}{factor}"
+        return f"{self.kind}{arg}{window_text(self.start, self.end)}"
 
 
 @dataclass

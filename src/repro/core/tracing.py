@@ -38,6 +38,7 @@ from math import isfinite
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator
 
+from .clauses import scalar, split_clauses, split_window
 from .errors import SimulationError
 
 #: One encoder for every record (``json.dumps(sort_keys=True)`` builds a
@@ -218,36 +219,28 @@ class EventFilter:
     def parse(cls, text: str) -> "EventFilter":
         """Parse the CLI grammar ``"kind=a,b; node=0,1; window=START:END"``.
 
-        Clauses are semicolon-separated; ``kinds``/``nodes`` are accepted as
-        aliases, and either bound of ``window`` may be left empty
-        (``window=5000:`` keeps everything from 5 s on).
+        Clauses (:mod:`repro.core.clauses`) are ``key=item,…``;
+        ``kinds``/``nodes`` are accepted as aliases, and ``window`` reads
+        like a clause window (``window=5000:`` keeps everything from 5 s on).
+
+        Raises:
+            ConfigurationError: naming ``--trace-filter`` and the clause.
         """
-        kinds: frozenset[str] | None = None
-        nodes: frozenset[int] | None = None
-        start, end = 0.0, None
-        for clause in text.split(";"):
-            clause = clause.strip()
-            if not clause:
-                continue
-            if "=" not in clause:
-                raise ValueError(
-                    f"bad trace filter clause {clause!r}: expected key=value"
-                )
-            key, _, value = clause.partition("=")
-            key = key.strip().rstrip("s")  # kind/kinds, node/nodes
+        fields: dict[str, Any] = {}
+        for clause in split_clauses(text, "--trace-filter"):
+            key = clause.head.rstrip("s")  # kind/kinds, node/nodes
+            items = [item.strip() for item in (clause.arg or "").split(",") if item.strip()]
+            if not items or clause.start or clause.end is not None:
+                raise clause.error("expected key=value, e.g. kind=decide or window=0:5000")
             if key == "kind":
-                kinds = frozenset(k.strip() for k in value.split(",") if k.strip())
+                fields["kinds"] = frozenset(items)
             elif key == "node":
-                nodes = frozenset(int(v) for v in value.split(",") if v.strip())
+                fields["nodes"] = frozenset(scalar(v, f"{clause.where}: node", int) for v in items)
             elif key == "window":
-                lo, _, hi = value.partition(":")
-                start = float(lo) if lo.strip() else 0.0
-                end = float(hi) if hi.strip() else None
+                fields["start"], fields["end"] = split_window(clause.arg, clause.where)
             else:
-                raise ValueError(
-                    f"unknown trace filter key {key!r}; expected kind, node, or window"
-                )
-        return cls(kinds=kinds, nodes=nodes, start=start, end=end)
+                raise clause.error(f"unknown key {key!r}; expected kind, node, or window")
+        return cls(**fields)
 
     def describe(self) -> str:
         parts = []

@@ -1,8 +1,9 @@
 """Compact CLI grammar for fault schedules.
 
 :func:`parse_faults_spec` turns the ``--faults`` command-line string into a
-:class:`~repro.core.config.FaultScheduleConfig`.  The grammar is a
-``;``-separated list of clauses, each ``kind[=arg][@start:end]``::
+:class:`~repro.core.config.FaultScheduleConfig`.  The string is a list of
+clauses in the shared clause grammar (:mod:`repro.core.clauses`), each
+``kind[=arg][@start:end]``::
 
     loss=0.1                    drop 10% of messages
     duplicate=0.05              deliver an extra copy of 5% of messages
@@ -26,116 +27,59 @@ schedule joins a :class:`~repro.core.config.SimulationConfig`.
 
 from __future__ import annotations
 
+from ..attacks.registry import available_attacks, is_attack
+from ..core.clauses import Clause, scalar, split_clauses
 from ..core.config import FAULT_KINDS, FaultScheduleConfig, FaultSpec
-from ..core.errors import ConfigurationError
-from .presets import get_preset
+from .presets import available_presets, get_preset
 
 
 def parse_faults_spec(text: str) -> FaultScheduleConfig:
     """Parse a ``--faults`` string into a fault schedule.
 
     Raises:
-        ConfigurationError: on any grammar violation, with the offending
-            clause named.
+        ConfigurationError: on any grammar violation (an attack clause
+            included), with the offending clause named.
     """
     specs: list[FaultSpec] = []
-    for clause in text.split(";"):
-        clause = clause.strip()
-        if not clause:
-            continue
-        specs.extend(_parse_clause(clause))
+    for clause in split_clauses(text, "--faults"):
+        faults = fault_specs(clause)
+        if faults is None:
+            raise clause.error(f"{clause.head!r} is an attack; use --scenario")
+        specs.extend(faults)
     return FaultScheduleConfig(specs=specs)
 
 
-def _parse_clause(clause: str) -> list[FaultSpec]:
-    head, window = _split_window(clause)
-    start, end = window
-    kind, sep, arg = head.partition("=")
-    kind = kind.strip()
-    arg = arg.strip()
-
-    if kind not in FAULT_KINDS:
-        if sep:
-            raise ConfigurationError(
-                f"unknown fault kind {kind!r} in clause {clause!r}; "
-                f"available: {list(FAULT_KINDS)} or a preset name"
+def fault_specs(clause: Clause) -> list[FaultSpec] | None:
+    """The fault specs ``clause`` stands for, or ``None`` when its head
+    names an attack: the dispatch ``--faults`` and ``--scenario`` share.
+    A head resolves, in order, to an attack, a fault kind, or a preset."""
+    head, arg, window = clause.head, clause.arg, {"start": clause.start, "end": clause.end}
+    if is_attack(head):
+        return None
+    if head not in FAULT_KINDS:
+        if arg is not None or head not in available_presets():
+            raise clause.error(
+                f"{head!r} is neither an attack ({available_attacks()}), a fault "
+                f"kind ({list(FAULT_KINDS)}), nor a fault preset ({available_presets()})"
             )
-        return _windowed_preset(kind, start, end)
-
-    if kind == "link-down":
-        if sep:
-            raise ConfigurationError(
-                f"link-down takes no argument, got {clause!r} "
-                "(use a window, e.g. link-down@1000:2500)"
-            )
-        return [FaultSpec(kind="link-down", start=start, end=end)]
-
-    if not sep or not arg:
-        raise ConfigurationError(
-            f"fault clause {clause!r} needs an argument, e.g. {kind}=0.1"
-        )
-
-    if kind == "crash":
-        return [FaultSpec(kind="crash", node=_parse_int(arg, clause), start=start, end=end)]
-
-    if kind == "delay":
-        rate_s, x, factor_s = arg.partition("x")
-        if not x or not factor_s:
-            raise ConfigurationError(
-                f"delay fault needs rate and factor, e.g. delay=0.2x5; got {clause!r}"
-            )
-        return [
-            FaultSpec(
-                kind="delay",
-                rate=_parse_float(rate_s, clause),
-                factor=_parse_float(factor_s, clause),
-                start=start,
-                end=end,
-            )
-        ]
-
-    # loss / duplicate / corrupt: the argument is the per-message rate.
-    return [FaultSpec(kind=kind, rate=_parse_float(arg, clause), start=start, end=end)]
-
-
-def _split_window(clause: str) -> tuple[str, tuple[float, float | None]]:
-    if "@" not in clause:
-        return clause, (0.0, None)
-    head, _, window = clause.partition("@")
-    start_s, sep, end_s = window.partition(":")
-    try:
-        start = float(start_s) if start_s.strip() else 0.0
-        end = float(end_s) if sep and end_s.strip() else None
-    except ValueError:
-        raise ConfigurationError(
-            f"bad fault window {window!r} in clause {clause!r}; "
-            "expected @start, @start:, or @start:end"
-        ) from None
-    return head.strip(), (start, end)
-
-
-def _windowed_preset(name: str, start: float, end: float | None) -> list[FaultSpec]:
-    specs = get_preset(name)
-    if start != 0.0 or end is not None:
-        for spec in specs:
-            spec.start = start
-            spec.end = end
-    return specs
-
-
-def _parse_float(text: str, clause: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigurationError(
-            f"bad number {text!r} in fault clause {clause!r}"
-        ) from None
-
-
-def _parse_int(text: str, clause: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ConfigurationError(
-            f"bad node id {text!r} in fault clause {clause!r}"
-        ) from None
+        specs = get_preset(head)
+        if clause.start or clause.end is not None:  # else keep the preset's windows
+            for spec in specs:
+                spec.start, spec.end = clause.start, clause.end
+        return specs
+    if head == "link-down":
+        if arg is not None:
+            raise clause.error("link-down takes no argument, only a window: link-down@1000:2500")
+        return [FaultSpec(head, **window)]
+    if not arg:
+        raise clause.error(f"needs an argument, e.g. {head}=0.1")
+    if head == "crash":
+        return [FaultSpec(head, node=scalar(arg, f"{clause.where}: node", int), **window)]
+    if head == "delay":
+        rate, x, factor = arg.partition("x")
+        if not (x and factor):
+            raise clause.error("delay needs rate and factor, e.g. delay=0.2x5")
+    else:
+        rate, factor = arg, "1"  # loss / duplicate / corrupt: a rate alone
+    return [FaultSpec(head, rate=scalar(rate, f"{clause.where}: rate", float),
+                      factor=scalar(factor, f"{clause.where}: factor", float), **window)]

@@ -222,8 +222,9 @@ class ChainedHotStuffBase(BFTProtocol):
             self._maybe_vote(self.tree.get(digest))
 
     def update_high_qc(self, qc: QuorumCertificate | None) -> None:
-        """Adopt a newer QC; QC evidence for view ``w`` moves us to ``w+1``."""
-        if qc is None or qc.kind != "qc":
+        """Adopt a newer QC; QC evidence for view ``w`` moves us to ``w+1``.
+        Only a valid quorum (or genesis) counts, wherever it arrived from."""
+        if qc is None or qc.kind != "qc" or not self._qc_valid(qc):
             return
         if qc.view > self.high_qc.view:
             self.high_qc = qc
@@ -297,7 +298,7 @@ class ChainedHotStuffBase(BFTProtocol):
         qc = QuorumCertificate.from_payload(payload.get("qc"))
         if qc is None:
             return
-        if not self._justification_valid(payload, qc):
+        if not self._qc_valid(qc):
             return
         parent = self.tree.get(payload.get("parent"))
         height = int(payload["height"])
@@ -319,9 +320,9 @@ class ChainedHotStuffBase(BFTProtocol):
         self.update_high_qc(qc)
         self._maybe_vote(block)
 
-    def _justification_valid(self, payload: dict[str, Any], qc: QuorumCertificate) -> bool:
-        """Is the proposal's justification acceptable?  Base rule: its QC
-        must be a valid quorum (genesis is exempt)."""
+    def _qc_valid(self, qc: QuorumCertificate) -> bool:
+        """Is ``qc`` acceptable evidence?  It must be a valid quorum
+        (genesis is exempt)."""
         if qc.ref == GENESIS_DIGEST and qc.view == 0:
             return True
         return qc.valid(self.quorum())
@@ -389,7 +390,7 @@ class ChainedHotStuffBase(BFTProtocol):
         hold — a single filled gap can unlock a whole chain of commits."""
         for payload in message.payload.get("blocks", []):
             qc = QuorumCertificate.from_payload(payload.get("qc"))
-            if qc is None or not self._justification_valid(payload, qc):
+            if qc is None or not self._qc_valid(qc):
                 continue
             self.tree.add(
                 Block(

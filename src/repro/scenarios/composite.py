@@ -145,7 +145,7 @@ class CompositeAttacker(Attacker):
                 gate
                 for clause, child_ctx, gate in zip(
                     self._clauses, self._child_ctxs, self._gates)
-                if clause.active_at(now) and child_ctx.ready
+                if clause.in_window(now) and child_ctx.ready
             ]
             self._active_at = now
         if not self._active:

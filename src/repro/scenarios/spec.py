@@ -17,8 +17,10 @@ adversary.  The same document exists in three equivalent forms:
       partition=start:2000,end:12000; loss=0.05
       adaptive=action:delay,signal:critical,factor:6
 
-  Attack parameter values parse as int, float, ``true``/``false``, a
+  Attack parameter values follow the shared scalar rule
+  (:mod:`repro.core.clauses`): int, finite float, ``true``/``false``, a
   ``+``-separated list (``targets:1+2+3``), or a bare string.
+  :meth:`ScenarioSpec.describe` prints the same grammar back.
 
 Applying a spec (:meth:`ScenarioSpec.apply`) compiles it onto an existing
 :class:`~repro.core.config.SimulationConfig`: fault clauses merge into the
@@ -43,20 +45,19 @@ from typing import Any
 
 from ..attacks.base import Capability
 from ..attacks.registry import get_attack
+from ..core.clauses import scalar, split_clauses, split_pairs
 from ..core.config import (
-    FAULT_KINDS,
     AttackConfig,
     FaultScheduleConfig,
     FaultSpec,
     SimulationConfig,
-    check_finite,
     check_list,
     check_mapping,
+    check_window,
+    window_text,
 )
 from ..core.errors import ConfigurationError
-from ..faults.presets import available_presets as available_fault_presets
-from ..faults.spec import _parse_clause as _parse_fault_clause
-from ..faults.spec import _split_window
+from ..faults.spec import fault_specs
 
 #: Capability names accepted by ``ScenarioSpec.allow``.
 CAPABILITY_NAMES = {
@@ -101,9 +102,7 @@ class AttackClause:
     start: float = 0.0
     end: float | None = None
 
-    def active_at(self, time: float) -> bool:
-        """True when ``time`` falls inside the activation window."""
-        return time >= self.start and (self.end is None or time < self.end)
+    in_window = FaultSpec.in_window  # the one [start, end) predicate
 
     def attacker_class(self):
         """The clause's attacker class (raises on unknown names)."""
@@ -119,19 +118,15 @@ class AttackClause:
         return self.attacker_class()(self.params).capabilities
 
     def validate(self, config: SimulationConfig, f: int) -> None:
-        if self.start < 0:
-            raise ConfigurationError(
-                f"attack clause {self.attack!r}: window start must be >= 0, "
-                f"got {self.start}"
-            )
-        if self.end is not None and self.end <= self.start:
-            raise ConfigurationError(
-                f"attack clause {self.attack!r}: window end must be > start, "
-                f"got [{self.start}, {self.end})"
-            )
+        check_window(f"attack clause {self.attack!r} window", self.start, self.end)
         cls = self.attacker_class()
-        caps = self.declared_capabilities()
-        demand = cls.corruption_demand(self.params, f)
+        try:
+            caps = self.declared_capabilities()
+            demand = cls.corruption_demand(self.params, f)
+        except (TypeError, ValueError) as error:
+            raise ConfigurationError(
+                f"attack clause {self.attack!r}: bad parameters {self.params}: {error}"
+            ) from None
         if demand > 0 and self.start > 0 and Capability.ADAPTIVE not in caps:
             raise ConfigurationError(
                 f"attack clause {self.attack!r} corrupts nodes but activates "
@@ -170,9 +165,7 @@ class AttackClause:
         if "attack" not in data:
             raise ConfigurationError("attack clause needs an 'attack' name")
         start, end = data.get("start", 0.0), data.get("end")
-        check_finite("attack clause start", start)
-        if end is not None:
-            check_finite("attack clause end", end)
+        check_window("attack clause", start, end)
         return cls(
             attack=data["attack"],
             params=dict(check_mapping("attack clause params", data.get("params", {}))),
@@ -181,11 +174,16 @@ class AttackClause:
         )
 
     def describe(self) -> str:
-        window = ""
-        if self.start != 0.0 or self.end is not None:
-            window = f"@{self.start:g}:{'' if self.end is None else f'{self.end:g}'}"
-        args = ",".join(f"{k}:{v}" for k, v in self.params.items())
-        return f"{self.attack}{'=' + args if args else ''}{window}"
+        """The clause in the ``--scenario`` grammar."""
+        args = ",".join(f"{k}:{_value_text(v)}" for k, v in self.params.items())
+        return f"{self.attack}{'=' + args if args else ''}{window_text(self.start, self.end)}"
+
+
+def _value_text(value: Any) -> str:
+    """A parameter value as text the scalar rule reads back unchanged."""
+    if isinstance(value, list):
+        return "+".join(map(_value_text, value))
+    return repr(value).replace("e+", "e") if isinstance(value, float) else str(value)
 
 
 @dataclass
@@ -364,86 +362,24 @@ def _fault_dict(spec: FaultSpec) -> dict[str, Any]:
 def parse_scenario_spec(text: str, name: str = "cli-scenario") -> ScenarioSpec:
     """Parse a ``--scenario`` string into a :class:`ScenarioSpec`.
 
-    Each ``;``-separated clause is an attack clause
-    (``attack[=key:value,...][@start:end]``) when its head names a
-    registered attack, otherwise a fault clause in the ``--faults`` grammar
-    (fault kinds and fault presets).
+    Each clause (:mod:`repro.core.clauses`) is an attack clause
+    ``attack[=key:value,...][@start:end]`` when its head names a registered
+    attack, otherwise a ``--faults`` clause (a fault kind or preset).
 
     Raises:
         ConfigurationError: on any grammar violation, with the offending
             clause named.
     """
-    from ..attacks.registry import available_attacks
-
     spec = ScenarioSpec(name=name)
-    for clause in text.split(";"):
-        clause = clause.strip()
-        if not clause:
+    for clause in split_clauses(text, "--scenario"):
+        faults = fault_specs(clause)
+        if faults is not None:
+            spec.faults.extend(faults)
             continue
-        head, (start, end) = _split_window(clause)
-        attack_name, sep, args = head.partition("=")
-        attack_name = attack_name.strip()
-        if attack_name in FAULT_KINDS:
-            spec.faults.extend(_parse_fault_clause(clause))
-            continue
-        try:
-            get_attack(attack_name)
-        except ConfigurationError:
-            if not sep and attack_name in available_fault_presets():
-                spec.faults.extend(_parse_fault_clause(clause))
-                continue
-            raise ConfigurationError(
-                f"unknown scenario clause {clause!r}: {attack_name!r} is "
-                f"neither an attack ({available_attacks()}), a fault kind "
-                f"({list(FAULT_KINDS)}), nor a fault preset "
-                f"({available_fault_presets()})"
-            ) from None
-        params = _parse_attack_args(args.strip(), clause) if sep else {}
-        spec.attacks.append(
-            AttackClause(attack=attack_name, params=params, start=start, end=end)
-        )
+        pairs = {} if clause.arg is None else split_pairs(clause.arg, clause.where)
+        params = {key: scalar(value, f"{clause.where}: {key}") for key, value in pairs.items()}
+        spec.attacks.append(AttackClause(clause.head, params, clause.start, clause.end))
     return spec
-
-
-def _parse_attack_args(args: str, clause: str) -> dict[str, Any]:
-    if not args:
-        raise ConfigurationError(
-            f"attack clause {clause!r} has an empty parameter list; "
-            "use key:value pairs, e.g. targeted-delay=factor:4"
-        )
-    params: dict[str, Any] = {}
-    for pair in args.split(","):
-        key, sep, value = pair.partition(":")
-        key = key.strip()
-        if not sep or not key or not value.strip():
-            raise ConfigurationError(
-                f"bad attack parameter {pair!r} in clause {clause!r}; "
-                "expected key:value"
-            )
-        params[key] = _parse_value(value.strip())
-    return params
-
-
-def _parse_value(text: str) -> Any:
-    if "+" in text:
-        return [_parse_scalar(part) for part in text.split("+")]
-    return _parse_scalar(text)
-
-
-def _parse_scalar(text: str) -> Any:
-    lowered = text.lower()
-    if lowered == "true":
-        return True
-    if lowered == "false":
-        return False
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
 
 
 def load_scenario(source: str) -> ScenarioSpec:

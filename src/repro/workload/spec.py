@@ -12,12 +12,14 @@ timeout    batch_timeout   timeout-trigger (ms) for the batch cut
 duration   duration        arrival window (ms of simulated time)
 ========== =============== ==========================================
 
-Values are validated by ``WorkloadConfig.validate()`` downstream; this
-module only parses the surface grammar.
+The spec is one ``key:value,…`` list of the shared clause grammar
+(:mod:`repro.core.clauses`).  Values are validated by
+``WorkloadConfig.validate()``; this module only maps keys to fields.
 """
 
 from __future__ import annotations
 
+from ..core.clauses import scalar, split_pairs
 from ..core.config import WorkloadConfig
 from ..core.errors import ConfigurationError
 
@@ -33,29 +35,13 @@ _KEYS = {
 def parse_workload_spec(spec: str) -> WorkloadConfig:
     """Parse ``"rate:500,clients:100,batch:64"`` into a WorkloadConfig."""
     fields: dict[str, object] = {}
-    for part in spec.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        key, sep, raw = part.partition(":")
-        key = key.strip()
-        if not sep or key not in _KEYS:
-            known = ", ".join(sorted(_KEYS))
+    for key, value in split_pairs(spec, "--workload").items():
+        if key not in _KEYS:
             raise ConfigurationError(
-                f"bad workload spec entry {part!r}: expected key:value "
-                f"with key one of {known}"
+                f"--workload: unknown key {key!r}; expected one of {', '.join(sorted(_KEYS))}"
             )
-        field, convert = _KEYS[key]
-        try:
-            fields[field] = convert(raw.strip())
-        except ValueError as exc:
-            raise ConfigurationError(
-                f"bad workload spec value for {key!r}: {raw.strip()!r}"
-            ) from exc
-    if not fields:
-        raise ConfigurationError(
-            "empty workload spec: expected e.g. rate:500,clients:100"
-        )
+        field, number = _KEYS[key]
+        fields[field] = scalar(value, f"--workload: {key}", number)
     config = WorkloadConfig(**fields)  # type: ignore[arg-type]
     config.validate()
     return config

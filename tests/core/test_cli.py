@@ -247,6 +247,46 @@ class TestTelemetry:
             root.setLevel(_logging.WARNING)
 
 
+class TestSpecGrammars:
+    """Malformed ``--faults`` / ``--scenario`` / ``--workload`` /
+    ``--trace-filter`` specs: one ``error:`` line naming the flag, exit 1,
+    never a traceback."""
+
+    @pytest.mark.parametrize("flag,spec", [
+        # Each of these used to be accepted: an unnamed int() error, a trace
+        # of 0 events, a NaN bound, a repeated key silently winning, or a
+        # run dying mid-way at the capability gate.
+        ("--trace-filter", "node=a"),
+        ("--trace-filter", "window=5:3"),
+        ("--trace-filter", "window=nan:"),
+        ("--trace-filter", "kind="),
+        ("--workload", "rate:5,rate:6"),
+        ("--scenario", "targeted-delay=factor:4,factor:5"),
+        ("--scenario", "targeted-delay=factor:nan"),
+        # A fixed sample of hostile text.
+        ("--faults", "failstop=count:1"),
+        ("--faults", "loss=1e999"),
+        ("--faults", "crash=1@5:3"),
+        ("--faults", "=;@"),
+        ("--scenario", "loss=0.1@-1"),
+        ("--scenario", "targeted-delay=:,@:"),
+        ("--workload", ",,"),
+        ("--workload", "clients:2.5"),
+        ("--trace-filter", "kind=decide@5"),
+        ("--trace-filter", "node=1+2"),
+    ])
+    def test_malformed_spec_is_one_error_line(self, flag, spec, tmp_path, capsys):
+        trace = ["--trace-out", str(tmp_path / "t.jsonl")] if flag == "--trace-filter" else []
+        code = main(["run", "--protocol", "pbft", "-n", "4", "--decisions", "1",
+                     *trace, flag, spec])
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith(f"error: {flag}"), err
+        assert "Traceback" not in captured.err + captured.out
+        assert not (tmp_path / "t.jsonl").exists()
+
+
 class TestInspect:
     def _write_trace(self, tmp_path):
         path = tmp_path / "trace.jsonl"

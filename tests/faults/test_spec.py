@@ -46,8 +46,12 @@ class TestParser:
         assert permanent.end is None
 
     def test_unknown_kind_with_argument_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown fault kind"):
+        with pytest.raises(ConfigurationError, match="'jitter' is neither an attack"):
             parse_faults_spec("jitter=0.1")
+
+    def test_attack_clause_points_to_scenario(self):
+        with pytest.raises(ConfigurationError, match="is an attack; use --scenario"):
+            parse_faults_spec("failstop=count:1")
 
     def test_bad_number_names_the_clause(self):
         with pytest.raises(ConfigurationError, match="loss=lots"):
@@ -144,6 +148,8 @@ class TestConfigSerialization:
             )
 
     def test_describe_is_readable(self):
-        schedule = parse_faults_spec("loss=0.1; delay=0.2x5@0:5000")
-        assert "loss(0.1)" in schedule.describe()
-        assert "delay(0.2x5)" in schedule.describe()
+        # It prints the --faults grammar, so a description pastes back.
+        text = "loss=0.1; delay=0.2x5@0:5000; crash=2@100:900; link-down@7"
+        schedule = parse_faults_spec(text)
+        assert schedule.describe() == text
+        assert parse_faults_spec(schedule.describe()) == schedule

@@ -7,6 +7,7 @@ import tracemalloc
 
 import pytest
 
+from repro.core.errors import ConfigurationError
 from repro.core.tracing import Trace, TraceEvent
 from repro.observability.sinks import (
     EventFilter,
@@ -60,11 +61,11 @@ class TestEventFilter:
         assert f.start == 5000.0 and f.end is None
 
     def test_parse_rejects_unknown_key(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match="--trace-filter"):
             EventFilter.parse("colour=red")
 
     def test_parse_rejects_missing_equals(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match="--trace-filter"):
             EventFilter.parse("send,deliver")
 
     def test_describe_round_trips_the_intent(self):

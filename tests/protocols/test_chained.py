@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
-from repro.crypto.quorum import make_qc
+from repro.attacks.base import Capability
+from repro.crypto.quorum import QuorumCertificate, make_qc
 from repro.protocols.chained import Block, BlockTree, GENESIS_DIGEST
+
+from tests.attacks.support import ScriptedAttacker, controller_with
 
 
 def block(digest, parent, view, qc_view=None, qc_ref=None, height=1):
@@ -124,3 +127,31 @@ class TestCommitRule:
         replica._apply_commit_rules(carrier)
         # b1 commits via the chain (b1,b2,b3 consecutive): ancestors a, b1.
         assert decided == [(0, "v-a"), (1, "v-b1")]
+
+
+def test_forged_zero_signer_timeout_qc_does_not_move_librabft():
+    """One TIMEOUT from a corrupted node carrying a QC with no signers for a
+    far-future view must not be adopted: it used to jump every honest
+    replica to view 1,000,006, where no leader's QC could ever catch up."""
+
+    def run(forge: bool) -> list[int]:
+        attacker = ScriptedAttacker(Capability.BYZANTINE)
+        controller = controller_with(
+            attacker, protocol="librabft", n=4, max_time=60_000.0, allow_horizon=True
+        )
+        ctx = controller.attacker_ctx
+        ctx.corrupt(3)
+        if forge:
+            empty = QuorumCertificate(
+                kind="qc", view=10**6, ref="forged", signers=frozenset()
+            )
+            payload = {"type": "TIMEOUT", "view": 1, "qc": empty.to_payload()}
+            ctx.inject(ctx.forge(3, 0, payload))
+        controller.run()
+        honest = controller.nodes[:3]
+        assert all(node.high_qc.signers for node in honest)
+        return [node.view for node in honest]
+
+    views = run(forge=True)
+    assert max(views) < 1_000
+    assert views == run(forge=False)

@@ -5,15 +5,59 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.core.config import FaultSpec
+from repro.attacks.registry import available_attacks
+from repro.core.config import FAULT_KINDS, FaultSpec
 from repro.core.errors import ConfigurationError
 from repro.core.runner import run_simulation
 from repro.core.results import result_fingerprint
-from repro.scenarios import ScenarioSpec, load_scenario, parse_scenario_spec
+from repro.scenarios import (
+    ScenarioSpec,
+    available_scenarios,
+    get_scenario,
+    load_scenario,
+    parse_scenario_spec,
+)
 from repro.scenarios.spec import AttackClause
 
 from tests.conftest import quick_config
+
+# Specs the grammar can express: strings without separators that do not
+# read as another scalar, lists of two or more scalars, valid windows.
+_WORDS = st.from_regex(r"[a-z][a-z_-]{0,8}", fullmatch=True).filter(
+    lambda word: word not in ("true", "false", "nan", "inf", "infinity")
+)
+_SCALARS = st.one_of(
+    st.integers(-10**9, 10**9),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.booleans(),
+    _WORDS,
+)
+_WINDOWS = st.tuples(
+    st.floats(0.0, 1e7), st.one_of(st.none(), st.floats(1e-3, 1e7))
+).map(lambda w: (w[0], None if w[1] is None else w[0] + w[1])).filter(
+    lambda w: w[1] is None or w[1] > w[0]
+)
+_ATTACK_CLAUSES = st.builds(
+    lambda attack, params, window: AttackClause(attack, params, *window),
+    st.sampled_from(available_attacks()),
+    st.dictionaries(_WORDS, st.one_of(_SCALARS, st.lists(_SCALARS, min_size=2, max_size=3)),
+                    max_size=3),
+    _WINDOWS,
+)
+_RATES = st.floats(allow_nan=False, allow_infinity=False)
+_FAULT_SPECS = st.builds(
+    lambda kind, rate, factor, node, window: FaultSpec(
+        kind,
+        rate=0.0 if kind in ("crash", "link-down") else rate,
+        factor=factor if kind == "delay" else 1.0,
+        node=node if kind == "crash" else None,
+        start=window[0],
+        end=window[1],
+    ),
+    st.sampled_from(FAULT_KINDS), _RATES, _RATES, st.integers(0, 1000), _WINDOWS,
+)
 
 
 class TestGrammar:
@@ -105,6 +149,27 @@ class TestRoundTrip:
         fp_b = result_fingerprint(run_simulation(json_spec.apply(base)))
         assert fp_a == fp_b
 
+    def test_describe_is_the_grammar(self):
+        text = "targeted-delay=targets:1+2,factor:4; loss=0.05@0:9000; crash=2@100:900"
+        spec = parse_scenario_spec(text, name="rt")
+        assert spec.describe() == f"rt: {text}"
+
+    @pytest.mark.parametrize("preset", available_scenarios())
+    def test_preset_description_pastes_back(self, preset):
+        spec = get_scenario(preset)
+        text = spec.describe().removeprefix(f"{spec.name}: ")
+        assert parse_scenario_spec(text, name=spec.name).to_json() == spec.to_json()
+
+    @settings(max_examples=200)
+    @given(spec=st.builds(
+        lambda attacks, faults: ScenarioSpec(name="rt", attacks=attacks, faults=faults),
+        st.lists(_ATTACK_CLAUSES, max_size=3),
+        st.lists(_FAULT_SPECS, max_size=3),
+    ).filter(lambda spec: spec.attacks or spec.faults))
+    def test_describe_parses_back_to_the_same_spec(self, spec):
+        text = spec.describe().removeprefix("rt: ")
+        assert parse_scenario_spec(text, name="rt").to_json() == spec.to_json()
+
     def test_scenario_file_round_trip(self, tmp_path):
         spec = parse_scenario_spec("targeted-delay=factor:2.5; loss=0.01")
         path = tmp_path / "spec.json"
@@ -150,7 +215,7 @@ class TestValidation:
         spec = ScenarioSpec(
             attacks=[AttackClause(attack="targeted-delay", start=50.0, end=10.0)]
         )
-        with pytest.raises(ConfigurationError, match="end must be > start"):
+        with pytest.raises(ConfigurationError, match="window end must be a finite number > 50"):
             spec.validate(quick_config(n=4))
 
     def test_unknown_attack_rejected(self):
