@@ -70,28 +70,19 @@ class AdaptiveAttacker(Attacker):
 
     def __init__(self, params: dict[str, Any] | None = None) -> None:
         super().__init__(params)
-        action = self.params.get("action", "delay")
-        if action not in ACTIONS:
+        params = self.params
+        self.action = params.get("action", "delay")
+        if self.action not in ACTIONS:
             raise ConfigurationError(
                 f"adaptive attacker action must be one of {list(ACTIONS)}, "
-                f"got {action!r}"
+                f"got {self.action!r}"
             )
-        if action == "corrupt":
+        if self.action == "corrupt":
             # Corruption needs BYZANTINE instead of NETWORK: the framework
             # halts corrupted replicas, no message tampering is involved.
             self.capabilities = (
                 Capability.OBSERVE | Capability.BYZANTINE | Capability.ADAPTIVE
             )
-
-    @classmethod
-    def corruption_demand(cls, params, f):
-        if params.get("action", "delay") == "corrupt":
-            return int(params.get("budget", f))
-        return 0
-
-    def setup(self) -> None:
-        params = self.params
-        self.action = params.get("action", "delay")
         self.signal = params.get("signal", "critical")
         if self.signal not in SIGNALS:
             raise ConfigurationError(
@@ -107,13 +98,27 @@ class AdaptiveAttacker(Attacker):
         self.k = int(params.get("k", 1))
         self.factor = float(params.get("factor", 4.0))
         self.extra_delay = float(params.get("extra_delay", 0.0))
-        self.period = float(params.get("period", self.ctx.lam))
         self.max_ticks = int(params.get("max_ticks", 256))
-        self.budget = int(params.get("budget", self.ctx.f))
+        # Defaults from the run (lambda, f) are resolved in ``setup``.
+        period, budget = params.get("period"), params.get("budget")
+        self.period = None if period is None else float(period)
+        self.budget = None if budget is None else int(budget)
+        if self.period is not None and self.period <= 0:
+            raise ConfigurationError("adaptive attacker period must be > 0 ms")
+
+    @classmethod
+    def corruption_demand(cls, params, f):
+        if params.get("action", "delay") == "corrupt":
+            return int(params.get("budget", f))
+        return 0
+
+    def setup(self) -> None:
+        if self.period is None:
+            self.period = float(self.ctx.lam)
+        if self.budget is None:
+            self.budget = self.ctx.f
         self._ticks = 0
         self._targets: frozenset[int] = frozenset()
-        if self.period <= 0:
-            raise ConfigurationError("adaptive attacker period must be > 0 ms")
         if self.max_ticks > 0:
             self.ctx.set_timer(self.period, "adaptive-tick")
 

@@ -29,6 +29,8 @@ Parameters (``AttackConfig.params``):
 
 from __future__ import annotations
 
+from typing import Any
+
 from ..core.message import Message
 from .base import Attacker, Capability
 from .registry import register_attack
@@ -47,8 +49,14 @@ class ADDAdaptiveAttacker(Attacker):
     def corruption_demand(cls, params, f):
         return int(params.get("budget", f))
 
+    def __init__(self, params: dict[str, Any] | None = None) -> None:
+        super().__init__(params)
+        budget = self.params.get("budget")
+        self.budget = None if budget is None else int(budget)
+
     def setup(self) -> None:
-        self.budget = int(self.params.get("budget", self.ctx.f))
+        if self.budget is None:
+            self.budget = self.ctx.f
         self._spent = 0
         # iteration -> {node: credential value}
         self._credentials: dict[int, dict[int, int]] = {}

@@ -23,6 +23,8 @@ Parameters (``AttackConfig.params``):
 
 from __future__ import annotations
 
+from typing import Any
+
 from ..core.errors import ConfigurationError
 from .base import Attacker, Capability
 from .registry import register_attack
@@ -41,15 +43,19 @@ class ADDStaticAttacker(Attacker):
             return len(victims)
         return int(params.get("count", f))
 
+    def __init__(self, params: dict[str, Any] | None = None) -> None:
+        super().__init__(params)
+        victims = self.params.get("victims")
+        if victims is None and "count" in self.params:
+            victims = range(int(self.params["count"]))
+        self.victims = None if victims is None else [int(node) for node in victims]
+
     def setup(self) -> None:
         ctx = self.ctx
-        victims = self.params.get("victims")
-        if victims is None:
-            count = int(self.params.get("count", ctx.f))
-            victims = list(range(count))
+        victims = list(range(ctx.f)) if self.victims is None else self.victims
         if len(victims) > ctx.f:
             raise ConfigurationError(
                 f"static attack on {len(victims)} nodes exceeds the budget f={ctx.f}"
             )
         for node in victims:
-            ctx.crash(int(node))
+            ctx.crash(node)

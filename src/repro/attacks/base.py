@@ -410,7 +410,11 @@ class Attacker:
 
     Subclasses declare :attr:`capabilities` and override :meth:`attack`
     (per-message interception) and optionally :meth:`setup` (static
-    corruption, scheduling timers) and :meth:`on_timer`.
+    corruption, scheduling timers) and :meth:`on_timer`.  They read their
+    parameters in ``__init__``: validation constructs the attacker, so a
+    parameter of the wrong type is a configuration error before the run
+    rather than a traceback at set-up.  Only defaults that need the run
+    (``f``, ``n``, ``lambda``) are resolved in :meth:`setup`.
 
     The paper's customization interface is exactly these two callbacks
     (§III-A5: ``attack`` and ``onTimeEvent``).

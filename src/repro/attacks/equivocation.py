@@ -22,6 +22,8 @@ Parameters (``AttackConfig.params``):
 
 from __future__ import annotations
 
+from typing import Any
+
 from ..core.events import TimeEvent
 from .base import Attacker, Capability
 from .registry import register_attack
@@ -37,12 +39,16 @@ class EquivocationAttacker(Attacker):
     def corruption_demand(cls, params, f):
         return 1
 
-    def setup(self) -> None:
+    def __init__(self, params: dict[str, Any] | None = None) -> None:
+        super().__init__(params)
         self.target = int(self.params.get("target", 0))
         self.slot = int(self.params.get("slot", 0))
         self.view = int(self.params.get("view", 0))
+        self.at = float(self.params.get("at", 1.0))
+
+    def setup(self) -> None:
         self.ctx.corrupt(self.target)
-        self.ctx.set_timer(float(self.params.get("at", 1.0)), "equivocate")
+        self.ctx.set_timer(self.at, "equivocate")
 
     def on_timer(self, timer: TimeEvent) -> None:
         if timer.name != "equivocate":

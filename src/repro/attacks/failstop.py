@@ -19,6 +19,8 @@ Parameters (``AttackConfig.params``):
 
 from __future__ import annotations
 
+from typing import Any
+
 from ..core.events import TimeEvent
 from ..core.errors import ConfigurationError
 from .base import Attacker, Capability
@@ -38,25 +40,29 @@ class FailStopAttacker(Attacker):
             return 1 if isinstance(nodes, int) else len(nodes)
         return int(params.get("count", f))
 
-    def setup(self) -> None:
-        ctx = self.ctx
+    def __init__(self, params: dict[str, Any] | None = None) -> None:
+        super().__init__(params)
         nodes = self.params.get("nodes")
         if isinstance(nodes, int):
             nodes = [nodes]
-        if nodes is None:
-            count = int(self.params.get("count", ctx.f))
-            nodes = list(range(count))
-        self._victims = [int(node) for node in nodes]
+        if nodes is None and "count" in self.params:
+            nodes = range(int(self.params["count"]))
+        self._victims = None if nodes is None else [int(node) for node in nodes]
+        self.at = float(self.params.get("at", 0.0))
+
+    def setup(self) -> None:
+        ctx = self.ctx
+        if self._victims is None:
+            self._victims = list(range(ctx.f))
         if len(self._victims) > ctx.f:
             raise ConfigurationError(
                 f"failstop attack on {len(self._victims)} nodes exceeds f={ctx.f}"
             )
-        at = float(self.params.get("at", 0.0))
-        if at <= 0:
+        if self.at <= 0:
             for node in self._victims:
                 ctx.crash(node)
         else:
-            ctx.set_timer(at, "failstop-crash")
+            ctx.set_timer(self.at, "failstop-crash")
 
     def on_timer(self, timer: TimeEvent) -> None:
         if timer.name == "failstop-crash":

@@ -22,6 +22,8 @@ Parameters (``AttackConfig.params``):
 
 from __future__ import annotations
 
+from typing import Any
+
 from ..core.message import Message
 from ..network.partition import PartitionSpec
 from .base import Attacker, Capability
@@ -34,19 +36,22 @@ class PartitionAttacker(Attacker):
 
     capabilities = Capability.NETWORK
 
-    def setup(self) -> None:
+    def __init__(self, params: dict[str, Any] | None = None) -> None:
+        super().__init__(params)
         params = self.params
         groups = params.get("groups")
-        start = float(params.get("start", 0.0))
-        end = float(params.get("end", 60_000.0))
-        mode = str(params.get("mode", "drop"))
-        if groups is None:
+        self.groups = None if groups is None else [list(g) for g in groups]
+        self.start = float(params.get("start", 0.0))
+        self.end = float(params.get("end", 60_000.0))
+        self.mode = str(params.get("mode", "drop"))
+        self.heal_slack = float(params.get("heal_slack", 10.0))
+
+    def setup(self) -> None:
+        start, end, mode = self.start, self.end, self.mode
+        if self.groups is None:
             self.spec = PartitionSpec.halves(self.ctx.n, start=start, end=end, mode=mode)
         else:
-            self.spec = PartitionSpec.split(
-                [list(g) for g in groups], start=start, end=end, mode=mode
-            )
-        self.heal_slack = float(params.get("heal_slack", 10.0))
+            self.spec = PartitionSpec.split(self.groups, start=start, end=end, mode=mode)
 
     def attack(self, message: Message):
         spec = self.spec

@@ -47,9 +47,20 @@ def get_attack(name: str) -> Type[Attacker]:
         ) from None
 
 
-def make_attacker(config: AttackConfig) -> Attacker:
-    """Instantiate the attacker described by ``config``."""
-    return get_attack(config.name)(config.params)
+def make_attacker(config: AttackConfig, where: str = "attack params") -> Attacker:
+    """Instantiate the attacker described by ``config``.
+
+    Attackers read their parameters when constructed, so a parameter of the
+    wrong type fails here as a :class:`ConfigurationError` naming ``where``
+    (the flag or clause it came from) and the attack.
+    """
+    cls = get_attack(config.name)
+    try:
+        return cls(config.params)
+    except (ConfigurationError, TypeError, ValueError) as error:
+        raise ConfigurationError(
+            f"{where}: attack {config.name!r} cannot use {config.params}: {error}"
+        ) from None
 
 
 def is_attack(name: str) -> bool:

@@ -42,24 +42,26 @@ class TargetedDelayAttacker(Attacker):
 
     def __init__(self, params: dict[str, Any] | None = None) -> None:
         super().__init__(params)
-        if self.params.get("match_type") is not None:
+        params = self.params
+        self.match_type = params.get("match_type")
+        if self.match_type is not None:
             # Filtering on contents needs eyes; declare them up front.
             self.capabilities = Capability.NETWORK | Capability.OBSERVE
+        targets = params.get("targets")
+        self.relay_root = int(params.get("relay_root", 0))
+        self.targets: set[int] | None = (
+            None if targets is None or targets == "relays" else {int(t) for t in targets}
+        )
+        self.extra_delay = float(params.get("extra_delay", 0.0))
+        self.factor = float(params.get("factor", 1.0))
 
     def setup(self) -> None:
-        targets = self.params.get("targets")
-        if targets == "relays":
+        if self.params.get("targets") == "relays":
             # Overlay-aware targeting: resolve the relay set of the tree
             # broadcast overlay at setup time (the shape is static and
             # RNG-free).  Empty under full/gossip — the validator rejects
             # the configuration before a run gets here.
-            root = int(self.params.get("relay_root", 0))
-            self.targets: set[int] | None = set(self.ctx.overlay_relays(root))
-        else:
-            self.targets = None if targets is None else {int(t) for t in targets}
-        self.extra_delay = float(self.params.get("extra_delay", 0.0))
-        self.factor = float(self.params.get("factor", 1.0))
-        self.match_type = self.params.get("match_type")
+            self.targets = set(self.ctx.overlay_relays(self.relay_root))
 
     def _matches(self, message: Message) -> bool:
         if self.targets is not None:

@@ -39,7 +39,7 @@ from typing import Sequence
 from .analysis.aggregate import summarize
 from .analysis.experiments import decisions_for
 from .analysis.report import render_table
-from .attacks.registry import available_attacks
+from .attacks.registry import available_attacks, make_attacker
 from .core.config import (
     AttackConfig,
     FaultScheduleConfig,
@@ -201,7 +201,7 @@ def _base_config_from_args(args: argparse.Namespace) -> SimulationConfig:
     decisions = args.decisions
     if decisions is None:
         decisions = decisions_for(args.protocol)
-    return SimulationConfig(
+    config = SimulationConfig(
         protocol=args.protocol,
         n=args.n,
         f=args.f,
@@ -231,6 +231,8 @@ def _base_config_from_args(args: argparse.Namespace) -> SimulationConfig:
         max_time=args.max_time,
         allow_horizon=True,
     )
+    make_attacker(config.attack, "--attack-params")  # reads the params, or one error line
+    return config
 
 
 def _result_dict(result) -> dict:

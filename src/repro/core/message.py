@@ -12,7 +12,10 @@ from __future__ import annotations
 import copy
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping
+from typing import Any, Mapping
+
+from ..crypto.quorum import QuorumCertificate
+from ..crypto.signatures import canonical
 
 #: Sentinel destination meaning "every node, including the sender".
 BROADCAST: int = -1
@@ -25,10 +28,11 @@ def _next_message_id() -> int:
 
 
 #: Immutable leaf types a payload deep copy may share between copies.
-#: ``copy.deepcopy`` returns these unchanged too (atomic types), so sharing
-#: them is observationally identical — and skips the deepcopy machinery.
+#: ``copy.deepcopy`` returns the atomic ones unchanged too, and a frozen
+#: certificate cannot be told from its copy, so sharing them is
+#: observationally identical — and skips the deepcopy machinery.
 _ATOMIC_TYPES = frozenset(
-    {int, float, str, bool, bytes, complex, type(None)}
+    {int, float, str, bool, bytes, complex, type(None), QuorumCertificate}
 )
 
 
@@ -68,10 +72,14 @@ class Message:
             recipient travels in the queue entry, so handlers identify
             themselves by ``self.id``, never by ``message.dest``.
         payload: protocol-defined content; ``payload["type"]`` names the
-            kind.  **Read-only once received, in every dissemination
-            mode**: the recipients of a broadcast share one payload object
-            (and on the shared tier one message), so a handler that wants
-            to change what it received copies it first.
+            kind.  Values are JSON-ish data or frozen value objects that
+            :func:`~repro.crypto.signatures.canonical` encodes — a
+            :class:`~repro.crypto.quorum.QuorumCertificate` travels as
+            itself and is sized as its wire dict.  **Read-only once
+            received, in every dissemination mode**: the recipients of a
+            broadcast share one payload object (and on the shared tier one
+            message), so a handler that wants to change what it received
+            copies it first.
         sent_at: simulation time (ms) at which the message entered the
             network module.
         delay: transit delay (ms) assigned by the network module and possibly
@@ -173,11 +181,6 @@ class Message:
 #: Fixed per-message envelope overhead (headers, routing, signature tag).
 MESSAGE_OVERHEAD_BYTES: int = 96
 
-#: Lazily bound reference to :func:`repro.crypto.signatures.canonical`
-#: (import deferred to break the crypto <-> core import cycle, then cached
-#: so the hot path never repeats the module lookup).
-_canonical: Callable[[Any], str] | None = None
-
 
 def estimate_message_bytes(message: "Message") -> int:
     """Estimated wire size of ``message`` in bytes.
@@ -188,12 +191,6 @@ def estimate_message_bytes(message: "Message") -> int:
     canonical JSON length of the payload plus a fixed envelope overhead —
     deterministic, so byte totals are reproducible.
     """
-    global _canonical
-    canonical = _canonical
-    if canonical is None:
-        from ..crypto.signatures import canonical as _imported
-
-        canonical = _canonical = _imported
     return MESSAGE_OVERHEAD_BYTES + len(canonical(message.payload))
 
 

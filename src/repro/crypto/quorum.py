@@ -5,6 +5,13 @@ evidence that a quorum of replicas voted for a statement.  LibraBFT adds
 *timeout certificates* (TCs) with the same structure.  The simulator's QC is
 a frozen value object — once built from a vote set, it can be embedded in
 payloads, compared, and validated by any replica.
+
+A certificate travels as itself: an honest sender puts the object in its
+payload, every recipient reads it through :meth:`QuorumCertificate.from_payload`
+and keeps the sender's object, so one certificate serves all ``n``
+replicas.  The dict form (:meth:`QuorumCertificate.to_payload`) is what
+:func:`~repro.crypto.signatures.canonical` encodes for wire sizes and
+digests; protocols never build it.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from dataclasses import dataclass
 from typing import Any
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuorumCertificate:
     """Evidence that ``signers`` (a quorum) endorsed ``(kind, view, ref)``.
 
@@ -36,7 +43,7 @@ class QuorumCertificate:
         return len(self.signers) >= threshold
 
     def to_payload(self) -> dict[str, Any]:
-        """Wire form for embedding in message payloads."""
+        """Wire form: what ``canonical`` encodes a certificate as."""
         return {
             "kind": self.kind,
             "view": self.view,
@@ -45,9 +52,14 @@ class QuorumCertificate:
         }
 
     @classmethod
-    def from_payload(cls, data: dict[str, Any] | None) -> "QuorumCertificate | None":
-        if data is None:
-            return None
+    def from_payload(
+        cls, data: "QuorumCertificate | dict[str, Any] | None"
+    ) -> "QuorumCertificate | None":
+        """The one certificate reader.  A certificate (what honest senders
+        put in payloads) comes back unchanged, so recipients share it; a
+        wire-form dict (as an attacker or a test builds one) is parsed."""
+        if data is None or isinstance(data, QuorumCertificate):
+            return data
         return cls(
             kind=str(data["kind"]),
             view=int(data["view"]),

@@ -18,22 +18,49 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any
 
+from .quorum import QuorumCertificate
 
-#: One encoder for every statement: ``json.dumps`` with keyword arguments
-#: builds a new one per call, and ``canonical`` runs once per sent message
-#: (wire-size estimate).  Same settings, same bytes.
-_ENCODER = json.JSONEncoder(sort_keys=True, default=repr)
+
+def _wire_form(value: Any) -> Any:
+    """The encoder's hook for non-JSON values: a certificate encodes as its
+    wire dict — the bytes of a payload carrying ``to_payload()`` — and
+    anything else as its ``repr``."""
+    if isinstance(value, QuorumCertificate):
+        return value.to_payload()
+    return repr(value)
+
+
+#: ``canonical`` runs once per sent message (wire-size estimate), and
+#: ``JSONEncoder.encode`` builds a new C encoder on every call.  This one is
+#: built once with the same settings (``sort_keys=True``, ``default``
+#: above), so it writes the same bytes.  Its circular-reference markers are
+#: empty between calls — the encoder removes what it adds — and are cleared
+#: after a call that failed half-way.  Sharing them assumes one caller at a
+#: time, which holds: a run is single-threaded and fleets use processes.
+_MARKERS: dict[int, Any] = {}
+_encode = (
+    c_make_encoder(_MARKERS, _wire_form, encode_basestring_ascii, None,
+                   ": ", ", ", True, False, True)
+    if c_make_encoder is not None
+    else json.JSONEncoder(sort_keys=True, default=_wire_form).iterencode  # no C accelerator
+)
 
 
 def canonical(statement: Any) -> str:
-    """Stable string form of a statement (JSON with sorted keys; falls back
-    to ``repr`` for non-JSON values)."""
+    """Stable string form of a statement (JSON with sorted keys; a
+    :class:`~repro.crypto.quorum.QuorumCertificate` as its wire dict, other
+    non-JSON values as their ``repr``; the ``repr`` of the whole statement
+    when it is not encodable at all)."""
     try:
-        return _ENCODER.encode(statement)
-    except (TypeError, ValueError):
-        return repr(statement)
+        return "".join(_encode(statement, 0))
+    except BaseException as error:
+        _MARKERS.clear()
+        if isinstance(error, (TypeError, ValueError)):
+            return repr(statement)
+        raise
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ from .base import BFTProtocol, PARTIALLY_SYNCHRONOUS, VoteCounter
 GENESIS_DIGEST = "genesis"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Block:
     """A node in the block tree.
 
@@ -267,7 +267,7 @@ class ChainedHotStuffBase(BFTProtocol):
             "parent": block.parent,
             "value": block.value,
             "height": block.height,
-            "qc": block.qc.to_payload() if block.qc else None,
+            "qc": block.qc,
         }
 
     # ------------------------------------------------------------------
@@ -381,7 +381,7 @@ class ChainedHotStuffBase(BFTProtocol):
             message.source,
             type="SYNC-RESP",
             blocks=list(reversed(blocks)),  # genesis-adjacent first
-            high_qc=self.high_qc.to_payload(),
+            high_qc=self.high_qc,
         )
 
     def _on_sync_resp(self, message: Message) -> None:

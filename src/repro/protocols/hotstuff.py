@@ -91,7 +91,7 @@ class HotStuffNSNode(ChainedHotStuffBase):
             self.leader_of(next_view),
             type="NEW-VIEW",
             view=next_view,
-            qc=self.high_qc.to_payload(),
+            qc=self.high_qc,
         )
 
     def on_view_entered(self, view: int, via: str) -> None:

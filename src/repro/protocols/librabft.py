@@ -57,7 +57,7 @@ class LibraBFTNode(ChainedHotStuffBase):
 
     def _send_timeout_vote(self, view: int) -> None:
         self._timeout_sent.add(view)
-        self.broadcast(type="TIMEOUT", view=view, qc=self.high_qc.to_payload())
+        self.broadcast(type="TIMEOUT", view=view, qc=self.high_qc)
 
     def _arm_retransmit(self) -> None:
         """Keep resending the timeout vote at a fixed cadence.

@@ -274,7 +274,7 @@ class PBFTNode(BFTProtocol):
                 type="DECIDED",
                 slot=slot,
                 value=value,
-                cert=cert.to_payload(),
+                cert=cert,
             )
 
     def _on_decided(self, message: Message) -> None:

@@ -206,7 +206,7 @@ class TendermintNode(BFTProtocol):
                 type="DECIDED",
                 height=height,
                 value=value,
-                cert=cert.to_payload(),
+                cert=cert,
             )
 
     def _on_decided(self, message: Message) -> None:

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..attacks.base import Capability
-from ..attacks.registry import get_attack
+from ..attacks.registry import get_attack, make_attacker
 from ..core.clauses import scalar, split_clauses, split_pairs
 from ..core.config import (
     AttackConfig,
@@ -387,7 +387,8 @@ def load_scenario(source: str) -> ScenarioSpec:
 
     In order: a registered scenario preset name, a path to a JSON spec
     file (recognised by an existing file or a ``.json`` suffix), or the
-    compact grammar.
+    compact grammar.  Every attack clause's attacker is built once, so a
+    parameter of the wrong type is an error naming the flag and the clause.
     """
     import os
 
@@ -398,9 +399,14 @@ def load_scenario(source: str) -> ScenarioSpec:
     if source.endswith(".json") or os.path.isfile(source):
         try:
             with open(source, encoding="utf-8") as handle:
-                return ScenarioSpec.from_json(handle.read())
+                spec = ScenarioSpec.from_json(handle.read())
         except OSError as error:
             raise ConfigurationError(
                 f"cannot read scenario file {source!r}: {error}"
             ) from None
-    return parse_scenario_spec(source)
+    else:
+        spec = parse_scenario_spec(source)
+    for clause in spec.attacks:
+        where = f"--scenario clause {clause.describe()!r}"
+        make_attacker(AttackConfig(clause.attack, clause.params), where)
+    return spec

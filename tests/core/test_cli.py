@@ -286,6 +286,23 @@ class TestSpecGrammars:
         assert "Traceback" not in captured.err + captured.out
         assert not (tmp_path / "t.jsonl").exists()
 
+    @pytest.mark.parametrize("flag,args", [
+        # Attackers used to read their params at set-up, after validation:
+        # a TypeError traceback, and an int() error naming no flag.
+        ("--scenario", ["--scenario", "targeted-delay=factor:1+2"]),
+        ("--scenario", ["--scenario", "targeted-delay=targets:abc"]),
+        ("--attack-params", ["--attack", "targeted-delay",
+                             "--attack-params", '{"factor": [1, 2]}']),
+    ])
+    def test_wrong_typed_attack_param_is_one_error_line(self, flag, args, capsys):
+        code = main(["run", "--protocol", "pbft", "-n", "4", "--decisions", "1", *args])
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith(f"error: {flag}"), err
+        assert "'targeted-delay'" in err[0]
+        assert "Traceback" not in captured.err + captured.out
+
 
 class TestInspect:
     def _write_trace(self, tmp_path):

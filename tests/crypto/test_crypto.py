@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.core.message import Message, estimate_message_bytes
 from repro.crypto import (
     CommonCoin,
     GENESIS_QC,
@@ -53,6 +56,15 @@ class TestSignatures:
         loop: list = []
         loop.append(loop)
         assert canonical(loop) == repr(loop)
+
+    def test_canonical_forgets_a_failed_call(self):
+        # The reused encoder marks containers while it is inside them; a
+        # call that fails half-way must not leave this dict marked, or
+        # encoding it again would report a circular reference.
+        value = {"a": [1], 1: 2}
+        assert canonical(value) == repr(value)
+        del value[1]
+        assert canonical(value) == '{"a": [1]}'
 
 
 class TestVRF:
@@ -115,6 +127,10 @@ class TestQuorumCertificates:
     def test_from_payload_none(self):
         assert QuorumCertificate.from_payload(None) is None
 
+    def test_from_payload_returns_a_certificate_unchanged(self):
+        qc = make_qc(9, "blockhash", {5, 3, 8})
+        assert QuorumCertificate.from_payload(qc) is qc
+
     def test_tc_has_no_ref(self):
         tc = make_tc(4, {0, 1, 2})
         assert tc.kind == "tc"
@@ -150,6 +166,73 @@ class TestCommonCoin:
     def test_value_bad_modulus(self):
         with pytest.raises(ValueError):
             CommonCoin().value(0, 0)
+
+
+class _Opaque:
+    def __repr__(self) -> str:
+        return "<opaque>"
+
+
+_CERTIFICATES = st.builds(
+    QuorumCertificate,
+    kind=st.sampled_from(["qc", "tc"]),
+    view=st.integers(min_value=0, max_value=10**6),
+    ref=st.one_of(st.none(), st.text(max_size=8)),
+    signers=st.frozensets(st.integers(min_value=0, max_value=127), max_size=12),
+)
+_NAMES = st.text(max_size=5)
+_PAYLOADS = st.dictionaries(_NAMES, st.recursive(
+    st.one_of(_CERTIFICATES, st.integers(), st.text(max_size=5), st.none()),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.dictionaries(_NAMES, inner, max_size=4)
+    ),
+    max_leaves=12,
+), max_size=5)
+
+#: JSON-ish values and the ones that are not: non-ASCII text, nan / inf,
+#: tuples, sets, an object with only a repr, and int / bool / None / float
+#: keys mixed with str keys (unsortable, so the whole-statement repr).
+_OPAQUE = _Opaque()
+_KEYS = st.one_of(_NAMES, st.integers(-3, 3), st.booleans(), st.none(),
+                  st.floats(), st.just(_OPAQUE))
+_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(),
+              st.sets(st.integers(), max_size=3), st.just(_OPAQUE)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.tuples(inner, inner),
+        st.dictionaries(_KEYS, inner, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+def _wire(value):
+    """``value`` with every certificate replaced by its ``to_payload()``."""
+    if isinstance(value, QuorumCertificate):
+        return value.to_payload()
+    if isinstance(value, dict):
+        return {key: _wire(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_wire(item) for item in value]
+    return value
+
+
+@given(_PAYLOADS)
+def test_property_certificate_encodes_as_its_wire_dict(payload):
+    wire = _wire(payload)
+    assert canonical(payload) == canonical(wire)
+    assert estimate_message_bytes(Message(0, 1, payload)) == estimate_message_bytes(
+        Message(0, 1, wire)
+    )
+
+
+@given(_VALUES)
+def test_property_canonical_is_the_sorted_json_encoder(value):
+    try:
+        expected = json.JSONEncoder(sort_keys=True, default=repr).encode(value)
+    except (TypeError, ValueError):
+        expected = repr(value)
+    assert canonical(value) == expected
 
 
 @given(st.integers(min_value=0, max_value=2**31), st.text(max_size=20))

@@ -5,13 +5,22 @@ wrapper around the structure it scans, at a short and a long run of the
 same configuration.  A handler that rescans history (the whole chain on
 every commit, every vote key since the run began on every vote) does
 linearly more work per message in the long run and fails here.
+
+Certificates are counted the same way: one certificate object serves every
+replica of a run (it travels in the payload as itself), so nothing parses
+one and a finished chained run holds little more than its blocks.
 """
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
+from collections import defaultdict
+
 import pytest
 
-from repro import run_simulation
+from repro import Controller, run_simulation
+from repro.crypto.quorum import QuorumCertificate
 from repro.protocols import VoteCounter, get_protocol
 from repro.protocols.chained import BlockTree
 
@@ -80,3 +89,45 @@ def test_vote_keys_examined_per_vote_do_not_grow(protocol, kinds, monkeypatch):
         run(protocol, decisions)
         per_vote[decisions] = examined[0] / votes[0]
     assert per_vote[LONG] <= 1.5 * per_vote[SHORT], per_vote
+
+
+@pytest.mark.parametrize("protocol", ["hotstuff-ns", "librabft"])
+def test_one_certificate_serves_every_replica(protocol, monkeypatch):
+    parsed = [0]
+    from_payload = QuorumCertificate.from_payload.__func__
+
+    def counting(cls, data):
+        if isinstance(data, dict):
+            parsed[0] += 1
+        return from_payload(cls, data)
+
+    monkeypatch.setattr(QuorumCertificate, "from_payload", classmethod(counting))
+    controller = Controller(quick_config(protocol, n=16, num_decisions=20))
+    assert controller.run().terminated
+    assert parsed[0] == 0
+    held: dict[str, list[QuorumCertificate]] = defaultdict(list)
+    for node in controller.nodes:
+        for block in node.tree.ancestors(node.high_qc.ref):
+            if block.qc is not None:
+                held[block.digest].append(block.qc)
+    assert max(map(len, held.values())) == 16
+    for digest, certificates in held.items():
+        assert all(qc is certificates[0] for qc in certificates), digest
+
+
+def test_a_finished_chained_run_holds_little():
+    """hotstuff-ns n=128, 25 decisions: each replica used to keep its own
+    parsed copy of every certificate (≈32 MiB live after the run)."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        controller = Controller(quick_config("hotstuff-ns", n=128, num_decisions=25, seed=5))
+        assert controller.run().terminated
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert held <= 8 * 2**20, f"{held / 2**20:.1f} MiB"
