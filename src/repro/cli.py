@@ -29,7 +29,6 @@ subcommand) opt into the simulator's structured logging on stderr.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -48,7 +47,7 @@ from .core.config import (
     SimulationConfig,
 )
 from .core.errors import SimulationError
-from .core.results import RunFailure
+from .core.results import RunFailure, result_attachments
 from .core.runner import run_batch, run_simulation, sweep
 from .core.tracing import EventFilter, JsonlSink
 from .faults import available_presets, parse_faults_spec
@@ -236,7 +235,7 @@ def _base_config_from_args(args: argparse.Namespace) -> SimulationConfig:
 
 
 def _result_dict(result) -> dict:
-    data = {
+    return {
         "protocol": result.config.protocol,
         "terminated": result.terminated,
         "latency_ms": result.latency,
@@ -249,14 +248,8 @@ def _result_dict(result) -> dict:
         "events_processed": result.events_processed,
         "wall_clock_seconds": result.wall_clock_seconds,
         "decided_values": {str(k): v for k, v in result.decided_values.items()},
+        **result_attachments(result),
     }
-    if result.fault_counts.any():
-        data["fault_counts"] = dataclasses.asdict(result.fault_counts)
-    if result.stalled:
-        data["stall"] = dataclasses.asdict(result.stall)
-    if result.workload is not None:
-        data["workload"] = result.workload.to_dict()
-    return data
 
 
 def cmd_list(_args: argparse.Namespace) -> int:
@@ -397,12 +390,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             json.dump(result.run_metrics.to_dict(), handle, indent=2,
                       sort_keys=True)
     if args.json:
-        data = _result_dict(result)
-        if result.run_metrics is not None:
-            data["metrics"] = result.run_metrics.to_dict()
-        if result.health is not None:
-            data["health"] = result.health.to_dict()
-        print(json.dumps(data, indent=2, sort_keys=True))
+        print(json.dumps(_result_dict(result), indent=2, sort_keys=True))
     else:
         print(result.summary())
         if result.workload is not None:
@@ -903,21 +891,21 @@ def _watch_run_line(row) -> str:
     parts.append("stalled" if row.stalled else "ok")
     if row.latency_per_decision is not None:
         parts.append(f"{row.latency_per_decision:.1f}ms/dec")
-    if row.committed_tx_s is not None:
-        parts.append(f"{row.committed_tx_s:.1f}tx/s")
-    if row.anomaly_count is not None:
-        parts.append(
-            f"{row.anomaly_count} anomalies" if row.anomaly_count
-            else "healthy"
-        )
-    if row.min_fairness is not None:
-        parts.append(f"min-fairness {row.min_fairness:.2f}")
+    workload = row.attachments.get("workload")
+    if workload is not None:
+        parts.append(f"{workload['committed_tx_s']:.1f}tx/s")
+    health = row.attachments.get("health")
+    if health is not None:
+        count = health["anomaly_count"]
+        parts.append(f"{count} anomalies" if count else "healthy")
+        if health["min_fairness"] is not None:
+            parts.append(f"min-fairness {health['min_fairness']:.2f}")
     return " ".join(parts)
 
 
 def _watch_anomaly_lines(row, top: int) -> list[str]:
     """Detection lines for one run's stored health report (capped)."""
-    events = (row.health or {}).get("events") or []
+    events = row.attachments.get("health", {}).get("events") or []
     lines = []
     for event in events[:top]:
         who = ""

@@ -372,6 +372,37 @@ def deterministic_dict(result: SimulationResult, include_trace: bool = False) ->
     return data
 
 
+def result_attachments(result: SimulationResult) -> dict[str, dict]:
+    """The per-layer outputs of ``result`` as JSON-friendly dicts.
+
+    The one place a result's optional layers become JSON: ``repro run
+    --json`` prints this map beside the core fields, and the experiment
+    store keeps it in one column.  Keys are layer names — ``fault_counts``
+    (only when a fault fired), ``stall``, ``metrics``, ``signals``,
+    ``workload`` and ``health`` — and a layer the run did not carry is
+    absent, so a bare run maps to ``{}``.  A new layer is one more key here.
+    """
+    stall = None
+    if result.stall is not None:
+        stall = asdict(result.stall)
+        stall["node_last_activity"] = {
+            str(node): when for node, when in stall["node_last_activity"].items()
+        }
+    layers = {
+        "fault_counts": (
+            asdict(result.fault_counts) if result.fault_counts.any() else None
+        ),
+        "stall": stall,
+        "metrics": (
+            result.run_metrics.to_dict() if result.run_metrics is not None else None
+        ),
+        "signals": result.signals_summary or None,
+        "workload": result.workload.to_dict() if result.workload is not None else None,
+        "health": result.health.to_dict() if result.health is not None else None,
+    }
+    return {name: data for name, data in layers.items() if data is not None}
+
+
 def result_fingerprint(result: SimulationResult, include_trace: bool = False) -> str:
     """Stable hex digest of every deterministic field of ``result``.
 

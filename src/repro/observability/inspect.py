@@ -24,6 +24,7 @@ trace.jsonl`` renders the report.
 from __future__ import annotations
 
 import os
+import zlib
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Mapping
 
@@ -45,16 +46,24 @@ def iter_trace_file(path: str | os.PathLike[str]) -> Iterator[dict[str, Any]]:
     Paths ending in ``.gz`` (gzip-compressed sinks) decompress
     transparently — see :func:`~repro.core.tracing.open_trace_text`.
     A line that decodes to anything but an object is a ``ValueError``, like
-    a line that does not decode at all.
+    a line that does not decode at all, and so is a compressed file cut
+    short (a sink killed mid-write): the records before the cut are
+    yielded first.
     """
-    with open_trace_text(path) as handle:
-        for index, event in enumerate(iter_jsonl_dicts(handle), 1):
-            if type(event) is not dict:
-                raise ValueError(
-                    f"{os.fspath(path)}: trace record {index} must be a JSON "
-                    f"object, got {event!r}"
-                )
-            yield event
+    index = 0
+    try:
+        with open_trace_text(path) as handle:
+            for index, event in enumerate(iter_jsonl_dicts(handle), 1):
+                if type(event) is not dict:
+                    raise ValueError(
+                        f"{os.fspath(path)}: trace record {index} must be a "
+                        f"JSON object, got {event!r}"
+                    )
+                yield event
+    except (EOFError, zlib.error) as error:
+        raise ValueError(
+            f"{os.fspath(path)}: trace truncated after {index} records"
+        ) from error
 
 
 def iter_events(

@@ -149,10 +149,3 @@ class VoteCounter:
 
     def has_voted(self, key: Hashable, voter: int) -> bool:
         return voter in self._voters.get(key, frozenset())
-
-    def best(self, prefix_filter: Any = None) -> tuple[Hashable, int] | None:
-        """The key with the most votes (ties broken by repr for determinism)."""
-        if not self._voters:
-            return None
-        key = max(self._voters, key=lambda k: (len(self._voters[k]), repr(k)))
-        return key, len(self._voters[key])

@@ -161,13 +161,13 @@ function renderList() {
 function healthCell(r) {
   // Per-run anomaly strip: "–" when the run was not health-monitored,
   // green "healthy" at zero anomalies, warn/crit count otherwise.
-  if (r.anomaly_count == null) return '<span class="muted">–</span>';
-  if (!r.anomaly_count)
+  const h = r.attachments.health;
+  if (!h) return '<span class="muted">–</span>';
+  if (!h.anomaly_count)
     return '<span class="status complete"><span class="dot"></span>healthy</span>';
-  const crit = ((r.health || {}).events || [])
-    .some(e => e.severity === "critical");
+  const crit = h.events.some(e => e.severity === "critical");
   return `<span class="status ${crit ? "failed" : "stalled"}">` +
-    `<span class="dot"></span>${r.anomaly_count}</span>`;
+    `<span class="dot"></span>${h.anomaly_count}</span>`;
 }
 
 function runRow(r) {
@@ -266,20 +266,20 @@ function saturationView(runs) {
   // Throughput/saturation view: one bar per workload run (committed tx/s
   // against the fleet maximum), with request counts, per-request latency
   // percentiles, and the saturation flag.  Empty for non-workload fleets.
-  const wl = (runs || []).filter(r => r.committed_tx_s != null);
+  const wl = (runs || []).filter(r => r.attachments.workload);
   if (!wl.length) return "";
-  const tmax = Math.max(...wl.map(r => r.committed_tx_s)) || 1;
+  const tmax = Math.max(...wl.map(r => r.attachments.workload.committed_tx_s)) || 1;
   const rows = wl.map(r => {
-    const w = r.workload || {};
-    const sat = r.saturated ? ' <span class="status stalled">' +
+    const w = r.attachments.workload;
+    const sat = w.saturated ? ' <span class="status stalled">' +
       '<span class="dot"></span>saturated</span>' : "";
     return `<tr class="click" onclick="selectRun(${r.id})">
       <td class="num">${r.run_index}</td>
       <td>${esc(r.label || "seed " + r.seed)}</td>
       <td style="min-width:200px"><div class="bar">
-        <i style="width:${100 * r.committed_tx_s / tmax}%"></i></div></td>
-      <td class="num">${fmt(r.committed_tx_s)}${sat}</td>
-      <td class="num">${fmt(r.requests_decided, 0)}/${fmt(r.requests_submitted, 0)}</td>
+        <i style="width:${100 * w.committed_tx_s / tmax}%"></i></div></td>
+      <td class="num">${fmt(w.committed_tx_s)}${sat}</td>
+      <td class="num">${fmt(w.decided, 0)}/${fmt(w.submitted, 0)}</td>
       <td class="num">${fmt(w.latency_p50_ms, 0)} ms</td>
       <td class="num">${fmt(w.latency_p99_ms, 0)} ms</td>
       <td class="num">${fmt(w.max_queue_depth, 0)}</td>
@@ -374,8 +374,9 @@ async function selectRun(runId) {
       <div class="card"><b>${r.max_view == null ? "–" : r.max_view}</b>
         <span>max view</span></div>
     </div>`;
-  if (r.workload) {
-    const w = r.workload;
+  const a = r.attachments;
+  if (a.workload) {
+    const w = a.workload;
     html += `<h2>Workload</h2><div class="cards">
       <div class="card"><b>${fmt(w.committed_tx_s)}</b>
         <span>committed tx/s</span></div>
@@ -391,8 +392,8 @@ async function selectRun(runId) {
         <span>saturated</span></div>
     </div>`;
   }
-  if (r.health) {
-    const h = r.health;
+  if (a.health) {
+    const h = a.health;
     const rows = anomalyRows(h.events, false);
     html += `<h2>Health <span class="muted">(${fmt(h.window_ms, 0)} ms
       detector windows)</span></h2>
@@ -407,8 +408,8 @@ async function selectRun(runId) {
         <tbody>${rows}</tbody></table>` : "");
   }
   if (r.failure) html += `<pre>${esc(JSON.stringify(r.failure, null, 1))}</pre>`;
-  if (r.stall) html += `<p class="status stalled"><span class="dot"></span>
-    stalled: ${esc(r.stall.reason)} at ${fmt(r.stall.detected_at)} ms</p>`;
+  if (a.stall) html += `<p class="status stalled"><span class="dot"></span>
+    stalled: ${esc(a.stall.reason)} at ${fmt(a.stall.detected_at)} ms</p>`;
   if (r.trace_path) {
     html += `<p class="muted">trace: ${esc(r.trace_path)}</p>`;
     try {

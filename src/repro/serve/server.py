@@ -71,7 +71,7 @@ def run_analysis(trace_path: str) -> dict[str, Any]:
         report = analyze_trace(trace_path)
         graph = CausalityGraph.build(trace_path)
         phases = analyze_phases(trace_path)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         return {"available": False, "reason": f"trace unreadable: {exc}"}
 
     quorums = [
@@ -236,11 +236,14 @@ class DashboardHandler(BaseHTTPRequestHandler):
             runs = store.runs(experiment_id)
         finally:
             store.close()
-        monitored = [row for row in runs if row.anomaly_count is not None]
+        monitored = [
+            (row, row.attachments["health"])
+            for row in runs if "health" in row.attachments
+        ]
         anomalies: list[dict[str, Any]] = []
         detectors: dict[str, int] = {}
-        for row in monitored:
-            for event in (row.health or {}).get("events", []):
+        for row, health in monitored:
+            for event in health["events"]:
                 entry = dict(event)
                 entry["run_index"] = row.run_index
                 entry["run_id"] = row.id
@@ -249,12 +252,14 @@ class DashboardHandler(BaseHTTPRequestHandler):
                 detectors[detector] = detectors.get(detector, 0) + 1
         anomalies.sort(key=lambda e: (e.get("time", 0.0), e["run_index"]))
         fairness = [
-            row.min_fairness for row in monitored
-            if row.min_fairness is not None
+            health["min_fairness"] for _row, health in monitored
+            if health["min_fairness"] is not None
         ]
         self._json({
             "monitored_runs": len(monitored),
-            "anomaly_total": sum(row.anomaly_count or 0 for row in monitored),
+            "anomaly_total": sum(
+                health["anomaly_count"] for _row, health in monitored
+            ),
             "min_fairness": min(fairness) if fairness else None,
             "detectors": dict(sorted(detectors.items())),
             "anomalies": anomalies[:_RUN_ANALYSIS_LIMIT],

@@ -5,7 +5,8 @@ which makes stored results *reproducible claims*: a row that records the
 configuration JSON, the seed, and the ``result_fingerprint`` is enough to
 re-run the experiment anywhere and byte-compare the outcome.  The
 :class:`ExperimentStore` persists exactly that — plus the decision/latency
-metrics, fault/stall diagnostics, signals summaries, and
+metrics, the run's per-layer outputs (one ``attachments`` map: faults,
+stall, metrics, signals, workload, health), and
 pointers to on-disk JSONL traces and mining artifacts — so results survive
 the process that produced them and can be listed, diffed, and browsed later
 (``repro experiments``, ``repro serve``).
@@ -42,16 +43,17 @@ from ..core.errors import SimulationError
 from ..core.results import (
     RunFailure,
     SimulationResult,
+    result_attachments,
     result_fingerprint,
 )
 
 #: Current on-disk schema version.  Bump on any incompatible change; the
 #: store refuses files written by other versions instead of guessing.
-#: v2: throughput columns (committed_tx_s, requests_submitted,
-#: requests_decided, saturated, workload_json) for workload runs.
-#: v3: run-health columns (health_json, anomaly_count, min_fairness) for
-#: runs recorded with the streaming HealthMonitor enabled.
-SCHEMA_VERSION = 3
+#: v2: throughput columns for workload runs.  v3: run-health columns.
+#: v4: the per-layer columns and their scalar copies become one
+#: ``attachments_json`` map (:func:`~repro.core.results.result_attachments`);
+#: a new layer is a new key in it, not a column or a version.
+SCHEMA_VERSION = 4
 
 #: Experiment lifecycle states.
 EXPERIMENT_STATUSES = ("running", "complete", "failed")
@@ -103,20 +105,9 @@ CREATE TABLE IF NOT EXISTS runs (
     events_processed     INTEGER,
     max_view             INTEGER,
     wall_clock_seconds   REAL,
-    fault_counts_json    TEXT,
-    stall_json           TEXT,
-    metrics_json         TEXT,
-    signals_json         TEXT,
+    attachments_json     TEXT,
     failure_json         TEXT,
     trace_path           TEXT,
-    committed_tx_s       REAL,
-    requests_submitted   INTEGER,
-    requests_decided     INTEGER,
-    saturated            INTEGER,
-    workload_json        TEXT,
-    health_json          TEXT,
-    anomaly_count        INTEGER,
-    min_fairness         REAL,
     UNIQUE (experiment_id, run_index)
 );
 CREATE INDEX IF NOT EXISTS idx_runs_experiment ON runs(experiment_id);
@@ -141,6 +132,14 @@ def _json(value: Any) -> str | None:
 
 def _loads(text: str | None) -> Any:
     return None if text is None else json.loads(text)
+
+
+def _id(value: int, what: str) -> int:
+    """``value`` as a row id; one past sqlite's INTEGER range names no row."""
+    value = int(value)
+    if not -(2**63) <= value < 2**63:
+        raise StoreError(f"no {what} with id {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -174,7 +173,10 @@ class ExperimentRow:
 
 @dataclass(frozen=True)
 class RunRow:
-    """One stored run: metrics, diagnostics, and reproduction coordinates."""
+    """One stored run: metrics, per-layer outputs, and reproduction
+    coordinates.  ``attachments`` is the run's
+    :func:`~repro.core.results.result_attachments` map as stored (``{}``
+    for a failure or a run that carried no optional layer)."""
 
     id: int
     experiment_id: int
@@ -194,20 +196,9 @@ class RunRow:
     events_processed: int | None
     max_view: int | None
     wall_clock_seconds: float | None
-    fault_counts: dict[str, Any] | None = None
-    stall: dict[str, Any] | None = None
-    metrics: dict[str, Any] | None = None
-    signals: dict[str, Any] | None = None
+    attachments: dict[str, Any] = field(default_factory=dict)
     failure: dict[str, Any] | None = None
     trace_path: str | None = None
-    committed_tx_s: float | None = None
-    requests_submitted: int | None = None
-    requests_decided: int | None = None
-    saturated: bool | None = None
-    workload: dict[str, Any] | None = None
-    health: dict[str, Any] | None = None
-    anomaly_count: int | None = None
-    min_fairness: float | None = None
 
     @property
     def failed(self) -> bool:
@@ -284,15 +275,6 @@ class ExperimentDiff:
             "identical": self.identical,
             "rows": [row.to_dict() for row in self.rows],
         }
-
-
-def _stall_dict(stall: Any) -> dict[str, Any]:
-    """JSON-friendly stall report (integer node keys become strings)."""
-    data = asdict(stall)
-    data["node_last_activity"] = {
-        str(node): when for node, when in data["node_last_activity"].items()
-    }
-    return data
 
 
 class ExperimentStore:
@@ -427,8 +409,9 @@ class ExperimentStore:
             row = self._failure_row(entry)
         else:
             row = self._result_row(entry)
+        experiment_id = _id(experiment_id, "experiment")
         row.update(
-            experiment_id=int(experiment_id),
+            experiment_id=experiment_id,
             run_index=int(run_index),
             label=label,
             trace_path=trace_path,
@@ -453,12 +436,11 @@ class ExperimentStore:
                 "UPDATE experiments SET done_runs = done_runs + 1, "
                 "failed_runs = failed_runs + ?, "
                 "stalled_runs = stalled_runs + ? WHERE id = ?",
-                (failed, stalled, int(experiment_id)),
+                (failed, stalled, experiment_id),
             )
             return int(cursor.lastrowid)
 
     def _result_row(self, result: SimulationResult) -> dict[str, Any]:
-        signals = getattr(result, "signals_summary", None)
         return {
             "status": "ok",
             "seed": result.config.seed,
@@ -474,43 +456,7 @@ class ExperimentStore:
             "events_processed": result.events_processed,
             "max_view": result.max_view,
             "wall_clock_seconds": result.wall_clock_seconds,
-            "fault_counts_json": (
-                _json(asdict(result.fault_counts))
-                if result.fault_counts.any() else None
-            ),
-            "stall_json": (
-                _json(_stall_dict(result.stall)) if result.stall else None
-            ),
-            "metrics_json": (
-                _json(result.run_metrics.to_dict())
-                if result.run_metrics else None
-            ),
-            "signals_json": _json(signals) if signals else None,
-            "failure_json": None,
-            "committed_tx_s": (
-                result.workload.committed_tx_s if result.workload else None
-            ),
-            "requests_submitted": (
-                result.workload.submitted if result.workload else None
-            ),
-            "requests_decided": (
-                result.workload.decided if result.workload else None
-            ),
-            "saturated": (
-                int(result.workload.saturated) if result.workload else None
-            ),
-            "workload_json": (
-                _json(result.workload.to_dict()) if result.workload else None
-            ),
-            "health_json": (
-                _json(result.health.to_dict()) if result.health else None
-            ),
-            "anomaly_count": (
-                result.health.anomaly_count if result.health else None
-            ),
-            "min_fairness": (
-                result.health.min_fairness if result.health else None
-            ),
+            "attachments_json": _json(result_attachments(result)),
         }
 
     def _failure_row(self, failure: RunFailure) -> dict[str, Any]:
@@ -534,11 +480,12 @@ class ExperimentStore:
         self, experiment_id: int, status: str | None = None
     ) -> None:
         """Mark an experiment terminal (default: failed iff any run failed)."""
+        experiment_id = _id(experiment_id, "experiment")
         with self._lock, self._conn as conn:
             if status is None:
                 row = conn.execute(
                     "SELECT failed_runs FROM experiments WHERE id = ?",
-                    (int(experiment_id),),
+                    (experiment_id,),
                 ).fetchone()
                 if row is None:
                     raise StoreError(f"no experiment with id {experiment_id}")
@@ -551,7 +498,7 @@ class ExperimentStore:
             conn.execute(
                 "UPDATE experiments SET status = ?, finished_at = ? "
                 "WHERE id = ?",
-                (status, time.time(), int(experiment_id)),
+                (status, time.time(), experiment_id),
             )
 
     def set_progress(
@@ -566,17 +513,18 @@ class ExperimentStore:
         the mining harness evaluates whole generations internally — but
         whose progress should still be live on the dashboard.
         """
+        experiment_id = _id(experiment_id, "experiment")
         with self._lock, self._conn as conn:
             if total_runs is None:
                 conn.execute(
                     "UPDATE experiments SET done_runs = ? WHERE id = ?",
-                    (int(done_runs), int(experiment_id)),
+                    (int(done_runs), experiment_id),
                 )
             else:
                 conn.execute(
                     "UPDATE experiments SET done_runs = ?, total_runs = ? "
                     "WHERE id = ?",
-                    (int(done_runs), int(total_runs), int(experiment_id)),
+                    (int(done_runs), int(total_runs), experiment_id),
                 )
 
     def record_artifact(
@@ -589,11 +537,12 @@ class ExperimentStore:
         payload: Any = None,
     ) -> int:
         """Attach a named artifact (e.g. a mining winner) to an experiment."""
+        experiment_id = _id(experiment_id, "experiment")
         with self._lock, self._conn as conn:
             cursor = conn.execute(
                 "INSERT INTO artifacts (experiment_id, kind, name, path, "
                 "payload_json) VALUES (?,?,?,?,?)",
-                (int(experiment_id), kind, name, path, _json(payload)),
+                (experiment_id, kind, name, path, _json(payload)),
             )
             return int(cursor.lastrowid)
 
@@ -610,7 +559,8 @@ class ExperimentStore:
     def experiment(self, experiment_id: int) -> ExperimentRow:
         with self._lock:
             row = self._conn.execute(
-                "SELECT * FROM experiments WHERE id = ?", (int(experiment_id),)
+                "SELECT * FROM experiments WHERE id = ?",
+                (_id(experiment_id, "experiment"),),
             ).fetchone()
         if row is None:
             raise StoreError(f"no experiment with id {experiment_id}")
@@ -621,14 +571,14 @@ class ExperimentStore:
         with self._lock:
             rows = self._conn.execute(
                 "SELECT * FROM runs WHERE experiment_id = ? ORDER BY run_index",
-                (int(experiment_id),),
+                (_id(experiment_id, "experiment"),),
             ).fetchall()
         return [self._run_row(row) for row in rows]
 
     def run(self, run_id: int) -> RunRow:
         with self._lock:
             row = self._conn.execute(
-                "SELECT * FROM runs WHERE id = ?", (int(run_id),)
+                "SELECT * FROM runs WHERE id = ?", (_id(run_id, "run"),)
             ).fetchone()
         if row is None:
             raise StoreError(f"no run with id {run_id}")
@@ -648,7 +598,7 @@ class ExperimentStore:
         with self._lock:
             rows = self._conn.execute(
                 "SELECT * FROM artifacts WHERE experiment_id = ? ORDER BY id",
-                (int(experiment_id),),
+                (_id(experiment_id, "experiment"),),
             ).fetchall()
         return [
             ArtifactRow(
@@ -706,20 +656,7 @@ class ExperimentStore:
             events_processed=row["events_processed"],
             max_view=row["max_view"],
             wall_clock_seconds=row["wall_clock_seconds"],
-            fault_counts=_loads(row["fault_counts_json"]),
-            stall=_loads(row["stall_json"]),
-            metrics=_loads(row["metrics_json"]),
-            signals=_loads(row["signals_json"]),
+            attachments=_loads(row["attachments_json"]) or {},
             failure=_loads(row["failure_json"]),
             trace_path=row["trace_path"],
-            committed_tx_s=row["committed_tx_s"],
-            requests_submitted=row["requests_submitted"],
-            requests_decided=row["requests_decided"],
-            saturated=(
-                None if row["saturated"] is None else bool(row["saturated"])
-            ),
-            workload=_loads(row["workload_json"]),
-            health=_loads(row["health_json"]),
-            anomaly_count=row["anomaly_count"],
-            min_fairness=row["min_fairness"],
         )

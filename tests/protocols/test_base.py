@@ -39,23 +39,6 @@ class TestVoteCounter:
         assert votes.has_voted("k", 3)
         assert not votes.has_voted("k", 4)
 
-    def test_best_returns_max(self):
-        votes = VoteCounter()
-        for voter in range(3):
-            votes.add("popular", voter)
-        votes.add("niche", 9)
-        assert votes.best() == ("popular", 3)
-
-    def test_best_empty_is_none(self):
-        assert VoteCounter().best() is None
-
-    def test_best_tie_deterministic(self):
-        a, b = VoteCounter(), VoteCounter()
-        for counter in (a, b):
-            counter.add("x", 0)
-            counter.add("y", 1)
-        assert a.best() == b.best()
-
     @given(
         st.lists(
             st.tuples(st.sampled_from(["a", "b", "c"]), st.integers(0, 20)),

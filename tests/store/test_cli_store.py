@@ -199,6 +199,30 @@ class TestExperimentsCommands:
         assert not (tmp_path / "typo.sqlite").exists()
 
 
+HUGE_ID = "99999999999999999999"  # past sqlite's INTEGER range
+
+
+class TestOutOfRangeIds:
+    @pytest.mark.parametrize("argv, message", [
+        (["experiments", "show", HUGE_ID], f"no experiment with id {HUGE_ID}"),
+        (["experiments", "diff", "1", HUGE_ID],
+         f"no experiment with id {HUGE_ID}"),
+        (["inspect", f"store:{HUGE_ID}"], f"no run with id {HUGE_ID}"),
+        (["watch", "--experiment", HUGE_ID, "--once"],
+         f"no experiment with id {HUGE_ID}"),
+    ], ids=["show", "diff", "inspect", "watch"])
+    def test_one_error_line(self, store_path, capsys, argv, message):
+        assert main(["run", *RUN_ARGS, "--store", store_path]) == 0
+        capsys.readouterr()
+        if argv[0] == "watch":
+            argv = [argv[0], store_path, *argv[1:]]
+        else:
+            argv = [*argv, "--store", store_path]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
+
+
 class TestInspectStoreRunId:
     def _run_with_trace(self, store_path: str, tmp_path) -> str:
         trace = str(tmp_path / "t.jsonl")

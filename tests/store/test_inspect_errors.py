@@ -6,7 +6,9 @@ trace reader; they must instead explain what the user got wrong:
 * a bare run id without ``--store`` is a filesystem path that does not
   exist — the error points at the ``store:<id>`` syntax;
 * a stored run whose recorded trace pointer names a deleted file says so
-  (run id and the stale pointer), instead of an open() traceback.
+  (run id and the stale pointer), instead of an open() traceback;
+* a compressed trace cut short (a sink killed mid-write) is one ``error:``
+  line naming the cut, whichever analyzer reads it first.
 """
 
 from __future__ import annotations
@@ -78,3 +80,19 @@ def test_bare_run_id_with_store_reads_the_stored_trace(store_path, tmp_path,
     capsys.readouterr()
     assert main(["inspect", "1", "--store", store_path]) == 0
     assert "trace:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flags", [[], ["--quorum"], ["--health"]],
+                         ids=["report", "quorum", "health"])
+def test_truncated_gzip_trace_is_one_error_line(tmp_path, capsys, flags):
+    trace = str(tmp_path / "t.jsonl.gz")
+    assert main(["run", *RUN_ARGS, "--decisions", "3", "--trace-out", trace]) == 0
+    with open(trace, "rb") as handle:
+        data = handle.read()
+    with open(trace, "wb") as handle:
+        handle.write(data[: len(data) // 2])
+    capsys.readouterr()
+    assert main(["inspect", trace, *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {trace}: trace truncated after ")
+    assert err.count("\n") == 1

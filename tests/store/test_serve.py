@@ -12,6 +12,7 @@ import pytest
 
 from repro.core.runner import run_simulation
 from repro.serve import create_server
+from repro.serve.server import run_analysis
 from repro.store import ExperimentStore, StoreRecorder
 from tests.conftest import quick_config
 
@@ -98,6 +99,11 @@ class TestEndpoints:
         assert set(data) == {"run"}
         assert data["run"]["id"] == 1
         assert data["run"]["fingerprint"]
+        assert data["run"]["attachments"] == {}
+        # Per-layer outputs live only in the map, never beside it.
+        assert not {"fault_counts", "stall", "metrics", "signals", "workload",
+                    "health", "anomaly_count", "min_fairness",
+                    "committed_tx_s", "saturated"} & set(data["run"])
 
     def test_analysis_from_stored_trace(self, served):
         data = get_json(served, "/api/runs/1/analysis")
@@ -134,6 +140,19 @@ class TestEndpoints:
                 get_json(served, path)
             assert excinfo.value.code == 404
             assert "error" in json.load(excinfo.value)
+
+    @pytest.mark.parametrize("path", [
+        "/api/runs/99999999999999999999",
+        "/api/runs/99999999999999999999/analysis",
+        "/api/experiments/99999999999999999999",
+        "/api/experiments/99999999999999999999/health",
+        "/api/experiments/1/diff/99999999999999999999",
+    ])
+    def test_ids_past_the_integer_range_are_json_404(self, served, path):
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            get_json(served, path)
+        assert excinfo.value.code == 404
+        assert "99999999999999999999" in json.load(excinfo.value)["error"]
 
     def test_unknown_route_is_404(self, served):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
@@ -219,8 +238,9 @@ class TestHealthEndpoint:
     def test_run_rows_carry_health_columns(self, served_health):
         data = get_json(served_health, "/api/experiments/1")
         for run in data["runs"]:
-            assert run["anomaly_count"] > 0
-            assert run["health"]["anomaly_count"] == run["anomaly_count"]
+            assert set(run["attachments"]) == {"fault_counts", "workload", "health"}
+            assert run["attachments"]["health"]["anomaly_count"] > 0
+            assert "anomaly_count" not in run and "health" not in run
 
     def test_unknown_experiment_is_404(self, served_health):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
@@ -232,3 +252,35 @@ class TestHealthEndpoint:
             page = response.read().decode()
         assert "healthView" in page  # dashboard wires the health endpoint
         assert "/health" in page
+
+
+class TestRunAnalysisDegrades:
+    """A stored trace that cannot be analyzed answers ``available: false``."""
+
+    def _trace(self, path) -> str:
+        from repro import JsonlSink
+
+        run_simulation(quick_config(num_decisions=3), sink=JsonlSink(str(path)))
+        return str(path)
+
+    def test_truncated_gzip_trace(self, tmp_path):
+        path = self._trace(tmp_path / "run.jsonl.gz")
+        with open(path, "rb") as handle:
+            data = handle.read()
+        with open(path, "wb") as handle:
+            handle.write(data[: len(data) // 2])
+        data = run_analysis(path)
+        assert data["available"] is False
+        assert "trace truncated after" in data["reason"]
+
+    def test_ill_typed_record(self, tmp_path):
+        path = self._trace(tmp_path / "run.jsonl")
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
+        first = json.loads(lines[0])
+        first["node"] = [1]
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write("\n".join([json.dumps(first), *lines[1:]]) + "\n")
+        data = run_analysis(path)
+        assert data["available"] is False
+        assert data["reason"].startswith("trace unreadable:")

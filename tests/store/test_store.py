@@ -3,12 +3,17 @@ versioning, progress counters, and fingerprint diffing."""
 
 from __future__ import annotations
 
+import json
 import sqlite3
 
 import pytest
 
-from repro.core.results import RunFailure, result_fingerprint
+from repro.cli import main
+from repro.core.config import AttackConfig
+from repro.core.results import RunFailure, result_attachments, result_fingerprint
 from repro.core.runner import run_simulation
+from repro.faults import parse_faults_spec
+from repro.workload import parse_workload_spec
 from repro.store import (
     SCHEMA_VERSION,
     ExperimentStore,
@@ -113,7 +118,7 @@ class TestRoundTrip:
         assert result.signals_summary is not None
         experiment_id = store.create_experiment("s", "run", config, 1)
         run_id = store.record_run(experiment_id, 0, result)
-        assert store.run(run_id).signals == result.signals_summary
+        assert store.run(run_id).attachments["signals"] == result.signals_summary
 
     def test_trace_path_round_trip_and_missing(self, store, tmp_path):
         experiment_id = store.create_experiment("t", "run", quick_config(), 2)
@@ -158,6 +163,20 @@ class TestRoundTrip:
             store.run(99)
         with pytest.raises(StoreError):
             store.diff(1, 2)
+
+    def test_ids_past_the_integer_range_name_no_row(self, store):
+        huge = 10**20
+        experiment_id = store.create_experiment("r", "run", quick_config(), 1)
+        with pytest.raises(StoreError, match=f"no experiment with id {huge}"):
+            store.experiment(huge)
+        with pytest.raises(StoreError, match=f"no experiment with id {huge}"):
+            store.runs(huge)
+        with pytest.raises(StoreError, match=f"no experiment with id {huge}"):
+            store.diff(experiment_id, huge)
+        with pytest.raises(StoreError, match=f"no run with id {huge}"):
+            store.run(huge)
+        with pytest.raises(StoreError, match=f"no run with id {huge}"):
+            store.trace_path(huge)
 
 
 class TestPersistence:
@@ -218,14 +237,29 @@ class TestSchemaVersioning:
         with pytest.raises(StoreSchemaError):
             ExperimentStore(path)
 
+    def test_v3_store_is_refused_naming_both_versions(self, tmp_path):
+        path = tmp_path / "v3.sqlite"
+        ExperimentStore(path).close()
+        conn = sqlite3.connect(path)
+        conn.execute(
+            "UPDATE store_meta SET value = '3' WHERE key = 'schema_version'"
+        )
+        conn.commit()
+        conn.close()
+        assert SCHEMA_VERSION == 4
+        with pytest.raises(
+            StoreSchemaError, match="schema version 3, this version of repro reads 4"
+        ):
+            ExperimentStore(path)
+
     def test_store_written_before_profile_json_was_dropped_still_works(self, tmp_path):
         """Same schema version, one extra nullable ``runs`` column: inserts
         name their columns, so the older file records and reads back."""
         from repro.store.store import _SCHEMA
 
-        stall_column = "    stall_json           TEXT,\n"
+        failure_column = "    failure_json         TEXT,\n"
         older_ddl = _SCHEMA.replace(
-            stall_column, stall_column + "    profile_json         TEXT,\n"
+            failure_column, failure_column + "    profile_json         TEXT,\n"
         )
         assert older_ddl != _SCHEMA
         path = tmp_path / "older.sqlite"
@@ -300,7 +334,7 @@ class TestDiff:
 
 
 class TestHealthColumns:
-    """Schema v3: run-health report persisted alongside each run."""
+    """The run-health report is the ``health`` key of the attachments map."""
 
     def test_health_report_round_trips(self, store):
         result = run_simulation(quick_config(), health=True)
@@ -309,33 +343,21 @@ class TestHealthColumns:
         run_id = store.record_run(experiment_id, 0, result)
 
         row = store.run(run_id)
-        assert row.health == result.health.to_dict()
-        assert row.anomaly_count == result.health.anomaly_count
-        assert row.min_fairness == result.health.min_fairness
+        assert row.attachments == {"health": result.health.to_dict()}
 
     def test_unmonitored_run_stores_nulls(self, store):
         result = _result()
         assert result.health is None
         experiment_id = store.create_experiment("plain", "run", quick_config(), 1)
         run_id = store.record_run(experiment_id, 0, result)
-
-        row = store.run(run_id)
-        assert row.health is None
-        assert row.anomaly_count is None
-        assert row.min_fairness is None
+        assert store.run(run_id).attachments == {}
 
     def test_failure_row_has_no_health(self, store):
         experiment_id = store.create_experiment("fail", "run", quick_config(), 1)
         run_id = store.record_run(experiment_id, 0, _failure())
-        row = store.run(run_id)
-        assert row.health is None
-        assert row.anomaly_count is None
-        assert row.min_fairness is None
+        assert store.run(run_id).attachments == {}
 
     def test_anomalous_run_round_trips_events(self, store):
-        from repro.faults import parse_faults_spec
-        from repro.workload import parse_workload_spec
-
         config = quick_config(num_decisions=1).replace(
             workload=parse_workload_spec("rate:60,clients:6,batch:8,duration:2000"),
             faults=parse_faults_spec("delay=0.7x6"),
@@ -345,6 +367,74 @@ class TestHealthColumns:
         assert result.health.anomaly_count > 0
         experiment_id = store.create_experiment("anomalous", "run", config, 1)
         row = store.run(store.record_run(experiment_id, 0, result))
-        assert row.anomaly_count == result.health.anomaly_count
-        assert row.min_fairness == pytest.approx(result.health.min_fairness)
-        assert row.health["events"] == [e.to_dict() for e in result.health.events]
+        health = row.attachments["health"]
+        assert health["anomaly_count"] == result.health.anomaly_count
+        assert health["min_fairness"] == pytest.approx(result.health.min_fairness)
+        assert health["events"] == [e.to_dict() for e in result.health.events]
+
+
+#: Every layer ``result_attachments`` names.
+LAYERS = {"fault_counts", "stall", "metrics", "signals", "workload", "health"}
+
+#: case -> (config, run options, the layers the run carries).  Between them
+#: the cases carry every layer.
+LAYER_CASES = {
+    "faults-and-stall": (
+        quick_config(
+            lam=300.0, std=15.0, seed=3, max_time=600_000.0,
+            faults=parse_faults_spec("loss=1.0"), stall_timeout=20_000.0,
+        ),
+        {},
+        {"fault_counts", "stall"},
+    ),
+    "metrics": (quick_config(), {"metrics": True}, {"metrics"}),
+    "signals": (
+        quick_config(
+            attack=AttackConfig(name="adaptive", params={"signal": "busiest"})
+        ),
+        {},
+        {"signals"},
+    ),
+    "workload-and-health": (
+        quick_config(
+            workload=parse_workload_spec("rate:60,clients:6,batch:8,duration:2000"),
+            allow_horizon=True,
+        ),
+        {"health": True},
+        {"workload", "health"},
+    ),
+}
+
+
+class TestAttachments:
+    """One map per run: what ``result_attachments`` returns is what the
+    store keeps and what ``repro run --json`` prints."""
+
+    def test_cases_carry_every_layer(self):
+        assert set().union(*(case[2] for case in LAYER_CASES.values())) == LAYERS
+
+    @pytest.mark.parametrize("case", sorted(LAYER_CASES))
+    def test_stored_map_is_result_attachments(self, case, tmp_path):
+        config, options, layers = LAYER_CASES[case]
+        result = run_simulation(config, **options)
+        attachments = result_attachments(result)
+        assert set(attachments) == layers
+        with ExperimentStore(tmp_path / "exp.sqlite") as store:
+            experiment_id = store.create_experiment(case, "run", config, 1)
+            row = store.run(store.record_run(experiment_id, 0, result))
+        assert row.attachments == json.loads(json.dumps(attachments, sort_keys=True))
+        assert not LAYERS & set(row.to_dict())
+
+    @pytest.mark.parametrize("case", sorted(LAYER_CASES))
+    def test_run_json_prints_the_stored_map(self, case, tmp_path, capsys):
+        config, options, layers = LAYER_CASES[case]
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config.to_dict()), encoding="utf-8")
+        store_path = str(tmp_path / "exp.sqlite")
+        main(["run", "--config", str(config_path), "--json",
+              "--store", store_path, *(f"--{name}" for name in options)])
+        printed = json.loads(capsys.readouterr().out)
+        with ExperimentStore(store_path, create=False) as store:
+            stored = store.runs(1)[0].attachments
+        assert set(stored) == layers
+        assert {key: printed[key] for key in LAYERS & set(printed)} == stored
