@@ -149,9 +149,6 @@ class MetricsCollector:
         """Account estimated wire bytes for one transmitted message."""
         self.counts.bytes_sent += size
 
-    def on_dropped(self) -> None:
-        self.counts.dropped += 1
-
     def on_delivered(self) -> None:
         self.counts.delivered += 1
 

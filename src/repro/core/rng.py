@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Iterator
 
 import numpy as np
 
@@ -52,10 +51,6 @@ class RandomSource:
     def python(self, name: str) -> random.Random:
         """A fresh :class:`random.Random` for ``name``."""
         return random.Random(self.child_seed(name))
-
-    def issued_streams(self) -> Iterator[str]:
-        """Names of every substream handed out so far (diagnostics)."""
-        return iter(sorted(self._issued))
 
     def __repr__(self) -> str:
         return f"RandomSource(seed={self.seed}, streams={len(self._issued)})"

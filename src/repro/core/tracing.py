@@ -82,11 +82,6 @@ class TraceEvent:
         """The event's one-line JSONL form."""
         return jsonl_line(self.time, self.kind, self.node, self.fields)
 
-    def matches(self, **expected: Any) -> bool:
-        """True if every expected key equals the event's value for it."""
-        own = self.to_dict()
-        return all(own.get(key) == value for key, value in expected.items())
-
 
 #: JSON text of the non-``int`` values a template line may hold, by exact
 #: type.  A plain ``int`` formats itself; any other type (``bool``, ``float``,
@@ -465,10 +460,6 @@ class Trace:
         if node is not None:
             out = (e for e in out if e.node == node)
         return list(out)
-
-    def where(self, predicate: Callable[[TraceEvent], bool]) -> list[TraceEvent]:
-        """Events satisfying an arbitrary predicate."""
-        return [e for e in self.sink.events() if predicate(e)]
 
     def flush(self) -> None:
         """Flush the sink's buffered bytes (if any)."""

@@ -83,10 +83,6 @@ class FaultInjector:
         )
         self.log = SimLogger(get_logger("faults"))
 
-    def active(self) -> bool:
-        """True when any link-level fault process is configured."""
-        return bool(self._link_specs)
-
     def apply(self, message: Message) -> list[Message]:
         """Run ``message`` through the fault schedule.
 

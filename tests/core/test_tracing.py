@@ -46,19 +46,6 @@ def test_filter_by_kind_and_node():
     assert len(trace.events(kind="view", node=1)) == 1
 
 
-def test_where_predicate():
-    trace = Trace()
-    for t in range(5):
-        trace.record(float(t), "tick", 0)
-    assert len(trace.where(lambda e: e.time >= 3.0)) == 2
-
-
-def test_event_matches():
-    event = TraceEvent(time=1.0, kind="decide", node=2, fields={"slot": 0})
-    assert event.matches(kind="decide", slot=0)
-    assert not event.matches(slot=1)
-
-
 def test_jsonl_roundtrip():
     trace = Trace()
     trace.record(1.5, "send", 0, dest=3, msg_type="VOTE", msg_id=7)

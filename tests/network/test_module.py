@@ -270,6 +270,17 @@ PINNED_RUNS = {
         "87c3539b519cd01d44eb48c8a0bb97c3deceed3fdcb7856b611cf742b560aa73",
         "af7a693e0095154874ec0fbaafc529e7e23bf73d6c3d29767047ec6899574a36",
     ),
+    # Recorded before delays were drawn in blocks: ~8k per-copy draws of
+    # ``network.delay`` and ~1.6k of ``faults.delay`` cross many block
+    # boundaries, before GST (inflated, uncapped) and after it (capped).
+    "partial-sync-link-faults": (
+        lambda: _pbft_n32(
+            4, 14, faults=parse_faults_spec("duplicate=0.2; delay=0.1x3"),
+        ).replace(network={"gst": 800.0, "pre_gst_factor": 3.0, "max_delay": 400.0}),
+        None,
+        "e166ade1718c1198ca1713d4df51a6b11d7d3a577e14a210e89735d0e6d5b883",
+        "35060dcf6887c79aef35c4ded479073d7e38b40b3dfe44ff3058456993695442",
+    ),
 }
 
 

@@ -5,7 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro import AttackConfig, run_simulation
+from repro.attacks.base import Capability
+from repro.crypto.quorum import QuorumCertificate
 
+from tests.attacks.support import ScriptedAttacker, controller_with
 from tests.conftest import quick_config
 
 
@@ -116,3 +119,35 @@ class TestSafetyMechanics:
     def test_decides_under_jittery_network(self):
         result = run_simulation(pbft(mean=200.0, std=150.0, lam=1000.0, max_time=600_000.0))
         assert result.terminated
+
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="DECIDED certificates are trusted by signer count, not by who signed",
+    )
+    def test_forged_decided_certificate_is_not_adopted(self):
+        """One DECIDED from a corrupted node, whose certificate names three
+        honest signers over a value none of them voted for, must not make an
+        honest replica decide that value.  Today node 0 decides "evil" and
+        the run never terminates (decisions {0: 1, 1: 0, 2: 0, 3: 0})."""
+        controller = controller_with(
+            ScriptedAttacker(Capability.BYZANTINE), n=4, seed=1,
+            max_time=60_000.0, allow_horizon=True,
+        )
+        ctx = controller.attacker_ctx
+        ctx.corrupt(3)
+        cert = QuorumCertificate(
+            kind="qc", view=0, ref=controller.nodes[0]._digest("evil"),
+            signers=frozenset({0, 1, 2}),
+        )
+        payload = {"type": "DECIDED", "slot": 0, "value": "evil", "cert": cert.to_payload()}
+        ctx.inject(ctx.forge(3, 0, payload))
+        controller.run()
+        honest = controller.nodes[:3]
+        proposals = {
+            value
+            for node in honest
+            for (view, _slot), (_digest, value) in node.pre_prepares.items()
+            if node.leader_of(view) < 3
+        }
+        decided = {value for node in honest for value, _cert in node._decision_certs.values()}
+        assert decided <= proposals
