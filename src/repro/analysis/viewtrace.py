@@ -40,9 +40,9 @@ class ViewTimeline:
 def extract_view_timelines(trace: Trace, n: int) -> list[ViewTimeline]:
     """Per-node view timelines from a trace's ``view`` report events."""
     entries: dict[int, list[tuple[float, int]]] = {node: [] for node in range(n)}
-    for event in trace.events(kind="view"):
-        if 0 <= event.node < n and "view" in event.fields:
-            entries[event.node].append((event.time, int(event.fields["view"])))
+    for time, kind, node, fields in trace.rows():
+        if kind == "view" and 0 <= node < n and "view" in fields:
+            entries[node].append((time, int(fields["view"])))
     timelines = []
     for node in range(n):
         entries[node].sort()

@@ -106,8 +106,9 @@ class PacketLevelNetwork:
             message.delay = 0.0
             controller.queue.push(MessageEvent(time=now, message=message))
             return
-        controller.metrics.on_sent()
-        controller.metrics.on_bytes(estimate_message_bytes(message))
+        counts = controller.metrics.counts
+        counts.sent += 1
+        counts.bytes_sent += estimate_message_bytes(message)
         controller.trace.record(
             now, "send", message.source,
             dest=message.dest, msg_type=message.type, msg_id=message.msg_id,
@@ -268,7 +269,7 @@ class BaselineController(Controller):
             return
         self._stores[message.dest].insert_and_evaluate(message.type)
         self._charge_tuple()
-        self.metrics.on_delivered()
+        self.metrics.counts.delivered += 1
         self.trace.record(
             event.time, "deliver", message.dest,
             source=message.source, msg_type=message.type, msg_id=message.msg_id,

@@ -689,15 +689,16 @@ class Controller:
                 # Deliveries carry the message's own cause plus its slot/view
                 # coordinates (under the protocol's native key aliases):
                 # loopback self-sends never produce a send record, so the
-                # causality DAG must be walkable from deliveries alone.
+                # causality DAG must be walkable from deliveries alone.  The
+                # record goes to the sink as its fields dict, with no
+                # keyword hop through ``Trace.record``.
                 payload = message.payload
-                trace.record(
-                    event_time, "deliver", dest,
-                    source=message.source, msg_type=message.type,
-                    msg_id=_copy_id(entry), cause=message.cause,
-                    slot=payload.get("slot", payload.get("height")),
-                    view=payload.get("view", payload.get("round")),
-                )
+                trace.sink.record(event_time, "deliver", dest, {
+                    "source": message.source, "msg_type": message.type,
+                    "msg_id": _copy_id(entry), "cause": message.cause,
+                    "slot": payload.get("slot", payload.get("height")),
+                    "view": payload.get("view", payload.get("round")),
+                })
             self.nodes[dest].on_message(message)
         elif type(event) is TimeEvent:
             self._cause = entry

@@ -137,21 +137,6 @@ class MetricsCollector:
         """Ids of nodes currently considered honest."""
         return [i for i in range(self.n) if i not in self._faulty]
 
-    # -- traffic ---------------------------------------------------------------
-
-    def on_sent(self, byzantine: bool = False) -> None:
-        if byzantine:
-            self.counts.byzantine += 1
-        else:
-            self.counts.sent += 1
-
-    def on_bytes(self, size: int) -> None:
-        """Account estimated wire bytes for one transmitted message."""
-        self.counts.bytes_sent += size
-
-    def on_delivered(self) -> None:
-        self.counts.delivered += 1
-
     # -- decisions ---------------------------------------------------------------
 
     def on_decision(self, node: int, slot: int, value: Any, time: float) -> None:

@@ -12,13 +12,16 @@ phase transitions), corruptions, and decisions.  Traces feed three consumers:
   inspect`` CLI (:mod:`repro.observability.inspect`).
 
 Storage is pluggable: a :class:`Trace` forwards every recorded event to a
-:class:`TraceSink`.  :class:`MemorySink` (the default) buffers events in
-memory exactly as the pre-sink ``Trace`` did; :class:`JsonlSink` streams
-events to a newline-delimited JSON file with *bounded* memory, so
+:class:`TraceSink`.  :class:`MemorySink` (the default) buffers records in
+memory as ``(time, kind, node, fields)`` rows; :class:`JsonlSink` streams
+them to a newline-delimited JSON file with *bounded* memory, so
 million-event runs can record full traces to disk without OOM;
 :class:`NullSink` counts and discards.  Every sink accepts an optional
 :class:`EventFilter` restricting what it keeps by kind, node, and time
-window.
+window.  The copies of one broadcast reach a sink in one
+:meth:`TraceSink.record_copies` call, and readers inside the package walk
+rows (:meth:`Trace.rows`); :class:`TraceEvent` objects are built only for
+the public event API.
 
 The sink classes live here (the :class:`Trace` facade needs them) and are
 re-exported by :mod:`repro.observability.sinks`, the telemetry subsystem's
@@ -32,11 +35,11 @@ import io
 import json
 import os
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice, starmap
 from json.encoder import encode_basestring_ascii
 from math import isfinite
 from operator import itemgetter
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .clauses import scalar, split_clauses, split_window
 from .errors import SimulationError
@@ -44,6 +47,10 @@ from .errors import SimulationError
 #: One encoder for every record (``json.dumps(sort_keys=True)`` builds a
 #: fresh one per call).
 _encode = json.JSONEncoder(sort_keys=True).encode
+
+#: One trace record as stored and read inside the package:
+#: ``(time, kind, node, fields)``, the parts of a :class:`TraceEvent`.
+TraceRow = tuple[float, str, int, dict[str, Any]]
 
 
 @dataclass(frozen=True, slots=True)
@@ -140,6 +147,34 @@ def jsonl_line(time: float, kind: str, node: int, fields: dict[str, Any]) -> str
     return _encode({"time": time, "kind": kind, "node": node, **fields})
 
 
+def _copies_template(
+    time: float, kind: str, node: int, fields: dict[str, Any], keys: Sequence[str]
+) -> str:
+    """The JSONL line shared by every copy of one record, as a ``%``
+    template: the text of ``time``, ``kind``, ``node`` and ``fields`` with
+    any ``%`` doubled, and a ``%d`` where each of ``keys`` goes, in sorted
+    key order.  Formatting it with a row of plain ``int`` values in that
+    order gives :func:`jsonl_line` of the copy, byte for byte."""
+    slot = object()
+    items = {"time": time, "kind": kind, "node": node, **fields}
+    for key in keys:
+        items[key] = slot
+    parts = []
+    for key in sorted(items):
+        value = items[key]
+        if value is slot:
+            text = "%d"
+        else:
+            text = _SCALAR_TEXT.get(type(value), _encode)(value).replace("%", "%%")
+        parts.append(f"{encode_basestring_ascii(key).replace('%', '%%')}: {text}")
+    return "{" + ", ".join(parts) + "}"
+
+
+#: The types :func:`_copies_template`'s slots take: ``bool`` is an ``int`` to
+#: ``%d`` but ``true`` to JSON, and a float would be truncated.
+_SLOT_TYPES = {int}
+
+
 #: Lines :func:`iter_jsonl_dicts` decodes per call (its memory bound).
 JSONL_BLOCK_LINES = 512
 
@@ -160,6 +195,33 @@ def iter_jsonl_dicts(lines: Iterable[str]) -> Iterator[dict[str, Any]]:
         except ValueError:
             rows = ()
         yield from rows if len(rows) == len(block) else map(json.loads, block)
+
+
+def checked_records(records: Iterable[Any], where: str) -> Iterator[dict[str, Any]]:
+    """``records`` in order, each checked to be a trace record: a JSON
+    object with a ``time`` and a ``kind``.
+
+    Raises:
+        ValueError: ``"<where>: trace record N …"``, N counted from 1.
+    """
+    for index, record in enumerate(records, 1):
+        if type(record) is not dict or "time" not in record or "kind" not in record:
+            if type(record) is not dict:
+                problem = f"must be a JSON object, got {record!r}"
+            else:
+                problem = "must have a 'time' and a 'kind'"
+            raise ValueError(f"{where}: trace record {index} {problem}")
+        yield record
+
+
+def _trace_rows(records: Iterable[Any], where: str) -> Iterator[TraceRow]:
+    """Decoded records as rows (checked by :func:`checked_records`); each
+    record dict becomes its row's fields, with ``time``, ``kind`` and
+    ``node`` popped and nothing copied."""
+    return (
+        (record.pop("time"), record.pop("kind"), record.pop("node", -1), record)
+        for record in checked_records(records, where)
+    )
 
 
 class TraceBufferUnavailable(SimulationError):
@@ -256,7 +318,9 @@ class TraceSink:
     :meth:`events` (hand the accepted events back).  The base class applies
     the optional :class:`EventFilter` and maintains :attr:`count`, the
     number of events *accepted* (events the filter rejected are not
-    counted).
+    counted).  :meth:`record` and :meth:`record_copies` are the writers'
+    entry points; the base forms reduce both to :meth:`emit`, so a sink
+    that overrides neither sees every record as one event.
     """
 
     def __init__(self, filter: EventFilter | None = None) -> None:
@@ -275,8 +339,27 @@ class TraceSink:
         hands over; a sink that stores no event objects overrides this."""
         self.emit(TraceEvent(time, kind, node, fields))
 
+    def record_copies(
+        self, time: float, kind: str, node: int,
+        fields: dict[str, Any], keys: Sequence[str], rows: Sequence[tuple],
+    ) -> None:
+        """Offer every copy of one logical record at once: copy ``i`` is
+        ``fields`` plus ``dict(zip(keys, rows[i]))`` (a shared broadcast's
+        ``send`` records, where only ``dest``, ``msg_id`` and ``relay``
+        vary).  Equal to one :meth:`record` per row, which is what the base
+        form does; a sink overrides it to pay per call, not per row."""
+        for row in rows:
+            copy = fields.copy()
+            copy.update(zip(keys, row))
+            self.record(time, kind, node, copy)
+
     def _accept(self, event: TraceEvent) -> None:
         raise NotImplementedError
+
+    def rows(self) -> Iterable[TraceRow]:
+        """The accepted records as ``(time, kind, node, fields)`` rows, in
+        acceptance order — what the package's own readers walk."""
+        return ((e.time, e.kind, e.node, e.fields) for e in self.events())
 
     def events(self) -> list[TraceEvent]:
         """The accepted events, in acceptance order."""
@@ -300,22 +383,39 @@ class TraceSink:
 
 
 class MemorySink(TraceSink):
-    """Buffers every accepted event in memory (the classic ``Trace`` list).
+    """Buffers every accepted record in memory, as a row.
 
     The default sink: cheap, random-access, and what the validator replay
-    and Fig. 9 view-timeline analysis consume.  Memory grows linearly with
-    the event count — for million-event runs use :class:`JsonlSink`.
+    and Fig. 9 view-timeline analysis consume.  A record is stored as its
+    ``(time, kind, node, fields)`` row (:meth:`rows`); :meth:`events` builds
+    the :class:`TraceEvent` objects on first read and keeps them, so
+    indexing stays O(1).  Memory grows linearly with the event count — for
+    million-event runs use :class:`JsonlSink`.
     """
 
     def __init__(self, filter: EventFilter | None = None) -> None:
         super().__init__(filter)
+        self._rows: list[TraceRow] = []
         self._events: list[TraceEvent] = []
 
     def _accept(self, event: TraceEvent) -> None:
-        self._events.append(event)
+        self._rows.append((event.time, event.kind, event.node, event.fields))
+
+    def record(self, time: float, kind: str, node: int, fields: dict[str, Any]) -> None:
+        if self.filter is not None:  # only a filter needs an event object
+            super().record(time, kind, node, fields)
+        else:
+            self.count += 1
+            self._rows.append((time, kind, node, fields))
+
+    def rows(self) -> list[TraceRow]:
+        return self._rows
 
     def events(self) -> list[TraceEvent]:
-        return self._events
+        events = self._events
+        if len(events) < len(self._rows):
+            events.extend(starmap(TraceEvent, islice(self._rows, len(events), None)))
+        return events
 
 
 class NullSink(TraceSink):
@@ -380,6 +480,27 @@ class JsonlSink(TraceSink):
             self.count += 1
             self._write(jsonl_line(time, kind, node, fields))
 
+    def record_copies(
+        self, time: float, kind: str, node: int,
+        fields: dict[str, Any], keys: Sequence[str], rows: Sequence[tuple],
+    ) -> None:
+        """One line rendered per call, then one ``%`` format per copy."""
+        if (
+            self.filter is not None
+            or len(rows) < 2
+            or not set(map(type, chain.from_iterable(rows))) <= _SLOT_TYPES
+        ):
+            super().record_copies(time, kind, node, fields, keys, rows)
+            return
+        order = sorted(keys)
+        if order != list(keys):
+            pick = itemgetter(*map(keys.index, order))
+            rows = [pick(row) for row in rows]
+        line = _copies_template(time, kind, node, fields, keys)
+        self._write("\n".join([line % row for row in rows]))
+        # Counted after the write: the first write truncates on count <= 1.
+        self.count += len(rows)
+
     def _write(self, line: str) -> None:
         if self._handle is None:
             # First event truncates; a reopen (after close/pickle) appends.
@@ -403,11 +524,15 @@ class JsonlSink(TraceSink):
 
     def iter_events(self) -> Iterator[TraceEvent]:
         """Stream the accepted events back from disk, one at a time."""
+        return starmap(TraceEvent, self.rows())
+
+    def rows(self) -> Iterator[TraceRow]:
+        """Stream the accepted records back from disk, as rows."""
         self.flush()
         if self.count == 0 or not os.path.exists(self.path):
             return
         with open_trace_text(self.path) as handle:
-            yield from map(TraceEvent.from_dict, iter_jsonl_dicts(handle))
+            yield from _trace_rows(iter_jsonl_dicts(handle), self.path)
 
     def flush(self) -> None:
         if self._handle is not None:
@@ -452,6 +577,11 @@ class Trace:
     def __getitem__(self, index: int) -> TraceEvent:
         return self.sink.events()[index]
 
+    def rows(self) -> Iterable[TraceRow]:
+        """The records as ``(time, kind, node, fields)`` rows, in order: the
+        read form of the package's own trace consumers."""
+        return self.sink.rows()
+
     def events(self, kind: str | None = None, node: int | None = None) -> list[TraceEvent]:
         """Events filtered by ``kind`` and/or ``node``."""
         out: Iterable[TraceEvent] = self.sink.events()
@@ -473,16 +603,20 @@ class Trace:
         """One JSON object per line — the interchange format the validator
         accepts as ground truth (and the exact on-disk format of
         :class:`JsonlSink`)."""
-        return "\n".join(e.to_json() for e in self.sink.events())
+        return "\n".join(starmap(jsonl_line, self.sink.rows()))
 
     @classmethod
     def from_jsonl(cls, text: str) -> "Trace":
         """Parse a trace previously produced by :meth:`to_jsonl` (or by an
-        external tool emitting the same schema)."""
+        external tool emitting the same schema).
+
+        Raises:
+            ValueError: a line that is not JSON, or not a trace record
+                (:func:`checked_records`).
+        """
         sink = MemorySink()
-        events = sink.events()
-        events.extend(map(TraceEvent.from_dict, iter_jsonl_dicts(text.splitlines())))
-        sink.count = len(events)
+        sink._rows = list(_trace_rows(iter_jsonl_dicts(text.splitlines()), "trace"))
+        sink.count = len(sink._rows)
         return cls(enabled=True, sink=sink)
 
     def format(self, limit: int | None = 50) -> str:

@@ -22,7 +22,7 @@ un-shared (:meth:`NetworkModule._instrumented`).
 
 from __future__ import annotations
 
-from itertools import chain, count, repeat
+from itertools import chain, repeat
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 import numpy as np
@@ -50,6 +50,12 @@ from .topology import Topology
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.controller import Controller
     from ..faults.engine import FaultInjector
+
+
+#: The fields that vary between the ``send`` records of one logical message:
+#: a direct copy's, and a dissemination hop's.
+_DIRECT = ("dest", "msg_id")
+_RELAYED = ("dest", "msg_id", "relay")
 
 
 def _hops(message: Message, copies: Iterable[tuple]) -> Iterator[Message]:
@@ -91,11 +97,11 @@ class NetworkModule:
         self.attacker = attacker
         self._attacker_ctx = attacker_ctx
         self.faults = faults
-        self._delay_override: Callable[[Message], float | None] | None = None
+        self._delay_override: Callable[[Message, int], float | None] | None = None
         # "Benign environment": no environmental fault schedule — fixed at
         # construction.  The rest of the shared-tier predicate
         # (``_unobserved``) is re-checked per submission because tests swap
-        # the attacker and set overrides after construction.
+        # the attacker after construction.
         self._benign_env = faults is None
         # Hot-path bindings: one delay draw and one queue push per unicast.
         self._sample_delay = self.delay_model.sample_delay
@@ -120,15 +126,21 @@ class NetworkModule:
             else []
         )
 
-    def set_delay_override(self, hook: Callable[[Message], float | None] | None) -> None:
+    def set_delay_override(
+        self, hook: Callable[[Message, int], float | None] | None
+    ) -> None:
         """Install (or clear) a delay-override hook.
 
-        When set, the hook is consulted before the delay model for every
-        message that still needs a delay; returning a value in ms uses it
-        verbatim, returning ``None`` falls through to the configured
-        distribution.  This is the supported way to pin transit delays from
-        outside — the replay validator uses it to impose recorded delays —
-        replacing ad-hoc monkey-patching of internals.
+        When set, ``hook(message, dest)`` prices the copy of ``message`` to
+        ``dest`` before the delay model, for every unicast and every copy of
+        a ``full`` star that still needs a delay (overlay hops are priced by
+        their plan, loopbacks are zero); returning a value in ms uses it
+        verbatim, returning ``None`` takes the next ``network.delay`` draw.
+        It runs on either tier: a shared broadcast asks it for every
+        recipient in destination order and draws one block for the copies
+        it left, which is the per-copy tier's stream order.  This is the
+        supported way to pin transit delays from outside — the replay
+        validator uses it to impose recorded delays.
         """
         self._delay_override = hook
 
@@ -156,16 +168,16 @@ class NetworkModule:
         """True when nothing can re-time, drop or mutate a single copy.
 
         Benign environment, a pass-through NullAttacker (exact class:
-        subclasses may override ``attack``), no corrupted node and no delay
-        override.  Then the attacker proxy, the fault engine and the
-        capability diffing cannot have any effect, and none of them
-        consumes RNG, so skipping them leaves delay draws, event order and
-        every metric byte-identical.  Tracing is not in the predicate: the
-        shared tier writes the records the per-copy tier would.
+        subclasses may override ``attack``) and no corrupted node.  Then the
+        attacker proxy, the fault engine and the capability diffing cannot
+        have any effect, and none of them consumes RNG, so skipping them
+        leaves delay draws, event order and every metric byte-identical.
+        Tracing and a delay override are not in the predicate: the shared
+        tier writes the records and prices the copies as the per-copy tier
+        would.
         """
         return (
             self._benign_env
-            and self._delay_override is None
             and type(self.attacker) is NullAttacker
             and not self._attacker_ctx._corrupted_since
         )
@@ -211,7 +223,10 @@ class NetworkModule:
             # recipient — the queue entry carries each firing time and
             # destination — and counts are bulk-incremented.  The message
             # keeps the first of the ids the per-copy tier would assign.
-            delays = model.sample_delays(now, hops)
+            if plan is None and self._delay_override is not None:
+                delays = self._star_delays(message, now)
+            else:
+                delays = model.sample_delays(now, hops)
             times = np.empty(hops + 1)
             if plan is None:
                 times[:source] = delays[:source]
@@ -235,12 +250,15 @@ class NetworkModule:
                 # Copy i of the broadcast has id first + i; the loopback
                 # (index ``source`` of a star, 0 of an overlay) is not sent.
                 if plan is None:
-                    sends: Iterable[tuple] = (
-                        (dest, first + dest, None) for dest in range(n) if dest != source
-                    )
+                    keys = _DIRECT
+                    rows = [(dest, first + dest) for dest in range(n) if dest != source]
                 else:
-                    sends = zip(plan.dests.tolist(), count(first + 1), plan.relays.tolist())
-                self._record_sends(message, {"size": wire_bytes}, sends)
+                    keys = _RELAYED
+                    rows = list(zip(
+                        plan.dests.tolist(), range(first + 1, first + 1 + hops),
+                        plan.relays.tolist(),
+                    ))
+                self._record_sends(message, {"size": wire_bytes}, keys, rows)
             controller.queue.push_deliveries(
                 MessageEvent(time=now, message=message), times, dests
             )
@@ -266,6 +284,23 @@ class NetworkModule:
             n if message.forged else hops,
             wire_bytes,
         )
+
+    def _star_delays(self, message: Message, now: float) -> list[float]:
+        """A star's delays under the override, in destination order: the
+        hook's value per recipient, and one ``network.delay`` block for the
+        copies it leaves at ``None`` — the draws the per-copy tier takes one
+        by one, in the same order."""
+        override = self._delay_override
+        source = message.source
+        delays = [
+            override(message, dest) for dest in range(self._controller.n) if dest != source
+        ]
+        missing = [i for i, delay in enumerate(delays) if delay is None]
+        if missing:
+            drawn = self.delay_model.sample_delays(now, len(missing)).tolist()
+            for i, delay in zip(missing, drawn):
+                delays[i] = delay
+        return delays
 
     def _broadcast_plan(self, source: int, now: float) -> DisseminationPlan:
         """The overlay for one broadcast rooted at ``source`` at time ``now``.
@@ -379,7 +414,12 @@ class NetworkModule:
             self._record_sends(message, {"size": wire_bytes})
         delay = message.delay
         if delay is None:
-            delay = message.delay = self._sample_delay(message.sent_at)
+            override = self._delay_override
+            if override is not None:
+                delay = override(message, message.dest)
+            if delay is None:
+                delay = self._sample_delay(message.sent_at)
+            message.delay = delay
         self._push_event(
             MessageEvent(time=message.sent_at + delay, message=message)
         )
@@ -464,7 +504,7 @@ class NetworkModule:
                 delay = hop.delay
                 if delay is None:
                     if override is not None:
-                        delay = override(hop)
+                        delay = override(hop, hop.dest)
                     if delay is None:
                         delay = sample(now)
                     hop.delay = delay
@@ -494,31 +534,34 @@ class NetworkModule:
         self,
         message: Message,
         tags: dict[str, Any],
-        copies: Iterable[tuple] | None = None,
+        keys: tuple[str, ...] = _DIRECT,
+        rows: list[tuple] | None = None,
     ) -> None:
-        """The one ``send`` trace record, once per ``(dest, msg_id, relay)``
-        in ``copies`` (default: ``message`` itself, one copy).
+        """The one ``send`` trace record routine, for both tiers: one sink
+        call writes a record per row of ``rows``, the ``keys`` values of
+        each copy — all of a shared broadcast's copies, or (the default)
+        ``message`` itself.
 
         ``tags`` are the fields that vary by origin; the relaying node is
         named on dissemination hops only, so direct sends keep the records
         older traces have."""
-        if copies is None:
-            copies = ((message.dest, message.msg_id, message.relay_from),)
-        record = self._controller.trace.record
-        now = self._controller.clock.now
-        source = message.source
-        msg_type = message.type
-        cause = message.cause
+        if rows is None:
+            rows = [(message.dest, message.msg_id)]
+            if message.relay_from is not None:
+                keys = _RELAYED
+                rows = [(message.dest, message.msg_id, message.relay_from)]
+        controller = self._controller
         payload = message.payload
-        slot = payload.get("slot", payload.get("height"))
-        view = payload.get("view", payload.get("round"))
-        for dest, msg_id, relay in copies:
-            record(
-                now, "send", source,
-                dest=dest, msg_type=msg_type, msg_id=msg_id,
-                **tags, cause=cause, slot=slot, view=view,
-                **({} if relay is None else {"relay": relay}),
-            )
+        fields = {
+            "msg_type": message.type,
+            **tags,
+            "cause": message.cause,
+            "slot": payload.get("slot", payload.get("height")),
+            "view": payload.get("view", payload.get("round")),
+        }
+        controller.trace.sink.record_copies(
+            controller.clock.now, "send", message.source, fields, keys, rows
+        )
 
     def _book(self, hop: Message, delivered: list[Message]) -> None:
         """Account for an explicit ``attack`` return: every forged insert

@@ -37,14 +37,13 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping, NamedTuple
 
 from ..core.tracing import Trace
 from .inspect import iter_events
 
 
-@dataclass(frozen=True)
-class SendRecord:
+class SendRecord(NamedTuple):
     msg_id: int
     time: float
     source: int
@@ -56,8 +55,7 @@ class SendRecord:
     origin: str | None
 
 
-@dataclass(frozen=True)
-class DeliverRecord:
+class DeliverRecord(NamedTuple):
     msg_id: int
     time: float
     source: int
@@ -68,8 +66,7 @@ class DeliverRecord:
     view: Any
 
 
-@dataclass(frozen=True)
-class TimerRecord:
+class TimerRecord(NamedTuple):
     timer_id: int
     time: float
     owner: int
@@ -77,8 +74,7 @@ class TimerRecord:
     cause: str | None
 
 
-@dataclass(frozen=True)
-class DecisionRecord:
+class DecisionRecord(NamedTuple):
     time: float
     node: int
     slot: Any
@@ -100,55 +96,53 @@ class CausalityGraph:
         cls,
         source: str | os.PathLike[str] | Trace | Iterable[Mapping[str, Any]],
     ) -> "CausalityGraph":
-        """One pass over ``source`` building the id-keyed index maps."""
+        """One pass over ``source`` building the id-keyed index maps.
+
+        Raises:
+            ValueError: a ``send`` or ``deliver`` record without a
+                ``msg_id`` (it cannot be placed in the DAG), naming the
+                record's number.
+        """
         sends: dict[int, SendRecord] = {}
         delivers: dict[int, DeliverRecord] = {}
         timers: dict[int, TimerRecord] = {}
         decisions: list[DecisionRecord] = []
-        for event in iter_events(source):
-            kind = event.get("kind")
+        for index, event in enumerate(iter_events(source), 1):
+            get = event.get
+            kind = get("kind")
+            if kind == "send" or kind == "deliver":
+                msg_id = get("msg_id")
+                if msg_id is None:
+                    where = (
+                        os.fspath(source) if isinstance(source, (str, os.PathLike)) else "trace"
+                    )
+                    raise ValueError(
+                        f"{where}: trace record {index} is a {kind!r} record without a 'msg_id'"
+                    )
+                msg_id = int(msg_id)
             if kind == "send":
-                msg_id = int(event["msg_id"])
                 sends[msg_id] = SendRecord(
-                    msg_id=msg_id,
-                    time=float(event["time"]),
-                    source=int(event.get("node", -1)),
-                    dest=int(event.get("dest", -1)),
-                    msg_type=str(event.get("msg_type", "?")),
-                    cause=event.get("cause"),
-                    slot=event.get("slot"),
-                    view=event.get("view"),
-                    origin=event.get("origin"),
+                    msg_id, float(event["time"]), int(get("node", -1)),
+                    int(get("dest", -1)), str(get("msg_type", "?")), get("cause"),
+                    get("slot"), get("view"), get("origin"),
                 )
             elif kind == "deliver":
-                msg_id = int(event["msg_id"])
                 delivers[msg_id] = DeliverRecord(
-                    msg_id=msg_id,
-                    time=float(event["time"]),
-                    source=int(event.get("source", -1)),
-                    dest=int(event.get("node", -1)),
-                    msg_type=str(event.get("msg_type", "?")),
-                    cause=event.get("cause"),
-                    slot=event.get("slot"),
-                    view=event.get("view"),
+                    msg_id, float(event["time"]), int(get("source", -1)),
+                    int(get("node", -1)), str(get("msg_type", "?")), get("cause"),
+                    get("slot"), get("view"),
                 )
             elif kind == "timer":
-                timer_id = int(event.get("timer_id", -1))
+                timer_id = int(get("timer_id", -1))
                 if timer_id >= 0:
                     timers[timer_id] = TimerRecord(
-                        timer_id=timer_id,
-                        time=float(event["time"]),
-                        owner=int(event.get("node", -1)),
-                        name=str(event.get("name", "?")),
-                        cause=event.get("cause"),
+                        timer_id, float(event["time"]), int(get("node", -1)),
+                        str(get("name", "?")), get("cause"),
                     )
             elif kind == "decide":
                 decisions.append(DecisionRecord(
-                    time=float(event["time"]),
-                    node=int(event.get("node", -1)),
-                    slot=event.get("slot"),
-                    value=event.get("value"),
-                    cause=event.get("cause"),
+                    float(event["time"]), int(get("node", -1)), get("slot"),
+                    get("value"), get("cause"),
                 ))
         return cls(sends=sends, delivers=delivers, timers=timers, decisions=decisions)
 

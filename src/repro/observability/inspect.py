@@ -28,7 +28,7 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Mapping
 
-from ..core.tracing import Trace, iter_jsonl_dicts, open_trace_text
+from ..core.tracing import Trace, checked_records, iter_jsonl_dicts, open_trace_text
 
 #: Event kinds the controller counts as honest progress (liveness watchdog).
 PROGRESS_KINDS = ("decide", "view", "deliver")
@@ -45,7 +45,8 @@ def iter_trace_file(path: str | os.PathLike[str]) -> Iterator[dict[str, Any]]:
 
     Paths ending in ``.gz`` (gzip-compressed sinks) decompress
     transparently — see :func:`~repro.core.tracing.open_trace_text`.
-    A line that decodes to anything but an object is a ``ValueError``, like
+    A line that decodes to anything but a trace record
+    (:func:`~repro.core.tracing.checked_records`) is a ``ValueError``, like
     a line that does not decode at all, and so is a compressed file cut
     short (a sink killed mid-write): the records before the cut are
     yielded first.
@@ -53,12 +54,8 @@ def iter_trace_file(path: str | os.PathLike[str]) -> Iterator[dict[str, Any]]:
     index = 0
     try:
         with open_trace_text(path) as handle:
-            for index, event in enumerate(iter_jsonl_dicts(handle), 1):
-                if type(event) is not dict:
-                    raise ValueError(
-                        f"{os.fspath(path)}: trace record {index} must be a "
-                        f"JSON object, got {event!r}"
-                    )
+            records = checked_records(iter_jsonl_dicts(handle), os.fspath(path))
+            for index, event in enumerate(records, 1):
                 yield event
     except (EOFError, zlib.error) as error:
         raise ValueError(
@@ -75,7 +72,10 @@ def iter_events(
     (:func:`analyze_trace`, the causality DAG, the phase analyzer).
     """
     if isinstance(source, Trace):
-        return (e.to_dict() for e in source)
+        return (
+            {"time": time, "kind": kind, "node": node, **fields}
+            for time, kind, node, fields in source.rows()
+        )
     if isinstance(source, (str, os.PathLike)):
         return iter_trace_file(source)
     return source

@@ -7,10 +7,15 @@ from .compare import (
     decisions_of,
     event_signature,
 )
-from .replay import ReplayController, extract_delivery_schedule, replay_simulation
+from .replay import (
+    RecordedDelays,
+    ReplayController,
+    extract_delivery_schedule,
+    replay_simulation,
+)
 
 __all__ = [
-    "ReplayController", "ValidationReport", "compare_decisions",
+    "RecordedDelays", "ReplayController", "ValidationReport", "compare_decisions",
     "compare_event_sequences", "decisions_of", "event_signature",
     "extract_delivery_schedule", "replay_simulation",
 ]

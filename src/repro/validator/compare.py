@@ -47,8 +47,9 @@ class ValidationReport:
 def decisions_of(trace: Trace) -> dict[tuple[int, int], Any]:
     """``(node, slot) -> value`` from a trace's decide events."""
     return {
-        (event.node, int(event.fields["slot"])): event.fields["value"]
-        for event in trace.events(kind="decide")
+        (node, int(fields["slot"])): fields["value"]
+        for _time, kind, node, fields in trace.rows()
+        if kind == "decide"
     }
 
 
@@ -91,18 +92,18 @@ def event_signature(trace: Trace, kinds: Iterable[str], node: int | None = None)
     wanted = set(kinds)
     return [
         (
-            event.kind,
-            event.node,
+            kind,
+            where,
             tuple(
                 sorted(
                     (key, value)
-                    for key, value in event.fields.items()
+                    for key, value in fields.items()
                     if key not in _ENGINE_METADATA_KEYS
                 )
             ),
         )
-        for event in trace
-        if event.kind in wanted and (node is None or event.node == node)
+        for _time, kind, where, fields in trace.rows()
+        if kind in wanted and (node is None or where == node)
     ]
 
 

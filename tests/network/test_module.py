@@ -130,8 +130,8 @@ class TestAttackerPassthrough:
             raise AssertionError("the NullAttacker hand-off must be skipped")
 
         controller = Controller(quick_config(n=4, record_trace=True))
-        # Tracing alone keeps the shared tier; any delay override leaves it.
-        controller.network.set_delay_override(lambda message: None)
+        # Tracing alone keeps the shared tier; force the per-copy tier.
+        controller.network._unobserved = lambda: False
         monkeypatch.setattr(NullAttacker, "attack", unexpected)
         monkeypatch.setattr(network_module, "capability_gate", unexpected)
         monkeypatch.setattr(network_module, "deep_copy_payload", unexpected)
@@ -226,8 +226,16 @@ def _pbft_n32(decisions, seed, **changes):
 
 def _override_odd_destinations(controller):
     controller.network.set_delay_override(
-        lambda message: 40.0 + message.dest if message.dest % 2 else None
+        lambda message, dest: 40.0 + dest if dest % 2 else None
     )
+
+
+def _replay_seed_16(controller):
+    from repro import run_simulation
+    from repro.validator.replay import RecordedDelays
+
+    ground_truth = run_simulation(_pbft_n32(5, 16, record_trace=True)).trace
+    controller.network.set_delay_override(RecordedDelays(ground_truth))
 
 
 #: ``(config, prepare)`` -> (result fingerprint, sha256 of the JSONL trace),
@@ -269,6 +277,15 @@ PINNED_RUNS = {
         None,
         "87c3539b519cd01d44eb48c8a0bb97c3deceed3fdcb7856b611cf742b560aa73",
         "af7a693e0095154874ec0fbaafc529e7e23bf73d6c3d29767047ec6899574a36",
+    ),
+    # Recorded before a delay override stopped forcing the per-copy tier:
+    # the replay of another seed's pbft n=32 run, with 262 copies the
+    # ground truth never sent priced at its median delay.
+    "replay-pbft-n32": (
+        lambda: _pbft_n32(5, 15),
+        _replay_seed_16,
+        "7241974831851d103d1c4611844f7b5fe30d69cad8482276e55ced9e6d818611",
+        "5205df77ac37993eaeb0336ad7367847bf1dcdcbc4dfb526329e1cd987157af2",
     ),
     # Recorded before delays were drawn in blocks: ~8k per-copy draws of
     # ``network.delay`` and ~1.6k of ``faults.delay`` cross many block
