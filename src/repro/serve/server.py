@@ -29,10 +29,12 @@ than erroring: traces are opt-in and the dashboard must degrade.
 
 Live progress needs no push channel: the store updates an experiment's
 ``done_runs`` counter transactionally per completed run, so the page simply
-polls ``/api/experiments`` while any experiment is ``running``.  Each
-request opens its own :class:`ExperimentStore` handle (sqlite connections
-are cheap and this sidesteps cross-thread connection sharing entirely);
-WAL mode keeps those readers from ever blocking the writing fleet.
+polls ``/api/experiments`` while any experiment is ``running``.  The
+server keeps one :class:`ExperimentStore` handle, used only to read, for all
+request threads (its queries run under the store's lock, and none leaves a read
+transaction open between requests, so WAL mode still shows every commit of
+the writing fleet and lets checkpoints proceed).  Each request stats the
+path: a deleted store is a JSON 404, and a replaced file is reopened.
 """
 
 from __future__ import annotations
@@ -40,6 +42,8 @@ from __future__ import annotations
 import json
 import os
 import re
+import sqlite3
+import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 
@@ -123,12 +127,77 @@ def run_analysis(trace_path: str) -> dict[str, Any]:
     }
 
 
-class DashboardHandler(BaseHTTPRequestHandler):
-    """Route table for the dashboard; one store handle per request."""
+class DashboardServer(ThreadingHTTPServer):
+    """The dashboard's HTTP server, holding one store handle for every
+    request thread (read it as :attr:`store`)."""
 
-    # Set by create_server on the handler subclass it builds.
-    store_path: str = ""
-    quiet: bool = True
+    def __init__(
+        self, address: tuple[str, int], store_path: str, *, quiet: bool = True
+    ) -> None:
+        self.store_path = str(store_path)
+        self.quiet = quiet
+        self._lock = threading.Lock()
+        self._closed = False
+        self._store: ExperimentStore | None = None
+        self._identity: tuple[int, int] | None = None
+        self._refresh()
+        try:
+            super().__init__(address, DashboardHandler)
+        except OSError:
+            self._store.close()
+            raise
+
+    @property
+    def store(self) -> ExperimentStore:
+        """The read handle for the file now at :attr:`store_path`.
+
+        Raises :class:`StoreError` when that file is missing or not a
+        store, and :class:`sqlite3.ProgrammingError` (what a query on a
+        closed handle raises) after :meth:`server_close`.
+        """
+        with self._lock:
+            if self._closed:
+                raise sqlite3.ProgrammingError("Cannot operate on a closed database.")
+            self._refresh()
+            return self._store
+
+    def _refresh(self) -> None:
+        """One ``os.stat``; reopen when the file is not the one held.
+
+        A file with a new ``(st_dev, st_ino)`` (replaced, or deleted and
+        re-created) is opened afresh, so a foreign file raises as a fresh
+        open would.  A missing file raises the fresh open's error and is
+        never re-materialized as an empty database.
+        """
+        try:
+            stat = os.stat(self.store_path)
+            identity = (stat.st_dev, stat.st_ino)
+        except FileNotFoundError:
+            identity = None
+        if self._store is not None:
+            if identity == self._identity:
+                return
+            self._store.close()
+            self._store = None
+        # Stat before open: a file swapped in between is caught by the next
+        # request's stat.
+        self._store = ExperimentStore(self.store_path, create=False)
+        self._identity = identity
+
+    def server_close(self) -> None:
+        """Close the listening socket, then the store handle; a request
+        that reads the store after this gets a JSON 503."""
+        super().server_close()
+        with self._lock:
+            self._closed = True
+            if self._store is not None:
+                self._store.close()
+
+
+class DashboardHandler(BaseHTTPRequestHandler):
+    """Route table for the dashboard; reads the server's store handle."""
+
+    server: DashboardServer
 
     _ROUTES = (
         (re.compile(r"^/$"), "page"),
@@ -144,7 +213,7 @@ class DashboardHandler(BaseHTTPRequestHandler):
     # -- plumbing ------------------------------------------------------------
 
     def log_message(self, fmt: str, *args: Any) -> None:  # noqa: A003
-        if not self.quiet:
+        if not self.server.quiet:
             super().log_message(fmt, *args)
 
     def _send(self, code: int, body: bytes, content_type: str) -> None:
@@ -172,15 +241,15 @@ class DashboardHandler(BaseHTTPRequestHandler):
                     handler(*(int(g) for g in match.groups()))
                 except StoreError as exc:
                     self._error(404, str(exc))
+                except sqlite3.ProgrammingError:  # handle closed mid-request
+                    self._error(
+                        503, "store handle closed (server shutting down "
+                        "or store file replaced); retry"
+                    )
                 except BrokenPipeError:  # client went away mid-response
                     pass
                 return
         self._error(404, f"no such endpoint: {path}")
-
-    def _open(self) -> ExperimentStore:
-        # create=False: a store deleted mid-serve must 404 per request, not
-        # be silently re-materialized as an empty database.
-        return ExperimentStore(self.store_path, create=False)
 
     # -- endpoints -----------------------------------------------------------
 
@@ -191,27 +260,20 @@ class DashboardHandler(BaseHTTPRequestHandler):
         from ..store import SCHEMA_VERSION
 
         self._json({
-            "store": self.store_path,
+            "store": self.server.store_path,
             "schema_version": SCHEMA_VERSION,
             "version": __version__,
         })
 
     def _get_experiments(self) -> None:
-        store = self._open()
-        try:
-            rows = store.experiments()
-        finally:
-            store.close()
+        rows = self.server.store.experiments()
         self._json({"experiments": [row.to_dict() for row in rows]})
 
     def _get_experiment(self, experiment_id: int) -> None:
-        store = self._open()
-        try:
-            experiment = store.experiment(experiment_id)
-            runs = store.runs(experiment_id)
-            artifacts = store.artifacts(experiment_id)
-        finally:
-            store.close()
+        store = self.server.store
+        experiment = store.experiment(experiment_id)
+        runs = store.runs(experiment_id)
+        artifacts = store.artifacts(experiment_id)
         self._json({
             "experiment": experiment.to_dict(),
             "runs": [row.to_dict() for row in runs],
@@ -219,23 +281,16 @@ class DashboardHandler(BaseHTTPRequestHandler):
         })
 
     def _get_diff(self, a: int, b: int) -> None:
-        store = self._open()
-        try:
-            diff = store.diff(a, b)
-        finally:
-            store.close()
+        diff = self.server.store.diff(a, b)
         self._json(diff.to_dict())
 
     def _get_health(self, experiment_id: int) -> None:
         """Fleet health rollup: every monitored run's stored anomalies,
         merged into one timeline (ordered by simulated time, then run)."""
-        store = self._open()
-        try:
-            # Raises StoreError -> 404 for an unknown experiment id.
-            store.experiment(experiment_id)
-            runs = store.runs(experiment_id)
-        finally:
-            store.close()
+        store = self.server.store
+        # Raises StoreError -> 404 for an unknown experiment id.
+        store.experiment(experiment_id)
+        runs = store.runs(experiment_id)
         monitored = [
             (row, row.attachments["health"])
             for row in runs if "health" in row.attachments
@@ -266,19 +321,11 @@ class DashboardHandler(BaseHTTPRequestHandler):
         })
 
     def _get_run(self, run_id: int) -> None:
-        store = self._open()
-        try:
-            row = store.run(run_id)
-        finally:
-            store.close()
+        row = self.server.store.run(run_id)
         self._json({"run": row.to_dict()})
 
     def _get_analysis(self, run_id: int) -> None:
-        store = self._open()
-        try:
-            row = store.run(run_id)
-        finally:
-            store.close()
+        row = self.server.store.run(run_id)
         if not row.trace_path:
             self._json({"available": False, "reason": "run recorded no trace"})
             return
@@ -291,24 +338,17 @@ def create_server(
     port: int = 8008,
     *,
     quiet: bool = True,
-) -> ThreadingHTTPServer:
+) -> DashboardServer:
     """Build (but do not start) the dashboard server.
 
-    Opens the store once up front so a missing path or a schema mismatch
-    fails here, loudly, instead of per-request — serving a store that does
-    not exist yet would just materialize an empty database over a typo.
+    Opens the store up front so a missing path or a schema mismatch fails
+    here, loudly, instead of per-request — serving a store that does not
+    exist yet would just materialize an empty database over a typo.
     ``port=0`` asks the OS for a free port — the tests use this; read
-    ``server.server_address[1]``.
+    ``server.server_address[1]``.  Call ``shutdown()`` and then
+    ``server_close()``, which closes the store handle.
     """
-    probe = ExperimentStore(store_path, create=False)
-    probe.close()
-
-    handler = type(
-        "BoundDashboardHandler",
-        (DashboardHandler,),
-        {"store_path": str(store_path), "quiet": quiet},
-    )
-    return ThreadingHTTPServer((host, port), handler)
+    return DashboardServer((host, port), store_path, quiet=quiet)
 
 
 def serve(store_path: str, host: str = "127.0.0.1", port: int = 8008) -> None:

@@ -35,7 +35,7 @@ import os
 import sqlite3
 import threading
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any
 
 from ..core.config import SimulationConfig
@@ -164,7 +164,9 @@ class ExperimentRow:
         return self.status == "running"
 
     def to_dict(self) -> dict[str, Any]:
-        data = asdict(self)
+        """The fields as a shallow dict, plus ``progress``; it shares the
+        row's decoded ``config`` and ``params``, which are read-only."""
+        data = dict(vars(self))
         data["progress"] = (
             self.done_runs / self.total_runs if self.total_runs else 0.0
         )
@@ -205,7 +207,9 @@ class RunRow:
         return self.status == "failed"
 
     def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
+        """The fields as a shallow dict; it shares the row's decoded
+        ``config``, ``attachments`` and ``failure``, which are read-only."""
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)
@@ -220,7 +224,9 @@ class ArtifactRow:
     payload: Any
 
     def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
+        """The fields as a shallow dict; it shares the row's decoded
+        ``payload``, which is read-only."""
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)
@@ -238,7 +244,8 @@ class RunDiff:
         return self.a is not None and self.a == self.b
 
     def to_dict(self) -> dict[str, Any]:
-        data = asdict(self)
+        """The fields as a shallow dict, plus ``match``."""
+        data = dict(vars(self))
         data["match"] = self.match
         return data
 

@@ -4,7 +4,13 @@ degradation without traces, and 404 behavior — all over a real socket."""
 from __future__ import annotations
 
 import json
+import os
+import socket
+import sqlite3
+import subprocess
+import sys
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -284,3 +290,320 @@ class TestRunAnalysisDegrades:
         data = run_analysis(path)
         assert data["available"] is False
         assert data["reason"].startswith("trace unreadable:")
+
+
+def _serve(store_path: str):
+    """A started server and its base URL."""
+    server = create_server(store_path, port=0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    return server, thread, f"http://127.0.0.1:{server.server_address[1]}"
+
+
+def get_error(base: str, path: str) -> tuple[int, dict]:
+    """The status and JSON body of a request that must fail."""
+    with pytest.raises(urllib.error.HTTPError) as excinfo:
+        get_json(base, path)
+    with excinfo.value as error:
+        return error.code, json.load(error)
+
+
+def _live(rows: list[dict], name: str) -> dict:
+    (row,) = [row for row in rows if row["name"] == name]
+    return row
+
+
+class TestWatchesWriters:
+    """The server watches a database others are writing: every request
+    sees the file now at the path, as it was at the last commit."""
+
+    @pytest.fixture
+    def watched(self, tmp_path):
+        store_path = str(tmp_path / "exp.sqlite")
+        with ExperimentStore(store_path) as store:
+            live = store.create_experiment("live", "run", quick_config(), 3)
+            store.record_run(live, 0, run_simulation(quick_config()))
+        server, thread, base = _serve(store_path)
+        yield store_path, base
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+
+    def test_runs_recorded_through_another_handle_show_up(self, watched):
+        store_path, base = watched
+        assert get_json(base, "/api/experiments")["experiments"][0]["done_runs"] == 1
+        with ExperimentStore(store_path, create=False) as writer:
+            writer.record_run(1, 1, run_simulation(quick_config(seed=2)))
+            listed = get_json(base, "/api/experiments")["experiments"][0]
+            detail = get_json(base, "/api/experiments/1")
+        assert listed["done_runs"] == 2
+        assert detail["experiment"]["done_runs"] == 2
+        assert [run["run_index"] for run in detail["runs"]] == [0, 1]
+
+    def test_a_cli_run_in_another_process_shows_up(self, watched):
+        import repro
+
+        store_path, base = watched
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        process = subprocess.run(
+            [sys.executable, "-m", "repro", "run", "--protocol", "pbft",
+             "-n", "4", "--mean", "50", "--std", "10", "--lam", "500",
+             "--decisions", "1", "--store", store_path],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert process.returncode == 0, process.stderr
+        rows = get_json(base, "/api/experiments")["experiments"]
+        assert [row["id"] for row in rows] == [2, 1]
+        assert rows[0]["done_runs"] == rows[0]["total_runs"] == 1
+        detail = get_json(base, "/api/experiments/2")
+        assert detail["experiment"]["done_runs"] == 1
+        assert len(detail["runs"]) == 1
+
+    def test_no_read_transaction_outlives_a_request(self, watched):
+        store_path, base = watched
+        with ExperimentStore(store_path, create=False) as writer:
+            writer.record_run(1, 1, run_simulation(quick_config(seed=2)))
+        for path in ("/api/experiments", "/api/experiments/1", "/api/runs/1",
+                     "/api/experiments/1/health", "/api/experiments/1/diff/1"):
+            get_json(base, path)
+        conn = sqlite3.connect(store_path, timeout=0.5)
+        try:
+            busy, _log, _done = conn.execute(
+                "PRAGMA wal_checkpoint(TRUNCATE)"
+            ).fetchone()
+        finally:
+            conn.close()
+        assert busy == 0  # a reader's open snapshot would block TRUNCATE
+
+    def test_deleted_store_is_a_json_404_naming_the_path(self, watched):
+        store_path, base = watched
+        get_json(base, "/api/experiments")
+        os.remove(store_path)
+        for path in ("/api/experiments", "/api/experiments/1", "/api/runs/1"):
+            code, body = get_error(base, path)
+            assert code == 404 and store_path in body["error"]
+        assert not os.path.exists(store_path)  # never re-materialized
+
+    def test_replaced_store_serves_the_new_rows(self, watched, tmp_path):
+        store_path, base = watched
+        assert _live(get_json(base, "/api/experiments")["experiments"], "live")
+        fresh = str(tmp_path / "fresh.sqlite")
+        with ExperimentStore(fresh) as store:
+            for name in ("first", "second"):
+                store.create_experiment(name, "run", quick_config(), 2)
+        os.replace(fresh, store_path)
+        rows = get_json(base, "/api/experiments")["experiments"]
+        assert [row["name"] for row in rows] == ["second", "first"]
+        assert get_json(base, "/api/experiments/1")["runs"] == []
+
+    def test_a_foreign_replacement_is_a_json_404(self, watched, tmp_path):
+        store_path, base = watched
+        get_json(base, "/api/experiments")
+        foreign = str(tmp_path / "foreign.sqlite")
+        conn = sqlite3.connect(foreign)
+        conn.execute("CREATE TABLE t (x)")
+        conn.commit()
+        conn.close()
+        os.replace(foreign, store_path)
+        code, body = get_error(base, "/api/experiments")
+        assert code == 404 and "not an experiment store" in body["error"]
+
+
+class TestConcurrentReaders:
+    """Many request threads share the server's store handle while a writer
+    records runs as fast as it can."""
+
+    CLIENTS = 8  # more than the cores
+    REQUESTS = 40
+
+    def test_readers_beside_a_writer(self, tmp_path, capsys):
+        store_path = str(tmp_path / "exp.sqlite")
+        result = run_simulation(quick_config())
+        with ExperimentStore(store_path) as store:
+            done = store.create_experiment("done", "run", quick_config(), 1)
+            store.record_run(done, 0, result)
+            store.finish_experiment(done)
+            live = store.create_experiment("live", "run", quick_config(), 0)
+        # The live experiment grows by hundreds of runs a second, so the
+        # routes that read all of an experiment's runs ask for the done one.
+        routes = ["/api/experiments", f"/api/experiments/{done}", "/api/runs/1",
+                  f"/api/experiments/{done}/health",
+                  f"/api/experiments/{done}/diff/{done}"]
+        server, thread, base = _serve(store_path)
+        stop = threading.Event()
+        errors: list[str] = []
+
+        def write() -> None:
+            with ExperimentStore(store_path, create=False) as writer:
+                index = 0
+                while not stop.is_set():
+                    writer.record_run(live, index, result)
+                    index += 1
+
+        def read(client: int) -> None:
+            seen = -1
+            try:
+                for i in range(self.REQUESTS):
+                    path = routes[(client + i) % len(routes)]
+                    with urllib.request.urlopen(base + path, timeout=30) as response:
+                        assert response.status == 200
+                        data = json.load(response)
+                    assert isinstance(data, dict)
+                    if "experiments" in data:
+                        done_runs = _live(data["experiments"], "live")["done_runs"]
+                        assert done_runs >= seen, (done_runs, seen)
+                        seen = done_runs
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(f"client {client}: {exc!r}")
+
+        def hammer(answers: list[int]) -> None:
+            try:
+                while not stop.is_set():
+                    try:
+                        with urllib.request.urlopen(base + routes[1], timeout=5) as response:
+                            assert isinstance(json.load(response), dict)
+                            answers.append(response.status)
+                    except urllib.error.HTTPError as error:
+                        with error:
+                            assert isinstance(json.load(error), dict)
+                        answers.append(error.code)
+            except OSError:  # the listening socket is gone
+                pass
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(f"late client: {exc!r}")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        writer = threading.Thread(target=write)
+        try:
+            writer.start()
+            clients = [threading.Thread(target=read, args=(c,))
+                       for c in range(self.CLIENTS)]
+            for client in clients:
+                client.start()
+            for client in clients:
+                client.join(timeout=60)
+                assert not client.is_alive()
+            assert not errors, errors
+            # Close while clients are still asking.
+            answers: list[int] = []
+            late = [threading.Thread(target=hammer, args=(answers,))
+                    for _ in range(2)]
+            for client in late:
+                client.start()
+            deadline = time.monotonic() + 10
+            while len(answers) < 10 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            server.shutdown()
+            server.server_close()
+            stop.set()
+            for client in late + [writer]:
+                client.join(timeout=30)
+                assert not client.is_alive()
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+            assert not errors, errors
+            assert len(answers) >= 10 and set(answers) <= {200, 503}
+        finally:
+            stop.set()
+            sys.setswitchinterval(interval)
+        with ExperimentStore(store_path, create=False) as store:
+            assert store.experiment(live).done_runs > 0
+        assert "Traceback" not in capsys.readouterr().err
+
+
+    def test_a_request_racing_server_close_is_a_json_503(self, tmp_path):
+        store_path = str(tmp_path / "exp.sqlite")
+        with ExperimentStore(store_path) as store:
+            store.create_experiment("one", "run", quick_config(), 1)
+        server, thread, base = _serve(store_path)
+        store = server.store
+        inside, release = threading.Event(), threading.Event()
+        runs = store.runs
+
+        def blocked_runs(experiment_id):
+            inside.set()
+            release.wait(timeout=10)
+            return runs(experiment_id)
+
+        store.runs = blocked_runs
+        answers: list = []
+
+        def ask() -> None:
+            answers.append(get_error(base, "/api/experiments/1"))
+
+        client = threading.Thread(target=ask)
+        client.start()
+        assert inside.wait(timeout=10)
+        server.shutdown()
+        server.server_close()
+        release.set()
+        client.join(timeout=10)
+        assert not client.is_alive()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+        ((code, body),) = answers
+        assert code == 503 and "store handle closed" in body["error"]
+        with pytest.raises(sqlite3.ProgrammingError):
+            server.store  # noqa: B018
+
+
+def _raw(base: str, data: bytes) -> bytes:
+    """Send raw bytes; everything the server answers before hanging up."""
+    host, port = base.rsplit("/", 1)[1].split(":")
+    chunks = []
+    with socket.create_connection((host, int(port)), timeout=10) as sock:
+        try:
+            sock.sendall(data)
+            while chunk := sock.recv(65536):
+                chunks.append(chunk)
+        except ConnectionResetError:  # the server hung up on unread input
+            pass
+    return b"".join(chunks)
+
+
+def _status(response: bytes) -> int:
+    assert response.startswith(b"HTTP/1.0 "), response[:80]
+    return int(response.split()[1])
+
+
+class TestHostileRequests:
+    """Malformed requests, pinned as they are answered today."""
+
+    @pytest.mark.parametrize("method", ["HEAD", "POST", "PUT", "DELETE"])
+    def test_other_methods_are_501(self, served, method):
+        response = _raw(
+            served, f"{method} /api/experiments HTTP/1.0\r\n\r\n".encode())
+        assert _status(response) == 501
+
+    @pytest.mark.parametrize("path", [
+        b"/api/runs/abc", b"/api/experiments/1x", b"/api/runs/\xd9\xa1",
+        b"/api/runs/%D9%A1", b"/api/experiments/-1",
+    ])
+    def test_ids_that_are_not_ascii_digits_are_json_404(self, served, path):
+        response = _raw(served, b"GET " + path + b" HTTP/1.0\r\n\r\n")
+        assert _status(response) == 404
+        assert "error" in json.loads(response.partition(b"\r\n\r\n")[2])
+
+    def test_a_70kb_request_line_is_414(self, served):
+        response = _raw(
+            served, b"GET /" + b"a" * 70_000 + b" HTTP/1.0\r\n\r\n")
+        assert _status(response) == 414
+
+    @pytest.mark.parametrize("line", [b"GARBAGE", b"\x00\xff\xfe junk here",
+                                      b"GET / HTTP/9"])
+    def test_a_garbage_request_line_is_400(self, served, line):
+        # No version could be read, so the answer is HTTP/0.9 style: the
+        # error page alone, without a status line.
+        response = _raw(served, line + b"\r\n\r\n")
+        assert not response.startswith(b"HTTP/")
+        assert b"Error code: 400" in response
+
+    def test_a_good_get_still_answers_after_them(self, served):
+        for data in (b"DELETE / HTTP/1.0\r\n\r\n", b"GARBAGE\r\n\r\n",
+                     b"GET /" + b"a" * 70_000 + b" HTTP/1.0\r\n\r\n"):
+            _raw(served, data)
+        assert len(get_json(served, "/api/experiments")["experiments"]) == 2

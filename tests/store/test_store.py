@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import sqlite3
+from dataclasses import asdict
 
 import pytest
 
@@ -438,3 +439,72 @@ class TestAttachments:
             stored = store.runs(1)[0].attachments
         assert set(stored) == layers
         assert {key: printed[key] for key in LAYERS & set(printed)} == stored
+
+
+class TestRowDicts:
+    """``to_dict()`` is a shallow dict of the fields (plus the derived key):
+    it serializes exactly as ``dataclasses.asdict`` did, key order included,
+    without copying the decoded values."""
+
+    @pytest.fixture(scope="class")
+    def seeded(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("rowdicts") / "exp.sqlite"
+        store = ExperimentStore(path)
+        sweep = store.create_experiment(
+            "rows", "sweep", quick_config(), 3,
+            params={"param": "lam", "values": [400, 800], "reps": {"n": 2}},
+        )
+        for index, case in enumerate(("faults-and-stall", "workload-and-health")):
+            config, options, _layers = LAYER_CASES[case]
+            store.record_run(sweep, index, run_simulation(config, **options))
+        store.record_run(sweep, 2, _failure(run_index=2))
+        store.finish_experiment(sweep)
+        other = store.create_experiment("other", "run", quick_config(), 1)
+        store.record_run(other, 0, _result())
+        store.record_artifact(
+            other, "winner", name="w", path="w.json",
+            payload={"lineage": [{"gen": 0, "ratio": 1.5}], "tags": ["a", None]},
+        )
+        yield store
+        store.close()
+
+    @staticmethod
+    def _assert_same(row, reference) -> None:
+        assert json.dumps(row.to_dict()) == json.dumps(reference)
+        assert (json.dumps(row.to_dict(), sort_keys=True)
+                == json.dumps(reference, sort_keys=True))
+
+    def test_experiment_rows(self, seeded):
+        rows = seeded.experiments()
+        assert rows[-1].params["values"] == [400, 800]
+        for row in rows:
+            reference = asdict(row)
+            reference["progress"] = row.done_runs / row.total_runs
+            self._assert_same(row, reference)
+            assert row.to_dict()["config"] is row.config
+
+    def test_run_rows(self, seeded):
+        runs = seeded.runs(1)
+        assert set(runs[0].attachments) == {"fault_counts", "stall"}
+        assert set(runs[1].attachments) == {"workload", "health"}
+        assert runs[2].failure["message"] == "synthetic"
+        for row in runs + seeded.runs(2):
+            self._assert_same(row, asdict(row))
+            assert row.to_dict()["attachments"] is row.attachments
+
+    def test_artifact_rows(self, seeded):
+        (row,) = seeded.artifacts(2)
+        assert row.payload["lineage"][0]["ratio"] == 1.5
+        self._assert_same(row, asdict(row))
+
+    def test_experiment_diff(self, seeded):
+        diff = seeded.diff(1, 2)
+        reference = {
+            "a": {**asdict(diff.a), "progress": 1.0},
+            "b": {**asdict(diff.b), "progress": 1.0},
+            "identical": diff.identical,
+            "rows": [{**asdict(row), "match": row.match} for row in diff.rows],
+        }
+        assert json.dumps(diff.to_dict()) == json.dumps(reference)
+        assert (json.dumps(diff.to_dict(), sort_keys=True)
+                == json.dumps(reference, sort_keys=True))
