@@ -20,9 +20,8 @@ The package provides:
 * a BFTSim-style packet-level baseline simulator — :mod:`repro.baseline`;
 * the experiment harness regenerating the paper's tables and figures —
   :mod:`repro.analysis`;
-* a run telemetry layer (streaming trace sinks, structured
-  simulated-time logging, trace forensics behind the ``repro inspect``
-  CLI) — :mod:`repro.observability`;
+* a run telemetry layer (streaming trace sinks, trace forensics behind
+  the ``repro inspect`` CLI) — :mod:`repro.observability`;
 * an open-loop client workload layer (Poisson/trace arrivals, leader
   mempool with batch cut, throughput–latency saturation curves) —
   :mod:`repro.workload`.
@@ -64,7 +63,6 @@ from .observability import (
     NullSink,
     TraceSink,
     analyze_trace,
-    configure_logging,
     render_report,
 )
 from .parallel import ParallelRunner, ProgressUpdate
@@ -99,7 +97,6 @@ __all__ = [
     "analyze_trace",
     "available_attacks",
     "available_protocols",
-    "configure_logging",
     "get_attack",
     "get_protocol",
     "parse_faults_spec",

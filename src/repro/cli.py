@@ -22,8 +22,7 @@ scenario" (§III-A); the CLI makes that workflow shell-scriptable:
     python -m repro mine --check artifacts/mining/worst-case-pbft-n32.json
 
 Every command is a thin shell over the library; anything it can do, the
-Python API can do too.  ``--log-level`` / ``--log-json`` (before the
-subcommand) opt into the simulator's structured logging on stderr.
+Python API can do too.
 """
 
 from __future__ import annotations
@@ -60,7 +59,6 @@ from .observability.causality import (
 )
 from .observability.health import analyze_trace_health, render_health
 from .observability.inspect import analyze_trace, render_report
-from .observability.logging import LOG_LEVELS, configure_logging
 from .observability.metrics import RunMetrics
 from .observability.phases import analyze_phases, render_phase_report
 from .protocols.registry import available_protocols, get_protocol
@@ -998,12 +996,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="Discrete-event simulator for BFT protocols (DSN'22 reproduction)",
     )
-    parser.add_argument("--log-level", default=None, choices=LOG_LEVELS,
-                        help="enable the simulator's structured logging on "
-                             "stderr at this level")
-    parser.add_argument("--log-json", action="store_true",
-                        help="emit log records as JSON lines (implies "
-                             "--log-level warning unless set)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("list", help="list available protocols and attacks")
@@ -1184,8 +1176,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.log_level is not None or args.log_json:
-        configure_logging(args.log_level or "warning", json_lines=args.log_json)
     handler = {
         "list": cmd_list,
         "run": cmd_run,

@@ -32,14 +32,16 @@ def check_finite(
     error: type[Exception] = ConfigurationError,
 ) -> None:
     """Raise ``error`` unless ``value`` is a finite number ``>= minimum``
-    (``> minimum`` when ``strict``; an integer when ``integer``).
+    (``> minimum`` when ``strict``; an integer when ``integer``).  A
+    ``bool`` is not a number here, though Python counts it as an integer.
 
     Written as the positive condition because NaN compares false both
     ways: it passes every ``x <= 0`` rejection, and a NaN time or delay
     then breaks the event queue's order far from where it entered.
     """
     in_range = (
-        isinstance(value, Integral if integer else Real)
+        not isinstance(value, bool)
+        and isinstance(value, Integral if integer else Real)
         and math.isfinite(value)
         and (value > minimum if strict else value >= minimum)
     )
@@ -47,6 +49,13 @@ def check_finite(
         bound = f"{'>' if strict else '>='} {minimum:g}"
         kind = "an integer" if integer else "a finite number"
         raise error(f"{name} must be {kind} {bound}, got {value!r}")
+
+
+def check_type(name: str, value: Any, kind: type, what: str) -> None:
+    """Raise ``ConfigurationError`` unless ``value`` is a ``kind`` (a
+    ``bool`` passes only as a ``bool``)."""
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        raise ConfigurationError(f"{name} must be {what}, got {value!r}")
 
 
 def check_window(what: str, start: Any, end: Any) -> None:
@@ -139,6 +148,7 @@ class NetworkConfig:
     fanout: int = 0
 
     def validate(self) -> None:
+        check_type("network distribution", self.distribution, str, "a name")
         check_finite("network mean delay", self.mean, strict=True)
         check_finite("network std", self.std)
         # Strictly positive: a zero floor would not guarantee progress.
@@ -152,10 +162,7 @@ class NetworkConfig:
                 f"unknown dissemination mode {self.dissemination!r}; "
                 f"available: {list(DISSEMINATION_MODES)}"
             )
-        if not isinstance(self.fanout, int) or self.fanout < 0:
-            raise ConfigurationError(
-                f"fanout must be a non-negative integer (0 = auto), got {self.fanout!r}"
-            )
+        check_finite("fanout (0 = auto)", self.fanout, integer=True)
 
 
 #: Fault kinds accepted by :class:`FaultSpec`.
@@ -222,22 +229,24 @@ class FaultSpec:
             )
         check_finite("delay fault factor", self.factor, minimum=1.0)
         check_window("fault window", self.start, self.end)
+        if self.node is not None:
+            check_finite("fault node", self.node, integer=True)
         if self.kind == "crash":
             if self.node is None:
                 raise ConfigurationError("crash fault requires a target node")
-            if n is not None and not 0 <= self.node < n:
+            if n is not None and self.node >= n:
                 raise ConfigurationError(
                     f"crash fault targets node {self.node}, but n={n}"
                 )
         elif self.kind in ("loss", "duplicate", "corrupt", "delay") and self.rate == 0.0:
             raise ConfigurationError(f"{self.kind!r} fault with rate=0 has no effect")
-        if n is not None:
-            for label, nodes in (("src", self.src), ("dst", self.dst)):
-                for node in nodes or ():
-                    if not 0 <= node < n:
-                        raise ConfigurationError(
-                            f"fault {label} scope names node {node}, but n={n}"
-                        )
+        for label, nodes in (("src", self.src), ("dst", self.dst)):
+            for node in () if nodes is None else check_list(f"fault {label}", nodes):
+                check_finite(f"fault {label} node", node, integer=True)
+                if n is not None and node >= n:
+                    raise ConfigurationError(
+                        f"fault {label} scope names node {node}, but n={n}"
+                    )
 
     @classmethod
     def from_dict(cls, data: Any) -> "FaultSpec":
@@ -368,14 +377,8 @@ class WorkloadConfig:
                 f"unknown arrival process {self.arrival!r}; "
                 f"available: {list(ARRIVAL_PROCESSES)}"
             )
-        if self.clients < 1:
-            raise ConfigurationError(
-                f"workload clients must be >= 1, got {self.clients}"
-            )
-        if self.batch < 1:
-            raise ConfigurationError(
-                f"workload batch size must be >= 1, got {self.batch}"
-            )
+        check_finite("workload clients", self.clients, minimum=1, integer=True)
+        check_finite("workload batch size", self.batch, minimum=1, integer=True)
         check_finite("workload batch_timeout (ms)", self.batch_timeout)
         if self.arrival == "poisson":
             check_finite("workload rate (requests/s)", self.rate, strict=True)
@@ -385,7 +388,7 @@ class WorkloadConfig:
                 raise ConfigurationError(
                     "arrival='trace' requires a non-empty trace_times list"
                 )
-            for time in self.trace_times:
+            for time in check_list("trace_times", self.trace_times):
                 check_finite("trace_times entry (ms)", time)
 
     def describe(self) -> str:
@@ -487,8 +490,13 @@ class SimulationConfig:
 
     def validate(self) -> None:
         """Check internal consistency; raises ``ConfigurationError``."""
+        check_type("protocol", self.protocol, str, "a name")
         if not self.protocol:
             raise ConfigurationError("protocol name must be non-empty")
+        check_type("seed", self.seed, Integral, "an integer")
+        check_type("allow_horizon", self.allow_horizon, bool, "true or false")
+        check_type("record_trace", self.record_trace, bool, "true or false")
+        check_type("attack name", self.attack.name, str, "a name")
         check_finite("n", self.n, minimum=1, integer=True)
         if self.f is not None:
             check_finite("f", self.f, integer=True)
@@ -540,6 +548,8 @@ class SimulationConfig:
     def from_dict(cls, data: Any) -> "SimulationConfig":
         """Inverse of :meth:`to_dict`; unknown keys are rejected."""
         data = dict(check_mapping("config", data, cls.__dataclass_fields__))
+        if "protocol" not in data:
+            raise ConfigurationError(f"config needs a 'protocol', got {data!r}")
 
         def nested(key: str, kind: type) -> Any:
             value = data.pop(key, None)

@@ -22,7 +22,6 @@ from ..attacks.base import Attacker, AttackerContext
 from ..attacks.registry import make_attacker
 from ..faults.engine import FaultInjector
 from ..network.module import NetworkModule
-from ..observability.logging import SimLogger, get_logger
 from ..observability.signals import LiveSignals
 from ..protocols.registry import get_protocol
 from .clock import SimulationClock
@@ -138,7 +137,6 @@ class Controller:
         #: during on_start).  None before the run starts.  Read through
         #: :attr:`_current_cause`.
         self._cause: list | str | None = None
-        self.log = SimLogger(get_logger("controller"), clock=self.clock)
 
         self.attacker: Attacker = make_attacker(config.attack)
         #: Live run signals for signal-driven adversaries; allocated only
@@ -439,10 +437,6 @@ class Controller:
             )
             self.metrics.faults.crashes += 1
             self.trace.record(event.time, "env-crash", node, timers_cancelled=cancelled)
-            self.log.info(
-                "environment crashed node", node=node, timers_cancelled=cancelled,
-                permanent=node in self._permanent_crashes,
-            )
             if node in self._permanent_crashes:
                 # A permanent fail-stop leaves the honest set for good;
                 # a temporary crash stays in honest accounting (it must
@@ -454,7 +448,6 @@ class Controller:
             self._down.discard(node)
             self.metrics.faults.recoveries += 1
             self.trace.record(event.time, "env-recover", node)
-            self.log.info("environment recovered node", node=node)
             self.nodes[node].on_recover()
         else:  # pragma: no cover - only the two lifecycle events exist
             raise ConfigurationError(f"unknown controller event {event.name!r}")
@@ -481,11 +474,6 @@ class Controller:
         started = _time.perf_counter()
         config = self.config
         stall_timeout = config.stall_timeout
-
-        self.log.debug(
-            "run starting",
-            protocol=config.protocol, n=self.n, f=self.f, seed=config.seed,
-        )
         try:
             return self._run_to_completion(started, config, stall_timeout)
         finally:
@@ -602,14 +590,6 @@ class Controller:
             self._events_processed = events_processed
 
         terminated = terminated_check()
-        if self._stall is not None:
-            self.log.warning(
-                "liveness watchdog stopped the run",
-                reason=self._stall.reason,
-                last_progress_ms=self._stall.last_progress,
-            )
-        elif self._stop_reason is not None:
-            self.log.info("run stopped before termination", reason=self._stop_reason)
         if not terminated and self._stall is None and not config.allow_horizon:
             raise LivenessTimeoutError(
                 f"{config.protocol} did not terminate: {self._stop_reason} "
@@ -618,14 +598,7 @@ class Controller:
         self.metrics.finish(self.clock.now)
         for observer in self._clocks:
             observer.finish(self.clock.now)
-        wall = _time.perf_counter() - started
-        self.log.debug(
-            "run finished",
-            terminated=terminated,
-            events=self._events_processed,
-            wall_seconds=round(wall, 4),
-        )
-        return self._build_result(terminated, wall)
+        return self._build_result(terminated, _time.perf_counter() - started)
 
     def _dispatch(self, entry: list) -> None:
         # The unit of dispatch is the queue *entry* (``pop_entry``): the
@@ -785,6 +758,7 @@ class Controller:
             trace=self.trace,
             fault_counts=metrics.faults,
             stall=self._stall,
+            stop_reason=self._stop_reason,
             run_metrics=(
                 self.obs_metrics.build(sim_time_ms=self.clock.now)
                 if self.obs_metrics is not None

@@ -18,7 +18,6 @@ import random
 from dataclasses import dataclass
 from typing import Any, Protocol
 
-from ..observability.logging import SimLogger, get_logger
 from .events import TimeEvent
 from .message import BROADCAST, Message
 
@@ -103,7 +102,6 @@ class Node:
         self.id = node_id
         self.env = env
         self._decided_log: list[tuple[int, Any]] = []
-        self._log: SimLogger | None = None
         # n and f are fixed for a run, so quorum sizes are computed once per
         # (node, kind) — protocols call quorum() on every vote delivery.
         self._quorum_cache: dict[str, int] = {}
@@ -130,24 +128,10 @@ class Node:
         it already agreed to.  Protocols that set ``supports_recovery``
         extend this to re-arm their timers and resume participation.
         """
-        self.log.debug("recovered from crash", replayed_slots=len(self._decided_log))
         for slot, value in self._decided_log:
             self.env.report_decision(self.id, slot, value)
 
     # -- convenience properties --------------------------------------------
-
-    @property
-    def log(self) -> SimLogger:
-        """Structured per-replica logger (``repro.protocol.n<id>``).
-
-        Built lazily so replicas that never log pay nothing; stamps records
-        with the simulation clock via the environment facade.
-        """
-        log = self._log
-        if log is None:
-            log = SimLogger(get_logger("protocol", node=self.id), clock=self.env, node=self.id)
-            self._log = log
-        return log
 
     @property
     def now(self) -> float:

@@ -225,6 +225,12 @@ class SimulationResult:
         stall: the liveness watchdog's :class:`StallReport` when the run was
             stopped as stalled, else ``None``.  Excluded from the
             fingerprint.
+        stop_reason: why a run that did not terminate stopped
+            (``"horizon max_time=200.0 reached"``, ``"max_events=… reached"``,
+            ``"event queue empty before termination"`` or a ``"stalled: …"``
+            cause), else ``None``.  :meth:`summary` prints it for a horizon
+            run.  Excluded from the fingerprint and from
+            :func:`result_attachments`, like ``wall_clock_seconds``.
         run_metrics: simulated-time metrics
             (:class:`~repro.observability.metrics.RunMetrics`) when the run
             carried a metrics registry, else ``None``.  Observability
@@ -261,6 +267,7 @@ class SimulationResult:
     trace: Trace = field(default_factory=lambda: Trace(enabled=False))
     fault_counts: FaultCounts = field(default_factory=FaultCounts)
     stall: StallReport | None = None
+    stop_reason: str | None = None
     run_metrics: "RunMetrics | None" = None
     signals_summary: dict | None = None
     workload: ThroughputMetrics | None = None
@@ -283,7 +290,7 @@ class SimulationResult:
         elif self.stalled:
             status = "STALLED"
         else:
-            status = "HORIZON"
+            status = f"HORIZON ({self.stop_reason})" if self.stop_reason else "HORIZON"
         return (
             f"{self.config.protocol}: {status} latency={self.latency:.1f}ms "
             f"({self.latency_per_decision:.1f}ms/decision) "

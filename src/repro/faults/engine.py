@@ -24,7 +24,6 @@ from ..core.config import LINK_FAULT_KINDS, FaultScheduleConfig, NetworkConfig
 from ..core.message import Message
 from ..core.rng import RandomSource
 from ..network.delays import DelayModel
-from ..observability.logging import SimLogger, get_logger
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.metrics import MetricsCollector
@@ -81,7 +80,6 @@ class FaultInjector:
         self._dup_delays = DelayModel(
             network_config, random_source.numpy("faults.delay")
         )
-        self.log = SimLogger(get_logger("faults"))
 
     def apply(self, message: Message) -> list[Message]:
         """Run ``message`` through the fault schedule.
@@ -152,9 +150,4 @@ class FaultInjector:
             message.sent_at, kind, message.source,
             dest=message.dest, msg_type=message.type, msg_id=message.msg_id,
             **fields,
-        )
-        self.log.debug(
-            kind, sim_time=message.sent_at,
-            source=message.source, dest=message.dest,
-            msg_type=message.type, msg_id=message.msg_id, **fields,
         )

@@ -1,15 +1,13 @@
-"""Run telemetry: trace sinks, structured logging, and trace forensics.
+"""Run telemetry: trace sinks, trace forensics, and run health.
 
 The paper's evaluation is about simulator *efficiency* (§V: events per
 second, scalability with node count); this subsystem is the measurement
 substrate that makes those properties observable inside our own engine.
-Four pillars:
+Three pillars:
 
 * **streaming trace sinks** (:mod:`repro.observability.sinks`) — pluggable
   storage behind :class:`~repro.core.tracing.Trace`; ``JsonlSink`` records
   million-event traces to disk with bounded memory.
-* **structured logging** (:mod:`repro.observability.logging`) —
-  ``repro``-namespaced loggers with simulated-time stamps and JSONL output.
 * **trace forensics** (:mod:`repro.observability.inspect`) — the streaming
   analysis behind the ``repro inspect`` CLI: message-usage accounting,
   per-view timelines, stall forensics.
@@ -49,7 +47,6 @@ from .inspect import (
     iter_trace_file,
     render_report,
 )
-from .logging import SimLogger, configure_logging, get_logger
 from .metrics import (
     Counter,
     Histogram,
@@ -85,17 +82,14 @@ __all__ = [
     "PhaseStay",
     "QuorumTimeline",
     "RunMetrics",
-    "SimLogger",
     "TraceBufferUnavailable",
     "TraceReport",
     "TraceSink",
     "analyze_phases",
     "analyze_trace",
     "analyze_trace_health",
-    "configure_logging",
     "critical_path",
     "critical_paths",
-    "get_logger",
     "iter_events",
     "iter_trace_file",
     "quorum_timeline",

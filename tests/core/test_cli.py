@@ -8,6 +8,8 @@ import pytest
 
 from repro.cli import main
 
+from tests.core.test_config import MALFORMED
+
 
 class TestList:
     def test_lists_protocols_and_attacks(self, capsys):
@@ -129,6 +131,18 @@ class TestRun:
         assert len(err) == 1 and err[0].startswith("error:") and key in err[0]
         assert "Traceback" not in captured.err + captured.out
 
+    @pytest.mark.parametrize("fields,name", MALFORMED, ids=[n for _, n in MALFORMED])
+    def test_malformed_config_scalar_is_one_error_line(
+        self, fields, name, tmp_path, capsys
+    ):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"protocol": "pbft", "n": 4, **fields}))
+        assert main(["run", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and name in err[0]
+        assert "Traceback" not in captured.err + captured.out
+
     def test_dissemination_and_fanout_reach_the_config(self, capsys):
         from repro import NetworkConfig, SimulationConfig, run_simulation
 
@@ -226,25 +240,15 @@ class TestTelemetry:
         assert "error:" in capsys.readouterr().err
 
     def test_removed_profile_flag_is_a_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exit_info:
-            main([*self.RUN, "--profile"])
-        assert exit_info.value.code == 2
-        assert "unrecognized arguments: --profile" in capsys.readouterr().err
+        for flags in (["--profile"], ["--log-level", "debug"], ["--log-json"]):
+            with pytest.raises(SystemExit) as exit_info:
+                main([*self.RUN, *flags])
+            assert exit_info.value.code == 2
+            assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
 
-    def test_log_level_emits_structured_logs(self, tmp_path, capsys):
-        import logging as _logging
-
-        from repro.observability.logging import LOGGER_NAME, configure_logging
-
-        try:
-            assert main(["--log-level", "debug", *self.RUN]) == 0
-            err = capsys.readouterr().err
-            assert "run starting" in err
-            assert "run finished" in err
-        finally:
-            root = _logging.getLogger(LOGGER_NAME)
-            root.removeHandler(configure_logging(level="warning"))
-            root.setLevel(_logging.WARNING)
+    def test_horizon_run_names_its_stop_reason(self, capsys):
+        assert main(["run", "--protocol", "pbft", "-n", "4", "--max-time", "200"]) == 2
+        assert "pbft: HORIZON (horizon max_time=200.0 reached)" in capsys.readouterr().out
 
 
 class TestSpecGrammars:

@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
+import copy
 import math
 from functools import partial
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro import AttackConfig, NetworkConfig, SimulationConfig, WorkloadConfig
-from repro.core.config import FaultSpec
+from repro.core.config import FaultScheduleConfig, FaultSpec
 from repro.core.errors import ConfigurationError
 from repro.observability.health import HealthMonitor
 from repro.observability.metrics import MetricsRegistry
@@ -104,6 +105,113 @@ class TestNonFiniteRejected:
     def test_attack_params_must_be_a_mapping(self):
         with pytest.raises(ConfigurationError, match="attack params"):
             _config(attack=AttackConfig(name="failstop", params=[1]))
+
+
+#: Config documents that used to load: a traceback, a silent coercion
+#: (seed 1.5 ran as seed 1), or a string flag counted as true.
+MALFORMED = [
+    ({"seed": None}, "seed"), ({"seed": 1.5}, "seed"), ({"seed": True}, "seed"),
+    ({"seed": "abc"}, "seed"),
+    ({"allow_horizon": "no"}, "allow_horizon"), ({"record_trace": "no"}, "record_trace"),
+    ({"lam": True}, "lam"), ({"n": True}, "n"), ({"stall_timeout": True}, "stall_timeout"),
+    ({"network": {"fanout": True}}, "fanout"),
+    ({"faults": {"specs": [{"kind": "crash", "node": "a"}]}}, "fault node"),
+    ({"faults": {"specs": [{"kind": "loss", "rate": 0.1, "src": 1}]}}, "fault src"),
+    ({"network": {"distribution": 5}}, "distribution"),
+    ({"attack": {"name": None}}, "attack name"),
+    ({"workload": {"clients": "a"}}, "clients"),
+    ({"workload": {"arrival": "trace", "trace_times": 5}}, "trace_times"),
+    ({"protocol": 5}, "protocol"),
+]
+
+
+class TestScalarTypes:
+    @pytest.mark.parametrize("fields,name", MALFORMED, ids=[n for _, n in MALFORMED])
+    def test_malformed_scalar_is_a_configuration_error(self, fields, name):
+        with pytest.raises(ConfigurationError, match=name):
+            SimulationConfig.from_dict({"protocol": "pbft", **fields})
+
+    def test_a_config_needs_a_protocol(self):
+        with pytest.raises(ConfigurationError, match="protocol"):
+            SimulationConfig.from_dict({"n": 4})
+
+    def test_negative_seed_still_loads(self):
+        assert SimulationConfig.from_dict({"protocol": "pbft", "seed": -3}).seed == -3
+
+
+#: JSON-ish values, hostile and plain: what a --config file can hold.
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(min_value=-3, max_value=2**64),
+    st.floats(), st.sampled_from([1e999, -1e999, 0.5, 4, 100.0]),
+    st.sampled_from(["pbft", "normal", "tree", "crash", "loss", "trace", "null", ""]),
+    st.text(max_size=4),
+)
+VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _document(cls, **deeper):
+    """Dicts over ``cls``'s keys; a ``deeper`` key may hold a nested document."""
+    return st.fixed_dictionaries({}, optional={
+        name: st.one_of(VALUES, deeper[name]) if name in deeper else VALUES
+        for name in cls.__dataclass_fields__
+    })
+
+
+FAULT = _document(FaultSpec, kind=st.sampled_from(["crash", "loss", "delay", "link-down"]))
+DOCUMENTS = _document(
+    SimulationConfig,
+    protocol=st.just("pbft"),
+    network=_document(NetworkConfig),
+    attack=_document(AttackConfig),
+    faults=_document(FaultScheduleConfig, specs=st.lists(FAULT, max_size=3)),
+    workload=_document(WorkloadConfig, arrival=st.sampled_from(["poisson", "trace"])),
+)
+
+#: A valid document touching every section; most random documents fail at
+#: their first bad key, so the fuzz also plants one hostile value in this.
+VALID = SimulationConfig(
+    protocol="pbft", n=4, f=1, lam=500.0, stall_timeout=5000.0,
+    network=NetworkConfig(max_delay=900.0, dissemination="tree", fanout=2),
+    attack=AttackConfig("failstop", {"count": 1}),
+    faults=FaultScheduleConfig([
+        FaultSpec("crash", node=1, start=10.0, end=50.0),
+        FaultSpec("loss", rate=0.1, src=[0], dst=[1, 2]),
+    ]),
+    workload=WorkloadConfig(arrival="trace", trace_times=[1.0, 2.0]),
+).to_dict()
+
+
+def _slots(document):
+    """Every (container, key) of a document, lists included."""
+    for key, value in (
+        document.items() if isinstance(document, dict) else enumerate(document)
+    ):
+        yield document, key
+        if isinstance(value, (dict, list)):
+            yield from _slots(value)
+
+
+@st.composite
+def _planted(draw):
+    document = copy.deepcopy(VALID)
+    container, key = draw(st.sampled_from(list(_slots(document))))
+    container[key] = draw(VALUES)
+    return document
+
+
+@settings(max_examples=300)
+@given(data=st.one_of(DOCUMENTS, _planted()))
+def test_loaded_config_round_trips_or_is_a_configuration_error(data):
+    try:
+        config = SimulationConfig.from_dict(data)
+    except ConfigurationError:
+        return
+    assert SimulationConfig.from_dict(config.to_dict()) == config
 
 
 class TestSerialization:

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro import Controller, SimulationConfig, run_simulation
 from repro.core.errors import ConfigurationError, LivenessTimeoutError
+from repro.core.results import result_attachments, result_fingerprint
 
 from tests.conftest import quick_config
+from tests.faults.test_stall import stalling_config
 
 
 class TestConstruction:
@@ -62,6 +66,31 @@ class TestRun:
         result = Controller(config).run()
         assert not result.terminated
         assert result.events_processed == 10
+
+    @pytest.mark.parametrize("limit,reason", [
+        ({"max_time": 0.5}, "horizon max_time=0.5 reached"),
+        ({"max_events": 10}, "max_events=10 reached"),
+    ])
+    def test_stop_reason_names_the_limit(self, limit, reason):
+        result = Controller(quick_config(allow_horizon=True, **limit)).run()
+        assert result.stop_reason == reason
+        assert result.summary().startswith(f"pbft: HORIZON ({reason}) latency=")
+
+    def test_stop_reason_of_a_drained_queue(self):
+        config = stalling_config(protocol="_inert", spec="", stall_timeout=None)
+        result = run_simulation(config)
+        assert result.stop_reason == "event queue empty before termination"
+
+    def test_terminated_run_has_no_stop_reason(self):
+        result = Controller(quick_config()).run()
+        assert result.stop_reason is None
+        assert "HORIZON" not in result.summary()
+
+    def test_stop_reason_is_outside_the_fingerprint(self):
+        result = Controller(quick_config(max_time=0.5, allow_horizon=True)).run()
+        bare = replace(result, stop_reason=None)
+        assert result_fingerprint(result) == result_fingerprint(bare)
+        assert result_attachments(result) == result_attachments(bare)
 
     def test_wall_clock_measured(self):
         result = Controller(quick_config()).run()

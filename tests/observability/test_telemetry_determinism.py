@@ -2,14 +2,13 @@
 
 The acceptance bar for the whole observability subsystem: under every
 subset of the three telemetry options (``sink``, ``metrics``, ``health``),
-with debug logging on or off, ``result_fingerprint`` is byte-identical.
+``result_fingerprint`` is byte-identical.
 The golden-digest table in ``tests/core/test_golden_determinism.py``
 separately pins the digests themselves; these tests pin the *invariance*.
 """
 
 from __future__ import annotations
 
-import io
 from itertools import combinations
 
 import pytest
@@ -18,7 +17,7 @@ from repro.core.config import SimulationConfig
 from repro.core.results import result_fingerprint
 from repro.core.runner import run_simulation
 from repro.core.tracing import EventFilter
-from repro.observability import JsonlSink, NullSink, configure_logging
+from repro.observability import JsonlSink, NullSink
 from repro.scenarios import load_scenario
 from tests.core.test_golden_determinism import GOLDEN, golden_config
 
@@ -45,20 +44,12 @@ def _chased(protocol: str) -> SimulationConfig:
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_golden_digest_invariant_under_full_telemetry(protocol, tmp_path):
     """The checked-in golden digests hold with every telemetry feature on."""
-    config = _config(protocol)
-
-    handler = configure_logging(level="debug", stream=io.StringIO())
-    try:
-        telemetry = run_simulation(
-            config,
-            sink=JsonlSink(tmp_path / f"{protocol}.jsonl"),
-            metrics=True,
-            health=True,
-        )
-    finally:
-        configure_logging(level="warning", stream=io.StringIO())
-        handler.stream.close()
-
+    telemetry = run_simulation(
+        _config(protocol),
+        sink=JsonlSink(tmp_path / f"{protocol}.jsonl"),
+        metrics=True,
+        health=True,
+    )
     assert result_fingerprint(telemetry) == GOLDEN[protocol]
     assert telemetry.run_metrics is not None  # telemetry actually ran
     assert telemetry.health is not None
