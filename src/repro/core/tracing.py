@@ -11,17 +11,22 @@ phase transitions), corruptions, and decisions.  Traces feed three consumers:
 * debugging and forensics, via :meth:`Trace.format` and the ``repro
   inspect`` CLI (:mod:`repro.observability.inspect`).
 
-Storage is pluggable: a :class:`Trace` forwards every recorded event to a
-:class:`TraceSink`.  :class:`MemorySink` (the default) buffers records in
-memory as ``(time, kind, node, fields)`` rows; :class:`JsonlSink` streams
-them to a newline-delimited JSON file with *bounded* memory, so
-million-event runs can record full traces to disk without OOM;
-:class:`NullSink` counts and discards.  Every sink accepts an optional
-:class:`EventFilter` restricting what it keeps by kind, node, and time
-window.  The copies of one broadcast reach a sink in one
-:meth:`TraceSink.record_copies` call, and readers inside the package walk
-rows (:meth:`Trace.rows`); :class:`TraceEvent` objects are built only for
-the public event API.
+A record has one form inside the package, the ``(time, kind, node,
+fields)`` row (:data:`TraceRow`).  Storage is pluggable: a :class:`Trace`
+hands every record to a :class:`TraceSink` as its parts.
+:class:`MemorySink` (the default) keeps the rows in memory;
+:class:`JsonlSink` streams them to a newline-delimited JSON file with
+*bounded* memory, so million-event runs can record full traces to disk
+without OOM; :class:`NullSink` counts and discards.  Every sink accepts an
+optional :class:`EventFilter` restricting what it keeps by kind, node, and
+time window, applied to a record's parts in :meth:`TraceSink.record`.  The
+copies of one broadcast reach a sink in one :meth:`TraceSink.record_copies`
+call.
+
+Every analysis reads rows through :func:`trace_rows`, the one reader: it
+takes a JSONL path (gzip-aware), a :class:`Trace` or record dicts, and
+checks every record.  :class:`TraceEvent` objects are built only for the
+public event API.
 
 The sink classes live here (the :class:`Trace` facade needs them) and are
 re-exported by :mod:`repro.observability.sinks`, the telemetry subsystem's
@@ -34,6 +39,7 @@ import gzip
 import io
 import json
 import os
+import zlib
 from dataclasses import dataclass, field
 from itertools import chain, islice, starmap
 from json.encoder import encode_basestring_ascii
@@ -84,10 +90,6 @@ class TraceEvent:
         kind = data.pop("kind")
         node = data.pop("node", -1)
         return cls(time=time, kind=kind, node=node, fields=data)
-
-    def to_json(self) -> str:
-        """The event's one-line JSONL form."""
-        return jsonl_line(self.time, self.kind, self.node, self.fields)
 
 
 #: JSON text of the non-``int`` values a template line may hold, by exact
@@ -178,18 +180,31 @@ _SLOT_TYPES = {int}
 #: Lines :func:`iter_jsonl_dicts` decodes per call (its memory bound).
 JSONL_BLOCK_LINES = 512
 
+#: What reading a compressed stream that was cut short raises.
+_CUT_SHORT = (EOFError, zlib.error)
+
 
 def iter_jsonl_dicts(lines: Iterable[str]) -> Iterator[dict[str, Any]]:
     """Decode the non-blank lines of a JSONL stream, in order.
 
-    The one JSONL reader (``Trace.from_jsonl``, :meth:`JsonlSink.iter_events`,
-    ``repro inspect``).  Lines are decoded a bounded block per ``json.loads``
-    call; a block that does not decode to one value per line is decoded
-    line by line instead, so a malformed line raises exactly what
-    ``json.loads(line)`` raises, after the lines before it were yielded.
+    The one JSONL decoder, behind :func:`trace_rows` and
+    ``Trace.from_jsonl``.  Lines are decoded a bounded block per
+    ``json.loads`` call; a block that does not decode to one value per line
+    is decoded line by line instead, so a malformed line raises exactly what
+    ``json.loads(line)`` raises, after the lines before it were yielded.  A
+    gzip stream cut short raises its error after every complete line before
+    the cut was yielded.
     """
     stripped = filter(None, map(str.strip, lines))
-    while block := list(islice(stripped, JSONL_BLOCK_LINES)):
+    while True:
+        block: list[str] = []
+        try:
+            block.extend(islice(stripped, JSONL_BLOCK_LINES))
+        except _CUT_SHORT:  # the complete lines read before the cut are in block
+            yield from map(json.loads, block)
+            raise
+        if not block:
+            return
         try:
             rows = json.loads("[" + ",".join(block) + "]")
         except ValueError:
@@ -197,31 +212,31 @@ def iter_jsonl_dicts(lines: Iterable[str]) -> Iterator[dict[str, Any]]:
         yield from rows if len(rows) == len(block) else map(json.loads, block)
 
 
-def checked_records(records: Iterable[Any], where: str) -> Iterator[dict[str, Any]]:
-    """``records`` in order, each checked to be a trace record: a JSON
-    object with a ``time`` and a ``kind``.
+def _checked_rows(records: Iterable[Any], where: str, owned: bool) -> Iterator[TraceRow]:
+    """``records`` as rows, in order, each checked to be a trace record: a
+    dict with a ``time`` and a ``kind``.  A record the caller handed in is
+    copied (``owned=False``); a freshly decoded one becomes its row's fields
+    with ``time``, ``kind`` and ``node`` popped.
 
     Raises:
-        ValueError: ``"<where>: trace record N …"``, N counted from 1.
+        ValueError: ``"<where>: trace record N …"``, N counted from 1, or
+            ``"<where>: trace truncated after N records"`` when a compressed
+            stream ends early (the N records before the cut were yielded).
     """
-    for index, record in enumerate(records, 1):
-        if type(record) is not dict or "time" not in record or "kind" not in record:
-            if type(record) is not dict:
-                problem = f"must be a JSON object, got {record!r}"
-            else:
-                problem = "must have a 'time' and a 'kind'"
-            raise ValueError(f"{where}: trace record {index} {problem}")
-        yield record
-
-
-def _trace_rows(records: Iterable[Any], where: str) -> Iterator[TraceRow]:
-    """Decoded records as rows (checked by :func:`checked_records`); each
-    record dict becomes its row's fields, with ``time``, ``kind`` and
-    ``node`` popped and nothing copied."""
-    return (
-        (record.pop("time"), record.pop("kind"), record.pop("node", -1), record)
-        for record in checked_records(records, where)
-    )
+    index = 0
+    try:
+        for index, record in enumerate(records, 1):
+            if not isinstance(record, dict):
+                raise ValueError(
+                    f"{where}: trace record {index} must be a JSON object, got {record!r}"
+                )
+            if "time" not in record or "kind" not in record:
+                raise ValueError(f"{where}: trace record {index} must have a 'time' and a 'kind'")
+            if not owned:
+                record = record.copy()
+            yield record.pop("time"), record.pop("kind"), record.pop("node", -1), record
+    except _CUT_SHORT as error:
+        raise ValueError(f"{where}: trace truncated after {index} records") from error
 
 
 class TraceBufferUnavailable(SimulationError):
@@ -233,7 +248,7 @@ def open_trace_text(path: str | os.PathLike[str]) -> io.TextIOBase:
 
     Paths ending in ``.gz`` are decompressed on the fly (multi-member
     archives — produced by a sink reopened after pickling — read as one
-    stream).  Feed the handle to :func:`iter_jsonl_dicts`.
+    stream).  :func:`trace_rows` is its one caller.
     """
     text = os.fspath(path)
     if text.endswith(".gz"):
@@ -260,15 +275,15 @@ class EventFilter:
     start: float = 0.0
     end: float | None = None
 
-    def admits(self, event: TraceEvent) -> bool:
-        """True when ``event`` passes every clause."""
-        if event.time < self.start:
+    def admits(self, time: float, kind: str, node: int) -> bool:
+        """True when a record with these parts passes every clause."""
+        if time < self.start:
             return False
-        if self.end is not None and event.time >= self.end:
+        if self.end is not None and time >= self.end:
             return False
-        if self.kinds is not None and event.kind not in self.kinds:
+        if self.kinds is not None and kind not in self.kinds:
             return False
-        if self.nodes is not None and event.node != -1 and event.node not in self.nodes:
+        if self.nodes is not None and node != -1 and node not in self.nodes:
             return False
         return True
 
@@ -312,15 +327,16 @@ class EventFilter:
 
 
 class TraceSink:
-    """Receives every event a :class:`Trace` records.
+    """Receives every record a :class:`Trace` records, as its parts.
 
-    Subclasses implement :meth:`_accept` (store/write one event) and usually
-    :meth:`events` (hand the accepted events back).  The base class applies
-    the optional :class:`EventFilter` and maintains :attr:`count`, the
-    number of events *accepted* (events the filter rejected are not
-    counted).  :meth:`record` and :meth:`record_copies` are the writers'
-    entry points; the base forms reduce both to :meth:`emit`, so a sink
-    that overrides neither sees every record as one event.
+    :meth:`record` is the one entry point: the base form applies the
+    optional :class:`EventFilter` and maintains :attr:`count`, the number
+    of records *accepted* (records the filter rejected are not counted).  A
+    storing sink extends it (``if super().record(...)``: keep the row) and
+    usually :meth:`events` / :meth:`rows` (hand the accepted records back).
+    :meth:`record_copies` reduces to :meth:`record` and :meth:`emit` is an
+    adapter for event objects, so a sink that overrides only :meth:`record`
+    sees every record.
     """
 
     def __init__(self, filter: EventFilter | None = None) -> None:
@@ -328,16 +344,16 @@ class TraceSink:
         self.count = 0
 
     def emit(self, event: TraceEvent) -> None:
-        """Offer one event to the sink (filtered, counted, then accepted)."""
-        if self.filter is not None and not self.filter.admits(event):
-            return
-        self.count += 1
-        self._accept(event)
+        """Offer one event object: :meth:`record` of its parts."""
+        self.record(event.time, event.kind, event.node, event.fields)
 
-    def record(self, time: float, kind: str, node: int, fields: dict[str, Any]) -> None:
-        """Offer one occurrence as its parts — what :meth:`Trace.record`
-        hands over; a sink that stores no event objects overrides this."""
-        self.emit(TraceEvent(time, kind, node, fields))
+    def record(self, time: float, kind: str, node: int, fields: dict[str, Any]) -> bool:
+        """Offer one record as its parts — what :meth:`Trace.record` hands
+        over.  True when the filter admits it, and then it is counted."""
+        if self.filter is not None and not self.filter.admits(time, kind, node):
+            return False
+        self.count += 1
+        return True
 
     def record_copies(
         self, time: float, kind: str, node: int,
@@ -352,9 +368,6 @@ class TraceSink:
             copy = fields.copy()
             copy.update(zip(keys, row))
             self.record(time, kind, node, copy)
-
-    def _accept(self, event: TraceEvent) -> None:
-        raise NotImplementedError
 
     def rows(self) -> Iterable[TraceRow]:
         """The accepted records as ``(time, kind, node, fields)`` rows, in
@@ -398,15 +411,11 @@ class MemorySink(TraceSink):
         self._rows: list[TraceRow] = []
         self._events: list[TraceEvent] = []
 
-    def _accept(self, event: TraceEvent) -> None:
-        self._rows.append((event.time, event.kind, event.node, event.fields))
-
-    def record(self, time: float, kind: str, node: int, fields: dict[str, Any]) -> None:
-        if self.filter is not None:  # only a filter needs an event object
-            super().record(time, kind, node, fields)
-        else:
-            self.count += 1
+    def record(self, time: float, kind: str, node: int, fields: dict[str, Any]) -> bool:
+        if super().record(time, kind, node, fields):
             self._rows.append((time, kind, node, fields))
+            return True
+        return False
 
     def rows(self) -> list[TraceRow]:
         return self._rows
@@ -424,9 +433,6 @@ class NullSink(TraceSink):
     Useful to measure tracing overhead (the record path runs, storage
     does not) and as an explicit "no trace wanted" marker.
     """
-
-    def _accept(self, event: TraceEvent) -> None:
-        pass
 
     def events(self) -> list[TraceEvent]:
         return []
@@ -469,42 +475,37 @@ class JsonlSink(TraceSink):
         self.path = os.fspath(path)
         self._buffer_bytes = buffer_bytes
         self._handle: io.TextIOWrapper | None = None
+        self._started = False  # set by the first write, which truncates
 
-    def _accept(self, event: TraceEvent) -> None:
-        self._write(event.to_json())
-
-    def record(self, time: float, kind: str, node: int, fields: dict[str, Any]) -> None:
-        if self.filter is not None:  # only a filter needs an event object
-            super().record(time, kind, node, fields)
-        else:
-            self.count += 1
+    def record(self, time: float, kind: str, node: int, fields: dict[str, Any]) -> bool:
+        if super().record(time, kind, node, fields):
             self._write(jsonl_line(time, kind, node, fields))
+            return True
+        return False
 
     def record_copies(
         self, time: float, kind: str, node: int,
         fields: dict[str, Any], keys: Sequence[str], rows: Sequence[tuple],
     ) -> None:
-        """One line rendered per call, then one ``%`` format per copy."""
-        if (
-            self.filter is not None
-            or len(rows) < 2
-            or not set(map(type, chain.from_iterable(rows))) <= _SLOT_TYPES
-        ):
+        """One line rendered per call, then one ``%`` format per copy.  The
+        copies share ``time``, ``kind`` and ``node``, so one filter test
+        decides them all."""
+        if len(rows) < 2 or not set(map(type, chain.from_iterable(rows))) <= _SLOT_TYPES:
             super().record_copies(time, kind, node, fields, keys, rows)
-            return
-        order = sorted(keys)
-        if order != list(keys):
-            pick = itemgetter(*map(keys.index, order))
-            rows = [pick(row) for row in rows]
-        line = _copies_template(time, kind, node, fields, keys)
-        self._write("\n".join([line % row for row in rows]))
-        # Counted after the write: the first write truncates on count <= 1.
-        self.count += len(rows)
+        elif self.filter is None or self.filter.admits(time, kind, node):
+            order = sorted(keys)
+            if order != list(keys):
+                pick = itemgetter(*map(keys.index, order))
+                rows = [pick(row) for row in rows]
+            line = _copies_template(time, kind, node, fields, keys)
+            self.count += len(rows)
+            self._write("\n".join([line % row for row in rows]))
 
     def _write(self, line: str) -> None:
         if self._handle is None:
-            # First event truncates; a reopen (after close/pickle) appends.
-            mode = "w" if self.count <= 1 else "a"
+            # The first write truncates; a reopen (after close/pickle) appends.
+            mode = "a" if self._started else "w"
+            self._started = True
             if self.path.endswith(".gz"):
                 self._handle = gzip.open(self.path, mode + "t", encoding="utf-8")
             else:
@@ -527,12 +528,12 @@ class JsonlSink(TraceSink):
         return starmap(TraceEvent, self.rows())
 
     def rows(self) -> Iterator[TraceRow]:
-        """Stream the accepted records back from disk, as rows."""
+        """Stream the accepted records back from disk, as rows
+        (:func:`trace_rows` of the file)."""
         self.flush()
         if self.count == 0 or not os.path.exists(self.path):
-            return
-        with open_trace_text(self.path) as handle:
-            yield from _trace_rows(iter_jsonl_dicts(handle), self.path)
+            return iter(())
+        return trace_rows(self.path)
 
     def flush(self) -> None:
         if self._handle is not None:
@@ -612,10 +613,10 @@ class Trace:
 
         Raises:
             ValueError: a line that is not JSON, or not a trace record
-                (:func:`checked_records`).
+                (checked as :func:`trace_rows` checks a file).
         """
         sink = MemorySink()
-        sink._rows = list(_trace_rows(iter_jsonl_dicts(text.splitlines()), "trace"))
+        sink._rows = list(_checked_rows(iter_jsonl_dicts(text.splitlines()), "trace", True))
         sink.count = len(sink._rows)
         return cls(enabled=True, sink=sink)
 
@@ -636,3 +637,36 @@ class Trace:
         if limit is not None and len(events) > limit:
             lines.append(f"... (+{len(events) - limit} more events)")
         return "\n".join(lines)
+
+
+#: What every trace analysis reads: a JSONL trace path, a :class:`Trace`,
+#: or trace record dicts (``{"time", "kind", "node", **fields}``).
+TraceSource = str | os.PathLike[str] | Trace | Iterable[dict[str, Any]]
+
+
+def trace_rows(source: TraceSource) -> Iterator[TraceRow]:
+    """The records of ``source`` as ``(time, kind, node, fields)`` rows, in
+    order: the one trace reader.
+
+    A path is streamed with bounded memory (``.gz`` decompressed
+    transparently, multi-member archives included); a :class:`Trace` hands
+    back its sink's rows; record dicts are copied, never mutated.  Every
+    record read from a file or handed in as a dict is checked.
+
+    Raises:
+        ValueError: ``"<path>: trace record N …"`` (``"trace: …"`` for
+            dicts) for a record that is not a dict with a ``time`` and a
+            ``kind``; ``"<path>: trace truncated after N records"`` for a
+            compressed file cut short, after its N complete records.  A line
+            that is not JSON raises what ``json.loads`` raises.
+    """
+    if isinstance(source, Trace):
+        return iter(source.rows())
+    if isinstance(source, (str, os.PathLike)):
+        return _file_rows(os.fspath(source))
+    return _checked_rows(source, "trace", False)
+
+
+def _file_rows(path: str) -> Iterator[TraceRow]:
+    with open_trace_text(path) as handle:
+        yield from _checked_rows(iter_jsonl_dicts(handle), path, True)

@@ -10,7 +10,9 @@ Three pillars:
   million-event traces to disk with bounded memory.
 * **trace forensics** (:mod:`repro.observability.inspect`) — the streaming
   analysis behind the ``repro inspect`` CLI: message-usage accounting,
-  per-view timelines, stall forensics.
+  per-view timelines, stall forensics.  It, the causality DAG, the phase
+  analyzer and the health replay read ``(time, kind, node, fields)`` rows
+  through one reader, :func:`~repro.core.tracing.trace_rows`.
 * **streaming run health** (:mod:`repro.observability.health`) — O(1)
   rolling-window anomaly detectors fed from the dispatch loop (view
   storms, stragglers, backlog growth, fan-in spikes, client starvation),
@@ -21,6 +23,7 @@ Telemetry never influences simulation behavior: with everything enabled or
 everything disabled, ``result_fingerprint`` is byte-identical.
 """
 
+from ..core.tracing import trace_rows
 from .causality import (
     CausalityGraph,
     CriticalPath,
@@ -40,13 +43,7 @@ from .health import (
     render_health,
     replay_health,
 )
-from .inspect import (
-    TraceReport,
-    analyze_trace,
-    iter_events,
-    iter_trace_file,
-    render_report,
-)
+from .inspect import TraceReport, analyze_trace, render_report
 from .metrics import (
     Counter,
     Histogram,
@@ -90,8 +87,6 @@ __all__ = [
     "analyze_trace_health",
     "critical_path",
     "critical_paths",
-    "iter_events",
-    "iter_trace_file",
     "quorum_timeline",
     "quorum_timelines",
     "render_critical_paths",
@@ -100,4 +95,5 @@ __all__ = [
     "render_phase_report",
     "render_quorum_timelines",
     "render_report",
+    "trace_rows",
 ]

@@ -27,20 +27,20 @@ Two analyses are built on the DAG:
   straggler, and how many votes arrived after the quorum was already
   complete (wasted messages, the price of broadcast-based protocols).
 
-Both consume the same sources as :func:`~repro.observability.inspect.analyze_trace`
-(a JSONL file path, a :class:`~repro.core.tracing.Trace`, or raw event
-dicts) but build index maps keyed by message/timer id, so memory grows with
-the trace — use on per-run forensics, not unbounded streams.
+Both read rows through :func:`~repro.core.tracing.trace_rows`, like
+:func:`~repro.observability.inspect.analyze_trace` (a JSONL file path, a
+:class:`~repro.core.tracing.Trace`, or raw event dicts), but build index
+maps keyed by message/timer id, so memory grows with the trace — use on
+per-run forensics, not unbounded streams.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping, NamedTuple
+from typing import Any, NamedTuple
 
-from ..core.tracing import Trace
-from .inspect import iter_events
+from ..core.tracing import TraceSource, trace_rows
 
 
 class SendRecord(NamedTuple):
@@ -92,10 +92,7 @@ class CausalityGraph:
     decisions: list[DecisionRecord]
 
     @classmethod
-    def build(
-        cls,
-        source: str | os.PathLike[str] | Trace | Iterable[Mapping[str, Any]],
-    ) -> "CausalityGraph":
+    def build(cls, source: TraceSource) -> "CausalityGraph":
         """One pass over ``source`` building the id-keyed index maps.
 
         Raises:
@@ -107,9 +104,8 @@ class CausalityGraph:
         delivers: dict[int, DeliverRecord] = {}
         timers: dict[int, TimerRecord] = {}
         decisions: list[DecisionRecord] = []
-        for index, event in enumerate(iter_events(source), 1):
-            get = event.get
-            kind = get("kind")
+        for index, (time, kind, node, fields) in enumerate(trace_rows(source), 1):
+            get = fields.get
             if kind == "send" or kind == "deliver":
                 msg_id = get("msg_id")
                 if msg_id is None:
@@ -122,26 +118,26 @@ class CausalityGraph:
                 msg_id = int(msg_id)
             if kind == "send":
                 sends[msg_id] = SendRecord(
-                    msg_id, float(event["time"]), int(get("node", -1)),
+                    msg_id, float(time), int(node),
                     int(get("dest", -1)), str(get("msg_type", "?")), get("cause"),
                     get("slot"), get("view"), get("origin"),
                 )
             elif kind == "deliver":
                 delivers[msg_id] = DeliverRecord(
-                    msg_id, float(event["time"]), int(get("source", -1)),
-                    int(get("node", -1)), str(get("msg_type", "?")), get("cause"),
+                    msg_id, float(time), int(get("source", -1)),
+                    int(node), str(get("msg_type", "?")), get("cause"),
                     get("slot"), get("view"),
                 )
             elif kind == "timer":
                 timer_id = int(get("timer_id", -1))
                 if timer_id >= 0:
                     timers[timer_id] = TimerRecord(
-                        timer_id, float(event["time"]), int(get("node", -1)),
+                        timer_id, float(time), int(node),
                         str(get("name", "?")), get("cause"),
                     )
             elif kind == "decide":
                 decisions.append(DecisionRecord(
-                    float(event["time"]), int(get("node", -1)), get("slot"),
+                    float(time), int(node), get("slot"),
                     get("value"), get("cause"),
                 ))
         return cls(sends=sends, delivers=delivers, timers=timers, decisions=decisions)

@@ -73,12 +73,12 @@ window width.
 
 from __future__ import annotations
 
-import os
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
 from ..core.config import check_finite
+from ..core.tracing import TraceSource, trace_rows
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..core.controller import Controller
@@ -588,7 +588,7 @@ def _sample_fields(event: Mapping[str, Any]) -> dict[str, Any]:
 
 
 def replay_health(
-    source: "str | os.PathLike[str] | Trace | Iterable[Mapping[str, Any]]",
+    source: TraceSource,
     n: int,
     window_ms: float = DEFAULT_WINDOW_MS,
 ) -> HealthMonitor:
@@ -601,39 +601,30 @@ def replay_health(
     recorded *without* health enabled has no samples, so no windows
     close — replay is only meaningful against health-enabled traces.
     """
-    from .inspect import iter_events
-
     monitor = HealthMonitor(window_ms)
     monitor.bind(n)
-    for event in iter_events(source):
-        kind = event.get("kind")
+    for time, kind, node, fields in trace_rows(source):
         if kind == "health-sample":
-            monitor.close_window(float(event["time"]), _sample_fields(event))
+            monitor.close_window(float(time), _sample_fields(fields))
         elif kind == "deliver":
-            now = float(event["time"])
+            now = float(time)
             monitor.on_deliver(
-                int(event.get("node", -1)),
-                int(event.get("source", -1)),
-                str(event.get("msg_type", "")),
+                int(node),
+                int(fields.get("source", -1)),
+                str(fields.get("msg_type", "")),
                 now,
                 now,  # the send time is in no deliver record; no detector reads it
             )
         elif kind == "decide":
-            node = int(event.get("node", -1))
+            node = int(node)
             if 0 <= node < monitor.n:
-                monitor.on_decide(node, float(event["time"]))
-        elif kind == "view" and "view" in event:
-            monitor.on_view(
-                int(event.get("node", -1)),
-                int(event["view"]),
-                float(event["time"]),
-            )
+                monitor.on_decide(node, float(time))
+        elif kind == "view" and "view" in fields:
+            monitor.on_view(int(node), int(fields["view"]), float(time))
     return monitor
 
 
-def analyze_trace_health(
-    source: "str | os.PathLike[str] | Trace | Iterable[Mapping[str, Any]]",
-) -> dict[str, Any]:
+def analyze_trace_health(source: TraceSource) -> dict[str, Any]:
     """Health census of a recorded trace: what the online monitor saw.
 
     One streaming pass collecting the recorded ``health`` detections and
@@ -641,28 +632,25 @@ def analyze_trace_health(
     inspect --health``.  Unlike :func:`replay_health` this never
     re-evaluates detectors: it reports exactly what the run emitted.
     """
-    from .inspect import iter_events
-
     detectors: dict[str, int] = {}
     severities: dict[str, int] = {}
     anomalies: list[dict[str, Any]] = []
     samples = 0
     min_fairness: float | None = None
     last_fairness: float | None = None
-    for event in iter_events(source):
-        kind = event.get("kind")
+    for time, kind, node, fields in trace_rows(source):
         if kind == "health-sample":
             samples += 1
-            fairness = event.get("fairness")
+            fairness = fields.get("fairness")
             if fairness is not None:
                 last_fairness = float(fairness)
                 if min_fairness is None or last_fairness < min_fairness:
                     min_fairness = last_fairness
         elif kind == "health":
-            anomalies.append(dict(event))
-            detector = str(event.get("detector", "?"))
+            anomalies.append({"time": time, "kind": kind, "node": node, **fields})
+            detector = str(fields.get("detector", "?"))
             detectors[detector] = detectors.get(detector, 0) + 1
-            severity = str(event.get("severity", "?"))
+            severity = str(fields.get("severity", "?"))
             severities[severity] = severities.get(severity, 0) + 1
     return {
         "samples": samples,

@@ -1,10 +1,11 @@
 """Trace forensics: the analysis engine behind ``repro inspect``.
 
-Reads a JSONL trace (the on-disk format of
-:class:`~repro.core.tracing.JsonlSink`, byte-identical to
-``Trace.to_jsonl``) in **one streaming pass with bounded memory** — the
-accumulators grow with the protocol vocabulary (message types, views,
-nodes), never with the event count — and produces a :class:`TraceReport`:
+Reads the rows of :func:`~repro.core.tracing.trace_rows` — a JSONL trace
+(the on-disk format of :class:`~repro.core.tracing.JsonlSink`,
+byte-identical to ``Trace.to_jsonl``), a ``Trace`` or record dicts — in
+**one streaming pass with bounded memory** — the accumulators grow with the
+protocol vocabulary (message types, views, nodes), never with the event
+count — and produces a :class:`TraceReport`:
 
 * message-usage accounting that reproduces the run's
   :class:`~repro.core.metrics.MessageCounts` (honest sends, byzantine
@@ -23,12 +24,10 @@ trace.jsonl`` renders the report.
 
 from __future__ import annotations
 
-import os
-import zlib
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Mapping
 
-from ..core.tracing import Trace, checked_records, iter_jsonl_dicts, open_trace_text
+from ..core.tracing import TraceSource, trace_rows
 
 #: Event kinds the controller counts as honest progress (liveness watchdog).
 PROGRESS_KINDS = ("decide", "view", "deliver")
@@ -38,47 +37,6 @@ DROP_KINDS = ("drop", "env-drop", "env-crash-drop", "env-reject", "suppress")
 
 #: Passive annotation kinds excluded from the silent-tail census.
 PASSIVE_KINDS = ("phase", "health", "health-sample")
-
-
-def iter_trace_file(path: str | os.PathLike[str]) -> Iterator[dict[str, Any]]:
-    """Stream the raw event dicts of a JSONL trace file, one at a time.
-
-    Paths ending in ``.gz`` (gzip-compressed sinks) decompress
-    transparently — see :func:`~repro.core.tracing.open_trace_text`.
-    A line that decodes to anything but a trace record
-    (:func:`~repro.core.tracing.checked_records`) is a ``ValueError``, like
-    a line that does not decode at all, and so is a compressed file cut
-    short (a sink killed mid-write): the records before the cut are
-    yielded first.
-    """
-    index = 0
-    try:
-        with open_trace_text(path) as handle:
-            records = checked_records(iter_jsonl_dicts(handle), os.fspath(path))
-            for index, event in enumerate(records, 1):
-                yield event
-    except (EOFError, zlib.error) as error:
-        raise ValueError(
-            f"{os.fspath(path)}: trace truncated after {index} records"
-        ) from error
-
-
-def iter_events(
-    source: str | os.PathLike[str] | Trace | Iterable[Mapping[str, Any]],
-) -> Iterable[Mapping[str, Any]]:
-    """Event dicts from a file path, a :class:`Trace`, or an iterable.
-
-    The shared input coercion for every trace analysis
-    (:func:`analyze_trace`, the causality DAG, the phase analyzer).
-    """
-    if isinstance(source, Trace):
-        return (
-            {"time": time, "kind": kind, "node": node, **fields}
-            for time, kind, node, fields in source.rows()
-        )
-    if isinstance(source, (str, os.PathLike)):
-        return iter_trace_file(source)
-    return source
 
 
 @dataclass
@@ -195,13 +153,10 @@ class TraceReport:
         }
 
 
-def analyze_trace(
-    source: str | os.PathLike[str] | Trace | Iterable[Mapping[str, Any]],
-) -> TraceReport:
+def analyze_trace(source: TraceSource) -> TraceReport:
     """One streaming pass over a trace, from a file path, a
-    :class:`~repro.core.tracing.Trace`, or an iterable of event dicts."""
-    events = iter_events(source)
-
+    :class:`~repro.core.tracing.Trace`, or an iterable of event dicts
+    (:func:`~repro.core.tracing.trace_rows`)."""
     report = TraceReport()
     first = True
     # Tail tracking: census of events strictly after the last progress
@@ -210,10 +165,10 @@ def analyze_trace(
     tail: dict[str, int] = {}
     view_entries: dict[int, list[Any]] = {}  # view -> [first, last, node_set]
 
-    for event in events:
-        time = float(event["time"])
-        kind = str(event["kind"])
-        node = int(event.get("node", -1))
+    for time, kind, node, fields in trace_rows(source):
+        time = float(time)
+        kind = str(kind)
+        node = int(node)
         report.events += 1
         if first:
             report.time_start = time
@@ -222,34 +177,34 @@ def analyze_trace(
         report.kind_counts[kind] = report.kind_counts.get(kind, 0) + 1
 
         if kind == "send":
-            if event.get("forged") or event.get("byzantine"):
+            if fields.get("forged") or fields.get("byzantine"):
                 report.byzantine_sent += 1
-                if event.get("origin") == "attacker":
+                if fields.get("origin") == "attacker":
                     report.inserted += 1
             else:
                 report.sent += 1
-            size = int(event.get("size", 0))
+            size = int(fields.get("size", 0))
             report.bytes_sent += size
             stats = report.message_kinds.setdefault(
-                str(event.get("msg_type", "?")), MessageKindStats()
+                str(fields.get("msg_type", "?")), MessageKindStats()
             )
             stats.sends += 1
             stats.bytes += size
         elif kind == "deliver":
             report.delivered += 1
             report.message_kinds.setdefault(
-                str(event.get("msg_type", "?")), MessageKindStats()
+                str(fields.get("msg_type", "?")), MessageKindStats()
             ).delivers += 1
         elif kind in DROP_KINDS:
-            cause = str(event.get("fault", kind))
+            cause = str(fields.get("fault", kind))
             report.dropped[cause] = report.dropped.get(cause, 0) + 1
         elif kind == "decide":
             report.decides += 1
             report.decisions_per_node[node] = (
                 report.decisions_per_node.get(node, 0) + 1
             )
-        elif kind == "view" and "view" in event:
-            view = int(event["view"])
+        elif kind == "view" and "view" in fields:
+            view = int(fields["view"])
             report.max_view = max(report.max_view, view)
             entry = view_entries.get(view)
             if entry is None:
@@ -259,7 +214,7 @@ def analyze_trace(
                 entry[1] = max(entry[1], time)
                 entry[2].add(node)
         elif kind == "timer":
-            name = str(event.get("name", "?"))
+            name = str(fields.get("name", "?"))
             report.timer_counts[name] = report.timer_counts.get(name, 0) + 1
 
         if kind in PROGRESS_KINDS:
@@ -272,7 +227,7 @@ def analyze_trace(
             # tagging the stage it entered, the health monitor sampling a
             # window); counting them as silent-tail work would misreport a
             # healthy terminating run.
-            label = _census_label(kind, event)
+            label = _census_label(kind, fields)
             tail[label] = tail.get(label, 0) + 1
 
     report.tail_census = tail
@@ -285,12 +240,12 @@ def analyze_trace(
     return report
 
 
-def _census_label(kind: str, event: Mapping[str, Any]) -> str:
+def _census_label(kind: str, fields: Mapping[str, Any]) -> str:
     """Histogram key for stall-tail events (mirrors StallReport's census)."""
     if kind == "timer":
-        return f"timer:{event.get('name', '?')}"
+        return f"timer:{fields.get('name', '?')}"
     if kind == "send" or kind in DROP_KINDS:
-        return f"{kind}:{event.get('msg_type', '?')}"
+        return f"{kind}:{fields.get('msg_type', '?')}"
     return kind
 
 

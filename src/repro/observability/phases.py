@@ -14,17 +14,16 @@ phase ``p`` from the event that announced ``p`` until its next phase event
 yields per-view time-in-phase breakdowns whose durations *partition* the
 node's time in the view — per-view phase durations sum to the view duration
 by construction, which the observability test suite asserts for the golden
-PBFT configuration.
+PBFT configuration.  The trace is read as rows, through
+:func:`~repro.core.tracing.trace_rows`.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
-from ..core.tracing import Trace
-from .inspect import iter_events
+from ..core.tracing import TraceSource, trace_rows
 
 
 def _view_key(event: Mapping[str, Any]) -> Any:
@@ -110,9 +109,7 @@ class PhaseReport:
         }
 
 
-def analyze_phases(
-    source: str | os.PathLike[str] | Trace | Iterable[Mapping[str, Any]],
-) -> PhaseReport:
+def analyze_phases(source: TraceSource) -> PhaseReport:
     """Build the per-view time-in-phase report for one trace.
 
     A node's final open phase interval is closed at the trace's end time
@@ -123,15 +120,15 @@ def analyze_phases(
     # Per node: ordered (time, phase, view_key) phase points.
     points: dict[int, list[tuple[float, str, Any]]] = {}
     end_time = 0.0
-    for event in iter_events(source):
-        time = float(event["time"])
+    for time, kind, node, fields in trace_rows(source):
+        time = float(time)
         if time > end_time:
             end_time = time
-        if event.get("kind") != "phase":
+        if kind != "phase":
             continue
-        node = int(event.get("node", -1))
-        phase = str(event.get("phase", "?"))
-        points.setdefault(node, []).append((time, phase, _view_key(event)))
+        node = int(node)
+        phase = str(fields.get("phase", "?"))
+        points.setdefault(node, []).append((time, phase, _view_key(fields)))
         report.transition_counts[phase] = report.transition_counts.get(phase, 0) + 1
     report.end_time = end_time
 

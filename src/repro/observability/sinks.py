@@ -18,7 +18,9 @@ Available sinks:
 * :class:`NullSink` — counts and discards.
 
 All sinks accept an :class:`EventFilter` (kind / node / time-window
-clauses).
+clauses).  A custom sink overrides :meth:`TraceSink.record`, keeping a
+record when ``super().record(...)`` (filter and count) returns True.
+:func:`~repro.core.tracing.trace_rows` reads a sink's file back as rows.
 
 Cost when disabled: every hot-path ``trace.record`` call in the kernel is
 gated on ``trace.enabled``, so a run without tracing pays neither sink

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import copy
 import gzip
 import json
 import os
 import pickle
+import re
 import tempfile
 
 import pytest
@@ -22,8 +24,15 @@ from repro.core.tracing import (
     iter_jsonl_dicts,
     jsonl_line,
     open_trace_text,
+    trace_rows,
 )
-from repro.observability.inspect import iter_trace_file
+from repro.observability import (
+    CausalityGraph,
+    analyze_phases,
+    analyze_trace,
+    analyze_trace_health,
+    replay_health,
+)
 
 
 def test_disabled_trace_records_nothing():
@@ -289,11 +298,46 @@ def test_every_reader_reads_a_multi_member_gzip_trace(tmp_path, monkeypatch):
     with gzip.open(path, "rt", encoding="utf-8") as handle:
         rows = per_line(handle)
     assert [row["node"] for row in rows] == list(range(11))
-    assert list(iter_trace_file(path)) == rows
+    assert [TraceEvent(*row).to_dict() for row in trace_rows(path)] == rows
     assert [e.to_dict() for e in sink.iter_events()] == rows
     with open_trace_text(path) as handle:
         restored = Trace.from_jsonl(handle.read())
     assert [e.to_dict() for e in restored] == rows and len(restored) == 11
+
+    # Cut inside the second member, where the last block read is partial:
+    # every reader yields each complete record, then one ValueError.
+    raw = path.read_bytes()
+    for size in range(len(raw) - 1, 0, -1):
+        path.write_bytes(raw[:size])
+        complete = decompressed_lines(path)
+        if complete > 6 and complete % 4:
+            break
+    assert complete > 6 and complete % 4, "no cut inside a block of the second member"
+    truncated = re.escape(f"{path}: trace truncated after {complete} records")
+    for read in (
+        lambda: trace_rows(path),
+        sink.rows,
+        lambda: map(TraceEvent.to_dict, sink.iter_events()),
+    ):
+        seen = []
+        with pytest.raises(ValueError, match=truncated):
+            seen.extend(read())
+        assert len(seen) == complete
+    for read in (sink.events, lambda: analyze_trace(path), lambda: CausalityGraph.build(path)):
+        with pytest.raises(ValueError, match=truncated):
+            read()
+
+
+def decompressed_lines(path) -> int:
+    """Complete lines in what a cut gzip file still decompresses to."""
+    data = bytearray()
+    with gzip.open(path, "rb") as handle:
+        try:
+            while chunk := handle.read(1):
+                data += chunk
+        except EOFError:
+            pass
+    return data.count(b"\n")
 
 
 # -- one sink call per broadcast: the batch ≡ the per-row loop -----------------
@@ -404,6 +448,19 @@ def test_a_first_record_batch_truncates_a_stale_file(tmp_path):
     ]
 
 
+def test_a_batch_after_one_record_and_a_pickle_reopen_appends(tmp_path):
+    """Only the sink's first write truncates, however many records the
+    reopened sink had counted."""
+    path = tmp_path / "t.jsonl"
+    sink = JsonlSink(path)
+    sink.record(1.0, "tick", 0, {})
+    sink = pickle.loads(pickle.dumps(sink))
+    sink.record_copies(2.0, "send", 1, {}, ("dest", "msg_id"), [(0, 4), (2, 5)])
+    sink.close()
+    assert [e.kind for e in sink.events()] == ["tick", "send", "send"]
+    assert sink.count == 3
+
+
 def test_a_batch_after_a_pickle_reopen_appends(tmp_path):
     path = tmp_path / "t.jsonl"
     sink = JsonlSink(path)
@@ -419,18 +476,59 @@ def test_a_batch_after_a_pickle_reopen_appends(tmp_path):
 # -- malformed records: one ValueError naming the record ------------------------
 
 
-@pytest.mark.parametrize(
-    "text, problem",
-    [
-        ("[1, 2]", "trace record 1 must be a JSON object"),
-        ('{"time": 1.0, "kind": "a"}\n"x"', "trace record 2 must be a JSON object"),
-        ('{"kind": "send", "node": 0}', "trace record 1 must have a 'time' and a 'kind'"),
-        ('{"time": 1.0, "node": 0}', "trace record 1 must have a 'time' and a 'kind'"),
-    ],
-)
+NOT_TRACE_RECORDS = [
+    ("[1, 2]", "trace record 1 must be a JSON object"),
+    ('{"time": 1.0, "kind": "a"}\n"x"', "trace record 2 must be a JSON object"),
+    ('{"kind": "send", "node": 0}', "trace record 1 must have a 'time' and a 'kind'"),
+    ('{"time": 1.0, "node": 0}', "trace record 1 must have a 'time' and a 'kind'"),
+]
+
+#: The analyses that read a trace through ``trace_rows``.
+ANALYSES = {
+    "analyze_trace": analyze_trace,
+    "CausalityGraph.build": CausalityGraph.build,
+    "analyze_phases": analyze_phases,
+    "replay_health": lambda source: replay_health(source, 4),
+    "analyze_trace_health": analyze_trace_health,
+}
+
+
+@pytest.mark.parametrize("text, problem", NOT_TRACE_RECORDS)
 def test_from_jsonl_rejects_what_is_not_a_trace_record(text, problem):
     with pytest.raises(ValueError, match=problem):
         Trace.from_jsonl(text)
+
+
+@pytest.mark.parametrize("analysis", ANALYSES.values(), ids=list(ANALYSES))
+@pytest.mark.parametrize("text, problem", NOT_TRACE_RECORDS + [
+    ('{"kind": "send", "msg_id": 1}', "trace record 1 must have a 'time' and a 'kind'"),
+])
+def test_every_analysis_rejects_in_memory_records_that_are_not_trace_records(
+    analysis, text, problem
+):
+    records = [json.loads(line) for line in text.splitlines()]
+    with pytest.raises(ValueError, match="^" + re.escape(f"trace: {problem}")):
+        analysis(records)
+
+
+def test_analyses_read_record_dicts_without_changing_them():
+    from repro.core.runner import run_simulation
+    from tests.conftest import quick_config
+
+    config = quick_config(num_decisions=3, record_trace=True)
+    trace = run_simulation(config, health=True).trace
+    records = [event.to_dict() for event in trace]
+    before = copy.deepcopy(records)
+    for name, analysis in ANALYSES.items():
+        from_dicts, from_trace = analysis(records), analysis(trace)
+        assert records == before, f"{name} changed the records it read"
+        if name == "CausalityGraph.build":
+            from_dicts, from_trace = vars(from_dicts), vars(from_trace)
+        elif name == "replay_health":
+            from_dicts, from_trace = from_dicts.state_dict(), from_trace.state_dict()
+        elif name != "analyze_trace_health":
+            from_dicts, from_trace = from_dicts.to_dict(), from_trace.to_dict()
+        assert from_dicts == from_trace, name
 
 
 def test_from_jsonl_reuses_each_decoded_record_as_its_rows_fields():

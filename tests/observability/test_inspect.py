@@ -4,12 +4,8 @@ from __future__ import annotations
 
 from repro.core.config import AttackConfig, SimulationConfig
 from repro.core.runner import run_simulation
-from repro.core.tracing import JsonlSink
-from repro.observability.inspect import (
-    analyze_trace,
-    iter_trace_file,
-    render_report,
-)
+from repro.core.tracing import JsonlSink, trace_rows
+from repro.observability.inspect import analyze_trace, render_report
 
 
 def _traced(config: SimulationConfig):
@@ -235,14 +231,14 @@ class TestFileInput:
         assert from_file.to_dict() == in_memory.to_dict()
         assert from_file.events == len(result.trace)
 
-    def test_iter_trace_file_streams_dicts(self, tmp_path):
+    def test_trace_rows_streams_rows_of_a_file(self, tmp_path):
         path = tmp_path / "t.jsonl"
-        run_simulation(
+        result = run_simulation(
             SimulationConfig(protocol="pbft", n=4, seed=11), sink=JsonlSink(path)
         )
-        events = list(iter_trace_file(path))
-        assert events
-        assert all("time" in e and "kind" in e for e in events)
+        rows = list(trace_rows(path))
+        assert len(rows) == len(result.trace)
+        assert all(len(row) == 4 and "time" not in row[3] for row in rows)
 
 
 class TestRendering:

@@ -7,8 +7,10 @@ import tracemalloc
 
 import pytest
 
+from repro.core.config import SimulationConfig
 from repro.core.errors import ConfigurationError
-from repro.core.tracing import Trace, TraceEvent
+from repro.core.runner import run_simulation
+from repro.core.tracing import Trace, TraceEvent, jsonl_line, trace_rows
 from repro.observability.sinks import (
     EventFilter,
     JsonlSink,
@@ -23,30 +25,35 @@ def _event(time=1.0, kind="send", node=0, **fields):
     return TraceEvent(time=time, kind=kind, node=node, fields=fields)
 
 
+def _parts(time=1.0, kind="send", node=0):
+    """The ``(time, kind, node)`` a filter decides on."""
+    return time, kind, node
+
+
 class TestEventFilter:
     def test_default_admits_everything(self):
         f = EventFilter()
-        assert f.admits(_event())
-        assert f.admits(_event(kind="anything", node=-1, time=0.0))
+        assert f.admits(*_parts())
+        assert f.admits(*_parts(kind="anything", node=-1, time=0.0))
 
     def test_kind_clause(self):
         f = EventFilter(kinds=frozenset({"send", "deliver"}))
-        assert f.admits(_event(kind="send"))
-        assert not f.admits(_event(kind="timer"))
+        assert f.admits(*_parts(kind="send"))
+        assert not f.admits(*_parts(kind="timer"))
 
     def test_node_clause_passes_system_events(self):
         f = EventFilter(nodes=frozenset({0, 1}))
-        assert f.admits(_event(node=0))
-        assert not f.admits(_event(node=5))
+        assert f.admits(*_parts(node=0))
+        assert not f.admits(*_parts(node=5))
         # node=-1 means "not node-specific" and always passes.
-        assert f.admits(_event(node=-1))
+        assert f.admits(*_parts(node=-1))
 
     def test_time_window(self):
         f = EventFilter(start=10.0, end=20.0)
-        assert not f.admits(_event(time=9.9))
-        assert f.admits(_event(time=10.0))
-        assert f.admits(_event(time=19.9))
-        assert not f.admits(_event(time=20.0))  # end is exclusive
+        assert not f.admits(*_parts(time=9.9))
+        assert f.admits(*_parts(time=10.0))
+        assert f.admits(*_parts(time=19.9))
+        assert not f.admits(*_parts(time=20.0))  # end is exclusive
 
     def test_parse_full_grammar(self):
         f = EventFilter.parse("kind=send,deliver; node=0,1; window=100:200")
@@ -102,11 +109,12 @@ class TestNullSink:
 class TestBaseSink:
     def test_base_events_raises_buffer_unavailable(self):
         class WriteOnly(TraceSink):
-            def _accept(self, event):
-                pass
+            def record(self, time, kind, node, fields):
+                return super().record(time, kind, node, fields)  # keeps no rows
 
         sink = WriteOnly()
         sink.emit(_event())
+        assert sink.count == 1
         with pytest.raises(TraceBufferUnavailable):
             sink.events()
 
@@ -328,14 +336,14 @@ class TestGzipSink:
         assert len(lines) == sink.count
 
     def test_gz_trace_reads_like_plain_jsonl(self, tmp_path):
-        from repro.observability.inspect import analyze_trace, iter_events
+        from repro.observability.inspect import analyze_trace
 
         gz_path = tmp_path / "run.jsonl.gz"
         plain_path = tmp_path / "run.jsonl"
         self._run_to(gz_path)
         self._run_to(plain_path)
-        gz_events = list(iter_events(gz_path))
-        assert gz_events == list(iter_events(plain_path))
+        gz_rows = list(trace_rows(gz_path))
+        assert gz_rows == list(trace_rows(plain_path))
         gz_report = analyze_trace(gz_path)
         assert gz_report.to_dict() == analyze_trace(plain_path).to_dict()
 
@@ -344,3 +352,49 @@ class TestGzipSink:
         self._run_to(path)
         text = path.read_text()  # would raise UnicodeDecodeError on gzip
         assert text.startswith("{")
+
+
+FILTERS = [
+    "node=0,3",
+    "kind=send,deliver",
+    "window=300:900",
+    "kind=send; node=2; window=0:1200",
+]
+
+
+class TestFilteredRuns:
+    """A filtered sink keeps exactly the records of the unfiltered trace
+    that pass its filter, in order — shared broadcasts included, which
+    reach the filter through ``record_copies``."""
+
+    @staticmethod
+    def _config(mode: str) -> SimulationConfig:
+        from tests.conftest import quick_config
+
+        return quick_config(n=16, seed=3, num_decisions=2, dissemination=mode)
+
+    @pytest.fixture(scope="class")
+    def unfiltered(self):
+        return {
+            mode: list(run_simulation(self._config(mode), sink=MemorySink()).trace.rows())
+            for mode in ("full", "tree")
+        }
+
+    @pytest.mark.parametrize("spec", FILTERS)
+    @pytest.mark.parametrize("mode", ["full", "tree"])
+    def test_filtered_sinks_keep_the_admitted_records(self, unfiltered, mode, spec, tmp_path):
+        event_filter = EventFilter.parse(spec)
+        expected = [row for row in unfiltered[mode] if event_filter.admits(*row[:3])]
+        assert 0 < len(expected) < len(unfiltered[mode])
+
+        memory = MemorySink(filter=event_filter)
+        run_simulation(self._config(mode), sink=memory)
+        assert memory.rows() == expected and memory.count == len(expected)
+
+        path = tmp_path / "filtered.jsonl"
+        jsonl = JsonlSink(path, filter=event_filter)
+        run_simulation(self._config(mode), sink=jsonl)
+        assert path.read_text(encoding="utf-8") == "".join(
+            jsonl_line(*row) + "\n" for row in expected
+        )
+        assert jsonl.count == len(expected)
