@@ -48,7 +48,7 @@ from .core.config import (
 from .core.errors import SimulationError
 from .core.results import RunFailure, result_attachments
 from .core.runner import run_batch, run_simulation, sweep
-from .core.tracing import EventFilter, JsonlSink
+from .core.tracing import EventFilter, JsonlSink, Trace
 from .faults import available_presets, parse_faults_spec
 from .observability.causality import (
     CausalityGraph,
@@ -558,7 +558,12 @@ def _resolve_trace(args: argparse.Namespace) -> str:
     store_path = getattr(args, "store", None)
     run_id: int | None = None
     if trace.startswith("store:"):
-        run_id = int(trace[len("store:"):])
+        try:
+            run_id = int(trace[len("store:"):])
+        except ValueError:
+            raise ValueError(
+                f"{trace!r}: store:<run_id> needs an integer run id"
+            ) from None
     elif store_path is not None and trace.isdigit():
         run_id = int(trace)
     if run_id is None:
@@ -588,7 +593,10 @@ def _resolve_trace(args: argparse.Namespace) -> str:
 
 def cmd_inspect(args: argparse.Namespace) -> int:
     args.trace = _resolve_trace(args)
-    report = analyze_trace(args.trace)
+    # Several analyses of one file share one decoding; a bare report streams.
+    analyses = args.critical_path or args.quorum or args.phases or args.health
+    source = Trace.read(args.trace) if analyses else args.trace
+    report = analyze_trace(source)
     if report.events == 0:
         # An empty trace is a valid (if boring) run artifact, not an error:
         # the file parsed fine, it just recorded nothing.
@@ -597,14 +605,14 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     wants_causality = args.critical_path or args.quorum
     paths = timelines = phase_report = None
     if wants_causality:
-        graph = CausalityGraph.build(args.trace)
+        graph = CausalityGraph.build(source)
         if args.critical_path:
             paths = critical_paths(graph)
         if args.quorum:
             timelines = quorum_timelines(graph)
     if args.phases:
-        phase_report = analyze_phases(args.trace)
-    health_analysis = analyze_trace_health(args.trace) if args.health else None
+        phase_report = analyze_phases(source)
+    health_analysis = analyze_trace_health(source) if args.health else None
     if args.json:
         data = report.to_dict()
         if paths is not None:
@@ -656,7 +664,10 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
 def _load_metrics(path: str) -> RunMetrics:
     with open(path, encoding="utf-8") as handle:
-        return RunMetrics.from_dict(json.load(handle))
+        try:
+            return RunMetrics.from_dict(json.load(handle))
+        except ValueError as error:
+            raise ValueError(f"{path}: {error}") from None
 
 
 def _cmd_mine_check(args: argparse.Namespace) -> int:

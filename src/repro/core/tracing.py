@@ -560,6 +560,10 @@ class Trace:
     it works wherever the sink can hand events back.
     """
 
+    #: What an analysis calls this trace in an error: the file it was
+    #: :meth:`read` from, else ``"trace"``.
+    name = "trace"
+
     def __init__(self, enabled: bool = True, sink: TraceSink | None = None) -> None:
         self.enabled = enabled
         self.sink = sink if sink is not None else MemorySink()
@@ -615,8 +619,22 @@ class Trace:
             ValueError: a line that is not JSON, or not a trace record
                 (checked as :func:`trace_rows` checks a file).
         """
+        return cls._holding(_checked_rows(iter_jsonl_dicts(text.splitlines()), "trace", True))
+
+    @classmethod
+    def read(cls, path: str | os.PathLike[str]) -> "Trace":
+        """Decode the trace file at ``path`` (``.gz`` too) once, through
+        :func:`trace_rows`: for several analyses of one file, each of which
+        would otherwise decode it again.  The trace keeps ``path`` as its
+        :attr:`name`."""
+        trace = cls._holding(trace_rows(path))
+        trace.name = os.fspath(path)
+        return trace
+
+    @classmethod
+    def _holding(cls, rows: Iterable[TraceRow]) -> "Trace":
         sink = MemorySink()
-        sink._rows = list(_checked_rows(iter_jsonl_dicts(text.splitlines()), "trace", True))
+        sink._rows = list(rows)
         sink.count = len(sink._rows)
         return cls(enabled=True, sink=sink)
 

@@ -40,7 +40,7 @@ import os
 from dataclasses import dataclass
 from typing import Any, NamedTuple
 
-from ..core.tracing import TraceSource, trace_rows
+from ..core.tracing import Trace, TraceSource, trace_rows
 
 
 class SendRecord(NamedTuple):
@@ -110,7 +110,8 @@ class CausalityGraph:
                 msg_id = get("msg_id")
                 if msg_id is None:
                     where = (
-                        os.fspath(source) if isinstance(source, (str, os.PathLike)) else "trace"
+                        os.fspath(source) if isinstance(source, (str, os.PathLike))
+                        else source.name if isinstance(source, Trace) else "trace"
                     )
                     raise ValueError(
                         f"{where}: trace record {index} is a {kind!r} record without a 'msg_id'"

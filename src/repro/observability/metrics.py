@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from numbers import Real
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from ..core.config import check_finite
@@ -46,6 +47,28 @@ def _escape_label_value(value: Any) -> str:
         .replace('"', '\\"')
         .replace("\n", "\\n")
     )
+
+
+def _fields(name: str, value: Any, required: Sequence[str] = ()) -> dict[str, Any]:
+    """``value``, unless it is not a JSON object holding ``required``."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be a JSON object, got {value!r}")
+    missing = [key for key in required if key not in value]
+    if missing:
+        raise ValueError(f"{name} lacks {', '.join(map(repr, missing))}")
+    return value
+
+
+def _list(name: str, value: Any) -> list[Any]:
+    if not isinstance(value, list):
+        raise ValueError(f"{name} must be a list, got {value!r}")
+    return value
+
+
+def _number(name: str, value: Any) -> float:
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 def series_name(name: str, labels: dict[str, Any]) -> str:
@@ -111,12 +134,19 @@ class HistogramData:
         }
 
     @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "HistogramData":
+    def from_dict(cls, data: Any, name: str = "histogram") -> "HistogramData":
+        """Inverse of :meth:`to_dict`; another shape is a ``ValueError``."""
+        data = _fields(name, data, ("bounds", "bucket_counts", "total", "count"))
         return cls(
-            bounds=tuple(data["bounds"]),
-            bucket_counts=tuple(data["bucket_counts"]),
-            total=float(data["total"]),
-            count=int(data["count"]),
+            bounds=tuple(
+                _number(f"{name} bound", b) for b in _list(f"{name} bounds", data["bounds"])
+            ),
+            bucket_counts=tuple(
+                int(_number(f"{name} bucket count", c))
+                for c in _list(f"{name} bucket_counts", data["bucket_counts"])
+            ),
+            total=_number(f"{name} total", data["total"]),
+            count=int(_number(f"{name} count", data["count"])),
         )
 
 
@@ -450,21 +480,31 @@ class RunMetrics:
         }
 
     @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "RunMetrics":
+    def from_dict(cls, data: Any) -> "RunMetrics":
+        """Inverse of :meth:`to_dict`; a document of another shape is a
+        ``ValueError`` naming the key, never a ``KeyError`` or ``TypeError``."""
+        data = _fields("metrics", data, ("interval_ms", "sim_time_ms"))
+        samples = []
+        for sample in _list("metrics samples", data.get("samples", [])):
+            if not isinstance(sample, list) or len(sample) != 3:
+                raise ValueError(f"a metrics sample must be [time, series, value], got {sample!r}")
+            time, series, value = sample
+            samples.append((_number("sample time", time), str(series), _number(series, value)))
+        counters, gauges, histograms, families = (
+            _fields(f"metrics {key}", data.get(key, {}))
+            for key in ("counters", "gauges", "histograms", "families")
+        )
         return cls(
-            interval_ms=float(data["interval_ms"]),
-            sim_time_ms=float(data["sim_time_ms"]),
-            runs=int(data.get("runs", 1)),
-            counters={k: float(v) for k, v in data.get("counters", {}).items()},
-            gauges={k: float(v) for k, v in data.get("gauges", {}).items()},
+            interval_ms=_number("metrics interval_ms", data["interval_ms"]),
+            sim_time_ms=_number("metrics sim_time_ms", data["sim_time_ms"]),
+            runs=int(_number("metrics runs", data.get("runs", 1))),
+            counters={k: _number(k, v) for k, v in counters.items()},
+            gauges={k: _number(k, v) for k, v in gauges.items()},
             histograms={
-                k: HistogramData.from_dict(v)
-                for k, v in data.get("histograms", {}).items()
+                k: HistogramData.from_dict(v, f"histogram {k}") for k, v in histograms.items()
             },
-            samples=tuple(
-                (float(t), str(s), float(v)) for t, s, v in data.get("samples", [])
-            ),
-            families={k: str(v) for k, v in data.get("families", {}).items()},
+            samples=tuple(samples),
+            families={k: str(v) for k, v in families.items()},
         )
 
     # -- human-readable -------------------------------------------------

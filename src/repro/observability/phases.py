@@ -81,10 +81,6 @@ class PhaseReport:
     transition_counts: dict[str, int] = field(default_factory=dict)
     end_time: float = 0.0
 
-    @property
-    def phases_seen(self) -> list[str]:
-        return sorted(self.phase_totals)
-
     def to_dict(self) -> dict[str, Any]:
         """JSON-friendly form (``repro inspect --phases --json``)."""
         return {

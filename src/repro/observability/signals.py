@@ -102,14 +102,6 @@ class LiveSignals:
 
     # -- attacker-side queries ----------------------------------------------
 
-    def delivery_counts(self) -> tuple[int, ...]:
-        """Messages delivered to each node so far (index = node id)."""
-        return tuple(self.delivered)
-
-    def decision_counts(self) -> tuple[int, ...]:
-        """Slots decided by each node so far (index = node id)."""
-        return tuple(self.decided)
-
     def stragglers(self, k: int = 1, exclude: Iterable[int] = ()) -> list[int]:
         """The ``k`` nodes furthest behind on decisions.
 
@@ -143,11 +135,6 @@ class LiveSignals:
         candidates = [i for i in range(self.n) if i not in skip]
         candidates.sort(key=lambda i: (-self.delivered[i], i))
         return candidates[:k]
-
-    def fan_in(self, kind: str) -> tuple[int, ...]:
-        """Per-node delivery counts of one message kind (zeros if unseen)."""
-        per_node = self.kind_fan_in.get(kind)
-        return tuple(per_node) if per_node else (0,) * self.n
 
     def hottest_by_kind(
         self, kind: str, k: int = 1, exclude: Iterable[int] = ()

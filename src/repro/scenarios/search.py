@@ -43,11 +43,12 @@ from __future__ import annotations
 import json
 import statistics
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import Any, Callable
 
 import random
 
-from ..core.config import SimulationConfig
+from ..core.config import SimulationConfig, check_list, check_mapping, check_type
 from ..core.errors import ConfigurationError
 from ..core.results import (
     RunFailure,
@@ -604,13 +605,25 @@ def mine(
 
 
 def load_artifact(path: str) -> dict[str, Any]:
-    """Read and schema-check a mining artifact written by ``repro mine``."""
+    """Read and schema-check a mining artifact written by ``repro mine``:
+    every key :func:`check_artifact`, :func:`winner_config` and
+    :func:`replay_winner` read is checked here, so a malformed file is one
+    ``ConfigurationError`` naming the path and the key."""
     with open(path, encoding="utf-8") as handle:
         data = json.load(handle)
-    if data.get("kind") != ARTIFACT_KIND:
-        raise ConfigurationError(
-            f"{path!r} is not a mining artifact (kind={data.get('kind')!r})"
-        )
+    kind = data.get("kind") if isinstance(data, dict) else None
+    if kind != ARTIFACT_KIND:
+        raise ConfigurationError(f"{path!r} is not a mining artifact (kind={kind!r})")
+    try:
+        check_mapping("base_config", data.get("base_config"))
+        check_list("seeds", data.get("seeds"))
+        baseline = check_mapping("baseline", data.get("baseline"))
+        check_type("baseline.median_latency", baseline.get("median_latency"), Real, "a number")
+        check_list("baseline.fingerprints", baseline.get("fingerprints"))
+        if data.get("winner"):
+            check_mapping("winner.spec", check_mapping("winner", data["winner"]).get("spec"))
+    except ConfigurationError as error:
+        raise ConfigurationError(f"{path!r}: {error}") from None
     return data
 
 

@@ -63,6 +63,7 @@ def run_analysis(trace_path: str) -> dict[str, Any]:
     """
     if not os.path.exists(trace_path):
         return {"available": False, "reason": f"trace file missing: {trace_path}"}
+    from ..core.tracing import Trace
     from ..observability.causality import (
         CausalityGraph,
         critical_paths,
@@ -72,9 +73,10 @@ def run_analysis(trace_path: str) -> dict[str, Any]:
     from ..observability.phases import analyze_phases
 
     try:
-        report = analyze_trace(trace_path)
-        graph = CausalityGraph.build(trace_path)
-        phases = analyze_phases(trace_path)
+        trace = Trace.read(trace_path)  # decoded once for the three analyses
+        report = analyze_trace(trace)
+        graph = CausalityGraph.build(trace)
+        phases = analyze_phases(trace)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         return {"available": False, "reason": f"trace unreadable: {exc}"}
 

@@ -411,6 +411,32 @@ class TestInspect:
         assert "no trace events" in capsys.readouterr().out
 
 
+def assert_one_error_line(capsys, *needles):
+    """The command failed with one ``error:`` line holding ``needles``."""
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert all(needle in err[0] for needle in needles), err[0]
+    assert "Traceback" not in captured.err + captured.out
+
+
+@pytest.mark.parametrize("argv, document, problem", [
+    (["mine", "--check"], [1], "is not a mining artifact"),
+    (["mine", "--check"], {"kind": "repro-mining-artifact", "winner": {"spec": {}}},
+     "base_config must be a mapping"),
+    (["inspect", "store:abc"], None, "store:<run_id> needs an integer run id"),
+], ids=["mine-list", "mine-no-base-config", "inspect-store-abc"])
+def test_malformed_input_is_one_error_line(argv, document, problem, tmp_path, capsys):
+    needles = [problem]
+    if document is not None:
+        path = tmp_path / "artifact.json"
+        path.write_text(json.dumps(document))
+        argv = [*argv, str(path)]
+        needles.append(str(path))
+    assert main(argv) == 1
+    assert_one_error_line(capsys, *needles)
+
+
 class TestMetricsCommand:
     def _write_metrics(self, tmp_path, capsys):
         path = tmp_path / "metrics.json"
@@ -431,6 +457,18 @@ class TestMetricsCommand:
                      "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["metrics"]["counters"]["messages_sent"] == data["messages"]
+
+    @pytest.mark.parametrize("document", [
+        {},
+        [],
+        {"interval_ms": 100, "sim_time_ms": 1, "histograms": {"x": {}}},
+        {"interval_ms": 100, "sim_time_ms": 1, "samples": [[1, 2]]},
+    ], ids=["empty-object", "list", "histogram-without-bounds", "short-sample"])
+    def test_malformed_metrics_file_is_one_error_line(self, document, tmp_path, capsys):
+        path = tmp_path / "metrics.json"
+        path.write_text(json.dumps(document))
+        assert main(["metrics", str(path)]) == 1
+        assert_one_error_line(capsys, f"error: {path}: ")
 
     def test_metrics_table(self, tmp_path, capsys):
         path = self._write_metrics(tmp_path, capsys)

@@ -1,146 +1,53 @@
 """Golden determinism regression tests.
 
-Every registered protocol runs one small fixed-seed configuration; the
-digest of the run's deterministic fields (decisions, decided values, event
-counts, final view, message counts, latency) must match a checked-in golden
-value.  Any change to these digests means a behavioural change to the
-simulator: either an intended protocol/engine change (regenerate the table
-below and say so in the commit) or — the case this suite exists to catch —
-accidental nondeterminism introduced by a refactor, the parallel engine, or
-an environment difference.
-
-Regenerate with::
-
-    PYTHONPATH=src python -c "
-    from tests.core.test_golden_determinism import golden_config, GOLDEN
-    from repro import run_simulation, result_fingerprint
-    for mode in ('full', 'tree', 'gossip'):
-        for name in sorted(GOLDEN):
-            print(mode, name,
-                  result_fingerprint(run_simulation(golden_config(name, mode))))"
+Every registered protocol runs one small fixed-seed configuration
+(``tests.pinned.golden_config``) in each dissemination mode; the run's
+fingerprint, event count and message count must match its case in
+``tests/pinned.json``.  Any change to them means a behavioural change to
+the simulator: either an intended protocol/engine change (re-pin with
+``PYTHONPATH=src python -m tests.pinned "<reason>"`` and say so in the
+commit) or — the case this suite exists to catch — accidental
+nondeterminism introduced by a refactor, the parallel engine, or an
+environment difference.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro import (
-    NetworkConfig,
-    SimulationConfig,
-    available_protocols,
-    get_protocol,
-    result_fingerprint,
-    run_simulation,
-)
-from repro.protocols.base import SYNCHRONOUS
+from repro import available_protocols
 
-#: protocol name -> fingerprint of the golden run's deterministic fields.
-#: These digests predate the dissemination overlays (PR-6) and must stay
-#: byte-identical under the default ``dissemination="full"`` — the overlay
-#: machinery is opt-in and the full path is the seed's broadcast expansion.
-GOLDEN: dict[str, str] = {
-    "add-v1": "51608836f1d6e406fb8ba50e3fb338b9f5ca35410d846c90a24f61af05676d88",
-    "add-v2": "7bf6db419e615b7e367217aeafca93a459d58e0a889afae53b9b8f32a4503eef",
-    "add-v3": "aea4e0207552dce3909bae96a1e9eee6dbef7ce2503a946ca4e1fe1fee934626",
-    "algorand": "47ea4567dc6a25b17f480aa46436ac1be1cbd54c817268b66ca4a19f0855c975",
-    "async-ba": "4827a45a415c100cec232f1c70fb521187372e74ac50e8471369fcc3dde6d58c",
-    "hotstuff-ns": "d5fc15769f311255969b93722d25d3029d7b13a34c8acaa2151a4f6ae4b0373e",
-    "librabft": "b0fce4d7aacff125727f0f23f9aaf8650b9aba82cd329d2422435c36a57097b7",
-    "pbft": "827e13153b68927427b47477ea381a4393846a1d647980bf33892442b244b866",
-    "tendermint": "a7bd87e89c70b3f8c2e7c3187270d40e90d4aaf0569f3991731a39662960155b",
-}
-
-#: Same configuration, ``dissemination="tree"``.  Tree relays reshape delay
-#: draws (one batch from the ``network.dissemination`` substream instead of
-#: per-recipient draws from the transit stream), so these digests differ
-#: from GOLDEN by design; what they pin down is that the overlay itself is
-#: deterministic.
-TREE_GOLDEN: dict[str, str] = {
-    "add-v1": "38cef6859e8c58599477ddd5bc955cc663958d2f11f327d5c7f015f25e582349",
-    "add-v2": "2239149f9109630813e433b73b96109b93d8927c710064c05b6d31cbbc6aba40",
-    "add-v3": "a4eb9e42f7c653a2a86990ed0157a50f02a38317047e57147876efca813adcaf",
-    "algorand": "bf8d4fff4c7c6099b70fb00efb255625247ef04d4a5778d51abe5429b199f2c2",
-    "async-ba": "440025d0b236240704a0abde3004b08c08de4019b25917d2a78ad58641eded05",
-    "hotstuff-ns": "643fea9420d519c6be6f284d806efaff6b979ac8dca89d03fef1de75aa4770f2",
-    "librabft": "cde31d67bf509009982c81a873802bf590e2a0d0991d83ad2c9602f67cba5501",
-    "pbft": "60eaead7d3cd0022d40c5fb38a86bce441a95f1df7b76e2b37aa4746c5ac2b4f",
-    "tendermint": "86ef1cc6f0f27597f9e5f16c44c4fbdcfbe28a6f7c34cba8c9a61aa487fe60c1",
-}
-
-#: Same configuration, ``dissemination="gossip"`` (auto fanout).  The gossip
-#: overlay additionally consumes the ``network.gossip`` substream for its
-#: per-broadcast permutation.
-GOSSIP_GOLDEN: dict[str, str] = {
-    "add-v1": "dff7d7457e528a20f434fae4937c0a1cd4bde9a504f021b11745755d48842c96",
-    "add-v2": "5cee020462913f85b516d0638aae1a996c4ba4b6625f616fe55a6bc6d5e34b82",
-    "add-v3": "c7a1f49d0496768452772e387db10e2305b86b2fbc2341b24368b1e3a1e6963e",
-    "algorand": "f484f1761bb717c08efb3738c5f7f9f5eae37ddc4973a5e7ee02c7ec4cea542b",
-    "async-ba": "34de8e150f3246d8817e5b115a29ba092ad651a4fb32e2e7885dd030d71d6263",
-    "hotstuff-ns": "02e851abf664bcf86ccb427f1618f45b5b4a99f74f6dc90f22f92d385db3e822",
-    "librabft": "17733648e0aad205b30f50768e2415840183de6ac010f4c1750c0a24e17657bf",
-    "pbft": "af9a7c455da34ecdc3c3152ea8f5d795b77c705a38783b6dcbb41e6f714f0334",
-    "tendermint": "05a61f6c332355d2a662aeaaf9aa8368ea5422858dba882ad5fa7adfc571249e",
-}
-
-_MODE_GOLDEN: dict[str, dict[str, str]] = {
-    "full": GOLDEN,
-    "tree": TREE_GOLDEN,
-    "gossip": GOSSIP_GOLDEN,
-}
-
-
-def golden_config(protocol: str, dissemination: str = "full") -> SimulationConfig:
-    """The fixed configuration behind each golden digest."""
-    lam = 500.0
-    max_delay = (
-        0.99 * lam
-        if get_protocol(protocol).network_model == SYNCHRONOUS
-        else None
-    )
-    return SimulationConfig(
-        protocol=protocol,
-        n=4,
-        lam=lam,
-        network=NetworkConfig(
-            mean=50.0, std=10.0, max_delay=max_delay, dissemination=dissemination
-        ),
-        num_decisions=1,
-        seed=2022,
-    )
+from tests.pinned import MODES, expected, golden_case, golden_config, golden_protocols, observe
 
 
 def test_every_builtin_protocol_has_a_golden_digest():
     """New protocols must be added to the golden table.  Underscore-named
     crash-test doubles registered by other test modules are unlisted by the
     registry itself, so they never appear here."""
-    assert sorted(GOLDEN) == available_protocols()
+    assert golden_protocols() == available_protocols()
 
 
-@pytest.mark.parametrize("mode", sorted(_MODE_GOLDEN))
+@pytest.mark.parametrize("mode", sorted(MODES))
 def test_mode_golden_covers_every_protocol(mode):
-    assert sorted(_MODE_GOLDEN[mode]) == available_protocols()
+    assert golden_protocols(mode) == available_protocols()
 
 
-@pytest.mark.parametrize("protocol", sorted(GOLDEN))
-@pytest.mark.parametrize("mode", sorted(_MODE_GOLDEN))
+@pytest.mark.parametrize("protocol", golden_protocols())
+@pytest.mark.parametrize("mode", sorted(MODES))
 def test_golden_digest(protocol, mode):
-    result = run_simulation(golden_config(protocol, mode))
-    assert result.terminated, f"{protocol}/{mode} golden run must terminate"
-    assert result_fingerprint(result) == _MODE_GOLDEN[mode][protocol], (
-        f"{protocol}/{mode}: deterministic output changed; if intentional, "
-        "regenerate the golden table (see module docstring)"
+    case = golden_case(protocol, mode)
+    assert observe(case) == expected(case), (
+        f"{case}: deterministic output changed; if intentional, re-pin it "
+        "(see tests/pinned.py)"
     )
 
 
-@pytest.mark.parametrize("protocol", sorted(GOLDEN))
+@pytest.mark.parametrize("protocol", golden_protocols())
 def test_golden_digest_stable_across_reruns(protocol):
-    config = golden_config(protocol)
-    first = result_fingerprint(run_simulation(config))
-    second = result_fingerprint(run_simulation(config))
-    assert first == second
+    assert observe(golden_case(protocol)) == observe(golden_case(protocol))
 
 
-@pytest.mark.parametrize("protocol", sorted(GOLDEN))
+@pytest.mark.parametrize("protocol", golden_protocols())
 def test_explicit_full_dissemination_matches_seed_golden(protocol):
     """``dissemination="full", fanout=0`` is the default: spelling it out
     must not perturb the fingerprint (the config serializer strips default
@@ -148,5 +55,4 @@ def test_explicit_full_dissemination_matches_seed_golden(protocol):
     config = golden_config(protocol, "full")
     assert config.network.dissemination == "full"
     assert config.network.fanout == 0
-    result = run_simulation(config)
-    assert result_fingerprint(result) == GOLDEN[protocol]
+    assert observe(golden_case(protocol, "full")) == expected(golden_case(protocol))

@@ -328,6 +328,24 @@ def test_every_reader_reads_a_multi_member_gzip_trace(tmp_path, monkeypatch):
             read()
 
 
+def test_read_decodes_a_file_once_and_analysis_errors_name_the_file(tmp_path):
+    """``Trace.read`` holds the rows ``trace_rows`` streams from a ``.gz``
+    file, and an analysis handed that trace names the file, as it does
+    when handed the path."""
+    path = tmp_path / "t.jsonl.gz"
+    with JsonlSink(path) as sink:
+        sink.record(0.0, "send", 0, dict(SEND))
+        sink.record(1.0, "deliver", 1, {"source": 0})
+    trace = Trace.read(path)
+    assert trace.name == str(path) and Trace().name == "trace"
+    assert list(trace.rows()) == list(trace_rows(path)) and len(trace) == 2
+    for source in (path, trace):
+        with pytest.raises(ValueError, match=re.escape(
+            f"{path}: trace record 2 is a 'deliver' record without a 'msg_id'"
+        )):
+            CausalityGraph.build(source)
+
+
 def decompressed_lines(path) -> int:
     """Complete lines in what a cut gzip file still decompresses to."""
     data = bytearray()

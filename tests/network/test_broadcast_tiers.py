@@ -13,7 +13,6 @@ copies on either tier, so it does not change the tier either.
 from __future__ import annotations
 
 import hashlib
-import json
 
 import pytest
 
@@ -25,7 +24,6 @@ from repro import (
     result_fingerprint,
     run_simulation,
 )
-from repro.attacks.base import AttackerContext, Capability
 from repro.core.events import EventQueue, TimeEvent
 from repro.core.message import BROADCAST
 from repro.faults.spec import parse_faults_spec
@@ -34,9 +32,19 @@ from repro.observability.metrics import MetricsRegistry
 from repro.validator.replay import RecordedDelays, replay_simulation
 
 from tests.conftest import quick_config
-from tests.core.test_golden_determinism import GOLDEN, golden_config
-
-MODES = ["full", "tree", "gossip"]
+from tests.pinned import (
+    MODES,
+    TIER_SWITCH_PROTOCOLS,
+    TIER_SWITCHES,
+    _override_odd_destinations,
+    expected,
+    golden_config,
+    golden_protocols,
+    observe,
+    run_switching,
+    switching_config,
+    trace_digest,
+)
 
 
 def force_instrumented(controller: Controller) -> Controller:
@@ -68,7 +76,7 @@ BLOCK_PROTOCOLS = ["pbft", "hotstuff-ns"]
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize(
     "protocol, block_txns",
-    [pytest.param(protocol, 0, id=protocol) for protocol in sorted(GOLDEN)]
+    [pytest.param(protocol, 0, id=protocol) for protocol in golden_protocols()]
     + [pytest.param(protocol, 8, id=f"{protocol}+blocks") for protocol in BLOCK_PROTOCOLS],
 )
 def test_shared_tier_equals_forced_instrumented_tier(protocol, block_txns, mode):
@@ -94,7 +102,7 @@ SCHEDULES = {"benign": None, "crash-window": "crash=3@60:250", "crash-forever": 
     "protocol, mode, schedule",
     [
         (protocol, mode, schedule)
-        for protocol in sorted(GOLDEN)
+        for protocol in golden_protocols()
         for mode in MODES
         for schedule in sorted(SCHEDULES)
         # A crash window ends in a recovery, which not every protocol has.
@@ -249,100 +257,30 @@ def test_a_phase_of_n_broadcasts_holds_o_n_heap_entries():
 # -- a run that changes tier mid-way ------------------------------------------
 
 
-def run_switching(controller, switch):
-    """Run ``controller``, calling ``switch(controller)`` after the first decision."""
-    report = controller.report_decision
-    fired = []
-
-    def hooked(node_id, slot, value):
-        report(node_id, slot, value)
-        if not fired:
-            fired.append(True)
-            switch(controller)
-
-    controller.report_decision = hooked
-    return controller.run()
-
-
-def corrupt_node_5(controller):
-    """Adaptive corruption under the genuine NullAttacker: from here on
-    ``controls_message`` can be true, so no broadcast is shared any more."""
-    ctx = AttackerContext(controller, Capability.BYZANTINE | Capability.ADAPTIVE)
-    controller.attacker_ctx = controller.network._attacker_ctx = ctx
-    ctx.corrupt(5)
-
-
-def trace_on(controller):
-    controller.trace.enabled = True
-
-
-def trace_digest(trace) -> str:
-    """Digest of the recorded tail, with ids compared on ``send`` records
-    only and causes not at all: how the pinned ``FULL_MODE_BEFORE_SHARING``
-    digests were taken, before the deliveries of a shared broadcast
-    carried per-copy ids."""
-    rows = []
-    for event in trace:
-        fields = dict(event.fields)
-        fields.pop("cause", None)
-        if event.kind != "send":
-            fields.pop("msg_id", None)
-        rows.append([event.time, event.kind, event.node, sorted(fields.items())])
-    return hashlib.sha256(json.dumps(rows, default=str).encode()).hexdigest()
-
-
-#: (protocol) -> values of the switching runs below in ``full`` mode at the
-#: commit before broadcasts were shared (per-copy fan-out throughout):
-#: fingerprint after mid-run corruption, fingerprint and trace-tail digest
-#: after enabling the trace mid-run, and the next free message id.
-FULL_MODE_BEFORE_SHARING = {
-    "pbft": (
-        "221f3b1ccd326343f35daabd05ed552a9e9e10b1d7bc7ecdf244a88214640173",
-        "bc06485938afd4cea76a4652be5e7b2557956209c3a9a94f89627fd853877f60",
-        "c2bb0563464d8475e93de03147ac1656c0bc67c9339847eb3f8618bf6181b64a",
-        330,
-    ),
-    "hotstuff-ns": (
-        "396e62c37ccdecce4fbb4a45c629114486a4b0df7c484080e1604a85c7ffb7fe",
-        "65db74a3254ad71aaafbd0b4f89696537cbb8b5e360f37a99f44d34ab0fb2b3c",
-        "60d254664337ffd9a768be5f41b67ca1d28b927f0dd0391a64d56baf6a6a9566",
-        96,
-    ),
-}
-
-
-def switching_config(protocol, mode):
-    return quick_config(protocol=protocol, n=7, num_decisions=3, seed=11, dissemination=mode)
-
-
-@pytest.mark.parametrize("protocol", sorted(FULL_MODE_BEFORE_SHARING))
+@pytest.mark.parametrize("protocol", TIER_SWITCH_PROTOCOLS)
 def test_full_mode_tier_switch_matches_the_per_copy_fan_out(protocol):
-    corrupted, traced, tail, next_id = FULL_MODE_BEFORE_SHARING[protocol]
-    config = switching_config(protocol, "full")
-    result = run_switching(Controller(config), corrupt_node_5)
-    assert result_fingerprint(result) == corrupted
-    controller = Controller(config)
-    result = run_switching(controller, trace_on)
-    assert result_fingerprint(result) == traced
-    assert trace_digest(result.trace) == tail
-    assert controller.next_message_id() == next_id
+    """The ``tier-switch`` cases were pinned while every broadcast fanned
+    out per copy: a run that leaves the shared tier mid-way reproduces it."""
+    for switch in TIER_SWITCHES:
+        case = f"tier-switch/{protocol}/{switch}"
+        assert observe(case) == expected(case)
 
 
 @pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("protocol", sorted(FULL_MODE_BEFORE_SHARING))
-@pytest.mark.parametrize("switch", [corrupt_node_5, trace_on])
+@pytest.mark.parametrize("protocol", TIER_SWITCH_PROTOCOLS)
+@pytest.mark.parametrize("switch", list(TIER_SWITCHES.values()))
 def test_tier_switch_equals_a_run_instrumented_from_the_start(protocol, mode, switch):
     config = switching_config(protocol, mode)
     switched = Controller(config)
     result = run_switching(switched, switch)
     reference = force_instrumented(Controller(config))
-    expected = run_switching(reference, switch)
+    instrumented = run_switching(reference, switch)
 
-    assert result_fingerprint(result) == result_fingerprint(expected)
-    assert trace_digest(result.trace) == trace_digest(expected.trace)
+    assert result_fingerprint(result) == result_fingerprint(instrumented)
+    assert trace_digest(result.trace) == trace_digest(instrumented.trace)
     # Every id and lineage cause too: a delivery still in flight from a
     # shared broadcast is recorded under its own copy's id.
-    assert [e.to_dict() for e in result.trace] == [e.to_dict() for e in expected.trace]
+    assert [e.to_dict() for e in result.trace] == [e.to_dict() for e in instrumented.trace]
     assert switched.next_message_id() == reference.next_message_id()
 
 
@@ -404,8 +342,6 @@ def test_replay_simulation_takes_the_shared_tier(monkeypatch):
 def test_an_unattacked_override_gives_the_per_copy_result_on_the_shared_tier(
     tmp_path, monkeypatch
 ):
-    from tests.network.test_module import _override_odd_destinations
-
     config = quick_config(n=7, num_decisions=2)
     shared_broadcasts = counting_shared_broadcasts(monkeypatch)
     runs = []

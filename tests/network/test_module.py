@@ -2,16 +2,11 @@
 
 from __future__ import annotations
 
-import hashlib
-
 import pytest
 
-from repro import AttackConfig, Controller, JsonlSink, Message, result_fingerprint
-from repro.attacks.base import Attacker, Capability
-from repro.attacks.registry import register_attack
+from repro import AttackConfig, Message
+from repro.attacks.base import Capability
 from repro.core.message import BROADCAST
-from repro.faults.spec import parse_faults_spec
-from repro.scenarios.spec import load_scenario
 
 from tests.attacks.support import (
     ScriptedAttacker,
@@ -21,6 +16,7 @@ from tests.attacks.support import (
     submit,
 )
 from tests.conftest import quick_config
+from tests.pinned import INSTRUMENTED_RUNS, expected, observe
 
 
 class TestBroadcast:
@@ -198,123 +194,13 @@ class TestCopyOnWriteUnderAttack:
         assert copied == []
 
 
-@register_attack("_test-mid-broadcast-forger")
-class _MidBroadcastForger(Attacker):
-    """Adds a forged message with no delay beside some copies of a
-    broadcast, so ``network.delay`` is drawn from in the middle of it."""
-
-    capabilities = Capability.OBSERVE | Capability.BYZANTINE
-
-    def setup(self):
-        self.ctx.corrupt(0)
-
-    def attack(self, message):
-        if message.dest % 3 == 1 and message.payload.get("type") == "PREPARE":
-            noise = self.ctx.forge(0, message.dest, {"type": "NOISE", "n": message.dest})
-            return [message, noise]
-        return None
+@pytest.mark.parametrize("case", sorted(INSTRUMENTED_RUNS))
+def test_instrumented_runs_keep_their_pinned_result_and_trace(case):
+    case = f"instrumented/{case}"
+    assert observe(case) == expected(case)
 
 
-def _pbft_n32(decisions, seed, **changes):
-    from repro import NetworkConfig, SimulationConfig
-
-    return SimulationConfig(
-        protocol="pbft", n=32, num_decisions=decisions, seed=seed,
-        network=NetworkConfig(), **changes,
-    )
-
-
-def _override_odd_destinations(controller):
-    controller.network.set_delay_override(
-        lambda message, dest: 40.0 + dest if dest % 2 else None
-    )
-
-
-def _replay_seed_16(controller):
-    from repro import run_simulation
-    from repro.validator.replay import RecordedDelays
-
-    ground_truth = run_simulation(_pbft_n32(5, 16, record_trace=True)).trace
-    controller.network.set_delay_override(RecordedDelays(ground_truth))
-
-
-#: ``(config, prepare)`` -> (result fingerprint, sha256 of the JSONL trace),
-#: recorded on the commit before the instrumented tier went copy-on-write
-#: with a batched star draw.  Each case moves if a delay is drawn in another
-#: order, a copy gets another id or handle, or a record changes.
-PINNED_RUNS = {
-    "forged-insert-mid-broadcast": (
-        lambda: quick_config(
-            n=7, num_decisions=2, attack=AttackConfig(name="_test-mid-broadcast-forger")),
-        None,
-        "9034247b9e3799858be4d09d2000a10260d163cf882017c8b3c26a5d152ee079",
-        # Recorded once forged inserts were re-keyed with per-run ids (the
-        # process-wide id they are constructed with never reaches a record).
-        "24b05cb39b2a08fc76f32b916ba33490f82357a7d3507052abd4670cbb958b40",
-    ),
-    "delay-override": (
-        lambda: quick_config(
-            n=7, num_decisions=2,
-            attack=AttackConfig(name="targeted-delay", params={"factor": 3.0})),
-        _override_odd_destinations,
-        "b0ad2de98fd1275a7d55dd7f7e95cd37c97e825d0569d0c63c1629c70b1b0e49",
-        "b70a9b6389825505c9dbffd84cb11466c6a51853b84247d3922200ef45eed11c",
-    ),
-    "adaptive-chaser": (
-        lambda: load_scenario("adaptive-chaser").apply(_pbft_n32(5, 11)),
-        None,
-        "3b9dc4f0e4216a84f61e561b5afd01ce3d1a45c3692a42931e65c281c7464b8b",
-        "c6025ba428f8e4be24216390c20c2e964a537a309b4a88976024aa39e518e5b4",
-    ),
-    "worst-case-pbft-n32": (
-        lambda: load_scenario("worst-case-pbft-n32").apply(_pbft_n32(2, 12)),
-        None,
-        "97998171f743ef73133bcd6abaf1ad01864b5740c2efe16c811f65a66e9ec1a9",
-        "5d20173b65cbc29dc7ece8ad0c0817cbdf1ba4d0c4891a7b57f0975750cec70e",
-    ),
-    "link-faults": (
-        lambda: _pbft_n32(5, 13, faults=parse_faults_spec("duplicate=0.05; delay=0.1x3")),
-        None,
-        "87c3539b519cd01d44eb48c8a0bb97c3deceed3fdcb7856b611cf742b560aa73",
-        "af7a693e0095154874ec0fbaafc529e7e23bf73d6c3d29767047ec6899574a36",
-    ),
-    # Recorded before a delay override stopped forcing the per-copy tier:
-    # the replay of another seed's pbft n=32 run, with 262 copies the
-    # ground truth never sent priced at its median delay.
-    "replay-pbft-n32": (
-        lambda: _pbft_n32(5, 15),
-        _replay_seed_16,
-        "7241974831851d103d1c4611844f7b5fe30d69cad8482276e55ced9e6d818611",
-        "5205df77ac37993eaeb0336ad7367847bf1dcdcbc4dfb526329e1cd987157af2",
-    ),
-    # Recorded before delays were drawn in blocks: ~8k per-copy draws of
-    # ``network.delay`` and ~1.6k of ``faults.delay`` cross many block
-    # boundaries, before GST (inflated, uncapped) and after it (capped).
-    "partial-sync-link-faults": (
-        lambda: _pbft_n32(
-            4, 14, faults=parse_faults_spec("duplicate=0.2; delay=0.1x3"),
-        ).replace(network={"gst": 800.0, "pre_gst_factor": 3.0, "max_delay": 400.0}),
-        None,
-        "e166ade1718c1198ca1713d4df51a6b11d7d3a577e14a210e89735d0e6d5b883",
-        "35060dcf6887c79aef35c4ded479073d7e38b40b3dfe44ff3058456993695442",
-    ),
-}
-
-
-@pytest.mark.parametrize("case", sorted(PINNED_RUNS))
-def test_instrumented_runs_keep_their_pinned_result_and_trace(case, tmp_path):
-    make_config, prepare, fingerprint, trace_sha256 = PINNED_RUNS[case]
-    path = tmp_path / "trace.jsonl"
-    controller = Controller(make_config(), sink=JsonlSink(path))
-    if prepare is not None:
-        prepare(controller)
-    assert result_fingerprint(controller.run()) == fingerprint
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == trace_sha256
-
-
-def test_a_forging_run_writes_the_same_trace_twice_in_one_process(tmp_path):
-    make_config, _, _, trace_sha256 = PINNED_RUNS["forged-insert-mid-broadcast"]
-    for attempt in range(2):
-        path = tmp_path / f"trace-{attempt}.jsonl"
-        Controller(make_config(), sink=JsonlSink(path)).run()
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == trace_sha256
+def test_a_forging_run_writes_the_same_trace_twice_in_one_process():
+    case = "instrumented/forged-insert-mid-broadcast"
+    for _ in range(2):
+        assert observe(case)["trace_sha256"] == expected(case)["trace_sha256"]

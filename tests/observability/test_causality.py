@@ -25,7 +25,7 @@ from repro.observability import (
     render_critical_paths,
     render_quorum_timelines,
 )
-from tests.core.test_golden_determinism import GOLDEN, golden_config
+from tests.pinned import golden_config, golden_fingerprint, golden_protocols
 
 PROTOCOLS = ["pbft", "hotstuff-ns", "tendermint", "add-v3"]
 
@@ -43,13 +43,13 @@ def _without_causes(events):
 
 
 class TestLineageDeterminism:
-    @pytest.mark.parametrize("protocol", sorted(GOLDEN))
+    @pytest.mark.parametrize("protocol", golden_protocols())
     def test_golden_digest_with_lineage_and_metrics(self, protocol):
         """The acceptance bar: lineage + metrics leave every golden digest
         byte-identical — the whole subsystem costs zero RNG draws and zero
         extra events."""
         result = run_simulation(golden_config(protocol), metrics=True)
-        assert result_fingerprint(result) == GOLDEN[protocol]
+        assert result_fingerprint(result) == golden_fingerprint(protocol)
         assert result.run_metrics is not None
 
 

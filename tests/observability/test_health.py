@@ -35,7 +35,7 @@ from repro.observability.health import (
 )
 from repro.workload import parse_workload_spec
 from tests.conftest import quick_config
-from tests.core.test_golden_determinism import GOLDEN, golden_config
+from tests.pinned import golden_config, golden_fingerprint, golden_protocols
 
 #: Minimal engine sample for windows of a run without a workload.
 SAMPLE = {"queue": 0}
@@ -260,18 +260,18 @@ class TestReportShape:
 
 
 class TestGoldenDeterminism:
-    @pytest.mark.parametrize("protocol", sorted(GOLDEN))
+    @pytest.mark.parametrize("protocol", golden_protocols())
     def test_golden_digest_unchanged_with_health_enabled(self, protocol):
         """Health monitoring is OBSERVE-only: all nine golden digests are
         byte-identical with it on, and the benign runs are all healthy."""
         result = run_simulation(golden_config(protocol), health=True)
-        assert result_fingerprint(result) == GOLDEN[protocol]
+        assert result_fingerprint(result) == golden_fingerprint(protocol)
         assert result.health is not None
         assert result.health.anomaly_count == 0
         # A 50 ms window closes ten times as often: the detector-evaluation
         # path rather than the per-event one, and just as invisible.
         narrow = run_simulation(golden_config(protocol), health=50.0)
-        assert result_fingerprint(narrow) == GOLDEN[protocol]
+        assert result_fingerprint(narrow) == golden_fingerprint(protocol)
         assert narrow.health.windows > result.health.windows
 
     def test_health_report_is_outside_the_fingerprint(self):

@@ -18,7 +18,7 @@ from repro.observability.metrics import (
     RunMetrics,
     series_name,
 )
-from tests.core.test_golden_determinism import golden_config
+from tests.pinned import golden_config
 
 
 def _metered(protocol: str = "pbft", **kwargs) -> RunMetrics:

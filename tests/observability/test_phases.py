@@ -15,7 +15,7 @@ from repro.observability import (
     analyze_phases,
     render_phase_report,
 )
-from tests.core.test_golden_determinism import golden_config
+from tests.pinned import golden_config
 
 #: protocol -> phases its instrumentation must tag in a clean golden run.
 EXPECTED_PHASES = {
@@ -36,7 +36,7 @@ class TestAnalyzePhases:
     @pytest.mark.parametrize("protocol", sorted(EXPECTED_PHASES))
     def test_expected_phases_tagged(self, protocol):
         report = analyze_phases(_events(protocol))
-        assert EXPECTED_PHASES[protocol] <= set(report.phases_seen)
+        assert EXPECTED_PHASES[protocol] <= set(report.phase_totals)
 
     def test_per_view_durations_sum_to_view_duration(self):
         """The acceptance bar: for every (node, view) breakdown, the phase

@@ -22,8 +22,8 @@ def _populated() -> LiveSignals:
 class TestCounters:
     def test_delivery_and_decision_counts(self):
         s = _populated()
-        assert s.delivery_counts() == (2, 1, 1, 0)
-        assert s.decision_counts() == (2, 1, 0, 0)
+        assert s.delivered == [2, 1, 1, 0]
+        assert s.decided == [2, 1, 0, 0]
         assert s.decisions_seen == 3
 
     def test_self_delivery_never_closes_a_quorum(self):
@@ -36,7 +36,7 @@ class TestCounters:
         s = LiveSignals(2)
         s.on_decide(1, 1.0)
         assert s.closing_senders == {}
-        assert s.decision_counts() == (0, 1)
+        assert s.decided == [0, 1]
 
 
 class TestRankings:
@@ -91,17 +91,17 @@ class TestKindFanIn:
 
     def test_fan_in_counts_per_kind(self):
         s = self._kinds()
-        assert s.fan_in("PREPARE") == (0, 2, 1, 0)
-        assert s.fan_in("COMMIT") == (0, 0, 0, 3)
+        assert s.kind_fan_in["PREPARE"] == [0, 2, 1, 0]
+        assert s.kind_fan_in["COMMIT"] == [0, 0, 0, 3]
 
     def test_unseen_kind_is_all_zeros(self):
         s = self._kinds()
-        assert s.fan_in("VIEW-CHANGE") == (0, 0, 0, 0)
+        assert "VIEW-CHANGE" not in s.kind_fan_in
 
     def test_untyped_deliveries_count_only_overall(self):
         s = LiveSignals(2)
         s.on_deliver(0, 1, None, 1.0, 0.0)  # no kind: anonymous delivery
-        assert s.delivery_counts() == (1, 0)
+        assert s.delivered == [1, 0]
         assert s.kind_fan_in == {}
 
     def test_hottest_by_kind_ranks_that_kind_only(self):

@@ -3,8 +3,8 @@
 The acceptance bar for the whole observability subsystem: under every
 subset of the three telemetry options (``sink``, ``metrics``, ``health``),
 ``result_fingerprint`` is byte-identical.
-The golden-digest table in ``tests/core/test_golden_determinism.py``
-separately pins the digests themselves; these tests pin the *invariance*.
+The golden cases of the pinned-run table (``tests/pinned.json``)
+separately pin the digests themselves; these tests pin the *invariance*.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from repro.core.runner import run_simulation
 from repro.core.tracing import EventFilter
 from repro.observability import JsonlSink, NullSink
 from repro.scenarios import load_scenario
-from tests.core.test_golden_determinism import GOLDEN, golden_config
+from tests.pinned import golden_config, golden_fingerprint
 
 PROTOCOLS = ["pbft", "hotstuff-ns", "tendermint", "add-v3"]
 
@@ -50,7 +50,7 @@ def test_golden_digest_invariant_under_full_telemetry(protocol, tmp_path):
         metrics=True,
         health=True,
     )
-    assert result_fingerprint(telemetry) == GOLDEN[protocol]
+    assert result_fingerprint(telemetry) == golden_fingerprint(protocol)
     assert telemetry.run_metrics is not None  # telemetry actually ran
     assert telemetry.health is not None
 
@@ -91,7 +91,7 @@ def test_every_option_subset_gives_the_golden_digest(protocol, options, tmp_path
         config = _chased(protocol.removesuffix("+signals"))
         expected = result_fingerprint(run_simulation(config))
     else:
-        config, expected = _config(protocol), GOLDEN[protocol]
+        config, expected = _config(protocol), golden_fingerprint(protocol)
     kwargs = {name: True for name in options}
     if "sink" in options:
         kwargs["sink"] = JsonlSink(tmp_path / "trace.jsonl")
@@ -112,7 +112,7 @@ def test_every_picklable_option_subset_gives_the_golden_digest_in_workers(option
     protocols = ["pbft", "hotstuff-ns", "add-v3"]
     runner = ParallelRunner(jobs=2, **{name: True for name in options})
     results = runner.map([_config(protocol) for protocol in protocols])
-    assert [result_fingerprint(r) for r in results] == [GOLDEN[p] for p in protocols]
+    assert [result_fingerprint(r) for r in results] == [golden_fingerprint(p) for p in protocols]
     for result in results:
         assert (result.run_metrics is not None) == ("metrics" in options)
         assert (result.health is not None) == ("health" in options)

@@ -113,6 +113,32 @@ class TestCheckArtifact:
         with pytest.raises(ConfigurationError):
             check_artifact(bogus)
 
+    @pytest.mark.parametrize("key", [
+        "base_config", "seeds", "baseline", "baseline.median_latency",
+        "baseline.fingerprints", "winner", "winner.spec",
+    ])
+    def test_malformed_artifact_names_the_path_and_the_key(self, key, tmp_path):
+        """Every key the check and the replay read is checked on load: a
+        missing or mistyped one is a ConfigurationError, not a KeyError
+        deep in ``check_artifact``."""
+        artifact = {
+            "kind": "repro-mining-artifact",
+            "base_config": {"protocol": "pbft"},
+            "seeds": [1],
+            "baseline": {"median_latency": 1.0, "fingerprints": []},
+            "winner": {"spec": {}},
+        }
+        *parents, last = key.split(".")
+        holder = artifact
+        for parent in parents:
+            holder = holder[parent]
+        holder[last] = "x"
+        path = tmp_path / "artifact.json"
+        path.write_text(json.dumps(artifact))
+        with pytest.raises(ConfigurationError) as error:
+            check_artifact(str(path))
+        assert str(path) in str(error.value) and f"{key} must be" in str(error.value)
+
     def test_to_dict_is_json_serializable(self, artifact_path):
         check = check_artifact(artifact_path)
         data = json.loads(json.dumps(check.to_dict()))

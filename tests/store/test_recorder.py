@@ -11,7 +11,7 @@ from repro.core.results import result_fingerprint
 from repro.core.runner import repeat_simulation, run_simulation, sweep
 from repro.store import ExperimentStore, StoreRecorder
 from tests.conftest import quick_config
-from tests.core.test_golden_determinism import GOLDEN, golden_config
+from tests.pinned import golden_config, golden_fingerprint, golden_protocols
 
 
 @pytest.fixture
@@ -128,7 +128,7 @@ class TestFingerprintNeutrality:
     def test_golden_digest_unchanged_with_store_attached(self, store):
         """Recording must never perturb a run: every stored fingerprint
         equals the golden digest of the same configuration."""
-        protocols = sorted(GOLDEN)
+        protocols = golden_protocols()
         recorder = StoreRecorder.open(
             store, "golden", "run", golden_config(protocols[0]),
             len(protocols), labels=protocols,
@@ -140,7 +140,7 @@ class TestFingerprintNeutrality:
 
         rows = store.runs(recorder.experiment_id)
         assert [row.fingerprint for row in rows] == [
-            GOLDEN[protocol] for protocol in protocols
+            golden_fingerprint(protocol) for protocol in protocols
         ]
 
     def test_recorder_on_parallel_run_matches_golden(self, store):
@@ -153,4 +153,4 @@ class TestFingerprintNeutrality:
         recorder.finish()
         # Repetition seeds are seed+0, seed+1: slot 0 is the golden config.
         assert store.runs(recorder.experiment_id)[0].fingerprint \
-            == GOLDEN["pbft"]
+            == golden_fingerprint("pbft")

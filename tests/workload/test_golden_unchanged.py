@@ -1,6 +1,6 @@
 """The workload layer is strictly opt-in: benign fingerprints are untouched.
 
-The golden battery in ``tests/core/test_golden_determinism.py`` already
+The golden cases of the pinned-run table (``tests/pinned.json``) already
 pins the 9 seed digests; these tests make the opt-in contract explicit
 from the workload side — a config without a workload produces a result
 with no workload metrics, no ``workload`` fingerprint field, and the
@@ -15,10 +15,10 @@ import pytest
 from repro import WorkloadConfig, result_fingerprint, run_simulation
 from repro.core.results import deterministic_dict
 
-from tests.core.test_golden_determinism import GOLDEN, golden_config
+from tests.pinned import golden_config, golden_fingerprint, golden_protocols
 
 
-@pytest.mark.parametrize("protocol", sorted(GOLDEN))
+@pytest.mark.parametrize("protocol", golden_protocols())
 def test_no_workload_digests_match_seed_golden(protocol):
     """All 9 seed digests stay byte-identical when no workload is
     configured — the workload layer must not consume RNG, schedule events,
@@ -26,7 +26,7 @@ def test_no_workload_digests_match_seed_golden(protocol):
     result = run_simulation(golden_config(protocol))
     assert result.workload is None
     assert "workload" not in deterministic_dict(result)
-    assert result_fingerprint(result) == GOLDEN[protocol]
+    assert result_fingerprint(result) == golden_fingerprint(protocol)
 
 
 def test_workload_adds_a_fingerprint_field():
