@@ -35,6 +35,17 @@ request threads (its queries run under the store's lock, and none leaves a read
 transaction open between requests, so WAL mode still shows every commit of
 the writing fleet and lets checkpoints proceed).  Each request stats the
 path: a deleted store is a JSON 404, and a replaced file is reopened.
+
+The row routes (the experiment list, experiment detail and run) decode no
+stored JSON: the store renders each row as the text of
+``json.dumps(row.to_dict())``, splicing its stored JSON columns in as
+stored (:meth:`~repro.store.ExperimentStore.run_texts` and siblings), and
+the route joins those texts into the response.  A stored column that is
+not JSON is a JSON 500 naming the row and the column, on these routes and
+on every other one that reads it.  ``/health`` decodes only the runs'
+``attachments_json``.  A client that sends nothing for
+:attr:`DashboardHandler.timeout` seconds is hung up on, so a half-sent
+request cannot keep its handler thread alive.
 """
 
 from __future__ import annotations
@@ -45,10 +56,10 @@ import re
 import sqlite3
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any
+from typing import Any, Iterable
 
 from .. import __version__
-from ..store import ExperimentStore, StoreError
+from ..store import ExperimentStore, StoreCorruptError, StoreError
 from .dashboard import PAGE_HTML
 
 _RUN_ANALYSIS_LIMIT = 200  # decisions/views shipped per analysis response
@@ -129,6 +140,40 @@ def run_analysis(trace_path: str) -> dict[str, Any]:
     }
 
 
+def fleet_health(runs: Iterable[tuple[int, int, dict[str, Any]]]) -> dict[str, Any]:
+    """Fleet health rollup of ``(run id, run index, attachments)`` rows:
+    every monitored run's stored anomalies, merged into one timeline
+    (ordered by simulated time, then run)."""
+    monitored = [
+        (run_id, index, attachments["health"])
+        for run_id, index, attachments in runs if "health" in attachments
+    ]
+    anomalies: list[dict[str, Any]] = []
+    detectors: dict[str, int] = {}
+    for run_id, index, health in monitored:
+        for event in health["events"]:
+            entry = dict(event)
+            entry["run_index"] = index
+            entry["run_id"] = run_id
+            anomalies.append(entry)
+            detector = str(event.get("detector", "?"))
+            detectors[detector] = detectors.get(detector, 0) + 1
+    anomalies.sort(key=lambda e: (e.get("time", 0.0), e["run_index"]))
+    fairness = [
+        health["min_fairness"] for _id, _index, health in monitored
+        if health["min_fairness"] is not None
+    ]
+    return {
+        "monitored_runs": len(monitored),
+        "anomaly_total": sum(
+            health["anomaly_count"] for _id, _index, health in monitored
+        ),
+        "min_fairness": min(fairness) if fairness else None,
+        "detectors": dict(sorted(detectors.items())),
+        "anomalies": anomalies[:_RUN_ANALYSIS_LIMIT],
+    }
+
+
 class DashboardServer(ThreadingHTTPServer):
     """The dashboard's HTTP server, holding one store handle for every
     request thread (read it as :attr:`store`)."""
@@ -201,6 +246,10 @@ class DashboardHandler(BaseHTTPRequestHandler):
 
     server: DashboardServer
 
+    #: Seconds a connection may stay silent (per socket read or write)
+    #: before its thread hangs up.
+    timeout = 10.0
+
     _ROUTES = (
         (re.compile(r"^/$"), "page"),
         (re.compile(r"^/api/meta$"), "meta"),
@@ -227,8 +276,10 @@ class DashboardHandler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _json(self, payload: dict[str, Any], code: int = 200) -> None:
-        body = json.dumps(payload).encode()
-        self._send(code, body, "application/json; charset=utf-8")
+        self._json_text(json.dumps(payload), code)
+
+    def _json_text(self, text: str, code: int = 200) -> None:
+        self._send(code, text.encode(), "application/json; charset=utf-8")
 
     def _error(self, code: int, message: str) -> None:
         self._json({"error": message}, code=code)
@@ -241,6 +292,8 @@ class DashboardHandler(BaseHTTPRequestHandler):
                 handler = getattr(self, f"_get_{name}")
                 try:
                     handler(*(int(g) for g in match.groups()))
+                except StoreCorruptError as exc:
+                    self._error(500, str(exc))
                 except StoreError as exc:
                     self._error(404, str(exc))
                 except sqlite3.ProgrammingError:  # handle closed mid-request
@@ -268,63 +321,31 @@ class DashboardHandler(BaseHTTPRequestHandler):
         })
 
     def _get_experiments(self) -> None:
-        rows = self.server.store.experiments()
-        self._json({"experiments": [row.to_dict() for row in rows]})
+        texts = self.server.store.experiment_texts()
+        self._json_text('{"experiments": [' + ", ".join(texts) + "]}")
 
     def _get_experiment(self, experiment_id: int) -> None:
         store = self.server.store
-        experiment = store.experiment(experiment_id)
-        runs = store.runs(experiment_id)
-        artifacts = store.artifacts(experiment_id)
-        self._json({
-            "experiment": experiment.to_dict(),
-            "runs": [row.to_dict() for row in runs],
-            "artifacts": [row.to_dict() for row in artifacts],
-        })
+        experiment = store.experiment_text(experiment_id)
+        runs = store.run_texts(experiment_id)
+        artifacts = store.artifact_texts(experiment_id)
+        self._json_text(
+            f'{{"experiment": {experiment}, "runs": [{", ".join(runs)}], '
+            f'"artifacts": [{", ".join(artifacts)}]}}'
+        )
 
     def _get_diff(self, a: int, b: int) -> None:
         diff = self.server.store.diff(a, b)
         self._json(diff.to_dict())
 
     def _get_health(self, experiment_id: int) -> None:
-        """Fleet health rollup: every monitored run's stored anomalies,
-        merged into one timeline (ordered by simulated time, then run)."""
         store = self.server.store
         # Raises StoreError -> 404 for an unknown experiment id.
         store.experiment(experiment_id)
-        runs = store.runs(experiment_id)
-        monitored = [
-            (row, row.attachments["health"])
-            for row in runs if "health" in row.attachments
-        ]
-        anomalies: list[dict[str, Any]] = []
-        detectors: dict[str, int] = {}
-        for row, health in monitored:
-            for event in health["events"]:
-                entry = dict(event)
-                entry["run_index"] = row.run_index
-                entry["run_id"] = row.id
-                anomalies.append(entry)
-                detector = str(event.get("detector", "?"))
-                detectors[detector] = detectors.get(detector, 0) + 1
-        anomalies.sort(key=lambda e: (e.get("time", 0.0), e["run_index"]))
-        fairness = [
-            health["min_fairness"] for _row, health in monitored
-            if health["min_fairness"] is not None
-        ]
-        self._json({
-            "monitored_runs": len(monitored),
-            "anomaly_total": sum(
-                health["anomaly_count"] for _row, health in monitored
-            ),
-            "min_fairness": min(fairness) if fairness else None,
-            "detectors": dict(sorted(detectors.items())),
-            "anomalies": anomalies[:_RUN_ANALYSIS_LIMIT],
-        })
+        self._json(fleet_health(store.run_attachments(experiment_id)))
 
     def _get_run(self, run_id: int) -> None:
-        row = self.server.store.run(run_id)
-        self._json({"run": row.to_dict()})
+        self._json_text('{"run": ' + self.server.store.run_text(run_id) + "}")
 
     def _get_analysis(self, run_id: int) -> None:
         row = self.server.store.run(run_id)

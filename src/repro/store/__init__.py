@@ -15,6 +15,7 @@ from .store import (
     ExperimentStore,
     RunDiff,
     RunRow,
+    StoreCorruptError,
     StoreError,
     StoreSchemaError,
 )
@@ -29,6 +30,7 @@ __all__ = [
     "RunDiff",
     "RunRecorder",
     "RunRow",
+    "StoreCorruptError",
     "StoreError",
     "StoreRecorder",
     "StoreSchemaError",

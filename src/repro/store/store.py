@@ -26,6 +26,12 @@ Design rules:
   runners/threads (e.g. two ``ParallelRunner`` fleets) can record into one
   file; progress counters are updated in the same transaction as the run
   row, so a dashboard poll never observes a half-recorded run.
+* **Rows served as stored.**  Every JSON column is written as
+  ``json.dumps(sort_keys=True)``, so re-encoding its decoded value gives the
+  stored text back.  The ``*_texts`` queries use that: they render each row
+  as the text of ``json.dumps(row.to_dict())`` with the stored JSON spliced
+  in, decoding nothing, and the dashboard joins those texts into its
+  responses.  ``to_dict()`` stays the reference they are tested against.
 """
 
 from __future__ import annotations
@@ -35,8 +41,10 @@ import os
 import sqlite3
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass, field, fields
+from json.encoder import encode_basestring_ascii
+from math import isfinite
+from typing import Any, Callable
 
 from ..core.config import SimulationConfig
 from ..core.errors import SimulationError
@@ -65,6 +73,10 @@ class StoreError(SimulationError):
 
 class StoreSchemaError(StoreError):
     """The store file was written by an incompatible schema version."""
+
+
+class StoreCorruptError(StoreError):
+    """A stored value does not parse; the message names its row and column."""
 
 
 _SCHEMA = """
@@ -130,8 +142,17 @@ def _json(value: Any) -> str | None:
     return json.dumps(value, sort_keys=True, default=repr)
 
 
-def _loads(text: str | None) -> Any:
-    return None if text is None else json.loads(text)
+def _loads(text: str | None, row: str, column: str) -> Any:
+    """The decoded column; :class:`StoreCorruptError` names ``row`` and
+    ``column`` when the stored text is not JSON."""
+    if text is None:
+        return None
+    try:
+        return json.loads(text)
+    except ValueError as error:
+        raise StoreCorruptError(
+            f"{row}: stored {column} is not valid JSON ({error})"
+        ) from error
 
 
 def _id(value: int, what: str) -> int:
@@ -282,6 +303,101 @@ class ExperimentDiff:
             "identical": self.identical,
             "rows": [row.to_dict() for row in self.rows],
         }
+
+
+#: JSON text of a scalar column value, by exact type, as ``json.dumps``
+#: writes it.
+_SCALAR_TEXT: dict[type, Callable[[Any], str]] = {
+    int: int.__repr__,
+    float: lambda value: float.__repr__(value) if isfinite(value) else json.dumps(value),
+    str: encode_basestring_ascii,
+    type(None): lambda _none: "null",
+}
+
+
+class _RowText:
+    """One table's rows as the text of ``json.dumps(row.to_dict())``.
+
+    The ``SELECT`` reads the scalar columns, then the JSON texts, then
+    one ``json_valid`` flag over the stored JSON columns; :meth:`render`
+    encodes the scalars and fills a ``str.format`` template of the
+    ``to_dict()`` keys with them and the texts.
+
+    Args:
+        table: the table read.
+        keys: the ``to_dict()`` keys, in order; the first is ``id``.
+        exprs: key -> SQL of a scalar that is not the column named key.
+        texts: key -> SQL that gives the value's JSON text.
+        stored: key -> (JSON column, the JSON text that stands for NULL).
+    """
+
+    def __init__(
+        self,
+        table: str,
+        keys: list[str],
+        *,
+        exprs: dict[str, str] | None = None,
+        texts: dict[str, str] | None = None,
+        stored: dict[str, tuple[str, str]],
+    ) -> None:
+        exprs, texts = exprs or {}, texts or {}
+        scalars = [key for key in keys if key not in texts and key not in stored]
+        self.what = table[:-1]
+        self.columns = [column for column, _null in stored.values()]
+        self.scalars = len(scalars)
+        spliced = [
+            f"COALESCE({column}, '{null}')" for column, null in stored.values()
+        ]
+        valid = " AND ".join(f"json_valid({text})" for text in spliced)
+        self.select = "SELECT " + ", ".join(
+            [exprs.get(key, key) for key in scalars]
+            + list(texts.values()) + spliced + [valid]
+        ) + f" FROM {table} "
+        order = scalars + list(texts) + list(stored)
+        self.template = "{{" + ", ".join(
+            f'"{key}": {{{order.index(key)}}}' for key in keys
+        ) + "}}"
+
+    def render(self, row: tuple) -> str:
+        scalars = self.scalars
+        texts = [_SCALAR_TEXT[type(value)](value) for value in row[:scalars]]
+        if not row[-1]:
+            # sqlite's json_valid refuses NaN and Infinity, which the
+            # encoder writes and json.loads reads: ask json.loads.
+            for column, text in zip(self.columns, row[-1 - len(self.columns):-1]):
+                _loads(text, f"{self.what} {row[0]}", column)
+        return self.template.format(*texts, *row[scalars:-1])
+
+
+_EXPERIMENT_TEXT = _RowText(
+    "experiments",
+    [f.name for f in fields(ExperimentRow)] + ["progress"],
+    exprs={"progress": (
+        "CASE WHEN total_runs THEN done_runs * 1.0 / total_runs ELSE 0.0 END"
+    )},
+    stored={"config": ("config_json", "{}"), "params": ("params_json", "{}")},
+)
+_RUN_TEXT = _RowText(
+    "runs",
+    [f.name for f in fields(RunRow)],
+    texts={
+        "terminated": (
+            "CASE WHEN terminated IS NULL THEN 'null' "
+            "WHEN terminated THEN 'true' ELSE 'false' END"
+        ),
+        "stalled": "CASE WHEN stalled THEN 'true' ELSE 'false' END",
+    },
+    stored={
+        "config": ("config_json", "{}"),
+        "attachments": ("attachments_json", "{}"),
+        "failure": ("failure_json", "null"),
+    },
+)
+_ARTIFACT_TEXT = _RowText(
+    "artifacts",
+    [f.name for f in fields(ArtifactRow)],
+    stored={"payload": ("payload_json", "null")},
+)
 
 
 class ExperimentStore:
@@ -611,7 +727,9 @@ class ExperimentStore:
             ArtifactRow(
                 id=row["id"], experiment_id=row["experiment_id"],
                 kind=row["kind"], name=row["name"], path=row["path"],
-                payload=_loads(row["payload_json"]),
+                payload=_loads(
+                    row["payload_json"], f"artifact {row['id']}", "payload_json"
+                ),
             )
             for row in rows
         ]
@@ -634,23 +752,81 @@ class ExperimentStore:
             ))
         return ExperimentDiff(a=a, b=b, rows=rows)
 
+    # -- queries as response text -----------------------------------------
+
+    def experiment_texts(self) -> list[str]:
+        """:meth:`experiments` as texts: ``json.dumps(row.to_dict())``."""
+        return self._texts(_EXPERIMENT_TEXT, "ORDER BY id DESC", ())
+
+    def experiment_text(self, experiment_id: int) -> str:
+        """:meth:`experiment` as ``json.dumps(row.to_dict())``."""
+        return self._text(_EXPERIMENT_TEXT, experiment_id)
+
+    def run_texts(self, experiment_id: int) -> list[str]:
+        """:meth:`runs` as texts: ``json.dumps(row.to_dict())``."""
+        return self._texts(
+            _RUN_TEXT, "WHERE experiment_id = ? ORDER BY run_index",
+            (_id(experiment_id, "experiment"),),
+        )
+
+    def run_text(self, run_id: int) -> str:
+        """:meth:`run` as ``json.dumps(row.to_dict())``."""
+        return self._text(_RUN_TEXT, run_id)
+
+    def artifact_texts(self, experiment_id: int) -> list[str]:
+        """:meth:`artifacts` as texts: ``json.dumps(row.to_dict())``."""
+        return self._texts(
+            _ARTIFACT_TEXT, "WHERE experiment_id = ? ORDER BY id",
+            (_id(experiment_id, "experiment"),),
+        )
+
+    def run_attachments(self, experiment_id: int) -> list[tuple[int, int, dict[str, Any]]]:
+        """``(id, run_index, attachments)`` of every run of one experiment,
+        in run-index order; only ``attachments_json`` is decoded."""
+        with self._lock:
+            rows = self._conn.execute(
+                "SELECT id, run_index, attachments_json FROM runs "
+                "WHERE experiment_id = ? ORDER BY run_index",
+                (_id(experiment_id, "experiment"),),
+            ).fetchall()
+        return [
+            (run_id, index,
+             _loads(text, f"run {run_id}", "attachments_json") or {})
+            for run_id, index, text in rows
+        ]
+
+    def _texts(self, rows: _RowText, where: str, params: tuple) -> list[str]:
+        with self._lock:
+            cursor = self._conn.cursor()
+            cursor.row_factory = None  # plain tuples, read by position
+            fetched = cursor.execute(rows.select + where, params).fetchall()
+        return [rows.render(row) for row in fetched]
+
+    def _text(self, rows: _RowText, row_id: int) -> str:
+        texts = self._texts(rows, "WHERE id = ?", (_id(row_id, rows.what),))
+        if not texts:
+            raise StoreError(f"no {rows.what} with id {row_id}")
+        return texts[0]
+
     def _experiment_row(self, row: sqlite3.Row) -> ExperimentRow:
+        where = f"experiment {row['id']}"
         return ExperimentRow(
             id=row["id"], name=row["name"], kind=row["kind"],
             status=row["status"], created_at=row["created_at"],
             finished_at=row["finished_at"],
-            config=_loads(row["config_json"]) or {},
-            params=_loads(row["params_json"]) or {},
+            config=_loads(row["config_json"], where, "config_json") or {},
+            params=_loads(row["params_json"], where, "params_json") or {},
             total_runs=row["total_runs"], done_runs=row["done_runs"],
             failed_runs=row["failed_runs"], stalled_runs=row["stalled_runs"],
         )
 
     def _run_row(self, row: sqlite3.Row) -> RunRow:
+        where = f"run {row['id']}"
         return RunRow(
             id=row["id"], experiment_id=row["experiment_id"],
             run_index=row["run_index"], label=row["label"],
             status=row["status"], seed=row["seed"], protocol=row["protocol"],
-            config=_loads(row["config_json"]) or {},
+            config=_loads(row["config_json"], where, "config_json") or {},
             fingerprint=row["fingerprint"],
             terminated=(
                 None if row["terminated"] is None else bool(row["terminated"])
@@ -663,7 +839,7 @@ class ExperimentStore:
             events_processed=row["events_processed"],
             max_view=row["max_view"],
             wall_clock_seconds=row["wall_clock_seconds"],
-            attachments=_loads(row["attachments_json"]) or {},
-            failure=_loads(row["failure_json"]),
+            attachments=_loads(row["attachments_json"], where, "attachments_json") or {},
+            failure=_loads(row["failure_json"], where, "failure_json"),
             trace_path=row["trace_path"],
         )

@@ -5,6 +5,7 @@ the ``experiments`` subcommands, store run-ids in ``inspect``, and
 from __future__ import annotations
 
 import json
+import sqlite3
 
 import pytest
 
@@ -172,6 +173,18 @@ class TestExperimentsCommands:
         out = capsys.readouterr().out
         assert "experiment 1: pbft run" in out
         assert "1/1 runs" in out
+
+    def test_show_names_a_corrupt_column(self, store_path, capsys):
+        self._populate(store_path)
+        conn = sqlite3.connect(store_path)
+        with conn:
+            conn.execute("UPDATE runs SET attachments_json = '{bad' WHERE id = 2")
+        conn.close()
+        capsys.readouterr()
+        assert main(["experiments", "show", "2", "--store", store_path]) == 1
+        assert capsys.readouterr().err == (
+            "error: run 2: stored attachments_json is not valid JSON (Expecting "
+            "property name enclosed in double quotes: line 1 column 2 (char 1))\n")
 
     def test_diff_identical_exit_zero(self, store_path, capsys):
         self._populate(store_path)

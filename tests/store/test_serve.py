@@ -17,10 +17,11 @@ import urllib.request
 import pytest
 
 from repro.core.runner import run_simulation
-from repro.serve import create_server
-from repro.serve.server import run_analysis
+from repro.serve import DashboardHandler, create_server
+from repro.serve.server import fleet_health, run_analysis
 from repro.store import ExperimentStore, StoreRecorder
 from tests.conftest import quick_config
+from tests.store.test_store import record_row_shapes
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +63,43 @@ def get_json(base: str, path: str) -> dict:
     with urllib.request.urlopen(base + path) as response:
         assert response.headers["Content-Type"].startswith("application/json")
         return json.load(response)
+
+
+@pytest.fixture(scope="module")
+def served_shapes(tmp_path_factory):
+    """Every row shape of ``record_row_shapes`` behind a live server, and
+    a handle on the same file for the ``to_dict()`` references."""
+    store_path = str(tmp_path_factory.mktemp("shapes") / "exp.sqlite")
+    record_row_shapes(store_path)
+    server, thread, base = _serve(store_path)
+    with ExperimentStore(store_path, create=False) as store:
+        yield base, store
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+
+
+def reference_bodies(store: ExperimentStore) -> dict[str, dict]:
+    """Every row route's answer, built from ``to_dict()`` rows."""
+    experiments = store.experiments()
+    bodies = {"/api/experiments": {
+        "experiments": [row.to_dict() for row in experiments]}}
+    for experiment in experiments:
+        runs = store.runs(experiment.id)
+        base = f"/api/experiments/{experiment.id}"
+        bodies[base] = {
+            "experiment": experiment.to_dict(),
+            "runs": [row.to_dict() for row in runs],
+            "artifacts": [row.to_dict() for row in store.artifacts(experiment.id)],
+        }
+        bodies[base + "/health"] = fleet_health(
+            (row.id, row.run_index, row.attachments) for row in runs)
+        for other in experiments:
+            bodies[f"{base}/diff/{other.id}"] = store.diff(
+                experiment.id, other.id).to_dict()
+        for row in runs:
+            bodies[f"/api/runs/{row.id}"] = {"run": row.to_dict()}
+    return bodies
 
 
 class TestEndpoints:
@@ -164,6 +202,41 @@ class TestEndpoints:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             get_json(served, "/api/nope")
         assert excinfo.value.code == 404
+
+    def test_row_routes_answer_the_dumped_references(self, served_shapes):
+        base, store = served_shapes
+        bodies = reference_bodies(store)
+        assert len(bodies) == 1 + 2 * (1 + 1 + 2) + 5  # list; detail, health, diffs; runs
+        assert bodies["/api/experiments/1/health"]["monitored_runs"] == 1
+        for path, reference in bodies.items():
+            with urllib.request.urlopen(base + path) as response:
+                assert response.read() == json.dumps(reference).encode(), path
+
+    def test_a_corrupt_column_is_a_json_500_naming_it(self, tmp_path, capsys):
+        store_path = str(tmp_path / "exp.sqlite")
+        with ExperimentStore(store_path) as store:
+            experiment = store.create_experiment("bad", "run", quick_config(), 1)
+            run_id = store.record_run(experiment, 0, run_simulation(quick_config()))
+        conn = sqlite3.connect(store_path)
+        with conn:
+            conn.execute("UPDATE runs SET attachments_json = '{bad'")
+        conn.close()
+        server, thread, base = _serve(store_path)
+        try:
+            for path in (f"/api/runs/{run_id}", f"/api/experiments/{experiment}",
+                         f"/api/experiments/{experiment}/health",
+                         f"/api/experiments/{experiment}/diff/{experiment}",
+                         f"/api/runs/{run_id}/analysis"):
+                code, body = get_error(base, path)
+                assert code == 500, path
+                assert body["error"].startswith(
+                    f"run {run_id}: stored attachments_json is not valid JSON ("), path
+            assert get_json(base, "/api/experiments")["experiments"][0]["name"] == "bad"
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestCreateServer:
@@ -522,14 +595,14 @@ class TestConcurrentReaders:
         server, thread, base = _serve(store_path)
         store = server.store
         inside, release = threading.Event(), threading.Event()
-        runs = store.runs
+        run_texts = store.run_texts
 
-        def blocked_runs(experiment_id):
+        def blocked_run_texts(experiment_id):
             inside.set()
             release.wait(timeout=10)
-            return runs(experiment_id)
+            return run_texts(experiment_id)
 
-        store.runs = blocked_runs
+        store.run_texts = blocked_run_texts
         answers: list = []
 
         def ask() -> None:
@@ -601,6 +674,61 @@ class TestHostileRequests:
         response = _raw(served, line + b"\r\n\r\n")
         assert not response.startswith(b"HTTP/")
         assert b"Error code: 400" in response
+
+    def test_150_headers_are_431(self, served):
+        headers = b"".join(b"X-Header-%d: v\r\n" % i for i in range(150))
+        response = _raw(served, b"GET /api/meta HTTP/1.0\r\n" + headers + b"\r\n")
+        assert _status(response) == 431
+
+    def test_a_70kb_header_line_is_431(self, served):
+        response = _raw(served, b"GET /api/meta HTTP/1.0\r\nX-Big: "
+                        + b"a" * 70_000 + b"\r\n\r\n")
+        assert _status(response) == 431
+
+    def test_silent_clients_block_no_get_and_their_threads_exit(
+        self, tmp_path, monkeypatch
+    ):
+        """20 connections that send half a request and fall silent: a GET
+        beside them answers, and once the server is closed their handler
+        threads exit after the read timeout, though the clients never
+        hang up."""
+        assert 0 < DashboardHandler.timeout <= 60
+        monkeypatch.setattr(DashboardHandler, "timeout", 2.0)
+        store_path = str(tmp_path / "exp.sqlite")
+        with ExperimentStore(store_path) as store:
+            store.create_experiment("one", "run", quick_config(), 1)
+        server, thread, base = _serve(store_path)
+        before = set(threading.enumerate())
+        silent: list[socket.socket] = []
+        try:
+            # One at a time: the listen backlog is 5, and a connection past
+            # it waits for a SYN retransmit.
+            for count in range(1, 21):
+                silent.append(socket.create_connection(
+                    ("127.0.0.1", server.server_address[1])))
+                silent[-1].sendall(b"GET /api/experiments HTTP/1.0\r\nHost: x\r\n")
+                deadline = time.monotonic() + 10
+                while len(set(threading.enumerate()) - before) < count:
+                    assert time.monotonic() < deadline
+                    time.sleep(0.001)
+            handlers = set(threading.enumerate()) - before
+            start = time.monotonic()
+            assert len(get_json(base, "/api/experiments")["experiments"]) == 1
+            assert time.monotonic() - start < DashboardHandler.timeout
+            assert all(handler.is_alive() for handler in handlers)
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+            for handler in handlers:
+                handler.join(timeout=10)
+                assert not handler.is_alive()
+            for sock in silent:
+                sock.settimeout(5)
+                assert sock.recv(1) == b""  # hung up, no answer
+        finally:
+            for sock in silent:
+                sock.close()
 
     def test_a_good_get_still_answers_after_them(self, served):
         for data in (b"DELETE / HTTP/1.0\r\n\r\n", b"GARBAGE\r\n\r\n",

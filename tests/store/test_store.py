@@ -18,6 +18,7 @@ from repro.workload import parse_workload_spec
 from repro.store import (
     SCHEMA_VERSION,
     ExperimentStore,
+    StoreCorruptError,
     StoreError,
     StoreSchemaError,
 )
@@ -441,15 +442,17 @@ class TestAttachments:
         assert {key: printed[key] for key in LAYERS & set(printed)} == stored
 
 
-class TestRowDicts:
-    """``to_dict()`` is a shallow dict of the fields (plus the derived key):
-    it serializes exactly as ``dataclasses.asdict`` did, key order included,
-    without copying the decoded values."""
+#: A run label with non-ASCII text, a quote and a backslash.
+ODD_LABEL = 'réplica "7" \\ ω'
 
-    @pytest.fixture(scope="class")
-    def seeded(self, tmp_path_factory):
-        path = tmp_path_factory.mktemp("rowdicts") / "exp.sqlite"
-        store = ExperimentStore(path)
+
+def record_row_shapes(path) -> None:
+    """Record every row shape the dashboard serves into the store at
+    ``path``: completed, stalled and failed runs (NULL ``attachments_json``,
+    a ``failure_json``); fault, stall, workload and health attachments; a
+    label holding non-ASCII text, ``"`` and ``\\``; a latency of ``inf``;
+    an attachment holding NaN; and an artifact with a nested payload."""
+    with ExperimentStore(path) as store:
         sweep = store.create_experiment(
             "rows", "sweep", quick_config(), 3,
             params={"param": "lam", "values": [400, 800], "reps": {"n": 2}},
@@ -459,12 +462,36 @@ class TestRowDicts:
             store.record_run(sweep, index, run_simulation(config, **options))
         store.record_run(sweep, 2, _failure(run_index=2))
         store.finish_experiment(sweep)
-        other = store.create_experiment("other", "run", quick_config(), 1)
-        store.record_run(other, 0, _result())
+        other = store.create_experiment("other", "run", quick_config(), 3)
+        odd = store.record_run(other, 0, _result(), label=ODD_LABEL)
+        nan = store.record_run(other, 1, _result(seed=2))
         store.record_artifact(
             other, "winner", name="w", path="w.json",
             payload={"lineage": [{"gen": 0, "ratio": 1.5}], "tags": ["a", None]},
         )
+    conn = sqlite3.connect(path)
+    with conn:
+        # sqlite keeps inf in a REAL column but stores NaN as NULL, so the
+        # NaN row reads back latency None; NaN inside a JSON column stays.
+        conn.execute("UPDATE runs SET latency = ? WHERE id = ?", (float("inf"), odd))
+        conn.execute(
+            "UPDATE runs SET latency = ?, attachments_json = ? WHERE id = ?",
+            (float("nan"), json.dumps({"metrics": {"p": float("nan")}}), nan),
+        )
+    conn.close()
+
+
+class TestRowDicts:
+    """``to_dict()`` is a shallow dict of the fields (plus the derived key):
+    it serializes exactly as ``dataclasses.asdict`` did, key order included,
+    without copying the decoded values.  The ``*_texts`` queries render
+    every row as ``json.dumps(row.to_dict())`` without decoding it."""
+
+    @pytest.fixture(scope="class")
+    def seeded(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("rowdicts") / "exp.sqlite"
+        record_row_shapes(path)
+        store = ExperimentStore(path, create=False)
         yield store
         store.close()
 
@@ -486,11 +513,76 @@ class TestRowDicts:
     def test_run_rows(self, seeded):
         runs = seeded.runs(1)
         assert set(runs[0].attachments) == {"fault_counts", "stall"}
+        assert runs[0].stalled
         assert set(runs[1].attachments) == {"workload", "health"}
         assert runs[2].failure["message"] == "synthetic"
+        assert runs[2].attachments == {}
         for row in runs + seeded.runs(2):
             self._assert_same(row, asdict(row))
             assert row.to_dict()["attachments"] is row.attachments
+
+    def test_row_texts_are_the_dumped_dicts(self, seeded):
+        experiments = seeded.experiments()
+        assert seeded.experiment_texts() == [
+            json.dumps(row.to_dict()) for row in experiments]
+        for experiment in experiments:
+            assert seeded.experiment_text(experiment.id) == json.dumps(
+                experiment.to_dict())
+            runs = seeded.runs(experiment.id)
+            assert seeded.run_texts(experiment.id) == [
+                json.dumps(row.to_dict()) for row in runs]
+            for row in runs:
+                assert seeded.run_text(row.id) == json.dumps(row.to_dict())
+            assert seeded.artifact_texts(experiment.id) == [
+                json.dumps(row.to_dict()) for row in seeded.artifacts(experiment.id)]
+
+    def test_the_texts_cover_every_shape(self, seeded):
+        assert '"progress": 0.6666666666666666}' in seeded.experiment_text(2)
+        texts = [seeded.run_text(run_id) for run_id in range(1, 6)]
+        assert '"stalled": true' in texts[0]
+        assert '"attachments": {}' in texts[2] and '"failure": {' in texts[2]
+        assert json.loads(texts[3])["label"] == ODD_LABEL
+        assert '"latency": Infinity' in texts[3]
+        assert '"latency": null' in texts[4] and '"p": NaN' in texts[4]
+        (artifact,) = seeded.artifact_texts(2)
+        assert json.loads(artifact)["payload"]["lineage"][0]["ratio"] == 1.5
+
+    def test_run_attachments_are_the_decoded_maps(self, seeded):
+        for experiment in (1, 2):
+            assert seeded.run_attachments(experiment) == [
+                (row.id, row.run_index, row.attachments)
+                for row in seeded.runs(experiment)]
+
+    @pytest.mark.parametrize("column", ["config_json", "attachments_json",
+                                        "failure_json"])
+    def test_a_corrupt_run_column_is_named(self, store, column):
+        experiment = store.create_experiment("c", "run", quick_config(), 1)
+        run_id = store.record_run(experiment, 0, _result())
+        store._conn.execute(
+            f"UPDATE runs SET {column} = '{{bad' WHERE id = ?", (run_id,))
+        store._conn.commit()
+        readers = [lambda: store.run(run_id), lambda: store.runs(experiment),
+                   lambda: store.run_text(run_id),
+                   lambda: store.run_texts(experiment)]
+        if column == "attachments_json":
+            readers.append(lambda: store.run_attachments(experiment))
+        for read in readers:
+            with pytest.raises(StoreCorruptError) as excinfo:
+                read()
+            assert str(excinfo.value).startswith(
+                f"run {run_id}: stored {column} is not valid JSON (")
+
+    @pytest.mark.parametrize("column", ["config_json", "params_json"])
+    def test_a_corrupt_experiment_column_is_named(self, store, column):
+        experiment = store.create_experiment("c", "run", quick_config(), 1)
+        store._conn.execute(f"UPDATE experiments SET {column} = '[1,'")
+        store._conn.commit()
+        for read in (store.experiments, lambda: store.experiment(experiment),
+                     store.experiment_texts,
+                     lambda: store.experiment_text(experiment)):
+            with pytest.raises(StoreCorruptError, match=(
+                    f"^experiment {experiment}: stored {column} is not valid")):
+                read()
 
     def test_artifact_rows(self, seeded):
         (row,) = seeded.artifacts(2)
@@ -501,7 +593,7 @@ class TestRowDicts:
         diff = seeded.diff(1, 2)
         reference = {
             "a": {**asdict(diff.a), "progress": 1.0},
-            "b": {**asdict(diff.b), "progress": 1.0},
+            "b": {**asdict(diff.b), "progress": 2 / 3},
             "identical": diff.identical,
             "rows": [{**asdict(row), "match": row.match} for row in diff.rows],
         }
