@@ -449,11 +449,19 @@ def _sweep_variation(config: SimulationConfig, param: str, value: float) -> dict
     raise ValueError(f"unsupported sweep parameter: {param}")
 
 
+def _sweep_value(item: str) -> float:
+    """One ``--values`` item as a number."""
+    try:
+        return float(item)
+    except ValueError:
+        raise ValueError(f"--values: item {item!r} is not a number") from None
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     # Everything that can reject the command line runs before the store row
     # exists: a refused sweep must not leave an experiment behind.
     base = _config_from_args(args)
-    values = [float(v) for v in args.values.split(",")]
+    values = [_sweep_value(item) for item in args.values.split(",")]
     variations = [_sweep_variation(base, args.param, v) for v in values]
     jobs = _jobs_from_args(args)
     if args.reps < 1:
@@ -676,7 +684,6 @@ def _cmd_mine_check(args: argparse.Namespace) -> int:
 
     check = check_artifact(
         args.check,
-        tolerance=args.tolerance,
         jobs=_jobs_from_args(args),
         timeout=args.timeout,
         retries=args.retries,
@@ -1064,11 +1071,7 @@ def build_parser() -> argparse.ArgumentParser:
                              help="regression mode: skip mining, re-score "
                                   "this committed artifact against its "
                                   "stored baseline; exits 2 when the attack "
-                                  "ratio drifted beyond --tolerance or the "
-                                  "fingerprints moved")
-    mine_parser.add_argument("--tolerance", type=float, default=0.05,
-                             help="accepted relative attack-ratio drift for "
-                                  "--check (default 0.05 = ±5%%)")
+                                  "ratio or the fingerprints moved")
 
     validate_parser = sub.add_parser(
         "validate", help="cross-check against the packet-level baseline engine"

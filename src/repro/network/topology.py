@@ -28,20 +28,12 @@ class Topology:
     The default is a complete graph (every pair connected by one logical
     link).  Links can be cut and restored at runtime — the mechanism the
     partition attacker uses.
-
-    Attributes:
-        version: monotonic mutation counter.  Increments on every
-            ``cut``/``restore``/``cut_between``/``restore_all``; consumers
-            that cache derived structure (the dissemination planner's
-            complete-graph fast path) compare it instead of re-scanning the
-            graph.
     """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] | None = None) -> None:
         if n < 1:
             raise ConfigurationError("topology needs at least one node")
         self.n = n
-        self.version = 0
         self._cut: set[tuple[int, int]] = set()
         if edges is not None:
             self._cut = {(i, j) for i in range(n) for j in range(i + 1, n)}
@@ -97,7 +89,6 @@ class Topology:
         """Remove the link between ``a`` and ``b`` (idempotent)."""
         self._check(a)
         self._check(b)
-        self.version += 1
         if a != b:
             self._cut.add(_link(a, b))
 
@@ -105,7 +96,6 @@ class Topology:
         """Re-add the link between ``a`` and ``b`` (idempotent)."""
         self._check(a)
         self._check(b)
-        self.version += 1
         self._cut.discard(_link(a, b))
 
     def cut_between(self, group_a: Iterable[int], group_b: Iterable[int]) -> int:
@@ -114,14 +104,12 @@ class Topology:
         group_a, group_b = list(group_a), set(group_b)
         for node in (*group_a, *group_b):
             self._check(node)
-        self.version += 1
         before = len(self._cut)
         self._cut.update(_link(a, b) for a in group_a for b in group_b if a != b)
         return len(self._cut) - before
 
     def restore_all(self) -> None:
         """Return to the complete graph."""
-        self.version += 1
         self._cut.clear()
 
     def __repr__(self) -> str:

@@ -668,15 +668,14 @@ class ArtifactCheck:
     a mined attack shows up in CI instead of aging in the repo.
 
     Fingerprint mismatches and drift are reported separately: a fingerprint
-    mismatch means the run itself changed (the determinism contract moved),
-    while ratio drift with matching fingerprints is impossible — so
-    ``drift`` only carries signal on an engine whose determinism changed
-    deliberately, and the tolerance exists for exactly that migration case.
+    mismatch means the run itself changed (the determinism contract moved).
+    The ratio is computed from latencies inside the fingerprints, so
+    matching runs give the stored ratio back bit for bit, and any drift
+    means the stored claim was edited: the check is exact.
     """
 
     path: str
     objective: str
-    tolerance: float
     stored_baseline: float
     fresh_baseline: float
     stored_winner: float | None
@@ -696,13 +695,12 @@ class ArtifactCheck:
 
     @property
     def ok(self) -> bool:
-        """True when the artifact still reproduces within tolerance."""
-        if self.failures or self.drift is None:
-            return False
+        """True when every run reproduces and gives the stored ratio."""
         return (
-            self.baseline_fingerprints_ok
+            not self.failures
+            and self.baseline_fingerprints_ok
             and self.winner_fingerprints_ok
-            and abs(self.drift) <= self.tolerance
+            and self.drift == 0.0
         )
 
     def summary(self) -> str:
@@ -715,7 +713,7 @@ class ArtifactCheck:
         return (
             f"check[{self.path}]: {verdict} — stored "
             f"{self.stored_ratio:.2f}x, fresh {self.fresh_ratio:.2f}x "
-            f"({self.drift:+.1%}, tolerance ±{self.tolerance:.0%}), "
+            f"({self.drift:+.1%}), "
             f"fingerprints {fps}"
         )
 
@@ -723,7 +721,6 @@ class ArtifactCheck:
         return {
             "path": self.path,
             "objective": self.objective,
-            "tolerance": self.tolerance,
             "stored_baseline": self.stored_baseline,
             "fresh_baseline": self.fresh_baseline,
             "stored_winner": self.stored_winner,
@@ -741,7 +738,6 @@ class ArtifactCheck:
 def check_artifact(
     path: str,
     *,
-    tolerance: float = 0.05,
     jobs: int | None = 1,
     timeout: float | None = None,
     retries: int = 1,
@@ -751,7 +747,7 @@ def check_artifact(
     Re-runs the baseline configuration and the winning scenario at every
     seed the artifact recorded, then compares the fresh attack ratio
     (winner median latency/decision over baseline median) against the
-    stored one.  ``tolerance`` bounds the accepted relative drift.
+    stored one; any drift fails the check.
     """
     artifact = load_artifact(path)
     winner = artifact.get("winner")
@@ -813,7 +809,6 @@ def check_artifact(
     return ArtifactCheck(
         path=path,
         objective=str(artifact.get("objective", "?")),
-        tolerance=tolerance,
         stored_baseline=stored_baseline,
         fresh_baseline=fresh_baseline,
         stored_winner=stored_winner,

@@ -178,6 +178,10 @@ class DashboardServer(ThreadingHTTPServer):
     """The dashboard's HTTP server, holding one store handle for every
     request thread (read it as :attr:`store`)."""
 
+    # socketserver's listen backlog is 5: a burst of more connects than
+    # that has its SYNs dropped, and each waits the 1-s SYN retransmit.
+    request_queue_size = 128
+
     def __init__(
         self, address: tuple[str, int], store_path: str, *, quiet: bool = True
     ) -> None:

@@ -26,12 +26,16 @@ Design rules:
   runners/threads (e.g. two ``ParallelRunner`` fleets) can record into one
   file; progress counters are updated in the same transaction as the run
   row, so a dashboard poll never observes a half-recorded run.
-* **Rows served as stored.**  Every JSON column is written as
+* **One description per table, rows served as stored.**  Each table is
+  described once (``_Table``: the row dataclass's fields, the stored JSON
+  columns and what stands for their NULL), and every query reads through
+  that description in one of two forms.  Row objects come from the plain
+  columns, with the JSON decoded.  Every JSON column is written as
   ``json.dumps(sort_keys=True)``, so re-encoding its decoded value gives the
-  stored text back.  The ``*_texts`` queries use that: they render each row
-  as the text of ``json.dumps(row.to_dict())`` with the stored JSON spliced
-  in, decoding nothing, and the dashboard joins those texts into its
-  responses.  ``to_dict()`` stays the reference they are tested against.
+  stored text back; the ``*_texts`` queries use that to render each row as
+  the text of ``json.dumps(row.to_dict())`` with the stored JSON spliced in,
+  decoding nothing, and the dashboard joins those texts into its responses.
+  ``to_dict()`` stays the reference they are tested against.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ import time
 from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring_ascii
 from math import isfinite
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from ..core.config import SimulationConfig
 from ..core.errors import SimulationError
@@ -142,11 +146,9 @@ def _json(value: Any) -> str | None:
     return json.dumps(value, sort_keys=True, default=repr)
 
 
-def _loads(text: str | None, row: str, column: str) -> Any:
+def _loads(text: str, row: str, column: str) -> Any:
     """The decoded column; :class:`StoreCorruptError` names ``row`` and
     ``column`` when the stored text is not JSON."""
-    if text is None:
-        return None
     try:
         return json.loads(text)
     except ValueError as error:
@@ -315,88 +317,143 @@ _SCALAR_TEXT: dict[type, Callable[[Any], str]] = {
 }
 
 
-class _RowText:
-    """One table's rows as the text of ``json.dumps(row.to_dict())``.
+class _Read(NamedTuple):
+    """One projection of a table: its ``SELECT ... FROM table``, the
+    ``ORDER BY`` of a listing, and the builder of one fetched tuple."""
 
-    The ``SELECT`` reads the scalar columns, then the JSON texts, then
-    one ``json_valid`` flag over the stored JSON columns; :meth:`render`
-    encodes the scalars and fills a ``str.format`` template of the
-    ``to_dict()`` keys with them and the texts.
+    what: str
+    select: str
+    order: str
+    build: Callable[[tuple], Any]
+
+
+class _Table:
+    """One stored table, described once and read two ways.
+
+    The description is the row dataclass's fields, in order; the stored
+    JSON column behind a field and the JSON text that stands for its NULL;
+    the integer columns that read as booleans; and the ``to_dict()`` keys
+    that are no field.  :attr:`rows` selects the plain columns in field
+    order and builds the row object, decoding each JSON column with
+    :func:`_loads`.  :attr:`texts` selects the scalar columns, then the
+    JSON texts, then one ``json_valid`` flag over the stored JSON columns,
+    and renders ``json.dumps(row.to_dict())`` by filling a ``str.format``
+    template of the ``to_dict()`` keys with the encoded scalars and the
+    texts.
 
     Args:
         table: the table read.
-        keys: the ``to_dict()`` keys, in order; the first is ``id``.
-        exprs: key -> SQL of a scalar that is not the column named key.
-        texts: key -> SQL that gives the value's JSON text.
-        stored: key -> (JSON column, the JSON text that stands for NULL).
+        row_type: the row dataclass; a field that is not stored JSON is the
+            column of its name.
+        order: the ``ORDER BY`` of a listing.
+        stored: field -> (JSON column, the JSON text that stands for NULL).
+        flags: fields whose integer column is a boolean; NULL stays null.
+        derived: ``to_dict()`` key -> SQL of its value, for the texts (the
+            row object's ``to_dict()`` computes it).
     """
 
     def __init__(
         self,
         table: str,
-        keys: list[str],
+        row_type: type,
+        order: str,
         *,
-        exprs: dict[str, str] | None = None,
-        texts: dict[str, str] | None = None,
         stored: dict[str, tuple[str, str]],
+        flags: tuple[str, ...] = (),
+        derived: dict[str, str] | None = None,
     ) -> None:
-        exprs, texts = exprs or {}, texts or {}
-        scalars = [key for key in keys if key not in texts and key not in stored]
+        derived = derived or {}
+        names = [f.name for f in fields(row_type)]
         self.what = table[:-1]
-        self.columns = [column for column, _null in stored.values()]
-        self.scalars = len(scalars)
+        self._type = row_type
+        self._decoded = [
+            (names.index(name), column, null)
+            for name, (column, null) in stored.items()
+        ]
+        self._flags = [names.index(name) for name in flags]
+        columns = [stored[name][0] if name in stored else name for name in names]
+        self.rows = _Read(
+            self.what, f"SELECT {', '.join(columns)} FROM {table} ", order,
+            self._row,
+        )
+
+        keys = names + list(derived)
+        literals = [
+            f"CASE WHEN {name} IS NULL THEN 'null' "
+            f"WHEN {name} THEN 'true' ELSE 'false' END"
+            for name in flags
+        ]
+        scalars = [key for key in keys if key not in flags and key not in stored]
         spliced = [
             f"COALESCE({column}, '{null}')" for column, null in stored.values()
         ]
         valid = " AND ".join(f"json_valid({text})" for text in spliced)
-        self.select = "SELECT " + ", ".join(
-            [exprs.get(key, key) for key in scalars]
-            + list(texts.values()) + spliced + [valid]
-        ) + f" FROM {table} "
-        order = scalars + list(texts) + list(stored)
-        self.template = "{{" + ", ".join(
-            f'"{key}": {{{order.index(key)}}}' for key in keys
+        self._columns = [column for column, _null in stored.values()]
+        self._scalars = len(scalars)
+        self.texts = _Read(
+            self.what,
+            "SELECT " + ", ".join(
+                [derived.get(key, key) for key in scalars]
+                + literals + spliced + [valid]
+            ) + f" FROM {table} ",
+            order,
+            self._text,
+        )
+        position = scalars + list(flags) + list(stored)
+        self._template = "{{" + ", ".join(
+            f'"{key}": {{{position.index(key)}}}' for key in keys
         ) + "}}"
 
-    def render(self, row: tuple) -> str:
-        scalars = self.scalars
+    def _row(self, values: tuple) -> Any:
+        values = list(values)
+        where = f"{self.what} {values[0]}"
+        for index, column, null in self._decoded:
+            text = values[index]
+            values[index] = _loads(null if text is None else text, where, column)
+        for index in self._flags:
+            if values[index] is not None:
+                values[index] = bool(values[index])
+        return self._type(*values)
+
+    def _text(self, row: tuple) -> str:
+        scalars = self._scalars
         texts = [_SCALAR_TEXT[type(value)](value) for value in row[:scalars]]
         if not row[-1]:
             # sqlite's json_valid refuses NaN and Infinity, which the
             # encoder writes and json.loads reads: ask json.loads.
-            for column, text in zip(self.columns, row[-1 - len(self.columns):-1]):
+            for column, text in zip(self._columns, row[-1 - len(self._columns):-1]):
                 _loads(text, f"{self.what} {row[0]}", column)
-        return self.template.format(*texts, *row[scalars:-1])
+        return self._template.format(*texts, *row[scalars:-1])
 
 
-_EXPERIMENT_TEXT = _RowText(
-    "experiments",
-    [f.name for f in fields(ExperimentRow)] + ["progress"],
-    exprs={"progress": (
+_EXPERIMENTS = _Table(
+    "experiments", ExperimentRow, "ORDER BY id DESC",
+    stored={"config": ("config_json", "{}"), "params": ("params_json", "{}")},
+    derived={"progress": (
         "CASE WHEN total_runs THEN done_runs * 1.0 / total_runs ELSE 0.0 END"
     )},
-    stored={"config": ("config_json", "{}"), "params": ("params_json", "{}")},
 )
-_RUN_TEXT = _RowText(
-    "runs",
-    [f.name for f in fields(RunRow)],
-    texts={
-        "terminated": (
-            "CASE WHEN terminated IS NULL THEN 'null' "
-            "WHEN terminated THEN 'true' ELSE 'false' END"
-        ),
-        "stalled": "CASE WHEN stalled THEN 'true' ELSE 'false' END",
-    },
+_RUNS = _Table(
+    "runs", RunRow, "ORDER BY run_index",
     stored={
         "config": ("config_json", "{}"),
         "attachments": ("attachments_json", "{}"),
         "failure": ("failure_json", "null"),
     },
+    flags=("terminated", "stalled"),
 )
-_ARTIFACT_TEXT = _RowText(
-    "artifacts",
-    [f.name for f in fields(ArtifactRow)],
+_ARTIFACTS = _Table(
+    "artifacts", ArtifactRow, "ORDER BY id",
     stored={"payload": ("payload_json", "null")},
+)
+#: ``(id, run_index, attachments)`` of runs: only ``attachments_json`` decoded.
+_RUN_ATTACHMENTS = _Read(
+    "run",
+    "SELECT id, run_index, COALESCE(attachments_json, '{}') FROM runs ",
+    _RUNS.rows.order,
+    lambda row: (
+        row[0], row[1], _loads(row[2], f"run {row[0]}", "attachments_json")
+    ),
 )
 
 
@@ -437,7 +494,6 @@ class ExperimentStore:
             raise StoreError(
                 f"cannot open experiment store {self.path!r}: {error}"
             ) from error
-        self._conn.row_factory = sqlite3.Row
         try:
             self._init_schema()
         except sqlite3.DatabaseError as error:
@@ -469,9 +525,9 @@ class ExperimentStore:
                     "INSERT INTO store_meta (key, value) VALUES (?, ?)",
                     ("schema_version", str(SCHEMA_VERSION)),
                 )
-            elif int(row["value"]) != SCHEMA_VERSION:
+            elif int(row[0]) != SCHEMA_VERSION:
                 raise StoreSchemaError(
-                    f"store {self.path!r} has schema version {row['value']}, "
+                    f"store {self.path!r} has schema version {row[0]}, "
                     f"this version of repro reads {SCHEMA_VERSION}; re-record "
                     "the experiments (the store is a cache of reproducible "
                     "runs, never the only copy)"
@@ -612,7 +668,7 @@ class ExperimentStore:
                 ).fetchone()
                 if row is None:
                     raise StoreError(f"no experiment with id {experiment_id}")
-                status = "failed" if row["failed_runs"] else "complete"
+                status = "failed" if row[0] else "complete"
             if status not in EXPERIMENT_STATUSES:
                 raise StoreError(
                     f"unknown experiment status {status!r}; "
@@ -670,42 +726,23 @@ class ExperimentStore:
             return int(cursor.lastrowid)
 
     # -- queries -----------------------------------------------------------
+    #
+    # Each reads rows as objects or, the ``*_text(s)`` forms, as the text of
+    # ``json.dumps(row.to_dict())`` with the stored JSON spliced in undecoded.
 
     def experiments(self) -> list[ExperimentRow]:
         """Every stored experiment, newest first."""
-        with self._lock:
-            rows = self._conn.execute(
-                "SELECT * FROM experiments ORDER BY id DESC"
-            ).fetchall()
-        return [self._experiment_row(row) for row in rows]
+        return self._read(_EXPERIMENTS.rows)
 
     def experiment(self, experiment_id: int) -> ExperimentRow:
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT * FROM experiments WHERE id = ?",
-                (_id(experiment_id, "experiment"),),
-            ).fetchone()
-        if row is None:
-            raise StoreError(f"no experiment with id {experiment_id}")
-        return self._experiment_row(row)
+        return self._read(_EXPERIMENTS.rows, row_id=experiment_id)
 
     def runs(self, experiment_id: int) -> list[RunRow]:
         """Every recorded run of one experiment, in run-index order."""
-        with self._lock:
-            rows = self._conn.execute(
-                "SELECT * FROM runs WHERE experiment_id = ? ORDER BY run_index",
-                (_id(experiment_id, "experiment"),),
-            ).fetchall()
-        return [self._run_row(row) for row in rows]
+        return self._read(_RUNS.rows, experiment_id)
 
     def run(self, run_id: int) -> RunRow:
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT * FROM runs WHERE id = ?", (_id(run_id, "run"),)
-            ).fetchone()
-        if row is None:
-            raise StoreError(f"no run with id {run_id}")
-        return self._run_row(row)
+        return self._read(_RUNS.rows, row_id=run_id)
 
     def trace_path(self, run_id: int) -> str:
         """The on-disk trace pointer of one run (raises when absent)."""
@@ -718,21 +755,7 @@ class ExperimentStore:
         return path
 
     def artifacts(self, experiment_id: int) -> list[ArtifactRow]:
-        with self._lock:
-            rows = self._conn.execute(
-                "SELECT * FROM artifacts WHERE experiment_id = ? ORDER BY id",
-                (_id(experiment_id, "experiment"),),
-            ).fetchall()
-        return [
-            ArtifactRow(
-                id=row["id"], experiment_id=row["experiment_id"],
-                kind=row["kind"], name=row["name"], path=row["path"],
-                payload=_loads(
-                    row["payload_json"], f"artifact {row['id']}", "payload_json"
-                ),
-            )
-            for row in rows
-        ]
+        return self._read(_ARTIFACTS.rows, experiment_id)
 
     def diff(self, experiment_a: int, experiment_b: int) -> ExperimentDiff:
         """Fingerprint-compare two experiments slot by slot (run_index)."""
@@ -752,94 +775,43 @@ class ExperimentStore:
             ))
         return ExperimentDiff(a=a, b=b, rows=rows)
 
-    # -- queries as response text -----------------------------------------
-
     def experiment_texts(self) -> list[str]:
-        """:meth:`experiments` as texts: ``json.dumps(row.to_dict())``."""
-        return self._texts(_EXPERIMENT_TEXT, "ORDER BY id DESC", ())
+        return self._read(_EXPERIMENTS.texts)
 
     def experiment_text(self, experiment_id: int) -> str:
-        """:meth:`experiment` as ``json.dumps(row.to_dict())``."""
-        return self._text(_EXPERIMENT_TEXT, experiment_id)
+        return self._read(_EXPERIMENTS.texts, row_id=experiment_id)
 
     def run_texts(self, experiment_id: int) -> list[str]:
-        """:meth:`runs` as texts: ``json.dumps(row.to_dict())``."""
-        return self._texts(
-            _RUN_TEXT, "WHERE experiment_id = ? ORDER BY run_index",
-            (_id(experiment_id, "experiment"),),
-        )
+        return self._read(_RUNS.texts, experiment_id)
 
     def run_text(self, run_id: int) -> str:
-        """:meth:`run` as ``json.dumps(row.to_dict())``."""
-        return self._text(_RUN_TEXT, run_id)
+        return self._read(_RUNS.texts, row_id=run_id)
 
     def artifact_texts(self, experiment_id: int) -> list[str]:
-        """:meth:`artifacts` as texts: ``json.dumps(row.to_dict())``."""
-        return self._texts(
-            _ARTIFACT_TEXT, "WHERE experiment_id = ? ORDER BY id",
-            (_id(experiment_id, "experiment"),),
-        )
+        return self._read(_ARTIFACTS.texts, experiment_id)
 
     def run_attachments(self, experiment_id: int) -> list[tuple[int, int, dict[str, Any]]]:
         """``(id, run_index, attachments)`` of every run of one experiment,
         in run-index order; only ``attachments_json`` is decoded."""
+        return self._read(_RUN_ATTACHMENTS, experiment_id)
+
+    def _read(
+        self, read: _Read, experiment_id: int | None = None, *,
+        row_id: int | None = None,
+    ) -> Any:
+        """``read`` over the row with id ``row_id``, else over one
+        experiment's rows, else over every row; listings in ``read.order``."""
+        if row_id is not None:
+            where, params = "WHERE id = ?", (_id(row_id, read.what),)
+        elif experiment_id is not None:
+            where = "WHERE experiment_id = ? " + read.order
+            params = (_id(experiment_id, "experiment"),)
+        else:
+            where, params = read.order, ()
         with self._lock:
-            rows = self._conn.execute(
-                "SELECT id, run_index, attachments_json FROM runs "
-                "WHERE experiment_id = ? ORDER BY run_index",
-                (_id(experiment_id, "experiment"),),
-            ).fetchall()
-        return [
-            (run_id, index,
-             _loads(text, f"run {run_id}", "attachments_json") or {})
-            for run_id, index, text in rows
-        ]
-
-    def _texts(self, rows: _RowText, where: str, params: tuple) -> list[str]:
-        with self._lock:
-            cursor = self._conn.cursor()
-            cursor.row_factory = None  # plain tuples, read by position
-            fetched = cursor.execute(rows.select + where, params).fetchall()
-        return [rows.render(row) for row in fetched]
-
-    def _text(self, rows: _RowText, row_id: int) -> str:
-        texts = self._texts(rows, "WHERE id = ?", (_id(row_id, rows.what),))
-        if not texts:
-            raise StoreError(f"no {rows.what} with id {row_id}")
-        return texts[0]
-
-    def _experiment_row(self, row: sqlite3.Row) -> ExperimentRow:
-        where = f"experiment {row['id']}"
-        return ExperimentRow(
-            id=row["id"], name=row["name"], kind=row["kind"],
-            status=row["status"], created_at=row["created_at"],
-            finished_at=row["finished_at"],
-            config=_loads(row["config_json"], where, "config_json") or {},
-            params=_loads(row["params_json"], where, "params_json") or {},
-            total_runs=row["total_runs"], done_runs=row["done_runs"],
-            failed_runs=row["failed_runs"], stalled_runs=row["stalled_runs"],
-        )
-
-    def _run_row(self, row: sqlite3.Row) -> RunRow:
-        where = f"run {row['id']}"
-        return RunRow(
-            id=row["id"], experiment_id=row["experiment_id"],
-            run_index=row["run_index"], label=row["label"],
-            status=row["status"], seed=row["seed"], protocol=row["protocol"],
-            config=_loads(row["config_json"], where, "config_json") or {},
-            fingerprint=row["fingerprint"],
-            terminated=(
-                None if row["terminated"] is None else bool(row["terminated"])
-            ),
-            stalled=bool(row["stalled"]),
-            latency=row["latency"],
-            latency_per_decision=row["latency_per_decision"],
-            messages=row["messages"],
-            messages_per_decision=row["messages_per_decision"],
-            events_processed=row["events_processed"],
-            max_view=row["max_view"],
-            wall_clock_seconds=row["wall_clock_seconds"],
-            attachments=_loads(row["attachments_json"], where, "attachments_json") or {},
-            failure=_loads(row["failure_json"], where, "failure_json"),
-            trace_path=row["trace_path"],
-        )
+            fetched = self._conn.execute(read.select + where, params).fetchall()
+        if row_id is None:
+            return [read.build(row) for row in fetched]
+        if not fetched:
+            raise StoreError(f"no {read.what} with id {row_id}")
+        return read.build(fetched[0])

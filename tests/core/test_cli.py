@@ -186,6 +186,18 @@ class TestSweep:
         assert code == 1
         assert "error: lambda (lam)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("values, item", [
+        ("16,,32", "''"), ("abc", "'abc'"), ("400,8OO", "'8OO'"),
+    ])
+    def test_sweep_value_that_is_no_number_names_flag_and_item(
+        self, capsys, values, item
+    ):
+        code = main(["sweep", "--protocol", "pbft", "-n", "4",
+                     "--param", "lam", "--values", values])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: --values: item {item} is not a number\n"
+
     def test_unsupported_parameter(self, capsys):
         code = main([
             "sweep", "--protocol", "pbft", "--param", "colour", "--values", "1",

@@ -588,6 +588,28 @@ class TestConcurrentReaders:
         assert "Traceback" not in capsys.readouterr().err
 
 
+    def test_a_burst_of_connects_is_answered_at_once(self, served):
+        """20 clients connect and GET at the same instant: each answers well
+        inside the 1-s SYN retransmit a backlog shorter than the burst
+        costs the connects it drops."""
+        clients = 20
+        barrier = threading.Barrier(clients)
+        took: list[float] = []
+
+        def client() -> None:
+            barrier.wait()
+            start = time.monotonic()
+            if len(get_json(served, "/api/experiments")["experiments"]) == 2:
+                took.append(time.monotonic() - start)
+
+        threads = [threading.Thread(target=client) for _ in range(clients)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert len(took) == clients
+        assert max(took) < 0.5, sorted(took)
+
     def test_a_request_racing_server_close_is_a_json_503(self, tmp_path):
         store_path = str(tmp_path / "exp.sqlite")
         with ExperimentStore(store_path) as store:
@@ -701,8 +723,7 @@ class TestHostileRequests:
         before = set(threading.enumerate())
         silent: list[socket.socket] = []
         try:
-            # One at a time: the listen backlog is 5, and a connection past
-            # it waits for a SYN retransmit.
+            # One at a time, so each handler thread is counted as it starts.
             for count in range(1, 21):
                 silent.append(socket.create_connection(
                     ("127.0.0.1", server.server_address[1])))

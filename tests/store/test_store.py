@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 import sqlite3
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import pytest
 
@@ -600,3 +600,97 @@ class TestRowDicts:
         assert json.dumps(diff.to_dict()) == json.dumps(reference)
         assert (json.dumps(diff.to_dict(), sort_keys=True)
                 == json.dumps(reference, sort_keys=True))
+
+
+def _typed(mapping: dict) -> dict:
+    """``mapping`` with each value paired with its type (``1 != True``)."""
+    return {key: (type(value), value) for key, value in mapping.items()}
+
+
+class TestColumnMapping:
+    """Each column lands in its own field.  A row written through raw SQL
+    with a distinct value in every column must read back value for value,
+    as the row object and as the response text: the texts are compared
+    with the rows elsewhere, and two products of one mapping cannot catch
+    a column mapped to the wrong field."""
+
+    @staticmethod
+    def _insert(store: ExperimentStore, table: str, columns: dict) -> None:
+        store._conn.execute(
+            f"INSERT INTO {table} ({', '.join(columns)}) "
+            f"VALUES ({', '.join('?' * len(columns))})",
+            list(columns.values()),
+        )
+        store._conn.commit()
+
+    @staticmethod
+    def _assert_reads(row, text: str, expected: dict) -> None:
+        attributes = {f.name: getattr(row, f.name) for f in fields(row)}
+        assert _typed(attributes) == _typed(
+            {key: expected[key] for key in attributes})
+        assert _typed(json.loads(text)) == _typed(expected)
+        assert list(json.loads(text)) == list(expected)
+
+    def _experiment(self, store: ExperimentStore) -> None:
+        self._insert(store, "experiments", {
+            "id": 3, "name": "n", "kind": "k", "status": "complete",
+            "created_at": 1.5, "finished_at": 2.5,
+            "config_json": '{"c": 1}', "params_json": '{"p": 2}',
+            "total_runs": 8, "done_runs": 6, "failed_runs": 4,
+            "stalled_runs": 5,
+        })
+
+    def test_experiment_columns(self, store):
+        self._experiment(store)
+        expected = {
+            "id": 3, "name": "n", "kind": "k", "status": "complete",
+            "created_at": 1.5, "finished_at": 2.5,
+            "config": {"c": 1}, "params": {"p": 2},
+            "total_runs": 8, "done_runs": 6, "failed_runs": 4,
+            "stalled_runs": 5, "progress": 0.75,
+        }
+        self._assert_reads(
+            store.experiment(3), store.experiment_text(3), expected)
+        self._assert_reads(
+            store.experiments()[0], store.experiment_texts()[0], expected)
+
+    def test_run_columns(self, store):
+        self._experiment(store)
+        self._insert(store, "runs", {
+            "id": 11, "experiment_id": 3, "run_index": 2, "label": "l",
+            "status": "ok", "seed": 9, "protocol": "pbft",
+            "config_json": '{"c": 1}', "fingerprint": "f",
+            "terminated": 1, "stalled": 0, "latency": 1.5,
+            "latency_per_decision": 2.5, "messages": 13,
+            "messages_per_decision": 4.5, "events_processed": 16,
+            "max_view": 17, "wall_clock_seconds": 8.5,
+            "attachments_json": '{"a": 1}', "failure_json": '{"f": 2}',
+            "trace_path": "t.jsonl",
+        })
+        expected = {
+            "id": 11, "experiment_id": 3, "run_index": 2, "label": "l",
+            "status": "ok", "seed": 9, "protocol": "pbft",
+            "config": {"c": 1}, "fingerprint": "f",
+            "terminated": True, "stalled": False, "latency": 1.5,
+            "latency_per_decision": 2.5, "messages": 13,
+            "messages_per_decision": 4.5, "events_processed": 16,
+            "max_view": 17, "wall_clock_seconds": 8.5,
+            "attachments": {"a": 1}, "failure": {"f": 2},
+            "trace_path": "t.jsonl",
+        }
+        self._assert_reads(store.run(11), store.run_text(11), expected)
+        self._assert_reads(store.runs(3)[0], store.run_texts(3)[0], expected)
+        assert store.run_attachments(3) == [(11, 2, {"a": 1})]
+
+    def test_artifact_columns(self, store):
+        self._experiment(store)
+        self._insert(store, "artifacts", {
+            "id": 4, "experiment_id": 3, "kind": "winner", "name": "w",
+            "path": "p.json", "payload_json": '{"x": 1}',
+        })
+        expected = {
+            "id": 4, "experiment_id": 3, "kind": "winner", "name": "w",
+            "path": "p.json", "payload": {"x": 1},
+        }
+        self._assert_reads(
+            store.artifacts(3)[0], store.artifact_texts(3)[0], expected)
