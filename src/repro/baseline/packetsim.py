@@ -228,7 +228,7 @@ class BaselineController(Controller):
 
     # -- event dispatch ---------------------------------------------------------
 
-    def _dispatch(self, entry: list) -> None:
+    def _dispatch(self, entry: tuple) -> None:
         event = entry[2]
         if isinstance(event, PacketHopEvent):
             if event.hop == "switch":

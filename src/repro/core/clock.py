@@ -12,22 +12,20 @@ from .errors import SchedulingError
 
 
 class SimulationClock:
-    """Monotonic virtual clock advanced by the controller.
+    """Monotonic virtual clock.
 
-    The clock refuses to move backwards; the event queue's total order makes
-    a backwards move impossible in a correct run, so an attempt indicates a
-    scheduling bug and raises :class:`~repro.core.errors.SchedulingError`.
+    ``now`` is a plain attribute: the event queue stores each released
+    event's time there (:meth:`~repro.core.events.EventQueue.pop_entry`) and
+    refuses any push earlier than it, so the queue's ``(time, handle)`` order
+    keeps the clock monotonic without a check per event.  :meth:`advance_to`
+    is the checked move for everyone else.
     """
 
-    __slots__ = ("_now",)
+    __slots__ = ("now",)
 
     def __init__(self, start: float = 0.0) -> None:
-        self._now = float(start)
-
-    @property
-    def now(self) -> float:
-        """Current simulation time in milliseconds."""
-        return self._now
+        #: Current simulation time in milliseconds.
+        self.now = float(start)
 
     def advance_to(self, time: float) -> None:
         """Jump the clock forward to ``time``.
@@ -35,14 +33,11 @@ class SimulationClock:
         Raises:
             SchedulingError: if ``time`` precedes the current time.
         """
-        if time < self._now:
+        if time < self.now:
             raise SchedulingError(
-                f"clock cannot move backwards: {time:.3f} < {self._now:.3f}"
+                f"clock cannot move backwards: {time:.3f} < {self.now:.3f}"
             )
-        # Called once per event: skip the float() rewrap for the common case
-        # of an already-float timestamp, coerce anything else exactly as
-        # before so stored time is always a float.
-        self._now = time if type(time) is float else float(time)
+        self.now = float(time)
 
     def __repr__(self) -> str:
-        return f"SimulationClock(now={self._now:.3f})"
+        return f"SimulationClock(now={self.now:.3f})"

@@ -47,7 +47,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..workload.manager import WorkloadManager
 
 
-def _copy_id(entry: list) -> int:
+def _copy_id(entry: tuple) -> int:
     """Per-run id of the message copy that delivery ``entry`` carries.
 
     A shared broadcast is one :class:`Message` holding the first of the ids
@@ -119,7 +119,7 @@ class Controller:
             )
 
         self.clock = SimulationClock()
-        self.queue = EventQueue()
+        self.queue = EventQueue(self.clock)
         self.random_source = RandomSource(config.seed)
         self._shared_rngs: dict[str, random.Random] = {}
         self.metrics = MetricsCollector(self.n, config.num_decisions)
@@ -136,7 +136,7 @@ class Controller:
         #: the literal setup cause ("a" during attacker setup, "s<node>"
         #: during on_start).  None before the run starts.  Read through
         #: :attr:`_current_cause`.
-        self._cause: list | str | None = None
+        self._cause: tuple | str | None = None
 
         self.attacker: Attacker = make_attacker(config.attack)
         #: Live run signals for signal-driven adversaries; allocated only
@@ -207,6 +207,10 @@ class Controller:
         #: per-event dict write (two of them per delivered event at n=1000)
         #: behind that.
         self._watchdog = config.stall_timeout is not None
+        #: A delivery feeds the watchdog or an observer's deliver hook.
+        self._watched = self._watchdog or bool(self._on_deliver)
+        #: A delivery may be lost: a fault schedule, or a corrupted node.
+        self._lossy = bool(config.faults.specs)
         #: Termination-check gate: ``metrics.terminated()`` can only change
         #: after a decision or a change to the honest set, so the run loop
         #: re-evaluates it only when this flag is raised (one attribute load
@@ -251,7 +255,7 @@ class Controller:
         "t<timer_id>" (or the setup cause).  Derived on read — most
         dispatched events send, schedule and decide nothing."""
         cause = self._cause
-        if type(cause) is list:
+        if type(cause) is tuple:
             event = cause[2]
             if type(event) is TimeEvent:
                 return f"t{event.timer_id}"
@@ -369,6 +373,7 @@ class Controller:
     def on_node_corrupted(self, node: int) -> None:
         """Attacker corrupted ``node``: halt its replica from now on."""
         self._halted.add(node)
+        self._lossy = True
         self.metrics.mark_faulty(node)
         # Shrinking the honest set can flip the termination predicate.
         self._termination_dirty = True
@@ -472,10 +477,8 @@ class Controller:
             SafetyViolationError: two honest nodes disagreed.
         """
         started = _time.perf_counter()
-        config = self.config
-        stall_timeout = config.stall_timeout
         try:
-            return self._run_to_completion(started, config, stall_timeout)
+            return self._run_to_completion(started)
         finally:
             # Closed on *every* exit path (safety violations, liveness
             # errors, protocol bugs) so a crashed run still leaves a
@@ -499,12 +502,7 @@ class Controller:
         finally:
             vars(self).clear()
 
-    def _run_to_completion(
-        self,
-        started: float,
-        config: SimulationConfig,
-        stall_timeout: float | None,
-    ) -> SimulationResult:
+    def _run_to_completion(self, started: float) -> SimulationResult:
         self._cause = "a"
         self.attacker.setup()
         for node in self.nodes:
@@ -512,56 +510,49 @@ class Controller:
                 self._cause = f"s{node.id}"
                 node.on_start()
 
-        # Hot loop: every name used per iteration is a local (the loop runs
-        # once per event — ~100k times for the paper's large configs), and
-        # the event counter is flushed back to the instance attribute on
-        # every exit path so exceptions (safety violations) still leave an
-        # accurate count behind.
-        queue = self.queue
-        clock = self.clock
+        # The loop pops under a bound, ``limit``: the earliest of the
+        # horizon, the stall deadline and the last float before the next
+        # observer window.  An event at or before it needs no other check,
+        # so it costs one queue call and one compare; the checks below run
+        # only when the pop comes back empty, when a decision or a change to
+        # the honest set raised ``_termination_dirty``, or at
+        # ``max_events``.  The stall deadline only moves later (honest
+        # progress), so a stale one merely sends the loop here early.
+        config = self.config
+        stall_timeout, max_time, max_events = (
+            config.stall_timeout, config.max_time, config.max_events)
         terminated_check = (
-            self.metrics.terminated
-            if self._workload is None
-            else self._workload_terminated
-        )
-        peek_time = queue.peek_time
-        pop_entry = queue.pop_entry
-        advance_to = clock.advance_to
+            self._workload_terminated if self._workload is not None
+            else self.metrics.terminated)
+        pop_entry = self.queue.pop_entry
         dispatch = self._dispatch
-        max_time = config.max_time
-        max_events = config.max_events
-        events_processed = self._events_processed
-        # The earliest window boundary of the observers that have a clock,
-        # as a local float: the common iteration pays one compare.
         clocks = self._clocks
         next_window = min((o.next_boundary for o in clocks), default=math.inf)
+        done = self._events_processed
         try:
             while True:
-                # The termination predicate can only change when a decision
-                # lands or the honest set shrinks; those paths raise the
-                # dirty flag, so the common iteration pays one attribute
-                # load instead of the full predicate.
                 if self._termination_dirty:
                     self._termination_dirty = False
                     if terminated_check():
                         break
-                next_time = peek_time()
+                next_time = self.queue.peek_time()
                 if next_time is None:
                     if stall_timeout is not None:
                         self._stall = self._build_stall(
-                            "event queue drained before termination", clock.now
+                            "event queue drained before termination", self.clock.now
                         )
                         self._stop_reason = "stalled: event queue drained"
                     else:
                         self._stop_reason = "event queue empty before termination"
                     break
+                deadline = math.inf
                 if stall_timeout is not None:
                     deadline = self._last_progress + stall_timeout
                     if next_time > deadline and deadline <= max_time:
                         # No decision, view advance, or honest delivery for a
                         # full watchdog window of simulated time — and nothing
                         # scheduled that could change that before the deadline.
-                        advance_to(deadline)
+                        self.clock.advance_to(deadline)
                         self._stall = self._build_stall(
                             f"no honest progress for {stall_timeout:g} ms", deadline
                         )
@@ -569,25 +560,33 @@ class Controller:
                         break
                 if next_time > max_time:
                     self._stop_reason = f"horizon max_time={max_time} reached"
-                    advance_to(max_time)
+                    self.clock.advance_to(max_time)
                     break
-                if events_processed >= max_events:
+                if done >= max_events:
                     self._stop_reason = f"max_events={max_events} reached"
                     break
-                entry = pop_entry()
-                event_time = entry[0]
-                advance_to(event_time)
-                events_processed += 1
-                # Window closes happen *before* the boundary-crossing
-                # event's own trace lines — the ordering contract behind
-                # online == offline health replay.
-                if event_time >= next_window:
+                if next_time >= next_window:
+                    # Window closes happen after the crossing event is popped
+                    # and before it is dispatched — the ordering contract
+                    # behind online == offline health replay.
+                    entry = pop_entry(next_time)
+                    done += 1
                     for observer in clocks:
-                        observer.advance(event_time)
+                        observer.advance(next_time)
                     next_window = min(o.next_boundary for o in clocks)
-                dispatch(entry)
+                    dispatch(entry)
+                    continue
+                limit = min(max_time, deadline, math.nextafter(next_window, -math.inf))
+                for done in range(done + 1, max_events + 1):
+                    entry = pop_entry(limit)
+                    if entry is None:
+                        done -= 1
+                        break
+                    dispatch(entry)
+                    if self._termination_dirty:
+                        break
         finally:
-            self._events_processed = events_processed
+            self._events_processed = done
 
         terminated = terminated_check()
         if not terminated and self._stall is None and not config.allow_horizon:
@@ -600,7 +599,7 @@ class Controller:
             observer.finish(self.clock.now)
         return self._build_result(terminated, _time.perf_counter() - started)
 
-    def _dispatch(self, entry: list) -> None:
+    def _dispatch(self, entry: tuple) -> None:
         # The unit of dispatch is the queue *entry* (``pop_entry``): the
         # network module's shared tier schedules one MessageEvent for a whole
         # broadcast, so the per-copy firing time, recipient and message id
@@ -610,20 +609,21 @@ class Controller:
         # ``type() is`` instead of ``isinstance``: MessageEvent/TimeEvent are
         # the only event kinds the engine schedules, and the exact-type check
         # skips the subclass machinery on the hottest branch in the run loop.
+        #
+        # Everything sent or scheduled while this event is handled was
+        # caused by it.
+        self._cause = entry
         event_time = entry[0]
         event = entry[2]
-        if type(event) is MessageEvent:
+        dest = entry[3]
+        if dest is not None or type(event) is MessageEvent:  # a delivery
             message = event.message
-            dest = entry[3]
             if dest is None:
                 dest = message.dest
-            # Everything sent or scheduled while this delivery is being
-            # handled was caused by this message.
-            self._cause = entry
             # Slow checks (crashed destination, corrupted replica, tampered
-            # payload) only run when such state exists at all — benign runs
-            # never enter this block.
-            if self._down or self._halted or message.corrupted:
+            # payload) only run when such state can exist at all — benign
+            # runs never enter this block.
+            if self._lossy:
                 if dest in self._down:
                     # The destination is crashed: the packet arrives at a dead
                     # host and is lost (recovery does not replay it).
@@ -652,11 +652,12 @@ class Controller:
                     )
                     return
             self.metrics.counts.delivered += 1
-            self._last_progress = event_time
-            if self._watchdog:
-                self._node_activity[dest] = event_time
-            for hook in self._on_deliver:
-                hook(dest, message.source, message.type, event_time, message.sent_at)
+            if self._watched:
+                self._last_progress = event_time
+                if self._watchdog:
+                    self._node_activity[dest] = event_time
+                for hook in self._on_deliver:
+                    hook(dest, message.source, message.type, event_time, message.sent_at)
             trace = self.trace
             if trace.enabled:
                 # Deliveries carry the message's own cause plus its slot/view
@@ -674,7 +675,6 @@ class Controller:
                 })
             self.nodes[dest].on_message(message)
         elif type(event) is TimeEvent:
-            self._cause = entry
             owner = event.owner
             if owner == ATTACKER_OWNER:
                 self.attacker.on_timer(event)

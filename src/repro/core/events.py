@@ -13,6 +13,7 @@ simulation run a pure function of its configuration.
 
 from __future__ import annotations
 
+import math
 from array import array
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush, heapreplace
@@ -21,6 +22,7 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .clock import SimulationClock
 from .errors import SchedulingError
 from .message import Message
 
@@ -93,36 +95,49 @@ class EventQueue:
     cancelled entries stay in the heap as tombstones and are skipped on pop,
     which keeps both operations O(log n).
 
-    Hot-path layout: an ordinary heap entry is a mutable
-    ``[time, handle, event, None]`` list.  Lists compare elementwise exactly
-    like tuples (the unique handle always breaks time ties before the event
-    is reached), but cancellation can tombstone an entry in place
-    (``entry[2] = None``) instead of maintaining a separate membership set.
+    Hot-path layout: a heap entry is a tuple that starts ``(time, handle,
+    event, dest)``.  The unique handle breaks time ties before the event is
+    reached, and a tuple holds its items inline, so a heap compare reads two
+    objects per side (the tuple and its time) where a list reads three: on a
+    heap of a few hundred entries the compares are most of a pop.  An
+    ordinary event's entry is ``(time, handle, event, None)``, live while
+    its handle is in ``_entries``; :meth:`cancel` removes the handle, and
+    the entry left in the heap is a tombstone.
 
     A shared-tier broadcast (:meth:`push_deliveries`) is **one** heap entry
-    however many nodes it reaches, a *cursor* ``[time, handle, event, dest,
-    base, pos, times, order, dests]`` over its arrivals sorted by ``(time,
-    handle)``: ``times`` and ``order`` (each arrival's handle offset) are
-    ``array``s, 16 bytes per pending delivery, the four leading slots
-    describe arrival ``pos``, the head, and ``base`` is the batch's first
-    handle.  Popping re-keys the cursor to its
-    next arrival with one ``heapreplace``, so n concurrent broadcasts hold
-    O(n) heap entries, not O(n²).  A cursor's keys ascend and handles are
-    unique, so pop order is exactly that of per-recipient entries.
-    Deliveries are not in ``_entries`` (they cannot be cancelled singly);
-    ``dest`` is ``None`` only for ordinary events, which tells the kinds
-    apart.  :meth:`pop_entry` exposes the recipient; :meth:`pop` stays the
+    however many nodes it reaches: ``(time, handle, event, dest, base,
+    cursor, pos)`` describes arrival ``pos`` of ``cursor = (times, order,
+    dests)``, its arrivals sorted by ``(time, handle)``, and ``base`` is the
+    batch's first handle.  ``times`` and ``order`` (each arrival's handle
+    offset) are ``array``s, 16 bytes per pending delivery.  Popping hands
+    out the head entry and puts the next arrival's entry in its place with
+    one ``heapreplace``, so n concurrent broadcasts hold O(n) heap entries,
+    not O(n²).  A cursor's keys ascend and handles are unique, so pop order is
+    exactly that of per-recipient entries.  Deliveries are not in
+    ``_entries`` (they cannot be cancelled singly); ``dest`` is ``None``
+    only for ordinary events, which tells the kinds apart.
+    :meth:`pop_entry` exposes the recipient; :meth:`pop` stays the
     event-only view.
+
+    The queue keeps time: each pop stores the released event's time in
+    ``clock.now``, and a push earlier than it raises
+    :class:`~repro.core.errors.SchedulingError` at the push.  So pops never
+    go back in time, and the run loop moves its clock without a call.
+
+    Args:
+        clock: the clock to keep (the controller's); a fresh one at 0 when
+            omitted.
     """
 
-    __slots__ = ("_heap", "_entries", "_next_handle", "_pending", "_cursors")
+    __slots__ = ("_heap", "_entries", "_next_handle", "_pending", "_cursors", "clock")
 
-    def __init__(self) -> None:
-        self._heap: list[list] = []
+    def __init__(self, clock: SimulationClock | None = None) -> None:
+        self.clock = clock if clock is not None else SimulationClock()
+        self._heap: list[tuple] = []
         #: live handle -> its heap entry, for every *ordinary* event: the
         #: single source of truth for their queue membership (tombstoned and
         #: popped entries are absent).
-        self._entries: dict[int, list] = {}
+        self._entries: dict[int, tuple] = {}
         self._next_handle = 0
         #: Running counts — pending deliveries over all live cursors, and
         #: live cursors — keep ``len()`` and tombstone accounting O(1).
@@ -137,12 +152,12 @@ class EventQueue:
 
     def push(self, event: Event) -> int:
         """Schedule ``event``; returns a handle usable with :meth:`cancel`."""
-        time = event.time
-        if time < 0:
-            raise SchedulingError(f"event scheduled at negative time {time}")
+        time = float(event.time)  # the clock, set from it, holds a float
+        if time < self.clock.now:
+            self._refuse(time)
         handle = self._next_handle
         self._next_handle = handle + 1
-        entry = [time, handle, event, None]
+        entry = (time, handle, event, None)
         self._entries[handle] = entry
         heappush(self._heap, entry)
         return handle
@@ -157,12 +172,13 @@ class EventQueue:
         entries = self._entries
         heap = self._heap
         handle = self._next_handle
+        now = self.clock.now
         try:
             for event in events:
-                time = event.time
-                if time < 0:
-                    raise SchedulingError(f"event scheduled at negative time {time}")
-                entry = [time, handle, event, None]
+                time = float(event.time)
+                if time < now:
+                    self._refuse(time)
+                entry = (time, handle, event, None)
                 entries[handle] = entry
                 heappush(heap, entry)
                 handle += 1
@@ -192,19 +208,23 @@ class EventQueue:
         if not count:
             return
         order = times.argsort(kind="stable")  # ties by index == by handle
-        times = times[order]
-        if times[0] < 0:
-            raise SchedulingError(f"event scheduled at negative time {times[0]}")
+        times = array("d", times[order].tobytes())
+        if times[0] < self.clock.now:
+            self._refuse(times[0])
         base = self._next_handle
         self._next_handle = base + count
         self._pending += count
         self._cursors += 1
-        times = array("d", times.tobytes())
         order = array(order.dtype.char, order.tobytes())
         first = order[0]
         heappush(
             self._heap,
-            [times[0], base + first, event, dests[first], base, 0, times, order, dests],
+            (times[0], base + first, event, dests[first], base, (times, order, dests), 0),
+        )
+
+    def _refuse(self, time: float) -> None:
+        raise SchedulingError(
+            f"event scheduled at {time} before the current time {self.clock.now}"
         )
 
     #: Tombstone-compaction trigger: once the heap holds more dead entries
@@ -220,73 +240,86 @@ class EventQueue:
         Cancelling twice, or cancelling an already-popped handle, is a no-op:
         protocols routinely cancel timers that may have just fired.
         """
-        entry = self._entries.pop(handle, None)
-        if entry is not None:
-            entry[2] = None
+        if self._entries.pop(handle, None) is not None:
             live = len(self._entries) + self._cursors
             dead = len(self._heap) - live
             if dead > self.COMPACT_MIN_TOMBSTONES and dead > live:
                 self._compact()
 
+    def _live(self) -> list[tuple]:
+        """The heap's entries without its tombstones, in heap order."""
+        entries = self._entries
+        return [entry for entry in self._heap if entry[3] is not None or entry[1] in entries]
+
     def _compact(self) -> None:
         """Rebuild the heap from live entries, dropping every tombstone.
 
-        Entry lists are kept (``_entries`` still points at them); only the
-        heap arrangement changes, and the pop order is untouched — events
-        compare by ``(time, handle)``, a total order independent of heap
-        layout.
+        The pop order is untouched — entries compare by ``(time, handle)``,
+        a total order independent of heap layout.
         """
-        live = [entry for entry in self._heap if entry[2] is not None]
+        live = self._live()
         heapify(live)
         self._heap = live
 
     def pop(self) -> Event:
         """Remove and return the earliest live event."""
-        return self.pop_entry()[2]
+        entry = self.pop_entry()
+        if entry is None:
+            raise SchedulingError("pop from an empty event queue")
+        return entry[2]
 
-    def pop_entry(self) -> list:
-        """Remove and return the earliest live entry ``[time, handle, event,
-        dest]``.
+    def pop_entry(self, limit: float = math.inf) -> tuple | None:
+        """Remove and return the earliest live entry ``(time, handle, event,
+        dest)`` if it fires at or before ``limit``; else ``None``, leaving
+        the queue as it was (an empty queue also gives ``None``).
 
-        The engine's run loop uses this instead of :meth:`pop`: for shared
-        broadcast deliveries (:meth:`push_deliveries`) the authoritative
-        firing time and recipient live in the entry, not the event.
-        ``dest`` is ``None`` for ordinary events; a delivery's entry has a
-        fifth slot, the first handle of its batch, so ``handle - base`` is
-        the delivery's index in the ``push_deliveries`` call.
+        The run loop's one queue call per event: it passes the earliest
+        time at which it must look up from dispatching (horizon, stall
+        deadline, observer window), so the common event costs one compare.
+        For shared broadcast deliveries (:meth:`push_deliveries`) the
+        authoritative firing time and recipient live in the entry, not the
+        event.  ``dest`` is ``None`` for ordinary events; a delivery's entry
+        has a fifth slot, the first handle of its batch, so ``handle - base``
+        is the delivery's index in the ``push_deliveries`` call (its last
+        two slots are the queue's own).
         """
         heap = self._heap
         while heap:
             entry = heap[0]
-            if entry[2] is None:  # tombstone
-                heappop(heap)
-                continue
+            time = entry[0]
+            if time > limit:
+                return None
             if entry[3] is None:
-                del self._entries[entry[1]]
-                return heappop(heap)
-            head = entry[:5]
-            pos = entry[5] + 1
-            times = entry[6]
-            if pos == len(times):
+                heappop(heap)
+                if self._entries.pop(entry[1], None) is None:
+                    continue  # a tombstone
+                self.clock.now = time
+                return entry
+            self.clock.now = time
+            times, order, dests = cursor = entry[5]
+            pos = entry[6] + 1
+            try:
+                next_time = times[pos]
+            except IndexError:  # the broadcast's last delivery
                 heappop(heap)
                 self._cursors -= 1
             else:
-                offset = entry[7][pos]
-                entry[0] = times[pos]
-                entry[1] = entry[4] + offset
-                entry[3] = entry[8][offset]
-                entry[5] = pos
-                heapreplace(heap, entry)
+                base = entry[4]
+                offset = order[pos]
+                heapreplace(heap, (
+                    next_time, base + offset, entry[2], dests[offset], base, cursor, pos,
+                ))
             self._pending -= 1
-            return head
-        raise SchedulingError("pop from an empty event queue")
+            return entry
+        return None
 
     def peek_time(self) -> float | None:
         """Timestamp of the next live event, or ``None`` when empty."""
         heap = self._heap
+        entries = self._entries
         while heap:
             entry = heap[0]
-            if entry[2] is None:
+            if entry[3] is None and entry[1] not in entries:
                 heappop(heap)
                 continue
             return entry[0]
@@ -296,27 +329,29 @@ class EventQueue:
         """Cancel every live event satisfying ``predicate``; returns count.
 
         A matching shared delivery event loses every remaining delivery,
-        each counted.  O(heap); used for rare structural operations such
-        as a node crash discarding that node's pending timers.
+        each counted.  O(heap), and the heap is rebuilt without the
+        cancelled entries and the tombstones; used for rare structural
+        operations such as a node crash discarding that node's pending
+        timers.
         """
         removed = 0
         entries = self._entries
-        for entry in self._heap:
-            event = entry[2]
-            if event is not None and predicate(event):
-                entry[2] = None
+        kept = []
+        for entry in self._live():
+            if predicate(entry[2]):
                 if entry[3] is None:
                     del entries[entry[1]]
                     removed += 1
                 else:
-                    remaining = len(entry[6]) - entry[5]
+                    remaining = len(entry[5][0]) - entry[6]
                     self._pending -= remaining
                     self._cursors -= 1
                     removed += remaining
-        live = len(entries) + self._cursors
-        dead = len(self._heap) - live
-        if dead > self.COMPACT_MIN_TOMBSTONES and dead > live:
-            self._compact()
+            else:
+                kept.append(entry)
+        if len(kept) < len(self._heap):
+            heapify(kept)
+            self._heap = kept
         return removed
 
     def live_count(self, event_type: type) -> int:
@@ -327,8 +362,8 @@ class EventQueue:
         which samples at interval boundaries, never per event.
         """
         return sum(
-            1 if entry[3] is None else len(entry[6]) - entry[5]
-            for entry in self._heap
+            1 if entry[3] is None else len(entry[5][0]) - entry[6]
+            for entry in self._live()
             if type(entry[2]) is event_type
         )
 
@@ -340,15 +375,13 @@ class EventQueue:
         census; O(n log n), never on the hot path.
         """
         firings = []  # (time, handle, event)
-        for entry in self._heap:
-            if entry[2] is None:
-                continue
+        for entry in self._live():
             if entry[3] is None:
                 firings.append(entry[:3])
             else:
-                event, base, times, order = entry[2], entry[4], entry[6], entry[7]
+                event, base, (times, order, _dests), pos = entry[2], entry[4], entry[5], entry[6]
                 firings.extend(
-                    (times[i], base + order[i], event) for i in range(entry[5], len(times))
+                    (times[i], base + order[i], event) for i in range(pos, len(times))
                 )
         firings.sort(key=itemgetter(0, 1))
         return [firing[2] for firing in firings]

@@ -456,6 +456,15 @@ _RUN_ATTACHMENTS = _Read(
     ),
 )
 
+#: ``(run_index, fingerprint, latency_per_decision)`` of runs: what
+#: :meth:`ExperimentStore.diff` compares, with no stored JSON decoded.
+_RUN_FINGERPRINTS = _Read(
+    "run",
+    "SELECT run_index, fingerprint, latency_per_decision FROM runs ",
+    _RUNS.rows.order,
+    tuple,
+)
+
 
 class ExperimentStore:
     """Persistent sqlite-backed repository of experiments and runs.
@@ -761,17 +770,16 @@ class ExperimentStore:
         """Fingerprint-compare two experiments slot by slot (run_index)."""
         a = self.experiment(experiment_a)
         b = self.experiment(experiment_b)
-        runs_a = {run.run_index: run for run in self.runs(experiment_a)}
-        runs_b = {run.run_index: run for run in self.runs(experiment_b)}
+        runs_a = {run[0]: run for run in self._read(_RUN_FINGERPRINTS, experiment_a)}
+        runs_b = {run[0]: run for run in self._read(_RUN_FINGERPRINTS, experiment_b)}
+        absent = (None, None, None)
         rows = []
         for index in sorted(set(runs_a) | set(runs_b)):
-            run_a, run_b = runs_a.get(index), runs_b.get(index)
+            _, a_print, a_latency = runs_a.get(index, absent)
+            _, b_print, b_latency = runs_b.get(index, absent)
             rows.append(RunDiff(
-                run_index=index,
-                a=run_a.fingerprint if run_a else None,
-                b=run_b.fingerprint if run_b else None,
-                a_latency=run_a.latency_per_decision if run_a else None,
-                b_latency=run_b.latency_per_decision if run_b else None,
+                run_index=index, a=a_print, b=b_print,
+                a_latency=a_latency, b_latency=b_latency,
             ))
         return ExperimentDiff(a=a, b=b, rows=rows)
 

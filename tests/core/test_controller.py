@@ -2,16 +2,33 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import pytest
 
 from repro import Controller, SimulationConfig, run_simulation
-from repro.core.errors import ConfigurationError, LivenessTimeoutError
+from repro.core.errors import ConfigurationError, LivenessTimeoutError, SchedulingError
+from repro.core.events import TimeEvent
 from repro.core.results import result_attachments, result_fingerprint
 
 from tests.conftest import quick_config
 from tests.faults.test_stall import stalling_config
+
+
+def dispatched_times(config: SimulationConfig) -> list[float]:
+    """The firing time of every event one run dispatches, in order."""
+    controller = Controller(config)
+    dispatch = controller._dispatch
+    times = []
+
+    def recording(entry):
+        times.append(entry[0])
+        dispatch(entry)
+
+    controller._dispatch = recording
+    controller.run()
+    return times
 
 
 class TestConstruction:
@@ -66,6 +83,35 @@ class TestRun:
         result = Controller(config).run()
         assert not result.terminated
         assert result.events_processed == 10
+
+    @pytest.mark.parametrize("cap", [1, 2, 37])
+    def test_max_events_stops_at_exactly_that_many(self, cap):
+        config = quick_config(n=7, max_events=cap, allow_horizon=True)
+        result = Controller(config).run()
+        assert result.events_processed == cap
+        assert result.stop_reason == f"max_events={cap} reached"
+
+    @pytest.mark.parametrize("index", [7, 40, -1])
+    def test_an_event_at_exactly_max_time_is_dispatched(self, index):
+        """The horizon is inclusive: every event at or before ``max_time``
+        runs, the first one past it does not."""
+        times = dispatched_times(quick_config(n=7))
+        at = times[index]
+        assert at > 0
+        before = sum(time < at for time in times)
+        through = sum(time <= at for time in times)
+        assert before < through
+        for horizon, count in ((at, through), (math.nextafter(at, -math.inf), before)):
+            config = quick_config(n=7, max_time=horizon, allow_horizon=True)
+            assert dispatched_times(config) == times[:count]
+
+    def test_a_push_before_now_is_refused_at_the_push(self):
+        controller = Controller(quick_config(max_events=30, allow_horizon=True))
+        controller.run()
+        assert controller.now > 0
+        with pytest.raises(SchedulingError, match="before the current time"):
+            controller.queue.push(TimeEvent(time=controller.now - 1.0))
+        controller.queue.push(TimeEvent(time=controller.now))
 
     @pytest.mark.parametrize("limit,reason", [
         ({"max_time": 0.5}, "horizon max_time=0.5 reached"),

@@ -33,6 +33,25 @@ class TestEventQueueBasics:
         with pytest.raises(SchedulingError):
             EventQueue().push(timer(-1.0))
 
+    def test_a_push_before_the_last_pop_is_refused(self):
+        queue = EventQueue()
+        queue.push_deliveries(shared_event(), [5.0, 6.0], [0, 1])
+        queue.pop_entry()
+        for push in (lambda: queue.push(timer(4.5)),
+                     lambda: queue.push_deliveries(shared_event(), [7.0, 4.0], [0, 1])):
+            with pytest.raises(SchedulingError, match="before the current time 5.0"):
+                push()
+        assert queue.push(timer(5.0)) == 2  # the refusals took no handle
+        assert [queue.pop_entry()[:2] for _ in range(2)] == [(5.0, 2), (6.0, 1)]
+
+    def test_the_clock_holds_floats(self):
+        """A config may give integer times; ``now`` (and every time stamped
+        from it) stays a float, as the clock always wrote it."""
+        queue = EventQueue()
+        queue.push(timer(3))
+        assert queue.pop_entry()[0] == 3.0
+        assert type(queue.clock.now) is float and queue.clock.now == 3.0
+
     def test_pops_in_time_order(self):
         queue = EventQueue()
         for t in (5.0, 1.0, 3.0, 2.0, 4.0):

@@ -13,6 +13,7 @@ hand-rolled generator below runs everywhere.
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -39,13 +40,15 @@ def drain_handles(queue: EventQueue, pushed: dict[int, int]) -> list[int]:
 @pytest.mark.parametrize("seed", range(50))
 def test_random_interleavings_preserve_total_order(seed):
     """Arbitrary push/pop interleavings: the concatenation of everything
-    popped equals the (time, seq) order of everything pushed."""
+    popped equals the (time, seq) order of everything pushed.  Pushes land
+    at or after the last popped time, as the queue requires."""
     rng = random.Random(seed)
     queue = EventQueue()
     pushed: dict[int, int] = {}
     live: list[tuple[float, int]] = []  # (time, seq) still in the queue
     popped: list[int] = []
     seq = 0
+    now = 0.0
     for _step in range(rng.randrange(5, 120)):
         if live and rng.random() < 0.35:
             event = queue.pop()
@@ -53,9 +56,10 @@ def test_random_interleavings_preserve_total_order(seed):
             expected = min(live, key=lambda e: (e[0], e[1]))
             assert pushed[id(event)] == expected[1]
             live.remove(expected)
+            now = expected[0]
         else:
             # Coarse times force plenty of exact ties.
-            time_ = float(rng.randrange(0, 8))
+            time_ = now + rng.randrange(0, 8)
             event = Event(time=time_)
             queue.push(event)
             pushed[id(event)] = seq
@@ -140,6 +144,7 @@ def test_stale_cancels_never_perturb_survivors(seed):
     live: list[tuple[float, int]] = []
     gone: list[int] = []  # seqs popped or cancelled (stale targets)
     seq = 0
+    now = 0.0
     for _step in range(rng.randrange(10, 150)):
         choice = rng.random()
         if live and choice < 0.25:  # pop the minimum
@@ -148,6 +153,7 @@ def test_stale_cancels_never_perturb_survivors(seed):
             assert pushed[id(event)] == expected[1]
             live.remove(expected)
             gone.append(expected[1])
+            now = expected[0]
         elif live and choice < 0.40:  # cancel a live entry
             time_, victim = live.pop(rng.randrange(len(live)))
             queue.cancel(handles[victim])
@@ -155,7 +161,7 @@ def test_stale_cancels_never_perturb_survivors(seed):
         elif gone and choice < 0.55:  # stale cancel: popped or cancelled
             queue.cancel(handles[rng.choice(gone)])
         else:
-            time_ = float(rng.randrange(0, 6))
+            time_ = now + rng.randrange(0, 6)
             event = Event(time=time_)
             handles[seq] = queue.push(event)
             pushed[id(event)] = seq
@@ -185,7 +191,8 @@ def test_peek_time_matches_next_pop():
 def check_against_flat_model(rng: random.Random, steps: int) -> None:
     """Drive a queue through ``steps`` random operations of every kind and
     compare each observable with a flat list kept in ``sorted((time,
-    handle))`` order.
+    handle))`` order.  Pops take a random bound, and pushes land at or after
+    the last popped time but one, which must be refused.
 
     A broadcast's deliveries are one cursor entry in the heap but ``k``
     rows in the model, so every view of the queue — pop order, ``len``,
@@ -206,7 +213,7 @@ def check_against_flat_model(rng: random.Random, steps: int) -> None:
         return TimeEvent(time=coarse(), owner=rng.randrange(3), name="t")
 
     for _step in range(steps):
-        op = rng.randrange(9)
+        op = rng.randrange(10)
         if op == 0:
             event = timer()
             handle = queue.push(event)
@@ -250,21 +257,36 @@ def check_against_flat_model(rng: random.Random, steps: int) -> None:
             model = survivors
         elif op in (6, 7) and model:
             model.sort(key=lambda row: row[:2])
-            expected = model.pop(0)
-            if op == 6:
-                entry = queue.pop_entry()
-                assert entry == list(expected)
-                time_, _handle, event, dest = entry[:4]
-                assert type(time_) is float
-                assert dest is None or type(dest) is int
+            # The bounded pop: the head when it fires at or before the
+            # bound, else None with the queue untouched (the checks below).
+            limit = math.inf if op == 7 else rng.choice(
+                [math.inf, now + rng.randrange(-2, 12) / 4])
+            if model[0][0] > limit:
+                assert queue.pop_entry(limit) is None
             else:
-                event = queue.pop()
-            assert event is expected[2]
-            now = expected[0]
+                expected = model.pop(0)
+                if op == 6:
+                    entry = queue.pop_entry(limit)
+                    assert entry[:len(expected)] == expected
+                    time_, _handle, event, dest = entry[:4]
+                    assert type(time_) is float
+                    assert dest is None or type(dest) is int
+                else:
+                    event = queue.pop()
+                assert event is expected[2]
+                now = expected[0]
+                assert queue.clock.now == now
+        elif op == 8 and now > 0:
+            # A push before the last popped time is refused at the push, and
+            # takes no handle.
+            with pytest.raises(SchedulingError):
+                queue.push(TimeEvent(time=now - 0.5))
         else:
             peeked = queue.peek_time()
             assert peeked == min((row[0] for row in model), default=None)
             assert peeked is None or type(peeked) is float
+            if not model:
+                assert queue.pop_entry(rng.choice([math.inf, now])) is None
 
         assert len(queue) == len(model)
         assert bool(queue) == bool(model)

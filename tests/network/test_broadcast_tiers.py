@@ -161,7 +161,7 @@ def test_one_broadcast_takes_the_same_ids_handles_and_times_in_both_tiers(mode):
         controller.clock.advance_to(now)
         controller.network.submit(Message(source=source, dest=BROADCAST, payload={"type": "B"}))
         entries = queue_entries(controller)
-        next_handle = controller.queue.push(TimeEvent(time=now))
+        next_handle = controller.queue.push(TimeEvent(time=controller.now))
         tiers.append((controller.next_message_id(), next_handle, entries))
     (shared_id, shared_handle, shared), (copy_id, copy_handle, copies) = tiers
 

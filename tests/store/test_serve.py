@@ -225,13 +225,15 @@ class TestEndpoints:
         try:
             for path in (f"/api/runs/{run_id}", f"/api/experiments/{experiment}",
                          f"/api/experiments/{experiment}/health",
-                         f"/api/experiments/{experiment}/diff/{experiment}",
                          f"/api/runs/{run_id}/analysis"):
                 code, body = get_error(base, path)
                 assert code == 500, path
                 assert body["error"].startswith(
                     f"run {run_id}: stored attachments_json is not valid JSON ("), path
             assert get_json(base, "/api/experiments")["experiments"][0]["name"] == "bad"
+            # A diff reads fingerprints and latencies, never the attachments.
+            diff = get_json(base, f"/api/experiments/{experiment}/diff/{experiment}")
+            assert diff["identical"] is True
         finally:
             server.shutdown()
             server.server_close()

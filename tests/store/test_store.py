@@ -334,6 +334,22 @@ class TestDiff:
         store.record_run(b, 0, _failure())
         assert not store.diff(a, b).identical
 
+    def test_diff_reads_no_stored_json_of_the_runs(self, store):
+        """A diff compares fingerprints and latencies only, so a run whose
+        attachments no longer decode still diffs, and diffs the same."""
+        a = store.create_experiment("a", "run", quick_config(), 2)
+        b = store.create_experiment("b", "run", quick_config(), 2)
+        for experiment_id, seeds in ((a, (1, 2)), (b, (1, 3))):
+            for index, seed in enumerate(seeds):
+                store.record_run(experiment_id, index, _result(seed=seed))
+        before = store.diff(a, b).to_dict()
+        store._conn.execute("UPDATE runs SET attachments_json = '{bad'")
+        store._conn.commit()
+        with pytest.raises(StoreCorruptError):
+            store.runs(a)
+        assert store.diff(a, b).to_dict() == before
+        assert [row.match for row in store.diff(a, b).rows] == [True, False]
+
 
 class TestHealthColumns:
     """The run-health report is the ``health`` key of the attachments map."""
