@@ -50,7 +50,6 @@ from typing import Any
 
 from ..core.errors import ConfigurationError
 from ..core.events import TimeEvent
-from ..core.message import Message
 from .base import Attacker, Capability
 from .registry import register_attack
 
@@ -168,10 +167,12 @@ class AdaptiveAttacker(Attacker):
 
     # -- per-message action --------------------------------------------------
 
-    def attack(self, message: Message):
-        if self.action != "delay" or not self._targets:
-            return None
-        if message.source in self._targets or message.dest in self._targets:
-            message.delay = (message.delay or 0.0) * self.factor + self.extra_delay
-            return [message]
-        return None
+    def attack_broadcast(self, view, dests, delays, keep):
+        targets = self._targets
+        if self.action != "delay" or not targets:
+            return
+        every = view.source in targets
+        factor, extra = self.factor, self.extra_delay
+        for row, dest in enumerate(dests):
+            if every or dest in targets:
+                delays[row] = delays[row] * factor + extra

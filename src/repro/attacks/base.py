@@ -38,7 +38,11 @@ here rather than in any protocol:
 What an attacker does *to a message* — the view it is shown, and what it
 may hand back — is checked by :func:`capability_gate`, which both the
 network module (for the attacker as a whole) and the scenario composite
-(for each clause) call around every ``attack``.
+(for each clause) call around every ``attack``.  An attacker that only
+keeps, drops or re-times copies may act on a whole honest broadcast at
+once through :meth:`Attacker.attack_broadcast`; :func:`broadcast_gate`,
+its vector form, holds it to the same rules once per broadcast, and the
+broadcast's copies stay on the shared delivery tier.
 """
 
 from __future__ import annotations
@@ -72,6 +76,13 @@ class Capability(enum.Flag):
 
 #: Payload substituted when a non-observing attacker inspects honest traffic.
 REDACTED_PAYLOAD: dict[str, Any] = {"type": "<redacted>"}
+
+#: What the two gates say when a party oversteps, after its name.
+_EDITED = ("modified the payload of honest message {}; modification requires "
+           "control of the source (corruption strictly before the send)")
+_DROPPED = "dropped honest message {} without the NETWORK capability"
+_RETIMED = "re-timed message {} without the NETWORK capability"
+_REDACTED = "modified a redacted payload without OBSERVE"
 
 
 class AttackerContext:
@@ -352,6 +363,11 @@ def capability_gate(
                 # it was built with; a forged ``message`` comes back as
                 # itself.
                 if item is view or (not item.forged and item.msg_id == message.msg_id):
+                    if kept is not None:
+                        raise CapabilityError(
+                            f"{who} returned message {message.describe()} twice: "
+                            "a kept copy is delivered once"
+                        )
                     kept = item
                     delivered.append(message)
                 elif item.forged:
@@ -374,33 +390,92 @@ def capability_gate(
             message.payload != pristine
             or (kept is not None and kept is not message and kept.payload != pristine)
         ):
-            raise CapabilityError(
-                f"{who} modified the payload of honest message "
-                f"{message.describe()}; modification requires control of the "
-                "source (corruption strictly before the send)"
-            )
+            raise CapabilityError(f"{who} {_EDITED.format(message.describe())}")
         if kept is None:
             if not (network or controls):
-                raise CapabilityError(
-                    f"{who} dropped honest message {message.describe()} "
-                    "without the NETWORK capability"
-                )
+                raise CapabilityError(f"{who} {_DROPPED.format(message.describe())}")
             return delivered
         if view is not message:
             # Redacted view: only the delay may carry information back.
             if kept.payload != REDACTED_PAYLOAD:
-                raise CapabilityError(
-                    f"{who} modified a redacted payload without OBSERVE"
-                )
+                raise CapabilityError(f"{who} {_REDACTED}")
             message.delay = kept.delay
         if message.delay != delay:
             if not (network or controls):
-                raise CapabilityError(
-                    f"{who} re-timed message {message.describe()} without "
-                    "the NETWORK capability"
-                )
+                raise CapabilityError(f"{who} {_RETIMED.format(message.describe())}")
             ctx.require_valid_delay(message.delay)
         return delivered
+
+    return gate
+
+
+def broadcast_gate(
+    hook: Callable[[Message, list[int], list[float], list[bool]], None], ctx: AttackerContext
+) -> Callable[[Message, dict[str, Any] | None, list[int], list[float], list[bool]], None]:
+    """The vector form of :func:`capability_gate`: the one place
+    ``attack_broadcast`` is called, and held to ``ctx``'s capabilities.
+
+    Built by the network module for the attacker as a whole and by a
+    scenario composite for each of its clauses, then called once per
+    broadcast as ``gate(message, snapshot, dests, delays, keep)``, where row
+    ``i`` of the three lists is one wire copy of an honest broadcast that
+    the attacker does not control (those, and forged ones, take the
+    per-copy gate).  Every row arrives kept; ``hook`` edits ``delays`` and
+    ``keep`` in place.
+
+    The rules are the per-copy gate's, paid once per broadcast where they
+    can be: the hook is shown ``message``, or without ``OBSERVE`` one
+    redacted envelope; the payload must still equal ``snapshot`` afterwards
+    (the payload before any attacker saw it, copied here when the caller
+    has none); and then, row by row in copy order, a dropped or re-timed
+    copy needs ``NETWORK`` and a re-timed one a valid delay.  An error names
+    the copy of the first row that oversteps, so it reads as the per-copy
+    gate's does.
+    """
+    observe = Capability.OBSERVE in ctx.capabilities
+    network = Capability.NETWORK in ctx.capabilities
+    who = ctx.who
+
+    def gate(
+        message: Message, snapshot: dict[str, Any] | None,
+        dests: list[int], delays: list[float], keep: list[bool],
+    ) -> None:
+        def copy(row: int) -> str:
+            return Message(message.source, dests[row], message.payload, message.sent_at,
+                           None, message.msg_id).describe()
+
+        if observe:
+            view = message
+            if snapshot is None:
+                snapshot = deep_copy_payload(message.payload)
+        else:
+            view = Message(message.source, message.dest, dict(REDACTED_PAYLOAD),
+                           message.sent_at, None, message.msg_id)
+            snapshot = None
+        # An ``inject`` from inside the hook re-enters: put back what the
+        # outer hand-off published.
+        outer, ctx.pristine_payload = ctx.pristine_payload, snapshot
+        before = delays.copy()
+        try:
+            hook(view, dests, delays, keep)
+        finally:
+            ctx.pristine_payload = outer
+        if snapshot is not None and message.payload != snapshot:
+            raise CapabilityError(f"{who} {_EDITED.format(copy(0))}")
+        if view is not message and view.payload != REDACTED_PAYLOAD:
+            raise CapabilityError(f"{who} {_REDACTED}")
+        if len(delays) != len(before) or len(keep) != len(before):
+            raise CapabilityError(f"{who} added or removed copies of {copy(0)}")
+        if delays == before and all(keep):
+            return
+        for row, delay in enumerate(delays):
+            if not keep[row]:
+                if not network:
+                    raise CapabilityError(f"{who} {_DROPPED.format(copy(row))}")
+            elif delay != before[row]:
+                if not network:
+                    raise CapabilityError(f"{who} {_RETIMED.format(copy(row))}")
+                ctx.require_valid_delay(delay)
 
     return gate
 
@@ -417,7 +492,11 @@ class Attacker:
     (``f``, ``n``, ``lambda``) are resolved in :meth:`setup`.
 
     The paper's customization interface is exactly these two callbacks
-    (§III-A5: ``attack`` and ``onTimeEvent``).
+    (§III-A5: ``attack`` and ``onTimeEvent``).  An attacker that only keeps,
+    drops or re-times copies may override :meth:`attack_broadcast` instead:
+    the network then hands it each honest broadcast as one set of rows,
+    the copies stay on the shared delivery tier, and the base
+    :meth:`attack` derives the per-message form from it.
     """
 
     #: Override in subclasses.
@@ -453,6 +532,35 @@ class Attacker:
     def setup(self) -> None:
         """Called once at time zero, after binding, before any event."""
 
+    def acts_on_broadcasts(self) -> bool:
+        """True when the network may hand this attacker whole broadcasts
+        through :meth:`attack_broadcast`: the class defines that hook no
+        further from itself than :meth:`attack` (a subclass that overrides
+        only ``attack`` is consulted per copy)."""
+        for klass in type(self).__mro__:
+            own = vars(klass)
+            if "attack_broadcast" in own:
+                return True
+            if "attack" in own:
+                return False
+        return False  # pragma: no cover - Attacker defines both
+
+    def attack_broadcast(
+        self, view: Message, dests: list[int], delays: list[float], keep: list[bool]
+    ) -> None:
+        """Act on the wire copies of one broadcast at once.
+
+        Row ``i`` is the copy for ``dests[i]`` with transit delay
+        ``delays[i]``; every row arrives kept.  Re-time a copy by writing
+        ``delays[i]`` and drop it by setting ``keep[i] = False``: nothing
+        else can be changed, and :func:`broadcast_gate` holds both to the
+        capabilities as the per-copy gate would.  ``view`` is the message
+        (``dest`` aside: read ``dests``), or a redacted envelope without
+        ``OBSERVE``; its payload is read-only.  A unicast, or a message the
+        attacker controls, arrives as a one-row broadcast through the
+        derived :meth:`attack`.  The default does nothing.
+        """
+
     def attack(self, message: Message) -> Iterable[Message] | None:
         """Intercept one in-flight message.
 
@@ -473,8 +581,14 @@ class Attacker:
             by ``ctx.forge()``, which is the only way to make one — to
             inject.  Every modification is checked against the capability
             rules by :func:`capability_gate`.
+
+        The default hands ``message`` to :meth:`attack_broadcast` as a
+        broadcast of one row.
         """
-        return None
+        delays, keep = [message.delay], [True]
+        self.attack_broadcast(message, [message.dest], delays, keep)
+        message.delay = delays[0]
+        return None if keep[0] else []
 
     def on_timer(self, timer: TimeEvent) -> None:
         """Called when an attacker timer fires."""

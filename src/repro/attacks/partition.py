@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from typing import Any
 
-from ..core.message import Message
 from ..network.partition import PartitionSpec
 from .base import Attacker, Capability
 from .registry import register_attack
@@ -53,15 +52,19 @@ class PartitionAttacker(Attacker):
         else:
             self.spec = PartitionSpec.split(self.groups, start=start, end=end, mode=mode)
 
-    def attack(self, message: Message):
+    def attack_broadcast(self, view, dests, delays, keep):
         spec = self.spec
-        if not spec.active_at(message.sent_at):
-            return None
-        if not spec.separated(message.source, message.dest):
-            return None
-        if spec.mode == "drop":
-            return []
-        # Hold the message until just after the partition heals, keeping its
-        # original transit delay on top of the outage.
-        message.delay = (spec.end - message.sent_at) + self.heal_slack + (message.delay or 0.0)
-        return [message]
+        sent_at = view.sent_at
+        if not spec.active_at(sent_at):
+            return
+        source = view.source
+        drop = spec.mode == "drop"
+        # A held copy is delivered just after the partition heals, keeping
+        # its original transit delay on top of the outage.
+        hold = (spec.end - sent_at) + self.heal_slack
+        for row, dest in enumerate(dests):
+            if spec.separated(source, dest):
+                if drop:
+                    keep[row] = False
+                else:
+                    delays[row] = hold + delays[row]

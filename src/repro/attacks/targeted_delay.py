@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from typing import Any
 
-from ..core.message import Message
 from .base import Attacker, Capability
 from .registry import register_attack
 
@@ -63,16 +62,12 @@ class TargetedDelayAttacker(Attacker):
             # the configuration before a run gets here.
             self.targets = set(self.ctx.overlay_relays(self.relay_root))
 
-    def _matches(self, message: Message) -> bool:
-        if self.targets is not None:
-            if message.source not in self.targets and message.dest not in self.targets:
-                return False
-        if self.match_type is not None and message.type != self.match_type:
-            return False
-        return True
-
-    def attack(self, message: Message):
-        if not self._matches(message):
-            return None
-        message.delay = (message.delay or 0.0) * self.factor + self.extra_delay
-        return [message]
+    def attack_broadcast(self, view, dests, delays, keep):
+        if self.match_type is not None and view.type != self.match_type:
+            return
+        targets = self.targets
+        every = targets is None or view.source in targets
+        factor, extra = self.factor, self.extra_delay
+        for row, dest in enumerate(dests):
+            if every or dest in targets:
+                delays[row] = delays[row] * factor + extra

@@ -190,6 +190,8 @@ class EventQueue:
         event: "MessageEvent",
         times: "Sequence[float] | np.ndarray",
         dests: "Sequence[int]",
+        offsets: "Sequence[int] | None" = None,
+        base: int | None = None,
     ) -> None:
         """Schedule one *shared* delivery event at many ``(time, dest)`` pairs.
 
@@ -200,10 +202,15 @@ class EventQueue:
         shared event.  ``dests`` is kept by reference and must index to
         plain ``int``.  A rejected batch leaves the queue and the handle
         counter untouched; an empty one is a no-op.
+
+        With ``offsets`` the handles were taken beforehand (:meth:`reserve`
+        returned ``base``): pair ``i`` gets handle ``base + offsets[i]``,
+        ascending, and its recipient is ``dests[offsets[i]]``.  An attacked
+        broadcast uses this to leave a dropped copy's handle unused.
         """
         times = np.asarray(times, dtype=np.float64)
         count = len(times)
-        if len(dests) != count:
+        if len(dests) != count and offsets is None:
             raise SchedulingError(f"{count} delivery times for {len(dests)} recipients")
         if not count:
             return
@@ -211,8 +218,11 @@ class EventQueue:
         times = array("d", times[order].tobytes())
         if times[0] < self.clock.now:
             self._refuse(times[0])
-        base = self._next_handle
-        self._next_handle = base + count
+        if offsets is None:
+            base = self._next_handle
+            self._next_handle = base + count
+        else:
+            order = np.asarray(offsets, dtype=order.dtype)[order]
         self._pending += count
         self._cursors += 1
         order = array(order.dtype.char, order.tobytes())
@@ -221,6 +231,13 @@ class EventQueue:
             self._heap,
             (times[0], base + first, event, dests[first], base, (times, order, dests), 0),
         )
+
+    def reserve(self, count: int) -> int:
+        """Take the next ``count`` handles for :meth:`push_deliveries`'
+        ``offsets``; returns the first."""
+        base = self._next_handle
+        self._next_handle = base + count
+        return base
 
     def _refuse(self, time: float) -> None:
         raise SchedulingError(

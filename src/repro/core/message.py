@@ -127,13 +127,6 @@ class Message:
         """The protocol message kind, taken from ``payload["type"]``."""
         return str(self.payload.get("type", "?"))
 
-    @property
-    def deliver_at(self) -> float:
-        """Scheduled delivery time; requires :attr:`delay` to be assigned."""
-        if self.delay is None:
-            raise ValueError("message has no delay assigned yet")
-        return self.sent_at + self.delay
-
     def copy_for(self, dest: int, *, share_payload: bool = False) -> "Message":
         """Return an independent copy addressed to ``dest``.
 

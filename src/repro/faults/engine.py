@@ -89,61 +89,103 @@ class FaultInjector:
         nothing at all when a loss/link-down process dropped it.  Specs are
         applied in schedule order; a drop ends processing for the original,
         but duplicates already created stay in flight (they are independent
-        packets).  Duplicate copies are not re-processed.
+        packets).  Duplicate copies are not re-processed.  The decisions
+        are :meth:`apply_rows`' for a broadcast of one row; the duplicate
+        messages, their ids and the ``env-*`` records are made here, in
+        that order.
         """
-        faults = self._fault_counts
-        duplicates: list[Message] = []
-        alive = True
-        sent_at = message.sent_at
         # Link faults are physical: a dissemination hop travels the
         # relay->dest link, not origin->dest, so spec matching uses the
         # transmitting node when one is recorded.
-        src = message.relay_from
-        if src is None:
-            src = message.source
-        for spec, draw in self._active:
-            if not spec.in_window(sent_at):
-                continue
-            if not spec.matches_link(src, message.dest):
-                continue
-            if spec.kind == "link-down":
-                faults.link_down += 1
-                self._record("env-drop", message, fault="link-down")
-                alive = False
-                break
-            if draw() >= spec.rate:
-                continue
-            if spec.kind == "loss":
-                faults.lost += 1
-                self._record("env-drop", message, fault="loss")
-                alive = False
-                break
-            if spec.kind == "duplicate":
-                duplicates.append(self._duplicate(message))
-            elif spec.kind == "corrupt":
+        relay = message.relay_from
+        delays, keep = [message.delay], [True]
+        happened = self.apply_rows(
+            message, [message.source if relay is None else relay], [message.dest], delays, keep)
+        message.delay = delays[0]
+        duplicates: list[Message] = []
+        for _, kind, value in happened:
+            if kind == "duplicate":
+                # An independent in-flight copy with its own delay and id.
+                dup = message.copy_for(message.dest)
+                dup.delay = value
+                dup.msg_id = self._next_message_id()
+                dup.corrupted = message.corrupted
+                dup.relay_from = relay
+                self._record("env-dup", dup, original=message.msg_id)
+                duplicates.append(dup)
+            elif kind == "corrupt":
                 if not message.corrupted:
-                    faults.corrupted += 1
+                    self._fault_counts.corrupted += 1
                     self._record("env-corrupt", message)
                 message.corrupted = True
-            elif spec.kind == "delay":
-                assert message.delay is not None
-                message.delay = message.delay * spec.factor
-                faults.delayed += 1
-                self._record("env-delay", message, factor=spec.factor)
-        return duplicates + [message] if alive else duplicates
+            elif kind == "delay":
+                self._record("env-delay", message, factor=value)
+            else:
+                self._record("env-drop", message, fault=kind)
+        return duplicates + [message] if keep[0] else duplicates
+
+    def corrupts_at(self, time: float) -> bool:
+        """True when a ``corrupt`` process is active for messages sent at
+        ``time``: it flags a copy's message, so such a broadcast goes per
+        copy through :meth:`apply`."""
+        return any(spec.kind == "corrupt" and spec.in_window(time) for spec, _ in self._active)
+
+    def apply_rows(
+        self, message: Message, links: list[int], dests: list[int],
+        delays: list[float], keep: list[bool],
+    ) -> list[tuple[int, str, float]]:
+        """The fault schedule's decisions for the wire copies of one
+        message, without a message per copy.
+
+        Row ``i`` is the copy for ``dests[i]``, sent over the link from
+        ``links[i]`` with delay ``delays[i]``; a row whose ``keep`` is
+        already false is skipped.  Loss and link-down clear ``keep`` and a
+        delay fault scales ``delays`` in place.  Returns what happened as
+        ``(row, kind, value)``, copy by copy and in schedule order within a
+        copy, which is the order :meth:`apply` records it in: a
+        ``duplicate`` carries the extra copy's delay, a ``delay`` its
+        factor.  Each stream is drawn in that order too.  The counters move
+        here, except ``corrupted``, which depends on the message's flag; the
+        ids, the duplicate copies and the ``env-*`` records are the
+        caller's, which numbers the copies.
+        """
+        sent_at = message.sent_at
+        active = [(spec, draw) for spec, draw in self._active if spec.in_window(sent_at)]
+        happened: list[tuple[int, str, float]] = []
+        if not active:
+            return happened
+        faults = self._fault_counts
+        for row, dest in enumerate(dests):
+            if not keep[row]:
+                continue
+            for spec, draw in active:
+                if not spec.matches_link(links[row], dest):
+                    continue
+                kind = spec.kind
+                if kind == "link-down":
+                    faults.link_down += 1
+                elif draw() >= spec.rate:
+                    continue
+                elif kind == "loss":
+                    faults.lost += 1
+                elif kind == "duplicate":
+                    faults.duplicated += 1
+                    happened.append((row, kind, self._dup_delays.sample_delay(sent_at)))
+                    continue
+                elif kind == "corrupt":
+                    happened.append((row, kind, 0.0))
+                    continue
+                else:  # delay
+                    delays[row] = delays[row] * spec.factor
+                    faults.delayed += 1
+                    happened.append((row, kind, spec.factor))
+                    continue
+                happened.append((row, kind, 0.0))
+                keep[row] = False
+                break
+        return happened
 
     # -- internals ----------------------------------------------------------
-
-    def _duplicate(self, message: Message) -> Message:
-        """An independent in-flight copy with its own delay and id."""
-        dup = message.copy_for(message.dest)
-        dup.delay = self._dup_delays.sample_delay(message.sent_at)
-        dup.msg_id = self._next_message_id()
-        dup.corrupted = message.corrupted
-        dup.relay_from = message.relay_from
-        self._metrics.faults.duplicated += 1
-        self._record("env-dup", dup, original=message.msg_id)
-        return dup
 
     def _record(self, kind: str, message: Message, **fields: object) -> None:
         self._trace.record(

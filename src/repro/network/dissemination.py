@@ -64,9 +64,16 @@ guarantee it on arbitrary graphs.
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
+
+from .delays import DelayModel
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..core.config import FaultSpec, NetworkConfig
+    from ..core.rng import RandomSource
+    from .topology import Topology
 
 
 def resolve_fanout(fanout: int, n: int) -> int:
@@ -243,3 +250,96 @@ def restricted_plan(
         np.asarray(parent_pos, dtype=np.int64),
         levels,
     )
+
+
+class Overlay:
+    """The relay overlay of one run: what its ``tree`` and ``gossip``
+    broadcasts share.
+
+    The tree shape and the two dedicated RNG substreams
+    (``network.gossip`` for gossip's permutations, ``network.dissemination``
+    for hop delays) are created on the first relayed broadcast, so a
+    ``full`` run never creates them.  ``link_down`` lists the run's fault
+    specs; its ``link-down`` windows, like a mutated ``topology``, restrict
+    the plans drawn inside them.
+    """
+
+    def __init__(
+        self, config: "NetworkConfig", n: int, topology: "Topology",
+        random_source: "RandomSource", faults: "Sequence[FaultSpec]",
+    ) -> None:
+        self.mode = config.dissemination
+        self._config = config
+        self._n = n
+        self._topology = topology
+        self._random_source = random_source
+        self._link_down = [spec for spec in faults if spec.kind == "link-down"]
+        self._shape_obj: TreeShape | None = None
+        self._delays: DelayModel | None = None
+        self._gossip_rng: np.random.Generator | None = None
+
+    def plan(self, source: int, now: float) -> DisseminationPlan:
+        """The overlay for one broadcast rooted at ``source`` at time ``now``.
+
+        On the pristine complete graph with no active ``link-down`` window
+        this is the cached k-ary shape (tree) or a fresh heap attachment of
+        one drawn permutation (gossip).  Otherwise it falls back to a
+        breadth-first spanning of the reachable component over currently
+        usable links — gossip's permutation becomes the visit priority, so
+        both branches consume identical RNG.
+        """
+        n = self._n
+        restricted = not self._topology.is_complete()
+        if not restricted and self._link_down:
+            restricted = any(spec.in_window(now) for spec in self._link_down)
+        if self.mode == "gossip":
+            labels = gossip_labels(self._gossip_generator(), n, source)
+            if restricted:
+                return restricted_plan(source, n, self._usable_at(now), labels)
+            return self._shape().plan_from_labels(labels)
+        if restricted:
+            return restricted_plan(source, n, self._usable_at(now))
+        return self._shape().plan(source)
+
+    def _usable_at(self, now: float) -> Callable[[int, int], bool]:
+        """Directed-link usability predicate at origination time ``now``."""
+        topology = self._topology
+        active = [spec for spec in self._link_down if spec.in_window(now)]
+
+        def usable(a: int, b: int) -> bool:
+            return topology.connected(a, b) and not any(
+                spec.matches_link(a, b) for spec in active)
+
+        return usable
+
+    def relays(self, source: int) -> tuple[int, ...]:
+        """Sorted relay (internal) nodes of a ``tree`` broadcast from ``source``.
+
+        Structural overlay introspection for overlay-aware attacks: the
+        non-root nodes that forward a tree broadcast rooted at ``source``.
+        The tree shape is deterministic and RNG-free, so calling this never
+        perturbs delay draws or fingerprints.  ``full`` dissemination has no
+        relays and ``gossip`` draws a fresh overlay per broadcast (no static
+        choke point), so both return an empty tuple.
+        """
+        if self.mode != "tree" or self._n <= 1:
+            return ()
+        plan = self._shape().plan(source)
+        return tuple(sorted(set(plan.relays.tolist()) - {source}))
+
+    def delays(self) -> DelayModel:
+        """The hop-delay model, on the ``network.dissemination`` substream."""
+        if self._delays is None:
+            self._delays = DelayModel(
+                self._config, self._random_source.numpy("network.dissemination"))
+        return self._delays
+
+    def _shape(self) -> TreeShape:
+        if self._shape_obj is None:
+            self._shape_obj = TreeShape(self._n, resolve_fanout(self._config.fanout, self._n))
+        return self._shape_obj
+
+    def _gossip_generator(self) -> np.random.Generator:
+        if self._gossip_rng is None:
+            self._gossip_rng = self._random_source.numpy("network.gossip")
+        return self._gossip_rng

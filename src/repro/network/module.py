@@ -14,37 +14,39 @@ attack implementation that oversteps its threat model fails the run with
 results under a stronger adversary than advertised.  This module does the
 network's part around it: ids, delays, accounting, and the queue.
 
-The recipients of a broadcast share one payload, under attack too: an
-attacker may only write to a message it controls, so the snapshot the gate
-diffs against is taken once per broadcast and only controlled copies are
-un-shared (:meth:`NetworkModule._instrumented`).
+A broadcast has two tiers.  On the shared tier one message and one queue
+cursor serve every recipient; an honest broadcast that the attacker and
+the environment may only re-time or drop stays there, as rows: the
+attacker's ``attack_broadcast`` (behind
+:func:`~repro.attacks.base.broadcast_gate`) and the fault engine's
+``apply_rows`` edit its delay list and keep mask
+(:meth:`NetworkModule._attack_rows`).  The per-copy tier
+(:meth:`NetworkModule._instrumented`) remains for what a row cannot say:
+forged or controlled messages, attackers that override only ``attack``,
+and the ``corrupt`` fault.  The recipients of a broadcast share one
+payload there too: an attacker may only write to a message it controls, so
+the snapshot the gate diffs against is taken once per broadcast and only
+controlled copies are un-shared.  Both tiers give every copy the same id,
+delay and queue order, and write the same records.
 """
 
 from __future__ import annotations
 
-from itertools import chain, repeat
+from itertools import repeat
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 import numpy as np
 
-from ..attacks.base import Attacker, AttackerContext, Capability, capability_gate
+from ..attacks.base import (
+    Attacker, AttackerContext, Capability, broadcast_gate, capability_gate,
+)
 from ..attacks.null import NullAttacker
 from ..core.config import NetworkConfig
 from ..core.events import MessageEvent
-from ..core.message import (
-    BROADCAST,
-    Message,
-    deep_copy_payload,
-    estimate_message_bytes,
-)
+from ..core.message import BROADCAST, Message, deep_copy_payload, estimate_message_bytes
 from .delays import DelayModel
-from .dissemination import (
-    DisseminationPlan,
-    TreeShape,
-    gossip_labels,
-    resolve_fanout,
-    restricted_plan,
-)
+from .dissemination import Overlay
+from .dissemination import restricted_plan  # noqa: F401 - bench/tracing.py wraps it by name
 from .topology import Topology
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -67,6 +69,41 @@ def _hops(message: Message, copies: Iterable[tuple]) -> Iterator[Message]:
         yield hop
 
 
+def _layout(loop: int, dests: list[int], times: np.ndarray, now: float, rows: tuple) -> tuple:
+    """Ids and handles for the deliveries of an attacked broadcast, as the
+    per-copy tier gives them: copy by copy, an id for the copy and then one
+    per duplicate, and a handle per delivery, the duplicates first.  A
+    dropped delivery leaves its id and handle unused.
+
+    Takes the slots of the broadcast (``dests``, the loopback at ``loop``)
+    and their ``times``, and the ``(keep, dropped, fault events)`` of its
+    wire rows.  Returns the recipient per handle offset, the id offset per
+    slot, and the deliveries by *id step* (id offset minus handle offset) as
+    handle offsets and times: each step is one cursor.
+    """
+    keep, _, happened = rows
+    extra: dict[int, list[tuple[int, float]]] = {}
+    for row, kind, delay in happened:
+        if kind == "duplicate":
+            extra.setdefault(row + (row >= loop), []).append((1, now + delay))
+    keep = [*keep[:loop], True, *keep[loop:]]
+    at: list[int] = []
+    ids: list[int] = []
+    steps: dict[int, tuple[list[int], list[float]]] = {}
+    for slot, dest in enumerate(dests):
+        ids.append(len(at))
+        queued = extra.get(slot, [])
+        copies = len(queued) + 1
+        if keep[slot]:
+            queued.append((1 - copies, times[slot]))
+        for offset, (step, time) in enumerate(queued, len(at)):
+            handles, stepped = steps.setdefault(step, ([], []))
+            handles.append(offset)
+            stepped.append(time)
+        at += [dest] * copies
+    return at, ids, steps
+
+
 class NetworkModule:
     """Simulates the peer-to-peer network between nodes.
 
@@ -81,15 +118,9 @@ class NetworkModule:
             adversary never observes or controls environment effects.
     """
 
-    def __init__(
-        self,
-        controller: "Controller",
-        config: NetworkConfig,
-        rng: np.random.Generator,
-        attacker: Attacker,
-        attacker_ctx: AttackerContext,
-        faults: "FaultInjector | None" = None,
-    ) -> None:
+    def __init__(self, controller: "Controller", config: NetworkConfig, rng: np.random.Generator,
+                 attacker: Attacker, attacker_ctx: AttackerContext,
+                 faults: "FaultInjector | None" = None) -> None:
         self._controller = controller
         self.config = config
         self.delay_model = DelayModel(config, rng)
@@ -112,18 +143,12 @@ class NetworkModule:
         # Who hears a wire transmission (the controller's observer seam):
         # ``hook(transmitter, wire_bytes)``; empty in a bare run.
         self._on_send = controller._on_send
-        # Overlay state (tree/gossip only).  The shape cache and the two
-        # dedicated RNG substreams are created lazily on the first relayed
-        # broadcast; ``mode="full"`` never creates them — its star draws
-        # from ``network.delay`` like every unicast.
+        # ``mode="full"`` draws its star from ``network.delay`` like every
+        # unicast and never touches the overlay's state.
         self._mode = config.dissemination
-        self._shape_obj: TreeShape | None = None
-        self._diss_model: DelayModel | None = None
-        self._gossip_rng: np.random.Generator | None = None
-        self._linkdown_specs = (
-            [s for s in faults.schedule.specs if s.kind == "link-down"]
-            if faults is not None
-            else []
+        self._overlay = Overlay(
+            config, controller.n, self.topology, controller.random_source,
+            [] if faults is None else faults.schedule.specs,
         )
 
     def set_delay_override(
@@ -198,9 +223,12 @@ class NetworkModule:
         ``sent_at`` is the broadcast time and its ``delay`` the cumulative
         path offset (cut-through, see :mod:`repro.network.dissemination`).
 
-        Both tiers reserve the same message ids and queue handles in the
-        same order and draw the same delays, so a run may change tier at
-        any broadcast without moving an id, a handle or a draw.
+        An honest broadcast the attacker and the environment may only
+        re-time or drop rides the shared tier as rows
+        (:meth:`_rides_cursor`); the rest take the per-copy tier.  Both
+        tiers give every copy the same id, delay and place in the pop order
+        and draw the same delays, so a run may change tier at any broadcast
+        without moving any of them.
         """
         controller = self._controller
         n = controller.n
@@ -214,76 +242,123 @@ class NetworkModule:
             model = self.delay_model
             hops = n - 1
         else:
-            plan = self._broadcast_plan(source, now)
-            model = self._dissemination_delays()
+            plan = self._overlay.plan(source, now)
+            model = self._overlay.delays()
             hops = plan.size
 
-        if not message.forged and self._unobserved():
-            # Shared tier: ONE message and ONE delivery event serve every
-            # recipient — the queue entry carries each firing time and
-            # destination — and counts are bulk-incremented.  The message
-            # keeps the first of the ids the per-copy tier would assign.
-            if plan is None and self._delay_override is not None:
-                delays = self._star_delays(message, now)
-            else:
-                delays = model.sample_delays(now, hops)
-            times = np.empty(hops + 1)
-            if plan is None:
-                times[:source] = delays[:source]
-                times[source] = 0.0
-                times[source + 1:] = delays[source:]
-                dests = self._star_dests
-            else:
-                times[0] = 0.0
-                times[1:] = plan.arrivals(delays)
-                dests = [source, *plan.dests.tolist()]
-            times += now
-            first = message.msg_id = controller.next_message_id(hops + 1)
-            counts = self._counts
-            counts.sent += hops
-            counts.bytes_sent += hops * wire_bytes
-            for hook in self._on_send:
-                # Wire accounting is charged to the physical transmitter.
-                for relay in repeat(source, hops) if plan is None else plan.relays.tolist():
-                    hook(relay, wire_bytes)
-            if controller.trace.enabled:
-                # Copy i of the broadcast has id first + i; the loopback
-                # (index ``source`` of a star, 0 of an overlay) is not sent.
-                if plan is None:
-                    keys = _DIRECT
-                    rows = [(dest, first + dest) for dest in range(n) if dest != source]
-                else:
-                    keys = _RELAYED
-                    rows = list(zip(
-                        plan.dests.tolist(), range(first + 1, first + 1 + hops),
-                        plan.relays.tolist(),
-                    ))
-                self._record_sends(message, {"size": wire_bytes}, keys, rows)
-            controller.queue.push_deliveries(
-                MessageEvent(time=now, message=message), times, dests
-            )
-            return
-
-        # Instrumented tier: one payload-sharing copy per recipient through
-        # the attacker and the fault engine.  Overlay hops are priced up
-        # front, exactly as in the shared tier; a star copy takes the next
-        # ``network.delay`` draw in its turn in the copy loop, so an override
-        # or a forged insert that skips or takes a draw mid-broadcast keeps
-        # the one stream order.
         if plan is None:
-            copies: Iterable[tuple] = zip(range(n), repeat(None), repeat(None))
+            loop, dests, relays = source, self._star_dests, None
         else:
-            offsets = plan.arrivals(model.sample_delays(now, hops))
-            copies = chain(
-                [(source, None, None)],
-                zip(plan.dests.tolist(), plan.relays.tolist(), offsets.tolist()),
-            )
-        self._instrumented(
-            message,
-            _hops(message, copies),
-            n if message.forged else hops,
-            wire_bytes,
+            loop, dests, relays = 0, [source, *plan.dests.tolist()], plan.relays
+        attacked = False
+        if message.forged or not self._unobserved():
+            if message.forged or not self._rides_cursor(message):
+                # Instrumented tier: one payload-sharing copy per recipient
+                # through the attacker and the fault engine.  Overlay hops
+                # are priced up front, as on the shared tier; a star copy
+                # takes the next ``network.delay`` draw in its turn in the
+                # copy loop, so an override or a forged insert that skips or
+                # takes a draw mid-broadcast keeps the one stream order.
+                copies: Iterable[tuple] = zip(dests, repeat(None), repeat(None))
+                if plan is not None:
+                    offsets = plan.arrivals(model.sample_delays(now, hops)).tolist()
+                    copies = zip(dests, [None, *relays.tolist()], [None, *offsets])
+                self._instrumented(
+                    message, _hops(message, copies), n if message.forged else hops, wire_bytes)
+                return
+            attacked = True
+        # Shared tier: ONE message and ONE delivery event serve every
+        # recipient — the queue entry carries each firing time and
+        # destination — and counts are bulk-incremented.  The message keeps
+        # the first of the ids the per-copy tier would assign.  Slot
+        # ``loop`` of ``dests`` is the sender's loopback, which is not sent;
+        # an attacked broadcast's copies are its rows (``_attack_rows``).
+        if plan is None and self._delay_override is not None:
+            delays = self._star_delays(message, now)
+        else:
+            delays = model.sample_delays(now, hops)
+        if plan is not None:
+            delays = plan.arrivals(delays)
+        rows = None
+        if attacked:
+            delays = np.asarray(delays).tolist()
+            links = [source] * hops if relays is None else relays.tolist()
+            rows = self._attack_rows(message, dests[:loop] + dests[loop + 1:], links, delays)
+        times = np.empty(hops + 1)
+        if loop:
+            times[:loop] = delays[:loop]
+        times[loop] = 0.0
+        times[loop + 1:] = delays[loop:]
+        times += now
+        if rows is None:
+            first = message.msg_id = controller.next_message_id(hops + 1)
+        else:
+            at, offsets, steps = _layout(loop, dests, times, now, rows)
+            first = message.msg_id = controller.next_message_id(len(at))
+        counts = self._counts
+        counts.sent += hops
+        counts.bytes_sent += hops * wire_bytes
+        for hook in self._on_send:
+            # Wire accounting is charged to the physical transmitter.
+            for relay in repeat(source, hops) if relays is None else relays.tolist():
+                hook(relay, wire_bytes)
+        if controller.trace.enabled:
+            # Copy i of the broadcast has id ids[i].
+            ids = range(first, first + hops + 1) if rows is None else [
+                first + offset for offset in offsets]
+            if relays is None:
+                keys, sends = _DIRECT, [(dest, ids[dest]) for dest in dests if dest != loop]
+            else:
+                keys, sends = _RELAYED, list(zip(dests[1:], ids[1:], relays.tolist()))
+            if rows is None:
+                self._record_sends(message, {"size": wire_bytes}, keys, sends)
+            else:
+                self._record_rows(message, {"size": wire_bytes}, keys, sends, *rows[1:])
+        queue = controller.queue
+        if rows is None:
+            queue.push_deliveries(MessageEvent(time=now, message=message), times, dests)
+            return
+        base = queue.reserve(len(at))
+        for step, (handles, stepped) in steps.items():
+            shifted = message
+            if step:
+                # Deliveries whose id is their handle's plus ``step`` share
+                # a message numbered to match.
+                shifted = message.copy_for(BROADCAST, share_payload=True)
+                shifted.msg_id = first + step
+            queue.push_deliveries(MessageEvent(time=now, message=shifted), stepped, at, handles, base)
+
+    def _rides_cursor(self, message: Message) -> bool:
+        """True when an observed honest broadcast still rides the shared
+        tier, as rows that may be re-timed or dropped: the attacker acts on
+        broadcasts (or is the genuine ``NullAttacker``) and does not control
+        the message, and no ``corrupt`` fault is active."""
+        attacker = self.attacker
+        faults = self.faults
+        return (
+            (type(attacker) is NullAttacker or attacker.acts_on_broadcasts())
+            and not self._attacker_ctx.controls_message(message)
+            and (faults is None or not faults.corrupts_at(message.sent_at))
         )
+
+    def _attack_rows(self, message: Message, dests: list[int], links: list[int],
+                     delays: list[float]) -> tuple | None:
+        """The attacker, then the environment, over the wire copies of one
+        broadcast: row ``i`` is the copy for ``dests[i]`` over the link from
+        ``links[i]``, and ``delays`` is re-timed in place.  Returns ``(keep,
+        rows the attacker dropped, the fault engine's events)``, or ``None``
+        when every copy is kept and there is nothing more to record."""
+        keep = [True] * len(dests)
+        dropped: list[int] = []
+        attacker = self.attacker
+        if type(attacker) is not NullAttacker and dests:
+            broadcast_gate(attacker.attack_broadcast, self._attacker_ctx)(
+                message, None, dests, delays, keep)
+            dropped = [row for row, kept in enumerate(keep) if not kept]
+            self._counts.dropped += len(dropped)
+        happened = [] if self.faults is None else self.faults.apply_rows(
+            message, links, dests, delays, keep)
+        return (keep, dropped, happened) if dropped or happened else None
 
     def _star_delays(self, message: Message, now: float) -> list[float]:
         """A star's delays under the override, in destination order: the
@@ -296,94 +371,14 @@ class NetworkModule:
             override(message, dest) for dest in range(self._controller.n) if dest != source
         ]
         missing = [i for i, delay in enumerate(delays) if delay is None]
-        if missing:
-            drawn = self.delay_model.sample_delays(now, len(missing)).tolist()
-            for i, delay in zip(missing, drawn):
-                delays[i] = delay
+        for i, delay in zip(missing, self.delay_model.sample_delays(now, len(missing)).tolist()):
+            delays[i] = delay
         return delays
 
-    def _broadcast_plan(self, source: int, now: float) -> DisseminationPlan:
-        """The overlay for one broadcast rooted at ``source`` at time ``now``.
-
-        On the pristine complete graph with no active ``link-down`` window
-        this is the cached k-ary shape (tree) or a fresh heap attachment of
-        one drawn permutation (gossip).  Otherwise it falls back to a
-        breadth-first spanning of the reachable component over currently
-        usable links — gossip's permutation becomes the visit priority, so
-        both branches consume identical RNG.
-        """
-        n = self._controller.n
-        topology = self.topology
-        restricted = not topology.is_complete()
-        if not restricted:
-            for spec in self._linkdown_specs:
-                if spec.in_window(now):
-                    restricted = True
-                    break
-        if self._mode == "gossip":
-            labels = gossip_labels(self._gossip_generator(), n, source)
-            if restricted:
-                return restricted_plan(source, n, self._usable_at(now), labels)
-            return self._shape().plan_from_labels(labels)
-        if restricted:
-            return restricted_plan(source, n, self._usable_at(now))
-        return self._shape().plan(source)
-
-    def _usable_at(self, now: float) -> Callable[[int, int], bool]:
-        """Directed-link usability predicate at origination time ``now``."""
-        topology = self.topology
-        active = [s for s in self._linkdown_specs if s.in_window(now)]
-
-        def usable(a: int, b: int) -> bool:
-            if not topology.connected(a, b):
-                return False
-            for spec in active:
-                if spec.matches_link(a, b):
-                    return False
-            return True
-
-        return usable
-
     def overlay_relays(self, source: int) -> tuple[int, ...]:
-        """Sorted relay (internal) nodes of a ``tree`` broadcast from ``source``.
-
-        Structural overlay introspection for overlay-aware attacks: the
-        non-root nodes that forward a tree broadcast rooted at ``source``.
-        The tree shape is deterministic and RNG-free, so calling this never
-        perturbs delay draws or fingerprints.  ``full`` dissemination has no
-        relays and ``gossip`` draws a fresh overlay per broadcast (no static
-        choke point), so both return an empty tuple.
-        """
-        if self._mode != "tree" or self._controller.n <= 1:
-            return ()
-        plan = self._shape().plan(source)
-        return tuple(sorted(set(plan.relays.tolist()) - {source}))
-
-    def _shape(self) -> TreeShape:
-        shape = self._shape_obj
-        if shape is None:
-            n = self._controller.n
-            shape = self._shape_obj = TreeShape(
-                n, resolve_fanout(self.config.fanout, n)
-            )
-        return shape
-
-    def _gossip_generator(self) -> np.random.Generator:
-        rng = self._gossip_rng
-        if rng is None:
-            rng = self._gossip_rng = self._controller.random_source.numpy(
-                "network.gossip"
-            )
-        return rng
-
-    def _dissemination_delays(self) -> DelayModel:
-        model = self._diss_model
-        if model is None:
-            model = self._diss_model = DelayModel(
-                self.config,
-                self._controller.random_source.numpy("network.dissemination"),
-            )
-        return model
+        """Sorted relay (internal) nodes of a ``tree`` broadcast from ``source``
+        (see :meth:`Overlay.relays`): what an overlay-aware attack targets."""
+        return self._overlay.relays(source)
 
     # -- internals ----------------------------------------------------------
 
@@ -562,6 +557,28 @@ class NetworkModule:
         controller.trace.sink.record_copies(
             controller.clock.now, "send", message.source, fields, keys, rows
         )
+
+    def _record_rows(self, message: Message, tags: dict[str, Any], keys: tuple[str, ...],
+                     sends: list[tuple], dropped: list[int], happened: list[tuple]) -> None:
+        """The records of a broadcast whose rows were dropped or touched by
+        the environment, in per-copy order: each copy's ``send``, then its
+        ``drop`` or its ``env-*`` records (a duplicate is numbered after its
+        original and the duplicates before it)."""
+        notes: dict[int, list[tuple]] = {row: [("drop", 0, {})] for row in dropped}
+        for row, kind, value in happened:
+            note = notes.setdefault(row, [])
+            if kind == "duplicate":
+                step = 1 + sum(entry[0] == "env-dup" for entry in note)
+                note.append(("env-dup", step, {"original": sends[row][1]}))
+            else:
+                fields = {"factor": value} if kind == "delay" else {"fault": kind}
+                note.append(("env-delay" if kind == "delay" else "env-drop", 0, fields))
+        record = self._controller.trace.record
+        for row, send in enumerate(sends):
+            self._record_sends(message, tags, keys, [send])
+            for kind, step, fields in notes.get(row, ()):
+                record(message.sent_at, kind, message.source, dest=send[0],
+                       msg_type=message.type, msg_id=send[1] + step, **fields)
 
     def _book(self, hop: Message, delivered: list[Message]) -> None:
         """Account for an explicit ``attack`` return: every forged insert

@@ -18,6 +18,12 @@ child to its **own** declared capabilities:
   that child's own :func:`~repro.attacks.base.capability_gate`, against
   the one per-broadcast snapshot the network module took.
 
+When every child acts on broadcasts (:meth:`Attacker.attack_broadcast`),
+so does the composite: each child in turn, behind its own
+:func:`~repro.attacks.base.broadcast_gate`, over the rows the children
+before it kept.  One child that overrides only ``attack`` sends every copy
+through the per-copy chain instead.
+
 Child timers are namespaced (``sc<i>:<name>``) so the composite can route
 each firing back to the owning clause; the original name is restored on a
 reconstructed event, so children are written exactly as they would be
@@ -36,7 +42,9 @@ from __future__ import annotations
 import random
 from typing import Any
 
-from ..attacks.base import Attacker, AttackerContext, Capability, capability_gate
+from ..attacks.base import (
+    Attacker, AttackerContext, Capability, broadcast_gate, capability_gate,
+)
 from ..attacks.registry import register_attack
 from ..core.events import TimeEvent
 from ..core.message import Message
@@ -98,10 +106,11 @@ class CompositeAttacker(Attacker):
         self.capabilities = caps
         self.wants_signals = any(child.wants_signals for child in self._children)
         self._child_ctxs: list[_ChildContext] = []
-        #: One capability gate per clause, over that clause's context.
-        self._gates: list = []
+        #: Per clause, over that clause's context: its per-copy gate and its
+        #: broadcast gate.
+        self._gates: list[tuple] = []
         #: The gates of the clauses acting on messages sent at ``_active_at``.
-        self._active: list = []
+        self._active: list[tuple] = []
         self._active_at: float | None = None
 
     def bind(self, ctx: AttackerContext) -> None:
@@ -113,7 +122,8 @@ class CompositeAttacker(Attacker):
         for child, child_ctx in zip(self._children, self._child_ctxs):
             child.bind(child_ctx)
         self._gates = [
-            capability_gate(child.attack, child_ctx)
+            (capability_gate(child.attack, child_ctx),
+             broadcast_gate(child.attack_broadcast, child_ctx))
             for child, child_ctx in zip(self._children, self._child_ctxs)
         ]
 
@@ -135,20 +145,48 @@ class CompositeAttacker(Attacker):
 
     # -- per-message chain ---------------------------------------------------
 
-    def attack(self, message: Message):
-        now = message.sent_at
+    def _active_gates(self, now: float) -> list[tuple]:
+        """The gates of the clauses acting on messages sent at ``now``."""
         if now != self._active_at:
             # Which clauses act depends on the send time alone (readiness
             # changes only in ``_activate``): decided once per broadcast,
             # not once per copy.
             self._active = [
-                gate
-                for clause, child_ctx, gate in zip(
+                gates
+                for clause, child_ctx, gates in zip(
                     self._clauses, self._child_ctxs, self._gates)
                 if clause.in_window(now) and child_ctx.ready
             ]
             self._active_at = now
-        if not self._active:
+        return self._active
+
+    def acts_on_broadcasts(self) -> bool:
+        return super().acts_on_broadcasts() and all(
+            child.acts_on_broadcasts() for child in self._children)
+
+    def attack_broadcast(self, view, dests, delays, keep):
+        # Clause by clause over the rows: a clause sees only the copies that
+        # every clause before it kept, as the per-copy chain stops at a drop.
+        snapshot = self.ctx.pristine_payload
+        rows = None  # the rows still kept, once a clause dropped one
+        for _, gate in self._active_gates(view.sent_at):
+            if rows is None:
+                gate(view, snapshot, dests, delays, keep)
+                if all(keep):
+                    continue
+                rows = [row for row, kept in enumerate(keep) if kept]
+            else:
+                sub_delays, sub_keep = [delays[row] for row in rows], [True] * len(rows)
+                gate(view, snapshot, [dests[row] for row in rows], sub_delays, sub_keep)
+                for row, delay, kept in zip(rows, sub_delays, sub_keep):
+                    delays[row], keep[row] = delay, kept
+                rows = [row for row, kept in zip(rows, sub_keep) if kept]
+            if not rows:
+                return
+
+    def attack(self, message: Message):
+        active = self._active_gates(message.sent_at)
+        if not active:
             return None
         controls = self.ctx.controls_message(message)
         # The payload of a message we can read but do not control is shared
@@ -156,7 +194,7 @@ class CompositeAttacker(Attacker):
         # the one snapshot every clause's diff compares against.
         snapshot = self.ctx.pristine_payload
         forged: list[Message] = []
-        for gate in self._active:
+        for gate, _ in active:
             delivered = gate(message, controls, snapshot)
             if delivered is not None:
                 kept = False

@@ -59,15 +59,26 @@ def submit(
     return message
 
 
-def pending_deliveries(controller: Controller) -> list[Message]:
-    """Messages currently scheduled for delivery (drains the queue)."""
+def pending_deliveries(controller: Controller) -> list[tuple[float, int, int, Message]]:
+    """Every delivery scheduled so far as ``(time, dest, copy id, message)``,
+    in firing order (drains the queue).
+
+    Read from the queue entries: a broadcast on the shared tier is one
+    message for many recipients, and each delivery's time, recipient and
+    copy id live in its entry, not in the message.
+    """
+    from repro.core.controller import _copy_id
     from repro.core.events import MessageEvent
 
-    return [
-        event.message
-        for event in controller.queue.drain()
-        if isinstance(event, MessageEvent)
-    ]
+    out = []
+    queue = controller.queue
+    while queue:
+        entry = queue.pop_entry()
+        time, _handle, event, dest = entry[:4]
+        if type(event) is MessageEvent:
+            message = event.message
+            out.append((time, message.dest if dest is None else dest, _copy_id(entry), message))
+    return out
 
 
 def count_payload_copies(monkeypatch) -> list[object]:

@@ -70,7 +70,7 @@ class TestDropping:
         submit(controller, source=0)  # corrupted earlier: droppable
         submit(controller, source=1)  # honest: passes through
         deliveries = pending_deliveries(controller)
-        assert [m.source for m in deliveries] == [1]
+        assert [m.source for *_, m in deliveries] == [1]
 
 
 class TestNoRetraction:
@@ -130,7 +130,7 @@ class TestModification:
         controller.clock.advance_to(1.0)
         submit(controller, source=0)
         delivered = pending_deliveries(controller)
-        assert delivered[0].payload["injected"] is True
+        assert delivered[0][3].payload["injected"] is True
 
     def test_delay_modification_needs_network(self):
         def slow_down(self, message):
@@ -151,7 +151,7 @@ class TestModification:
         controller = controller_with(attacker)
         submit(controller)
         delivered = pending_deliveries(controller)
-        assert delivered[0].delay >= 1_000.0
+        assert delivered[0][3].delay >= 1_000.0
 
     def test_redacted_payload_modification_rejected(self):
         def tamper(self, message):
@@ -188,7 +188,7 @@ class TestForgery:
         controller.clock.advance_to(1.0)
         submit(controller, source=1)
         delivered = pending_deliveries(controller)
-        assert any(m.forged and m.type == "FAKE" for m in delivered)
+        assert any(m.forged and m.type == "FAKE" for *_, m in delivered)
         assert controller.metrics.counts.byzantine == 1
 
     def test_forged_insert_with_the_hops_id_is_still_an_insert(self):
@@ -208,8 +208,8 @@ class TestForgery:
         controller.clock.advance_to(1.0)
         honest = submit(controller, source=1)
         delivered = pending_deliveries(controller)
-        assert sorted(m.type for m in delivered) == sorted(["FAKE", honest.type])
-        assert len({m.msg_id for m in delivered}) == 2
+        assert sorted(m.type for *_, m in delivered) == sorted(["FAKE", honest.type])
+        assert len({copy_id for _, _, copy_id, _ in delivered}) == 2
         assert controller.metrics.counts.byzantine == 1
         assert controller.metrics.counts.dropped == 0
 

@@ -1,11 +1,17 @@
-"""One rule battery for ``capability_gate``, over everyone who holds one.
+"""One rule battery for the capability gates, over everyone who holds one.
 
-The per-message rules of the threat model are enforced by one function,
-:func:`repro.attacks.base.capability_gate`, for three kinds of party: the
-attacker as a whole (held by the network module), the sole clause of a
-scenario, and a clause that acts behind another one.  Every rule below is
-run against all three and must come out the same: the same error text after
-the name of the party, or the same deliveries and counts.
+The per-message rules of the threat model are enforced by
+:func:`repro.attacks.base.capability_gate` around ``attack``, and by its
+vector form :func:`repro.attacks.base.broadcast_gate` around
+``attack_broadcast``, for three kinds of party: the attacker as a whole
+(held by the network module), the sole clause of a scenario, and a clause
+that acts behind another one.  Every rule below is run against each holder
+and must come out the same: the same error text after the name of the
+party, or the same deliveries and counts.  The ``vector`` holders' party
+acts through ``attack_broadcast``, so an honest broadcast reaches it once,
+as rows; a rule it cannot express (a payload rewrite, or handing back other
+messages than the copy) is held by a subclass that overrides ``attack``,
+which the network must consult per copy.
 
 The stimulus is always one broadcast at t=20 over n=4 with a constant 50 ms
 delay; the attacker under test acts on the copy for node 2 only.
@@ -22,7 +28,7 @@ import pytest
 
 from repro import Controller, Message
 from repro.attacks.base import Attacker, Capability, REDACTED_PAYLOAD
-from repro.attacks.registry import register_attack
+from repro.attacks.registry import get_attack, register_attack
 from repro.core.errors import CapabilityError
 from repro.core.message import BROADCAST
 from repro.scenarios.spec import AttackClause, ScenarioSpec
@@ -195,6 +201,9 @@ RULES: dict[str, Rule] = {
     "insert-injected": Rule(
         OBSERVE | BYZANTINE, _inject(5.0), corrupt=0,
         delivers=(COPY, (25.0, 3, True, FAKE)), counts=(3, 1, 0)),
+    "kept-copy-returned-twice": Rule(
+        Capability.NONE, lambda self, message: [message, message],
+        error="returned message {copy} twice: a kept copy is delivered once"),
     # -- nothing leaves with a delay that is not a finite number >= 0 ----------
     "kept-without-a-delay": Rule(
         NETWORK, _do(_retime_to(None), _kept), error="assigned an invalid delay: None"),
@@ -208,19 +217,50 @@ for _label, _bad in (("negative", -5.0), ("nan", nan), ("inf", inf)):
     RULES[f"insert-injected-with-{_label}-delay"] = Rule(
         OBSERVE | BYZANTINE, _inject(_bad), corrupt=0, error=_invalid)
 
+#: Rules a vector hook cannot express: the act rewrites a payload, or hands
+#: back messages other than the copy.
+PER_COPY = {
+    name for name in RULES if name.startswith(("payload-edit", "redacted-payload-edit", "insert-"))
+} | {"foreign-message-returned", "hand-built-forgery-without-BYZANTINE",
+     "forgery-in-an-honest-name", "kept-copy-returned-twice"}
+
 _PASS_THROUGH = "redacted-view-without-OBSERVE"
 
 
-@register_attack("_test-held")
-class _Held(Attacker):
-    """The party under test: applies ``RULES[params["rule"]]`` to the copy
-    for node 2 and records every payload it is shown."""
+class _Party(Attacker):
+    """Applies ``RULES[params["rule"]]`` to the copy for node 2 and records
+    every payload it is shown."""
 
     def __init__(self, params=None):
         super().__init__(params)
         self.rule = RULES[self.params["rule"]]
         self.capabilities = self.rule.capabilities
         self.shown: list[dict] = []
+        #: Rows per ``attack_broadcast`` call.
+        self.calls: list[int] = []
+
+
+@register_attack("_test-held-vector")
+class _VectorHeld(_Party):
+    """The party under test, acting through ``attack_broadcast``: the rule
+    acts on a stand-in for the row of node 2, whose delay and fate are
+    copied back."""
+
+    def attack_broadcast(self, view, dests, delays, keep):
+        self.calls.append(len(dests))
+        for row, dest in enumerate(dests):
+            self.shown.append(copy.deepcopy(view.payload))
+            if dest != 2 or self.rule.act is None:
+                continue
+            stand_in = Message(view.source, dest, view.payload, view.sent_at, delays[row])
+            returned = self.rule.act(self, stand_in)
+            delays[row] = stand_in.delay
+            keep[row] = returned is None or any(item is stand_in for item in returned)
+
+
+@register_attack("_test-held")
+class _Held(_Party):
+    """The party under test, acting through ``attack``."""
 
     def attack(self, message):
         if message.forged:
@@ -231,17 +271,32 @@ class _Held(Attacker):
         return self.rule.act(self, message)
 
 
-def _bare(name):
-    held = _Held({"rule": name})
+@register_attack("_test-held-rewriting")
+class _Rewriting(_VectorHeld):
+    """A vector party's subclass that rewrites or inserts: it overrides
+    ``attack``, so the network hands it every copy, never the rows."""
+
+    attack = _Held.attack
+
+
+def _party(name, vector):
+    if not vector:
+        return "_test-held"
+    return "_test-held-rewriting" if name in PER_COPY else "_test-held-vector"
+
+
+def _bare(name, vector=False):
+    held = get_attack(_party(name, vector))({"rule": name})
     return controller_with(held, std=0.0), held, "attacker"
 
 
-def _clauses(*names):
-    spec = ScenarioSpec(attacks=[AttackClause("_test-held", {"rule": name}) for name in names])
+def _clauses(*names, vector=False):
+    spec = ScenarioSpec(attacks=[
+        AttackClause(_party(name, vector), {"rule": name}) for name in names])
     controller = Controller(spec.apply(quick_config(std=0.0)))
     controller.attacker.setup()
     index = len(names) - 1
-    return controller, controller.attacker._children[index], f"scenario clause #{index} (_test-held)"
+    return controller, controller.attacker._children[index], f"scenario clause #{index} ({_party(names[-1], vector)})"
 
 
 #: holder -> (controller, the party under test, its name in errors)
@@ -249,6 +304,8 @@ HOLDERS = {
     "module": _bare,
     "sole-clause": _clauses,
     "second-clause": lambda name: _clauses(_PASS_THROUGH, name),
+    "vector": lambda name: _bare(name, vector=True),
+    "vector-second-clause": lambda name: _clauses(_PASS_THROUGH, name, vector=True),
 }
 
 
@@ -265,11 +322,13 @@ def test_rule(holder, name):
     if rule.error is not None:
         # A composite without OBSERVE is itself shown a redacted envelope,
         # and that is all its clauses' errors can name.
-        reads = holder == "module" or OBSERVE in rule.capabilities
+        reads = holder in ("module", "vector") or OBSERVE in rule.capabilities
         named = f"{'TEST' if reads else '<redacted>'} {rule.source}->2 @20.0"
         with pytest.raises(CapabilityError) as raised:
             controller.network.submit(broadcast)
         assert str(raised.value) == f"{who} {rule.error.format(copy=named)}"
+        if holder.startswith("vector") and name in PER_COPY:
+            assert held.calls == []
         return
 
     controller.network.submit(broadcast)
@@ -279,8 +338,13 @@ def test_rule(holder, name):
         (70.0, dest, False, PAYLOAD) for dest in range(4) if dest not in (rule.source, 2)
     ]
     assert sorted(
-        ((m.deliver_at, m.dest, m.forged, m.payload) for m in delivered), key=lambda e: e[:3]
+        ((time, dest, m.forged, m.payload) for time, dest, _, m in delivered), key=lambda e: e[:3]
     ) == sorted([*untouched, *rule.delivers], key=lambda e: e[:3])
-    assert len({m.msg_id for m in delivered}) == len(delivered)
+    assert len({copy_id for _, _, copy_id, _ in delivered}) == len(delivered)
     counts = controller.metrics.counts
     assert (counts.sent, counts.byzantine, counts.dropped) == rule.counts
+    if holder.startswith("vector"):
+        # The rows of an honest broadcast arrive at once; a controlled
+        # broadcast, and a party that overrides ``attack``, go per copy.
+        per_copy = name in PER_COPY or rule.corrupt == rule.source
+        assert held.calls == ([] if name in PER_COPY else [1, 1, 1] if per_copy else [3])

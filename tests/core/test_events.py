@@ -213,6 +213,20 @@ class TestSharedDeliveries:
             (2.0, 0, 0), (2.0, 2, None),
         ]
 
+    def test_a_reserved_span_leaves_unused_handles_unused(self):
+        """Rows under handles ``base + offsets[i]`` of a reserved span; the
+        recipient is ``dests[offsets[i]]``, and a later push takes the next
+        handle after the span."""
+        queue = EventQueue()
+        assert queue.reserve(5) == 0
+        event = shared_event()
+        queue.push_deliveries(event, [2.0, 1.0, 2.0], [9, 8, 7, 6, 5], [0, 2, 4], 0)
+        assert queue.push(timer(2.0)) == 5
+        assert len(queue) == 4
+        popped = [queue.pop_entry() for _ in range(4)]
+        assert [(e[0], e[1], e[3]) for e in popped] == [
+            (1.0, 2, 7), (2.0, 0, 9), (2.0, 4, 5), (2.0, 5, None)]
+
     def test_empty_batch_is_a_no_op(self):
         queue = EventQueue()
         queue.push_deliveries(shared_event(), [], [])

@@ -236,11 +236,26 @@ def check_against_flat_model(rng: random.Random, steps: int) -> None:
             event = MessageEvent(
                 time=now, message=Message(source=0, dest=BROADCAST, payload={})
             )
-            queue.push_deliveries(event, times, dests)
-            base = next_handle
-            for time_, dest in zip(times, dests):
-                model.append((time_, next_handle, event, dest, base))
-                next_handle += 1
+            if op == 3 and size:
+                # An attacked broadcast: a reserved span of handles, some
+                # of them deliveries of this cursor, the rest left unused.
+                span = size + rng.randrange(3)
+                base = queue.reserve(span)
+                assert base == next_handle
+                offsets = sorted(rng.sample(range(span), size))
+                at = [0] * span
+                for offset, dest in zip(offsets, dests):
+                    at[offset] = dest
+                queue.push_deliveries(event, times, at, offsets, base)
+                for time_, offset in zip(times, offsets):
+                    model.append((time_, base + offset, event, at[offset], base))
+                next_handle += span
+            else:
+                queue.push_deliveries(event, times, dests)
+                base = next_handle
+                for time_, dest in zip(times, dests):
+                    model.append((time_, next_handle, event, dest, base))
+                    next_handle += 1
         elif op == 4 and handles:
             handle = rng.choice(handles)  # live, popped or cancelled already
             queue.cancel(handle)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.message import BROADCAST, Message, payload_matches
 
 
@@ -19,14 +17,6 @@ def test_unique_ids():
     a = Message(0, 1, {})
     b = Message(0, 1, {})
     assert a.msg_id != b.msg_id
-
-
-def test_deliver_at_requires_delay():
-    message = Message(0, 1, {}, sent_at=10.0)
-    with pytest.raises(ValueError):
-        _ = message.deliver_at
-    message.delay = 5.0
-    assert message.deliver_at == 15.0
 
 
 class TestCopyFor:

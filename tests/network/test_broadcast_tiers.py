@@ -2,9 +2,10 @@
 
 A benign broadcast rides the shared tier (one message, one delivery event,
 one cursor entry in the queue, one batched delay draw), traced or not;
-anything that can re-time, drop or mutate a single copy forces the
-instrumented tier (one copy per recipient through the attacker/fault
-path).  Byte-identity between the two is the contract: same delays, same
+an attacker or fault schedule that may only re-time or drop copies keeps
+it too, as rows; anything that can rewrite a copy or insert beside one
+forces the instrumented tier (one copy per recipient through the
+attacker/fault path).  Byte-identity between the two is the contract: same delays, same
 queue handles, same message ids, same trace file, so a run may change tier
 at any broadcast.  A delay override (the validator's replay) prices single
 copies on either tier, so it does not change the tier either.
@@ -49,8 +50,10 @@ from tests.pinned import (
 
 def force_instrumented(controller: Controller) -> Controller:
     """Every message of ``controller`` takes the per-copy tier: the shared
-    tier's predicate answers "observed" whatever the run holds."""
+    tier's predicates answer "observed" and "not as rows" whatever the run
+    holds."""
     controller.network._unobserved = lambda: False
+    controller.network._rides_cursor = lambda message: False
     return controller
 
 

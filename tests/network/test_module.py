@@ -24,7 +24,7 @@ class TestBroadcast:
         controller = controller_with(ScriptedAttacker(Capability.NONE), n=5)
         controller.network.submit(Message(source=2, dest=BROADCAST, payload={"type": "B"}))
         deliveries = pending_deliveries(controller)
-        assert sorted(m.dest for m in deliveries) == [0, 1, 2, 3, 4]
+        assert sorted(dest for _, dest, _, _ in deliveries) == [0, 1, 2, 3, 4]
 
     def test_broadcast_counts_exclude_loopback(self):
         controller = controller_with(ScriptedAttacker(Capability.NONE), n=5)
@@ -47,7 +47,7 @@ class TestBroadcast:
         controller.attacker_ctx.corrupt(2)
         controller.clock.advance_to(1.0)
         controller.network.submit(Message(source=2, dest=BROADCAST, payload={"type": "B"}))
-        deliveries = {m.dest: m for m in pending_deliveries(controller)}
+        deliveries = {dest: m for _, dest, _, m in pending_deliveries(controller)}
         assert deliveries[1].payload.get("evil") is True
         # Every other recipient, the sender included, gets the original.
         assert all(deliveries[dest].payload == {"type": "B"} for dest in (0, 2, 3))
@@ -60,7 +60,7 @@ class TestLoopback:
         submit(controller, source=3, dest=3)
         deliveries = pending_deliveries(controller)
         assert len(deliveries) == 1
-        assert deliveries[0].deliver_at == 10.0
+        assert deliveries[0][0] == 10.0
 
     def test_loopback_invisible_to_attacker(self):
         attacker = ScriptedAttacker(Capability.OBSERVE)
@@ -105,7 +105,7 @@ class TestAttackerPassthrough:
         controller = controller_with(attacker, n=4)
         message = submit(controller)
         deliveries = pending_deliveries(controller)
-        assert deliveries[0].msg_id == message.msg_id
+        assert deliveries[0][2] == message.msg_id
 
     def test_every_wire_message_passes_attacker(self):
         attacker = ScriptedAttacker(Capability.OBSERVE)
@@ -128,12 +128,13 @@ class TestAttackerPassthrough:
         controller = Controller(quick_config(n=4, record_trace=True))
         # Tracing alone keeps the shared tier; force the per-copy tier.
         controller.network._unobserved = lambda: False
+        controller.network._rides_cursor = lambda message: False
         monkeypatch.setattr(NullAttacker, "attack", unexpected)
         monkeypatch.setattr(network_module, "capability_gate", unexpected)
         monkeypatch.setattr(network_module, "deep_copy_payload", unexpected)
         message = submit(controller)
         controller.network.submit(Message(source=0, dest=BROADCAST, payload={"type": "B"}))
-        assert any(m is message for m in pending_deliveries(controller))
+        assert any(m is message for *_, m in pending_deliveries(controller))
         assert len(controller.trace.events(kind="send")) == 4
 
     def test_null_attacker_subclass_is_still_consulted(self):
@@ -169,7 +170,7 @@ class TestCopyOnWriteUnderAttack:
         copied = count_payload_copies(monkeypatch)
         message = _broadcast(controller)
         assert copied == [message.payload]
-        assert all(m.payload is message.payload for m in pending_deliveries(controller))
+        assert all(m.payload is message.payload for *_, m in pending_deliveries(controller))
 
     def test_only_controlled_copies_are_unshared(self, monkeypatch):
         attacker = ScriptedAttacker(Capability.OBSERVE | Capability.BYZANTINE)

@@ -13,10 +13,13 @@ expected ones from :func:`expected`.  The cases:
   ``full`` digests predate the overlays and must stay byte-identical under
   the default dissemination; ``tree`` and ``gossip`` reshape delay draws
   by design, so what they pin is that each overlay is deterministic.
-* ``instrumented/<name>``: runs whose broadcasts take the per-copy tier
-  (an attacker, link faults, a delay override), with the sha256 of their
-  JSONL trace.  Each moves if a delay is drawn in another order, a copy
-  gets another id or handle, or a record changes.
+* ``instrumented/<name>``: runs under an attacker, link faults or a
+  delay override, with the sha256 of their JSONL trace, pinned while their
+  broadcasts took the per-copy tier.  Those with attackers that only
+  re-time or drop, or with link faults, now ride the shared tier's cursor
+  as rows; the names stay.  Each moves if a delay is drawn in another
+  order, a copy gets another id or pops in another order, or a record
+  changes.
 * ``tier-switch/<protocol>/<switch>``: a ``full``-mode run that leaves the
   shared tier after its first decision, pinned at the commit before
   broadcasts were shared (per-copy fan-out throughout).
