@@ -1,10 +1,12 @@
 """``repro serve`` — the experiment-store dashboard server.
 
 A deliberately small HTTP layer over :class:`~repro.store.ExperimentStore`:
-Python's stdlib :class:`~http.server.ThreadingHTTPServer` plus one embedded
-HTML page (:mod:`repro.serve.dashboard`).  No web framework, no template
-engine, no static asset pipeline — the simulator's zero-runtime-dependency
-policy extends to its observability surface.
+Python's stdlib :class:`~http.server.HTTPServer`, whose requests are
+handled by a few reused threads waiting in ``accept()`` (see
+:class:`DashboardServer`), plus one embedded HTML page
+(:mod:`repro.serve.dashboard`).  No web framework, no template engine, no
+static asset pipeline — the simulator's zero-runtime-dependency policy
+extends to its observability surface.
 
 Routes (all JSON except ``/``):
 
@@ -43,19 +45,23 @@ stored (:meth:`~repro.store.ExperimentStore.run_texts` and siblings), and
 the route joins those texts into the response.  A stored column that is
 not JSON is a JSON 500 naming the row and the column, on these routes and
 on every other one that reads it.  ``/health`` decodes only the runs'
-``attachments_json``.  A client that sends nothing for
-:attr:`DashboardHandler.timeout` seconds is hung up on, so a half-sent
-request cannot keep its handler thread alive.
+``attachments_json``.  A client has :attr:`DashboardHandler.timeout`
+seconds to send its whole request, each read waiting only for what is left
+of them, and is hung up on after that, so a half-sent or trickled request
+cannot keep its handler thread alive.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import re
+import socket
 import sqlite3
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+import time
+from http.server import BaseHTTPRequestHandler, HTTPServer
 from typing import Any, Iterable
 
 from .. import __version__
@@ -63,6 +69,10 @@ from ..store import ExperimentStore, StoreCorruptError, StoreError
 from .dashboard import PAGE_HTML
 
 _RUN_ANALYSIS_LIMIT = 200  # decisions/views shipped per analysis response
+
+#: Threads a :class:`DashboardServer` keeps waiting in ``accept()``
+#: between requests.
+_WAITING = 2
 
 
 def run_analysis(trace_path: str) -> dict[str, Any]:
@@ -174,9 +184,17 @@ def fleet_health(runs: Iterable[tuple[int, int, dict[str, Any]]]) -> dict[str, A
     }
 
 
-class DashboardServer(ThreadingHTTPServer):
+class DashboardServer(HTTPServer):
     """The dashboard's HTTP server, holding one store handle for every
-    request thread (read it as :attr:`store`)."""
+    request thread (read it as :attr:`store`).
+
+    Its threads each block in ``accept()`` on the listening socket and
+    handle the connection they take, then accept again: no thread is
+    started per request.  The last waiting thread to take a connection
+    first starts one more, so a slow or silent client holds only its own
+    thread; a thread done with a request exits instead of accepting again
+    when :data:`_WAITING` others already wait.
+    """
 
     # socketserver's listen backlog is 5: a burst of more connects than
     # that has its SYNs dropped, and each waits the 1-s SYN retransmit.
@@ -191,6 +209,10 @@ class DashboardServer(ThreadingHTTPServer):
         self._closed = False
         self._store: ExperimentStore | None = None
         self._identity: tuple[int, int] | None = None
+        self._pool = threading.Condition()
+        self._waiting = 0  # threads in, or on their way into, accept()
+        self._stopping = False
+        self._stopped = threading.Event()
         self._refresh()
         try:
             super().__init__(address, DashboardHandler)
@@ -235,9 +257,74 @@ class DashboardServer(ThreadingHTTPServer):
         self._store = ExperimentStore(self.store_path, create=False)
         self._identity = identity
 
+    def serve_forever(self) -> None:
+        """Start the accept threads, then block until :meth:`shutdown`."""
+        for _ in range(_WAITING):
+            self._start_thread()
+        self._stopped.wait()
+
+    def shutdown(self) -> None:
+        """Wake every thread waiting in ``accept()`` and return once none
+        is left in it; requests in flight finish on their own threads,
+        which then exit.  :meth:`serve_forever` returns."""
+        with self._pool:
+            if not self._stopping:
+                self._stopping = True
+                try:
+                    # Linux fails every accept() blocked on a listening
+                    # socket that is shut down (EINVAL), and refuses
+                    # connects from here on.
+                    self.socket.shutdown(socket.SHUT_RDWR)
+                except OSError:  # never listened: the bind failed
+                    pass
+            self._pool.wait_for(lambda: self._waiting == 0)
+        self._stopped.set()
+
+    def _start_thread(self) -> None:
+        threading.Thread(target=self._accept_loop, daemon=True).start()
+
+    def _accept_loop(self) -> None:
+        """One pool thread: accept a connection, answer it, and accept
+        again for as long as :meth:`_wait` lets it."""
+        waiting = self._wait()
+        while waiting:
+            try:
+                request, client_address = self.get_request()
+            except OSError:  # shut down, or this one accept failed
+                request = None
+            with self._pool:
+                self._waiting -= 1
+                self._pool.notify_all()
+                last = self._waiting == 0 and not self._stopping
+            if request is None:
+                waiting = self._wait()
+                continue
+            if last:
+                self._start_thread()
+            try:
+                self.finish_request(request, client_address)
+            except Exception:
+                self.handle_error(request, client_address)
+            # Counted as waiting before the hang-up (which cannot block), so
+            # a client that reads its answer to the end finds this thread
+            # waiting for its next connection.
+            waiting = self._wait()
+            self.shutdown_request(request)
+
+    def _wait(self) -> bool:
+        """Count this thread as waiting in ``accept()``, unless the server
+        is shutting down or enough threads wait already."""
+        with self._pool:
+            if self._stopping or self._waiting >= _WAITING:
+                return False
+            self._waiting += 1
+            return True
+
     def server_close(self) -> None:
-        """Close the listening socket, then the store handle; a request
-        that reads the store after this gets a JSON 503."""
+        """Stop the accept threads, close the listening socket, then the
+        store handle; a request that reads the store after this gets a
+        JSON 503."""
+        self.shutdown()
         super().server_close()
         with self._lock:
             self._closed = True
@@ -245,13 +332,38 @@ class DashboardServer(ThreadingHTTPServer):
                 self._store.close()
 
 
+class _RequestReader(io.RawIOBase):
+    """A connection's reads under one deadline, ``seconds`` from now: each
+    read waits at most for what is left of it, so a client that trickles
+    its request cannot keep the thread longer.  Expiry raises
+    :class:`TimeoutError`, which the handler answers by hanging up."""
+
+    def __init__(self, connection: socket.socket, seconds: float) -> None:
+        self._connection = connection
+        self._seconds = seconds
+        self._deadline = time.monotonic() + seconds
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer: Any) -> int:
+        left = self._deadline - time.monotonic()
+        if left <= 0:
+            raise TimeoutError("request not read within its deadline")
+        self._connection.settimeout(left)
+        try:
+            return self._connection.recv_into(buffer)
+        finally:  # the answer's writes wait up to ``seconds`` each
+            self._connection.settimeout(self._seconds)
+
+
 class DashboardHandler(BaseHTTPRequestHandler):
     """Route table for the dashboard; reads the server's store handle."""
 
     server: DashboardServer
 
-    #: Seconds a connection may stay silent (per socket read or write)
-    #: before its thread hangs up.
+    #: Seconds a client has to send its whole request, and that each
+    #: socket write of the answer may wait, before its thread hangs up.
     timeout = 10.0
 
     _ROUTES = (
@@ -271,13 +383,24 @@ class DashboardHandler(BaseHTTPRequestHandler):
         if not self.server.quiet:
             super().log_message(fmt, *args)
 
+    def setup(self) -> None:
+        super().setup()
+        # The request is read under one deadline, not the per-read timeout
+        # of the reader just made.
+        self.rfile.close()
+        self.rfile = io.BufferedReader(_RequestReader(self.connection, self.timeout))
+
     def _send(self, code: int, body: bytes, content_type: str) -> None:
         self.send_response(code)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         self.send_header("Cache-Control", "no-store")
-        self.end_headers()
-        self.wfile.write(body)
+        if self.request_version == "HTTP/0.9":  # the body alone, no head
+            self.wfile.write(body)
+            return
+        # What end_headers() and a second write would send, in one write.
+        self._headers_buffer += (b"\r\n", body)
+        self.flush_headers()
 
     def _json(self, payload: dict[str, Any], code: int = 200) -> None:
         self._json_text(json.dumps(payload), code)
@@ -382,8 +505,8 @@ def serve(store_path: str, host: str = "127.0.0.1", port: int = 8008) -> None:
     """Run the dashboard until interrupted (the ``repro serve`` entry)."""
     server = create_server(store_path, host, port, quiet=False)
     bound_host, bound_port = server.server_address[:2]
-    print(f"repro serve: dashboard on http://{bound_host}:{bound_port}/")
-    print(f"repro serve: store {store_path}")
+    print(f"repro serve: dashboard on http://{bound_host}:{bound_port}/", flush=True)
+    print(f"repro serve: store {store_path}", flush=True)
     try:
         server.serve_forever()
     except KeyboardInterrupt:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import os
+import select
 import socket
 import sqlite3
 import subprocess
@@ -18,7 +19,7 @@ import pytest
 
 from repro.core.runner import run_simulation
 from repro.serve import DashboardHandler, create_server
-from repro.serve.server import fleet_health, run_analysis
+from repro.serve.server import _WAITING, fleet_health, run_analysis
 from repro.store import ExperimentStore, StoreRecorder
 from tests.conftest import quick_config
 from tests.store.test_store import record_row_shapes
@@ -375,6 +376,19 @@ def _serve(store_path: str):
     return server, thread, f"http://127.0.0.1:{server.server_address[1]}"
 
 
+def _handler_threads(monkeypatch) -> list[threading.Thread]:
+    """The thread of each connection handled from now on, in order."""
+    threads: list[threading.Thread] = []
+    setup = DashboardHandler.setup
+
+    def recording_setup(handler) -> None:
+        threads.append(threading.current_thread())
+        setup(handler)
+
+    monkeypatch.setattr(DashboardHandler, "setup", recording_setup)
+    return threads
+
+
 def get_error(base: str, path: str) -> tuple[int, dict]:
     """The status and JSON body of a request that must fail."""
     with pytest.raises(urllib.error.HTTPError) as excinfo:
@@ -648,6 +662,75 @@ class TestConcurrentReaders:
             server.store  # noqa: B018
 
 
+class TestAcceptThreads:
+    """Request threads are reused: no thread starts per connection, and
+    the ones a burst needed exit once it is over."""
+
+    GET = b"GET /api/experiments HTTP/1.0\r\n\r\n"
+
+    @pytest.fixture
+    def store_path(self, tmp_path):
+        store_path = str(tmp_path / "exp.sqlite")
+        with ExperimentStore(store_path) as store:
+            store.create_experiment("one", "run", quick_config(), 1)
+        return store_path
+
+    def test_sequential_gets_start_no_thread(self, store_path, monkeypatch):
+        server, thread, base = _serve(store_path)
+        try:
+            for _ in range(5):  # the waiting threads start
+                assert _status(_raw(base, self.GET)) == 200
+            started: list[threading.Thread] = []
+            start = threading.Thread.start
+
+            def counted_start(new: threading.Thread) -> None:
+                started.append(new)
+                start(new)
+
+            monkeypatch.setattr(threading.Thread, "start", counted_start)
+            for _ in range(50):  # each read to the server's hang-up
+                assert _status(_raw(base, self.GET)) == 200
+            assert started == []
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+        assert not thread.is_alive()
+
+    def test_threads_a_burst_took_exit_after_it(self, store_path, monkeypatch):
+        """10 clients held open at once hold 10 threads; once they hang up
+        and a few GETs follow, the server holds only its waiting threads
+        (plus the thread blocked in serve_forever)."""
+        handled = _handler_threads(monkeypatch)
+        before = set(threading.enumerate())
+        server, thread, base = _serve(store_path)
+        held: list[socket.socket] = []
+        try:
+            for count in range(1, 11):
+                held.append(socket.create_connection(
+                    ("127.0.0.1", server.server_address[1])))
+                deadline = time.monotonic() + 10
+                while len(handled) < count:
+                    assert time.monotonic() < deadline
+                    time.sleep(0.001)
+            assert len(set(handled)) == 10
+            for sock in held:
+                sock.close()
+            for _ in range(5):
+                assert _status(_raw(base, self.GET)) == 200
+            deadline = time.monotonic() + 10
+            while len(set(threading.enumerate()) - before) > 1 + _WAITING:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+        finally:
+            for sock in held:
+                sock.close()
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+        assert not thread.is_alive()
+
+
 def _raw(base: str, data: bytes) -> bytes:
     """Send raw bytes; everything the server answers before hanging up."""
     host, port = base.rsplit("/", 1)[1].split(":")
@@ -712,29 +795,30 @@ class TestHostileRequests:
     def test_silent_clients_block_no_get_and_their_threads_exit(
         self, tmp_path, monkeypatch
     ):
-        """20 connections that send half a request and fall silent: a GET
-        beside them answers, and once the server is closed their handler
-        threads exit after the read timeout, though the clients never
-        hang up."""
+        """20 connections that send half a request and fall silent: each
+        holds its own thread, a GET beside them answers, and once the
+        server is closed their handler threads exit after the read
+        timeout, though the clients never hang up."""
         assert 0 < DashboardHandler.timeout <= 60
         monkeypatch.setattr(DashboardHandler, "timeout", 2.0)
         store_path = str(tmp_path / "exp.sqlite")
         with ExperimentStore(store_path) as store:
             store.create_experiment("one", "run", quick_config(), 1)
+        handled = _handler_threads(monkeypatch)
         server, thread, base = _serve(store_path)
-        before = set(threading.enumerate())
         silent: list[socket.socket] = []
         try:
-            # One at a time, so each handler thread is counted as it starts.
+            # One at a time, so each is counted once its handler starts.
             for count in range(1, 21):
                 silent.append(socket.create_connection(
                     ("127.0.0.1", server.server_address[1])))
                 silent[-1].sendall(b"GET /api/experiments HTTP/1.0\r\nHost: x\r\n")
                 deadline = time.monotonic() + 10
-                while len(set(threading.enumerate()) - before) < count:
+                while len(handled) < count:
                     assert time.monotonic() < deadline
                     time.sleep(0.001)
-            handlers = set(threading.enumerate()) - before
+            handlers = set(handled)
+            assert len(handlers) == 20
             start = time.monotonic()
             assert len(get_json(base, "/api/experiments")["experiments"]) == 1
             assert time.monotonic() - start < DashboardHandler.timeout
@@ -752,6 +836,43 @@ class TestHostileRequests:
         finally:
             for sock in silent:
                 sock.close()
+
+    def test_a_trickling_client_is_hung_up_on_at_the_deadline(
+        self, tmp_path, monkeypatch
+    ):
+        """A client sending one byte every 0.3 s never lets a single read
+        wait out the timeout, but the timeout bounds the whole request:
+        it is hung up on, unanswered, once the timeout has passed."""
+        monkeypatch.setattr(DashboardHandler, "timeout", 1.0)
+        store_path = str(tmp_path / "exp.sqlite")
+        with ExperimentStore(store_path) as store:
+            store.create_experiment("one", "run", quick_config(), 1)
+        server, thread, _base = _serve(store_path)
+        answer, hung_up = b"", None
+        try:
+            with socket.create_connection(
+                    ("127.0.0.1", server.server_address[1])) as sock:
+                start = time.monotonic()
+                for byte in b"GET /api/experiments HTTP/1.0\r\nHost: x\r\n\r\n":
+                    if time.monotonic() - start > 3:
+                        break
+                    try:
+                        sock.sendall(bytes([byte]))
+                        if select.select([sock], [], [], 0.3)[0]:
+                            chunk = sock.recv(65536)
+                            answer += chunk
+                            if not chunk:
+                                hung_up = time.monotonic() - start
+                                break
+                    except (BrokenPipeError, ConnectionResetError):
+                        hung_up = time.monotonic() - start
+                        break
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+        assert hung_up is not None and hung_up < 1.5, hung_up
+        assert answer == b""
 
     def test_a_good_get_still_answers_after_them(self, served):
         for data in (b"DELETE / HTTP/1.0\r\n\r\n", b"GARBAGE\r\n\r\n",
