@@ -5,11 +5,9 @@ from .aggregate import (
     SummaryStats,
     partition_results,
     summarize,
-    summarize_metric,
 )
 from .compute import ComputationModel, ComputeEstimate, estimate_computation
 from .experiments import (
-    DEFAULT_N,
     ExperimentCell,
     PIPELINED_DECISIONS,
     bench_jobs,
@@ -27,7 +25,7 @@ from .loc import (
     count_code_lines,
     protocol_loc_table,
 )
-from .report import format_ms, render_series, render_table
+from .report import render_series, render_table
 from .viewtrace import (
     DesyncStats,
     ViewTimeline,
@@ -38,12 +36,12 @@ from .viewtrace import (
 
 __all__ = [
     "ATTACK_MODULES", "ComputationModel", "ComputeEstimate",
-    "DEFAULT_N", "DesyncStats", "ExperimentCell", "estimate_computation",
+    "DesyncStats", "ExperimentCell", "estimate_computation",
     "LocEntry", "PIPELINED_DECISIONS", "PROTOCOL_MODULES", "RunSummary",
     "SummaryStats", "ViewTimeline", "attack_loc_table", "bench_jobs",
     "bench_repetitions", "count_code_lines", "decisions_for",
-    "desync_statistics", "extract_view_timelines", "format_ms", "network_for",
+    "desync_statistics", "extract_view_timelines", "network_for",
     "partition_results",
     "protocol_loc_table", "render_series", "render_table", "render_view_chart",
-    "run_cell", "run_cell_raw", "summarize", "summarize_metric",
+    "run_cell", "run_cell_raw", "summarize",
 ]

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from ..core.results import RunFailure, SimulationResult
 
@@ -159,12 +159,3 @@ def summarize(entries: Iterable[SimulationResult | RunFailure]) -> RunSummary:
         mean_fairness=sum(fairness) / len(fairness) if fairness else None,
         starved_clients=sum(len(h.starved_clients) for h in health),
     )
-
-
-def summarize_metric(
-    entries: Iterable[SimulationResult | RunFailure],
-    metric: Callable[[SimulationResult], float],
-) -> SummaryStats:
-    """Aggregate an arbitrary per-run metric (failures excluded)."""
-    results, _failures = partition_results(entries)
-    return SummaryStats.of([metric(r) for r in results])

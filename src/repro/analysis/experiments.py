@@ -3,7 +3,8 @@
 Encodes the paper's §IV methodology in one place so every figure bench uses
 identical conventions:
 
-* ``n = 16`` nodes by default;
+* ``SimulationConfig``'s defaults (the paper's ``n = 16`` nodes) for
+  whatever a cell does not set;
 * pipelined protocols (HotStuff+NS, LibraBFT) are measured over **ten**
   decisions, all others over one;
 * every cell is repeated under consecutive seeds and summarized as
@@ -30,9 +31,6 @@ from ..core.runner import repeat_simulation
 from ..protocols.base import SYNCHRONOUS
 from ..protocols.registry import get_protocol
 from .aggregate import RunSummary, summarize
-
-#: The paper's default cluster size (§IV).
-DEFAULT_N: int = 16
 
 #: Decisions measured for pipelined protocols (§IV).
 PIPELINED_DECISIONS: int = 10
@@ -96,14 +94,14 @@ class ExperimentCell:
     """
 
     protocol: str
-    lam: float = 1000.0
-    mean: float = 250.0
-    std: float = 50.0
+    lam: float = SimulationConfig.lam
+    mean: float = NetworkConfig.mean
+    std: float = NetworkConfig.std
     attack: AttackConfig = field(default_factory=AttackConfig)
-    n: int = DEFAULT_N
+    n: int = SimulationConfig.n
     num_decisions: int | None = None
-    max_time: float = 3_600_000.0
-    seed: int = 0
+    max_time: float = SimulationConfig.max_time
+    seed: int = SimulationConfig.seed
     protocol_params: dict[str, Any] = field(default_factory=dict)
 
     def config(self) -> SimulationConfig:

@@ -46,14 +46,3 @@ def render_series(
     headers = [x_label] + [str(x) for x in xs]
     rows = [[name, *values] for name, values in series.items()]
     return render_table(title, headers, rows, note=note)
-
-
-def format_ms(mean: float, std: float | None = None) -> str:
-    """Milliseconds with optional +- std, auto-scaled to seconds when big."""
-    if mean >= 10_000:
-        if std is None:
-            return f"{mean / 1000:.1f}s"
-        return f"{mean / 1000:.1f}+-{std / 1000:.1f}s"
-    if std is None:
-        return f"{mean:.0f}ms"
-    return f"{mean:.0f}+-{std:.0f}ms"

@@ -18,11 +18,14 @@ scenario" (§III-A); the CLI makes that workflow shell-scriptable:
     python -m repro experiments diff 1 2
     python -m repro serve --port 8008
     python -m repro run --protocol pbft --health --store experiments.sqlite
+    python -m repro run --protocol pbft --metrics 50 --health 250 --json
     python -m repro watch experiments.sqlite
     python -m repro mine --check artifacts/mining/worst-case-pbft-n32.json
 
 Every command is a thin shell over the library; anything it can do, the
-Python API can do too.
+Python API can do too.  The config flags of ``run``, ``sweep``, ``mine`` and
+``validate`` are one table, :data:`CONFIG_FLAGS`; a flag that is not given
+leaves its field at the :class:`SimulationConfig` default.
 """
 
 from __future__ import annotations
@@ -32,15 +35,15 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from typing import Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from .analysis.aggregate import summarize
 from .analysis.experiments import decisions_for
 from .analysis.report import render_table
 from .attacks.registry import available_attacks, make_attacker
 from .core.config import (
+    DISSEMINATION_MODES,
     AttackConfig,
-    FaultScheduleConfig,
     FaultSpec,
     NetworkConfig,
     SimulationConfig,
@@ -57,9 +60,13 @@ from .observability.causality import (
     render_critical_paths,
     render_quorum_timelines,
 )
-from .observability.health import analyze_trace_health, render_health
+from .observability.health import (
+    DEFAULT_WINDOW_MS,
+    analyze_trace_health,
+    render_health,
+)
 from .observability.inspect import analyze_trace, render_report
-from .observability.metrics import RunMetrics
+from .observability.metrics import DEFAULT_INTERVAL_MS, RunMetrics
 from .observability.phases import analyze_phases, render_phase_report
 from .protocols.registry import available_protocols, get_protocol
 from .scenarios import (
@@ -71,62 +78,118 @@ from .scenarios import (
 from .workload import parse_workload_spec
 
 
-def _add_run_options(parser: argparse.ArgumentParser) -> None:
+class ConfigFlag(NamedTuple):
+    """One config flag of ``run``, ``sweep``, ``mine`` and ``validate``.
+
+    ``flag`` sets the ``SimulationConfig`` field at ``path`` (dotted for a
+    nested config).  A ``type`` that is a class is argparse's, so a bad
+    value is a usage error (exit 2); a spec parser runs when the config is
+    built instead, so its complaint is one ``error:`` line (exit 1).
+    """
+
+    flag: str
+    path: str
+    type: Callable[[str], Any]
+    help: str
+    choices: tuple[str, ...] | None = None
+
+    @property
+    def dest(self) -> str:
+        return self.flag.lstrip("-").replace("-", "_")
+
+
+#: Every config flag, declared once.  An omitted flag leaves its field at the
+#: ``SimulationConfig`` default, which the help text shows.
+CONFIG_FLAGS = (
+    ConfigFlag("--protocol", "protocol", str,
+               "protocol registry name (default: %(default)s)"),
+    ConfigFlag("-n", "n", int, "number of nodes"),
+    ConfigFlag("-f", "f", int, "tolerated faults (default: protocol maximum)"),
+    ConfigFlag("--lam", "lam", float, "timeout parameter lambda, ms"),
+    ConfigFlag("--mean", "network.mean", float, "mean delay, ms"),
+    ConfigFlag("--std", "network.std", float, "delay std, ms"),
+    ConfigFlag("--distribution", "network.distribution", str,
+               "delay distribution name"),
+    ConfigFlag("--max-delay", "network.max_delay", float,
+               "hard delay bound b (synchronous network)"),
+    ConfigFlag("--dissemination", "network.dissemination", str,
+               "broadcast dissemination mode: 'full' (direct fan-out, the "
+               "paper's model), 'tree' (k-ary relay tree), or 'gossip' "
+               "(seed-deterministic fanout-f push overlay); see "
+               "docs/scaling.md", DISSEMINATION_MODES),
+    ConfigFlag("--fanout", "network.fanout", int,
+               "relay fan-out k/f for tree/gossip modes "
+               "(0 = auto, max(2, ceil(sqrt(n))))"),
+    ConfigFlag("--decisions", "num_decisions", int,
+               "values to decide (default: paper convention)"),
+    ConfigFlag("--seed", "seed", int, "root random seed"),
+    ConfigFlag("--attack", "attack.name", str, "attack registry name"),
+    ConfigFlag("--attack-params", "attack.params", json.loads,
+               "attack parameters as JSON"),
+    ConfigFlag("--faults", "faults", parse_faults_spec,
+               "environmental fault schedule, e.g. 'loss=0.1; delay=0.2x5; "
+               "crash=3@1000:8000' or a preset name like 'unreliable-network'"),
+    ConfigFlag("--workload", "workload", parse_workload_spec,
+               "open-loop client workload, e.g. 'rate:500,clients:100,"
+               "batch:64' (keys: rate req/s, clients, batch, timeout ms, "
+               "duration ms); proposals carry mempool batches and the result "
+               "reports committed tx/s and per-request latency percentiles "
+               "(see docs/workload.md)"),
+    ConfigFlag("--stall-timeout", "stall_timeout", float,
+               "liveness watchdog window in simulated ms: runs without honest "
+               "progress for this long stop with a stall report instead of "
+               "raising"),
+    ConfigFlag("--max-time", "max_time", float, "simulation horizon, ms"),
+)
+
+#: ``sweep --param`` names that are the last part of a ``CONFIG_FLAGS`` path:
+#: each sets its field as that row's flag does.
+FIELD_PARAMS = ("lam", "mean", "std", "max_delay", "n")
+
+#: ``sweep --param`` names with a rule of their own (``_sweep_variation``).
+RULE_PARAMS = ("loss", "stall_timeout", "rate")
+
+
+def _flag_help(row: ConfigFlag) -> str:
+    """``row.help``, plus the field's plain dataclass default (a dataclass
+    keeps one as a class attribute) unless the help names its own."""
+    head, _, leaf = row.path.rpartition(".")
+    fields = SimulationConfig.__dataclass_fields__
+    default = getattr(fields[head].default_factory if head else SimulationConfig, leaf, None)
+    if "(default:" in row.help or not isinstance(default, (str, int, float)):
+        return row.help
+    return f"{row.help} (default: {default})"
+
+
+def _set_path(changes: dict, path: str, value: Any) -> dict:
+    """``changes`` with ``value`` at the dotted ``path``."""
+    head, _, leaf = path.rpartition(".")
+    (changes.setdefault(head, {}) if head else changes)[leaf] = value
+    return changes
+
+
+def _add_config_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON SimulationConfig file (overrides flags)")
-    parser.add_argument("--protocol", default="pbft", help="protocol registry name")
-    parser.add_argument("-n", type=int, default=16, help="number of nodes")
-    parser.add_argument("-f", type=int, default=None, dest="f",
-                        help="tolerated faults (default: protocol maximum)")
-    parser.add_argument("--lam", type=float, default=1000.0,
-                        help="timeout parameter lambda, ms")
-    parser.add_argument("--mean", type=float, default=250.0, help="mean delay, ms")
-    parser.add_argument("--std", type=float, default=50.0, help="delay std, ms")
-    parser.add_argument("--distribution", default="normal",
-                        help="delay distribution name")
-    parser.add_argument("--max-delay", type=float, default=None,
-                        help="hard delay bound b (synchronous network)")
-    parser.add_argument("--dissemination", default="full",
-                        choices=("full", "tree", "gossip"),
-                        help="broadcast dissemination mode: 'full' (direct "
-                             "fan-out, the paper's model), 'tree' (k-ary "
-                             "relay tree), or 'gossip' (seed-deterministic "
-                             "fanout-f push overlay); see docs/scaling.md")
-    parser.add_argument("--fanout", type=int, default=0,
-                        help="relay fan-out k/f for tree/gossip modes "
-                             "(0 = auto, max(2, ceil(sqrt(n))))")
-    parser.add_argument("--decisions", type=int, default=None,
-                        help="values to decide (default: paper convention)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--attack", default="null", help="attack registry name")
-    parser.add_argument("--attack-params", default="{}",
-                        help="attack parameters as JSON")
-    parser.add_argument("--faults", default=None,
-                        help="environmental fault schedule, e.g. "
-                             "'loss=0.1; delay=0.2x5; crash=3@1000:8000' "
-                             "or a preset name like 'unreliable-network'")
+    for row in CONFIG_FLAGS:
+        parser.add_argument(row.flag, type=row.type if isinstance(row.type, type) else None,
+                            choices=row.choices, help=_flag_help(row))
+    # The CLI's own default: SimulationConfig has no default protocol.
+    parser.set_defaults(protocol="pbft")
     parser.add_argument("--scenario", default=None,
                         help="declarative attack scenario: a preset name "
                              "(see 'repro list'), a JSON spec file, or the "
                              "compact grammar, e.g. 'targeted-delay="
                              "targets:relays,factor:4; loss=0.05' "
                              "(see docs/scenarios.md)")
-    parser.add_argument("--workload", default=None, metavar="SPEC",
-                        help="open-loop client workload, e.g. "
-                             "'rate:500,clients:100,batch:64' (keys: rate "
-                             "req/s, clients, batch, timeout ms, duration "
-                             "ms); proposals carry mempool batches and the "
-                             "result reports committed tx/s and per-request "
-                             "latency percentiles (see docs/workload.md)")
-    parser.add_argument("--stall-timeout", type=float, default=None,
-                        help="liveness watchdog window in simulated ms: runs "
-                             "without honest progress for this long stop "
-                             "with a stall report instead of raising")
-    parser.add_argument("--max-time", type=float, default=3_600_000.0,
-                        help="simulation horizon, ms")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for repeated runs "
-                             "(0 = one per CPU; results are identical to "
-                             "--jobs 1, only faster)")
+
+
+def _add_batch_options(parser: argparse.ArgumentParser, *, jobs: bool = True) -> None:
+    """``--timeout`` and ``--retries``, and ``--jobs`` where runs fan out."""
+    if jobs:
+        parser.add_argument("--jobs", type=int, default=1,
+                            help="worker processes for repeated runs "
+                                 "(0 = one per CPU; results are identical to "
+                                 "--jobs 1, only faster)")
     parser.add_argument("--timeout", type=float, default=None,
                         help="wall-clock seconds allowed per run; hung runs "
                              "are killed and recorded as failures")
@@ -156,77 +219,57 @@ def _add_telemetry_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--trace-filter", default=None, metavar="SPEC",
                         help="only record matching events, e.g. "
                              "'kind=send,deliver; node=0,1; window=0:5000'")
-    parser.add_argument("--metrics", action="store_true",
+    parser.add_argument("--metrics", nargs="?", type=float, const=True,
+                        default=False, metavar="MS",
                         help="sample engine metrics (queue depth, in-flight "
                              "messages, wire bytes, delivery latency) on the "
-                             "simulated clock and print a summary")
-    parser.add_argument("--metrics-interval", type=float, default=None,
-                        metavar="MS",
-                        help="metrics sampling interval in simulated ms "
-                             "(implies --metrics; default 100)")
+                             "simulated clock, every MS simulated ms "
+                             f"(default {DEFAULT_INTERVAL_MS:g}), and print "
+                             "a summary")
     parser.add_argument("--metrics-out", default=None, metavar="PATH",
                         help="write the sampled metrics as JSON (implies "
                              "--metrics); feed it to 'repro metrics'")
-    _add_health_options(parser)
+    _add_health_option(parser)
 
 
-def _add_health_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--health", action="store_true",
+def _add_health_option(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--health", nargs="?", type=float, const=True,
+                        default=False, metavar="MS",
                         help="stream rolling-window run-health detectors "
                              "(view storms, stragglers, backlog growth, "
-                             "fan-in spikes, client starvation) and report "
-                             "anomalies; fingerprint-neutral "
+                             "fan-in spikes, client starvation) over MS "
+                             "simulated ms windows (default "
+                             f"{DEFAULT_WINDOW_MS:g}) and report anomalies; "
+                             "fingerprint-neutral "
                              "(see docs/health.md)")
-    parser.add_argument("--health-window", type=float, default=None,
-                        metavar="MS",
-                        help="health detector window in simulated ms "
-                             "(implies --health; default 500)")
 
 
 def _config_from_args(args: argparse.Namespace) -> SimulationConfig:
     config = _base_config_from_args(args)
-    scenario = getattr(args, "scenario", None)
-    if scenario:
-        config = load_scenario(scenario).apply(config)
+    if args.scenario:
+        config = load_scenario(args.scenario).apply(config)
     return config
 
 
 def _base_config_from_args(args: argparse.Namespace) -> SimulationConfig:
+    """The ``--config`` file, or the given flags over the field defaults."""
     if args.config:
         with open(args.config, encoding="utf-8") as handle:
             return SimulationConfig.from_dict(json.load(handle))
-    decisions = args.decisions
-    if decisions is None:
-        decisions = decisions_for(args.protocol)
+    changes: dict[str, Any] = {}
+    for row in CONFIG_FLAGS:
+        value = getattr(args, row.dest)
+        if value is not None:
+            if not isinstance(row.type, type):
+                value = row.type(value)
+            _set_path(changes, row.path, value)
+    if "num_decisions" not in changes:  # the paper's convention, not the field's
+        changes["num_decisions"] = decisions_for(args.protocol)
     config = SimulationConfig(
-        protocol=args.protocol,
-        n=args.n,
-        f=args.f,
-        lam=args.lam,
-        network=NetworkConfig(
-            distribution=args.distribution,
-            mean=args.mean,
-            std=args.std,
-            max_delay=args.max_delay,
-            dissemination=args.dissemination,
-            fanout=args.fanout,
-        ),
-        attack=AttackConfig(name=args.attack, params=json.loads(args.attack_params)),
-        faults=(
-            parse_faults_spec(args.faults)
-            if args.faults
-            else FaultScheduleConfig()
-        ),
-        workload=(
-            parse_workload_spec(args.workload)
-            if getattr(args, "workload", None)
-            else None
-        ),
-        stall_timeout=args.stall_timeout,
-        num_decisions=decisions,
-        seed=args.seed,
-        max_time=args.max_time,
+        network=NetworkConfig(**changes.pop("network", {})),
+        attack=AttackConfig(**changes.pop("attack", {})),
         allow_horizon=True,
+        **changes,
     )
     make_attacker(config.attack, "--attack-params")  # reads the params, or one error line
     return config
@@ -305,20 +348,6 @@ def _run_sink(args: argparse.Namespace) -> JsonlSink | None:
     return JsonlSink(args.trace_out, filter=event_filter)
 
 
-def _metrics_option(args: argparse.Namespace) -> bool | float:
-    """The ``metrics`` run option implied by the CLI flags."""
-    if args.metrics_interval is not None:
-        return args.metrics_interval
-    return args.metrics or args.metrics_out is not None
-
-
-def _health_option(args: argparse.Namespace) -> bool | float:
-    """The ``health`` run option implied by the CLI flags."""
-    if getattr(args, "health_window", None) is not None:
-        return args.health_window
-    return bool(getattr(args, "health", False))
-
-
 @contextmanager
 def _recording(args: argparse.Namespace, kind: str, config, total_runs: int,
                *, params: dict | None = None, labels=None, trace_paths=None):
@@ -328,18 +357,14 @@ def _recording(args: argparse.Namespace, kind: str, config, total_runs: int,
     batch that dies must not stay ``running`` on the dashboard.  A block that
     ends normally closes the experiment itself, with the status it knows.
     """
-    if getattr(args, "store", None) is None:
+    if args.store is None:
         yield None
         return
     from .store import ExperimentStore, StoreRecorder
 
     store = ExperimentStore(args.store)
-    name = getattr(args, "experiment_name", None) or (
-        f"{config.protocol if hasattr(config, 'protocol') else config['protocol']}"
-        f" {kind}"
-    )
     recorder = StoreRecorder.open(
-        store, name, kind, config, total_runs,
+        store, f"{config.protocol} {kind}", kind, config, total_runs,
         params=params, labels=labels, trace_paths=trace_paths,
     )
     try:
@@ -351,8 +376,8 @@ def _recording(args: argparse.Namespace, kind: str, config, total_runs: int,
 
 def cmd_run(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    metrics = _metrics_option(args)
-    health = _health_option(args)
+    # --metrics-out alone samples at the default interval.
+    metrics = True if args.metrics is False and args.metrics_out is not None else args.metrics
     sink = _run_sink(args)
     failure: RunFailure | None = None
     with _recording(
@@ -362,7 +387,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         if args.timeout is not None and sink is None:
             entry = run_batch(
                 [config], timeout=args.timeout, retries=args.retries,
-                on_error="record", metrics=metrics, health=health,
+                on_error="record", metrics=metrics, health=args.health,
             )[0]
             if isinstance(entry, RunFailure):
                 failure = entry
@@ -373,7 +398,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                 print("note: --trace-out streams from this process; "
                       "--timeout is ignored", file=sys.stderr)
             result = run_simulation(config, sink=sink, metrics=metrics,
-                                    health=health)
+                                    health=args.health)
         if recorder is not None:
             recorder(0, failure if failure is not None else result)
             recorder.finish()
@@ -422,14 +447,13 @@ def _sweep_variation(config: SimulationConfig, param: str, value: float) -> dict
         ValueError: for a parameter the sweep does not support, or a value
             the parameter cannot take.
     """
-    if param == "lam":
-        return {"lam": value}
-    if param in ("mean", "std", "max_delay"):
-        return {"network": {param: value}}
-    if param == "n":
-        if not value.is_integer():
-            raise ValueError(f"--param n takes whole numbers, got {value:g}")
-        return {"n": int(value)}
+    if param in FIELD_PARAMS:
+        row = next(r for r in CONFIG_FLAGS if r.path.rpartition(".")[2] == param)
+        if row.type is int:
+            if not value.is_integer():
+                raise ValueError(f"--param {param} takes whole numbers, got {value:g}")
+            value = int(value)
+        return _set_path({}, row.path, value)
     if param == "loss":
         # Sweep environmental message loss, composing with any --faults
         # schedule already configured.
@@ -466,7 +490,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     jobs = _jobs_from_args(args)
     if args.reps < 1:
         raise ValueError(f"--reps must be >= 1, got {args.reps}")
-    health = _health_option(args)
     with _recording(
         args, "sweep", base, len(values) * args.reps,
         params={"param": args.param, "values": values, "reps": args.reps},
@@ -485,7 +508,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             retries=args.retries,
             on_error="record",
             progress=_progress_printer(args),
-            health=health,
+            health=args.health,
             recorder=recorder,
         )
         rows = []
@@ -506,7 +529,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 f"{summary.fault_events:.0f}",
                 str(summary.failures),
             ]
-            if getattr(args, "workload", None):
+            if base.workload is not None:
                 # Throughput-latency columns: the saturation curve the sweep
                 # exists to draw when a workload is configured.
                 row.extend(
@@ -519,7 +542,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                     if summary.throughput is not None
                     else ["-", "-", "-", "-"]
                 )
-            if health:
+            if args.health:
                 # Run-health columns: total anomalies and the worst Jain
                 # fairness observed across the cell's runs.
                 row.extend([
@@ -532,13 +555,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             recorder.finish()
     headers = [args.param, "latency/decision", "msgs/decision", "terminated",
                "stalled", "faults/run", "failed"]
-    if getattr(args, "workload", None):
+    if base.workload is not None:
         headers.extend(["tx/s", "req p50", "req p99", "saturated"])
-    if health:
+    if args.health:
         headers.extend(["anomalies", "min fairness"])
     print(
         render_table(
-            f"{args.protocol}: sweep over {args.param} ({args.reps} runs per point)",
+            f"{base.protocol}: sweep over {args.param} ({args.reps} runs per point)",
             headers,
             rows,
         )
@@ -563,7 +586,7 @@ def _resolve_trace(args: argparse.Namespace) -> str:
     treated as a filesystem path.
     """
     trace = args.trace
-    store_path = getattr(args, "store", None)
+    store_path = args.store
     run_id: int | None = None
     if trace.startswith("store:"):
         try:
@@ -1019,29 +1042,32 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list", help="list available protocols and attacks")
 
     run_parser = sub.add_parser("run", help="run one simulation")
-    _add_run_options(run_parser)
+    _add_config_options(run_parser)
+    _add_batch_options(run_parser, jobs=False)
     _add_telemetry_options(run_parser)
     _add_store_option(run_parser)
     run_parser.add_argument("--json", action="store_true", help="JSON output")
 
     sweep_parser = sub.add_parser("sweep", help="sweep one parameter")
-    _add_run_options(sweep_parser)
+    _add_config_options(sweep_parser)
+    _add_batch_options(sweep_parser)
     _add_store_option(sweep_parser)
     sweep_parser.add_argument("--param", required=True,
-                              help="lam | mean | std | max_delay | n | "
-                                   "loss | stall_timeout | rate (arrival "
-                                   "rate, requires --workload)")
+                              help=" | ".join(FIELD_PARAMS + RULE_PARAMS)
+                                   + " (rate: arrival rate, requires "
+                                     "--workload)")
     sweep_parser.add_argument("--values", required=True,
                               help="comma-separated values")
     sweep_parser.add_argument("--reps", type=int, default=3)
-    _add_health_options(sweep_parser)
+    _add_health_option(sweep_parser)
 
     mine_parser = sub.add_parser(
         "mine",
         help="search for worst-case attack scenarios against a base "
              "configuration and write a replayable artifact",
     )
-    _add_run_options(mine_parser)
+    _add_config_options(mine_parser)
+    _add_batch_options(mine_parser)
     mine_parser.add_argument("--objective", default="median-latency",
                              choices=OBJECTIVES,
                              help="what the adversary maximizes "
@@ -1076,7 +1102,7 @@ def build_parser() -> argparse.ArgumentParser:
     validate_parser = sub.add_parser(
         "validate", help="cross-check against the packet-level baseline engine"
     )
-    _add_run_options(validate_parser)
+    _add_config_options(validate_parser)
 
     inspect_parser = sub.add_parser(
         "inspect", help="analyze a JSONL trace written by 'run --trace-out'"

@@ -143,14 +143,6 @@ class CausalityGraph:
                 ))
         return cls(sends=sends, delivers=delivers, timers=timers, decisions=decisions)
 
-    @property
-    def has_lineage(self) -> bool:
-        """True when at least one record carries a cause id (a trace written
-        before causes were recorded, or stripped of them, has none)."""
-        return any(d.cause is not None for d in self.decisions) or any(
-            s.cause is not None for s in self.sends.values()
-        )
-
 
 @dataclass(frozen=True)
 class PathStep:

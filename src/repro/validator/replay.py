@@ -98,11 +98,6 @@ class ReplayController(Controller):
         # pinned to zero before the hook and never reach it).
         self.network.set_delay_override(self.recorded_delays)
 
-    @property
-    def unmatched_messages(self) -> int:
-        """Copies the ground truth never sent (priced at the median)."""
-        return self.recorded_delays.unmatched
-
 
 def replay_simulation(config: SimulationConfig, ground_truth: Trace) -> SimulationResult:
     """Run ``config`` under the delivery schedule recorded in ``ground_truth``."""

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro import RunFailure, WorkloadConfig, repeat_simulation, run_simulation
-from repro.analysis.aggregate import partition_results, summarize, summarize_metric
+from repro.analysis.aggregate import partition_results, summarize
 from repro.faults import parse_faults_spec
 
 from tests.conftest import quick_config
@@ -50,14 +50,6 @@ class TestSummarizeWithFailures:
     def test_empty_still_raises(self):
         with pytest.raises(ValueError):
             summarize([])
-
-    def test_summarize_metric_skips_failures(self):
-        result = run_simulation(quick_config(seed=2))
-        stats = summarize_metric(
-            [result, _failure()], metric=lambda r: float(r.events_processed)
-        )
-        assert stats.count == 1
-        assert stats.mean == float(result.events_processed)
 
 
 class TestMixedFleet:

@@ -11,7 +11,6 @@ from repro.analysis import (
     bench_repetitions,
     count_code_lines,
     decisions_for,
-    format_ms,
     network_for,
     protocol_loc_table,
     render_series,
@@ -19,7 +18,6 @@ from repro.analysis import (
     run_cell,
     run_cell_raw,
     summarize,
-    summarize_metric,
 )
 from repro.core.runner import run_simulation
 
@@ -55,11 +53,6 @@ class TestSummarize:
         assert summary.latency.count == 3
         assert summary.terminated_fraction == 1.0
         assert summary.messages.mean > 0
-
-    def test_metric_callable(self):
-        results = [run_simulation(quick_config(seed=s)) for s in (1, 2)]
-        stats = summarize_metric(results, lambda r: float(r.events_processed))
-        assert stats.count == 2
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -140,8 +133,3 @@ class TestReport:
     def test_render_series(self):
         text = render_series("S", "x", [1, 2], {"proto": ["a", "b"]})
         assert "proto" in text and "a" in text
-
-    def test_format_ms_scales(self):
-        assert format_ms(500.0) == "500ms"
-        assert format_ms(50_000.0) == "50.0s"
-        assert "+-" in format_ms(500.0, 20.0)

@@ -6,7 +6,17 @@ import json
 
 import pytest
 
-from repro.cli import main
+from repro.cli import (
+    CONFIG_FLAGS,
+    FIELD_PARAMS,
+    _config_from_args,
+    _sweep_variation,
+    build_parser,
+    main,
+)
+from repro.core.config import SimulationConfig
+from repro.faults import parse_faults_spec
+from repro.workload import parse_workload_spec
 
 from tests.core.test_config import MALFORMED
 
@@ -82,9 +92,11 @@ class TestRun:
         (["--faults", "delay=0.2xnan"], "factor"),
         (["--faults", "loss=0.1@nan:5"], "window start"),
         (["--faults", "crash=1@inf"], "window start"),
-        (["--metrics-interval", "nan"], "interval"),
-        (["--health-window", "nan"], "window_ms"),
+        (["--metrics", "nan"], "interval"),
+        (["--health", "nan"], "window_ms"),
         (["--attack-params", "[1]"], "attack params"),
+        (["--metrics", "0"], "interval"),  # a zero width is not "off"
+        (["--health", "0"], "window_ms"),
     ])
     def test_non_finite_option_is_one_error_line(self, flags, field, capsys):
         # Each of these used to hang, die in the scheduler long after the
@@ -519,7 +531,7 @@ class TestMetricsCommand:
     def test_metrics_interval_flag(self, capsys):
         assert main(["run", "--protocol", "pbft", "-n", "4", "--mean", "50",
                      "--std", "10", "--lam", "500",
-                     "--metrics-interval", "25", "--json"]) == 0
+                     "--metrics", "25", "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["metrics"]["interval_ms"] == 25.0
 
@@ -633,7 +645,7 @@ class TestHealthOptions:
         assert data["health"]["windows"] > 0
 
     def test_health_window_implies_health(self, capsys):
-        assert main([*self.ARGS, "--health-window", "100", "--json"]) == 0
+        assert main([*self.ARGS, "--health", "100", "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["health"]["window_ms"] == 100.0
 
@@ -709,3 +721,121 @@ class TestWatchCommand:
         store = str(tmp_path / "empty.sqlite")
         ExperimentStore(store).close()
         assert main(["watch", store, "--once"]) != 0
+
+
+def config_of(*argv: str) -> SimulationConfig:
+    """The config a command line builds, without running it."""
+    return _config_from_args(build_parser().parse_args(argv))
+
+
+class TestConfigFlags:
+    """Every config flag comes from ``CONFIG_FLAGS``; an omitted flag leaves
+    its field at the ``SimulationConfig`` default."""
+
+    #: flag -> (command-line text, the value it must put at the flag's path)
+    GIVEN = {
+        "--protocol": ("tendermint", "tendermint"),
+        "-n": ("7", 7),
+        "-f": ("1", 1),
+        "--lam": ("333.5", 333.5),
+        "--mean": ("12.5", 12.5),
+        "--std": ("3.5", 3.5),
+        "--distribution": ("uniform", "uniform"),
+        "--max-delay": ("400", 400.0),
+        "--dissemination": ("tree", "tree"),
+        "--fanout": ("3", 3),
+        "--decisions": ("4", 4),
+        "--seed": ("17", 17),
+        "--attack": ("failstop", "failstop"),
+        "--attack-params": ('{"nodes": [3]}', {"nodes": [3]}),
+        "--faults": ("loss=0.1", parse_faults_spec("loss=0.1")),
+        "--workload": ("rate:50,clients:2", parse_workload_spec("rate:50,clients:2")),
+        "--stall-timeout": ("2500", 2500.0),
+        "--max-time": ("5000", 5000.0),
+    }
+
+    def test_every_row_has_a_given_value(self):
+        assert set(self.GIVEN) == {row.flag for row in CONFIG_FLAGS}
+
+    def test_no_flags_is_the_cli_policy_over_the_field_defaults(self):
+        assert config_of("run") == SimulationConfig(
+            protocol="pbft", num_decisions=1, allow_horizon=True
+        )
+
+    @pytest.mark.parametrize("row", CONFIG_FLAGS, ids=[r.flag for r in CONFIG_FLAGS])
+    def test_flag_reaches_its_config_path(self, row):
+        text, value = self.GIVEN[row.flag]
+        head, _, leaf = row.path.rpartition(".")
+        changes = {head: {leaf: value}} if head else {leaf: value}
+        expected = config_of("run").replace(**changes)
+        assert expected != config_of("run")
+        assert config_of("run", row.flag, text) == expected
+
+    @pytest.mark.parametrize("param", FIELD_PARAMS)
+    def test_sweep_param_sets_the_path_of_its_flag(self, param):
+        (row,) = [r for r in CONFIG_FLAGS if r.path.rpartition(".")[2] == param]
+        base = config_of("sweep", "--param", param, "--values", "7")
+        swept = base.replace(**_sweep_variation(base, param, 7.0))
+        assert swept == config_of("run", row.flag, "7")
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--jobs", "2"],
+        ["validate", "--timeout", "1"],
+        ["validate", "--retries", "9"],
+        ["run", "--metrics-interval", "25"],
+        ["sweep", "--param", "lam", "--values", "1", "--health-window", "9"],
+    ])
+    def test_flag_the_command_does_not_take_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_unknown_dissemination_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--dissemination", "ring"])
+        assert excinfo.value.code == 2
+        assert ("argument --dissemination: invalid choice: 'ring'"
+                in capsys.readouterr().err)
+
+    def test_sweep_table_reads_the_config_file(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "protocol": "hotstuff-ns", "n": 4, "num_decisions": 2,
+            "network": {"mean": 50.0, "std": 10.0},
+            "workload": {"rate": 20.0, "clients": 2},
+        }))
+        assert main(["sweep", "--config", str(path), "--param", "lam",
+                     "--values", "500", "--reps", "1"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("hotstuff-ns: sweep over lam")
+        assert "tx/s" in out
+
+    def test_help_shows_the_field_defaults(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["run", "--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        assert "number of nodes (default: 16)" in out
+        assert "mean delay, ms (default: 250.0)" in out
+        assert "protocol registry name (default: pbft)" in out
+
+
+class TestTelemetryFlags:
+    ARGS = ["run", "--protocol", "pbft", "-n", "4", "--mean", "50", "--std", "10",
+            "--lam", "500", "--json"]
+
+    def run_json(self, capsys, *flags: str) -> dict:
+        assert main([*self.ARGS, *flags]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    def test_bare_metrics_samples_at_the_default_interval(self, capsys):
+        from repro.observability.metrics import DEFAULT_INTERVAL_MS
+
+        data = self.run_json(capsys, "--metrics")
+        assert data["metrics"]["interval_ms"] == DEFAULT_INTERVAL_MS == 100.0
+
+    def test_metrics_out_alone_turns_metrics_on(self, capsys, tmp_path):
+        out = tmp_path / "metrics.json"
+        data = self.run_json(capsys, "--metrics-out", str(out))
+        assert data["metrics"]["interval_ms"] == 100.0
+        assert json.loads(out.read_text())["interval_ms"] == 100.0

@@ -57,17 +57,11 @@ class TestCausalityGraph:
     def test_build_indexes_all_record_kinds(self):
         _, events = _traced("pbft")
         graph = CausalityGraph.build(events)
-        assert graph.has_lineage
         assert graph.sends and graph.delivers and graph.decisions
         sends = sum(1 for e in events if e["kind"] == "send")
         delivers = sum(1 for e in events if e["kind"] == "deliver")
         assert len(graph.sends) == sends
         assert len(graph.delivers) == delivers
-
-    def test_trace_without_causes_has_no_lineage(self):
-        _, events = _traced("pbft")
-        graph = CausalityGraph.build(_without_causes(events))
-        assert not graph.has_lineage
 
 
 class TestCriticalPath:

@@ -183,8 +183,9 @@ class TestEndpoints:
                      "/api/runs/99/analysis", "/api/experiments/1/diff/99"):
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 get_json(served, path)
-            assert excinfo.value.code == 404
-            assert "error" in json.load(excinfo.value)
+            with excinfo.value:
+                assert excinfo.value.code == 404
+                assert "error" in json.load(excinfo.value)
 
     @pytest.mark.parametrize("path", [
         "/api/runs/99999999999999999999",
@@ -196,13 +197,15 @@ class TestEndpoints:
     def test_ids_past_the_integer_range_are_json_404(self, served, path):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             get_json(served, path)
-        assert excinfo.value.code == 404
-        assert "99999999999999999999" in json.load(excinfo.value)["error"]
+        with excinfo.value:
+            assert excinfo.value.code == 404
+            assert "99999999999999999999" in json.load(excinfo.value)["error"]
 
     def test_unknown_route_is_404(self, served):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             get_json(served, "/api/nope")
-        assert excinfo.value.code == 404
+        with excinfo.value:
+            assert excinfo.value.code == 404
 
     def test_row_routes_answer_the_dumped_references(self, served_shapes):
         base, store = served_shapes
@@ -327,7 +330,8 @@ class TestHealthEndpoint:
     def test_unknown_experiment_is_404(self, served_health):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             get_json(served_health, "/api/experiments/99/health")
-        assert excinfo.value.code == 404
+        with excinfo.value:
+            assert excinfo.value.code == 404
 
     def test_page_renders_health_panel(self, served_health):
         with urllib.request.urlopen(served_health + "/") as response:

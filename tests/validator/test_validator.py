@@ -81,7 +81,7 @@ class TestReplay:
         drifted_config = traced(n=4, seed=2, num_decisions=2)
         controller = ReplayController(drifted_config, ground_truth)
         controller.run()
-        assert controller.unmatched_messages > 0
+        assert controller.recorded_delays.unmatched > 0
 
 
 class TestComparison:
