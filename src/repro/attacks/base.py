@@ -149,18 +149,19 @@ class AttackerContext:
         knowledge, reserved for observing attackers.
 
         Raises:
-            CapabilityError: without ``OBSERVE``, or when the attacker did
-                not declare ``wants_signals`` (nothing was collected).
+            CapabilityError: without ``OBSERVE``, or when the run's attacker
+                did not declare ``wants_signals`` (the table may still exist
+                for health or metrics; it is not the attacker's to read).
         """
         if Capability.OBSERVE not in self.capabilities:
             raise CapabilityError(
                 "reading live run signals requires the OBSERVE capability"
             )
         signals = self._controller.signals
-        if signals is None:
+        if signals is None or not self._controller.attacker.wants_signals:
             raise CapabilityError(
-                "live signals were not collected for this run; the attacker "
-                "class must declare wants_signals = True"
+                "live signals are read only by an attacker class that "
+                "declares wants_signals = True"
             )
         return signals
 

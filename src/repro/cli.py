@@ -1229,7 +1229,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         "watch": cmd_watch,
     }[args.command]
     try:
-        return handler(args)
+        code = handler(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout (``repro run ... | head -1``): end quietly
+        # with the status a SIGPIPE death gives, and point stdout at devnull
+        # so the interpreter's final flush has nowhere to fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (SimulationError, ValueError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1

@@ -88,8 +88,8 @@ class Controller:
             fingerprint).  Like the other telemetry arguments, this is a run
             argument, never part of the experiment's identity.
         health: optional :class:`~repro.observability.health.HealthMonitor`;
-            when set, the dispatch loop feeds its O(1) anomaly detectors
-            and the result carries a
+            when set, its anomaly detectors read the run's counting table
+            at every window close and the result carries a
             :class:`~repro.observability.health.HealthReport` (outside the
             fingerprint).  OBSERVE-only and RNG-free, like the other
             telemetry arguments.
@@ -139,12 +139,11 @@ class Controller:
         self._cause: tuple | str | None = None
 
         self.attacker: Attacker = make_attacker(config.attack)
-        #: Live run signals for signal-driven adversaries; allocated only
-        #: when the attacker asks for them (``wants_signals``), so benign
-        #: runs carry no extra per-event state and no RNG perturbation.
-        self.signals: "LiveSignals | None" = (
-            LiveSignals(self.n) if self.attacker.wants_signals else None
-        )
+        #: The run's one counting table (deliveries, decisions, view
+        #: entries), built when an adaptive attacker (``wants_signals``),
+        #: health or metrics reads it; a bare run carries none.
+        wanted = self.attacker.wants_signals or health is not None or metrics is not None
+        self.signals = LiveSignals(self.n) if wanted else None
         self.attacker_ctx = AttackerContext(self, self.attacker.capabilities)
         self.attacker.bind(self.attacker_ctx)
 
@@ -152,12 +151,11 @@ class Controller:
         #: a view entry is resolved here, once, into tuples of bound
         #: methods; every site is ``for hook in hooks: hook(...)``, so a
         #: bare run iterates empty tuples.  This is the one place an
-        #: observer is listed, and the order is a contract: the monitor
+        #: observer is listed.  The table does the counting; the monitor
+        #: and the registry read it.  The order is a contract: the monitor
         #: closes its window before the registry samples at the same
         #: boundary (two of the registry's gauges read the monitor).
-        observers = tuple(
-            o for o in (self.signals, health, metrics) if o is not None
-        )
+        observers = tuple(o for o in (self.signals, health, metrics) if o is not None)
         self._on_send = _hooks(observers, "on_send")
         self._on_deliver = _hooks(observers, "on_deliver")
         self._on_decide = _hooks(observers, "on_decide")
@@ -653,11 +651,14 @@ class Controller:
                     return
             self.metrics.counts.delivered += 1
             if self._watched:
-                self._last_progress = event_time
                 if self._watchdog:
+                    self._last_progress = event_time
                     self._node_activity[dest] = event_time
-                for hook in self._on_deliver:
-                    hook(dest, message.source, message.type, event_time, message.sent_at)
+                hooks = self._on_deliver
+                if hooks:
+                    source, kind, sent_at = message.source, message.type, message.sent_at
+                    for hook in hooks:
+                        hook(dest, source, kind, event_time, sent_at)
             trace = self.trace
             if trace.enabled:
                 # Deliveries carry the message's own cause plus its slot/view
@@ -764,9 +765,8 @@ class Controller:
                 if self.obs_metrics is not None
                 else None
             ),
-            signals_summary=(
-                self.signals.summary_dict() if self.signals is not None else None
-            ),
+            signals_summary=(self.signals.summary_dict()
+                             if self.attacker.wants_signals and self.signals is not None else None),
             workload=(
                 self._workload.build(self.clock.now)
                 if self._workload is not None

@@ -32,6 +32,7 @@ delay and queue order, and write the same records.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import repeat
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
@@ -141,7 +142,7 @@ class NetworkModule:
         #: Recipients of a full-mode star, shared by every such broadcast.
         self._star_dests = list(range(controller.n))
         # Who hears a wire transmission (the controller's observer seam):
-        # ``hook(transmitter, wire_bytes)``; empty in a bare run.
+        # ``hook(transmitter, wire_bytes, copies)``; empty in a bare run.
         self._on_send = controller._on_send
         # ``mode="full"`` draws its star from ``network.delay`` like every
         # unicast and never touches the overlay's state.
@@ -264,7 +265,8 @@ class NetworkModule:
                     offsets = plan.arrivals(model.sample_delays(now, hops)).tolist()
                     copies = zip(dests, [None, *relays.tolist()], [None, *offsets])
                 self._instrumented(
-                    message, _hops(message, copies), n if message.forged else hops, wire_bytes)
+                    message, _hops(message, copies), n if message.forged else hops, wire_bytes,
+                    relays)
                 return
             attacked = True
         # Shared tier: ONE message and ONE delivery event serve every
@@ -298,10 +300,8 @@ class NetworkModule:
         counts = self._counts
         counts.sent += hops
         counts.bytes_sent += hops * wire_bytes
-        for hook in self._on_send:
-            # Wire accounting is charged to the physical transmitter.
-            for relay in repeat(source, hops) if relays is None else relays.tolist():
-                hook(relay, wire_bytes)
+        if self._on_send:
+            self._charge(source, wire_bytes, hops, relays)
         if controller.trace.enabled:
             # Copy i of the broadcast has id ids[i].
             ids = range(first, first + hops + 1) if rows is None else [
@@ -375,6 +375,16 @@ class NetworkModule:
             delays[i] = delay
         return delays
 
+    def _charge(self, source: int, wire_bytes: int, copies: int,
+                relays: np.ndarray | None = None) -> None:
+        """Tell the send hooks of ``copies`` wire copies of one message, once
+        per physical transmitter: all from ``source``, or one from each of
+        ``relays`` (a dissemination plan's hops)."""
+        charges = ((source, copies),) if relays is None else Counter(relays.tolist()).items()
+        for hook in self._on_send:
+            for transmitter, sent in charges:
+                hook(transmitter, wire_bytes, sent)
+
     def overlay_relays(self, source: int) -> tuple[int, ...]:
         """Sorted relay (internal) nodes of a ``tree`` broadcast from ``source``
         (see :meth:`Overlay.relays`): what an overlay-aware attack targets."""
@@ -403,8 +413,8 @@ class NetworkModule:
         counts = self._counts
         counts.sent += 1
         counts.bytes_sent += wire_bytes
-        for hook in self._on_send:
-            hook(message.source, wire_bytes)
+        if self._on_send:
+            self._charge(message.source, wire_bytes, 1)
         if controller.trace.enabled:
             self._record_sends(message, {"size": wire_bytes})
         delay = message.delay
@@ -420,13 +430,15 @@ class NetworkModule:
         )
 
     def _instrumented(
-        self, message: Message, copies: Iterable[Message], wire: int, wire_bytes: int
+        self, message: Message, copies: Iterable[Message], wire: int, wire_bytes: int,
+        relays: np.ndarray | None = None,
     ) -> None:
         """The instrumented tier: every copy of one logical message — the
         hops of a broadcast, or one unicast — through the attacker, the
         fault engine and onto the queue.
 
-        ``wire`` of the ``copies`` cross the wire (a loopback does not).
+        ``wire`` of the ``copies`` cross the wire (a loopback does not),
+        sent by ``relays`` on dissemination hops, by the source otherwise.
         Whatever is the same for every copy is decided once, before the
         loop: source and send time are shared, and corruption only counts
         strictly before the send, so a node corrupted mid-broadcast never
@@ -448,7 +460,8 @@ class NetworkModule:
         else:
             counts.sent += wire
         counts.bytes_sent += wire * wire_bytes
-        on_send = self._on_send
+        if self._on_send and wire:  # an honest loopback is not on the wire
+            self._charge(source, wire_bytes, wire, relays)
         tags: dict[str, Any] | None = None
         if controller.trace.enabled:
             # ``byzantine`` lets trace consumers (``repro inspect``)
@@ -489,11 +502,6 @@ class NetworkModule:
                     hop.delay = 0.0
                     push(MessageEvent(time=now, message=hop))
                     continue
-                for hook in on_send:
-                    # Charged to the physical transmitter: the relay for
-                    # dissemination hops, the origin otherwise.
-                    relay = hop.relay_from
-                    hook(source if relay is None else relay, wire_bytes)
                 if tags is not None:
                     self._record_sends(hop, tags)
                 delay = hop.delay
@@ -596,8 +604,8 @@ class NetworkModule:
             if item.delay is None:
                 item.delay = self.delay_model.sample_delay(item.sent_at)
             self._counts.byzantine += 1
-            for hook in self._on_send:
-                hook(item.source, 0)
+            if self._on_send:
+                self._charge(item.source, 0, 1)
             if controller.trace.enabled:
                 if item.cause is None:
                     item.cause = controller._current_cause

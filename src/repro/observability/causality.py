@@ -368,14 +368,36 @@ class QuorumTimeline:
         return "\n".join(lines)
 
 
+def _arrival_groups(graph: CausalityGraph) -> dict[tuple, list[tuple]]:
+    """Every delivery as ``(time, source, msg_id)``, grouped by
+    ``(dest, msg_type, slot)``: the arrivals each quorum counts."""
+    groups: dict[tuple, list[tuple]] = {}
+    for record in graph.delivers.values():
+        groups.setdefault(_quorum_key(record.dest, record.msg_type, record.slot), []).append(
+            (record.time, record.source, record.msg_id))
+    return groups
+
+
+def _quorum_key(dest: int, msg_type: str, slot: Any) -> tuple:
+    try:
+        hash(slot)
+    except TypeError:  # a hand-written trace's list or object slot
+        slot = ("unhashable", repr(slot))
+    return dest, msg_type, slot
+
+
 def quorum_timeline(
-    graph: CausalityGraph, decision: DecisionRecord
+    graph: CausalityGraph,
+    decision: DecisionRecord,
+    groups: dict[tuple, list[tuple]] | None = None,
 ) -> QuorumTimeline | None:
     """The quorum-formation timeline behind ``decision``.
 
     Returns ``None`` when the decision was not directly caused by a message
     delivery (e.g. a catch-up decision triggered by a timer) or the trace
-    carries no cause ids.
+    carries no cause ids.  ``groups`` is the graph's deliveries grouped by
+    quorum (:func:`quorum_timelines` builds it once for every decision);
+    without it the grouping is built here.
     """
     cause = decision.cause
     if not cause or cause[0] != "m":
@@ -384,13 +406,9 @@ def quorum_timeline(
     trigger = graph.delivers.get(msg_id)
     if trigger is None:
         return None
-    arrivals = sorted(
-        (record.time, record.source, record.msg_id)
-        for record in graph.delivers.values()
-        if record.dest == decision.node
-        and record.msg_type == trigger.msg_type
-        and record.slot == trigger.slot
-    )
+    if groups is None:
+        groups = _arrival_groups(graph)
+    arrivals = sorted(groups.get(_quorum_key(decision.node, trigger.msg_type, trigger.slot), ()))
     rank = next(
         index
         for index, (_time, _source, arrival_id) in enumerate(arrivals, start=1)
@@ -413,10 +431,12 @@ def critical_paths(graph: CausalityGraph) -> list[CriticalPath]:
 
 
 def quorum_timelines(graph: CausalityGraph) -> list[QuorumTimeline]:
-    """:func:`quorum_timeline` for every decision it applies to."""
+    """:func:`quorum_timeline` for every decision it applies to, over one
+    grouping of the deliveries."""
+    groups = _arrival_groups(graph)
     out = []
     for decision in graph.decisions:
-        timeline = quorum_timeline(graph, decision)
+        timeline = quorum_timeline(graph, decision, groups)
         if timeline is not None:
             out.append(timeline)
     return out

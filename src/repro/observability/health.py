@@ -3,10 +3,13 @@
 Every analyzer the repo had before this module (causality DAG, phase
 breakdowns, quorum timelines) runs *post-hoc* on a finished trace; a
 million-event fleet run gives no signal until it ends.  The
-:class:`HealthMonitor` closes that gap: O(1)-per-event rolling-window
-detectors fed straight from the controller dispatch loop, reusing the
-same hook plumbing as :class:`~repro.observability.signals.LiveSignals`
-and the :class:`~repro.observability.metrics.MetricsRegistry`.
+:class:`HealthMonitor` closes that gap: rolling-window detectors that
+count nothing themselves.  The run's one counting table,
+:class:`~repro.observability.signals.LiveSignals`, hears every delivery,
+decision and view entry; at each window close the monitor reads the
+table's deltas against the snapshot it took at the previous close, in
+O(n x kinds + views entered in the window) work that does not grow with
+the run.
 
 Determinism contract
 --------------------
@@ -21,9 +24,9 @@ Online == offline
 -----------------
 Detector inputs split in two:
 
-* **hook counters** (deliveries per message kind, decisions per node,
-  view entries) accumulate from the same events that produce ``deliver``
-  / ``decide`` / ``view`` trace records;
+* **table counts** (deliveries per message kind, decisions per node,
+  view entries) accumulate in the table from the same events that
+  produce ``deliver`` / ``decide`` / ``view`` trace records;
 * **engine samples** (in-flight message count, mempool depth, per-client
   fairness) are read from live engine state at each window boundary —
   state a raw trace does not contain.
@@ -33,11 +36,12 @@ At every window close the online monitor therefore records a
 the detectors consumed, *before* the boundary-crossing event's own trace
 lines (``advance`` runs in the dispatch loop ahead of the dispatch).
 :func:`replay_health` rebuilds a monitor from a finished trace by
-feeding hook counters from the raw events and closing windows from the
-recorded samples — producing *identical* detector state, which the
-property suite asserts field by field.  Detection events (kind
-``"health"``) are outputs, not inputs: replay ignores them and
-re-derives them from the same inputs.
+feeding a fresh table from the raw events through the same ``on_*``
+methods and closing windows from the recorded samples: the same inputs
+through the same code, so table and detector state are identical by
+construction (the property suite still compares them field by field).
+Detection events (kind ``"health"``) are outputs, not inputs: replay
+ignores them and re-derives them from the same inputs.
 
 Detectors
 ---------
@@ -73,15 +77,17 @@ window width.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping, NamedTuple
 
 from ..core.config import check_finite
 from ..core.tracing import TraceSource, trace_rows
+from .signals import LiveSignals
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..core.controller import Controller
+    from ..core.events import EventQueue
     from ..core.tracing import Trace
 
 __all__ = [
@@ -236,22 +242,35 @@ class HealthReport:
         return "; ".join(parts)
 
 
+class _Totals(NamedTuple):
+    """What the counting table holds at one window close."""
+
+    decisions: int
+    views: int
+    view_nodes: list[int]
+    kinds: dict[str, int]
+
+
+def _totals(table: LiveSignals) -> _Totals:
+    return _Totals(
+        table.decisions_seen, table.views_seen, list(table.views_by_node),
+        {kind: sum(per_node) for kind, per_node in table.kind_fan_in.items()})
+
+
 class HealthMonitor:
     """Online rolling-window anomaly detectors (see module docstring).
 
-    Construct, then either :meth:`bind_engine` (live run — the controller
-    does this) or :meth:`bind` + event feeding (offline replay, via
-    :func:`replay_health`).
+    Construct, then :meth:`bind_engine` (live run — the controller does
+    this); :func:`replay_health` binds a monitor to a table it feeds from
+    a trace.
     """
 
     __slots__ = (
-        "window_ms", "starvation_wait_ms", "n", "windows", "events",
-        "_decided_per_node", "_decides_in_window",
-        "_views_in_window", "_views_entered", "_view_nodes",
-        "_kind_in_window", "_kind_ewma", "_depths", "_counts",
+        "window_ms", "starvation_wait_ms", "windows", "events",
+        "signals", "_snapshot", "_kind_ewma", "_depths",
         "_min_fairness", "_last_fairness",
         "_window_start", "next_boundary",
-        "_queue", "_workload", "_trace", "_message_event_type",
+        "_queue", "_workload", "_trace",
     )
 
     def __init__(self, window_ms: float = DEFAULT_WINDOW_MS) -> None:
@@ -259,35 +278,29 @@ class HealthMonitor:
         self.window_ms = float(window_ms)
         self.starvation_wait_ms = STARVATION_WAIT_WINDOWS * self.window_ms
 
-        self.n = 0
         self.windows = 0
         self.events: list[HealthEvent] = []
-        self._decided_per_node: list[int] = []
-        self._decides_in_window = 0
-        self._views_in_window = 0
-        self._views_entered: set[int] = set()
-        self._view_nodes: dict[int, int] = {}
-        self._kind_in_window: dict[str, int] = defaultdict(int)
+        #: The run's counting table, and its counts at the last close.
+        self.signals: LiveSignals | None = None
+        self._snapshot: _Totals | None = None
         self._kind_ewma: dict[str, float] = {}
         self._depths: list[float] = []
-        self._counts: dict[str, int] = {}
         self._min_fairness: float | None = None
         self._last_fairness = 1.0
         self._window_start = 0.0
         #: When the open window closes; the run loop calls :meth:`advance` then.
         self.next_boundary = self.window_ms
-        self._queue = None
+        self._queue: "EventQueue | None" = None
         self._workload = None
         self._trace: "Trace | None" = None
-        self._message_event_type: type | None = None
 
     # ------------------------------------------------------------------
     # binding
 
-    def bind(self, n: int) -> None:
-        """Allocate per-node state for an ``n``-replica run."""
-        self.n = n
-        self._decided_per_node = [0] * n
+    def _read(self, table: LiveSignals) -> None:
+        """Read every window's counts from ``table`` from now on."""
+        self.signals = table
+        self._snapshot = _totals(table)
 
     def bind_engine(self, controller: "Controller") -> None:
         """Attach to a live controller: engine sampling + trace emission.
@@ -297,36 +310,15 @@ class HealthMonitor:
         runs) ``workload_fairness`` gauges so anomaly and fairness
         series land in every metrics export, Prometheus included.
         """
-        from ..core.events import MessageEvent
-
-        self.bind(controller.n)
+        self._read(controller.signals)
         self._queue = controller.queue
         self._workload = controller._workload
         self._trace = controller.trace
-        self._message_event_type = MessageEvent
         registry = controller.obs_metrics
         if registry is not None:
             registry.gauge("health_anomalies", lambda: float(len(self.events)))
             if self._workload is not None:
                 registry.gauge("workload_fairness", lambda: self._last_fairness)
-
-    # ------------------------------------------------------------------
-    # O(1) per-event hooks (controller dispatch loop)
-
-    def on_deliver(
-        self, dest: int, source: int, kind: str, now: float, sent_at: float
-    ) -> None:
-        self._kind_in_window[kind] += 1
-
-    def on_decide(self, node: int, now: float) -> None:
-        self._decided_per_node[node] += 1
-        self._decides_in_window += 1
-
-    def on_view(self, node: int, view: int, now: float) -> None:
-        self._views_in_window += 1
-        self._views_entered.add(view)
-        nodes = self._view_nodes
-        nodes[node] = nodes.get(node, 0) + 1
 
     # ------------------------------------------------------------------
     # window lifecycle
@@ -343,25 +335,16 @@ class HealthMonitor:
             self._sample_and_close(now)
 
     def _sample_and_close(self, end: float) -> None:
-        sample = self._engine_sample(end)
-        trace = self._trace
-        if trace is not None and trace.enabled:
-            trace.record(end, "health-sample", -1, **sample)
-        self.close_window(end, sample)
+        """Read the engine state a raw trace cannot reconstruct, record it
+        as a ``health-sample`` event, and close the window on it."""
+        from ..core.events import MessageEvent
 
-    def _engine_sample(self, end: float) -> dict[str, Any]:
-        """Read the engine state a raw trace cannot reconstruct."""
-        queue = self._queue
-        if queue is not None and self._message_event_type is not None:
-            sample: dict[str, Any] = {
-                "queue": queue.live_count(self._message_event_type)
-            }
-        else:
-            sample = {"queue": 0}
-        workload = self._workload
-        if workload is not None:
-            sample.update(workload.health_snapshot(end))
-        return sample
+        sample: dict[str, Any] = {"queue": self._queue.live_count(MessageEvent)}
+        if self._workload is not None:
+            sample.update(self._workload.health_snapshot(end))
+        if self._trace.enabled:
+            self._trace.record(end, "health-sample", -1, **sample)
+        self.close_window(end, sample)
 
     def close_window(self, end: float, sample: Mapping[str, Any]) -> None:
         """Evaluate every detector for the window ending at ``end``.
@@ -374,42 +357,47 @@ class HealthMonitor:
         """
         start = self._window_start
         self.windows += 1
-        self._check_view_storm(start, end)
+        totals = _totals(self.signals)
+        self._check_view_storm(start, end, totals)
         self._check_stragglers(start, end)
         self._check_backlog(start, end, sample)
-        self._check_fanin(start, end)
+        self._check_fanin(start, end, totals.kinds)
         self._check_starvation(start, end, sample)
-        self._decides_in_window = 0
-        self._views_in_window = 0
-        self._views_entered.clear()
-        self._view_nodes.clear()
-        self._kind_in_window.clear()
+        self._snapshot = totals
         self._window_start = end
         self.next_boundary = end + self.window_ms
 
     # ------------------------------------------------------------------
     # detectors (each runs once per window close)
 
-    def _check_view_storm(self, start: float, end: float) -> None:
-        distinct = len(self._views_entered)
-        if distinct >= VIEW_STORM_THRESHOLD and self._decides_in_window == 0:
+    def _check_view_storm(self, start: float, end: float, now: _Totals) -> None:
+        before = self._snapshot
+        # The table keeps views latest-entered last: the window's are a suffix.
+        views = []
+        for view, (_, latest) in reversed(self.signals.views.items()):
+            if latest <= before.views:
+                break
+            views.append(view)
+        distinct = len(views)
+        if distinct >= VIEW_STORM_THRESHOLD and now.decisions == before.decisions:
             self._emit(
                 end, "view-storm",
                 "critical" if distinct >= 2 * VIEW_STORM_THRESHOLD else "warn",
                 start,
-                nodes=tuple(sorted(self._view_nodes)),
+                nodes=tuple(
+                    node for node, (old, new) in enumerate(zip(before.view_nodes, now.view_nodes))
+                    if new != old
+                ),
                 evidence={
-                    "views": sorted(self._views_entered),
-                    "entries": self._views_in_window,
+                    "views": sorted(views),
+                    "entries": now.views - before.views,
                     "threshold": VIEW_STORM_THRESHOLD,
                 },
             )
 
     def _check_stragglers(self, start: float, end: float) -> None:
-        decided = self._decided_per_node
-        if not decided:
-            return
-        top = max(decided)
+        decided = self.signals.decided
+        top = max(decided, default=0)
         if top == 0:
             return
         lagging = tuple(
@@ -449,11 +437,11 @@ class HealthMonitor:
                 },
             )
 
-    def _check_fanin(self, start: float, end: float) -> None:
-        window = self._kind_in_window
+    def _check_fanin(self, start: float, end: float, kinds: dict[str, int]) -> None:
+        before = self._snapshot.kinds
         ewma = self._kind_ewma
-        for kind in sorted(set(ewma) | set(window)):
-            count = window.get(kind, 0)
+        for kind in sorted(kinds):
+            count = kinds[kind] - before.get(kind, 0)
             baseline = ewma.get(kind)
             # A baseline below FANIN_MIN / FANIN_FACTOR is not yet established —
             # typically seeded from a near-empty warm-up window before the
@@ -517,29 +505,12 @@ class HealthMonitor:
                 },
             )
 
-    def _emit(
-        self,
-        time: float,
-        detector: str,
-        severity: str,
-        window_start: float,
-        *,
-        nodes: tuple[int, ...] = (),
-        clients: tuple[int, ...] = (),
-        evidence: dict[str, Any] | None = None,
-    ) -> None:
-        event = HealthEvent(
-            time=time,
-            detector=detector,
-            severity=severity,
-            window_start=window_start,
-            window_end=time,
-            nodes=nodes,
-            clients=clients,
-            evidence=evidence or {},
-        )
-        self.events.append(event)
-        self._counts[detector] = self._counts.get(detector, 0) + 1
+    def _emit(self, time: float, detector: str, severity: str, window_start: float, *,
+              nodes: tuple[int, ...] = (), clients: tuple[int, ...] = (),
+              evidence: dict[str, Any] | None = None) -> None:
+        self.events.append(HealthEvent(
+            time, detector, severity, window_start, window_end=time,
+            nodes=nodes, clients=clients, evidence=evidence or {}))
         trace = self._trace
         if trace is not None and trace.enabled:
             trace.record(
@@ -560,26 +531,8 @@ class HealthMonitor:
             events=list(self.events),
             anomaly_count=len(self.events),
             min_fairness=self._min_fairness,
-            detectors=dict(sorted(self._counts.items())),
+            detectors=dict(sorted(Counter(event.detector for event in self.events).items())),
         )
-
-    def state_dict(self) -> dict[str, Any]:
-        """Full detector state, for the online == offline property suite."""
-        return {
-            "window_start": self._window_start,
-            "next_boundary": self.next_boundary,
-            "windows": self.windows,
-            "decided_per_node": list(self._decided_per_node),
-            "decides_in_window": self._decides_in_window,
-            "views_in_window": self._views_in_window,
-            "views_entered": sorted(self._views_entered),
-            "view_nodes": dict(self._view_nodes),
-            "kind_in_window": dict(self._kind_in_window),
-            "kind_ewma": dict(self._kind_ewma),
-            "depths": list(self._depths),
-            "min_fairness": self._min_fairness,
-            "events": [event.to_dict() for event in self.events],
-        }
 
 
 def _sample_fields(event: Mapping[str, Any]) -> dict[str, Any]:
@@ -594,33 +547,33 @@ def replay_health(
 ) -> HealthMonitor:
     """Rebuild a :class:`HealthMonitor` from a finished trace.
 
-    Hook counters replay from the raw ``deliver``/``decide``/``view``
-    events; windows close from the recorded ``health-sample`` events
-    (see module docstring).  Pass the same ``n`` and ``window_ms`` as the
-    online monitor to get byte-identical detector state.  A trace
-    recorded *without* health enabled has no samples, so no windows
-    close — replay is only meaningful against health-enabled traces.
+    A fresh :class:`~repro.observability.signals.LiveSignals` table hears
+    the raw ``deliver``/``decide``/``view`` events through the same
+    ``on_*`` methods the controller calls; windows close from the recorded
+    ``health-sample`` events (see module docstring).  Pass the same ``n``
+    and ``window_ms`` as the online monitor to get identical table and
+    detector state (``monitor.signals`` is the table).  A trace recorded
+    *without* health enabled has no samples, so no windows close — replay
+    is only meaningful against health-enabled traces.
     """
     monitor = HealthMonitor(window_ms)
-    monitor.bind(n)
+    table = LiveSignals(n)
+    monitor._read(table)
     for time, kind, node, fields in trace_rows(source):
         if kind == "health-sample":
             monitor.close_window(float(time), _sample_fields(fields))
-        elif kind == "deliver":
-            now = float(time)
-            monitor.on_deliver(
-                int(node),
-                int(fields.get("source", -1)),
-                str(fields.get("msg_type", "")),
-                now,
-                now,  # the send time is in no deliver record; no detector reads it
-            )
+            continue
+        if kind not in ("deliver", "decide", "view") or not 0 <= int(node) < n:
+            continue
+        node, now = int(node), float(time)
+        if kind == "deliver":
+            # The send time is in no deliver record; the table does not read it.
+            table.on_deliver(
+                node, int(fields.get("source", -1)), str(fields.get("msg_type", "")), now, now)
         elif kind == "decide":
-            node = int(node)
-            if 0 <= node < monitor.n:
-                monitor.on_decide(node, float(time))
-        elif kind == "view" and "view" in fields:
-            monitor.on_view(int(node), int(fields["view"]), float(time))
+            table.on_decide(node, now)
+        elif "view" in fields:
+            table.on_view(node, int(fields["view"]), now)
     return monitor
 
 
@@ -632,8 +585,8 @@ def analyze_trace_health(source: TraceSource) -> dict[str, Any]:
     inspect --health``.  Unlike :func:`replay_health` this never
     re-evaluates detectors: it reports exactly what the run emitted.
     """
-    detectors: dict[str, int] = {}
-    severities: dict[str, int] = {}
+    detectors: Counter[str] = Counter()
+    severities: Counter[str] = Counter()
     anomalies: list[dict[str, Any]] = []
     samples = 0
     min_fairness: float | None = None
@@ -648,10 +601,8 @@ def analyze_trace_health(source: TraceSource) -> dict[str, Any]:
                     min_fairness = last_fairness
         elif kind == "health":
             anomalies.append({"time": time, "kind": kind, "node": node, **fields})
-            detector = str(fields.get("detector", "?"))
-            detectors[detector] = detectors.get(detector, 0) + 1
-            severity = str(fields.get("severity", "?"))
-            severities[severity] = severities.get(severity, 0) + 1
+            detectors[str(fields.get("detector", "?"))] += 1
+            severities[str(fields.get("severity", "?"))] += 1
     return {
         "samples": samples,
         "anomaly_count": len(anomalies),

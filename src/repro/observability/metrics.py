@@ -29,6 +29,7 @@ from ..core.config import check_finite
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.controller import Controller
+    from .signals import LiveSignals
 
 #: Default sampling interval (simulated ms) when ``metrics=True`` is passed.
 DEFAULT_INTERVAL_MS: float = 100.0
@@ -164,7 +165,9 @@ class MetricsRegistry:
     timeseries at each boundary time (the recorded value is the state as of
     the last event at or before the boundary — no events are scheduled,
     nothing perturbs the run).  Histograms are kept as end-of-run
-    distributions, not sampled.
+    distributions, not sampled.  ``messages_delivered`` and ``decisions``
+    count nothing here: they are read from the run's counting table
+    (:class:`~repro.observability.signals.LiveSignals`) when sampled.
     """
 
     def __init__(self, interval: float = DEFAULT_INTERVAL_MS) -> None:
@@ -185,6 +188,7 @@ class MetricsRegistry:
         self._bytes_total: Counter | None = None
         self._node_bytes: list[Counter] = []
         self._latency: Histogram | None = None
+        self._table: "LiveSignals | None" = None
 
     # -- instrument registration ---------------------------------------
 
@@ -234,24 +238,22 @@ class MetricsRegistry:
             self.counter("node_wire_bytes", node=i) for i in range(controller.n)
         ]
         self._latency = self.histogram("delivery_latency_ms")
+        self._table = controller.signals
 
-    def on_send(self, node: int, wire_bytes: int) -> None:
-        """Network hook: one wire transmission attributed to ``node``."""
-        self._sent.value += 1
-        self._bytes_total.value += wire_bytes
+    def on_send(self, node: int, wire_bytes: int, copies: int) -> None:
+        """Network hook: ``copies`` wire transmissions of one message by ``node``."""
+        self._sent.value += copies
+        total = wire_bytes * copies
+        self._bytes_total.value += total
         node_bytes = self._node_bytes
         if 0 <= node < len(node_bytes):
-            node_bytes[node].value += wire_bytes
+            node_bytes[node].value += total
 
     def on_deliver(
         self, dest: int, source: int, kind: str, now: float, sent_at: float
     ) -> None:
         """Controller hook: one delivery; transit latency is ``now - sent_at``."""
-        self._delivered.value += 1
         self._latency.observe(now - sent_at)
-
-    def on_decide(self, node: int, now: float) -> None:
-        self._decisions.value += 1
 
     # -- sampling -------------------------------------------------------
 
@@ -267,7 +269,14 @@ class MetricsRegistry:
         if not self._samples or self._samples[-1][0] < now:
             self._take_sample(now)
 
+    def _read_table(self) -> None:
+        """Set the counters the run's table keeps to its counts."""
+        if self._table is not None:
+            self._delivered.value = float(sum(self._table.delivered))
+            self._decisions.value = float(self._table.decisions_seen)
+
     def _take_sample(self, at: float) -> None:
+        self._read_table()
         samples = self._samples
         for series, counter in self._counters.items():
             samples.append((at, series, counter.value))
@@ -278,6 +287,7 @@ class MetricsRegistry:
 
     def build(self, sim_time_ms: float, runs: int = 1) -> "RunMetrics":
         """Freeze the registry into a picklable :class:`RunMetrics`."""
+        self._read_table()
         return RunMetrics(
             interval_ms=self.interval,
             sim_time_ms=float(sim_time_ms),

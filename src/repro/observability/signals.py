@@ -1,4 +1,4 @@
-"""Live run signals for signal-driven (adaptive) adversaries.
+"""The run's one counting table: live signals for adversaries and telemetry.
 
 The causality analyses in :mod:`repro.observability.causality` are post-hoc:
 they rebuild quorum timelines and critical paths from a recorded trace.  An
@@ -8,20 +8,25 @@ closing quorums (the tail of every decision's critical path), how deliveries
 are distributed across nodes — so it can choose whom to delay, corrupt, or
 equivocate next.
 
-:class:`LiveSignals` is that channel.  The controller maintains it with O(1)
-work per delivered message and per decision, and **only** when the run's
-attacker declares ``wants_signals = True`` — benign runs never allocate or
-touch it, and it never draws randomness, so fingerprints of signal-free runs
-are byte-identical with the feature present.  Attackers reach it through
-:attr:`repro.attacks.base.AttackerContext.signals`, which gates access on
-the ``OBSERVE`` capability: reading the run's own progress telemetry is
-exactly the kind of rushing-adversary knowledge the threat model reserves
-for observing attackers.
+:class:`LiveSignals` is that channel, and the one place a run counts its
+deliveries, decisions and view entries.  The controller maintains it with
+O(1) work per delivered message, per decision and per view entry whenever
+something reads it: an attacker that declares ``wants_signals = True``, the
+:class:`~repro.observability.health.HealthMonitor` (which reads its window
+deltas at each close) or the
+:class:`~repro.observability.metrics.MetricsRegistry` (which samples its
+totals).  A bare run never allocates or touches it, and it never draws
+randomness, so fingerprints are byte-identical with it on or off.
+Attackers reach it through :attr:`repro.attacks.base.AttackerContext.signals`,
+which gates access on the ``OBSERVE`` capability and on ``wants_signals``:
+reading the run's own progress telemetry is exactly the kind of
+rushing-adversary knowledge the threat model reserves for observing
+attackers.
 
 Signal semantics (all maintained incrementally):
 
 * **delivery counts** — messages dispatched to each node so far;
-* **decision counts** — slots each node has decided so far;
+* **decision counts** — slots each node has decided so far, and their total;
 * **closing senders** — for every decision, the source of the message the
   deciding node was handling when it decided: the quorum-closing sender,
   i.e. the last hop of that decision's critical path;
@@ -30,24 +35,28 @@ Signal semantics (all maintained incrementally):
   quorum-timeline straggler;
 * **per-kind fan-in** — deliveries per node *per message kind*
   (``PREPARE``, ``VOTE``...), so an attacker can target the hot spot of a
-  specific quorum phase rather than overall traffic.
+  specific quorum phase rather than overall traffic;
+* **view entries** — per node, and per view with the number of its latest
+  entry, kept latest-entered last: the views entered after entry number
+  ``k`` are the suffix of :attr:`LiveSignals.views` whose latest entry is
+  above ``k``.
 
-A :meth:`LiveSignals.summary_dict` snapshot of all of the above is attached
-to the result (``SimulationResult.signals_summary``) so the experiment
-store can persist what the adversary saw.
+When the attacker asked for it, a :meth:`LiveSignals.summary_dict` snapshot
+is attached to the result (``SimulationResult.signals_summary``) so the
+experiment store can persist what the adversary saw.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 
 class LiveSignals:
     """Incrementally maintained run-progress signals.
 
-    Built by the controller when the configured attacker sets
-    ``wants_signals = True``; read by attackers via ``ctx.signals``.
+    Built by the controller when an attacker sets ``wants_signals = True``
+    or health or metrics is on; read by attackers via ``ctx.signals``.
     """
 
     __slots__ = (
@@ -59,6 +68,9 @@ class LiveSignals:
         "_handling_source",
         "decisions_seen",
         "kind_fan_in",
+        "views_by_node",
+        "views",
+        "views_seen",
     )
 
     def __init__(self, n: int) -> None:
@@ -77,8 +89,14 @@ class LiveSignals:
         self.decisions_seen = 0
         #: message kind -> per-node delivery counts (fan-in by kind).
         self.kind_fan_in: dict[str, list[int]] = {}
+        #: Per-node count of view entries.
+        self.views_by_node = [0] * n
+        #: view -> (entries, number of its latest entry), latest-entered last.
+        self.views: dict[int, tuple[int, int]] = {}
+        #: Total view entries; an entry's number is this count just after it.
+        self.views_seen = 0
 
-    # -- controller-side updates (O(1) each) --------------------------------
+    # -- controller-side updates (O(1) each; also fed by trace replay) ------
 
     def on_deliver(
         self, dest: int, source: int, kind: str | None, now: float, sent_at: float
@@ -100,6 +118,12 @@ class LiveSignals:
         if closer >= 0 and closer != node:
             self.closing_senders[closer] += 1
 
+    def on_view(self, node: int, view: int, now: float) -> None:
+        self.views_seen += 1
+        self.views_by_node[node] += 1
+        entries = self.views.pop(view, (0, 0))[0]
+        self.views[view] = (entries + 1, self.views_seen)
+
     # -- attacker-side queries ----------------------------------------------
 
     def stragglers(self, k: int = 1, exclude: Iterable[int] = ()) -> list[int]:
@@ -110,10 +134,7 @@ class LiveSignals:
         quorum-timeline straggler.  ``exclude`` removes nodes (e.g. already
         corrupted ones) from consideration.
         """
-        skip = set(exclude)
-        candidates = [i for i in range(self.n) if i not in skip]
-        candidates.sort(key=lambda i: (self.decided[i], self.last_activity[i], i))
-        return candidates[:k]
+        return self._ranked(lambda i: (self.decided[i], self.last_activity[i], i), k, exclude)
 
     def critical_senders(self, k: int = 1, exclude: Iterable[int] = ()) -> list[int]:
         """The ``k`` nodes that closed the most quorums so far.
@@ -122,19 +143,12 @@ class LiveSignals:
         no quorum yet never appear; callers should fall back to
         :meth:`stragglers` (or fan-in counts) when the list is short.
         """
-        skip = set(exclude)
-        ranked = sorted(
-            (node for node in self.closing_senders if node not in skip),
-            key=lambda node: (-self.closing_senders[node], node),
-        )
-        return ranked[:k]
+        closers = self.closing_senders
+        return self._ranked(lambda node: (-closers[node], node), k, exclude, closers)
 
     def busiest_nodes(self, k: int = 1, exclude: Iterable[int] = ()) -> list[int]:
         """The ``k`` nodes with the most deliveries (fan-in hot spots)."""
-        skip = set(exclude)
-        candidates = [i for i in range(self.n) if i not in skip]
-        candidates.sort(key=lambda i: (-self.delivered[i], i))
-        return candidates[:k]
+        return self._ranked(lambda i: (-self.delivered[i], i), k, exclude)
 
     def hottest_by_kind(
         self, kind: str, k: int = 1, exclude: Iterable[int] = ()
@@ -148,10 +162,15 @@ class LiveSignals:
         per_node = self.kind_fan_in.get(kind)
         if per_node is None or not any(per_node):
             return self.busiest_nodes(k, exclude=exclude)
+        return self._ranked(lambda i: (-per_node[i], i), k, exclude)
+
+    def _ranked(self, key: Callable[[int], tuple], k: int, exclude: Iterable[int],
+                nodes: Iterable[int] | None = None) -> list[int]:
+        """The first ``k`` of ``nodes`` (every node by default) by ``key``,
+        leaving out ``exclude``."""
         skip = set(exclude)
-        candidates = [i for i in range(self.n) if i not in skip]
-        candidates.sort(key=lambda i: (-per_node[i], i))
-        return candidates[:k]
+        candidates = range(self.n) if nodes is None else nodes
+        return sorted((i for i in candidates if i not in skip), key=key)[:k]
 
     # -- persistence ---------------------------------------------------------
 

@@ -135,6 +135,15 @@ class TestSignalsGating:
         controller = Controller(quick_config())
         assert controller.signals is None
 
+    def test_a_table_built_for_health_is_not_the_attackers_to_read(self):
+        from repro.attacks.base import AttackerContext
+        from repro.observability.health import HealthMonitor
+
+        controller = Controller(quick_config(), health=HealthMonitor())
+        assert controller.signals is not None
+        with pytest.raises(CapabilityError, match="wants_signals"):
+            AttackerContext(controller, Capability.OBSERVE).signals
+
     def test_adaptive_runs_allocate_signals(self):
         config = quick_config(
             attack=AttackConfig(name="adaptive", params={"action": "delay"})

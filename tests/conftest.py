@@ -68,3 +68,19 @@ def sync_config(protocol: str, **kwargs) -> SimulationConfig:
     """Config for synchronous protocols: delays bounded below lambda."""
     kwargs.setdefault("max_delay", 0.99 * kwargs.get("lam", 500.0))
     return quick_config(protocol=protocol, **kwargs)
+
+
+def health_state(monitor) -> tuple:
+    """Everything a :class:`~repro.observability.health.HealthMonitor` and
+    its counting table hold: the table's every slot, the window state the
+    next close reads (snapshot, EWMA, depths, window bounds) and the
+    report — the online == offline comparison."""
+    from repro.observability.signals import LiveSignals
+
+    table = monitor.signals
+    return (
+        {slot: getattr(table, slot) for slot in LiveSignals.__slots__},
+        monitor._snapshot, monitor._kind_ewma, monitor._depths,
+        monitor._window_start, monitor.next_boundary,
+        monitor.report().to_dict(),
+    )

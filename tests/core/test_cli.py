@@ -174,6 +174,33 @@ class TestRun:
         assert cli != api("tree", 0) and cli != api("full", 0)
 
 
+def test_a_closed_stdout_ends_the_command_quietly():
+    """``repro run --json | head -1``: a reader that is gone before the
+    command writes makes it end with SIGPIPE's status (141) and nothing on
+    stderr, not ``error: [Errno 32] Broken pipe``."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        process = subprocess.run(
+            [sys.executable, "-m", "repro", "run", "--protocol", "pbft", "-n", "4",
+             "--mean", "50", "--std", "10", "--lam", "500", "--decisions", "1", "--json"],
+            stdout=write, stderr=subprocess.PIPE, text=True, timeout=120, env=env,
+        )
+    finally:
+        os.close(write)
+    assert process.stderr == ""
+    assert process.returncode == 141
+
+
 class TestSweep:
     def test_sweep_lambda(self, capsys):
         code = main([

@@ -531,7 +531,7 @@ def test_every_analysis_rejects_in_memory_records_that_are_not_trace_records(
 
 def test_analyses_read_record_dicts_without_changing_them():
     from repro.core.runner import run_simulation
-    from tests.conftest import quick_config
+    from tests.conftest import health_state, quick_config
 
     config = quick_config(num_decisions=3, record_trace=True)
     trace = run_simulation(config, health=True).trace
@@ -543,7 +543,7 @@ def test_analyses_read_record_dicts_without_changing_them():
         if name == "CausalityGraph.build":
             from_dicts, from_trace = vars(from_dicts), vars(from_trace)
         elif name == "replay_health":
-            from_dicts, from_trace = from_dicts.state_dict(), from_trace.state_dict()
+            from_dicts, from_trace = health_state(from_dicts), health_state(from_trace)
         elif name != "analyze_trace_health":
             from_dicts, from_trace = from_dicts.to_dict(), from_trace.to_dict()
         assert from_dicts == from_trace, name

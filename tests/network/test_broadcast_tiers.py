@@ -32,7 +32,7 @@ from repro.observability.health import HealthMonitor, replay_health
 from repro.observability.metrics import MetricsRegistry
 from repro.validator.replay import RecordedDelays, replay_simulation
 
-from tests.conftest import quick_config
+from tests.conftest import health_state, quick_config
 from tests.pinned import (
     MODES,
     TIER_SWITCH_PROTOCOLS,
@@ -149,7 +149,7 @@ def test_a_traced_run_stays_shared_and_writes_the_per_copy_tiers_bytes(
     if SCHEDULES[schedule] is not None:
         assert b'"kind": "env-crash-drop"' in shared_path.read_bytes()
     replayed = replay_health(shared_path, n=config.n, window_ms=50.0)
-    assert replayed.state_dict() == monitor.state_dict()
+    assert health_state(replayed) == health_state(monitor)
 
 
 # -- one broadcast ------------------------------------------------------------

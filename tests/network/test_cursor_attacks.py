@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from repro import Controller, JsonlSink, result_fingerprint
 from repro.attacks.base import Attacker, Capability
+from repro.attacks.registry import register_attack
 from repro.core.config import FaultScheduleConfig, FaultSpec
 from repro.core.errors import CapabilityError
 from repro.core.events import EventQueue
@@ -26,7 +27,7 @@ from repro.core.message import BROADCAST, Message
 from repro.network.module import NetworkModule
 from repro.scenarios.spec import ScenarioSpec
 
-from tests.attacks.support import controller_with
+from tests.attacks.support import controller_with, pending_deliveries
 from tests.conftest import quick_config
 
 MESSAGE_TYPES = ["PREPARE", "COMMIT", "PRE-PREPARE", "PROPOSAL", "PREVOTE", "VOTE"]
@@ -150,3 +151,64 @@ def test_a_hook_that_adds_a_row_is_refused():
     controller = controller_with(Growing(), n=4)
     with pytest.raises(CapabilityError, match="^attacker added or removed copies of "):
         controller.network.submit(Message(source=1, dest=BROADCAST, payload={"type": "B"}))
+
+
+@register_attack("_test-row-shifter")
+class _RowShifter(Attacker):
+    """Holds NETWORK and defines only ``attack_broadcast``: records the
+    ``(source, dest)`` of every row it is shown and re-times each row by
+    a shift that names its recipient (1000 ms per id, plus 1000)."""
+
+    capabilities = Capability.NETWORK
+
+    def __init__(self, params=None):
+        super().__init__(params)
+        self.shown: list[tuple[int, int]] = []
+
+    def attack_broadcast(self, view, dests, delays, keep):
+        for row, dest in enumerate(dests):
+            self.shown.append((view.source, dest))
+            delays[row] += 1000.0 * (dest + 1)
+
+
+def _partitioned_then_shifted(**changes):
+    return ScenarioSpec.from_dict({"attacks": [
+        {"attack": "partition", "params": {"end": 60_000.0}},
+        {"attack": "_test-row-shifter"},
+    ]}).apply(quick_config(**changes))
+
+
+def test_a_composite_clause_is_shown_only_the_kept_rows():
+    """A partition clause drops the odd recipients of node 0's broadcast;
+    the clause after it sees only the even ones, and each re-timing lands
+    on its own copy."""
+    controller = Controller(_partitioned_then_shifted(n=8, std=0.0))
+    controller.attacker.setup()
+    controller.clock.advance_to(20.0)
+    controller.network.submit(Message(source=0, dest=BROADCAST, payload={"type": "B"}))
+    assert controller.attacker._children[1].shown == [(0, 2), (0, 4), (0, 6)]
+    delivered = [(time, dest) for time, dest, _, _ in pending_deliveries(controller)]
+    assert delivered == [(20.0, 0)] + [(20.0 + 50.0 + 1000.0 * (dest + 1), dest)
+                                       for dest in (2, 4, 6)]
+    assert controller.metrics.counts.dropped == 4
+
+
+def test_a_composite_clause_behind_a_drop_matches_the_per_copy_path(tmp_path):
+    """The same run with the row path forced off: each copy goes through
+    both clauses on its own, and the deliveries, the fingerprint, the
+    trace and the rows the second clause saw are the same."""
+    config = _partitioned_then_shifted(
+        n=7, num_decisions=2, max_time=20_000.0, allow_horizon=True)
+    runs = []
+    for per_copy in (False, True):
+        path = tmp_path / f"{per_copy}.jsonl"
+        controller = Controller(config, sink=JsonlSink(path))
+        if per_copy:
+            controller.network._rides_cursor = lambda message: False
+        result = controller.run()
+        runs.append((result_fingerprint(result), hashlib.sha256(path.read_bytes()).hexdigest(),
+                     controller.attacker._children[1].shown))
+    (rows, copies) = runs
+    assert rows == copies
+    assert rows[2], "the second clause was shown nothing"
+    assert all((source - dest) % 2 == 0 for source, dest in rows[2])

@@ -172,6 +172,24 @@ class TestQuorumTimeline:
             ]
             assert len(timeline.arrivals) == len(expected)
 
+    def test_one_grouping_serves_every_decision(self):
+        """``quorum_timeline`` called alone groups the deliveries itself and
+        reads what ``quorum_timelines`` reads from its shared grouping; a
+        hand-written trace whose slots are lists (unhashable) still groups
+        them by equality."""
+        from repro.observability.causality import quorum_timeline
+
+        _, events = _traced("pbft")
+        graph = CausalityGraph.build(events)
+        shared = quorum_timelines(graph)
+        assert [quorum_timeline(graph, t.decision) for t in shared] == shared
+        listed = [
+            dict(event, slot=[event["slot"]]) if event["kind"] == "deliver" else event
+            for event in events
+        ]
+        relisted = quorum_timelines(CausalityGraph.build(listed))
+        assert [t.arrivals for t in relisted] == [t.arrivals for t in shared]
+
     def test_render(self):
         _, events = _traced("pbft")
         timelines = quorum_timelines(CausalityGraph.build(events))

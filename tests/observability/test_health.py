@@ -3,13 +3,14 @@
 Three layers of coverage:
 
 * **detector units** — each detector driven directly through the monitor's
-  hook/``close_window`` API with synthetic inputs, pinning fire/no-fire
-  semantics and severity escalation;
+  counting table and ``close_window`` with synthetic inputs, pinning
+  fire/no-fire semantics and severity escalation;
 * **determinism** — every golden digest is byte-identical with health
   monitoring enabled, and benign golden runs report zero anomalies;
 * **online == offline** — :func:`replay_health` over a recorded trace
-  rebuilds detector state identical to what the live run produced, both
-  for fixed cases and as a hypothesis property over seeds and windows.
+  rebuilds table and detector state identical to what the live run
+  produced, both for fixed cases and as a hypothesis property over seeds
+  and windows.
 """
 
 from __future__ import annotations
@@ -34,24 +35,23 @@ from repro.observability.health import (
     replay_health,
 )
 from repro.workload import parse_workload_spec
-from tests.conftest import quick_config
+from tests.conftest import health_state, quick_config
 from tests.pinned import golden_config, golden_fingerprint, golden_protocols
 
 #: Minimal engine sample for windows of a run without a workload.
 SAMPLE = {"queue": 0}
 
 
-def _monitor(n: int = 4, **kwargs) -> HealthMonitor:
-    monitor = HealthMonitor(**kwargs)
-    monitor.bind(n)
-    return monitor
+def _monitor(n: int = 4) -> HealthMonitor:
+    """A monitor over a fresh table: the replay of an empty trace."""
+    return replay_health([], n=n)
 
 
 class TestViewStormDetector:
     def test_fires_on_view_churn_without_progress(self):
         m = _monitor()
         for view in range(5):
-            m.on_view(0, view, 10.0 * view)
+            m.signals.on_view(0, view, 10.0 * view)
         m.close_window(500.0, SAMPLE)
         assert [e.detector for e in m.events] == ["view-storm"]
         event = m.events[0]
@@ -64,8 +64,8 @@ class TestViewStormDetector:
         is normal operation, not a storm."""
         m = _monitor()
         for view in range(5):
-            m.on_view(0, view, 10.0 * view)
-        m.on_decide(1, 400.0)
+            m.signals.on_view(0, view, 10.0 * view)
+        m.signals.on_decide(1, 400.0)
         m.close_window(500.0, SAMPLE)
         assert m.events == []
 
@@ -73,14 +73,14 @@ class TestViewStormDetector:
         """n nodes entering the SAME view is one view change, not n."""
         m = _monitor()
         for node in range(4):
-            m.on_view(node, 1, 100.0)
+            m.signals.on_view(node, 1, 100.0)
         m.close_window(500.0, SAMPLE)
         assert m.events == []
 
     def test_critical_at_double_threshold(self):
         m = _monitor()
         for view in range(8):
-            m.on_view(0, view, 10.0 * view)
+            m.signals.on_view(0, view, 10.0 * view)
         m.close_window(500.0, SAMPLE)
         assert m.events[0].severity == "critical"
 
@@ -90,7 +90,7 @@ class TestStragglerDetector:
         m = _monitor(n=4)
         for _ in range(3):
             for node in (0, 1, 2):
-                m.on_decide(node, 100.0)
+                m.signals.on_decide(node, 100.0)
         m.close_window(500.0, SAMPLE)
         events = [e for e in m.events if e.detector == "straggler"]
         assert len(events) == 1
@@ -102,14 +102,14 @@ class TestStragglerDetector:
         m = _monitor(n=4)
         for _ in range(4):
             for node in (0, 1, 2):
-                m.on_decide(node, 100.0)
+                m.signals.on_decide(node, 100.0)
         m.close_window(500.0, SAMPLE)
         assert m.events[0].severity == "critical"
 
     def test_silent_while_fleet_is_in_sync(self):
         m = _monitor(n=4)
         for node in range(4):
-            m.on_decide(node, 100.0)
+            m.signals.on_decide(node, 100.0)
         m.close_window(500.0, SAMPLE)
         assert m.events == []
 
@@ -153,10 +153,10 @@ class TestFaninDetector:
     def test_spike_against_ewma_baseline(self):
         m = _monitor()
         for _ in range(8):  # window 1 establishes the baseline
-            m.on_deliver(0, 1, "VOTE", 10.0, 0.0)
+            m.signals.on_deliver(0, 1, "VOTE", 10.0, 0.0)
         m.close_window(500.0, SAMPLE)
         for _ in range(40):  # 5x the baseline of 8, above fanin_min
-            m.on_deliver(0, 1, "VOTE", 600.0, 0.0)
+            m.signals.on_deliver(0, 1, "VOTE", 600.0, 0.0)
         m.close_window(1000.0, SAMPLE)
         events = [e for e in m.events if e.detector == "fanin-spike"]
         assert len(events) == 1
@@ -166,17 +166,17 @@ class TestFaninDetector:
     def test_warmup_guard_suppresses_small_counts(self):
         m = _monitor()
         for _ in range(2):
-            m.on_deliver(0, 1, "VOTE", 10.0, 0.0)
+            m.signals.on_deliver(0, 1, "VOTE", 10.0, 0.0)
         m.close_window(500.0, SAMPLE)
         for _ in range(12):  # 6x baseline but under fanin_min
-            m.on_deliver(0, 1, "VOTE", 600.0, 0.0)
+            m.signals.on_deliver(0, 1, "VOTE", 600.0, 0.0)
         m.close_window(1000.0, SAMPLE)
         assert [e for e in m.events if e.detector == "fanin-spike"] == []
 
     def test_first_window_never_spikes(self):
         m = _monitor()
         for _ in range(100):
-            m.on_deliver(0, 1, "VOTE", 10.0, 0.0)
+            m.signals.on_deliver(0, 1, "VOTE", 10.0, 0.0)
         m.close_window(500.0, SAMPLE)
         assert m.events == []
 
@@ -227,7 +227,7 @@ class TestReportShape:
     def test_report_round_trips_through_json(self):
         m = _monitor()
         for view in range(5):
-            m.on_view(0, view, 10.0 * view)
+            m.signals.on_view(0, view, 10.0 * view)
         m.close_window(500.0, SAMPLE)
         report = m.report()
         encoded = json.dumps(report.to_dict(), sort_keys=True)
@@ -302,8 +302,7 @@ class TestOnlineEqualsOffline:
         config = golden_config(protocol)
         monitor, events = _traced_run(config, window_ms=100.0)
         replayed = replay_health(events, n=config.n, window_ms=100.0)
-        assert replayed.state_dict() == monitor.state_dict()
-        assert replayed.report().to_dict() == monitor.report().to_dict()
+        assert health_state(replayed) == health_state(monitor)
 
     def test_replay_matches_on_an_anomalous_workload_run(self):
         config = quick_config(num_decisions=1).replace(
@@ -314,7 +313,7 @@ class TestOnlineEqualsOffline:
         monitor, events = _traced_run(config, window_ms=250.0)
         assert monitor.events  # the adversarial run actually anomalous
         replayed = replay_health(events, n=config.n, window_ms=250.0)
-        assert replayed.state_dict() == monitor.state_dict()
+        assert health_state(replayed) == health_state(monitor)
 
     @settings(deadline=None, max_examples=20)
     @given(
@@ -327,7 +326,21 @@ class TestOnlineEqualsOffline:
         config = golden_config(protocol).replace(seed=seed)
         monitor, events = _traced_run(config, window_ms=window_ms)
         replayed = replay_health(events, n=config.n, window_ms=window_ms)
-        assert replayed.state_dict() == monitor.state_dict()
+        assert health_state(replayed) == health_state(monitor)
+
+    def test_one_changed_view_entry_breaks_the_identity(self):
+        """The comparison sees a single view entry: moving one ``view``
+        record to another view makes the replayed state differ."""
+        config = golden_config("hotstuff-ns")
+        monitor, events = _traced_run(config, window_ms=100.0)
+        views = [i for i, event in enumerate(events) if event["kind"] == "view"]
+        assert views, "the run entered no view"
+        unchanged = replay_health(events, n=config.n, window_ms=100.0)
+        assert health_state(unchanged) == health_state(monitor)
+        changed = [dict(event) for event in events]
+        changed[views[-1]]["view"] += 1000
+        replayed = replay_health(changed, n=config.n, window_ms=100.0)
+        assert health_state(replayed) != health_state(monitor)
 
 
 class TestStarvationIntegration:

@@ -104,6 +104,36 @@ class TestSampling:
         )
         assert per_node == result.counts.bytes_sent
 
+    def test_send_hook_runs_once_per_message_and_transmitter(self, monkeypatch):
+        """A pbft n=32 ``full`` run charges each broadcast's wire copies to
+        its one transmitter in one ``on_send`` call, not one per hop."""
+        from repro import NetworkConfig, SimulationConfig
+        from repro.core.message import BROADCAST
+        from repro.network.module import NetworkModule
+
+        calls, messages = [], []
+        on_send, submit = MetricsRegistry.on_send, NetworkModule.submit
+
+        def counting_send(registry, node, wire_bytes, copies):
+            calls.append(copies)
+            on_send(registry, node, wire_bytes, copies)
+
+        def counting_submit(network, message):
+            if message.dest != message.source:  # a loopback is not on the wire
+                messages.append(message.dest == BROADCAST)
+            submit(network, message)
+
+        monkeypatch.setattr(MetricsRegistry, "on_send", counting_send)
+        monkeypatch.setattr(NetworkModule, "submit", counting_submit)
+        config = SimulationConfig(
+            protocol="pbft", n=32, num_decisions=2, seed=1,
+            network=NetworkConfig(dissemination="full"))
+        result = run_simulation(config, metrics=True)
+        assert any(messages), "the run broadcast nothing"
+        assert len(calls) == len(messages)
+        assert sum(calls) == result.counts.sent
+        assert result.run_metrics.counters["messages_sent"] == result.counts.sent
+
     def test_gauges_snapshot_final_queue_state(self):
         """The run stops as soon as the decision target is met, so the
         final gauges reflect whatever was still queued — in particular,
