@@ -62,13 +62,17 @@ from .observability import (
     MemorySink,
     NullSink,
     TraceSink,
-    analyze_trace,
-    render_report,
 )
 from .parallel import ParallelRunner, ProgressUpdate
 from .protocols.registry import available_protocols, get_protocol, register_protocol
 from .attacks.registry import available_attacks, get_attack, register_attack
 from .workload import parse_workload_spec
+from .core.lazy import lazy_attributes
+
+#: Trace forensics load on first use (see :mod:`repro.observability`).
+__getattr__ = lazy_attributes(__name__, {
+    "observability.inspect": ("analyze_trace", "render_report"),
+})
 
 __version__ = "1.2.0"
 

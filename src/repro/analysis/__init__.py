@@ -1,12 +1,12 @@
 """Experiment harness, aggregation, and paper-artifact regeneration."""
 
+from ..core.lazy import lazy_attributes
 from .aggregate import (
     RunSummary,
     SummaryStats,
     partition_results,
     summarize,
 )
-from .compute import ComputationModel, ComputeEstimate, estimate_computation
 from .experiments import (
     ExperimentCell,
     PIPELINED_DECISIONS,
@@ -17,22 +17,21 @@ from .experiments import (
     run_cell,
     run_cell_raw,
 )
-from .loc import (
-    ATTACK_MODULES,
-    LocEntry,
-    PROTOCOL_MODULES,
-    attack_loc_table,
-    count_code_lines,
-    protocol_loc_table,
-)
 from .report import render_series, render_table
-from .viewtrace import (
-    DesyncStats,
-    ViewTimeline,
-    desync_statistics,
-    extract_view_timelines,
-    render_view_chart,
-)
+
+#: Code counting and view-chart helpers load on first use: only the paper's
+#: table and figure scripts read them.
+__getattr__ = lazy_attributes(__name__, {
+    "compute": ("ComputationModel", "ComputeEstimate", "estimate_computation"),
+    "loc": (
+        "ATTACK_MODULES", "LocEntry", "PROTOCOL_MODULES", "attack_loc_table",
+        "count_code_lines", "protocol_loc_table",
+    ),
+    "viewtrace": (
+        "DesyncStats", "ViewTimeline", "desync_statistics",
+        "extract_view_timelines", "render_view_chart",
+    ),
+})
 
 __all__ = [
     "ATTACK_MODULES", "ComputationModel", "ComputeEstimate",

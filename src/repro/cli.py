@@ -53,28 +53,14 @@ from .core.results import RunFailure, result_attachments
 from .core.runner import run_batch, run_simulation, sweep
 from .core.tracing import EventFilter, JsonlSink, Trace
 from .faults import available_presets, parse_faults_spec
-from .observability.causality import (
-    CausalityGraph,
-    critical_paths,
-    quorum_timelines,
-    render_critical_paths,
-    render_quorum_timelines,
-)
 from .observability.health import (
     DEFAULT_WINDOW_MS,
     analyze_trace_health,
     render_health,
 )
-from .observability.inspect import analyze_trace, render_report
 from .observability.metrics import DEFAULT_INTERVAL_MS, RunMetrics
-from .observability.phases import analyze_phases, render_phase_report
 from .protocols.registry import available_protocols, get_protocol
-from .scenarios import (
-    OBJECTIVES,
-    available_scenarios,
-    load_scenario,
-    mine,
-)
+from .scenarios import OBJECTIVES, available_scenarios, load_scenario
 from .workload import parse_workload_spec
 
 
@@ -623,6 +609,16 @@ def _resolve_trace(args: argparse.Namespace) -> str:
 
 
 def cmd_inspect(args: argparse.Namespace) -> int:
+    from .observability.causality import (
+        CausalityGraph,
+        critical_paths,
+        quorum_timelines,
+        render_critical_paths,
+        render_quorum_timelines,
+    )
+    from .observability.inspect import analyze_trace, render_report
+    from .observability.phases import analyze_phases, render_phase_report
+
     args.trace = _resolve_trace(args)
     # Several analyses of one file share one decoding; a bare report streams.
     analyses = args.critical_path or args.quorum or args.phases or args.health
@@ -703,7 +699,7 @@ def _load_metrics(path: str) -> RunMetrics:
 
 def _cmd_mine_check(args: argparse.Namespace) -> int:
     """``repro mine --check``: re-score a committed mining artifact."""
-    from .scenarios import check_artifact
+    from .scenarios.search import check_artifact
 
     check = check_artifact(
         args.check,
@@ -719,6 +715,8 @@ def _cmd_mine_check(args: argparse.Namespace) -> int:
 
 
 def cmd_mine(args: argparse.Namespace) -> int:
+    from .scenarios.search import mine
+
     if args.check is not None:
         return _cmd_mine_check(args)
     scenario = args.scenario

@@ -1,7 +1,7 @@
 """Network topology.
 
 The paper's simulator models a fully connected peer-to-peer overlay; the
-partition machinery additionally needs links that can be cut and restored.
+partition machinery additionally needs links that can be cut.
 :class:`Topology` is the complete graph over ``0..n-1`` minus a set of cut
 links, and answers the two questions the simulator asks: *can A currently
 reach B?* and *which subnets does the cut leave?*
@@ -26,8 +26,7 @@ class Topology:
     """A reachability graph over node ids ``0..n-1``.
 
     The default is a complete graph (every pair connected by one logical
-    link).  Links can be cut and restored at runtime — the mechanism the
-    partition attacker uses.
+    link).  Links can be cut at runtime.
     """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] | None = None) -> None:
@@ -91,26 +90,6 @@ class Topology:
         self._check(b)
         if a != b:
             self._cut.add(_link(a, b))
-
-    def restore(self, a: int, b: int) -> None:
-        """Re-add the link between ``a`` and ``b`` (idempotent)."""
-        self._check(a)
-        self._check(b)
-        self._cut.discard(_link(a, b))
-
-    def cut_between(self, group_a: Iterable[int], group_b: Iterable[int]) -> int:
-        """Cut every link with one endpoint in each group; returns the number
-        of links removed."""
-        group_a, group_b = list(group_a), set(group_b)
-        for node in (*group_a, *group_b):
-            self._check(node)
-        before = len(self._cut)
-        self._cut.update(_link(a, b) for a in group_a for b in group_b if a != b)
-        return len(self._cut) - before
-
-    def restore_all(self) -> None:
-        """Return to the complete graph."""
-        self._cut.clear()
 
     def __repr__(self) -> str:
         edges = self.n * (self.n - 1) // 2 - len(self._cut)

@@ -23,18 +23,8 @@ Telemetry never influences simulation behavior: with everything enabled or
 everything disabled, ``result_fingerprint`` is byte-identical.
 """
 
+from ..core.lazy import lazy_attributes
 from ..core.tracing import trace_rows
-from .causality import (
-    CausalityGraph,
-    CriticalPath,
-    QuorumTimeline,
-    critical_path,
-    critical_paths,
-    quorum_timeline,
-    quorum_timelines,
-    render_critical_paths,
-    render_quorum_timelines,
-)
 from .health import (
     HealthEvent,
     HealthMonitor,
@@ -43,7 +33,6 @@ from .health import (
     render_health,
     replay_health,
 )
-from .inspect import TraceReport, analyze_trace, render_report
 from .metrics import (
     Counter,
     Histogram,
@@ -51,7 +40,6 @@ from .metrics import (
     MetricsRegistry,
     RunMetrics,
 )
-from .phases import PhaseReport, PhaseStay, analyze_phases, render_phase_report
 from .sinks import (
     EventFilter,
     JsonlSink,
@@ -60,6 +48,17 @@ from .sinks import (
     TraceBufferUnavailable,
     TraceSink,
 )
+
+#: Trace forensics load on first use: a run or a sweep never reads them.
+__getattr__ = lazy_attributes(__name__, {
+    "causality": (
+        "CausalityGraph", "CriticalPath", "QuorumTimeline", "critical_path",
+        "critical_paths", "quorum_timeline", "quorum_timelines",
+        "render_critical_paths", "render_quorum_timelines",
+    ),
+    "inspect": ("TraceReport", "analyze_trace", "render_report"),
+    "phases": ("PhaseReport", "PhaseStay", "analyze_phases", "render_phase_report"),
+})
 
 __all__ = [
     "CausalityGraph",

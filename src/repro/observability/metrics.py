@@ -90,9 +90,6 @@ class Counter:
     def __init__(self) -> None:
         self.value = 0.0
 
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
 
 class Histogram:
     """A fixed-bucket distribution (``le`` upper-bound semantics).

@@ -19,6 +19,10 @@ results a serial execution would produce:
   is replaced with a fresh worker and the run is retried up to ``retries``
   times before being marked failed.  Other runs are never affected: no
   pool-wide exception, no lost batch.
+* **Pipelined dispatch** — each worker holds up to two runs, the one it
+  runs and the next, so it never idles while the parent records a reply
+  (the fill rule and the timeout clock are at :class:`_Worker` and in
+  ``docs/parallel.md``).
 * **Observability** — an optional progress callback receives a
   :class:`ProgressUpdate` (runs completed / failed / elapsed wall time /
   accumulated simulated time) after every terminal run, so long sweeps can
@@ -40,6 +44,7 @@ Failure semantics in detail:
 
 from __future__ import annotations
 
+import gc
 import os
 import time
 import traceback
@@ -243,7 +248,13 @@ class _Task:
 
 
 class _Worker:
-    """A worker process plus the duplex pipe the parent drives it through."""
+    """A worker process plus the duplex pipe the parent drives it through.
+
+    ``pending`` holds the runs sent down the pipe, oldest first: the head is
+    running, and at most one more waits in the pipe so the worker starts it
+    the moment the head ends.  ``deadline`` is the head's: it starts when a
+    run reaches the head, not when it is sent.
+    """
 
     def __init__(self, ctx) -> None:
         parent_conn, child_conn = ctx.Pipe(duplex=True)
@@ -251,9 +262,15 @@ class _Worker:
         self.process = ctx.Process(
             target=_worker_main, args=(child_conn,), daemon=True
         )
-        self.process.start()
+        # The child's collections skip the heap it inherits, so they neither
+        # walk nor copy-on-write the parent's pages (CPython's fork idiom).
+        gc.freeze()
+        try:
+            self.process.start()
+        finally:
+            gc.unfreeze()
         child_conn.close()  # parent keeps only its end
-        self.task: _Task | None = None
+        self.pending: deque[_Task] = deque()
         self.deadline: float | None = None
 
     def assign(
@@ -263,17 +280,30 @@ class _Worker:
         metrics: bool | float = False,
         health: bool | float = False,
     ) -> None:
-        self.task = task
+        if not self.pending:
+            self._start_clock(timeout)
+        self.pending.append(task)
+        try:
+            self.conn.send((task.index, task.config, metrics, health))
+        except OSError:  # died meanwhile: the next wait() reads its EOF
+            pass
+
+    def finish(self, timeout: float | None) -> _Task:
+        """Pop the head run, which replied; the next run's clock starts."""
+        task = self.pending.popleft()
+        self._start_clock(timeout)
+        return task
+
+    def _start_clock(self, timeout: float | None) -> None:
         self.deadline = (time.monotonic() + timeout) if timeout else None
-        self.conn.send((task.index, task.config, metrics, health))
 
     def timed_out(self, now: float) -> bool:
-        return self.deadline is not None and now > self.deadline
+        return bool(self.pending) and self.deadline is not None and now > self.deadline
 
     def shutdown(self) -> None:
         """Best-effort clean exit, escalating to terminate/kill."""
         try:
-            if self.process.is_alive() and self.task is None:
+            if self.process.is_alive() and not self.pending:
                 self.conn.send(None)
         except (BrokenPipeError, OSError):
             pass
@@ -377,19 +407,32 @@ class ParallelRunner:
         queue: deque[_Task] = deque(tasks)
         ledger = BatchLedger(total, self.recorder, self.progress)
         workers = [_Worker(self._ctx) for _ in range(min(self.jobs, total))]
+        finished: list[tuple[int, SimulationResult | RunFailure]] = []
+
+        def fill() -> None:
+            """Breadth first: every idle worker gets a run, then a busy one
+            gets a second while the queue holds at least one run per worker,
+            so the tail of the batch never waits behind a long run."""
+            for worker in workers:
+                if not worker.pending and queue:
+                    worker.assign(queue.popleft(), self.timeout, self.metrics, self.health)
+            for worker in workers:
+                if len(worker.pending) == 1 and len(queue) >= len(workers):
+                    worker.assign(queue.popleft(), self.timeout, self.metrics, self.health)
 
         def fail_or_retry(worker: _Worker, kind: str, message: str) -> None:
-            """Handle a crashed or hung worker: replace it, retry or fail."""
-            task = worker.task
-            worker.task = None
+            """Handle a crashed or hung worker: replace it, retry or fail its
+            head run, and put the run waiting behind it back in the queue."""
+            task, *waiting = worker.pending
+            worker.pending.clear()
             worker.kill()
             workers[workers.index(worker)] = _Worker(self._ctx)
-            assert task is not None
+            queue.extendleft(reversed(waiting))
             task.attempts += 1
             if task.attempts <= self.retries:
                 queue.appendleft(task)
             else:
-                ledger.record(
+                finished.append((
                     task.index,
                     RunFailure(
                         config=task.config,
@@ -399,16 +442,12 @@ class ParallelRunner:
                         run_index=task.index,
                         attempts=task.attempts,
                     ),
-                )
+                ))
 
         try:
+            fill()
             while len(ledger.out) < total:
-                for worker in workers:
-                    if worker.task is None and queue:
-                        worker.assign(
-                            queue.popleft(), self.timeout, self.metrics, self.health
-                        )
-                busy = {w.conn: w for w in workers if w.task is not None}
+                busy = {w.conn: w for w in workers if w.pending}
                 if not busy:  # pragma: no cover - defensive
                     break
                 ready = connection.wait(list(busy), timeout=_POLL_SECONDS)
@@ -422,23 +461,24 @@ class ParallelRunner:
                             "worker process died without reporting a result",
                         )
                         continue
-                    task = worker.task
-                    worker.task = None
-                    worker.deadline = None
-                    assert task is not None
+                    task = worker.finish(self.timeout)
                     assert reply[0] == task.index, "worker replied out of turn"
-                    ledger.record(
-                        task.index,
-                        reply_entry(task.config, reply, task.attempts + 1),
+                    finished.append(
+                        (task.index, reply_entry(task.config, reply, task.attempts + 1))
                     )
                 now = time.monotonic()
                 for worker in list(workers):
-                    if worker.task is not None and worker.timed_out(now):
-                        seconds = self.timeout
+                    if worker.timed_out(now):
                         fail_or_retry(
                             worker, "timeout",
-                            f"run exceeded the per-run timeout of {seconds}s",
+                            f"run exceeded the per-run timeout of {self.timeout}s",
                         )
+                # Send the next runs before recording this round's replies,
+                # so no worker idles while the parent writes the store.
+                fill()
+                for index, entry in finished:
+                    ledger.record(index, entry)
+                finished.clear()
         finally:
             for worker in workers:
                 worker.shutdown()

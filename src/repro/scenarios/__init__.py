@@ -10,23 +10,23 @@ evolve harness (``repro mine``) that searches the spec space for worst
 cases and emits replayable artifacts.  See ``docs/scenarios.md``.
 """
 
+from ..core.lazy import lazy_attributes
 from .presets import available_scenarios, get_scenario, register_scenario
-from .search import (
-    OBJECTIVES,
-    ArtifactCheck,
-    MiningReport,
-    check_artifact,
-    load_artifact,
-    mine,
-    replay_winner,
-    winner_config,
-)
 from .spec import (
+    OBJECTIVES,
     AttackClause,
     ScenarioSpec,
     load_scenario,
     parse_scenario_spec,
 )
+
+#: The miner loads on first use: only ``repro mine`` runs it.
+__getattr__ = lazy_attributes(__name__, {
+    "search": (
+        "ArtifactCheck", "MiningReport", "check_artifact", "load_artifact",
+        "mine", "replay_winner", "winner_config",
+    ),
+})
 
 __all__ = [
     "ArtifactCheck",

@@ -56,10 +56,7 @@ from ..core.results import (
     result_fingerprint,
 )
 from ..core.runner import run_batch, run_simulation
-from .spec import AttackClause, ScenarioSpec
-
-#: Objectives accepted by :func:`mine` and ``repro mine``.
-OBJECTIVES = ("median-latency", "stall", "first-decision", "throughput")
+from .spec import OBJECTIVES, AttackClause, ScenarioSpec
 
 #: Artifact schema identifier.
 ARTIFACT_KIND = "repro-mining-artifact"

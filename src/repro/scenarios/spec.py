@@ -59,6 +59,10 @@ from ..core.config import (
 from ..core.errors import ConfigurationError
 from ..faults.spec import fault_specs
 
+#: Objectives accepted by :func:`repro.scenarios.search.mine` and ``repro
+#: mine``; kept here so the CLI's parser does not import the miner.
+OBJECTIVES = ("median-latency", "stall", "first-decision", "throughput")
+
 #: Capability names accepted by ``ScenarioSpec.allow``.
 CAPABILITY_NAMES = {
     "observe": Capability.OBSERVE,

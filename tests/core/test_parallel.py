@@ -15,6 +15,7 @@ from __future__ import annotations
 import os
 import pickle
 import time
+from collections import Counter
 
 import pytest
 
@@ -28,7 +29,9 @@ from repro import (
 )
 from repro.core.errors import ConfigurationError, ExperimentFailureError
 from repro.core.runner import sweep
+from repro.parallel import engine
 from repro.protocols.base import BFTProtocol
+from repro.protocols.pbft import PBFTNode
 from repro.protocols.registry import register_protocol
 
 from tests.conftest import quick_config
@@ -61,6 +64,15 @@ def _register_crash_protocols() -> None:
 
             def on_start(self) -> None:
                 time.sleep(600)
+
+        @register_protocol("_test-slow")
+        class SlowProtocol(PBFTNode):
+            """PBFT whose node 0 first sleeps a second — slow but healthy."""
+
+            def on_start(self) -> None:
+                if self.id == 0:
+                    time.sleep(1.0)
+                super().on_start()
     except ConfigurationError:
         pass  # already registered by a previous import of this module
 
@@ -83,6 +95,7 @@ class TestUnlistedRegistration:
         assert "_test-raise" not in listed
         assert "_test-kill" not in listed
         assert "_test-hang" not in listed
+        assert "_test-slow" not in listed
         assert get_protocol("_test-raise").protocol_name == "_test-raise"
 
 
@@ -186,6 +199,25 @@ class TestFailureIsolation:
         assert out[1].terminated
         assert elapsed < 30, "the hung worker must be killed, not awaited"
 
+    @pytest.mark.parametrize("waiting", ["pbft", "_test-raise"])
+    def test_killed_worker_requeues_its_waiting_run(self, waiting):
+        """One worker holds the crashing run and the next one in its pipe:
+        the crashing run is retried per ``retries``; the waiting run goes
+        back to the queue untouched and runs once, as a serial run would."""
+        configs = [
+            quick_config(protocol="_test-kill", seed=1),
+            quick_config(protocol=waiting, seed=2),
+        ]
+        out = ParallelRunner(jobs=1, retries=1).map(configs)
+        crash = out[0]
+        assert isinstance(crash, RunFailure) and crash.kind == "crash"
+        assert crash.attempts == 2, "initial attempt + 1 retry"
+        if waiting == "pbft":
+            assert fingerprints(out[1:]) == fingerprints([run_simulation(configs[1])])
+        else:
+            assert out[1].kind == "error"
+            assert out[1].attempts == 1, "a waiting run is not charged the crash"
+
     def test_on_error_raise_after_batch(self):
         with pytest.raises(ExperimentFailureError) as excinfo:
             repeat_simulation(quick_config(protocol="_test-raise"), 2, jobs=2)
@@ -204,6 +236,66 @@ class TestFailureIsolation:
     def test_serial_on_error_raise_propagates(self):
         with pytest.raises(RuntimeError):
             repeat_simulation(quick_config(protocol="_test-raise"), 1, jobs=1)
+
+
+class TestPipelinedDispatch:
+    """Each worker holds up to two runs: the one running and the next."""
+
+    @staticmethod
+    def _depths(monkeypatch) -> list[tuple[int, int]]:
+        """(worker, runs it holds) after every assignment, in order."""
+        seen: list[tuple[int, int]] = []
+        original = engine._Worker.assign
+
+        def recording(self, task, *args):
+            original(self, task, *args)
+            seen.append((id(self), len(self.pending)))
+
+        monkeypatch.setattr(engine._Worker, "assign", recording)
+        return seen
+
+    def test_fill_is_breadth_first_then_two_deep(self, monkeypatch):
+        seen = self._depths(monkeypatch)
+        configs = [quick_config(seed=s) for s in range(1, 7)]
+        out = ParallelRunner(jobs=2).map(configs)
+        assert fingerprints(out) == fingerprints(map(run_simulation, configs))
+        assert [depth for _, depth in seen[:4]] == [1, 1, 2, 2]
+        assert len({worker for worker, _ in seen[:2]}) == 2
+
+    @pytest.mark.parametrize("jobs, runs", [(3, 3), (2, 3)])
+    def test_no_second_run_unless_the_queue_holds_one_per_worker(
+        self, monkeypatch, jobs, runs
+    ):
+        seen = self._depths(monkeypatch)
+        ParallelRunner(jobs=jobs).map([quick_config(seed=s) for s in range(runs)])
+        assert max(depth for _, depth in seen) == 1
+        if jobs == runs:
+            assert sorted(Counter(w for w, _ in seen).values()) == [1] * jobs
+
+    def test_a_run_sent_to_a_dead_worker_is_held_for_its_crash(self):
+        """A worker can die after the parent's last wait() and before it
+        sends the next run: the send fails quietly and the run stays held,
+        so the next round reads the EOF and re-queues it."""
+        worker = engine._Worker(ParallelRunner(jobs=1)._ctx)
+        try:
+            worker.process.kill()
+            worker.process.join()
+            task = engine._Task(0, quick_config())
+            worker.assign(task, None)
+            assert list(worker.pending) == [task]
+            with pytest.raises(EOFError):
+                worker.conn.recv()
+        finally:
+            worker.kill()
+
+    def test_waiting_run_is_not_timed_out_before_it_starts(self):
+        """One worker holds both slow runs; each needs ~1 s of its 1.5-s
+        deadline, which would expire the second at 1.5 s were its clock
+        started when it was sent rather than when it reached the head."""
+        configs = [quick_config(protocol="_test-slow", seed=s) for s in (1, 2)]
+        out = ParallelRunner(jobs=1, timeout=1.5, retries=0).map(configs)
+        assert not any(isinstance(entry, RunFailure) for entry in out)
+        assert all(entry.terminated for entry in out)
 
 
 class TestProgressAndOptions:

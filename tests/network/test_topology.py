@@ -50,35 +50,14 @@ class TestQueries:
 
 
 class TestMutation:
-    def test_cut_and_restore(self):
+    def test_cut_link_leaves_one_subnet(self):
         topo = Topology(3)
         topo.cut(0, 1)
         assert not topo.connected(0, 1) and not topo.is_complete()
         assert topo.components() == [{0, 1, 2}]  # still one subnet via node 2
-        topo.restore(0, 1)
-        assert topo.connected(0, 1) and topo.is_complete()
 
     def test_cut_idempotent(self):
         topo = Topology(3)
         topo.cut(0, 1)
         topo.cut(0, 1)
         assert not topo.connected(0, 1)
-
-    def test_cut_between_groups(self):
-        topo = Topology(6)
-        removed = topo.cut_between([0, 1, 2], [3, 4, 5])
-        assert removed == 9
-        assert len(topo.components()) == 2
-        # within-group connectivity intact
-        assert topo.connected(0, 1) and topo.connected(3, 4)
-
-    def test_restore_all(self):
-        topo = Topology(4)
-        topo.cut_between([0, 1], [2, 3])
-        topo.restore_all()
-        assert topo.is_complete()
-
-    def test_restore_self_loop_ignored(self):
-        topo = Topology(3)
-        topo.restore(1, 1)
-        assert topo.neighbors(1) == [0, 2] and topo.is_complete()

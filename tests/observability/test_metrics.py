@@ -11,7 +11,6 @@ from repro.core.results import deterministic_dict, result_fingerprint
 from repro.core.runner import run_simulation, seed_window
 from repro.observability.metrics import (
     DEFAULT_INTERVAL_MS,
-    Counter,
     Histogram,
     HistogramData,
     MetricsRegistry,
@@ -31,12 +30,6 @@ class TestInstruments:
     def test_series_name_sorts_labels(self):
         assert series_name("m", {}) == "m"
         assert series_name("m", {"b": 1, "a": "x"}) == 'm{a="x",b="1"}'
-
-    def test_counter(self):
-        counter = Counter()
-        counter.inc()
-        counter.inc(2.5)
-        assert counter.value == 3.5
 
     def test_histogram_le_semantics(self):
         hist = Histogram(bounds=(10.0, 20.0))
@@ -70,7 +63,7 @@ class TestSampling:
         counter = registry.counter("c")
         registry.advance(5.0)  # before the first boundary: nothing
         assert not registry._samples
-        counter.inc()
+        counter.value += 1
         registry.advance(25.0)  # crosses 10 and 20
         times = sorted({t for t, _, _ in registry._samples})
         assert times == [10.0, 20.0]
@@ -272,7 +265,7 @@ class TestLabelEscaping:
 
     def test_escaped_series_survive_prometheus_export(self):
         registry = MetricsRegistry(interval=100.0)
-        registry.counter("odd", label='quote " back \\ slash').inc()
+        registry.counter("odd", label='quote " back \\ slash').value += 1
         registry.finish(100.0)
         text = registry.build(sim_time_ms=100.0).prometheus_text()
         line = next(l for l in text.splitlines() if l.startswith("repro_odd{"))
