@@ -54,6 +54,7 @@ from repro import (
 )
 from repro.attacks.base import Attacker, AttackerContext, Capability
 from repro.attacks.registry import register_attack
+from repro.core.message import BROADCAST
 from repro.faults.spec import parse_faults_spec
 from repro.protocols.base import SYNCHRONOUS
 from repro.scenarios.spec import load_scenario
@@ -125,6 +126,37 @@ class _MidBroadcastForger(Attacker):
         return None
 
 
+@register_attack("_test-controlled-rewriter")
+class _ControlledRewriter(Attacker):
+    """Controls node 0 and speaks for it: a forged ``PRE-PREPARE``
+    broadcast whose copies it rewrites per recipient, so every copy of it
+    carries a payload of its own."""
+
+    capabilities = Capability.OBSERVE | Capability.BYZANTINE
+
+    def setup(self):
+        self.ctx.corrupt(0)
+        self.ctx.set_timer(1.0, "speak")
+
+    def on_timer(self, timer):
+        self.ctx.inject(self.ctx.forge(0, BROADCAST, {
+            "type": "PRE-PREPARE", "view": 0, "slot": 0, "value": "evil", "digest": "d(evil)"}))
+
+    def attack(self, message):
+        if self.ctx.controls_message(message):
+            value = f"evil-{'AB'[message.dest % 2]}"
+            message.payload["value"] = value
+            message.payload["digest"] = f"d({value})"
+        return None
+
+
+def _pbft_n16_faults(spec):
+    return SimulationConfig(
+        protocol="pbft", n=16, num_decisions=3, seed=17,
+        network=NetworkConfig(), faults=parse_faults_spec(spec),
+    )
+
+
 def _pbft_n32(decisions, seed, **changes):
     return SimulationConfig(
         protocol="pbft", n=32, num_decisions=decisions, seed=seed,
@@ -169,6 +201,23 @@ INSTRUMENTED_RUNS = {
     "partial-sync-link-faults": lambda: _pbft_n32(
         4, 14, faults=parse_faults_spec("duplicate=0.2; delay=0.1x3"),
     ).replace(network={"gst": 800.0, "pre_gst_factor": 3.0, "max_delay": 400.0}),
+    # Pinned while the per-copy tier still existed, as its reference output
+    # for what only it carried: 45 attacked unicast VOTEs; the ``corrupt``
+    # fault, where a duplicate inherits the flag only when ``corrupt`` comes
+    # first in the schedule; 35 broadcasts of an attacker overriding only
+    # ``attack``; 6 forged unicasts sent through ``inject``; and the copies
+    # of a controlled broadcast, each rewritten by the attacker.
+    "unicast-targeted-delay": lambda: quick_config(
+        protocol="hotstuff-ns", n=7, num_decisions=3,
+        attack=AttackConfig(name="targeted-delay", params={"factor": 3.0})),
+    "corrupt-then-duplicate": lambda: _pbft_n16_faults("corrupt=0.05; duplicate=0.05"),
+    "duplicate-then-corrupt": lambda: _pbft_n16_faults("duplicate=0.05; corrupt=0.05"),
+    "add-adaptive": lambda: quick_config(
+        protocol="add-v2", n=7, attack=AttackConfig(name="add-adaptive")),
+    "equivocation-forged-unicasts": lambda: quick_config(
+        n=7, attack=AttackConfig(name="pbft-equivocation")),
+    "controlled-payload-rewrite": lambda: quick_config(
+        n=7, num_decisions=2, attack=AttackConfig(name="_test-controlled-rewriter")),
 }
 
 #: name -> ``prepare(controller)`` hook, run before the controller starts.
