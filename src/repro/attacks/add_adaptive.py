@@ -62,19 +62,15 @@ class ADDAdaptiveAttacker(Attacker):
         self._credentials: dict[int, dict[int, int]] = {}
         self._acted: set[int] = set()
 
-    def attack(self, message: Message):
+    def attack_broadcast(self, view, dests, delays, keep):
         # Total control over corrupted senders: silence them entirely.
-        if self.ctx.controls_message(message):
-            return []
-        payload = message.payload
-        if payload.get("type") in _CREDENTIAL_KINDS:
-            self._observe_credential(message)
-            if self.ctx.controls_message(message):
-                # We just corrupted this very sender; the no-retraction rule
-                # decides whether this message is ours to drop.  It is not:
-                # it was sent at (not after) the corruption instant.
-                return None
-        return None
+        if self.ctx.controls_message(view):
+            keep[:] = [False] * len(keep)
+        elif view.payload.get("type") in _CREDENTIAL_KINDS:
+            # Corrupting this very sender now changes nothing for this
+            # message: the no-retraction rule gives control only over what
+            # it sends strictly later.
+            self._observe_credential(view)
 
     def _observe_credential(self, message: Message) -> None:
         payload = message.payload

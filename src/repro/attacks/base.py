@@ -36,13 +36,12 @@ here rather than in any protocol:
    send: too late to retract).
 
 What an attacker does *to a message* — the view it is shown, and what it
-may hand back — is checked by :func:`capability_gate`, which both the
-network module (for the attacker as a whole) and the scenario composite
-(for each clause) call around every ``attack``.  An attacker that only
-keeps, drops or re-times copies may act on a whole honest broadcast at
-once through :meth:`Attacker.attack_broadcast`; :func:`broadcast_gate`,
-its vector form, holds it to the same rules once per broadcast, and the
-broadcast's copies stay on the shared delivery tier.
+may hand back — is checked by :func:`row_gate`, which both the network
+module (for the attacker as a whole) and the scenario composite (for each
+clause) call once per message.  Every message reaches it as
+:class:`Rows`, one per wire copy: the attacker acts on all of them at once
+through :meth:`Attacker.attack_broadcast`, or, when its class overrides
+:meth:`Attacker.attack` instead, on each row's copy in turn.
 """
 
 from __future__ import annotations
@@ -100,13 +99,9 @@ class AttackerContext:
         #: errors name it: the attacker, or one clause of a scenario.
         self.who = who
         self._corrupted_since: dict[int, float] = {}
-        #: Published by :func:`capability_gate` around every ``attack``:
-        #: the payload as it was before any attacker saw it, when the
-        #: attacker can read but does not control the message — the
-        #: recipients of a broadcast share that payload, and it must still
-        #: equal this afterwards.  ``None`` when there is nothing to diff
-        #: (controlled, or redacted).
-        self.pristine_payload: dict[str, Any] | None = None
+        #: Published by :func:`row_gate` while it calls this party: the
+        #: :class:`Rows` of the message in hand, ``None`` between messages.
+        self.rows: Rows | None = None
 
     # -- introspection ---------------------------------------------------------
 
@@ -310,173 +305,219 @@ class AttackerContext:
         self._controller.cancel_timer(handle)
 
 
-def capability_gate(
-    attack: Callable[[Message], Iterable[Message] | None], ctx: AttackerContext
-) -> Callable[[Message, bool, dict[str, Any] | None], list[Message] | None]:
-    """The one place ``attack`` is called, and held to ``ctx``'s capabilities.
+class Rows:
+    """The wire copies of one message, as the attacker acts on them.
+
+    Row ``i`` is the copy for ``dests[i]`` with transit delay ``delays[i]``,
+    delivered while ``keep[i]``: a unicast is one row, a broadcast one per
+    recipient but its sender's loopback.  Two more columns hold what a
+    row's flags cannot, and stay ``None`` until a row needs them:
+    ``payloads[i]``, the payload of its own a row of a controlled message
+    takes when it is shown alone (``None`` while it shares
+    ``message.payload``), and ``inserts[i]``, the forged messages queued
+    after the row's copy, in the attacker's order.
+
+    ``snapshot`` is the payload as it was before any attacker saw it, taken
+    by the first gate that shows an uncontrolled message's payload; every
+    party's diff compares against that one copy.
+    """
+
+    __slots__ = ("message", "controls", "dests", "delays", "keep", "payloads", "inserts",
+                 "snapshot", "_first_id", "_loop")
+
+    def __init__(self, message: Message, controls: bool, dests: list[int],
+                 delays: list[float], first_id: int, loop: int | None = None) -> None:
+        self.message = message
+        #: The attacker as a whole controls ``message``: every restriction
+        #: of the gate below is lifted.
+        self.controls = controls
+        self.dests = dests
+        self.delays = delays
+        self.keep = [True] * len(dests)
+        self.payloads: list[dict[str, Any] | None] | None = None
+        self.inserts: dict[int, list[Message]] | None = None
+        self.snapshot: dict[str, Any] | None = None
+        self._first_id = first_id
+        self._loop = loop
+
+    def view_id(self, row: int) -> int:
+        """The id a view of row ``row`` shows: its copy's own when no row
+        before it delivers an insert or a duplicate (always, for a
+        unicast).  The copies take ids from ``first_id`` up, the sender's
+        loopback (at slot ``loop``) included."""
+        return self._first_id + row + (self._loop is not None and row >= self._loop)
+
+
+def row_gate(
+    attacker: "Attacker", ctx: AttackerContext
+) -> Callable[[Rows, Message], None]:
+    """The one place an attacker is called, and held to ``ctx``'s capabilities.
 
     Built by the network module for the attacker as a whole and by a
-    scenario composite for each of its clauses, then called for every copy
-    as ``gate(message, controls, snapshot)``.  ``controls`` says that the
-    attacker as a whole controls ``message``, which lifts every restriction
-    below; ``snapshot`` is the payload as it was before any attacker saw
-    it, taken once per broadcast where the payload is readable but not
-    controlled, else ``None``.
+    scenario composite for each of its clauses, then called once per
+    message as ``gate(rows, message)``: ``message`` is what the caller was
+    handed (the message, or a composite's redacted envelope), and the gate
+    acts on the rows still kept.  It publishes ``rows`` as ``ctx.rows``
+    while it calls the attacker, which is how a composite reaches them.
 
-    The gate shows ``attack`` the message itself, or a redacted stand-in
-    without ``OBSERVE``; sorts what comes back into the kept copy and the
-    forged inserts; and raises :class:`CapabilityError`, starting with
-    ``ctx.who``, for whatever oversteps ``ctx.capabilities``.  It returns
-    what to deliver in place of ``message``, in the attacker's order (the
-    ids, queue handles and delay draws of inserts follow it) and without
-    ``message`` if it was dropped, or ``None`` for "the message as it now
-    is".
+    A class whose nearest hook is :meth:`Attacker.attack` is called once
+    per row, on a view of that row's copy: the message, a redacted
+    envelope without ``OBSERVE``, or under control a private copy of the
+    row's payload.  What it returns folds into the row's delay, keep flag,
+    payload and inserts.  Any other class is called once, through
+    :meth:`Attacker.attack_broadcast`, over the kept rows; the message it
+    is shown is the one every row carries.
+
+    Either way the rules are the threat model's: an uncontrolled payload
+    must still equal ``rows.snapshot`` afterwards, and a redacted one comes
+    back untouched; a copy is kept at most once, and whatever else comes
+    back is a forgery ``ctx`` may make; then, row by row, a dropped or
+    re-timed copy needs ``NETWORK`` (or control) and a re-timed one a valid
+    delay.  A :class:`CapabilityError` starts with ``ctx.who`` and names the
+    copy of the first row that oversteps.
     """
     # Bound once: an ``enum.Flag`` test costs as much as a small call.
     observe = Capability.OBSERVE in ctx.capabilities
     network = Capability.NETWORK in ctx.capabilities
     who = ctx.who
+    # The hook the attacker's class defines nearest to itself (``Attacker``
+    # defines both, and a class defining both acts on broadcasts).
+    per_row = next(
+        "attack_broadcast" not in vars(klass) for klass in type(attacker).__mro__
+        if "attack" in vars(klass) or "attack_broadcast" in vars(klass)
+    )
 
-    def gate(
-        message: Message, controls: bool, snapshot: dict[str, Any] | None
-    ) -> list[Message] | None:
-        delay = message.delay
-        if controls or observe:
-            view = message
-            # Shared by the recipients of the broadcast: read-only.
-            pristine = snapshot
-        else:
-            # Envelope only: source, dest, payload, sent_at, delay, msg_id
-            # (positional: a keyword call costs 0.2 us more per copy).
-            view = Message(
-                message.source, message.dest, dict(REDACTED_PAYLOAD),
-                message.sent_at, delay, message.msg_id,
-            )
-            pristine = None
-        ctx.pristine_payload = pristine
-        returned = attack(view)
-        kept: Message | None = view
-        delivered: list[Message] | None = None
-        if returned is not None:
-            kept, delivered = None, []
-            for item in returned:
-                # A fresh forged insert is never the kept copy, whatever id
-                # it was built with; a forged ``message`` comes back as
-                # itself.
-                if item is view or (not item.forged and item.msg_id == message.msg_id):
-                    if kept is not None:
+    def name(message: Message, dest: int, payload: dict[str, Any] | None = None) -> str:
+        """How an error names the copy of ``message`` for ``dest``."""
+        if payload is None:
+            payload = message.payload
+        return Message(message.source, dest, payload, message.sent_at, None,
+                       message.msg_id).describe()
+
+    def each_row(rows: Rows, message: Message, live: list[int]) -> None:
+        controls = rows.controls
+        readable = controls or observe
+        # Shared by the recipients of the message: read-only.
+        pristine = rows.snapshot if observe and not controls else None
+        if controls and rows.payloads is None:
+            rows.payloads = [None] * len(rows.dests)
+        for row in live:
+            dest = rows.dests[row]
+            if readable:
+                payload = message.payload
+                if controls:
+                    own = rows.payloads[row]
+                    payload = deep_copy_payload(payload if own is None else own)
+                view = Message(message.source, dest, payload, message.sent_at, rows.delays[row],
+                               rows.view_id(row), message.forged, cause=message.cause)
+            else:
+                # Envelope only: source, dest, payload, sent_at, delay, msg_id.
+                view = Message(message.source, dest, dict(REDACTED_PAYLOAD), message.sent_at,
+                               rows.delays[row], rows.view_id(row))
+            returned = attacker.attack(view)
+            kept: Message | None = view
+            forged: list[Message] = []
+            if returned is not None:
+                kept = None
+                for item in returned:
+                    # A fresh forged insert is never the kept copy, whatever
+                    # id it was built with; a forged copy comes back as itself.
+                    if item is view or (not item.forged and item.msg_id == view.msg_id):
+                        if kept is not None:
+                            raise CapabilityError(
+                                f"{who} returned message {name(message, dest)} twice: "
+                                "a kept copy is delivered once"
+                            )
+                        kept = item
+                    elif item.forged:
+                        try:
+                            ctx.require_forge_rights(item.source)
+                        except CapabilityError as error:
+                            raise CapabilityError(
+                                f"{who} forged {item.describe()}: {error}"
+                            ) from None
+                        if item.delay is not None:  # None: the network samples it
+                            ctx.require_valid_delay(item.delay)
+                        forged.append(item)
+                    else:
                         raise CapabilityError(
-                            f"{who} returned message {message.describe()} twice: "
-                            "a kept copy is delivered once"
+                            f"{who} returned a message it neither received nor "
+                            f"forged: {item.describe()}"
                         )
-                    kept = item
-                    delivered.append(message)
-                elif item.forged:
-                    try:
-                        ctx.require_forge_rights(item.source)
-                    except CapabilityError as error:
-                        raise CapabilityError(
-                            f"{who} forged {item.describe()}: {error}"
-                        ) from None
-                    if item.delay is not None:  # None: the network samples it
-                        ctx.require_valid_delay(item.delay)
-                    delivered.append(item)
-                else:
-                    raise CapabilityError(
-                        f"{who} returned a message it neither received nor "
-                        f"forged: {item.describe()}"
-                    )
-        # Kept or dropped, an uncontrolled payload is still its siblings'.
-        if pristine is not None and (
-            message.payload != pristine
-            or (kept is not None and kept is not message and kept.payload != pristine)
-        ):
-            raise CapabilityError(f"{who} {_EDITED.format(message.describe())}")
-        if kept is None:
-            if not (network or controls):
-                raise CapabilityError(f"{who} {_DROPPED.format(message.describe())}")
-            return delivered
-        if view is not message:
-            # Redacted view: only the delay may carry information back.
-            if kept.payload != REDACTED_PAYLOAD:
-                raise CapabilityError(f"{who} {_REDACTED}")
-            message.delay = kept.delay
-        if message.delay != delay:
-            if not (network or controls):
-                raise CapabilityError(f"{who} {_RETIMED.format(message.describe())}")
-            ctx.require_valid_delay(message.delay)
-        return delivered
+            # Kept or dropped, an uncontrolled payload is still its siblings'.
+            if pristine is not None and (
+                view.payload != pristine
+                or message.payload != pristine
+                or (kept is not None and kept is not view and kept.payload != pristine)
+            ):
+                raise CapabilityError(
+                    f"{who} {_EDITED.format(name(message, dest, view.payload))}")
+            if controls:
+                rows.payloads[row] = view.payload
+            if forged:
+                if rows.inserts is None:
+                    rows.inserts = {}
+                rows.inserts.setdefault(row, []).extend(forged)
+            if kept is None:
+                rows.keep[row] = False
+            elif not readable:
+                # Redacted view: only the delay may carry information back.
+                if kept.payload != REDACTED_PAYLOAD:
+                    raise CapabilityError(f"{who} {_REDACTED}")
+                rows.delays[row] = kept.delay
+            else:
+                rows.delays[row] = view.delay
 
-    return gate
-
-
-def broadcast_gate(
-    hook: Callable[[Message, list[int], list[float], list[bool]], None], ctx: AttackerContext
-) -> Callable[[Message, dict[str, Any] | None, list[int], list[float], list[bool]], None]:
-    """The vector form of :func:`capability_gate`: the one place
-    ``attack_broadcast`` is called, and held to ``ctx``'s capabilities.
-
-    Built by the network module for the attacker as a whole and by a
-    scenario composite for each of its clauses, then called once per
-    broadcast as ``gate(message, snapshot, dests, delays, keep)``, where row
-    ``i`` of the three lists is one wire copy of an honest broadcast that
-    the attacker does not control (those, and forged ones, take the
-    per-copy gate).  Every row arrives kept; ``hook`` edits ``delays`` and
-    ``keep`` in place.
-
-    The rules are the per-copy gate's, paid once per broadcast where they
-    can be: the hook is shown ``message``, or without ``OBSERVE`` one
-    redacted envelope; the payload must still equal ``snapshot`` afterwards
-    (the payload before any attacker saw it, copied here when the caller
-    has none); and then, row by row in copy order, a dropped or re-timed
-    copy needs ``NETWORK`` and a re-timed one a valid delay.  An error names
-    the copy of the first row that oversteps, so it reads as the per-copy
-    gate's does.
-    """
-    observe = Capability.OBSERVE in ctx.capabilities
-    network = Capability.NETWORK in ctx.capabilities
-    who = ctx.who
-
-    def gate(
-        message: Message, snapshot: dict[str, Any] | None,
-        dests: list[int], delays: list[float], keep: list[bool],
-    ) -> None:
-        def copy(row: int) -> str:
-            return Message(message.source, dests[row], message.payload, message.sent_at,
-                           None, message.msg_id).describe()
-
-        if observe:
-            view = message
-            if snapshot is None:
-                snapshot = deep_copy_payload(message.payload)
-        else:
+    def all_rows(rows: Rows, message: Message, live: list[int]) -> None:
+        every = len(live) == len(rows.dests)
+        dests = rows.dests if every else [rows.dests[row] for row in live]
+        delays = rows.delays if every else [rows.delays[row] for row in live]
+        keep = rows.keep if every else [True] * len(live)
+        view = message
+        if not (rows.controls or observe):
             view = Message(message.source, message.dest, dict(REDACTED_PAYLOAD),
                            message.sent_at, None, message.msg_id)
-            snapshot = None
-        # An ``inject`` from inside the hook re-enters: put back what the
-        # outer hand-off published.
-        outer, ctx.pristine_payload = ctx.pristine_payload, snapshot
-        before = delays.copy()
-        try:
-            hook(view, dests, delays, keep)
-        finally:
-            ctx.pristine_payload = outer
-        if snapshot is not None and message.payload != snapshot:
-            raise CapabilityError(f"{who} {_EDITED.format(copy(0))}")
+        attacker.attack_broadcast(view, dests, delays, keep)
+        if observe and not rows.controls and message.payload != rows.snapshot:
+            raise CapabilityError(f"{who} {_EDITED.format(name(message, dests[0]))}")
         if view is not message and view.payload != REDACTED_PAYLOAD:
             raise CapabilityError(f"{who} {_REDACTED}")
-        if len(delays) != len(before) or len(keep) != len(before):
-            raise CapabilityError(f"{who} added or removed copies of {copy(0)}")
+        if len(delays) != len(live) or len(keep) != len(live):
+            raise CapabilityError(f"{who} added or removed copies of {name(message, dests[0])}")
+        if not every:
+            for row, delay, kept in zip(live, delays, keep):
+                rows.delays[row], rows.keep[row] = delay, kept
+
+    act = each_row if per_row else all_rows
+
+    def gate(rows: Rows, message: Message) -> None:
+        controls = rows.controls
+        if observe and not controls and rows.snapshot is None:
+            rows.snapshot = deep_copy_payload(message.payload)
+        keep, delays = rows.keep, rows.delays
+        live = range(len(keep)) if all(keep) else [row for row, kept in enumerate(keep) if kept]
+        if not live:
+            return
+        before = delays.copy()
+        # An ``inject`` from inside the hook re-enters: put back what the
+        # outer hand-off published.
+        outer, ctx.rows = ctx.rows, rows
+        try:
+            act(rows, message, live)
+        finally:
+            ctx.rows = outer
         if delays == before and all(keep):
             return
-        for row, delay in enumerate(delays):
+        for row in live:
             if not keep[row]:
-                if not network:
-                    raise CapabilityError(f"{who} {_DROPPED.format(copy(row))}")
-            elif delay != before[row]:
-                if not network:
-                    raise CapabilityError(f"{who} {_RETIMED.format(copy(row))}")
-                ctx.require_valid_delay(delay)
+                if not (network or controls):
+                    raise CapabilityError(
+                        f"{who} {_DROPPED.format(name(message, rows.dests[row]))}")
+            elif delays[row] != before[row]:
+                if not (network or controls):
+                    raise CapabilityError(
+                        f"{who} {_RETIMED.format(name(message, rows.dests[row]))}")
+                ctx.require_valid_delay(delays[row])
 
     return gate
 
@@ -493,11 +534,12 @@ class Attacker:
     (``f``, ``n``, ``lambda``) are resolved in :meth:`setup`.
 
     The paper's customization interface is exactly these two callbacks
-    (§III-A5: ``attack`` and ``onTimeEvent``).  An attacker that only keeps,
-    drops or re-times copies may override :meth:`attack_broadcast` instead:
-    the network then hands it each honest broadcast as one set of rows,
-    the copies stay on the shared delivery tier, and the base
-    :meth:`attack` derives the per-message form from it.
+    (§III-A5: ``attack`` and ``onTimeEvent``).  The network hands every
+    message to the attacker as rows, one per wire copy (:class:`Rows`):
+    a class whose nearest hook is :meth:`attack` is called once per row,
+    on that row's copy, and any other class once per message through
+    :meth:`attack_broadcast`.  Either way :func:`row_gate` holds what it
+    does to the capabilities.
     """
 
     #: Override in subclasses.
@@ -533,58 +575,50 @@ class Attacker:
     def setup(self) -> None:
         """Called once at time zero, after binding, before any event."""
 
-    def acts_on_broadcasts(self) -> bool:
-        """True when the network may hand this attacker whole broadcasts
-        through :meth:`attack_broadcast`: the class defines that hook no
-        further from itself than :meth:`attack` (a subclass that overrides
-        only ``attack`` is consulted per copy)."""
-        for klass in type(self).__mro__:
-            own = vars(klass)
-            if "attack_broadcast" in own:
-                return True
-            if "attack" in own:
-                return False
-        return False  # pragma: no cover - Attacker defines both
-
     def attack_broadcast(
         self, view: Message, dests: list[int], delays: list[float], keep: list[bool]
     ) -> None:
-        """Act on the wire copies of one broadcast at once.
+        """Act on the wire copies of one message at once.
 
         Row ``i`` is the copy for ``dests[i]`` with transit delay
-        ``delays[i]``; every row arrives kept.  Re-time a copy by writing
-        ``delays[i]`` and drop it by setting ``keep[i] = False``: nothing
-        else can be changed, and :func:`broadcast_gate` holds both to the
-        capabilities as the per-copy gate would.  ``view`` is the message
-        (``dest`` aside: read ``dests``), or a redacted envelope without
-        ``OBSERVE``; its payload is read-only.  A unicast, or a message the
-        attacker controls, arrives as a one-row broadcast through the
-        derived :meth:`attack`.  The default does nothing.
+        ``delays[i]``; every row arrives kept, and a unicast is one row.
+        Re-time a copy by writing ``delays[i]`` and drop it by setting
+        ``keep[i] = False``; :func:`row_gate` holds both to the
+        capabilities.  ``view`` is the message (``dest`` aside: read
+        ``dests``), or a redacted envelope without ``OBSERVE``; its payload
+        is read-only unless the attacker controls the message, when a
+        rewrite reaches every wire copy.  To rewrite single copies or insert
+        forgeries beside them, override :meth:`attack` instead.  The
+        default does nothing.
         """
 
     def attack(self, message: Message) -> Iterable[Message] | None:
-        """Intercept one in-flight message.
+        """Intercept one in-flight copy: the network calls this once per
+        row when it is the nearest of the two hooks to the class.
 
         Args:
-            message: the message, with its network delay already assigned.
+            message: the copy, with its network delay already assigned.
                 If the attacker lacks ``OBSERVE`` and does not control the
                 message, the payload is redacted.  The payload of a message
                 the attacker does not control is **read-only**: it is the
-                very object the other recipients of the broadcast receive,
-                and writing to it is a ``CapabilityError`` whether the
-                message is then kept or dropped.
+                very object the other recipients receive, and writing to
+                it is a ``CapabilityError`` whether the copy is then kept
+                or dropped.  A controlled copy holds a private payload,
+                which may be rewritten.  ``msg_id`` is the id the copy
+                takes unless a row before it delivers an insert or a
+                duplicate.
 
         Returns:
-            ``None`` to pass the message through unchanged (the common
-            case), or an iterable of messages to deliver instead: include
-            ``message`` (possibly with modified ``delay``/``payload``) to
-            keep it, omit it to drop it, and add forged messages — made
-            by ``ctx.forge()``, which is the only way to make one — to
-            inject.  Every modification is checked against the capability
-            rules by :func:`capability_gate`.
+            ``None`` to pass the copy through (re-timed if its ``delay``
+            was written), or an iterable of messages to deliver instead:
+            include ``message`` to keep it, omit it to drop it, and add
+            forged messages — made by ``ctx.forge()``, which is the only
+            way to make one — to insert them: they are queued after the
+            copy, in the order returned.  Every modification is checked
+            against the capability rules by :func:`row_gate`.
 
         The default hands ``message`` to :meth:`attack_broadcast` as a
-        broadcast of one row.
+        message of one row.
         """
         delays, keep = [message.delay], [True]
         self.attack_broadcast(message, [message.dest], delays, keep)

@@ -42,10 +42,10 @@ class FaultInjector:
         metrics: the run's collector; fault events increment
             ``metrics.faults`` (a :class:`~repro.core.metrics.FaultCounts`),
             never the attacker-facing ``MessageCounts``.
-        trace: the run's trace; fault events are recorded with ``env-*``
-            kinds so traces keep the attacker-vs-environment boundary.
-        next_message_id: the controller's per-run message id allocator,
-            used to key duplicated copies.
+        trace, next_message_id: the run's trace and id allocator; not
+            read: the network module numbers every copy (duplicates
+            included) and writes the ``env-*`` records, since it alone
+            knows each copy's id.
     """
 
     def __init__(
@@ -59,8 +59,6 @@ class FaultInjector:
     ) -> None:
         self.schedule = schedule
         self._metrics = metrics
-        self._trace = trace
-        self._next_message_id = next_message_id
         self._link_specs = [
             (index, spec)
             for index, spec in enumerate(schedule.specs)
@@ -71,7 +69,7 @@ class FaultInjector:
             for index, _spec in self._link_specs
         }
         # Hot-path bindings: one (spec, bound rng.random) pair per process so
-        # ``apply`` touches no dict lookups per message.  The substreams and
+        # ``apply`` touches no dict lookups per copy.  The substreams and
         # their draw order are exactly the ones in ``_rngs``.
         self._active = [
             (spec, self._rngs[index].random) for index, spec in self._link_specs
@@ -81,73 +79,26 @@ class FaultInjector:
             network_config, random_source.numpy("faults.delay")
         )
 
-    def apply(self, message: Message) -> list[Message]:
-        """Run ``message`` through the fault schedule.
-
-        Returns the messages to actually schedule for delivery: the original
-        (possibly re-timed or flagged corrupted), any duplicate copies, or
-        nothing at all when a loss/link-down process dropped it.  Specs are
-        applied in schedule order; a drop ends processing for the original,
-        but duplicates already created stay in flight (they are independent
-        packets).  Duplicate copies are not re-processed.  The decisions
-        are :meth:`apply_rows`' for a broadcast of one row; the duplicate
-        messages, their ids and the ``env-*`` records are made here, in
-        that order.
-        """
-        # Link faults are physical: a dissemination hop travels the
-        # relay->dest link, not origin->dest, so spec matching uses the
-        # transmitting node when one is recorded.
-        relay = message.relay_from
-        delays, keep = [message.delay], [True]
-        happened = self.apply_rows(
-            message, [message.source if relay is None else relay], [message.dest], delays, keep)
-        message.delay = delays[0]
-        duplicates: list[Message] = []
-        for _, kind, value in happened:
-            if kind == "duplicate":
-                # An independent in-flight copy with its own delay and id.
-                dup = message.copy_for(message.dest)
-                dup.delay = value
-                dup.msg_id = self._next_message_id()
-                dup.corrupted = message.corrupted
-                dup.relay_from = relay
-                self._record("env-dup", dup, original=message.msg_id)
-                duplicates.append(dup)
-            elif kind == "corrupt":
-                if not message.corrupted:
-                    self._fault_counts.corrupted += 1
-                    self._record("env-corrupt", message)
-                message.corrupted = True
-            elif kind == "delay":
-                self._record("env-delay", message, factor=value)
-            else:
-                self._record("env-drop", message, fault=kind)
-        return duplicates + [message] if keep[0] else duplicates
-
-    def corrupts_at(self, time: float) -> bool:
-        """True when a ``corrupt`` process is active for messages sent at
-        ``time``: it flags a copy's message, so such a broadcast goes per
-        copy through :meth:`apply`."""
-        return any(spec.kind == "corrupt" and spec.in_window(time) for spec, _ in self._active)
-
-    def apply_rows(
+    def apply(
         self, message: Message, links: list[int], dests: list[int],
         delays: list[float], keep: list[bool],
     ) -> list[tuple[int, str, float]]:
         """The fault schedule's decisions for the wire copies of one
-        message, without a message per copy.
+        message, sent at ``message.sent_at``.
 
         Row ``i`` is the copy for ``dests[i]``, sent over the link from
-        ``links[i]`` with delay ``delays[i]``; a row whose ``keep`` is
-        already false is skipped.  Loss and link-down clear ``keep`` and a
-        delay fault scales ``delays`` in place.  Returns what happened as
-        ``(row, kind, value)``, copy by copy and in schedule order within a
-        copy, which is the order :meth:`apply` records it in: a
-        ``duplicate`` carries the extra copy's delay, a ``delay`` its
-        factor.  Each stream is drawn in that order too.  The counters move
-        here, except ``corrupted``, which depends on the message's flag; the
-        ids, the duplicate copies and the ``env-*`` records are the
-        caller's, which numbers the copies.
+        ``links[i]`` (the relaying node on a dissemination hop: link faults
+        are physical) with delay ``delays[i]``; a row whose ``keep`` is
+        already false is skipped.  Specs apply in schedule order: loss and
+        link-down clear ``keep`` and end the row, a delay fault scales
+        ``delays`` in place, and a duplicate is an independent extra copy,
+        not re-processed.  Returns what happened as ``(row, kind, value)``,
+        copy by copy and in schedule order within a copy: a ``duplicate``
+        carries the extra copy's delay, a ``delay`` its factor.  Each
+        stream is drawn in that order too.  The counters move here,
+        except ``corrupted``, which depends on the copy's flag; the
+        network module numbers the copies, flags them and writes the
+        ``env-*`` records.
         """
         sent_at = message.sent_at
         active = [(spec, draw) for spec, draw in self._active if spec.in_window(sent_at)]
@@ -185,11 +136,3 @@ class FaultInjector:
                 break
         return happened
 
-    # -- internals ----------------------------------------------------------
-
-    def _record(self, kind: str, message: Message, **fields: object) -> None:
-        self._trace.record(
-            message.sent_at, kind, message.source,
-            dest=message.dest, msg_type=message.type, msg_id=message.msg_id,
-            **fields,
-        )

@@ -7,44 +7,34 @@ the attacker module, which may tamper with it subject to its capabilities;
 surviving messages are registered as message events and dispatched at
 ``sent_at + delay``.
 
-The hand-off itself is :func:`repro.attacks.base.capability_gate`: it calls
-``attack`` and holds what comes back to the declared capabilities, so an
-attack implementation that oversteps its threat model fails the run with
-:class:`~repro.core.errors.CapabilityError` instead of silently producing
-results under a stronger adversary than advertised.  This module does the
-network's part around it: ids, delays, accounting, and the queue.
-
-A broadcast has two tiers.  On the shared tier one message and one queue
-cursor serve every recipient; an honest broadcast that the attacker and
-the environment may only re-time or drop stays there, as rows: the
-attacker's ``attack_broadcast`` (behind
-:func:`~repro.attacks.base.broadcast_gate`) and the fault engine's
-``apply_rows`` edit its delay list and keep mask
-(:meth:`NetworkModule._attack_rows`).  The per-copy tier
-(:meth:`NetworkModule._instrumented`) remains for what a row cannot say:
-forged or controlled messages, attackers that override only ``attack``,
-and the ``corrupt`` fault.  The recipients of a broadcast share one
-payload there too: an attacker may only write to a message it controls, so
-the snapshot the gate diffs against is taken once per broadcast and only
-controlled copies are un-shared.  Both tiers give every copy the same id,
-delay and queue order, and write the same records.
+Every message takes one routine, whatever sent it and whoever acts on it.
+Its wire copies are *rows* (one for a unicast, one per recipient for a
+broadcast, the sender's loopback aside): the attacker acts on them behind
+:func:`repro.attacks.base.row_gate`, which holds it to its declared
+capabilities, so an attack implementation that oversteps its threat model
+fails the run with :class:`~repro.core.errors.CapabilityError` instead of
+silently producing results under a stronger adversary than advertised; the
+fault engine's :meth:`~repro.faults.engine.FaultInjector.apply` then edits
+the same rows.  One message and one queue cursor serve every row that
+shares its payload; a row carries a message of its own only when a
+controlling attacker rewrote its payload or the ``corrupt`` fault flagged
+it, and forged inserts and duplicates are numbered and queued after their
+row (:meth:`NetworkModule._send`).  When nothing can act on a message, the
+rows are skipped altogether and the copies go straight to the queue.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import repeat
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
-from ..attacks.base import (
-    Attacker, AttackerContext, Capability, broadcast_gate, capability_gate,
-)
+from ..attacks.base import Attacker, AttackerContext, Rows, row_gate
 from ..attacks.null import NullAttacker
 from ..core.config import NetworkConfig
 from ..core.events import MessageEvent
-from ..core.message import BROADCAST, Message, deep_copy_payload, estimate_message_bytes
+from ..core.message import BROADCAST, Message, estimate_message_bytes
 from .delays import DelayModel
 from .dissemination import Overlay
 from .dissemination import restricted_plan  # noqa: F401 - bench/tracing.py wraps it by name
@@ -59,50 +49,6 @@ if TYPE_CHECKING:  # pragma: no cover
 #: a direct copy's, and a dissemination hop's.
 _DIRECT = ("dest", "msg_id")
 _RELAYED = ("dest", "msg_id", "relay")
-
-
-def _hops(message: Message, copies: Iterable[tuple]) -> Iterator[Message]:
-    """One payload-sharing copy of ``message`` per ``(dest, relay, delay)``."""
-    for dest, relay, delay in copies:
-        hop = message.copy_for(dest, share_payload=True)
-        hop.relay_from = relay
-        hop.delay = delay
-        yield hop
-
-
-def _layout(loop: int, dests: list[int], times: np.ndarray, now: float, rows: tuple) -> tuple:
-    """Ids and handles for the deliveries of an attacked broadcast, as the
-    per-copy tier gives them: copy by copy, an id for the copy and then one
-    per duplicate, and a handle per delivery, the duplicates first.  A
-    dropped delivery leaves its id and handle unused.
-
-    Takes the slots of the broadcast (``dests``, the loopback at ``loop``)
-    and their ``times``, and the ``(keep, dropped, fault events)`` of its
-    wire rows.  Returns the recipient per handle offset, the id offset per
-    slot, and the deliveries by *id step* (id offset minus handle offset) as
-    handle offsets and times: each step is one cursor.
-    """
-    keep, _, happened = rows
-    extra: dict[int, list[tuple[int, float]]] = {}
-    for row, kind, delay in happened:
-        if kind == "duplicate":
-            extra.setdefault(row + (row >= loop), []).append((1, now + delay))
-    keep = [*keep[:loop], True, *keep[loop:]]
-    at: list[int] = []
-    ids: list[int] = []
-    steps: dict[int, tuple[list[int], list[float]]] = {}
-    for slot, dest in enumerate(dests):
-        ids.append(len(at))
-        queued = extra.get(slot, [])
-        copies = len(queued) + 1
-        if keep[slot]:
-            queued.append((1 - copies, times[slot]))
-        for offset, (step, time) in enumerate(queued, len(at)):
-            handles, stepped = steps.setdefault(step, ([], []))
-            handles.append(offset)
-            stepped.append(time)
-        at += [dest] * copies
-    return at, ids, steps
 
 
 class NetworkModule:
@@ -130,6 +76,8 @@ class NetworkModule:
         self._attacker_ctx = attacker_ctx
         self.faults = faults
         self._delay_override: Callable[[Message, int], float | None] | None = None
+        #: ``((attacker, context), row_gate(attacker, context))``.
+        self._gate: tuple[tuple, Callable[[Rows, Message], None] | None] = ((), None)
         # "Benign environment": no environmental fault schedule — fixed at
         # construction.  The rest of the shared-tier predicate
         # (``_unobserved``) is re-checked per submission because tests swap
@@ -162,11 +110,10 @@ class NetworkModule:
         a ``full`` star that still needs a delay (overlay hops are priced by
         their plan, loopbacks are zero); returning a value in ms uses it
         verbatim, returning ``None`` takes the next ``network.delay`` draw.
-        It runs on either tier: a shared broadcast asks it for every
-        recipient in destination order and draws one block for the copies
-        it left, which is the per-copy tier's stream order.  This is the
-        supported way to pin transit delays from outside — the replay
-        validator uses it to impose recorded delays.
+        A star asks it for every recipient in destination order and draws
+        one block for the copies it left.  This is the supported way to pin
+        transit delays from outside — the replay validator uses it to impose
+        recorded delays.
         """
         self._delay_override = hook
 
@@ -182,25 +129,22 @@ class NetworkModule:
         controller = self._controller
         message.sent_at = controller.clock.now
         # Causal lineage: stamp the message with the id of the event being
-        # handled right now (one attribute store per logical message; the
-        # per-recipient copies of a broadcast inherit it via ``copy_for``).
+        # handled right now (one attribute store per logical message).
         message.cause = controller._current_cause
         if message.dest == BROADCAST:
             self._broadcast(message)
         else:
-            self._submit_single(message)
+            self._unicast(message)
 
     def _unobserved(self) -> bool:
-        """True when nothing can re-time, drop or mutate a single copy.
+        """True when nothing can re-time, drop or mutate a copy.
 
         Benign environment, a pass-through NullAttacker (exact class:
         subclasses may override ``attack``) and no corrupted node.  Then the
-        attacker proxy, the fault engine and the capability diffing cannot
-        have any effect, and none of them consumes RNG, so skipping them
+        attacker, the fault engine and the capability checks cannot have
+        any effect, and none of them consumes RNG, so skipping the rows
         leaves delay draws, event order and every metric byte-identical.
-        Tracing and a delay override are not in the predicate: the shared
-        tier writes the records and prices the copies as the per-copy tier
-        would.
+        Tracing and a delay override are not in the predicate.
         """
         return (
             self._benign_env
@@ -208,10 +152,10 @@ class NetworkModule:
             and not self._attacker_ctx._corrupted_since
         )
 
-    # -- broadcasts -----------------------------------------------------------
+    # -- sending ----------------------------------------------------------------
 
     def _broadcast(self, message: Message) -> None:
-        """Deliver one broadcast to every node: the only broadcast routine.
+        """Deliver one broadcast to every node.
 
         ``full`` is a depth-1 star priced from ``network.delay`` in
         destination order, with the loopback at index ``source``;
@@ -223,153 +167,298 @@ class NetworkModule:
         relay discipline.  Every hop is charged at *origination* — its
         ``sent_at`` is the broadcast time and its ``delay`` the cumulative
         path offset (cut-through, see :mod:`repro.network.dissemination`).
-
-        An honest broadcast the attacker and the environment may only
-        re-time or drop rides the shared tier as rows
-        (:meth:`_rides_cursor`); the rest take the per-copy tier.  Both
-        tiers give every copy the same id, delay and place in the pop order
-        and draw the same delays, so a run may change tier at any broadcast
-        without moving any of them.
         """
         controller = self._controller
-        n = controller.n
         now = message.sent_at
         source = message.source
         # Every copy carries an equal payload: the wire size (canonical JSON
         # length) is computed once per broadcast.
         wire_bytes = estimate_message_bytes(message)
         if self._mode == "full" or message.forged:
-            plan = None
+            plan, relays, dests = None, None, self._star_dests
+            loop = None if message.forged else source
             model = self.delay_model
-            hops = n - 1
+            hops = controller.n - (loop is not None)
         else:
             plan = self._overlay.plan(source, now)
+            loop, dests, relays = 0, [source, *plan.dests.tolist()], plan.relays
             model = self._overlay.delays()
             hops = plan.size
-
-        if plan is None:
-            loop, dests, relays = source, self._star_dests, None
-        else:
-            loop, dests, relays = 0, [source, *plan.dests.tolist()], plan.relays
-        attacked = False
-        if message.forged or not self._unobserved():
-            if message.forged or not self._rides_cursor(message):
-                # Instrumented tier: one payload-sharing copy per recipient
-                # through the attacker and the fault engine.  Overlay hops
-                # are priced up front, as on the shared tier; a star copy
-                # takes the next ``network.delay`` draw in its turn in the
-                # copy loop, so an override or a forged insert that skips or
-                # takes a draw mid-broadcast keeps the one stream order.
-                copies: Iterable[tuple] = zip(dests, repeat(None), repeat(None))
-                if plan is not None:
-                    offsets = plan.arrivals(model.sample_delays(now, hops)).tolist()
-                    copies = zip(dests, [None, *relays.tolist()], [None, *offsets])
-                self._instrumented(
-                    message, _hops(message, copies), n if message.forged else hops, wire_bytes,
-                    relays)
-                return
-            attacked = True
-        # Shared tier: ONE message and ONE delivery event serve every
-        # recipient — the queue entry carries each firing time and
-        # destination — and counts are bulk-incremented.  The message keeps
-        # the first of the ids the per-copy tier would assign.  Slot
-        # ``loop`` of ``dests`` is the sender's loopback, which is not sent;
-        # an attacked broadcast's copies are its rows (``_attack_rows``).
         if plan is None and self._delay_override is not None:
-            delays = self._star_delays(message, now)
+            delays = self._star_delays(message, now, loop)
         else:
             delays = model.sample_delays(now, hops)
         if plan is not None:
             delays = plan.arrivals(delays)
-        rows = None
-        if attacked:
-            delays = np.asarray(delays).tolist()
-            links = [source] * hops if relays is None else relays.tolist()
-            rows = self._attack_rows(message, dests[:loop] + dests[loop + 1:], links, delays)
-        times = np.empty(hops + 1)
-        if loop:
-            times[:loop] = delays[:loop]
-        times[loop] = 0.0
-        times[loop + 1:] = delays[loop:]
-        times += now
-        if rows is None:
-            first = message.msg_id = controller.next_message_id(hops + 1)
-        else:
-            at, offsets, steps = _layout(loop, dests, times, now, rows)
-            first = message.msg_id = controller.next_message_id(len(at))
+        self._send(message, loop, dests, delays, wire_bytes, relays)
+
+    def _unicast(self, message: Message) -> None:
+        controller = self._controller
+        if message.dest == message.source and not message.forged:
+            # An honest message to oneself is a loopback: not on the wire.
+            message.msg_id = controller.next_message_id()
+            message.delay = 0.0
+            self._push_event(MessageEvent(time=message.sent_at, message=message))
+            return
+        delay = message.delay
+        if delay is None:
+            override = self._delay_override
+            if override is not None:
+                delay = override(message, message.dest)
+            if delay is None:
+                delay = self._sample_delay(message.sent_at)
+        wire_bytes = estimate_message_bytes(message)
+        if message.forged or not self._unobserved():
+            self._send(message, None, [message.dest], [delay], wire_bytes, None)
+            return
+        # Nothing can act on it: the delivery event is pushed directly, as
+        # :meth:`_send` would, without its rows.  A per-run id: global
+        # construction counters would leak across runs and break trace-level
+        # determinism.
+        message.msg_id = controller.next_message_id()
+        message.delay = delay
         counts = self._counts
-        counts.sent += hops
+        counts.sent += 1
+        counts.bytes_sent += wire_bytes
+        if self._on_send:
+            self._charge(message.source, wire_bytes, 1)
+        if controller.trace.enabled:
+            self._record_sends(message, {"size": wire_bytes}, _DIRECT,
+                               [(message.dest, message.msg_id)])
+        self._push_event(MessageEvent(time=message.sent_at + delay, message=message))
+
+    def _send(self, message: Message, loop: int | None, slots: list[int], delays: Any,
+              wire_bytes: int, relays: np.ndarray | None) -> None:
+        """The one send routine: the attacker, then the environment, over
+        the rows of one message, then its ids, records and queue entries.
+
+        ``slots`` are the recipients in copy order, priced by ``delays``
+        (one per row), and ``loop`` is the slot of the sender's loopback
+        (``None``: every slot crosses the wire); each other slot is a row,
+        relayed by ``relays[row]`` on a dissemination hop.  Slot by slot,
+        the copy takes an id, then each insert of its row and each
+        duplicate one, and every delivery the next queue handle, a
+        duplicate before what it duplicates: the order a copy-by-copy
+        network gives them.  A dropped copy leaves its id and handle
+        unused.  When nothing can act on the message the rows are skipped:
+        one message and one queue entry serve every copy.
+        """
+        controller = self._controller
+        now = message.sent_at
+        source = message.source
+        hops = len(slots) - (loop is not None)
+        controls = False
+        dropped = 0
+        happened: list[tuple[int, str, float]] = []
+        inserted: list[Message] = []
+        rows = None
+        if message.forged or not self._unobserved():
+            ctx = self._attacker_ctx
+            controls = ctx.controls_message(message)
+            dests = slots if loop is None else slots[:loop] + slots[loop + 1:]
+            rows = Rows(message, controls, dests,
+                        delays if isinstance(delays, list) else delays.tolist(),
+                        controller.next_message_id(0), loop)
+            if type(self.attacker) is not NullAttacker and dests:
+                # Built again only when a test swaps the attacker or its context.
+                if self._gate[0] != (self.attacker, ctx):
+                    self._gate = (self.attacker, ctx), row_gate(self.attacker, ctx)
+                self._gate[1](rows, message)
+            dropped = rows.keep.count(False)
+            links = [source] * hops if relays is None else relays.tolist()
+            carried, starts, links, dests, delays, keep = self._wire_copies(rows, links)
+            inserted = [item for item in carried if item is not None]
+            if self.faults is not None:
+                happened = self.faults.apply(message, links, dests, delays, keep)
+        counts = self._counts
+        if controls:
+            counts.byzantine += hops
+        else:
+            counts.sent += hops
+        counts.byzantine += len(inserted)
         counts.bytes_sent += hops * wire_bytes
+        counts.dropped += dropped
         if self._on_send:
             self._charge(source, wire_bytes, hops, relays)
-        if controller.trace.enabled:
-            # Copy i of the broadcast has id ids[i].
-            ids = range(first, first + hops + 1) if rows is None else [
-                first + offset for offset in offsets]
-            if relays is None:
-                keys, sends = _DIRECT, [(dest, ids[dest]) for dest in dests if dest != loop]
-            else:
-                keys, sends = _RELAYED, list(zip(dests[1:], ids[1:], relays.tolist()))
-            if rows is None:
-                self._record_sends(message, {"size": wire_bytes}, keys, sends)
-            else:
-                self._record_rows(message, {"size": wire_bytes}, keys, sends, *rows[1:])
+            for item in inserted:
+                self._charge(item.source, 0, 1)
+        trace = controller.trace
+        if trace.enabled:
+            tags: dict[str, Any] = {"size": wire_bytes}
+            if controls:
+                # ``byzantine`` lets trace consumers (``repro inspect``)
+                # reproduce the honest/byzantine split of MessageCounts; a
+                # forged send has no honest counterpart, so it also carries
+                # origin="attacker".
+                tags["byzantine"] = True
+            if message.forged:
+                tags["origin"] = "attacker"
         queue = controller.queue
-        if rows is None:
-            queue.push_deliveries(MessageEvent(time=now, message=message), times, dests)
+        if rows is None or not (dropped or happened or inserted or rows.payloads):
+            # Every copy as sent: one message and one cursor serve them all.
+            # Copy i has id first + i.
+            first = message.msg_id = controller.next_message_id(len(slots))
+            if trace.enabled:
+                self._record_sends(message, tags, *self._sends(first, loop, slots, relays))
+            if message.dest != BROADCAST:
+                message.delay = delays[0]
+                self._push_event(MessageEvent(time=now + delays[0], message=message))
+                return
+            queue.push_deliveries(MessageEvent(time=now, message=message),
+                                  _times(now, loop, delays), slots)
             return
+
+        events: dict[int, list[tuple[str, float]]] = {}
+        for index, kind, value in happened:
+            events.setdefault(index, []).append((kind, value))
+        first = message.msg_id = controller.next_message_id(
+            len(slots) + len(inserted) + sum(kind == "duplicate" for _, kind, _ in happened))
+        payloads = rows.payloads or [None] * hops
+        record = trace.record if trace.enabled else None
+        at: list[int] = []  # the recipient of each handle offset
+        # Deliveries of ``message`` by id step (id offset minus handle
+        # offset), as handle offsets and times: each step is one cursor.
+        steps: dict[int, tuple[list[int], list[float]]] = {}
+        # Deliveries with a message of their own: handle offset, time, message.
+        own: list[tuple[int, float, Message]] = []
+
+        def deliver(index: int, delay: float, dest: int, sent: Message, corrupted: bool,
+                    kept: bool = True) -> None:
+            # A dropped copy leaves its handle unused too, so the deliveries
+            # after it keep their id step.
+            handle = len(at)
+            at.append(dest)
+            if not kept:
+                return
+            if sent is message and not corrupted:
+                handles, times = steps.setdefault(index - handle, ([], []))
+                handles.append(handle)
+                times.append(now + delay)
+            else:
+                own.append((handle, now + delay, Message(
+                    sent.source, dest, sent.payload, now, delay, first + index, sent.forged,
+                    corrupted, sent.cause)))
+
+        index = 0
+        row = -1
+        for slot, dest in enumerate(slots):
+            slot_id = index
+            index += 1
+            if slot == loop:
+                deliver(slot_id, 0.0, dest, message, False)
+                continue
+            row += 1
+            copies = range(starts[row], starts[row + 1])
+            ids = {}
+            for item_index in copies:
+                if carried[item_index] is None:
+                    ids[item_index] = slot_id
+                else:
+                    ids[item_index] = index
+                    index += 1
+            sent = message
+            if payloads[row] is not None:
+                sent = Message(source, dest, payloads[row], now, None, 0, message.forged,
+                               cause=message.cause)
+            if record is not None:
+                send = (dest, first + slot_id) if relays is None else (
+                    dest, first + slot_id, int(relays[row]))
+                self._record_sends(message, tags, _DIRECT if relays is None else _RELAYED, [send])
+                for item_index in copies:
+                    item = carried[item_index]
+                    if item is not None:
+                        self._record_sends(item, {"forged": True, "origin": "attacker"}, _DIRECT,
+                                           [(item.dest, first + ids[item_index])])
+                if not rows.keep[row]:
+                    record(now, "drop", source, dest=dest, msg_type=sent.type,
+                           msg_id=first + slot_id)
+            for item_index in copies:
+                copy = sent if carried[item_index] is None else carried[item_index]
+                copy_id = ids[item_index]
+                corrupted = copy.corrupted
+                notes = []
+                for kind, value in events.get(item_index, ()):
+                    if kind == "duplicate":
+                        deliver(index, value, dests[item_index], copy, corrupted)
+                        notes.append(("env-dup", index, {"original": first + copy_id}))
+                        index += 1
+                    elif kind == "corrupt":
+                        if not corrupted:
+                            corrupted = True
+                            controller.metrics.faults.corrupted += 1
+                            notes.append(("env-corrupt", copy_id, {}))
+                    elif kind == "delay":
+                        notes.append(("env-delay", copy_id, {"factor": value}))
+                    else:
+                        notes.append(("env-drop", copy_id, {"fault": kind}))
+                if record is not None:
+                    for kind, note_id, fields in notes:
+                        record(now, kind, copy.source, dest=dests[item_index], msg_type=copy.type,
+                               msg_id=first + note_id, **fields)
+                deliver(copy_id, delays[item_index], dests[item_index], copy, corrupted,
+                        keep[item_index])
+                if carried[item_index] is None and message.dest != BROADCAST:
+                    message.delay = delays[item_index]
+
         base = queue.reserve(len(at))
-        for step, (handles, stepped) in steps.items():
+        for step, (handles, times) in steps.items():
             shifted = message
             if step:
                 # Deliveries whose id is their handle's plus ``step`` share
                 # a message numbered to match.
-                shifted = message.copy_for(BROADCAST, share_payload=True)
+                shifted = message.copy_for(message.dest, share_payload=True)
                 shifted.msg_id = first + step
-            queue.push_deliveries(MessageEvent(time=now, message=shifted), stepped, at, handles, base)
+            queue.push_deliveries(MessageEvent(time=now, message=shifted), times, at, handles, base)
+        for handle, time, copy in own:
+            queue.push_deliveries(MessageEvent(time=now, message=copy), [time], [copy.dest], [0],
+                                  base + handle)
 
-    def _rides_cursor(self, message: Message) -> bool:
-        """True when an observed honest broadcast still rides the shared
-        tier, as rows that may be re-timed or dropped: the attacker acts on
-        broadcasts (or is the genuine ``NullAttacker``) and does not control
-        the message, and no ``corrupt`` fault is active."""
-        attacker = self.attacker
-        faults = self.faults
-        return (
-            (type(attacker) is NullAttacker or attacker.acts_on_broadcasts())
-            and not self._attacker_ctx.controls_message(message)
-            and (faults is None or not faults.corrupts_at(message.sent_at))
-        )
+    def _wire_copies(self, rows: Rows, links: list[int]) -> tuple:
+        """The wire copies the environment meets once the attacker is done:
+        row by row, the row's copy, kept or not, then its inserts.
 
-    def _attack_rows(self, message: Message, dests: list[int], links: list[int],
-                     delays: list[float]) -> tuple | None:
-        """The attacker, then the environment, over the wire copies of one
-        broadcast: row ``i`` is the copy for ``dests[i]`` over the link from
-        ``links[i]``, and ``delays`` is re-timed in place.  Returns ``(keep,
-        rows the attacker dropped, the fault engine's events)``, or ``None``
-        when every copy is kept and there is nothing more to record."""
-        keep = [True] * len(dests)
-        dropped: list[int] = []
-        attacker = self.attacker
-        if type(attacker) is not NullAttacker and dests:
-            broadcast_gate(attacker.attack_broadcast, self._attacker_ctx)(
-                message, None, dests, delays, keep)
-            dropped = [row for row, kept in enumerate(keep) if not kept]
-            self._counts.dropped += len(dropped)
-        happened = [] if self.faults is None else self.faults.apply_rows(
-            message, links, dests, delays, keep)
-        return (keep, dropped, happened) if dropped or happened else None
+        Returns the insert each copy is (``None``: its row's copy), where
+        row ``i``'s copies start (``starts[i]``, up to ``starts[i + 1]``),
+        and the links, recipients, delays and keep flags of the copies.  A
+        forged insert enters the network now, as a message of its own; a
+        ``None`` delay takes the next ``network.delay`` draw."""
+        hops = len(rows.dests)
+        if rows.inserts is None:
+            return [None] * hops, range(hops + 1), links, rows.dests, rows.delays, rows.keep.copy()
+        now = rows.message.sent_at
+        carried: list[Message | None] = []
+        starts = [0]
+        columns: tuple[list, ...] = ([], [], [], [])
+        for row, dest in enumerate(rows.dests):
+            copies = [(links[row], dest, rows.delays[row], rows.keep[row])]
+            for item in rows.inserts.get(row, ()):
+                item.sent_at = now
+                if item.delay is None:
+                    item.delay = self.delay_model.sample_delay(now)
+                if item.cause is None:
+                    item.cause = rows.message.cause
+                copies.append((item.source, item.dest, item.delay, True))
+            carried += [None, *rows.inserts.get(row, ())]
+            for copy in copies:
+                for column, value in zip(columns, copy):
+                    column.append(value)
+            starts.append(len(carried))
+        return (carried, starts, *columns)
 
-    def _star_delays(self, message: Message, now: float) -> list[float]:
+    def _sends(self, first: int, loop: int | None, slots: list[int],
+               relays: np.ndarray | None) -> tuple[tuple[str, ...], list[tuple]]:
+        """The ``send`` record keys and rows of a message whose copy in slot
+        ``i`` has id ``first + i``."""
+        if relays is None:
+            return _DIRECT, [(dest, first + slot) for slot, dest in enumerate(slots) if slot != loop]
+        return _RELAYED, list(zip(slots[1:], range(first + 1, first + len(slots)), relays.tolist()))
+
+    def _star_delays(self, message: Message, now: float, loop: int | None) -> list[float]:
         """A star's delays under the override, in destination order: the
         hook's value per recipient, and one ``network.delay`` block for the
-        copies it leaves at ``None`` — the draws the per-copy tier takes one
-        by one, in the same order."""
+        copies it leaves at ``None``."""
         override = self._delay_override
-        source = message.source
-        delays = [
-            override(message, dest) for dest in range(self._controller.n) if dest != source
-        ]
+        delays = [override(message, dest) for dest in self._star_dests if dest != loop]
         missing = [i for i, delay in enumerate(delays) if delay is None]
         for i, delay in zip(missing, self.delay_model.sample_delays(now, len(missing)).tolist()):
             delays[i] = delay
@@ -390,169 +479,15 @@ class NetworkModule:
         (see :meth:`Overlay.relays`): what an overlay-aware attack targets."""
         return self._overlay.relays(source)
 
-    # -- internals ----------------------------------------------------------
-
-    def _submit_single(self, message: Message) -> None:
-        if message.forged or not self._unobserved():
-            # An honest message to oneself is a loopback: not on the wire.
-            wire = int(message.forged or message.dest != message.source)
-            self._instrumented(message, (message,), wire, estimate_message_bytes(message))
-            return
-        # Unicast on the shared tier's terms: the send is honest, the delay
-        # draw is the only RNG consumption, and the delivery event is
-        # pushed directly.
-        controller = self._controller
-        # Re-key the message with a per-run id: global construction counters
-        # would leak across runs and break trace-level determinism.
-        message.msg_id = controller.next_message_id()
-        if message.dest == message.source:
-            message.delay = 0.0
-            self._push_event(MessageEvent(time=message.sent_at, message=message))
-            return
-        wire_bytes = estimate_message_bytes(message)
-        counts = self._counts
-        counts.sent += 1
-        counts.bytes_sent += wire_bytes
-        if self._on_send:
-            self._charge(message.source, wire_bytes, 1)
-        if controller.trace.enabled:
-            self._record_sends(message, {"size": wire_bytes})
-        delay = message.delay
-        if delay is None:
-            override = self._delay_override
-            if override is not None:
-                delay = override(message, message.dest)
-            if delay is None:
-                delay = self._sample_delay(message.sent_at)
-            message.delay = delay
-        self._push_event(
-            MessageEvent(time=message.sent_at + delay, message=message)
-        )
-
-    def _instrumented(
-        self, message: Message, copies: Iterable[Message], wire: int, wire_bytes: int,
-        relays: np.ndarray | None = None,
-    ) -> None:
-        """The instrumented tier: every copy of one logical message — the
-        hops of a broadcast, or one unicast — through the attacker, the
-        fault engine and onto the queue.
-
-        ``wire`` of the ``copies`` cross the wire (a loopback does not),
-        sent by ``relays`` on dissemination hops, by the source otherwise.
-        Whatever is the same for every copy is decided once, before the
-        loop: source and send time are shared, and corruption only counts
-        strictly before the send, so a node corrupted mid-broadcast never
-        changes who controls it.  Payloads stay shared copy-on-write: an
-        uncontrolled payload is read-only for the attacker, so one pristine
-        snapshot (also handed to a composite's clauses through the context)
-        serves the diff of every copy, and only copies the attacker
-        controls — and may therefore mutate — are un-shared.
-        """
-        controller = self._controller
-        ctx = self._attacker_ctx
-        source = message.source
-        now = message.sent_at
-        honest = not message.forged
-        controls = ctx.controls_message(message)
-        counts = self._counts
-        if controls:
-            counts.byzantine += wire
-        else:
-            counts.sent += wire
-        counts.bytes_sent += wire * wire_bytes
-        if self._on_send and wire:  # an honest loopback is not on the wire
-            self._charge(source, wire_bytes, wire, relays)
-        tags: dict[str, Any] | None = None
-        if controller.trace.enabled:
-            # ``byzantine`` lets trace consumers (``repro inspect``)
-            # reproduce the honest/byzantine split of MessageCounts.
-            # Attacker-*inserted* messages additionally carry
-            # origin="attacker": a forged send has no honest counterpart, so
-            # lineage and message-usage reconciliation must be able to tell
-            # insertion from corruption of an honest sender.
-            tags = {"size": wire_bytes}
-            if controls:
-                tags["byzantine"] = True
-            if not honest:
-                tags["origin"] = "attacker"
-        override = self._delay_override
-        sample = self.delay_model.sample_delay
-        # ``NullAttacker.attack`` returns None: it cannot drop, re-time or
-        # mutate, so there is no gate to pass and nothing to diff.  The gate
-        # is built per logical message: tests swap attacker and context
-        # after construction.
-        gate = snapshot = None
-        if type(self.attacker) is not NullAttacker:
-            gate = capability_gate(self.attacker.attack, ctx)
-            if not controls and Capability.OBSERVE in ctx.capabilities:
-                snapshot = deep_copy_payload(message.payload)
-        # Environmental faults act after the adversary: the attacker has no
-        # visibility into (or control over) what the benign environment then
-        # loses, duplicates, corrupts, or re-times.
-        apply_faults = None if self.faults is None else self.faults.apply
-        next_id = controller.next_message_id
-        push = self._push_event
-        # An ``inject`` from inside ``attack`` re-enters: put back what the
-        # outer hand-off published.
-        outer = ctx.pristine_payload
-        try:
-            for hop in copies:
-                hop.msg_id = next_id()  # per-run id, as in ``_submit_single``
-                if hop.dest == source and honest:
-                    hop.delay = 0.0
-                    push(MessageEvent(time=now, message=hop))
-                    continue
-                if tags is not None:
-                    self._record_sends(hop, tags)
-                delay = hop.delay
-                if delay is None:
-                    if override is not None:
-                        delay = override(hop, hop.dest)
-                    if delay is None:
-                        delay = sample(now)
-                    hop.delay = delay
-                survivors: Iterable[Message] = (hop,)
-                if gate is not None:
-                    if controls:
-                        hop.own_payload()
-                    returned = gate(hop, controls, snapshot)
-                    if returned is not None:
-                        self._book(hop, returned)
-                        survivors = returned
-                for survivor in survivors:
-                    if apply_faults is None:
-                        push(MessageEvent(
-                            time=survivor.sent_at + survivor.delay, message=survivor
-                        ))
-                    else:
-                        for delivered in apply_faults(survivor):
-                            push(MessageEvent(
-                                time=delivered.sent_at + delivered.delay,
-                                message=delivered,
-                            ))
-        finally:
-            ctx.pristine_payload = outer
-
-    def _record_sends(
-        self,
-        message: Message,
-        tags: dict[str, Any],
-        keys: tuple[str, ...] = _DIRECT,
-        rows: list[tuple] | None = None,
-    ) -> None:
-        """The one ``send`` trace record routine, for both tiers: one sink
-        call writes a record per row of ``rows``, the ``keys`` values of
-        each copy — all of a shared broadcast's copies, or (the default)
-        ``message`` itself.
+    def _record_sends(self, message: Message, tags: dict[str, Any], keys: tuple[str, ...],
+                      rows: list[tuple]) -> None:
+        """The one ``send`` trace record routine: one sink call writes a
+        record per row of ``rows``, the ``keys`` values of each copy of
+        ``message``.
 
         ``tags`` are the fields that vary by origin; the relaying node is
         named on dissemination hops only, so direct sends keep the records
         older traces have."""
-        if rows is None:
-            rows = [(message.dest, message.msg_id)]
-            if message.relay_from is not None:
-                keys = _RELAYED
-                rows = [(message.dest, message.msg_id, message.relay_from)]
         controller = self._controller
         payload = message.payload
         fields = {
@@ -566,53 +501,14 @@ class NetworkModule:
             controller.clock.now, "send", message.source, fields, keys, rows
         )
 
-    def _record_rows(self, message: Message, tags: dict[str, Any], keys: tuple[str, ...],
-                     sends: list[tuple], dropped: list[int], happened: list[tuple]) -> None:
-        """The records of a broadcast whose rows were dropped or touched by
-        the environment, in per-copy order: each copy's ``send``, then its
-        ``drop`` or its ``env-*`` records (a duplicate is numbered after its
-        original and the duplicates before it)."""
-        notes: dict[int, list[tuple]] = {row: [("drop", 0, {})] for row in dropped}
-        for row, kind, value in happened:
-            note = notes.setdefault(row, [])
-            if kind == "duplicate":
-                step = 1 + sum(entry[0] == "env-dup" for entry in note)
-                note.append(("env-dup", step, {"original": sends[row][1]}))
-            else:
-                fields = {"factor": value} if kind == "delay" else {"fault": kind}
-                note.append(("env-delay" if kind == "delay" else "env-drop", 0, fields))
-        record = self._controller.trace.record
-        for row, send in enumerate(sends):
-            self._record_sends(message, tags, keys, [send])
-            for kind, step, fields in notes.get(row, ()):
-                record(message.sent_at, kind, message.source, dest=send[0],
-                       msg_type=message.type, msg_id=send[1] + step, **fields)
 
-    def _book(self, hop: Message, delivered: list[Message]) -> None:
-        """Account for an explicit ``attack`` return: every forged insert
-        enters the network as a message of its own, in the attacker's
-        order, and a ``hop`` that is not among ``delivered`` was dropped."""
-        controller = self._controller
-        dropped = True
-        for item in delivered:
-            if item is hop:
-                dropped = False
-                continue
-            # Per-run id, as for every other message: the one it was
-            # constructed with comes from a process-wide counter.
-            item.msg_id = controller.next_message_id()
-            if item.delay is None:
-                item.delay = self.delay_model.sample_delay(item.sent_at)
-            self._counts.byzantine += 1
-            if self._on_send:
-                self._charge(item.source, 0, 1)
-            if controller.trace.enabled:
-                if item.cause is None:
-                    item.cause = controller._current_cause
-                self._record_sends(item, {"forged": True, "origin": "attacker"})
-        if dropped:
-            self._counts.dropped += 1
-            controller.trace.record(
-                controller.clock.now, "drop", hop.source,
-                dest=hop.dest, msg_type=hop.type, msg_id=hop.msg_id,
-            )
+def _times(now: float, loop: int | None, delays: Any) -> np.ndarray:
+    """The firing time of each slot: ``now`` plus its delay, and ``now``
+    itself at the loopback slot ``loop``."""
+    if loop is None:
+        return np.asarray(delays, dtype=np.float64) + now
+    times = np.empty(len(delays) + 1)
+    times[:loop] = delays[:loop]
+    times[loop] = 0.0
+    times[loop + 1:] = delays[loop:]
+    return times + now

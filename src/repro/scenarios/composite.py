@@ -15,14 +15,13 @@ child to its **own** declared capabilities:
 * a child without ``OBSERVE`` sees redacted payloads even when a sibling
   is observing;
 * payload edits, re-timing, drops and forged inserts by a child pass
-  that child's own :func:`~repro.attacks.base.capability_gate`, against
-  the one per-broadcast snapshot the network module took.
+  that child's own :func:`~repro.attacks.base.row_gate`, against the one
+  payload snapshot of the message.
 
-When every child acts on broadcasts (:meth:`Attacker.attack_broadcast`),
-so does the composite: each child in turn, behind its own
-:func:`~repro.attacks.base.broadcast_gate`, over the rows the children
-before it kept.  One child that overrides only ``attack`` sends every copy
-through the per-copy chain instead.
+The composite acts on a message's rows (:meth:`Attacker.attack_broadcast`):
+each child in turn, behind its own gate, over the rows the children before
+it kept — all at once, or one row at a time for a child that overrides
+``attack``.  What the children rewrite or insert rides the rows too.
 
 Child timers are namespaced (``sc<i>:<name>``) so the composite can route
 each firing back to the owning clause; the original name is restored on a
@@ -33,8 +32,8 @@ siblings and of clause order-preserving edits elsewhere in the spec.
 
 A clause with ``start > 0`` is *dormant* until its window opens: its
 ``setup`` runs when the activation timer fires (which is why the validator
-demands ``ADAPTIVE`` for windowed corrupting clauses), and its ``attack``
-is only consulted for messages sent inside the window.
+demands ``ADAPTIVE`` for windowed corrupting clauses), and its hook is
+only consulted for messages sent inside the window.
 """
 
 from __future__ import annotations
@@ -42,12 +41,9 @@ from __future__ import annotations
 import random
 from typing import Any
 
-from ..attacks.base import (
-    Attacker, AttackerContext, Capability, broadcast_gate, capability_gate,
-)
+from ..attacks.base import Attacker, AttackerContext, Capability, row_gate
 from ..attacks.registry import register_attack
 from ..core.events import TimeEvent
-from ..core.message import Message
 from ..core.node import TimerHandle
 from .spec import ScenarioSpec
 
@@ -106,11 +102,10 @@ class CompositeAttacker(Attacker):
         self.capabilities = caps
         self.wants_signals = any(child.wants_signals for child in self._children)
         self._child_ctxs: list[_ChildContext] = []
-        #: Per clause, over that clause's context: its per-copy gate and its
-        #: broadcast gate.
-        self._gates: list[tuple] = []
+        #: Per clause, its gate over that clause's context.
+        self._gates: list = []
         #: The gates of the clauses acting on messages sent at ``_active_at``.
-        self._active: list[tuple] = []
+        self._active: list = []
         self._active_at: float | None = None
 
     def bind(self, ctx: AttackerContext) -> None:
@@ -122,8 +117,7 @@ class CompositeAttacker(Attacker):
         for child, child_ctx in zip(self._children, self._child_ctxs):
             child.bind(child_ctx)
         self._gates = [
-            (capability_gate(child.attack, child_ctx),
-             broadcast_gate(child.attack_broadcast, child_ctx))
+            row_gate(child, child_ctx)
             for child, child_ctx in zip(self._children, self._child_ctxs)
         ]
 
@@ -145,69 +139,27 @@ class CompositeAttacker(Attacker):
 
     # -- per-message chain ---------------------------------------------------
 
-    def _active_gates(self, now: float) -> list[tuple]:
+    def _active_gates(self, now: float) -> list:
         """The gates of the clauses acting on messages sent at ``now``."""
         if now != self._active_at:
             # Which clauses act depends on the send time alone (readiness
             # changes only in ``_activate``): decided once per broadcast,
             # not once per copy.
             self._active = [
-                gates
-                for clause, child_ctx, gates in zip(
+                gate
+                for clause, child_ctx, gate in zip(
                     self._clauses, self._child_ctxs, self._gates)
                 if clause.in_window(now) and child_ctx.ready
             ]
             self._active_at = now
         return self._active
 
-    def acts_on_broadcasts(self) -> bool:
-        return super().acts_on_broadcasts() and all(
-            child.acts_on_broadcasts() for child in self._children)
-
     def attack_broadcast(self, view, dests, delays, keep):
-        # Clause by clause over the rows: a clause sees only the copies that
-        # every clause before it kept, as the per-copy chain stops at a drop.
-        snapshot = self.ctx.pristine_payload
-        rows = None  # the rows still kept, once a clause dropped one
-        for _, gate in self._active_gates(view.sent_at):
-            if rows is None:
-                gate(view, snapshot, dests, delays, keep)
-                if all(keep):
-                    continue
-                rows = [row for row, kept in enumerate(keep) if kept]
-            else:
-                sub_delays, sub_keep = [delays[row] for row in rows], [True] * len(rows)
-                gate(view, snapshot, [dests[row] for row in rows], sub_delays, sub_keep)
-                for row, delay, kept in zip(rows, sub_delays, sub_keep):
-                    delays[row], keep[row] = delay, kept
-                rows = [row for row, kept in zip(rows, sub_keep) if kept]
-            if not rows:
-                return
-
-    def attack(self, message: Message):
-        active = self._active_gates(message.sent_at)
-        if not active:
-            return None
-        controls = self.ctx.controls_message(message)
-        # The payload of a message we can read but do not control is shared
-        # by the recipients of its broadcast; whoever handed it to us took
-        # the one snapshot every clause's diff compares against.
-        snapshot = self.ctx.pristine_payload
-        forged: list[Message] = []
-        for gate, _ in active:
-            delivered = gate(message, controls, snapshot)
-            if delivered is not None:
-                kept = False
-                for item in delivered:
-                    if item is message:
-                        kept = True
-                    else:
-                        forged.append(item)
-                if not kept:
-                    return forged
-        if forged:
-            return [message, *forged]
-        return None
+        # Clause by clause over the rows the gate published: each clause
+        # acts only on the rows every clause before it kept.
+        rows = self.ctx.rows
+        for gate in self._active_gates(view.sent_at):
+            gate(rows, view)
 
     # -- timer routing -------------------------------------------------------
 

@@ -63,9 +63,9 @@ def pending_deliveries(controller: Controller) -> list[tuple[float, int, int, Me
     """Every delivery scheduled so far as ``(time, dest, copy id, message)``,
     in firing order (drains the queue).
 
-    Read from the queue entries: a broadcast on the shared tier is one
-    message for many recipients, and each delivery's time, recipient and
-    copy id live in its entry, not in the message.
+    Read from the queue entries: a broadcast is one message for many
+    recipients, and each delivery's time, recipient and copy id live in its
+    entry, not in the message.
     """
     from repro.core.controller import _copy_id
     from repro.core.events import MessageEvent
@@ -90,7 +90,6 @@ def count_payload_copies(monkeypatch) -> list[object]:
     """
     from repro.attacks import base as attacks_base
     from repro.core import message as message_module
-    from repro.network import module as network_module
 
     original = message_module.deep_copy_payload
     copied: list[object] = []
@@ -106,6 +105,6 @@ def count_payload_copies(monkeypatch) -> list[object]:
         finally:
             depth[0] = 0
 
-    for owner in (message_module, network_module, attacks_base):
+    for owner in (message_module, attacks_base):
         monkeypatch.setattr(owner, "deep_copy_payload", counting)
     return copied

@@ -1,17 +1,16 @@
-"""One rule battery for the capability gates, over everyone who holds one.
+"""One rule battery for the capability gate, over everyone who holds one.
 
 The per-message rules of the threat model are enforced by
-:func:`repro.attacks.base.capability_gate` around ``attack``, and by its
-vector form :func:`repro.attacks.base.broadcast_gate` around
-``attack_broadcast``, for three kinds of party: the attacker as a whole
-(held by the network module), the sole clause of a scenario, and a clause
-that acts behind another one.  Every rule below is run against each holder
-and must come out the same: the same error text after the name of the
-party, or the same deliveries and counts.  The ``vector`` holders' party
-acts through ``attack_broadcast``, so an honest broadcast reaches it once,
-as rows; a rule it cannot express (a payload rewrite, or handing back other
-messages than the copy) is held by a subclass that overrides ``attack``,
-which the network must consult per copy.
+:func:`repro.attacks.base.row_gate`, for three kinds of party: the
+attacker as a whole (held by the network module), the sole clause of a
+scenario, and a clause that acts behind another one.  Every rule below is
+run against each holder and must come out the same: the same error text
+after the name of the party, or the same deliveries and counts.  The
+``_test-held`` party overrides ``attack``, so the gate shows it each row's
+copy in turn; the ``vector`` holders' party acts through
+``attack_broadcast``, so a broadcast reaches it once, as rows.  A rule
+that hook cannot express (a payload rewrite, or handing back other
+messages than the copy) is held by a subclass that overrides ``attack``.
 
 The stimulus is always one broadcast at t=20 over n=4 with a constant 50 ms
 delay; the attacker under test acts on the copy for node 2 only.
@@ -344,7 +343,6 @@ def test_rule(holder, name):
     counts = controller.metrics.counts
     assert (counts.sent, counts.byzantine, counts.dropped) == rule.counts
     if holder.startswith("vector"):
-        # The rows of an honest broadcast arrive at once; a controlled
-        # broadcast, and a party that overrides ``attack``, go per copy.
-        per_copy = name in PER_COPY or rule.corrupt == rule.source
-        assert held.calls == ([] if name in PER_COPY else [1, 1, 1] if per_copy else [3])
+        # The rows of a broadcast arrive at once, controlled or not; a party
+        # that overrides ``attack`` is shown them one by one instead.
+        assert held.calls == ([] if name in PER_COPY else [3])

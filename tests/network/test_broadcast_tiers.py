@@ -1,14 +1,17 @@
-"""The one broadcast routine: shared tier ≡ instrumented tier, in every mode.
+"""The one send routine: skipping the rows ≡ taking them, in every mode.
 
-A benign broadcast rides the shared tier (one message, one delivery event,
-one cursor entry in the queue, one batched delay draw), traced or not;
-an attacker or fault schedule that may only re-time or drop copies keeps
-it too, as rows; anything that can rewrite a copy or insert beside one
-forces the instrumented tier (one copy per recipient through the
-attacker/fault path).  Byte-identity between the two is the contract: same delays, same
-queue handles, same message ids, same trace file, so a run may change tier
-at any broadcast.  A delay override (the validator's replay) prices single
-copies on either tier, so it does not change the tier either.
+Every message goes through :meth:`NetworkModule._send`.  When nothing can
+act on it (no attacker, fault schedule or corrupted node) the routine skips
+the rows: one message, one delivery event, one cursor entry in the queue,
+one batched delay draw, traced or not.  Forcing the rows (``_unobserved``
+answers "observed", as under an attacker that never acts) must change
+nothing: same delays, same queue handles, same message ids, same trace
+file, so a run may start taking the rows at any message.  A delay override
+(the validator's replay) prices copies either way.
+
+The test names keep the words of the tier split this replaced ("shared
+tier" for the no-rows case, "per-copy" or "instrumented" for the forced
+rows); the per-copy tier's own output is frozen in ``tests/pinned.json``.
 """
 
 from __future__ import annotations
@@ -49,11 +52,9 @@ from tests.pinned import (
 
 
 def force_instrumented(controller: Controller) -> Controller:
-    """Every message of ``controller`` takes the per-copy tier: the shared
-    tier's predicates answer "observed" and "not as rows" whatever the run
-    holds."""
+    """Every message of ``controller`` takes its rows: the network's
+    predicate answers "observed" whatever the run holds."""
     controller.network._unobserved = lambda: False
-    controller.network._rides_cursor = lambda message: False
     return controller
 
 
@@ -71,8 +72,8 @@ def queue_entries(controller: Controller) -> list[tuple]:
 
 
 #: ``block_txns`` turns proposal values from tag strings into structured
-#: blocks (a dict holding a transaction list): the payload the shared tier
-#: hands to every recipient as one object and the per-copy tier deep-copies.
+#: blocks (a dict holding a transaction list): the payload every recipient
+#: shares as one object, with rows or without.
 BLOCK_PROTOCOLS = ["pbft", "hotstuff-ns"]
 
 
@@ -115,10 +116,10 @@ SCHEDULES = {"benign": None, "crash-window": "crash=3@60:250", "crash-forever": 
 def test_a_traced_run_stays_shared_and_writes_the_per_copy_tiers_bytes(
     protocol, mode, schedule, tmp_path, monkeypatch
 ):
-    """Tracing (with metrics and health on) does not change the tier, and
-    the JSONL file is byte-for-byte that of a forced per-copy run: same
-    ``send`` lines in the same order, per-copy ids on every ``deliver``,
-    drop record and lineage cause."""
+    """Tracing (with metrics and health on) keeps a run without rows, and
+    the JSONL file is byte-for-byte that of a run forced onto its rows:
+    same ``send`` lines in the same order, per-copy ids on every
+    ``deliver``, drop record and lineage cause."""
     config = golden_config(protocol, mode).replace(n=7, allow_horizon=True)
     if SCHEDULES[schedule] is not None:
         config = config.replace(faults=parse_faults_spec(SCHEDULES[schedule]))
@@ -144,7 +145,7 @@ def test_a_traced_run_stays_shared_and_writes_the_per_copy_tiers_bytes(
     copies_path, _, total_count = traced("copies.jsonl", force_instrumented)
 
     assert shared_count > 0, "the traced run left the shared tier"
-    assert total_count == shared_count, "the reference run was not per-copy"
+    assert total_count == 2 * shared_count, "a broadcast on its rows is one cursor too"
     assert shared_path.read_bytes() == copies_path.read_bytes()
     if SCHEDULES[schedule] is not None:
         assert b'"kind": "env-crash-drop"' in shared_path.read_bytes()
@@ -171,8 +172,7 @@ def test_one_broadcast_takes_the_same_ids_handles_and_times_in_both_tiers(mode):
     assert shared_id == copy_id == n + 1
     assert shared_handle == copy_handle == n
     assert [e[:3] for e in shared] == [e[:3] for e in copies]
-    assert len({id(e[3]) for e in shared}) == 1, "shared tier: one message object"
-    assert len({id(e[3]) for e in copies}) == n, "instrumented tier: one per copy"
+    assert len({id(e[3]) for e in shared + copies}) == 2, "one message object per broadcast"
 
     loopback = next(e for e in shared if e[2] == source)
     assert loopback[0] == now
@@ -199,9 +199,9 @@ class SampleRecorder(HealthMonitor):
 @pytest.mark.parametrize("mode", ["full", "tree"])
 @pytest.mark.parametrize("protocol", ["pbft", "hotstuff-ns"])
 def test_queue_gauges_and_health_samples_are_equal_in_both_tiers(protocol, mode):
-    """A shared broadcast is one heap entry but n pending deliveries: the
+    """A broadcast is one heap entry but n pending deliveries: the
     ``queue_depth`` / ``in_flight_messages`` series and the health monitor's
-    ``queue`` sample must count recipients, as the per-copy tier does."""
+    ``queue`` sample count recipients, with rows or without."""
     config = quick_config(protocol=protocol, n=7, num_decisions=3, seed=11, dissemination=mode)
     tiers = []
     for prepare in (lambda c: c, force_instrumented):
@@ -226,7 +226,7 @@ def test_queue_gauges_and_health_samples_are_equal_in_both_tiers(protocol, mode)
 def test_a_stall_report_counts_pending_deliveries_in_both_tiers(protocol, mode):
     """The watchdog fires while the first broadcasts are in flight (delays
     are ~50 ms, the window 5 ms): the census lists one ``message:<type>``
-    per pending recipient on either tier."""
+    per pending recipient, with rows or without."""
     config = quick_config(protocol=protocol, n=7, dissemination=mode, stall_timeout=5.0)
     shared = Controller(config).run().stall
     copies = force_instrumented(Controller(config)).run().stall
@@ -257,13 +257,14 @@ def test_a_phase_of_n_broadcasts_holds_o_n_heap_entries():
     assert peak["heap"] <= 4 * n
 
 
-# -- a run that changes tier mid-way ------------------------------------------
+# -- a run that starts taking its rows mid-way ---------------------------------
 
 
 @pytest.mark.parametrize("protocol", TIER_SWITCH_PROTOCOLS)
 def test_full_mode_tier_switch_matches_the_per_copy_fan_out(protocol):
     """The ``tier-switch`` cases were pinned while every broadcast fanned
-    out per copy: a run that leaves the shared tier mid-way reproduces it."""
+    out per copy: a run that corrupts a node or turns tracing on after its
+    first decision reproduces them."""
     for switch in TIER_SWITCHES:
         case = f"tier-switch/{protocol}/{switch}"
         assert observe(case) == expected(case)
@@ -287,11 +288,11 @@ def test_tier_switch_equals_a_run_instrumented_from_the_start(protocol, mode, sw
     assert switched.next_message_id() == reference.next_message_id()
 
 
-# -- the validator's replay rides the shared tier -----------------------------
+# -- the validator's replay takes one cursor per broadcast --------------------
 
 
 def counting_shared_broadcasts(monkeypatch) -> list[int]:
-    """Recipient counts of the broadcasts pushed as one shared entry."""
+    """Recipient counts of the broadcasts pushed as one cursor entry."""
     shared = []
     push_deliveries = EventQueue.push_deliveries
 
@@ -308,10 +309,10 @@ def counting_shared_broadcasts(monkeypatch) -> list[int]:
 def test_a_replay_stays_shared_and_equals_the_forced_per_copy_replay(
     protocol, mode, tmp_path, monkeypatch
 ):
-    """The replay hook prices each copy of a shared broadcast exactly as
-    the per-copy tier does: same result, same trace file, byte for byte.
-    The ground truth is another seed's run, so the recorded delays are not
-    the ones the replay's own stream would draw."""
+    """The replay hook prices each copy of a broadcast alike with rows or
+    without: same result, same trace file, byte for byte.  The ground truth
+    is another seed's run, so the recorded delays are not the ones the
+    replay's own stream would draw."""
     config = golden_config(protocol, mode).replace(n=7)
     ground_truth = run_simulation(config.replace(seed=7, record_trace=True)).trace
     shared_broadcasts = counting_shared_broadcasts(monkeypatch)
@@ -327,7 +328,7 @@ def test_a_replay_stays_shared_and_equals_the_forced_per_copy_replay(
     *shared, shared_count = replayed("shared.jsonl", lambda c: c)
     *copies, total_count = replayed("copies.jsonl", force_instrumented)
     assert shared_count > 0, "the replay left the shared tier"
-    assert total_count == shared_count, "the reference replay was not per-copy"
+    assert total_count == 2 * shared_count, "a broadcast on its rows is one cursor too"
     assert shared == copies
     if mode == "full":
         assert shared[0] != result_fingerprint(run_simulation(config)), "the hook was not used"
@@ -355,7 +356,7 @@ def test_an_unattacked_override_gives_the_per_copy_result_on_the_shared_tier(
         result = controller.run()
         runs.append((result_fingerprint(result), path.read_bytes(), len(shared_broadcasts)))
     (shared_print, shared_bytes, shared_count), (copy_print, copy_bytes, total) = runs
-    assert shared_count > 0 and total == shared_count
+    assert shared_count > 0 and total == 2 * shared_count
     assert shared_print == copy_print
     assert shared_bytes == copy_bytes
     assert shared_print != result_fingerprint(run_simulation(config))

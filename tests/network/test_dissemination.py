@@ -2,8 +2,8 @@
 
 Covers the plan layer (shapes, arrival accumulation, restricted BFS) and
 the network-module integration (coverage, counts, copy-on-write isolation,
-relay attribution, RNG substream isolation).  The contract that the shared
-and instrumented tiers produce identical runs is in
+relay attribution, RNG substream isolation).  The contract that a
+broadcast gives the same run with its rows or without is in
 ``test_broadcast_tiers.py``.
 """
 
@@ -245,8 +245,8 @@ class TestCopyOnWrite:
         """Benign broadcasts share a single payload (and message) across all
         recipients, the sender included — the memory contract behind n=1000
         comfort, and why received payloads are read-only in every mode.
-        Requires the genuine NullAttacker (any other attacker class forces
-        the instrumented tier: one message per recipient)."""
+        Every recipient shares it on the rows too, unless an attacker that
+        controls the message rewrites a copy."""
         from repro import Controller
         from tests.conftest import quick_config
 

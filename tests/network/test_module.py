@@ -114,10 +114,11 @@ class TestAttackerPassthrough:
         assert len(attacker.seen) == 3  # n-1 wire copies; loopback excluded
 
     def test_genuine_null_attacker_is_not_consulted_when_instrumented(self, monkeypatch):
-        """Trace-only and fault-only runs keep the genuine
-        NullAttacker: its ``attack`` returns None, so the instrumented tier
-        builds no gate around it, and takes no payload snapshot for it."""
+        """Trace-only and fault-only runs keep the genuine NullAttacker:
+        its ``attack`` returns None, so a message on its rows gets no gate
+        around it, and no payload snapshot for it."""
         from repro import Controller
+        from repro.attacks import base as attacks_base
         from repro.attacks.null import NullAttacker
         from repro.network import module as network_module
         from tests.conftest import quick_config
@@ -126,12 +127,11 @@ class TestAttackerPassthrough:
             raise AssertionError("the NullAttacker hand-off must be skipped")
 
         controller = Controller(quick_config(n=4, record_trace=True))
-        # Tracing alone keeps the shared tier; force the per-copy tier.
+        # Tracing alone skips the rows; force them.
         controller.network._unobserved = lambda: False
-        controller.network._rides_cursor = lambda message: False
         monkeypatch.setattr(NullAttacker, "attack", unexpected)
-        monkeypatch.setattr(network_module, "capability_gate", unexpected)
-        monkeypatch.setattr(network_module, "deep_copy_payload", unexpected)
+        monkeypatch.setattr(network_module, "row_gate", unexpected)
+        monkeypatch.setattr(attacks_base, "deep_copy_payload", unexpected)
         message = submit(controller)
         controller.network.submit(Message(source=0, dest=BROADCAST, payload={"type": "B"}))
         assert any(m is message for *_, m in pending_deliveries(controller))

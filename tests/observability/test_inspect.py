@@ -62,10 +62,10 @@ class TestTrafficAccounting:
 
 
 class TestDisseminationReconciliation:
-    """Accounting must stay exact when broadcasts are relayed: tracing
-    forces the per-hop instrumented tier, which emits one ``send`` event per
-    physical transmission (tagged ``relay=`` on non-origin hops), so the
-    report totals reconcile against :class:`MessageCounts` with no slack."""
+    """Accounting must stay exact when broadcasts are relayed: a traced
+    broadcast emits one ``send`` event per physical transmission (tagged
+    ``relay=`` on non-origin hops), so the report totals reconcile against
+    :class:`MessageCounts` with no slack."""
 
     def _run(self, mode: str, *, protocol: str = "pbft", n: int = 16,
              seed: int = 11, **kwargs):

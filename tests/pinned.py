@@ -14,15 +14,15 @@ expected ones from :func:`expected`.  The cases:
   the default dissemination; ``tree`` and ``gossip`` reshape delay draws
   by design, so what they pin is that each overlay is deterministic.
 * ``instrumented/<name>``: runs under an attacker, link faults or a
-  delay override, with the sha256 of their JSONL trace, pinned while their
-  broadcasts took the per-copy tier.  Those with attackers that only
-  re-time or drop, or with link faults, now ride the shared tier's cursor
-  as rows; the names stay.  Each moves if a delay is drawn in another
-  order, a copy gets another id or pops in another order, or a record
-  changes.
-* ``tier-switch/<protocol>/<switch>``: a ``full``-mode run that leaves the
-  shared tier after its first decision, pinned at the commit before
-  broadcasts were shared (per-copy fan-out throughout).
+  delay override, with the sha256 of their JSONL trace, pinned while the
+  network still sent such messages one copy at a time (the "instrumented"
+  tier).  Every message now takes its rows (``NetworkModule._send``), and
+  these digests are that tier's output, frozen as data; the names stay.
+  Each moves if a delay is drawn in another order, a copy gets another id
+  or pops in another order, or a record changes.
+* ``tier-switch/<protocol>/<switch>``: a ``full``-mode run that corrupts
+  node 5 or turns tracing on after its first decision, pinned at the
+  commit before broadcasts were shared (per-copy fan-out throughout).
 
 After an intended behaviour change, re-pin with::
 
@@ -201,8 +201,8 @@ INSTRUMENTED_RUNS = {
     "partial-sync-link-faults": lambda: _pbft_n32(
         4, 14, faults=parse_faults_spec("duplicate=0.2; delay=0.1x3"),
     ).replace(network={"gst": 800.0, "pre_gst_factor": 3.0, "max_delay": 400.0}),
-    # Pinned while the per-copy tier still existed, as its reference output
-    # for what only it carried: 45 attacked unicast VOTEs; the ``corrupt``
+    # Pinned while the per-copy tier still existed, as its output for what
+    # only it carried: 45 attacked unicast VOTEs; the ``corrupt``
     # fault, where a duplicate inherits the flag only when ``corrupt`` comes
     # first in the schedule; 35 broadcasts of an attacker overriding only
     # ``attack``; 6 forged unicasts sent through ``inject``; and the copies
@@ -224,7 +224,7 @@ INSTRUMENTED_RUNS = {
 PREPARE = {"delay-override": _override_odd_destinations, "replay-pbft-n32": _replay_seed_16}
 
 
-# -- runs that change tier mid-way --------------------------------------------
+# -- runs that start taking their rows mid-way ---------------------------------
 
 
 def run_switching(controller, switch):
@@ -244,7 +244,7 @@ def run_switching(controller, switch):
 
 def corrupt_node_5(controller):
     """Adaptive corruption under the genuine NullAttacker: from here on
-    ``controls_message`` can be true, so no broadcast is shared any more."""
+    ``controls_message`` can be true, so every message takes its rows."""
     ctx = AttackerContext(controller, Capability.BYZANTINE | Capability.ADAPTIVE)
     controller.attacker_ctx = controller.network._attacker_ctx = ctx
     ctx.corrupt(5)
