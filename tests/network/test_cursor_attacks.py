@@ -10,6 +10,8 @@ untraced one.
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import asdict
 
 import pytest
@@ -187,3 +189,28 @@ def test_a_composite_clause_is_shown_only_the_kept_rows():
     assert delivered == [(20.0, 0)] + [(20.0 + 50.0 + 1000.0 * (dest + 1), dest)
                                        for dest in (2, 4, 6)]
     assert controller.metrics.counts.dropped == 4
+
+
+# Recorded from the per-copy send path before it was folded into rows: the
+# run below with every copy sent as a ``Message`` of its own through both
+# clauses one at a time.
+PER_COPY_FINGERPRINT = "c13c63ab2a67f9efe1a1ade0833acf9af82446c65cb0eb48670432c12711c453"
+PER_COPY_TRACE_SHA256 = "2b515a8ee54c5651ccbbee4cb590c33fd8089c901e03b9c3dc69a4e58c9a6491"
+PER_COPY_SHOWN = (96, "76c92b9ff543cdeab5ee0d2a07cedec27a83eb5740d14e6fb376dd9c89f03689")
+
+
+def test_a_composite_clause_behind_a_drop_matches_the_per_copy_path(tmp_path):
+    """The same run as each copy going through both clauses on its own:
+    the fingerprint, the trace and the rows the second clause saw are the
+    ones the per-copy path produced."""
+    config = _partitioned_then_shifted(
+        n=7, num_decisions=2, max_time=20_000.0, allow_horizon=True)
+    path = tmp_path / "rows.jsonl"
+    controller = Controller(config, sink=JsonlSink(path))
+    result = controller.run()
+    shown = controller.attacker._children[1].shown
+    assert shown, "the second clause was shown nothing"
+    assert all((source - dest) % 2 == 0 for source, dest in shown)
+    assert result_fingerprint(result) == PER_COPY_FINGERPRINT
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PER_COPY_TRACE_SHA256
+    assert (len(shown), hashlib.sha256(json.dumps(shown).encode()).hexdigest()) == PER_COPY_SHOWN
